@@ -142,9 +142,8 @@ fn main() {
     let streaming_speedup = streaming_wps / batch_wps;
     let boxed_wps = windows as f64 / boxed_forest_time;
     let flat_wps = windows as f64 / flat_forest_time;
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    // The effective fan-out: honours a `SEIZURE_NUM_THREADS` pin.
+    let threads = seizure_parallel::num_threads();
 
     println!("inference bench ({windows} windows, {secs} s at {fs} Hz, {threads} thread(s))");
     println!(

@@ -1523,17 +1523,19 @@ fn theil_sen(points: &[(f64, f64)]) -> (f64, f64) {
     (slope, intercept)
 }
 
-/// Median by sorting in place (lower median for even lengths — a real data
-/// point, and deterministic).
+/// Median by O(n) selection in place (lower median for even lengths — a real
+/// data point, and deterministic). Selection leaves at the median position
+/// exactly the element a full sort would, so the result is the sorted
+/// median bit for bit.
 fn median_in_place(values: &mut [f64]) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
     // `total_cmp`, not `partial_cmp().expect(...)`: a NaN slope (possible when
-    // a poisoned window reaches the AGC fit) sorts to the top instead of
-    // panicking mid-detect, and the lower median stays a real data point.
-    values.sort_by(f64::total_cmp);
-    Some(values[(values.len() - 1) / 2])
+    // a poisoned window reaches the AGC fit) ranks above every number instead
+    // of panicking mid-detect, and the lower median stays a real data point.
+    let (_, median, _) = values.select_nth_unstable_by((values.len() - 1) / 2, f64::total_cmp);
+    Some(*median)
 }
 
 /// Standardizes a flat row-major matrix in place: `(x - mean) / std` per
@@ -1584,6 +1586,34 @@ mod tests {
         assert_eq!(median_in_place(&mut values), Some(2.0));
         let mut all_nan = [f64::NAN, f64::NAN];
         assert!(median_in_place(&mut all_nan).unwrap().is_nan());
+    }
+
+    #[test]
+    fn median_selection_equals_the_sorted_lower_median_bit_for_bit() {
+        let mut state = 0x2545_F491_4F6C_DD1D_u64;
+        for len in 1..64usize {
+            let values: Vec<f64> = (0..len)
+                .map(|i| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    match (state % 11, i % 5) {
+                        (0, _) => f64::NAN,
+                        (1, _) => -0.0,
+                        (2, _) => 0.0,
+                        (3, 0) => f64::NEG_INFINITY,
+                        // Few distinct values, so ties are common.
+                        _ => (state % 7) as f64 - 3.0,
+                    }
+                })
+                .collect();
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            let expected = sorted[(len - 1) / 2];
+            let mut selected = values.clone();
+            let median = median_in_place(&mut selected).unwrap();
+            assert_eq!(median.to_bits(), expected.to_bits(), "{values:?}");
+        }
     }
 
     #[test]

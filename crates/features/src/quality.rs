@@ -81,16 +81,56 @@ fn fold(freq: f64, fs: f64) -> f64 {
     }
 }
 
-/// Goertzel recurrence: squared DFT magnitude of `x` at `freq` Hz.
-fn goertzel_power(x: &[f64], fs: f64, freq: f64) -> f64 {
-    let coeff = 2.0 * (2.0 * PI * freq / fs).cos();
-    let (mut s1, mut s2) = (0.0_f64, 0.0_f64);
-    for &v in x {
-        let s0 = v + coeff * s1 - s2;
-        s2 = s1;
-        s1 = s0;
+/// Drift bins probed per window: the lowest three DFT bins.
+const DRIFT_BINS: usize = 3;
+
+/// Lanes of the interleaved Goertzel bank: every mains bin with its two
+/// sharpness neighbours plus the drift bins, rounded up to a whole number of
+/// vector registers.
+const GOERTZEL_LANES: usize = 16;
+const _: () = assert!(3 * MAINS_FAMILY.len() + DRIFT_BINS <= GOERTZEL_LANES);
+
+/// Interleaved Goertzel bank: one lane per probed frequency, all stepped by
+/// the same sample. Each lane runs the classic `v + coeff·s1 − s2`
+/// recurrence; the lanes are independent, so a step is one vectorizable
+/// block instead of one serial dependency chain per frequency. Spare lanes
+/// idle on a zero coefficient and are never read.
+struct GoertzelBank {
+    coeff: [f64; GOERTZEL_LANES],
+    s1: [f64; GOERTZEL_LANES],
+    s2: [f64; GOERTZEL_LANES],
+    lanes: usize,
+}
+
+impl GoertzelBank {
+    fn new() -> Self {
+        Self {
+            coeff: [0.0; GOERTZEL_LANES],
+            s1: [0.0; GOERTZEL_LANES],
+            s2: [0.0; GOERTZEL_LANES],
+            lanes: 0,
+        }
     }
-    (s1 * s1 + s2 * s2 - coeff * s1 * s2).max(0.0)
+
+    /// Adds the next lane, probing `freq` Hz.
+    fn probe(&mut self, freq: f64, fs: f64) {
+        self.coeff[self.lanes] = 2.0 * (2.0 * PI * freq / fs).cos();
+        self.lanes += 1;
+    }
+
+    fn step(&mut self, v: f64) {
+        for lane in 0..GOERTZEL_LANES {
+            let s0 = v + self.coeff[lane] * self.s1[lane] - self.s2[lane];
+            self.s2[lane] = self.s1[lane];
+            self.s1[lane] = s0;
+        }
+    }
+
+    /// Squared DFT magnitude of the samples stepped so far at `lane`.
+    fn power(&self, lane: usize) -> f64 {
+        let (s1, s2, coeff) = (self.s1[lane], self.s2[lane], self.coeff[lane]);
+        (s1 * s1 + s2 * s2 - coeff * s1 * s2).max(0.0)
+    }
 }
 
 /// Reusable buffers for one window's worth of quality arithmetic. Acquire
@@ -266,6 +306,20 @@ impl QualityExtractor {
         Ok(())
     }
 
+    /// The per-channel kernel: two sweeps over the window.
+    ///
+    /// Sweep 1 reads the raw samples once for the finite-extrema census,
+    /// the longest flat run, the sanitized copy and the sum and energy
+    /// folds. Sweep 2 reads the sanitized copy once to remove the mean, fold
+    /// the AC energy, fill the first differences (line length, max step),
+    /// count railed samples and step one interleaved Goertzel bank holding
+    /// every probed frequency. The median step comes from O(n) selection.
+    ///
+    /// Every indicator is bit-identical to evaluating each statistic in a
+    /// pass of its own: each fold keeps its sequential left-to-right order
+    /// and `Iterator::sum`'s `-0.0` start, and each Goertzel lane runs the
+    /// unchanged `v + coeff * s1 - s2` recurrence.
+    // lint: hot-path
     fn channel_into(
         &self,
         raw: &[f64],
@@ -281,67 +335,107 @@ impl QualityExtractor {
         }
         let nf = n as f64;
 
-        // Pass 1: finite extrema and non-finite census.
+        // Sweep 1 over the raw samples.
         let mut non_finite = 0usize;
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
-        for &v in raw {
-            if v.is_finite() {
+        // Longest run of repeated samples (non-finite values count as equal
+        // to each other: a dead channel full of NaN is one long dropout). The
+        // first sample compares equal to itself, which starts the run at 1.
+        let mut longest = 1usize;
+        let mut run = 0usize;
+        let mut prev = raw[0];
+        let mut sum = -0.0_f64;
+        let mut total_energy = -0.0_f64;
+        // Sanitized copy: all downstream arithmetic sees finite samples.
+        let cleaned = &mut scratch.cleaned;
+        cleaned.clear();
+        cleaned.extend(raw.iter().map(|&v| {
+            let finite = v.is_finite();
+            let same = v == prev || (!finite && !prev.is_finite());
+            run = if same { run + 1 } else { 1 };
+            longest = longest.max(run);
+            prev = v;
+            let c = if finite {
                 lo = lo.min(v);
                 hi = hi.max(v);
+                v
             } else {
                 non_finite += 1;
+                0.0
+            };
+            sum += c;
+            total_energy += c * c;
+            c
+        }));
+        let flat_run = longest as f64 / nf;
+        let mean = sum / nf;
+
+        // Sweep 2 over the sanitized samples. The bank probes each hum bin
+        // with its ±2 Hz sharpness neighbours (three consecutive lanes per
+        // bin), then the drift bins.
+        let mut bank = GoertzelBank::new();
+        for &bin in &self.hum_bins {
+            for freq in [bin, bin - 2.0, bin + 2.0] {
+                bank.probe(freq, self.fs);
             }
+        }
+        let hum_lanes = bank.lanes;
+        for k in 1..=DRIFT_BINS {
+            let freq = k as f64 * self.fs / nf;
+            if freq < self.fs / 2.0 {
+                bank.probe(freq, self.fs);
+            }
+        }
+        let mut ac_energy = -0.0_f64;
+        let mut line_sum = -0.0_f64;
+        let mut max_step = 0.0_f64;
+        // Railed samples are pinned to either finite rail; they are counted
+        // on `raw` because a sanitized 0.0 may coincide with a rail.
+        let mut pinned = 0usize;
+        let diffs = &mut scratch.diffs;
+        diffs.clear();
+        diffs.resize(n - 1, 0.0);
+        let (head, tail) = cleaned.split_at_mut(1);
+        head[0] -= mean;
+        let mut prev = head[0];
+        ac_energy += prev * prev;
+        pinned += usize::from(raw[0] == lo || raw[0] == hi);
+        bank.step(prev);
+        for ((c, &r), d) in tail.iter_mut().zip(&raw[1..]).zip(diffs.iter_mut()) {
+            *c -= mean;
+            let x = *c;
+            ac_energy += x * x;
+            let step = (x - prev).abs();
+            *d = step;
+            line_sum += step;
+            max_step = max_step.max(step);
+            prev = x;
+            pinned += usize::from(r == lo || r == hi);
+            bank.step(x);
         }
 
         // Railed fraction: samples pinned to either finite rail, plus every
         // non-finite sample (an overflowed ADC reads as railed, not absent).
         let railed = if hi > lo {
-            let pinned = raw.iter().filter(|v| **v == lo || **v == hi).count();
             ((pinned + non_finite) as f64 / nf).min(1.0)
         } else {
             (non_finite as f64 / nf).min(1.0)
         };
 
-        // Longest run of repeated samples (non-finite values count as equal
-        // to each other: a dead channel full of NaN is one long dropout).
-        let mut longest = 1usize;
-        let mut run = 1usize;
-        for pair in raw.windows(2) {
-            let same = pair[0] == pair[1] || (!pair[0].is_finite() && !pair[1].is_finite());
-            run = if same { run + 1 } else { 1 };
-            longest = longest.max(run);
-        }
-        let flat_run = longest as f64 / nf;
-
-        // Sanitized copy: all downstream arithmetic sees finite samples.
-        scratch.cleaned.clear();
-        scratch
-            .cleaned
-            .extend(raw.iter().map(|v| if v.is_finite() { *v } else { 0.0 }));
-        let cleaned = &mut scratch.cleaned;
-        let total_energy: f64 = cleaned.iter().map(|v| v * v).sum();
-        let mean = cleaned.iter().sum::<f64>() / nf;
-        for v in cleaned.iter_mut() {
-            *v -= mean;
-        }
-        let ac_energy: f64 = cleaned.iter().map(|v| v * v).sum();
         let std = (ac_energy / nf).sqrt();
         let log_std = (std + 1e-12).ln();
 
         // Line length and step statistics over first differences.
-        scratch.diffs.clear();
-        scratch
-            .diffs
-            .extend(cleaned.windows(2).map(|p| (p[1] - p[0]).abs()));
-        let line_length = scratch.diffs.iter().sum::<f64>() / (nf - 1.0);
-        let max_step = scratch.diffs.iter().copied().fold(0.0_f64, f64::max);
-        // `total_cmp` instead of `partial_cmp().expect(...)`: the diffs are
-        // built from the sanitized copy so they are finite today, but a NaN
-        // must never be able to panic the quality front end that exists to
-        // absorb hostile inputs.
-        scratch.diffs.sort_by(f64::total_cmp);
-        let median_step = scratch.diffs[scratch.diffs.len() / 2];
+        let line_length = line_sum / (nf - 1.0);
+        // Selection puts the element a full sort would place at `len / 2`
+        // there, so the median is the same value bit for bit. `total_cmp`
+        // instead of `partial_cmp().expect(...)`: the diffs are built from
+        // the sanitized copy so they are finite today, but a NaN must never
+        // be able to panic the quality front end that exists to absorb
+        // hostile inputs.
+        let mid = diffs.len() / 2;
+        let (_, &mut median_step, _) = diffs.select_nth_unstable_by(mid, f64::total_cmp);
         let max_jump = (max_step / (1.4826 * median_step + 1e-12)).min(1e6);
 
         // Aliased mains hum: tone-energy fraction at each observable folded
@@ -349,10 +443,10 @@ impl QualityExtractor {
         // broadband (or ictal) energy cannot trip it.
         let tone_norm = 2.0 / (nf * ac_energy + 1e-12);
         let mut hum: f64 = 0.0;
-        for &bin in &self.hum_bins {
-            let p = goertzel_power(cleaned, self.fs, bin);
-            let p_lo = goertzel_power(cleaned, self.fs, bin - 2.0);
-            let p_hi = goertzel_power(cleaned, self.fs, bin + 2.0);
+        for lane in (0..hum_lanes).step_by(3) {
+            let p = bank.power(lane);
+            let p_lo = bank.power(lane + 1);
+            let p_hi = bank.power(lane + 2);
             let sharpness = p / (p + p_lo + p_hi + 1e-12);
             // A pure tone scores sharpness ≈ 1, broadband noise ≈ 1/3.
             let weight = ((sharpness - 1.0 / 3.0) / (2.0 / 3.0)).clamp(0.0, 1.0);
@@ -363,11 +457,8 @@ impl QualityExtractor {
         // window (k / window_secs for k = 1..3, i.e. < 1 Hz for 4 s windows)
         // as a share of total window energy.
         let mut drift_energy = nf * mean * mean;
-        for k in 1..=3 {
-            let freq = k as f64 * self.fs / nf;
-            if freq < self.fs / 2.0 {
-                drift_energy += goertzel_power(cleaned, self.fs, freq) * 2.0 / nf;
-            }
+        for lane in hum_lanes..bank.lanes {
+            drift_energy += bank.power(lane) * 2.0 / nf;
         }
         let drift = (drift_energy / (total_energy + 1e-12)).clamp(0.0, 1.0);
 
