@@ -13,7 +13,15 @@
 //! Before any timing, `journal::replay(base, journal)` is asserted to
 //! reconstruct the exact uninterrupted trainer (node-identical forest), and
 //! the per-retrain delta write is asserted ≥5x smaller than the full
-//! snapshot for the 10 % append. Results are printed and written to
+//! snapshot for the 10 % append.
+//!
+//! A second section times the power-up of a young device: a cold-start
+//! journal (fewer ownership blocks than trees, so every retrain refits every
+//! full-pool fallback tree) of three seizure-sized entries over a six-entry
+//! base, replayed two ways — `journal::replay`, which appends every entry
+//! and refits once, and a loop calling `IncrementalTrainer::retrain` per
+//! entry. The two trainers are asserted equal (`last_refit_count`
+//! included) in every mode. Results are printed and written to
 //! `BENCH_persist.json` at the workspace root (skipped in `--quick` mode,
 //! which the CI smoke job uses).
 //!
@@ -25,8 +33,8 @@ use seizure_bench::synth::synth_channels;
 use seizure_features::extractor::{FeatureExtractor, RichFeatureSet, SlidingWindowConfig};
 use seizure_ml::forest::RandomForestConfig;
 use seizure_ml::incremental::{IncrementalTrainer, IncrementalTrainerConfig};
-use seizure_ml::persist::journal::{replay, JournalWriter};
-use seizure_ml::persist::trainer_to_bytes;
+use seizure_ml::persist::journal::{replay, scan_journal, JournalWriter};
+use seizure_ml::persist::{trainer_from_bytes, trainer_to_bytes};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -146,6 +154,71 @@ fn main() {
         "a 10 % append must shrink the per-seizure write >=5x, got {write_reduction:.2}x"
     );
 
+    // --- Cold-start power-up: one refit vs one retrain per entry. ---
+    // Seizure-sized entries (~120 windows at paper scale) over a six-entry
+    // base, as on a device a few seizures into its life.
+    let entry_n = (samples / 30).max(4);
+    let cold_base_n = 6 * entry_n;
+    let cold_entries = 3;
+    let cold_n = cold_base_n + cold_entries * entry_n;
+    assert!(
+        cold_n.div_ceil(trainer_config.block_size) < trainer_config.forest.n_trees,
+        "the replayed journal must stay in the cold-start regime"
+    );
+    let mut cold = IncrementalTrainer::new(trainer_config, seed);
+    cold.retrain(
+        &rows[..cold_base_n * num_features],
+        num_features,
+        &labels[..cold_base_n],
+    )
+    .expect("cold-start base fit");
+    let cold_base = trainer_to_bytes(&cold);
+    let mut cold_writer = JournalWriter::new(&cold_base, cold_base_n).expect("writer");
+    for lo in (cold_base_n..cold_n).step_by(entry_n) {
+        let hi = lo + entry_n;
+        cold_writer
+            .append_retrain(
+                &rows[lo * num_features..hi * num_features],
+                num_features,
+                &labels[lo..hi],
+            )
+            .expect("journal append");
+    }
+    let cold_journal = cold_writer.take_unflushed();
+
+    let mut one_refit_time = f64::INFINITY;
+    let mut one_refit = None;
+    for _ in 0..=reps {
+        let start = Instant::now();
+        let replayed = replay(&cold_base, &cold_journal).expect("replay");
+        one_refit_time = one_refit_time.min(start.elapsed().as_secs_f64());
+        one_refit = Some(replayed.trainer);
+    }
+    let mut per_entry_time = f64::INFINITY;
+    let mut per_entry = None;
+    for _ in 0..=reps {
+        let start = Instant::now();
+        let mut trainer = trainer_from_bytes(&cold_base).expect("base decode");
+        for entry in scan_journal(&cold_journal).expect("scan").entries {
+            trainer
+                .retrain(&entry.rows, entry.num_features, &entry.labels)
+                .expect("per-entry retrain");
+        }
+        per_entry_time = per_entry_time.min(start.elapsed().as_secs_f64());
+        per_entry = Some(trainer);
+    }
+    assert_eq!(
+        one_refit, per_entry,
+        "one-refit replay diverged from one retrain per entry"
+    );
+    println!(
+        "  cold-start replay ({cold_base_n} + {cold_entries} x {entry_n} samples): \
+         one refit {:>8.2} ms, one retrain per entry {:>8.2} ms ({:.2}x)",
+        1e3 * one_refit_time,
+        1e3 * per_entry_time,
+        per_entry_time / one_refit_time
+    );
+
     if quick {
         println!("--quick: skipping BENCH_persist.json");
         return;
@@ -163,7 +236,12 @@ fn main() {
             "  \"write_reduction\": {:.2},\n",
             "  \"full_snapshot_ms\": {:.3},\n",
             "  \"journal_append_ms\": {:.3},\n",
-            "  \"replay_ms\": {:.2}\n",
+            "  \"replay_ms\": {:.2},\n",
+            "  \"cold_start_base_samples\": {},\n",
+            "  \"cold_start_entries\": {},\n",
+            "  \"cold_start_entry_samples\": {},\n",
+            "  \"cold_start_replay_one_refit_ms\": {:.2},\n",
+            "  \"cold_start_replay_per_entry_ms\": {:.2}\n",
             "}}\n"
         ),
         samples,
@@ -176,6 +254,11 @@ fn main() {
         1e3 * full_time,
         1e3 * delta_time,
         1e3 * replay_time,
+        cold_base_n,
+        cold_entries,
+        entry_n,
+        1e3 * one_refit_time,
+        1e3 * per_entry_time,
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

@@ -665,11 +665,12 @@ impl SelfLearningPipeline {
 
     /// Restores a pipeline from a base snapshot plus its delta journal and
     /// arms delta persistence for the next
-    /// [`SelfLearningPipeline::save_delta`]. Each journal entry re-applies
-    /// its balanced batch through the incremental trainer **and** restores
-    /// the produced label, the seizure counter and the quality gate's
-    /// amplitude reference from its annotation, so the resumed pipeline is
-    /// state-identical to the one that never powered down. (The quarantine
+    /// [`SelfLearningPipeline::save_delta`]. Each journal entry's balanced
+    /// batch is appended to the incremental trainer's pool (one refit covers
+    /// the whole journal) **and** its annotation restores the produced label
+    /// and the seizure counter; the last entry's restores the quality gate's
+    /// amplitude reference. The resumed pipeline is state-identical to the
+    /// one that never powered down. (The quarantine
     /// counter is the one best-effort field: quarantined records train
     /// nothing and therefore journal nothing, so quarantines that happened
     /// after the base snapshot are not recounted on replay.) A torn final
@@ -690,19 +691,22 @@ impl SelfLearningPipeline {
         let mut pipeline = Self::resume(base)?;
         let fingerprint = journal::base_fingerprint(base)?;
         let scan = journal::scan_journal(journal_bytes)?;
-        for (i, entry) in scan.entries.iter().enumerate() {
-            let (label, gate_ref, gate_weight) = decode_annotation(&entry.annotation, i)?;
-            pipeline
-                .detector
-                .apply_journal_entry(entry, fingerprint, i)?;
-            // Each entry carries the gate reference as it stood after that
-            // record was learned; restoring it per entry keeps the replayed
-            // pipeline state-identical to the one that never powered down.
+        let mut gate = None;
+        pipeline
+            .detector
+            .replay_journal(&scan.entries, fingerprint, |i, entry| {
+                let (label, gate_ref, gate_weight) = decode_annotation(&entry.annotation, i)?;
+                pipeline.num_seizures += 1;
+                pipeline.produced_labels.push(label);
+                gate = Some((gate_ref, gate_weight));
+                Ok(())
+            })?;
+        // Each entry carries the gate reference as it stood after that
+        // record was learned, so the last one is the live pipeline's.
+        if let Some((gate_ref, gate_weight)) = gate {
             pipeline
                 .detector
                 .restore_gate_reference(gate_ref, gate_weight);
-            pipeline.num_seizures += 1;
-            pipeline.produced_labels.push(label);
         }
         pipeline.delta = Some(DeltaState {
             writer: JournalWriter::resume(
@@ -1271,42 +1275,50 @@ mod tests {
         };
         assert_eq!(pipeline.save_delta(), DeltaSave::Clean);
 
-        // Seizure 2: an O(batch) append. With only one seizure in the base,
-        // the batch is a large fraction of the pool and the default policy
-        // would legitimately compact — a lenient one pins the append
+        // Seizures 2-4: one O(batch) append each. With few seizures in the
+        // base, a batch is a large fraction of the pool and the default
+        // policy would legitimately compact — a lenient one pins the append
         // outcome this early-life test is about.
         let lenient = CompactionPolicy {
             max_journal_fraction: 100.0,
             ..CompactionPolicy::default()
         };
-        let second = cohort.sample_record(patient, 1, &config, 32).unwrap();
-        pipeline
-            .observe_missed_seizure(&second, w, LabelSource::Algorithm)
-            .unwrap();
-        let journal = match pipeline.save_delta_with(lenient) {
-            DeltaSave::Append(bytes) => bytes,
-            other => panic!("steady-state delta save must append, got {other:?}"),
-        };
-        assert!(
-            journal.len() < base.len(),
-            "append of {} bytes vs base of {}",
-            journal.len(),
-            base.len()
-        );
+        let mut journal = Vec::new();
+        for seizure in 1..4 {
+            let record = cohort
+                .sample_record(patient, seizure, &config, 31 + seizure as u64)
+                .unwrap();
+            pipeline
+                .observe_missed_seizure(&record, w, LabelSource::Algorithm)
+                .unwrap();
+            let entry = match pipeline.save_delta_with(lenient) {
+                DeltaSave::Append(bytes) => bytes,
+                other => panic!("steady-state delta save must append, got {other:?}"),
+            };
+            assert!(
+                entry.len() < base.len(),
+                "append of {} bytes vs base of {}",
+                entry.len(),
+                base.len()
+            );
+            journal.extend_from_slice(&entry);
+        }
 
-        // Resume: detections, counter and label history all come back.
+        // Resume: detections, counter, label history, gate reference and
+        // trainer all come back, down to the saved bytes.
         let (mut resumed, report) =
             SelfLearningPipeline::resume_with_journal(&base, &journal).unwrap();
-        assert_eq!(report.entries_applied, 1);
+        assert_eq!(report.entries_applied, 3);
         assert_eq!(report.torn_bytes, 0);
-        assert_eq!(resumed.num_seizures_collected(), 2);
+        assert_eq!(resumed.num_seizures_collected(), 4);
         assert_eq!(resumed.produced_labels(), pipeline.produced_labels());
         assert_eq!(resumed.training_windows(), pipeline.training_windows());
         assert_eq!(
             resumed.detector().flat_forest(),
             pipeline.detector().flat_forest()
         );
-        let held_out = cohort.sample_record(patient, 2, &config, 33).unwrap();
+        assert_eq!(resumed.save(), pipeline.save());
+        let held_out = cohort.sample_record(patient, 4, &config, 33).unwrap();
         assert_eq!(
             resumed.detector().detect(held_out.signal()).unwrap(),
             pipeline.detector().detect(held_out.signal()).unwrap()

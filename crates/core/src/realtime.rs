@@ -571,23 +571,12 @@ impl RealTimeDetector {
         num_features: usize,
         labels: &[bool],
     ) -> Result<(), CoreError> {
-        if self.incremental.is_none() && self.flat.is_some() {
-            return Err(CoreError::InvalidState {
-                detail: "the detector holds a batch-trained model whose training rows were \
-                         not retained; incremental retraining cannot extend it (train a \
-                         fresh detector incrementally instead)"
-                    .to_string(),
-            });
+        if self.holds_batch_model() {
+            return Err(batch_model_not_extendable());
         }
-        let trainer = self.incremental.get_or_insert_with(|| {
-            IncrementalTrainer::new(
-                IncrementalTrainerConfig {
-                    forest: self.config.forest,
-                    block_size: self.config.incremental_block_size,
-                },
-                self.config.seed,
-            )
-        });
+        let trainer = self
+            .incremental
+            .get_or_insert_with(|| fresh_trainer(&self.config));
         self.flat = Some(trainer.retrain(rows, num_features, labels)?);
         self.feature_means.clear();
         self.feature_stds.clear();
@@ -598,6 +587,12 @@ impl RealTimeDetector {
             delta.writer.append_retrain(rows, num_features, labels)?;
         }
         Ok(())
+    }
+
+    /// `true` while the detector holds a batch-trained model, which
+    /// incremental retraining (and journal replay) cannot extend.
+    fn holds_batch_model(&self) -> bool {
+        self.incremental.is_none() && self.flat.is_some()
     }
 
     /// The incremental retraining engine, once
@@ -1223,9 +1218,11 @@ impl RealTimeDetector {
     /// Restores a detector from a base snapshot plus its delta journal and
     /// arms delta persistence so the next
     /// [`RealTimeDetector::save_delta`] keeps appending to the same journal.
-    /// Replay re-applies each journaled batch through
-    /// [`RealTimeDetector::retrain_incremental`], so the restored detector
-    /// is node-identical to the one that never powered down. A torn final
+    /// Replay appends every journaled batch to the incremental trainer's
+    /// pool and refits once ([`journal::replay_entries`]), so the restored
+    /// detector is node-identical to the one that never powered down — the
+    /// same state one [`RealTimeDetector::retrain_incremental`] per entry
+    /// would leave, at the cost of one. A torn final
     /// entry (power loss mid-append) is dropped; the report's `valid_len`
     /// tells the device where to truncate its journal file before appending
     /// again.
@@ -1245,9 +1242,7 @@ impl RealTimeDetector {
         let mut detector = Self::load_state(base)?;
         let fingerprint = journal::base_fingerprint(base)?;
         let scan = journal::scan_journal(journal_bytes)?;
-        for (i, entry) in scan.entries.iter().enumerate() {
-            detector.apply_journal_entry(entry, fingerprint, i)?;
-        }
+        detector.replay_journal(&scan.entries, fingerprint, |_, _| Ok(()))?;
         detector.delta = Some(DeltaState {
             writer: JournalWriter::resume(
                 fingerprint,
@@ -1267,25 +1262,42 @@ impl RealTimeDetector {
         ))
     }
 
-    /// Validates one journal entry's bindings against this detector
-    /// (sharing `journal::validate_entry` with the bare trainer-level
-    /// replay, so the rules cannot diverge) and re-applies its batch. Used
-    /// by the detector- and pipeline-level journal restores.
-    pub(crate) fn apply_journal_entry(
+    /// Replays journal `entries` (bound to the base with `fingerprint`) onto
+    /// this detector through [`journal::replay_entries`], one refit for the
+    /// whole journal, leaving the state one
+    /// [`RealTimeDetector::retrain_incremental`] per entry would. `visit`
+    /// runs before each entry's checks. Used by the detector- and
+    /// pipeline-level journal restores; on `Err` the detector must be
+    /// dropped.
+    pub(crate) fn replay_journal(
         &mut self,
-        entry: &JournalEntry,
+        entries: &[JournalEntry],
         fingerprint: u64,
-        index: usize,
+        mut visit: impl FnMut(usize, &JournalEntry) -> Result<(), CoreError>,
     ) -> Result<(), CoreError> {
-        let pool = self.incremental.as_ref().map_or(0, |t| t.num_samples());
-        journal::validate_entry(entry, fingerprint, pool, index)?;
-        self.retrain_incremental(&entry.rows, entry.num_features, &entry.labels)
-            .map_err(|e| {
-                PersistError::Corrupted {
-                    detail: format!("journal entry {index} does not re-apply: {e}"),
-                }
-                .into()
-            })
+        let Some(first) = entries.first() else {
+            return Ok(());
+        };
+        if self.holds_batch_model() {
+            // Entry 0 passes its checks, then cannot re-apply: the batch
+            // model kept no pool to extend.
+            visit(0, first)?;
+            journal::validate_entry(first, fingerprint, 0, 0)?;
+            return Err(PersistError::Corrupted {
+                detail: format!(
+                    "journal entry 0 does not re-apply: {}",
+                    batch_model_not_extendable()
+                ),
+            }
+            .into());
+        }
+        let trainer = self
+            .incremental
+            .get_or_insert_with(|| fresh_trainer(&self.config));
+        self.flat = journal::replay_entries(trainer, entries, fingerprint, visit)?;
+        self.feature_means.clear();
+        self.feature_stds.clear();
+        Ok(())
     }
 
     /// Evaluates the detector on a signal whose true seizure position is known,
@@ -1583,6 +1595,27 @@ fn scale_flat(data: &mut [f64], means: &[f64], stds: &[f64]) {
         for ((x, m), s) in row.iter_mut().zip(means.iter()).zip(stds.iter()) {
             *x = if *s > 0.0 { (*x - *m) / *s } else { *x - *m };
         }
+    }
+}
+
+/// The empty incremental trainer a detector's first incremental retrain (or
+/// journal replay) starts from.
+fn fresh_trainer(config: &RealTimeDetectorConfig) -> IncrementalTrainer {
+    IncrementalTrainer::new(
+        IncrementalTrainerConfig {
+            forest: config.forest,
+            block_size: config.incremental_block_size,
+        },
+        config.seed,
+    )
+}
+
+fn batch_model_not_extendable() -> CoreError {
+    CoreError::InvalidState {
+        detail: "the detector holds a batch-trained model whose training rows were not \
+                 retained; incremental retraining cannot extend it (train a fresh detector \
+                 incrementally instead)"
+            .to_string(),
     }
 }
 
@@ -1969,7 +2002,14 @@ mod tests {
     #[test]
     fn delta_saves_are_o_batch_and_resume_node_identically() {
         let (record, truth) = record_and_truth(12);
-        let config = fast_config();
+        // Small ownership blocks keep the 10-tree forest in the cold-start
+        // regime (fewer blocks than trees) and let the appends below cross
+        // a block boundary.
+        let block = 32;
+        let config = RealTimeDetectorConfig {
+            incremental_block_size: block,
+            ..fast_config()
+        };
         let mut detector = RealTimeDetector::new(config);
         let training = detector
             .build_training_windows(record.signal(), &truth)
@@ -1978,9 +2018,18 @@ mod tests {
         let nf = balanced.num_features();
         let rows: Vec<f64> = balanced.features().iter().flatten().copied().collect();
         let labels = balanced.labels();
-        // Grow most of the pool first so the append is batch-sized relative
-        // to it (the steady state the delta save exists for).
-        let cut = balanced.len() * 3 / 4;
+        // Grow most of the pool first so the appends are batch-sized
+        // relative to it (the steady state the delta save exists for).
+        let n = balanced.len();
+        let cut = n * 3 / 4;
+        let bounds = [cut, cut + (n - cut) / 3, cut + 2 * (n - cut) / 3, n];
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1])
+                && cut / block < bounds[2] / block
+                && n.div_ceil(block) < config.forest.n_trees,
+            "appends {bounds:?} must be non-empty, cross a {block}-window block boundary \
+             before the last one and stay in the cold-start regime"
+        );
 
         // First save: a full base snapshot; nothing new afterwards: clean.
         detector
@@ -1991,27 +2040,34 @@ mod tests {
             other => panic!("first delta save must be full, got {other:?}"),
         };
         assert_eq!(detector.save_delta(), DeltaSave::Clean);
+        let before_appends = detector.clone();
 
-        // The per-seizure save is an O(batch) append, not an O(pool) write.
-        detector
-            .retrain_incremental(&rows[cut * nf..], nf, &labels[cut..])
-            .unwrap();
-        let journal = match detector.save_delta() {
-            DeltaSave::Append(bytes) => bytes,
-            other => panic!("steady-state delta save must append, got {other:?}"),
-        };
-        assert!(
-            journal.len() < base.len() / 2,
-            "append of {} bytes vs base of {}",
-            journal.len(),
-            base.len()
-        );
+        // Each per-seizure save is an O(batch) append, not an O(pool) write.
+        let mut journal = Vec::new();
+        for w in bounds.windows(2) {
+            detector
+                .retrain_incremental(&rows[w[0] * nf..w[1] * nf], nf, &labels[w[0]..w[1]])
+                .unwrap();
+            let entry = match detector.save_delta() {
+                DeltaSave::Append(bytes) => bytes,
+                other => panic!("steady-state delta save must append, got {other:?}"),
+            };
+            assert!(
+                entry.len() < base.len() / 2,
+                "append of {} bytes vs base of {}",
+                entry.len(),
+                base.len()
+            );
+            journal.extend_from_slice(&entry);
+        }
         assert_eq!(detector.save_delta(), DeltaSave::Clean);
 
         // Resume from base + journal: node-identical to the uninterrupted
-        // detector, and still learning (the next save appends again).
+        // detector — including the refit count of the last entry, which a
+        // single append of all three batches would not reproduce — and
+        // still learning (the next save appends again).
         let (mut resumed, report) = RealTimeDetector::load_with_journal(&base, &journal).unwrap();
-        assert_eq!(report.entries_applied, 1);
+        assert_eq!(report.entries_applied, 3);
         assert_eq!(report.torn_bytes, 0);
         assert_eq!(report.valid_len, journal.len());
         assert_eq!(resumed.flat_forest(), detector.flat_forest());
@@ -2019,6 +2075,20 @@ mod tests {
             resumed.incremental_trainer(),
             detector.incremental_trainer()
         );
+        let live_refit = detector.incremental_trainer().unwrap().last_refit_count();
+        assert_eq!(
+            resumed.incremental_trainer().unwrap().last_refit_count(),
+            live_refit
+        );
+        let mut one_append = before_appends;
+        one_append
+            .retrain_incremental(&rows[cut * nf..], nf, &labels[cut..])
+            .unwrap();
+        assert_ne!(
+            one_append.incremental_trainer().unwrap().last_refit_count(),
+            live_refit
+        );
+        assert_eq!(resumed.save_state(), detector.save_state());
         assert_eq!(
             resumed.detect(record.signal()).unwrap(),
             detector.detect(record.signal()).unwrap()
@@ -2146,7 +2216,23 @@ mod tests {
         // And a batch retrain invalidates delta state: the next save
         // re-bases instead of appending to a journal of a dead pool.
         detector.train(&balanced).unwrap();
-        assert!(matches!(detector.save_delta(), DeltaSave::Full(_)));
+        let batch_base = match detector.save_delta() {
+            DeltaSave::Full(bytes) => bytes,
+            other => panic!("a batch retrain must re-base, got {other:?}"),
+        };
+        // A journal bound to that batch-trained base passes entry 0's
+        // binding checks but cannot re-apply: the batch model kept no pool.
+        let mut writer = JournalWriter::new(&batch_base, 0).unwrap();
+        writer
+            .append_retrain(&rows[..cut * nf], nf, &labels[..cut])
+            .unwrap();
+        match RealTimeDetector::load_with_journal(&batch_base, writer.unflushed()) {
+            Err(CoreError::Persist(PersistError::Corrupted { detail })) => assert!(
+                detail.starts_with("journal entry 0 does not re-apply") && detail.contains("batch"),
+                "{detail}"
+            ),
+            other => panic!("batch-trained base with a journal must fail on entry 0: {other:?}"),
+        }
     }
 
     #[test]

@@ -76,6 +76,7 @@ use crate::training::{
     fit_tree_jobs, resolve_tree_config, stitch_forest, tree_stream_seed, IdWidth, NodeArena,
     TrainingSet, TreeJob, MAX_RUN_BLOCK,
 };
+use crate::tree::DecisionTreeConfig;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -174,6 +175,8 @@ impl IncrementalTrainer {
 
     /// How many trees the last [`IncrementalTrainer::retrain`] actually
     /// refitted (the remaining `num_trees - last_refit_count` were reused).
+    /// After a journal replay (every entry appended, one refit) it is the
+    /// count the last entry's `retrain` alone would have refit.
     pub fn last_refit_count(&self) -> usize {
         self.last_refit
     }
@@ -261,6 +264,19 @@ impl IncrementalTrainer {
         num_features: usize,
         labels: &[bool],
     ) -> Result<FlatForest, MlError> {
+        let tree_config = self.append(rows, num_features, labels)?;
+        self.refit(&tree_config, None)
+    }
+
+    /// The append half of [`IncrementalTrainer::retrain`]: its checks run
+    /// before any mutation, then the batch joins the pool; returns the tree
+    /// configuration resolved against it. Refits nothing.
+    pub(crate) fn append(
+        &mut self,
+        rows: &[f64],
+        num_features: usize,
+        labels: &[bool],
+    ) -> Result<DecisionTreeConfig, MlError> {
         let block = self.config.block_size;
         if block == 0 {
             return Err(MlError::InvalidParameter {
@@ -317,11 +333,28 @@ impl IncrementalTrainer {
         }
         let set = self.set.as_ref().expect("training set installed above");
         debug_assert_eq!(set.run_block(), block, "run blocks track ownership blocks");
-        let tree_config = resolve_tree_config(set, &self.config.forest)?;
+        resolve_tree_config(set, &self.config.forest)
+    }
+
+    /// The refit half of [`IncrementalTrainer::retrain`]: refits the trees
+    /// whose pool fingerprint differs from their cached fit, however many
+    /// batches were appended since, and stitches the forest.
+    /// `last_batch_from` is the pool length before the last of several
+    /// appended batches (`None` after one): `last_refit` then counts the
+    /// trees that batch alone refits, as a per-batch `retrain` would.
+    pub(crate) fn refit(
+        &mut self,
+        tree_config: &DecisionTreeConfig,
+        last_batch_from: Option<usize>,
+    ) -> Result<FlatForest, MlError> {
+        let set = self
+            .set
+            .as_ref()
+            .expect("refit follows a successful append");
+        let block = self.config.block_size;
         let n = set.len();
         let n_trees = self.config.forest.n_trees;
         let num_blocks = n.div_ceil(block);
-        let tail_short = num_blocks * block - n;
 
         // Fingerprint every tree's pool and draw fresh bootstrap streams for
         // the ones whose pool grew (or that were never fitted). Draws are
@@ -340,24 +373,17 @@ impl IncrementalTrainer {
             TreeState,
         );
         let mut pending: Vec<Pending> = Vec::new();
+        let mut last_refit = 0;
         for t in 0..n_trees {
-            let blocks_owned = if t < num_blocks {
-                (num_blocks - 1 - t) / n_trees + 1
-            } else {
-                0
-            };
-            let owns_tail = num_blocks >= 1 && (num_blocks - 1) % n_trees == t;
-            let pool_len = if blocks_owned == 0 {
-                // Cold start: no block reached this tree yet, bootstrap from
-                // the whole pool like a classic bagged forest.
-                n
-            } else {
-                blocks_owned * block - if owns_tail { tail_short } else { 0 }
-            };
+            let (blocks_owned, pool_len) = fingerprint(t, n, n_trees, block);
             let unchanged = self
                 .trees
                 .get(t)
                 .is_some_and(|s| s.blocks_owned == blocks_owned && s.pool_len == pool_len);
+            last_refit += usize::from(match last_batch_from {
+                None => !unchanged,
+                Some(from) => fingerprint(t, from, n_trees, block) != (blocks_owned, pool_len),
+            });
             if unchanged {
                 continue;
             }
@@ -404,10 +430,10 @@ impl IncrementalTrainer {
                 seed: tree_stream_seed(self.seed, *t),
             })
             .collect();
-        let arenas = fit_tree_jobs(set, &tree_config, &jobs, IdWidth::Auto)?;
+        let arenas = fit_tree_jobs(set, tree_config, &jobs, IdWidth::Auto)?;
 
         self.trees.resize(n_trees, TreeState::default());
-        self.last_refit = pending.len();
+        self.last_refit = last_refit;
         for ((t, _, _, mut state), arena) in pending.into_iter().zip(arenas) {
             state.arena = arena;
             self.trees[t] = state;
@@ -416,6 +442,24 @@ impl IncrementalTrainer {
         let refs: Vec<&NodeArena> = self.trees.iter().map(|s| &s.arena).collect();
         Ok(stitch_forest(set.num_features(), &refs))
     }
+}
+
+/// Tree `t`'s draw-stream fingerprint at pool length `n`: the number of
+/// blocks it owns and the size of the pool it bootstraps from.
+fn fingerprint(t: usize, n: usize, n_trees: usize, block: usize) -> (usize, usize) {
+    let num_blocks = n.div_ceil(block);
+    if t >= num_blocks {
+        // Cold start: no block reached this tree yet, bootstrap from the
+        // whole pool like a classic bagged forest.
+        return (0, n);
+    }
+    let blocks_owned = (num_blocks - 1 - t) / n_trees + 1;
+    let owns_tail = (num_blocks - 1) % n_trees == t;
+    let tail_short = num_blocks * block - n;
+    (
+        blocks_owned,
+        blocks_owned * block - if owns_tail { tail_short } else { 0 },
+    )
 }
 
 /// The per-tree bootstrap-draw stream seed, decoupled from the tree's

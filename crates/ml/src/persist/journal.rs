@@ -8,17 +8,18 @@
 //! the previous snapshot. This module makes the per-seizure write O(batch):
 //! a [`JournalWriter`] emits one checksummed, length-prefixed entry per
 //! [`IncrementalTrainer::retrain`] call, and [`replay`] folds a base
-//! snapshot plus its journal back into the exact trainer state — applying
-//! each entry through the same `retrain` call that produced it, so the
-//! reconstruction is **node-identical** to the trainer that never lost power
-//! (property-tested over random grow schedules, split points and journal
-//! truncation points; see `crates/ml/tests/properties.rs`). Replay also
-//! reconstructs the pool's block-local presorted runs: the decoded base
-//! snapshot rebuilds its runs on the trainer's own ownership block size and
-//! every replayed batch re-enters through `retrain`'s O(batch) block-run
-//! append, so the replayed trainer's runs — and therefore every future
-//! owned-block refit, including pools past 65 536 rows — match the
-//! uninterrupted trainer bit for bit.
+//! snapshot plus its journal back into the exact trainer state — appending
+//! every entry's batch through `retrain`'s own append and checks, then
+//! refitting once. Trainer state is a pure function of (final pool, config,
+//! seed), so the reconstruction is **node-identical** to the trainer that
+//! never lost power (property-tested over random grow schedules, split
+//! points and journal truncation points; see
+//! `crates/ml/tests/properties.rs`). Replay also reconstructs the pool's
+//! block-local presorted runs: the decoded base snapshot rebuilds its runs
+//! on the trainer's own ownership block size and every replayed batch
+//! re-enters through the O(batch) block-run append, so the replayed
+//! trainer's runs — and therefore every future owned-block refit, including
+//! pools past 65 536 rows — match the uninterrupted trainer bit for bit.
 //!
 //! # Journal format
 //!
@@ -56,10 +57,12 @@
 //!
 //! # Compaction
 //!
-//! Replay costs one `retrain` per entry at boot, so the journal must not
-//! grow without bound. [`CompactionPolicy`] decides when the accumulated
-//! journal should be folded into a fresh full snapshot (one O(pool) write
-//! that empties the journal); `seizure-core`'s
+//! Replay costs one refit at boot however many entries the journal holds
+//! (plus one O(batch) decode and append per entry), so resume time no
+//! longer grows with the entry count; the journal region's Flash still
+//! must not grow without bound. [`CompactionPolicy`] decides when the
+//! accumulated journal should be folded into a fresh full snapshot (one
+//! O(pool) write that empties the journal); `seizure-core`'s
 //! `RealTimeDetector::save_delta` and `SelfLearningPipeline::save_delta`
 //! apply it automatically and tell the caller which kind of Flash write to
 //! perform through [`DeltaSave`].
@@ -103,6 +106,7 @@ use super::{
     FORMAT_VERSION, MAGIC,
 };
 use crate::error::MlError;
+use crate::flat::FlatForest;
 use crate::incremental::IncrementalTrainer;
 
 /// One decoded journal entry: a single `retrain` batch bound to its base
@@ -503,11 +507,12 @@ pub struct Replayed {
 }
 
 /// Reconstructs trainer state from a full base snapshot plus its delta
-/// journal, applying each entry through [`IncrementalTrainer::retrain`] —
-/// the state after replay is node-identical to the trainer that executed
-/// those retrains without interruption. A torn final entry (power loss
-/// mid-append) is detected and dropped; every other malformation fails with
-/// a typed error before any partial application becomes observable.
+/// journal through [`replay_entries`]: every entry's batch is appended, then
+/// the trainer refits once. The state after replay is node-identical to the
+/// trainer that executed one `retrain` per entry without interruption. A
+/// torn final entry (power loss mid-append) is detected and dropped; every
+/// other malformation fails with a typed error, and no partially replayed
+/// trainer is returned.
 ///
 /// # Errors
 ///
@@ -519,9 +524,9 @@ pub fn replay(base_snapshot: &[u8], journal: &[u8]) -> Result<Replayed, PersistE
     let mut trainer = trainer_from_bytes(base_snapshot)?;
     let fingerprint = base_fingerprint(base_snapshot)?;
     let scan = scan_journal(journal)?;
-    for (i, entry) in scan.entries.iter().enumerate() {
-        apply_entry(&mut trainer, entry, fingerprint, i)?;
-    }
+    replay_entries(&mut trainer, &scan.entries, fingerprint, |_, _| {
+        Ok::<(), PersistError>(())
+    })?;
     let entries_applied = scan.entries.len();
     let writer = JournalWriter::resume(
         fingerprint,
@@ -541,10 +546,10 @@ pub fn replay(base_snapshot: &[u8], journal: &[u8]) -> Result<Replayed, PersistE
 }
 
 /// Validates an entry's bindings — the base fingerprint it extends and the
-/// pool length it applies at. Shared by [`apply_entry`] and `seizure-core`'s
-/// detector/pipeline resume paths (which re-apply batches at their own
-/// layer), so a future tightening of the binding rules cannot diverge
-/// between them.
+/// pool length it applies at. [`replay_entries`] checks every entry with
+/// it; `seizure-core`'s detector also calls it for a journal it cannot
+/// replay at all (a batch-trained base), so the binding rules are written
+/// once.
 pub fn validate_entry(
     entry: &JournalEntry,
     fingerprint: u64,
@@ -571,31 +576,59 @@ pub fn validate_entry(
     Ok(())
 }
 
-/// Validates an entry's bindings ([`validate_entry`]) and re-applies its
-/// batch through [`IncrementalTrainer::retrain`]; used by [`replay`].
-pub fn apply_entry(
+/// Re-applies journal `entries` onto `trainer` with a single refit: in
+/// journal order each entry's bindings are checked ([`validate_entry`]) and
+/// its batch appended with `retrain`'s own checks, then the trees whose
+/// pools grew are refit once (`None` for an empty journal). Trainer state is
+/// a pure function of (final pool, config, seed), so the result — including
+/// [`IncrementalTrainer::last_refit_count`] — equals one `retrain` per entry,
+/// which in the cold-start regime refit every full-pool fallback tree per
+/// entry. `visit` runs before each entry's checks, so a caller layering
+/// state on the annotations (`seizure-core`'s pipeline) fails at the entry a
+/// per-entry replay would.
+///
+/// # Errors
+///
+/// The first failure in journal order: from `visit`, from
+/// [`validate_entry`], or [`PersistError::Corrupted`] (`journal entry {i}
+/// does not re-apply`) where `retrain` would reject entry `i`. On `Err`,
+/// drop the trainer: it may hold part of the journal.
+pub fn replay_entries<E: From<PersistError>>(
     trainer: &mut IncrementalTrainer,
-    entry: &JournalEntry,
+    entries: &[JournalEntry],
     fingerprint: u64,
-    index: usize,
-) -> Result<(), PersistError> {
-    validate_entry(entry, fingerprint, trainer.num_samples(), index)?;
-    trainer
-        .retrain(&entry.rows, entry.num_features, &entry.labels)
-        .map_err(|e| PersistError::Corrupted {
-            detail: format!("journal entry {index} does not re-apply: {e}"),
-        })?;
-    Ok(())
+    mut visit: impl FnMut(usize, &JournalEntry) -> Result<(), E>,
+) -> Result<Option<FlatForest>, E> {
+    let not_reapplied = |index: usize, e: MlError| PersistError::Corrupted {
+        detail: format!("journal entry {index} does not re-apply: {e}"),
+    };
+    let mut last = None;
+    for (i, entry) in entries.iter().enumerate() {
+        visit(i, entry)?;
+        validate_entry(entry, fingerprint, trainer.num_samples(), i)?;
+        let tree_config = trainer
+            .append(&entry.rows, entry.num_features, &entry.labels)
+            .map_err(|e| not_reapplied(i, e))?;
+        last = Some((i, entry.pool_len_before, tree_config));
+    }
+    let Some((i, pool_len_before, tree_config)) = last else {
+        return Ok(None);
+    };
+    let forest = trainer
+        .refit(&tree_config, (i > 0).then_some(pool_len_before))
+        .map_err(|e| not_reapplied(i, e))?;
+    Ok(Some(forest))
 }
 
-/// When to fold the journal into a fresh full snapshot. Replay costs one
-/// `retrain` per entry at boot and the journal occupies Flash next to the
-/// base, so the journal is compacted once it stops being small relative to
-/// the snapshot it extends.
+/// When to fold the journal into a fresh full snapshot. Replay refits once
+/// however many entries the journal holds, but every entry is still decoded
+/// and appended at boot and the journal occupies Flash next to the base, so
+/// it is compacted once it stops being small relative to the snapshot it
+/// extends.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompactionPolicy {
     /// Compact once the journal exceeds this fraction of the base
-    /// snapshot's size. At the default (0.5), resume replays at most ~half a
+    /// snapshot's size. At the default (0.5), resume appends at most ~half a
     /// pool's worth of batches and the journal region never needs more than
     /// half the base's Flash.
     pub max_journal_fraction: f64,
@@ -846,6 +879,36 @@ mod tests {
         let mut truncated_mid = journal[..first_len - 6].to_vec();
         truncated_mid.extend_from_slice(&journal[first_len..]);
         assert!(replay(&base, &truncated_mid).is_err());
+
+        // Well-formed entries that `retrain` would reject fail at their own
+        // index even though replay refits once, after every append: entry 1
+        // drifts the feature count, or is a single-class batch longer than
+        // block_size (16). A valid entry follows each bad one.
+        let (rows, labels) = rows_and_labels(50);
+        let drifted: Vec<f64> = (0..12).map(f64::from).collect();
+        let bad_entries: [(&[f64], usize, &[bool]); 2] = [
+            (&drifted, 3, &[true, false, true, false]),
+            (&rows[..34], 2, &[true; 17]),
+        ];
+        for (bad_rows, bad_features, bad_labels) in bad_entries {
+            let mut writer = JournalWriter::new(&base, 50).unwrap();
+            writer
+                .append_retrain(&rows[..20], 2, &labels[..10])
+                .unwrap();
+            writer
+                .append_retrain(bad_rows, bad_features, bad_labels)
+                .unwrap();
+            writer
+                .append_retrain(&rows[20..40], 2, &labels[10..20])
+                .unwrap();
+            let err = replay(&base, writer.unflushed()).unwrap_err();
+            assert!(matches!(err, PersistError::Corrupted { .. }), "{err}");
+            assert!(
+                err.to_string()
+                    .contains("journal entry 1 does not re-apply"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
