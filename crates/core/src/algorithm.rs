@@ -20,6 +20,7 @@
 use crate::error::CoreError;
 use seizure_features::normalize::normalize_features;
 use seizure_features::FeatureMatrix;
+use std::convert::Infallible;
 
 /// Which implementation of Algorithm 1 to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -79,6 +80,14 @@ impl Detection {
 }
 
 /// Runs Algorithm 1 on `features` with a seizure window of `window_length` rows.
+///
+/// With [`Implementation::Optimized`] the `L − W` candidate positions are
+/// scored on every worker of `seizure_parallel` (one contiguous block of
+/// candidates each; fewer than 16 candidates stay on the calling thread).
+/// Each candidate's distance is computed by the same operations in the same
+/// order wherever it runs, so the distances and the detected position are
+/// bit-identical for any worker count. Normalization, the sorted grid index
+/// and the peak selection run on the calling thread.
 ///
 /// # Errors
 ///
@@ -216,6 +225,14 @@ fn reference_distances(matrix: &FeatureMatrix, w_len: usize, step: usize) -> Vec
 /// subsampled rows that fall *inside* the current window is then subtracted
 /// directly (there are at most `W / s + 1` of them), which reproduces the
 /// reference result exactly.
+///
+/// Cost: the index and the per-(row, feature) grid sums are
+/// `O(L · F · log L)` on the calling thread; the candidate loop, about
+/// `(L − W) · W · F · (W / s + 1)` subtractions and nearly all of the work
+/// on a labeling-scale record, is split into contiguous candidate blocks
+/// across [`seizure_parallel::par_process_rows`] workers, each with its own
+/// `distance_vector` and `totals`. Candidates share only read-only inputs,
+/// so every distance is bit-identical to the one-thread loop.
 fn optimized_distances(matrix: &FeatureMatrix, w_len: usize, step: usize) -> Vec<f64> {
     let rows = matrix.num_windows();
     let features = matrix.num_features();
@@ -265,39 +282,45 @@ fn optimized_distances(matrix: &FeatureMatrix, w_len: usize, step: usize) -> Vec
         .map(|(at, &v)| sum_abs_all(at % features, v))
         .collect();
 
-    let mut distances = Vec::with_capacity(candidates);
-    let mut distance_vector = vec![0.0; features];
-    let mut totals = vec![0.0; features];
-    for i in 0..candidates {
-        // Grid rows inside the window [i, i + w_len).
-        let first_inside = i.div_ceil(step) * step;
-        distance_vector.fill(0.0);
-        for r in i..i + w_len {
-            let inside = &data[r * features..(r + 1) * features];
-            totals.copy_from_slice(&grid_sums[r * features..(r + 1) * features]);
-            // Each feature's total subtracts the in-window grid rows in
-            // ascending order, as before; running the features side by side
-            // over one contiguous grid row changes no operation order.
-            for k in (first_inside..i + w_len).step_by(step) {
-                let grid_row = &data[k * features..(k + 1) * features];
-                for ((total, &v), &x) in totals.iter_mut().zip(inside).zip(grid_row) {
-                    *total -= (v - x).abs();
+    // Candidates are independent: each worker scores one contiguous block
+    // of them with its own accumulators.
+    let mut distances = vec![0.0; candidates];
+    let Ok(()) =
+        seizure_parallel::par_process_rows::<Infallible, _>(&mut distances, 1, |first, block| {
+            let mut distance_vector = vec![0.0; features];
+            let mut totals = vec![0.0; features];
+            for (i, distance) in (first..).zip(block.iter_mut()) {
+                // Grid rows inside the window [i, i + w_len).
+                let first_inside = i.div_ceil(step) * step;
+                distance_vector.fill(0.0);
+                for r in i..i + w_len {
+                    let inside = &data[r * features..(r + 1) * features];
+                    totals.copy_from_slice(&grid_sums[r * features..(r + 1) * features]);
+                    // Each feature's total subtracts the in-window grid rows
+                    // in ascending order, as before; running the features
+                    // side by side over one contiguous grid row changes no
+                    // operation order.
+                    for k in (first_inside..i + w_len).step_by(step) {
+                        let grid_row = &data[k * features..(k + 1) * features];
+                        for ((total, &v), &x) in totals.iter_mut().zip(inside).zip(grid_row) {
+                            *total -= (v - x).abs();
+                        }
+                    }
+                    for (d, &total) in distance_vector.iter_mut().zip(&totals) {
+                        *d += total / norm_outside;
+                    }
                 }
+                *distance = distance_vector
+                    .iter()
+                    .map(|v| {
+                        let v = v / w_len as f64;
+                        v * v
+                    })
+                    .sum::<f64>()
+                    .sqrt();
             }
-            for (d, &total) in distance_vector.iter_mut().zip(&totals) {
-                *d += total / norm_outside;
-            }
-        }
-        let norm: f64 = distance_vector
-            .iter()
-            .map(|v| {
-                let v = v / w_len as f64;
-                v * v
-            })
-            .sum::<f64>()
-            .sqrt();
-        distances.push(norm);
-    }
+            Ok(())
+        });
     distances
 }
 

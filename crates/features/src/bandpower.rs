@@ -163,7 +163,18 @@ pub fn band_powers_from_psd(psd: &PowerSpectrum) -> Result<BandPowers, seizure_d
 /// bins (as filled by [`seizure_dsp::spectrum::PsdPlan::power_into`]) without
 /// materializing a [`PowerSpectrum`]. `window_len` is the analysis-window
 /// length the bins came from. This is the allocation-free twin of
-/// [`band_powers_from_psd`] used by the batch inference engine.
+/// [`band_powers_from_psd`] used by the batch paper and rich extractors and
+/// by the streaming extractor's spectral block.
+///
+/// Bin `k` sits at `k as f64 * fs / window_len as f64` Hz. That frequency
+/// never decreases with `k`, so each band's bins form one contiguous range,
+/// found from the band edges divided by the resolution and then walked to
+/// the exact edge with that same expression: a handful of divisions per
+/// band instead of one division and five range tests per bin. Each band
+/// and the total are then `0.0`-seeded folds in ascending bin order, so
+/// every output is bit-identical to testing every bin against every band
+/// (NaN and infinite bins included), and a band without bins reads `0.0`,
+/// never `-0.0`.
 ///
 /// # Errors
 ///
@@ -180,26 +191,19 @@ pub fn band_powers_from_bins(
             reason: "band_powers_from_bins requires a positive fs and window length".to_string(),
         });
     }
-    // One pass over the bins accumulating all five bands and the total at
-    // once (the separate per-band helpers each rescan the full spectrum).
     let resolution = fs / window_len as f64;
-    let ranges = Band::ALL.map(|band| band.range());
-    let mut sums = [0.0; 5];
-    let mut total_sum = 0.0;
-    for (k, p) in power.iter().enumerate() {
-        let f = k as f64 * fs / window_len as f64;
-        total_sum += p;
-        for (sum, (lo, hi)) in sums.iter_mut().zip(ranges.iter()) {
-            if f >= *lo && f <= *hi {
-                *sum += p;
-            }
-        }
-    }
-    let total = total_sum * resolution;
+    let freq = |k: usize| k as f64 * fs / window_len as f64;
+    let sum = |bins: &[f64]| bins.iter().fold(0.0, |acc, p| acc + p);
+    let total = sum(power) * resolution;
     let mut absolute = [0.0; 5];
     let mut relative = [0.0; 5];
-    for i in 0..5 {
-        absolute[i] = sums[i] * resolution;
+    for (i, band) in Band::ALL.iter().enumerate() {
+        let (lo, hi) = band.range();
+        // Only bin 0 can sit at NaN Hz (`0 · ∞` for an infinite fs), and it
+        // then fails `>= lo`, so every bin from `start` on has a number.
+        let start = first_bin_where(0, power.len(), lo / resolution, |k| freq(k) >= lo);
+        let end = first_bin_where(start, power.len(), hi / resolution, |k| freq(k) > hi);
+        absolute[i] = sum(&power[start..end]) * resolution;
         relative[i] = if total > 0.0 {
             absolute[i] / total
         } else {
@@ -211,6 +215,20 @@ pub fn band_powers_from_bins(
         relative,
         total,
     })
+}
+
+/// First bin of `from..len` where `reached` holds (or `len`), for a
+/// predicate that stays true once it holds. The walk starts from `guess`
+/// (saturated into range), so a close guess costs a few evaluations.
+fn first_bin_where(from: usize, len: usize, guess: f64, reached: impl Fn(usize) -> bool) -> usize {
+    let mut k = (guess as usize).clamp(from, len);
+    while k > from && reached(k - 1) {
+        k -= 1;
+    }
+    while k < len && !reached(k) {
+        k += 1;
+    }
+    k
 }
 
 #[cfg(test)]
@@ -290,5 +308,112 @@ mod tests {
     fn zero_signal_has_zero_relative_power() {
         let bp = all_band_powers(&vec![0.0; 512], 256.0).unwrap();
         assert!(bp.relative.iter().all(|&r| r == 0.0));
+    }
+
+    /// The per-bin scan the bin-range sums replaced: one frequency division
+    /// per bin, tested against every band, all six sums in one pass.
+    fn per_bin_oracle(power: &[f64], fs: f64, window_len: usize) -> BandPowers {
+        let resolution = fs / window_len as f64;
+        let mut sums = [0.0; 5];
+        let mut total_sum = 0.0;
+        for (k, p) in power.iter().enumerate() {
+            let f = k as f64 * fs / window_len as f64;
+            total_sum += p;
+            for (sum, band) in sums.iter_mut().zip(Band::ALL) {
+                let (lo, hi) = band.range();
+                if f >= lo && f <= hi {
+                    *sum += p;
+                }
+            }
+        }
+        let total = total_sum * resolution;
+        let absolute = sums.map(|s| s * resolution);
+        let relative = absolute.map(|a| if total > 0.0 { a / total } else { 0.0 });
+        BandPowers {
+            absolute,
+            relative,
+            total,
+        }
+    }
+
+    fn assert_same_bits(power: &[f64], fs: f64, window_len: usize, case: &str) {
+        let actual = band_powers_from_bins(power, fs, window_len).unwrap();
+        let expected = per_bin_oracle(power, fs, window_len);
+        let flat = |b: &BandPowers| {
+            let mut all = b.absolute.to_vec();
+            all.extend_from_slice(&b.relative);
+            all.push(b.total);
+            all
+        };
+        for (slot, (a, e)) in flat(&actual).iter().zip(&flat(&expected)).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                e.to_bits(),
+                "{case}, fs {fs}, window {window_len}, {} bins: output {slot} reads {a:e}, \
+                 the per-bin scan {e:e}",
+                power.len()
+            );
+        }
+    }
+
+    #[test]
+    fn range_sums_match_the_per_bin_scan_bit_for_bit() {
+        let mut state = 0x853C_49E6_748F_EA9B_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for fs in [64.0, 128.0, 173.5, 256.0] {
+            for window_len in 1..=2048usize {
+                let bins = window_len / 2 + 1;
+                let mut power: Vec<f64> = (0..bins).map(|_| next() * 10.0).collect();
+                assert_same_bits(&power, fs, window_len, "random bins");
+                // Non-finite bins poison exactly the bands that hold them.
+                if window_len % 7 == 3 {
+                    power[bins / 2] = f64::NAN;
+                    power[bins - 1] = f64::INFINITY;
+                    power[bins / 3] = f64::NEG_INFINITY;
+                    assert_same_bits(&power, fs, window_len, "NaN/inf bins");
+                }
+            }
+            // Bin counts that do not follow from the window length (the
+            // hop-averaged spectrum passes the hop length) and signed zeros.
+            for (bins, window_len) in [(0, 256), (1, 256), (129, 64), (3, 1024), (65, 7)] {
+                let power: Vec<f64> = (0..bins).map(|k| next() - 0.5 * k as f64).collect();
+                assert_same_bits(&power, fs, window_len, "mismatched bin count");
+                assert_same_bits(&vec![-0.0; bins], fs, window_len, "negative zeros");
+            }
+        }
+        // An infinite fs puts bin 0 at NaN Hz and the rest at +inf Hz.
+        assert_same_bits(&[1.0, 2.0, 3.0], f64::INFINITY, 4, "infinite fs");
+    }
+
+    #[test]
+    fn bin_walk_finds_the_boundary_from_any_guess() {
+        for boundary in 0..=9 {
+            for guess in [-1.0, 0.0, 3.0, 7.9, 8.0, 100.0, f64::NAN, f64::INFINITY] {
+                for from in [0, 2, 8] {
+                    assert_eq!(
+                        first_bin_where(from, 8, guess, |k| k >= boundary),
+                        boundary.clamp(from, 8),
+                        "boundary {boundary}, guess {guess}, from {from}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_band_without_bins_reads_positive_zero() {
+        // At 16 Hz resolution no bin lands in delta, theta or alpha.
+        let bp = band_powers_from_bins(&[-0.0, 2.0, 3.0], 64.0, 4).unwrap();
+        for band in [Band::Delta, Band::Theta, Band::Alpha] {
+            assert_eq!(bp.absolute(band).to_bits(), 0.0_f64.to_bits(), "{band}");
+            assert_eq!(bp.relative(band).to_bits(), 0.0_f64.to_bits(), "{band}");
+        }
+        assert_eq!(bp.absolute(Band::Beta), 2.0 * 16.0);
+        assert_eq!(bp.absolute(Band::Gamma), 3.0 * 16.0);
     }
 }

@@ -90,19 +90,35 @@ fn ln_factorial(n: usize) -> f64 {
 /// buckets).
 pub const MAX_SCRATCH_ORDER: usize = 8;
 
-/// Allocation-free permutation entropy over a reusable counting buffer.
+/// Allocation-free permutation entropy over a reusable buffer.
 ///
 /// Computes the same quantity as [`permutation_entropy`], but instead of
 /// hashing one heap-allocated key per ordinal pattern it ranks each pattern
-/// with its Lehmer code and counts occurrences in a dense `order!`-slot table
-/// (`counts`, resized once and reused across calls). This is the hot-path
-/// variant used by the batch feature-extraction engine: zero allocations per
-/// call once `counts` has warmed up, and no hashing.
+/// with its Lehmer code. This is the variant the batch feature extractors
+/// use: zero allocations per call once `counts` has warmed up, and no
+/// hashing.
 ///
-/// Ordinal ranks are obtained with a stable insertion sort, so ties between
-/// equal samples break exactly as in [`permutation_entropy`]; the two
-/// variants count identical pattern multisets and differ at most by the
-/// floating-point summation order of the final entropy (≈ 1e-15).
+/// The work is O(patterns), whatever the order:
+///
+/// * With delay 1 and order 3 or 5 (the rich set's raw-window entropies)
+///   each pattern is ranked incrementally from the previous one, with
+///   `order − 1` comparisons and two table lookups instead of a sort.
+///   Other orders and delays rank every pattern with a stable insertion
+///   sort. Both rankers give every pattern the same rank.
+/// * When the series has at least `order!` patterns, the ranks are counted
+///   in a dense `order!`-slot table in `counts` and the entropy is summed
+///   over its non-empty slots in rank order. With fewer patterns than
+///   slots (the paper set's order-5 and order-7 entropies of short wavelet
+///   bands), `counts` instead holds one rank per pattern, sorted, and the
+///   entropy is summed over each run of equal ranks in ascending order:
+///   the same terms in the same order as the table scan, so the two sides
+///   agree bit for bit and neither clears or scans a mostly empty table.
+///
+/// Ordinal ranks break ties between equal samples exactly as the stable
+/// sort in [`permutation_entropy`] does (and order NaN and signed zeros by
+/// [`f64::total_cmp`]), so the two functions count identical pattern
+/// multisets and differ at most by the floating-point summation order of
+/// the final entropy (≈ 1e-15).
 ///
 /// # Errors
 ///
@@ -133,17 +149,39 @@ pub fn permutation_entropy_scratch(
     let num_patterns = data.len() - span;
     let table_size: usize = (2..=order).product();
     counts.clear();
+    if table_size > num_patterns {
+        // Ranks are below 8! = 40 320, so they fit the u32 buffer.
+        rank_patterns(data, order, delay, |rank| counts.push(rank as u32));
+        counts.sort_unstable();
+        let mut entropy = 0.0;
+        for run in counts.chunk_by(|a, b| a == b) {
+            let p = run.len() as f64 / num_patterns as f64;
+            entropy -= p * p.ln();
+        }
+        return Ok(normalized_entropy(entropy, order));
+    }
     counts.resize(table_size, 0);
-    accumulate_pattern_counts(data, order, delay, counts);
+    rank_patterns(data, order, delay, |rank| counts[rank] += 1);
     Ok(entropy_from_counts(counts, num_patterns, order))
 }
 
-/// Ranks every ordinal pattern of `data` (starts `0..len − span`) with its
-/// Lehmer code and increments the matching slot of the dense `order!`-entry
-/// table `counts`. Shared between [`permutation_entropy_scratch`] and the
-/// streaming extractor's per-hop pattern tables, so summing hop tables and
-/// running [`entropy_from_counts`] over the merged counts is bit-identical
-/// to the batch computation by construction.
+/// Calls `emit` with the Lehmer rank of every ordinal pattern of `data`, in
+/// start order, through the incremental ranker where it applies (delay 1,
+/// order 3 or 5) and the generic one otherwise.
+// lint: hot-path
+fn rank_patterns(data: &[f64], order: usize, delay: usize, emit: impl FnMut(usize)) {
+    if delay == 1 && (order == 3 || order == 5) {
+        rank_patterns_delay1(data, order, emit);
+    } else {
+        rank_patterns_generic(data, order, delay, emit);
+    }
+}
+
+/// Increments the slot of the dense `order!`-entry table `counts` for
+/// every ordinal pattern of `data` (starts `0..len − span`), ranked by the
+/// generic stable-sort ranker. The streaming extractor counts the patterns
+/// that straddle two hops with it, and the property tests use it as the
+/// oracle of every faster path.
 // lint: hot-path
 pub(crate) fn accumulate_pattern_counts(
     data: &[f64],
@@ -151,6 +189,13 @@ pub(crate) fn accumulate_pattern_counts(
     delay: usize,
     counts: &mut [u32],
 ) {
+    rank_patterns_generic(data, order, delay, |rank| counts[rank] += 1);
+}
+
+/// Ranks every ordinal pattern of `data` (starts `0..len − span`) with its
+/// Lehmer code, for any order up to [`MAX_SCRATCH_ORDER`] and any delay.
+// lint: hot-path
+fn rank_patterns_generic(data: &[f64], order: usize, delay: usize, mut emit: impl FnMut(usize)) {
     let span = (order - 1) * delay;
     if data.len() <= span {
         return;
@@ -194,7 +239,7 @@ pub(crate) fn accumulate_pattern_counts(
             }
             rank = rank * (order - i) + smaller_later;
         }
-        counts[rank] += 1;
+        emit(rank);
     }
 }
 
@@ -293,16 +338,23 @@ fn ordinal_transitions() -> &'static OrdinalTransitions {
     })
 }
 
-/// Delay-1 fast twin of [`accumulate_pattern_counts`] for orders 3 and 5:
-/// ranks the first window with the same stable sort, then slides — each
-/// subsequent start costs `order − 1` `total_cmp` comparisons (the incoming
-/// sample against the retained ones) and two table lookups instead of a full
-/// sort. Counts are integers and the transition tables replicate the stable
-/// tie order, so the resulting table is identical to the generic ranker's
-/// bit for bit (property-tested below, NaNs included). Used by the streaming
-/// extractor's per-hop tables.
+/// Delay-1 fast twin of [`accumulate_pattern_counts`] for orders 3 and 5,
+/// used by the streaming extractor's per-hop tables. See
+/// [`rank_patterns_delay1`].
 // lint: hot-path
 pub(crate) fn accumulate_pattern_counts_delay1(data: &[f64], order: usize, counts: &mut [u32]) {
+    rank_patterns_delay1(data, order, |rank| counts[rank] += 1);
+}
+
+/// Delay-1 incremental ranker for orders 3 and 5: ranks the first window
+/// with the same stable sort as [`rank_patterns_generic`], then slides —
+/// each subsequent start costs `order − 1` `total_cmp` comparisons (the
+/// incoming sample against the retained ones) and two table lookups instead
+/// of a full sort. The transition tables replicate the stable tie order, so
+/// every pattern gets the generic ranker's rank (property-tested below, NaNs
+/// included).
+// lint: hot-path
+fn rank_patterns_delay1(data: &[f64], order: usize, mut emit: impl FnMut(usize)) {
     debug_assert!(
         order == 3 || order == 5,
         "transition tables are built for orders 3 and 5"
@@ -337,7 +389,7 @@ pub(crate) fn accumulate_pattern_counts_delay1(data: &[f64], order: usize, count
         perm[j] = key_position;
     }
     let mut rank = lehmer_rank(&perm[..order]);
-    counts[rank] += 1;
+    emit(rank);
 
     for start in 1..=data.len() - order {
         let incoming = data[start + order - 1];
@@ -346,7 +398,7 @@ pub(crate) fn accumulate_pattern_counts_delay1(data: &[f64], order: usize, count
             slot += usize::from(retained.total_cmp(&incoming) != std::cmp::Ordering::Greater);
         }
         rank = usize::from(ins[usize::from(drop[rank]) * order + slot]);
-        counts[rank] += 1;
+        emit(rank);
     }
 }
 
@@ -362,6 +414,12 @@ pub(crate) fn entropy_from_counts(counts: &[u32], num_patterns: usize, order: us
             entropy -= p * p.ln();
         }
     }
+    normalized_entropy(entropy, order)
+}
+
+/// Divides a summed permutation entropy by `ln(order!)` and clamps it to
+/// `[0, 1]`.
+fn normalized_entropy(entropy: f64, order: usize) -> f64 {
     let max_entropy = ln_factorial(order);
     if max_entropy <= 0.0 {
         return 0.0;
@@ -838,6 +896,125 @@ mod tests {
                 (reference - fast).abs() < 1e-12,
                 "order {order}: {reference} vs {fast}"
             );
+        }
+    }
+
+    /// The dense generic-ranker computation every faster path must match:
+    /// a fresh `order!` table filled by the stable-sort ranker.
+    fn dense_oracle(data: &[f64], order: usize, delay: usize) -> f64 {
+        let span = (order - 1) * delay;
+        if data.len() <= span {
+            return 0.0;
+        }
+        let mut counts = vec![0u32; (2..=order).product()];
+        accumulate_pattern_counts(data, order, delay, &mut counts);
+        entropy_from_counts(&counts, data.len() - span, order)
+    }
+
+    /// `n` samples over `levels` distinct values (heavy ties when small),
+    /// laced with NaN of both signs, both infinities and signed zeros when
+    /// `lace` is set.
+    fn hostile_series(seed: u64, n: usize, levels: u64, lace: bool) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let draw = state >> 33;
+                match draw % 16 {
+                    0 if lace => f64::NAN,
+                    1 if lace => -f64::NAN,
+                    2 if lace => f64::INFINITY,
+                    3 if lace => f64::NEG_INFINITY,
+                    4 if lace => -0.0,
+                    _ => ((draw >> 4) % levels) as f64 - (levels / 2) as f64,
+                }
+            })
+            .collect()
+    }
+
+    /// Runs `permutation_entropy_scratch` on the shared `counts` buffer and
+    /// checks it against the dense oracle bit for bit, and that the buffer
+    /// took the side the pattern count selects: one sorted rank per pattern
+    /// below `order!` patterns, the dense table from there on.
+    fn assert_matches_dense(
+        data: &[f64],
+        order: usize,
+        delay: usize,
+        counts: &mut Vec<u32>,
+        case: &str,
+    ) {
+        let actual = permutation_entropy_scratch(data, order, delay, counts).unwrap();
+        let expected = dense_oracle(data, order, delay);
+        let patterns = data.len().saturating_sub((order - 1) * delay);
+        assert_eq!(
+            actual.to_bits(),
+            expected.to_bits(),
+            "{case}, order {order}, delay {delay}, {patterns} patterns: \
+             {actual:e} vs the dense table's {expected:e}"
+        );
+        if patterns > 0 {
+            let table: usize = (2..=order).product();
+            assert_eq!(
+                counts.len(),
+                table.min(patterns),
+                "{case}, order {order}, delay {delay}: wrong side of the table choice"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn scratch_permutation_entropy_matches_the_dense_generic_ranker(
+            seed in 0u64..1_000_000,
+            length in 0.0f64..1.0,
+            levels in 1u64..12,
+            lace in 0u64..2,
+        ) {
+            // One buffer across every order and delay, as a worker's scratch
+            // sees it. Lengths are log-uniform over 0..=2·order!, so short
+            // series (the paper set's wavelet bands) are drawn as often as
+            // long ones and the order-8 cases stay affordable.
+            let mut counts = Vec::new();
+            for order in 2..=MAX_SCRATCH_ORDER {
+                let table: usize = (2..=order).product();
+                let n = ((2 * table + 2) as f64).powf(length) as usize - 1;
+                let data = hostile_series(seed, n, levels, lace == 1);
+                let case = format!("seed {seed}, n {n}, levels {levels}, lace {lace}");
+                for delay in 1..=3 {
+                    assert_matches_dense(&data, order, delay, &mut counts, &case);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_permutation_entropy_matches_on_both_sides_of_the_table_boundary() {
+        let mut counts = Vec::new();
+        let families: [(u64, u64, bool); 3] = [(1, 1 << 20, false), (2, 3, false), (3, 5, true)];
+        for order in 2..=MAX_SCRATCH_ORDER {
+            let table: usize = (2..=order).product();
+            // Order 8 straddles its 40 320-slot boundary with the laced
+            // family only, which keeps the debug build's run short.
+            let families = if order == MAX_SCRATCH_ORDER {
+                &families[2..]
+            } else {
+                &families[..]
+            };
+            for delay in 1..=3 {
+                let span = (order - 1) * delay;
+                for patterns in [1, 2, table - 1, table, table + 1] {
+                    for &(seed, levels, lace) in families {
+                        let n = span + patterns;
+                        let data = hostile_series(seed, n, levels, lace);
+                        let case = format!("seed {seed}, n {n}, levels {levels}, lace {lace}");
+                        assert_matches_dense(&data, order, delay, &mut counts, &case);
+                    }
+                }
+            }
         }
     }
 

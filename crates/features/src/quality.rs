@@ -233,6 +233,16 @@ impl QualityExtractor {
     /// Fills the quality feature matrix for every sliding window of the
     /// channel pair, reusing `matrix`'s allocation across calls.
     ///
+    /// The windows are graded in parallel: the rows are split into one
+    /// contiguous block per worker of [`seizure_parallel::par_process_rows`]
+    /// (records of fewer than 16 windows stay on the calling thread), and
+    /// each worker grades its block in order with one [`QualityScratch`] of
+    /// its own. A window costs the same wherever it lands, so a record's
+    /// grading time falls with the worker count. Every row is
+    /// [`QualityExtractor::assess_window_into`] on that window, so the
+    /// matrix is bit-identical to grading the windows one by one on one
+    /// thread; the first error in window order is returned.
+    ///
     /// # Errors
     ///
     /// Same contract as [`crate::extractor::FeatureExtractor::extract_matrix`].
@@ -256,17 +266,19 @@ impl QualityExtractor {
                 required: config.window_samples(),
             });
         }
+        let window = config.window_samples();
+        let step = config.step_samples();
         matrix.ensure_names(Self::feature_names);
         let data = matrix.reset_rows(count);
-        let mut scratch = QualityScratch::default();
-        for ((row, w1), w2) in data
-            .chunks_mut(NUM_QUALITY_FEATURES)
-            .zip(config.windows(f7t3))
-            .zip(config.windows(f8t4))
-        {
-            self.assess_window_into(w1, w2, row, &mut scratch)?;
-        }
-        Ok(())
+        seizure_parallel::par_process_rows(data, NUM_QUALITY_FEATURES, |first_row, block| {
+            let mut scratch = QualityScratch::default();
+            for (offset, row) in block.chunks_mut(NUM_QUALITY_FEATURES).enumerate() {
+                let start = (first_row + offset) * step;
+                let end = start + window;
+                self.assess_window_into(&f7t3[start..end], &f8t4[start..end], row, &mut scratch)?;
+            }
+            Ok(())
+        })
     }
 
     /// Assesses one window pair into a caller-provided row of

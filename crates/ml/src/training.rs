@@ -1326,7 +1326,9 @@ mod tests {
         Dataset::new(rows, labels).unwrap()
     }
 
-    /// Deterministic pseudo-random row-major matrix plus labels.
+    /// Deterministic pseudo-random row-major matrix plus labels (only the
+    /// debug-build cost tests below use it).
+    #[cfg(debug_assertions)]
     fn hashed_rows(n: usize, num_features: usize) -> (Vec<f64>, Vec<bool>) {
         let mut rows = Vec::with_capacity(n * num_features);
         for i in 0..n * num_features {

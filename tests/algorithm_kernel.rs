@@ -6,7 +6,10 @@
 //! it asks the sorted prefix-sum index again for each candidate and collects
 //! the in-window grid rows per candidate. Every distance is compared under
 //! `to_bits()`, on random matrices with and without NaN-laced rows, for
-//! subsampling steps 1–5 and every window length from 1 to rows − 1.
+//! subsampling steps 1–5 and every window length from 1 to rows − 1. The
+//! optimized scorer splits the candidates across workers, so the oracle is
+//! checked on matrices long enough to split and on candidate counts on both
+//! sides of the serial cutoff.
 
 use proptest::prelude::*;
 use selflearn_seizure::core::algorithm::{posteriori_detect, DetectorConfig, Implementation};
@@ -146,9 +149,22 @@ proptest! {
 #[test]
 fn hoisted_grid_sums_match_at_labeling_scale() {
     // A paper-like shape: ten features and a 74-row seizure window, plus
-    // the extreme window lengths.
+    // the extreme window lengths. Up to 299 candidates: one contiguous
+    // block per worker on any host with two or more threads.
     let matrix = random_matrix(7, 300, 10, 0);
     assert_bit_identical(&matrix, &[1, 2, 37, 74, 299], "seed 7, clean");
     let laced = random_matrix(8, 300, 10, 13);
     assert_bit_identical(&laced, &[1, 74, 299], "seed 8, nan_every 13");
+}
+
+#[test]
+fn candidate_counts_around_the_serial_cutoff_match() {
+    // Fewer than 16 candidates (8 per worker) are scored on the calling
+    // thread; 16 and more may split.
+    for candidates in [1usize, 2, 7, 8, 15, 16, 17, 31, 33] {
+        for w in [1usize, 9, 74] {
+            let matrix = random_matrix(candidates as u64, w + candidates, 4, 5);
+            assert_bit_identical(&matrix, &[w], &format!("{candidates} candidates"));
+        }
+    }
 }

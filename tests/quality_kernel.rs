@@ -9,16 +9,19 @@
 //! recurrence per probed frequency and a full sort for the median. Every one
 //! of the 15 indicators is compared under `to_bits()` across sampling rates,
 //! window lengths, random records, every hostile scenario at several
-//! severities and the degenerate edge windows.
+//! severities and the degenerate edge windows. The record-level batch, which
+//! grades windows on every worker, must equal the one-thread window loop.
 
 use proptest::prelude::*;
 use selflearn_seizure::data::cohort::Cohort;
 use selflearn_seizure::data::sampler::SampleConfig;
 use selflearn_seizure::data::synth::{degrade_signal, HostileScenario};
+use selflearn_seizure::features::extractor::SlidingWindowConfig;
 use selflearn_seizure::features::quality::{
-    channel_column, QualityExtractor, IDX_DISAGREEMENT, IDX_LOG_STD, NUM_QUALITY_FEATURES,
-    QUALITY_FEATURES_PER_CHANNEL,
+    channel_column, QualityExtractor, QualityScratch, IDX_DISAGREEMENT, IDX_LOG_STD,
+    NUM_QUALITY_FEATURES, QUALITY_FEATURES_PER_CHANNEL,
 };
+use selflearn_seizure::features::FeatureMatrix;
 use std::f64::consts::PI;
 
 const RATES: [f64; 3] = [64.0, 128.0, 256.0];
@@ -341,5 +344,110 @@ fn kernel_matches_oracle_on_every_hostile_scenario() {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The batch fan-out: `extract_batch_into` grades a record's windows on every
+// worker; the oracle is the one-thread loop over `assess_window_into` it
+// replaced.
+// ---------------------------------------------------------------------------
+
+/// Grades every window of the record in order on this thread with one
+/// scratch.
+fn serial_window_loop(
+    q: &QualityExtractor,
+    a: &[f64],
+    b: &[f64],
+    config: &SlidingWindowConfig,
+) -> Vec<f64> {
+    let mut scratch = QualityScratch::default();
+    let mut rows = vec![0.0; config.num_windows(a.len()) * NUM_QUALITY_FEATURES];
+    for ((row, w1), w2) in rows
+        .chunks_mut(NUM_QUALITY_FEATURES)
+        .zip(config.windows(a))
+        .zip(config.windows(b))
+    {
+        q.assess_window_into(w1, w2, row, &mut scratch).unwrap();
+    }
+    rows
+}
+
+/// The batch matrix equals the serial loop bit for bit, refilled into the
+/// reused `matrix`.
+fn assert_batch_matches_serial(
+    q: &QualityExtractor,
+    a: &[f64],
+    b: &[f64],
+    config: &SlidingWindowConfig,
+    matrix: &mut FeatureMatrix,
+    context: &str,
+) {
+    q.extract_batch_into(a, b, config, matrix).unwrap();
+    let expected = serial_window_loop(q, a, b, config);
+    assert_eq!(
+        matrix.num_windows(),
+        config.num_windows(a.len()),
+        "{context}"
+    );
+    let names = QualityExtractor::feature_names();
+    for (at, (x, e)) in matrix.data().iter().zip(&expected).enumerate() {
+        assert_eq!(
+            x.to_bits(),
+            e.to_bits(),
+            "{context}, fs {} Hz: window {}, {} reads {x:e}, the serial loop {e:e}",
+            q.sampling_frequency(),
+            at / NUM_QUALITY_FEATURES,
+            names[at % NUM_QUALITY_FEATURES]
+        );
+    }
+}
+
+#[test]
+fn batch_fan_out_matches_the_serial_window_loop() {
+    // The 80 s records hold 77 windows: several worker blocks on any host
+    // with two or more threads. The 12-window prefix stays below the
+    // two-block cutoff of 16 windows and takes the serial branch.
+    let cohort = Cohort::chb_mit_like(5);
+    let mut matrix = FeatureMatrix::default();
+    for fs in RATES {
+        let q = QualityExtractor::new(fs).unwrap();
+        let config = SlidingWindowConfig::paper_default(fs).unwrap();
+        let sample = SampleConfig::new(80.0, 80.0, fs).unwrap();
+        let record = cohort.sample_record(1, 0, &sample, 17).unwrap();
+        let (a, b) = (record.signal().f7t3(), record.signal().f8t4());
+        assert!(config.num_windows(a.len()) >= 64);
+        assert_batch_matches_serial(&q, a, b, &config, &mut matrix, "clean record");
+
+        let short = config.window_samples() + 11 * config.step_samples();
+        assert_eq!(config.num_windows(short), 12);
+        let (sa, sb) = (&a[..short], &b[..short]);
+        assert_batch_matches_serial(&q, sa, sb, &config, &mut matrix, "12-window record");
+
+        for scenario in HostileScenario::all() {
+            let degraded = degrade_signal(record.signal(), scenario, 1.0, 23).unwrap();
+            assert_batch_matches_serial(
+                &q,
+                degraded.f7t3(),
+                degraded.f8t4(),
+                &config,
+                &mut matrix,
+                scenario.name(),
+            );
+        }
+
+        let laced_a = non_finite_laced(3, a.len());
+        let mut laced_b = b.to_vec();
+        for v in laced_b.iter_mut().skip(a.len() / 3).step_by(97) {
+            *v = f64::NAN;
+        }
+        assert_batch_matches_serial(
+            &q,
+            &laced_a,
+            &laced_b,
+            &config,
+            &mut matrix,
+            "NaN/inf-laced record",
+        );
     }
 }
