@@ -10,7 +10,9 @@ use crate::algorithm::{DetectorConfig, Implementation};
 use crate::error::CoreError;
 use crate::label::SeizureLabel;
 use crate::labeler::{LabelerConfig, PosterioriLabeler};
-use crate::realtime::{balanced_indices, QualityVerdict, RealTimeDetector, RealTimeDetectorConfig};
+use crate::realtime::{
+    balanced_indices, spread_classes, QualityVerdict, RealTimeDetector, RealTimeDetectorConfig,
+};
 use crate::workspace::FeatureWorkspace;
 use seizure_data::sampler::EegRecord;
 use seizure_ml::metrics::ConfusionMatrix;
@@ -112,10 +114,11 @@ pub struct SelfLearningPipeline {
     workspace: FeatureWorkspace,
     /// Delta-journal state armed by [`SelfLearningPipeline::save_delta`] /
     /// [`SelfLearningPipeline::resume_with_journal`]; `None` while the
-    /// pipeline persists through full snapshots only. The pipeline keeps
-    /// its own journal rather than arming the detector's: each entry
-    /// additionally carries the produced seizure label as its annotation,
-    /// so a resume also restores the seizure counter and label history.
+    /// pipeline persists through full snapshots only. The pipeline is the
+    /// device's one durable unit: each entry carries the staged batch plus
+    /// the produced seizure label and the gate reference as its annotation,
+    /// so a resume also restores the seizure counter, the label history and
+    /// the gate calibration.
     delta: Option<DeltaState>,
 }
 
@@ -439,22 +442,9 @@ impl SelfLearningPipeline {
         // `balanced_indices` returns every positive followed by the sampled
         // negatives; staged in that order a long seizure (more positive
         // windows than `block_size`) would fill whole ownership blocks of
-        // the incremental pool with one class. Spreading the smaller class
-        // evenly through the larger keeps single-class runs at the class
-        // ratio instead of the full class size, so blocks stay mixed.
-        let num_pos = eligible_labels.iter().filter(|&&l| l).count();
-        let (pos, neg) = selected.split_at(num_pos.min(selected.len()));
-        let (mut p, mut n) = (0usize, 0usize);
-        while p < pos.len() || n < neg.len() {
-            // Proportional merge: advance whichever class lags its share.
-            let pick_pos = n >= neg.len() || (p < pos.len() && p * neg.len() <= n * pos.len());
-            let i = if pick_pos {
-                p += 1;
-                pos[p - 1]
-            } else {
-                n += 1;
-                neg[n - 1]
-            };
+        // the incremental pool with one class, so the classes are spread
+        // first.
+        for i in spread_classes(&selected, &eligible_labels) {
             self.batch_windows.push(eligible[i]);
             self.batch_labels.push(eligible_labels[i]);
         }
@@ -462,7 +452,7 @@ impl SelfLearningPipeline {
     }
 
     /// Serializes the pipeline's full persistent state — labeler
-    /// configuration, the detector (model, statistics or incremental pool;
+    /// configuration, the detector (gate calibration and incremental pool;
     /// see [`RealTimeDetector::save_state`]), the seizure counter and every
     /// produced label — into the versioned binary snapshot format of
     /// [`seizure_ml::persist`]. The extraction workspace and the batch
@@ -559,12 +549,14 @@ impl SelfLearningPipeline {
         })
     }
 
-    /// Per-seizure persistence: the pipeline twin of
-    /// [`RealTimeDetector::save_delta`]. The first call returns
+    /// Per-seizure persistence: returns the **delta** Flash write that makes
+    /// the pipeline's current state durable, instead of re-writing the whole
+    /// O(pool) snapshot every time. The first call returns
     /// [`DeltaSave::Full`] (write as the base snapshot, erase the journal
     /// region); afterwards each learned seizure costs one O(batch)
     /// [`DeltaSave::Append`], until the [`CompactionPolicy`] folds the
-    /// journal into a fresh full base. Restore with
+    /// journal into a fresh full base; with nothing new to persist it
+    /// returns [`DeltaSave::Clean`]. Restore with
     /// [`SelfLearningPipeline::resume_with_journal`].
     pub fn save_delta(&mut self) -> DeltaSave {
         self.save_delta_with(CompactionPolicy::default())
@@ -611,11 +603,14 @@ impl SelfLearningPipeline {
         Ok(FlashStore::format(flash, geometry, &base)?)
     }
 
-    /// Persists the pipeline through a crash-proof [`FlashStore`], with the
-    /// same Clean / Append / A-B-compact state machine as
-    /// [`crate::realtime::RealTimeDetector::save_to_store`]; each learned
-    /// seizure costs one O(batch) journal append until the store's
-    /// capacity-derived policy folds the journal into the inactive slot.
+    /// Persists the pipeline through a crash-proof [`FlashStore`]: a clean
+    /// state writes nothing, each learned seizure appends one O(batch)
+    /// journal entry, and once the journal passes the store's
+    /// capacity-derived [`FlashStore::compaction_policy`] (or a single entry
+    /// outgrows the region) the state is compacted into the inactive base
+    /// slot. A power loss at any byte of these writes leaves the previous
+    /// state recoverable by [`FlashStore::mount`] +
+    /// [`SelfLearningPipeline::resume_from_store`].
     ///
     /// # Errors
     ///
@@ -680,9 +675,12 @@ impl SelfLearningPipeline {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Persist`] under the same conditions as
-    /// [`RealTimeDetector::load_with_journal`], plus entries whose
-    /// annotation is not a valid seizure label — never a panic, and a batch
+    /// Returns [`CoreError::Persist`] for a malformed base snapshot, for
+    /// journal corruption that is not a clean tail tear (bad magic, foreign
+    /// version, checksum mismatch, wrong kind), for entries that do not
+    /// belong (wrong base fingerprint, wrong pool position, or a batch the
+    /// trainer no longer accepts) and for entries whose annotation is not a
+    /// valid seizure label and gate reference — never a panic, and a batch
     /// is never half-applied.
     pub fn resume_with_journal(
         base: &[u8],
@@ -1274,6 +1272,7 @@ mod tests {
             other => panic!("first delta save must be full, got {other:?}"),
         };
         assert_eq!(pipeline.save_delta(), DeltaSave::Clean);
+        let mut pools = vec![pipeline.training_windows()];
 
         // Seizures 2-4: one O(batch) append each. With few seizures in the
         // base, a batch is a large fraction of the pool and the default
@@ -1302,14 +1301,34 @@ mod tests {
                 base.len()
             );
             journal.extend_from_slice(&entry);
+            pools.push(pipeline.training_windows());
         }
+        // The entries cross an ownership-block boundary before the last one
+        // and end in the cold-start regime (fewer blocks than trees), where
+        // replay's single refit must still report the last entry's own
+        // refit count.
+        let detector_config = fast_detector_config();
+        let block = detector_config.incremental_block_size;
+        assert!(
+            pools[0] / block < pools[2] / block
+                && pools[3].div_ceil(block) < detector_config.forest.n_trees,
+            "pool growth {pools:?} must cross a {block}-window block boundary before the \
+             last entry and stay in the cold-start regime"
+        );
 
         // Resume: detections, counter, label history, gate reference and
-        // trainer all come back, down to the saved bytes.
+        // trainer (down to the last entry's refit count) all come back, down
+        // to the saved bytes.
         let (mut resumed, report) =
             SelfLearningPipeline::resume_with_journal(&base, &journal).unwrap();
         assert_eq!(report.entries_applied, 3);
         assert_eq!(report.torn_bytes, 0);
+        assert_eq!(report.valid_len, journal.len());
+        // Trainer `==` compares `last_refit_count` too.
+        assert_eq!(
+            resumed.detector().incremental_trainer(),
+            pipeline.detector().incremental_trainer()
+        );
         assert_eq!(resumed.num_seizures_collected(), 4);
         assert_eq!(resumed.produced_labels(), pipeline.produced_labels());
         assert_eq!(resumed.training_windows(), pipeline.training_windows());
@@ -1358,6 +1377,21 @@ mod tests {
         pipeline
             .observe_missed_seizure(&second, w, LabelSource::Algorithm)
             .unwrap();
+
+        // An eager policy folds the pending entry into a fresh base, which
+        // resumes with an empty journal.
+        let eager = CompactionPolicy {
+            max_journal_fraction: 0.0,
+            min_journal_bytes: 0,
+        };
+        let compacted = match pipeline.clone().save_delta_with(eager) {
+            DeltaSave::Full(bytes) => bytes,
+            other => panic!("eager policy must compact, got {other:?}"),
+        };
+        let (resumed, report) = SelfLearningPipeline::resume_with_journal(&compacted, &[]).unwrap();
+        assert_eq!(report.entries_applied, 0);
+        assert_eq!(resumed.save(), pipeline.save());
+
         let lenient = CompactionPolicy {
             max_journal_fraction: 100.0,
             ..CompactionPolicy::default()
@@ -1383,6 +1417,11 @@ mod tests {
         flipped[journal.len() / 2] ^= 0x01;
         assert!(matches!(
             SelfLearningPipeline::resume_with_journal(&base, &flipped),
+            Err(CoreError::Persist(_))
+        ));
+        // A journal against the wrong base is rejected, not misapplied.
+        assert!(matches!(
+            SelfLearningPipeline::resume_with_journal(&compacted, &journal),
             Err(CoreError::Persist(_))
         ));
     }
@@ -1568,6 +1607,7 @@ mod tests {
         let mut store = pipeline
             .init_store(FaultyFlash::new(geometry.total_bytes()), geometry)
             .unwrap();
+        assert_eq!(store.sequence(), 1);
         let armed = pipeline.clone();
         let image = store.flash().image().to_vec();
         let format_bytes = store.flash().bytes_written();
@@ -1589,6 +1629,7 @@ mod tests {
             [StoreSave::Appended, StoreSave::Rebased],
             "the cuts must target one append and one compaction"
         );
+        assert_eq!(store.sequence(), 2, "the A/B compaction bumps the sequence");
 
         // Cut each operation at 1/4, 1/2 and 3/4 of its write stream.
         let mut cuts = Vec::new();

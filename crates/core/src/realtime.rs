@@ -22,19 +22,14 @@ use seizure_ml::flat::FlatForest;
 use seizure_ml::forest::RandomForestConfig;
 use seizure_ml::incremental::{IncrementalTrainer, IncrementalTrainerConfig};
 use seizure_ml::metrics::ConfusionMatrix;
-use seizure_ml::persist::journal::{
-    self, CompactionPolicy, DeltaSave, DeltaState, JournalEntry, JournalReplayReport, JournalWriter,
-};
-use seizure_ml::persist::store::{Flash, FlashGeometry, FlashStore, StoreSave};
+use seizure_ml::persist::journal::{self, JournalEntry};
 use seizure_ml::persist::{self, PersistError, SnapshotKind, SnapshotReader, SnapshotWriter};
-use seizure_ml::training::{train_forest, TrainingSet};
 
 /// Snapshot marker: the detector has never been trained.
 const MODEL_UNTRAINED: u8 = 0;
-/// Snapshot marker: batch-trained model (standardization statistics stored).
-const MODEL_BATCH: u8 = 1;
-/// Snapshot marker: incrementally trained model (raw features, trainer
-/// stored, forest re-stitched on load).
+/// Snapshot marker: trained model (raw features, incremental trainer
+/// stored, forest re-stitched on load). Marker `1` belonged to a retired
+/// standardized batch model and now loads as corrupted.
 const MODEL_INCREMENTAL: u8 = 2;
 
 /// Configuration of the real-time detector.
@@ -226,6 +221,14 @@ impl QualityGate {
 
 /// The random-forest real-time seizure detector.
 ///
+/// The detector runs one model kind, the one the wearable runs: a flat
+/// forest fitted on raw (unstandardized) rich features by an
+/// [`IncrementalTrainer`] that keeps the training pool, so every later
+/// [`RealTimeDetector::retrain_incremental`] extends it. It has one durable
+/// form, [`RealTimeDetector::save_state`]; on the device it is persisted as
+/// part of the [`SelfLearningPipeline`](crate::pipeline::SelfLearningPipeline),
+/// whose delta journal and A/B Flash store carry it across power cycles.
+///
 /// # Example
 ///
 /// ```no_run
@@ -244,10 +247,10 @@ impl QualityGate {
 ///     record.annotation().onset(),
 ///     record.annotation().offset(),
 /// )?;
-/// let training = detector.build_training_windows(record.signal(), &expert_label)?;
-/// detector.train(&training)?;
+/// let windows = detector.build_training_windows(record.signal(), &expert_label)?;
+/// detector.train(&detector.balance(&windows)?)?;
 /// let alarms = detector.detect(record.signal())?;
-/// assert_eq!(alarms.len(), training.len());
+/// assert_eq!(alarms.len(), windows.len());
 /// # Ok(())
 /// # }
 /// ```
@@ -258,16 +261,9 @@ pub struct RealTimeDetector {
     /// boxed ensemble is dropped after compilation so only one copy of the
     /// model stays resident.
     flat: Option<FlatForest>,
-    feature_means: Vec<f64>,
-    feature_stds: Vec<f64>,
-    /// The growable retraining engine behind
-    /// [`RealTimeDetector::retrain_incremental`]; `None` until the first
-    /// incremental retrain.
+    /// The growable retraining engine that fitted `flat` and holds its
+    /// training pool; `None` until the first `train` or retrain.
     incremental: Option<IncrementalTrainer>,
-    /// Delta-journal state armed by [`RealTimeDetector::save_delta`] /
-    /// [`RealTimeDetector::load_with_journal`]; `None` while the detector
-    /// persists through full snapshots only.
-    delta: Option<DeltaState>,
     /// Calibrated signal-quality gate state (always present; only consulted
     /// when [`RealTimeDetectorConfig::quality_gate`] is on).
     gate: QualityGate,
@@ -279,10 +275,7 @@ impl RealTimeDetector {
         Self {
             config,
             flat: None,
-            feature_means: Vec::new(),
-            feature_stds: Vec::new(),
             incremental: None,
-            delta: None,
             gate: QualityGate::default(),
         }
     }
@@ -307,7 +300,8 @@ impl RealTimeDetector {
         &self.config
     }
 
-    /// Returns `true` once [`RealTimeDetector::train`] has succeeded.
+    /// Returns `true` once [`RealTimeDetector::train`] or
+    /// [`RealTimeDetector::retrain_incremental`] has succeeded.
     pub fn is_trained(&self) -> bool {
         self.flat.is_some()
     }
@@ -467,75 +461,41 @@ impl RealTimeDetector {
         Ok(dataset.subset(&selected)?)
     }
 
-    /// Trains the random forest on a labeled window dataset. Feature columns
-    /// are standardized with statistics captured from this training set and
-    /// re-applied at prediction time.
+    /// Trains the random forest from scratch on a labeled window dataset: a
+    /// fresh [`IncrementalTrainer`] takes the dataset's raw rows as its first
+    /// batch and replaces the current model and pool only on success. A
+    /// later `retrain_incremental` extends this pool; a later `train` starts
+    /// over.
+    ///
+    /// The trainer gives each tree its own ownership blocks of consecutive
+    /// rows, so the rows are first reordered by `spread_classes`, the same
+    /// proportional class merge the pipeline stages its batches with. In
+    /// caller order, a time-ordered record or a positives-first
+    /// [`RealTimeDetector::balance`] output would fill whole blocks with one
+    /// class, and the trees owning only seizure-free blocks would outvote
+    /// the rest. The fit is therefore a fresh detector's first
+    /// [`RealTimeDetector::retrain_incremental`] of the spread rows. Each
+    /// tree still sees only its own blocks' share of the seizure windows, so
+    /// on a whole record, which is a few percent seizure, a `balance`d set
+    /// (what the paper and the pipeline train on) fits a stronger forest.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Ml`] if the forest cannot be fitted (for instance
-    /// on an empty dataset).
+    /// Returns [`CoreError::Ml`] if the forest cannot be fitted: an empty
+    /// dataset, or a single-class dataset longer than
+    /// [`RealTimeDetectorConfig::incremental_block_size`] (every ownership
+    /// block it fills would hold one label only).
     pub fn train(&mut self, dataset: &Dataset) -> Result<(), CoreError> {
-        let f = dataset.num_features();
-        let mut rows = Vec::with_capacity(dataset.len() * f);
-        for row in dataset.features() {
-            rows.extend_from_slice(row);
+        let labels = dataset.labels();
+        let order = spread_classes(&(0..dataset.len()).collect::<Vec<_>>(), labels);
+        let mut rows = Vec::with_capacity(order.len() * dataset.num_features());
+        for &i in &order {
+            rows.extend_from_slice(&dataset.features()[i]);
         }
-        self.train_flat(&rows, f, dataset.labels())
-    }
-
-    /// Trains the forest directly from a flat row-major matrix
-    /// (`labels.len() * num_features` values) through the parallel
-    /// scratch-backed training engine — no `Vec<Vec<f64>>` round-trips. The
-    /// fitted flat forest is bit-identical to the boxed
-    /// [`RandomForest::fit`](seizure_ml::RandomForest::fit) path with the
-    /// same data, configuration and seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Ml`] if the matrix is malformed or the forest
-    /// cannot be fitted.
-    pub fn train_flat(
-        &mut self,
-        rows: &[f64],
-        num_features: usize,
-        labels: &[bool],
-    ) -> Result<(), CoreError> {
-        if num_features == 0 {
-            return Err(seizure_ml::MlError::InvalidDataset {
-                detail: "training requires at least one feature".to_string(),
-            }
-            .into());
-        }
-        let n = labels.len() as f64;
-        let mut means = vec![0.0; num_features];
-        for row in rows.chunks_exact(num_features) {
-            for (m, x) in means.iter_mut().zip(row.iter()) {
-                *m += x;
-            }
-        }
-        for m in &mut means {
-            *m /= n;
-        }
-        let mut stds = vec![0.0; num_features];
-        for row in rows.chunks_exact(num_features) {
-            for ((s, x), m) in stds.iter_mut().zip(row.iter()).zip(means.iter()) {
-                *s += (x - m) * (x - m);
-            }
-        }
-        for s in &mut stds {
-            *s = (*s / n).sqrt();
-        }
-        let mut scaled = rows.to_vec();
-        scale_flat(&mut scaled, &means, &stds);
-        let set = TrainingSet::from_rows(&scaled, num_features, labels)?;
-        self.flat = Some(train_forest(&set, &self.config.forest, self.config.seed)?);
-        self.feature_means = means;
-        self.feature_stds = stds;
-        // A full batch fit supersedes any incremental pool — and any delta
-        // journal bound to it; the next `save_delta` re-bases.
-        self.incremental = None;
-        self.delta = None;
+        let spread: Vec<bool> = order.iter().map(|&i| labels[i]).collect();
+        let mut trainer = fresh_trainer(&self.config);
+        self.flat = Some(trainer.retrain(&rows, dataset.num_features(), &spread)?);
+        self.incremental = Some(trainer);
         Ok(())
     }
 
@@ -545,24 +505,18 @@ impl RealTimeDetector {
     /// only the block-local presorted runs it touches, and only the trees
     /// whose bootstrap pools were touched by the growth are refitted —
     /// loading just their owned blocks — so the self-learning loop stops
-    /// paying a full `train_forest` per missed seizure.
+    /// paying a full `train_forest` per missed seizure. An untrained
+    /// detector starts a fresh pool; a [`RealTimeDetector::train`]ed one
+    /// extends the pool `train` fitted.
     ///
-    /// Unlike [`RealTimeDetector::train_flat`], the incremental path trains
-    /// on **raw** features (no standardization): forests split on per-feature
-    /// thresholds, so the affine per-column scaling changes no decision
-    /// boundary, and skipping it keeps every grown state identical to a
-    /// from-scratch incremental fit of the final pool regardless of when
-    /// which rows arrived. The feature statistics are cleared accordingly so
-    /// the prediction paths feed raw features too.
+    /// Features stay **raw** (no standardization): forests split on
+    /// per-feature thresholds, so an affine per-column scaling changes no
+    /// decision boundary, and skipping it keeps every grown state identical
+    /// to a from-scratch incremental fit of the final pool regardless of
+    /// when which rows arrived.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidState`] if the detector currently holds a
-    /// batch-trained model ([`RealTimeDetector::train`] /
-    /// [`RealTimeDetector::train_flat`]): those paths do not retain their
-    /// training rows, so incremental retraining cannot *extend* them — it
-    /// would silently restart from an empty pool instead. Use a fresh
-    /// detector (or keep retraining through the batch path).
     /// Returns [`CoreError::Ml`] if the matrix is malformed, its feature
     /// count drifts between calls, or the forest cannot be fitted.
     pub fn retrain_incremental(
@@ -571,32 +525,14 @@ impl RealTimeDetector {
         num_features: usize,
         labels: &[bool],
     ) -> Result<(), CoreError> {
-        if self.holds_batch_model() {
-            return Err(batch_model_not_extendable());
-        }
         let trainer = self
             .incremental
             .get_or_insert_with(|| fresh_trainer(&self.config));
         self.flat = Some(trainer.retrain(rows, num_features, labels)?);
-        self.feature_means.clear();
-        self.feature_stds.clear();
-        // With delta persistence armed, every accepted batch is journaled so
-        // the next `save_delta` is an O(batch) append instead of an O(pool)
-        // snapshot (`retrain` validated the shapes, so this cannot fail).
-        if let Some(delta) = &mut self.delta {
-            delta.writer.append_retrain(rows, num_features, labels)?;
-        }
         Ok(())
     }
 
-    /// `true` while the detector holds a batch-trained model, which
-    /// incremental retraining (and journal replay) cannot extend.
-    fn holds_batch_model(&self) -> bool {
-        self.incremental.is_none() && self.flat.is_some()
-    }
-
-    /// The incremental retraining engine, once
-    /// [`RealTimeDetector::retrain_incremental`] has run.
+    /// The incremental retraining engine, once the detector is trained.
     pub fn incremental_trainer(&self) -> Option<&IncrementalTrainer> {
         self.incremental.as_ref()
     }
@@ -606,20 +542,9 @@ impl RealTimeDetector {
         self.flat.as_ref()
     }
 
-    /// Standardizes a flat row-major feature matrix in place with the
-    /// statistics captured at training time (same arithmetic as the per-row
-    /// scaling, fused over the whole batch). Raw-feature detectors — the
-    /// incremental path clears the statistics — skip the pass entirely:
-    /// without the early return, empty statistics would walk the whole
-    /// matrix in single-element chunks doing nothing.
-    fn scale_matrix_in_place(&self, data: &mut [f64]) {
-        if self.feature_means.is_empty() {
-            return;
-        }
-        scale_flat(data, &self.feature_means, &self.feature_stds);
-    }
-
     /// Classifies every analysis window of `signal` (true = seizure alarm).
+    /// Sweeps over many records should call [`RealTimeDetector::detect_into`]
+    /// with one reused workspace instead.
     ///
     /// # Errors
     ///
@@ -627,30 +552,15 @@ impl RealTimeDetector {
     /// and propagates feature-extraction failures.
     pub fn detect(&self, signal: &EegSignal) -> Result<Vec<bool>, CoreError> {
         let mut ws = FeatureWorkspace::new();
-        self.detect_with(signal, &mut ws)
-    }
-
-    /// Multi-record twin of [`RealTimeDetector::detect`]: the workspace's
-    /// feature buffer and scratch pool are reused across records instead of
-    /// being re-grown per record.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RealTimeDetector::detect`].
-    pub fn detect_with(
-        &self,
-        signal: &EegSignal,
-        workspace: &mut FeatureWorkspace,
-    ) -> Result<Vec<bool>, CoreError> {
-        self.detect_into(signal, workspace)?;
-        Ok(workspace.predictions.clone())
+        self.detect_into(signal, &mut ws)?;
+        Ok(ws.predictions)
     }
 
     /// Allocation-free end of the detect path: classifies every window of
     /// `signal` into the workspace's prediction buffer (readable through
     /// [`FeatureWorkspace::predictions`]) and returns the window count.
-    /// Extraction, standardization and the forest's batch prediction all run
-    /// on workspace-owned buffers, so a sweep over many records touches the
+    /// Extraction and the forest's batch prediction both run on
+    /// workspace-owned buffers, so a sweep over many records touches the
     /// heap only when a record first outgrows them.
     ///
     /// # Errors
@@ -689,9 +599,7 @@ impl RealTimeDetector {
             (&corrected_f7t3[..], &corrected_f8t4[..])
         };
         extractor.extract_batch_into(f7t3, f8t4, &window, pool, matrix)?;
-        let num_features = matrix.num_features();
-        self.scale_matrix_in_place(matrix.data_mut());
-        forest.predict_batch_into(matrix.data(), num_features, predictions)?;
+        forest.predict_batch_into(matrix.data(), matrix.num_features(), predictions)?;
         if self.config.quality_gate {
             // Fail closed: an artifact-dominated window never raises an alarm.
             for (p, v) in predictions.iter_mut().zip(verdicts.iter()) {
@@ -824,53 +732,13 @@ impl RealTimeDetector {
         }
     }
 
-    /// Calibrates the quality gate's amplitude reference from a record with
-    /// a known seizure position: every `Clean`-verdict non-seizure window
-    /// folds its per-channel log-std into the running reference mean. The
-    /// self-learning pipeline calls this for each training record it
-    /// accepts, so the gate's idea of "normal amplitude" is personalized
-    /// alongside the forest.
-    ///
-    /// # Errors
-    ///
-    /// Propagates extraction and window-labeling failures.
-    pub fn calibrate_quality(
-        &mut self,
-        signal: &EegSignal,
-        label: &SeizureLabel,
-    ) -> Result<(), CoreError> {
-        let mut ws = FeatureWorkspace::new();
-        self.calibrate_quality_with(signal, label, &mut ws)
-    }
-
-    /// Workspace-reusing twin of [`RealTimeDetector::calibrate_quality`]
-    /// (leaves the quality matrix and verdicts readable in the workspace).
-    ///
-    /// # Errors
-    ///
-    /// Propagates extraction and window-labeling failures.
-    pub fn calibrate_quality_with(
-        &mut self,
-        signal: &EegSignal,
-        label: &SeizureLabel,
-        workspace: &mut FeatureWorkspace,
-    ) -> Result<(), CoreError> {
-        let fs = signal.sampling_frequency();
-        let window = self.window_config(fs)?;
-        self.assess_quality_into(signal, workspace)?;
-        let truth = window_labels(
-            label,
-            workspace.verdicts.len(),
-            window.window_seconds(),
-            window.step_seconds(),
-        )?;
-        self.calibrate_from_quality(&workspace.quality, &workspace.verdicts, &truth);
-        Ok(())
-    }
-
-    /// Calibration core shared with the pipeline (which already holds the
-    /// record's quality matrix and verdicts in its workspace): folds every
-    /// `Clean` non-seizure window into the gate's amplitude reference.
+    /// Calibrates the quality gate's amplitude reference from a record's
+    /// quality matrix, verdicts and per-window truth: every `Clean`
+    /// non-seizure window folds its per-channel log-std into the running
+    /// reference mean. The self-learning pipeline calls this for each
+    /// training record it accepts (it already holds the record's quality
+    /// rows in its workspace), so the gate's idea of "normal amplitude" is
+    /// personalized alongside the forest.
     pub(crate) fn calibrate_from_quality(
         &mut self,
         quality_matrix: &FeatureMatrix,
@@ -903,24 +771,6 @@ impl RealTimeDetector {
     /// trained and [`CoreError::InvalidParameter`] if the rows disagree with
     /// the training feature count.
     pub fn predict_rows(&self, rows: &[Vec<f64>]) -> Result<Vec<bool>, CoreError> {
-        let mut ws = FeatureWorkspace::new();
-        Ok(self.predict_rows_with(rows, &mut ws)?.to_vec())
-    }
-
-    /// Multi-call twin of [`RealTimeDetector::predict_rows`]: the rows are
-    /// staged into the workspace's flat buffer and classified into its
-    /// prediction buffer (like [`RealTimeDetector::detect_into`] does), so
-    /// repeated calls stop allocating a fresh flat matrix each time. Returns
-    /// the predictions borrowed from the workspace.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RealTimeDetector::predict_rows`].
-    pub fn predict_rows_with<'w>(
-        &self,
-        rows: &[Vec<f64>],
-        workspace: &'w mut FeatureWorkspace,
-    ) -> Result<&'w [bool], CoreError> {
         let forest = self.require_flat()?;
         let num_features = forest.num_features();
         if let Some(bad) = rows.iter().find(|r| r.len() != num_features) {
@@ -932,25 +782,17 @@ impl RealTimeDetector {
                 ),
             });
         }
-        workspace.row_buf.clear();
-        workspace.row_buf.reserve(rows.len() * num_features);
-        for row in rows {
-            workspace.row_buf.extend_from_slice(row);
-        }
-        self.scale_matrix_in_place(&mut workspace.row_buf);
-        forest.predict_batch_into(&workspace.row_buf, num_features, &mut workspace.predictions)?;
-        Ok(&workspace.predictions)
+        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+        Ok(forest.predict_batch(&flat, num_features)?)
     }
 
-    /// Serializes the detector's full state — configuration, model, feature
-    /// statistics and (when trained incrementally) the whole retraining
-    /// engine including its sample pool — into the versioned binary snapshot
-    /// format of [`seizure_ml::persist`], so a wearable can power down and
-    /// [`RealTimeDetector::load_state`] can resume exactly where it left
-    /// off. Batch-trained detectors store their standardization statistics
-    /// alongside the forest; incremental detectors are marked raw-feature
-    /// (the incremental path trains unstandardized) and store the trainer
-    /// instead, from which the forest is re-stitched on load.
+    /// Serializes the detector's full state — configuration, the quality
+    /// gate's calibration and, once trained, the whole retraining engine
+    /// including its sample pool — into the versioned binary snapshot
+    /// format of [`seizure_ml::persist`]; the forest is not stored but
+    /// re-stitched from the trainer on load. This is the detector's one
+    /// durable form: the pipeline nests it in its own snapshots, journal
+    /// bases and Flash store, and on its own it serves off-device migration.
     pub fn save_state(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         self.write_state_body(&mut w);
@@ -977,29 +819,19 @@ impl RealTimeDetector {
         w.f64(self.gate.ref_log_std[0]);
         w.f64(self.gate.ref_log_std[1]);
         w.f64(self.gate.ref_weight);
-        match (&self.incremental, &self.flat) {
-            (Some(trainer), _) => {
+        match &self.incremental {
+            Some(trainer) => {
                 w.u8(MODEL_INCREMENTAL);
                 let child = w.begin_nested(SnapshotKind::IncrementalTrainer);
                 persist::write_trainer_body(w, trainer);
                 w.end_nested(child);
             }
-            (None, Some(forest)) => {
-                w.u8(MODEL_BATCH);
-                w.slice_f64(&self.feature_means);
-                w.slice_f64(&self.feature_stds);
-                let child = w.begin_nested(SnapshotKind::FlatForest);
-                persist::write_forest_body(w, forest);
-                w.end_nested(child);
-            }
-            (None, None) => w.u8(MODEL_UNTRAINED),
+            None => w.u8(MODEL_UNTRAINED),
         }
     }
 
     /// Restores a detector from a [`RealTimeDetector::save_state`] snapshot.
-    /// The restored detector is state-identical to the saved one: a
-    /// batch-trained detector keeps its statistics and forest bit for bit,
-    /// and an incremental detector's next
+    /// The restored detector is state-identical to the saved one: its next
     /// [`RealTimeDetector::retrain_incremental`] emits a forest
     /// node-identical to the one an uninterrupted detector would produce.
     ///
@@ -1007,7 +839,8 @@ impl RealTimeDetector {
     ///
     /// Returns [`CoreError::Persist`] for truncated, foreign, corrupted,
     /// version-mismatched or internally inconsistent snapshots — never a
-    /// panic.
+    /// panic. A snapshot of the retired standardized batch model (marker
+    /// `1`) is [`PersistError::Corrupted`].
     pub fn load_state(bytes: &[u8]) -> Result<Self, CoreError> {
         let mut r = SnapshotReader::open(bytes, SnapshotKind::RealTimeDetector)?;
         let window_secs = r.f64()?;
@@ -1041,29 +874,6 @@ impl RealTimeDetector {
         };
         match r.u8()? {
             MODEL_UNTRAINED => {}
-            MODEL_BATCH => {
-                detector.feature_means = r.slice_f64()?;
-                detector.feature_stds = r.slice_f64()?;
-                if detector.feature_means.len() != detector.feature_stds.len() {
-                    return Err(PersistError::Corrupted {
-                        detail: "feature means and stds disagree in length".to_string(),
-                    }
-                    .into());
-                }
-                let forest = persist::forest_from_bytes(r.nested()?)?;
-                if detector.feature_means.len() != forest.num_features() {
-                    return Err(PersistError::Corrupted {
-                        detail: format!(
-                            "feature statistics cover {} features but the forest was trained \
-                             on {}",
-                            detector.feature_means.len(),
-                            forest.num_features()
-                        ),
-                    }
-                    .into());
-                }
-                detector.flat = Some(forest);
-            }
             MODEL_INCREMENTAL => {
                 let trainer = persist::trainer_from_bytes(r.nested()?)?;
                 if *trainer.config()
@@ -1093,210 +903,25 @@ impl RealTimeDetector {
         Ok(detector)
     }
 
-    /// Per-seizure persistence: returns the **delta** Flash write that makes
-    /// the detector's current state durable, instead of re-writing the whole
-    /// O(pool) snapshot every time.
-    ///
-    /// * The first call (or any call after [`RealTimeDetector::train_flat`]
-    ///   re-based the model) returns [`DeltaSave::Full`]: write these bytes
-    ///   as the base snapshot and erase the journal region.
-    /// * Steady state returns [`DeltaSave::Append`] with the journal entries
-    ///   recorded since the last save — O(batch) — to append to the journal
-    ///   region.
-    /// * Once the journal outgrows the [`CompactionPolicy`] (default
-    ///   policy; see [`RealTimeDetector::save_delta_with`]), the journal is
-    ///   folded into a fresh [`DeltaSave::Full`] base and starts empty
-    ///   again.
-    /// * With nothing new to persist it returns [`DeltaSave::Clean`].
-    ///
-    /// Restore with [`RealTimeDetector::load_with_journal`], handing it the
-    /// base region and the journal region.
-    pub fn save_delta(&mut self) -> DeltaSave {
-        self.save_delta_with(CompactionPolicy::default())
-    }
-
-    /// [`RealTimeDetector::save_delta`] under an explicit compaction policy.
-    pub fn save_delta_with(&mut self, policy: CompactionPolicy) -> DeltaSave {
-        if let Some(save) = self.delta.as_mut().and_then(|d| d.save(policy)) {
-            return save;
-        }
-        self.rebase_delta()
-    }
-
-    /// Writes a fresh full base snapshot and arms an empty journal over it.
-    fn rebase_delta(&mut self) -> DeltaSave {
-        let base = self.save_state();
-        let pool = self.incremental.as_ref().map_or(0, |t| t.num_samples());
-        let writer = JournalWriter::new(&base, pool).expect("save_state emits a valid envelope");
-        self.delta = Some(DeltaState {
-            writer,
-            base_len: base.len(),
-        });
-        DeltaSave::Full(base)
-    }
-
-    /// Formats `flash` as a crash-proof A/B [`FlashStore`], commits the
-    /// detector's current state as the first base and arms delta
-    /// persistence — the first-boot counterpart of
-    /// [`RealTimeDetector::resume_from_store`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Persist`] when the geometry does not fit the device or
-    /// the snapshot does not fit a slot.
-    pub fn init_store<F: Flash>(
-        &mut self,
-        flash: F,
-        geometry: FlashGeometry,
-    ) -> Result<FlashStore<F>, CoreError> {
-        let DeltaSave::Full(base) = self.rebase_delta() else {
-            unreachable!("rebase always yields a full snapshot");
-        };
-        Ok(FlashStore::format(flash, geometry, &base)?)
-    }
-
-    /// Persists the detector through a crash-proof [`FlashStore`]: a clean
-    /// state writes nothing, new batches append one O(batch) journal entry,
-    /// and once the journal passes the store's capacity-derived
-    /// [`FlashStore::compaction_policy`] (or a single entry outgrows the
-    /// region) the state is compacted into the inactive base slot.
-    ///
-    /// A power loss at **any byte** of the underlying writes leaves the
-    /// previous state recoverable by [`FlashStore::mount`] +
-    /// [`RealTimeDetector::resume_from_store`] — the crash-injection suite
-    /// sweeps every offset.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Persist`] for store or Flash failures. After an error
-    /// the in-RAM delta bookkeeping may be ahead of the device; recover by
-    /// remounting and resuming, as a real device would after the crash.
-    pub fn save_to_store<F: Flash>(
-        &mut self,
-        store: &mut FlashStore<F>,
-    ) -> Result<StoreSave, CoreError> {
-        match self.save_delta_with(store.compaction_policy()) {
-            DeltaSave::Clean => Ok(StoreSave::Clean),
-            DeltaSave::Full(base) => {
-                store.commit_base(&base)?;
-                Ok(StoreSave::Rebased)
-            }
-            DeltaSave::Append(entry) => {
-                if entry.len() <= store.journal_remaining() {
-                    store.append_journal(&entry)?;
-                    Ok(StoreSave::Appended)
-                } else {
-                    // One batch outgrew the whole journal region: fold the
-                    // current state into a fresh base instead of failing.
-                    let DeltaSave::Full(base) = self.rebase_delta() else {
-                        unreachable!("rebase always yields a full snapshot");
-                    };
-                    store.commit_base(&base)?;
-                    Ok(StoreSave::Rebased)
-                }
-            }
-        }
-    }
-
-    /// Restores a detector from a mounted [`FlashStore`]: replays the
-    /// journal prefix the store arbitrated onto the committed base and arms
-    /// delta persistence for the next
-    /// [`RealTimeDetector::save_to_store`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Persist`] under the same conditions as
-    /// [`RealTimeDetector::load_with_journal`].
-    pub fn resume_from_store<F: Flash>(
-        store: &FlashStore<F>,
-    ) -> Result<(Self, JournalReplayReport), CoreError> {
-        let base = store.base()?;
-        let journal_bytes = store.journal()?;
-        Self::load_with_journal(&base, &journal_bytes)
-    }
-
-    /// Restores a detector from a base snapshot plus its delta journal and
-    /// arms delta persistence so the next
-    /// [`RealTimeDetector::save_delta`] keeps appending to the same journal.
-    /// Replay appends every journaled batch to the incremental trainer's
-    /// pool and refits once ([`journal::replay_entries`]), so the restored
-    /// detector is node-identical to the one that never powered down — the
-    /// same state one [`RealTimeDetector::retrain_incremental`] per entry
-    /// would leave, at the cost of one. A torn final
-    /// entry (power loss mid-append) is dropped; the report's `valid_len`
-    /// tells the device where to truncate its journal file before appending
-    /// again.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Persist`] for a malformed base snapshot, for
-    /// journal corruption that is not a clean tail tear (bad magic, foreign
-    /// version, checksum mismatch, wrong kind), and for entries that do not
-    /// belong (wrong base fingerprint, wrong pool position, or a batch the
-    /// trainer no longer accepts) — never a panic, and a batch is never
-    /// half-applied.
-    pub fn load_with_journal(
-        base: &[u8],
-        journal_bytes: &[u8],
-    ) -> Result<(Self, JournalReplayReport), CoreError> {
-        let mut detector = Self::load_state(base)?;
-        let fingerprint = journal::base_fingerprint(base)?;
-        let scan = journal::scan_journal(journal_bytes)?;
-        detector.replay_journal(&scan.entries, fingerprint, |_, _| Ok(()))?;
-        detector.delta = Some(DeltaState {
-            writer: JournalWriter::resume(
-                fingerprint,
-                detector.incremental.as_ref().map_or(0, |t| t.num_samples()),
-                scan.valid_len,
-                scan.entries.len(),
-            ),
-            base_len: base.len(),
-        });
-        Ok((
-            detector,
-            JournalReplayReport {
-                entries_applied: scan.entries.len(),
-                valid_len: scan.valid_len,
-                torn_bytes: scan.torn_bytes,
-            },
-        ))
-    }
-
     /// Replays journal `entries` (bound to the base with `fingerprint`) onto
     /// this detector through [`journal::replay_entries`], one refit for the
     /// whole journal, leaving the state one
     /// [`RealTimeDetector::retrain_incremental`] per entry would. `visit`
-    /// runs before each entry's checks. Used by the detector- and
-    /// pipeline-level journal restores; on `Err` the detector must be
-    /// dropped.
+    /// runs before each entry's checks. Used by the pipeline's journal
+    /// restore; on `Err` the detector must be dropped.
     pub(crate) fn replay_journal(
         &mut self,
         entries: &[JournalEntry],
         fingerprint: u64,
-        mut visit: impl FnMut(usize, &JournalEntry) -> Result<(), CoreError>,
+        visit: impl FnMut(usize, &JournalEntry) -> Result<(), CoreError>,
     ) -> Result<(), CoreError> {
-        let Some(first) = entries.first() else {
+        if entries.is_empty() {
             return Ok(());
-        };
-        if self.holds_batch_model() {
-            // Entry 0 passes its checks, then cannot re-apply: the batch
-            // model kept no pool to extend.
-            visit(0, first)?;
-            journal::validate_entry(first, fingerprint, 0, 0)?;
-            return Err(PersistError::Corrupted {
-                detail: format!(
-                    "journal entry 0 does not re-apply: {}",
-                    batch_model_not_extendable()
-                ),
-            }
-            .into());
         }
         let trainer = self
             .incremental
             .get_or_insert_with(|| fresh_trainer(&self.config));
         self.flat = journal::replay_entries(trainer, entries, fingerprint, visit)?;
-        self.feature_means.clear();
-        self.feature_stds.clear();
         Ok(())
     }
 
@@ -1320,7 +945,7 @@ impl RealTimeDetector {
     ///
     /// # Errors
     ///
-    /// Propagates the errors of [`RealTimeDetector::detect_with`].
+    /// Propagates the errors of [`RealTimeDetector::detect_into`].
     pub fn evaluate_with(
         &self,
         signal: &EegSignal,
@@ -1402,10 +1027,10 @@ pub struct StreamingDetection {
 /// Samples are buffered into hops; each hop advances the carried extraction
 /// state ([`StreamingRichExtractor`]), and once a full window of hops is in
 /// flight every further hop completes one window: quality verdict (with the
-/// same Schmitt-trigger hysteresis as the batch gate), standardization with
-/// the training statistics, forest classification and alarm gating. After
-/// the warm-up allocations in [`RealTimeDetector::streaming`], pushing
-/// samples performs no heap allocation.
+/// same Schmitt-trigger hysteresis as the batch gate), forest classification
+/// of the raw feature row and alarm gating. After the warm-up allocations in
+/// [`RealTimeDetector::streaming`], pushing samples performs no heap
+/// allocation.
 #[derive(Debug)]
 pub struct StreamingDetector<'a> {
     detector: &'a RealTimeDetector,
@@ -1495,13 +1120,6 @@ impl StreamingDetector<'_> {
         } else {
             QualityVerdict::Clean
         };
-        if !self.detector.feature_means.is_empty() {
-            scale_flat(
-                &mut self.row,
-                &self.detector.feature_means,
-                &self.detector.feature_stds,
-            );
-        }
         let mut alarm = self.forest.predict(&self.row);
         if self.detector.config.quality_gate && verdict == QualityVerdict::Reject {
             alarm = false;
@@ -1518,9 +1136,9 @@ impl StreamingDetector<'_> {
 
 /// Balanced training selection over per-window labels: every seizure window
 /// plus an equal number of evenly spaced seizure-free windows, positives
-/// first (the pipeline re-spreads the two halves proportionally before
-/// staging them into the incremental pool, so ownership blocks mix both
-/// classes).
+/// first (the pipeline re-spreads the two halves with `spread_classes`
+/// before staging them into the incremental pool, so ownership blocks mix
+/// both classes).
 ///
 /// # Errors
 ///
@@ -1550,6 +1168,29 @@ pub fn balanced_indices(labels: &[bool]) -> Result<Vec<usize>, CoreError> {
         selected.push(negative_idx[idx.min(negative_idx.len() - 1)]);
     }
     Ok(selected)
+}
+
+/// Reorders `indices` so the two classes (`labels[i]`) interleave at their
+/// overall ratio, each class keeping its own order. The incremental trainer
+/// gives each tree its own ownership blocks of consecutive samples, so a
+/// single-class run longer than a block would leave the trees owning it
+/// with one label only; spread, single-class runs are as long as the class
+/// ratio instead of the class size.
+pub(crate) fn spread_classes(indices: &[usize], labels: &[bool]) -> Vec<usize> {
+    let (pos, neg): (Vec<usize>, Vec<usize>) = indices.iter().partition(|&&i| labels[i]);
+    let mut spread = Vec::with_capacity(indices.len());
+    let (mut p, mut n) = (0usize, 0usize);
+    while p < pos.len() || n < neg.len() {
+        // Proportional merge: advance whichever class lags its share.
+        if n >= neg.len() || (p < pos.len() && p * neg.len() <= n * pos.len()) {
+            spread.push(pos[p]);
+            p += 1;
+        } else {
+            spread.push(neg[n]);
+            n += 1;
+        }
+    }
+    spread
 }
 
 /// Deterministic Theil–Sen line fit `y ≈ slope · x + intercept`: median of
@@ -1587,19 +1228,9 @@ fn median_in_place(values: &mut [f64]) -> Option<f64> {
     Some(*median)
 }
 
-/// Standardizes a flat row-major matrix in place: `(x - mean) / std` per
-/// column, skipping the division for zero-variance columns.
-fn scale_flat(data: &mut [f64], means: &[f64], stds: &[f64]) {
-    let f = means.len().max(1);
-    for row in data.chunks_mut(f) {
-        for ((x, m), s) in row.iter_mut().zip(means.iter()).zip(stds.iter()) {
-            *x = if *s > 0.0 { (*x - *m) / *s } else { *x - *m };
-        }
-    }
-}
-
-/// The empty incremental trainer a detector's first incremental retrain (or
-/// journal replay) starts from.
+/// The empty incremental trainer that `train`, an untrained detector's first
+/// incremental retrain and a journal replay onto an untrained base start
+/// from.
 fn fresh_trainer(config: &RealTimeDetectorConfig) -> IncrementalTrainer {
     IncrementalTrainer::new(
         IncrementalTrainerConfig {
@@ -1610,21 +1241,11 @@ fn fresh_trainer(config: &RealTimeDetectorConfig) -> IncrementalTrainer {
     )
 }
 
-fn batch_model_not_extendable() -> CoreError {
-    CoreError::InvalidState {
-        detail: "the detector holds a batch-trained model whose training rows were not \
-                 retained; incremental retraining cannot extend it (train a fresh detector \
-                 incrementally instead)"
-            .to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use seizure_data::cohort::Cohort;
     use seizure_data::sampler::SampleConfig;
-    use seizure_ml::persist::store::{FaultyFlash, MemFlash};
 
     fn record_and_truth(seed: u64) -> (seizure_data::sampler::EegRecord, SeizureLabel) {
         let cohort = Cohort::chb_mit_like(3);
@@ -1728,6 +1349,24 @@ mod tests {
             .evaluate(test_record.signal(), &test_truth)
             .unwrap();
         assert!(cm.geometric_mean() > 0.6, "gmean = {}", cm.geometric_mean());
+
+        // The whole time-ordered record, over more ownership blocks than
+        // trees: `train` spreads its few seizure windows through every
+        // block, so no tree is left owning seizure-free blocks only and the
+        // majority vote still alarms.
+        let many_blocks = RealTimeDetectorConfig {
+            incremental_block_size: 16,
+            ..fast_config()
+        };
+        let mut detector = RealTimeDetector::new(many_blocks);
+        detector.train(&training).unwrap();
+        let pool = detector.incremental_trainer().unwrap().num_samples();
+        assert!(pool >= many_blocks.forest.n_trees * many_blocks.incremental_block_size);
+        let cm = detector
+            .evaluate(test_record.signal(), &test_truth)
+            .unwrap();
+        assert!(cm.sensitivity() > 0.7, "sensitivity = {}", cm.sensitivity());
+        assert!(cm.specificity() > 0.7, "specificity = {}", cm.specificity());
     }
 
     #[test]
@@ -1771,14 +1410,12 @@ mod tests {
         let via_rows = detector.predict_rows(&rows).unwrap();
         assert_eq!(batch, via_rows);
 
-        // The workspace-reusing paths agree with the allocating ones and
-        // leave their results readable from the workspace.
+        // The workspace-reusing path agrees with the allocating one and
+        // leaves its results readable from the workspace.
         let mut ws = FeatureWorkspace::new();
         let count = detector.detect_into(record.signal(), &mut ws).unwrap();
         assert_eq!(count, batch.len());
         assert_eq!(ws.predictions(), &batch[..]);
-        let via_rows_ws = detector.predict_rows_with(&rows, &mut ws).unwrap();
-        assert_eq!(via_rows_ws, &batch[..]);
 
         // Mismatched row widths are rejected instead of panicking.
         assert!(detector.predict_rows(&[vec![1.0, 2.0]]).is_err());
@@ -1856,14 +1493,46 @@ mod tests {
         assert!(cm.sensitivity() > 0.6, "sensitivity = {}", cm.sensitivity());
         assert!(cm.specificity() > 0.6, "specificity = {}", cm.specificity());
 
-        // A full batch fit supersedes the incremental pool, after which the
-        // incremental path refuses to (silently) restart from scratch.
-        detector.train(&balanced).unwrap();
-        assert!(detector.incremental_trainer().is_none());
-        assert!(matches!(
-            detector.retrain_incremental(&rows, nf, labels),
-            Err(CoreError::InvalidState { .. })
-        ));
+        // One model kind: `train` fits the first incremental batch in
+        // `spread_classes` order, so a later retrain extends its pool
+        // node-identically to one fresh retrain of the spread rows followed
+        // by the new ones. The pool stays inside one ownership block, where
+        // every append refits every tree, so even the refit counter
+        // matches...
+        let order = spread_classes(&(0..balanced.len()).collect::<Vec<_>>(), labels);
+        let spread = balanced.subset(&order).unwrap();
+        let spread_rows: Vec<f64> = spread.features().iter().flatten().copied().collect();
+        let first = spread.subset(&(0..cut).collect::<Vec<_>>()).unwrap();
+        assert!(first.num_positive() > 0 && first.num_negative() > 0);
+        let mut trained = RealTimeDetector::new(config);
+        trained.train(&first).unwrap();
+        trained
+            .retrain_incremental(&spread_rows[cut * nf..], nf, &spread.labels()[cut..])
+            .unwrap();
+        let mut extended = RealTimeDetector::new(config);
+        extended
+            .retrain_incremental(&spread_rows, nf, spread.labels())
+            .unwrap();
+        assert_eq!(
+            trained.incremental_trainer(),
+            extended.incremental_trainer()
+        );
+        assert_eq!(trained.flat_forest(), extended.flat_forest());
+        // ...whatever class grouping the caller's rows arrive in: the
+        // positives-first `balance` output trains the same forest...
+        let mut grouped = RealTimeDetector::new(config);
+        grouped.train(&balanced).unwrap();
+        let mut interleaved = RealTimeDetector::new(config);
+        interleaved.train(&spread).unwrap();
+        assert_eq!(grouped, interleaved);
+        // ...it round-trips through the one snapshot form...
+        let restored = RealTimeDetector::load_state(&trained.save_state()).unwrap();
+        assert_eq!(restored, trained);
+        // ...and a second `train` starts over from a fresh pool.
+        trained.train(&first).unwrap();
+        let mut once = RealTimeDetector::new(config);
+        once.train(&first).unwrap();
+        assert_eq!(trained, once);
     }
 
     #[test]
@@ -1878,27 +1547,6 @@ mod tests {
         let restored = RealTimeDetector::load_state(&detector.save_state()).unwrap();
         assert_eq!(restored, detector);
         assert!(!restored.is_trained());
-    }
-
-    #[test]
-    fn batch_trained_detector_state_round_trips_with_statistics() {
-        let (record, truth) = record_and_truth(9);
-        let mut detector = RealTimeDetector::new(fast_config());
-        let training = detector
-            .build_training_windows(record.signal(), &truth)
-            .unwrap();
-        detector
-            .train(&detector.balance(&training).unwrap())
-            .unwrap();
-
-        let restored = RealTimeDetector::load_state(&detector.save_state()).unwrap();
-        // State-identical: config, forest, and the standardization stats the
-        // batch path re-applies at prediction time.
-        assert_eq!(restored, detector);
-        assert_eq!(
-            restored.detect(record.signal()).unwrap(),
-            detector.detect(record.signal()).unwrap()
-        );
     }
 
     #[test]
@@ -1975,264 +1623,6 @@ mod tests {
             detector.save_state(),
             reference.finish(SnapshotKind::RealTimeDetector)
         );
-
-        // Batch model: statistics + nested forest.
-        let mut batch = RealTimeDetector::new(config);
-        batch.train(&balanced).unwrap();
-        let mut reference = SnapshotWriter::new();
-        reference.f64(config.window_secs);
-        reference.f64(config.overlap);
-        persist::write_forest_config(&mut reference, &config.forest);
-        reference.u64(config.seed);
-        reference.usize(config.incremental_block_size);
-        reference.bool(config.quality_gate);
-        reference.f64(batch.quality_gate().reference_log_std()[0]);
-        reference.f64(batch.quality_gate().reference_log_std()[1]);
-        reference.f64(batch.quality_gate().calibration_weight());
-        reference.u8(MODEL_BATCH);
-        reference.slice_f64(&batch.feature_means);
-        reference.slice_f64(&batch.feature_stds);
-        reference.nested(&persist::forest_to_bytes(batch.flat_forest().unwrap()));
-        assert_eq!(
-            batch.save_state(),
-            reference.finish(SnapshotKind::RealTimeDetector)
-        );
-    }
-
-    #[test]
-    fn delta_saves_are_o_batch_and_resume_node_identically() {
-        let (record, truth) = record_and_truth(12);
-        // Small ownership blocks keep the 10-tree forest in the cold-start
-        // regime (fewer blocks than trees) and let the appends below cross
-        // a block boundary.
-        let block = 32;
-        let config = RealTimeDetectorConfig {
-            incremental_block_size: block,
-            ..fast_config()
-        };
-        let mut detector = RealTimeDetector::new(config);
-        let training = detector
-            .build_training_windows(record.signal(), &truth)
-            .unwrap();
-        let balanced = detector.balance(&training).unwrap();
-        let nf = balanced.num_features();
-        let rows: Vec<f64> = balanced.features().iter().flatten().copied().collect();
-        let labels = balanced.labels();
-        // Grow most of the pool first so the appends are batch-sized
-        // relative to it (the steady state the delta save exists for).
-        let n = balanced.len();
-        let cut = n * 3 / 4;
-        let bounds = [cut, cut + (n - cut) / 3, cut + 2 * (n - cut) / 3, n];
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1])
-                && cut / block < bounds[2] / block
-                && n.div_ceil(block) < config.forest.n_trees,
-            "appends {bounds:?} must be non-empty, cross a {block}-window block boundary \
-             before the last one and stay in the cold-start regime"
-        );
-
-        // First save: a full base snapshot; nothing new afterwards: clean.
-        detector
-            .retrain_incremental(&rows[..cut * nf], nf, &labels[..cut])
-            .unwrap();
-        let base = match detector.save_delta() {
-            DeltaSave::Full(bytes) => bytes,
-            other => panic!("first delta save must be full, got {other:?}"),
-        };
-        assert_eq!(detector.save_delta(), DeltaSave::Clean);
-        let before_appends = detector.clone();
-
-        // Each per-seizure save is an O(batch) append, not an O(pool) write.
-        let mut journal = Vec::new();
-        for w in bounds.windows(2) {
-            detector
-                .retrain_incremental(&rows[w[0] * nf..w[1] * nf], nf, &labels[w[0]..w[1]])
-                .unwrap();
-            let entry = match detector.save_delta() {
-                DeltaSave::Append(bytes) => bytes,
-                other => panic!("steady-state delta save must append, got {other:?}"),
-            };
-            assert!(
-                entry.len() < base.len() / 2,
-                "append of {} bytes vs base of {}",
-                entry.len(),
-                base.len()
-            );
-            journal.extend_from_slice(&entry);
-        }
-        assert_eq!(detector.save_delta(), DeltaSave::Clean);
-
-        // Resume from base + journal: node-identical to the uninterrupted
-        // detector — including the refit count of the last entry, which a
-        // single append of all three batches would not reproduce — and
-        // still learning (the next save appends again).
-        let (mut resumed, report) = RealTimeDetector::load_with_journal(&base, &journal).unwrap();
-        assert_eq!(report.entries_applied, 3);
-        assert_eq!(report.torn_bytes, 0);
-        assert_eq!(report.valid_len, journal.len());
-        assert_eq!(resumed.flat_forest(), detector.flat_forest());
-        assert_eq!(
-            resumed.incremental_trainer(),
-            detector.incremental_trainer()
-        );
-        let live_refit = detector.incremental_trainer().unwrap().last_refit_count();
-        assert_eq!(
-            resumed.incremental_trainer().unwrap().last_refit_count(),
-            live_refit
-        );
-        let mut one_append = before_appends;
-        one_append
-            .retrain_incremental(&rows[cut * nf..], nf, &labels[cut..])
-            .unwrap();
-        assert_ne!(
-            one_append.incremental_trainer().unwrap().last_refit_count(),
-            live_refit
-        );
-        assert_eq!(resumed.save_state(), detector.save_state());
-        assert_eq!(
-            resumed.detect(record.signal()).unwrap(),
-            detector.detect(record.signal()).unwrap()
-        );
-        resumed
-            .retrain_incremental(&rows[..cut * nf], nf, &labels[..cut])
-            .unwrap();
-        // A lenient policy pins the append outcome (under the default, a
-        // journal grown past half the base would legitimately compact).
-        let lenient = CompactionPolicy {
-            max_journal_fraction: 100.0,
-            ..CompactionPolicy::default()
-        };
-        assert!(matches!(
-            resumed.save_delta_with(lenient),
-            DeltaSave::Append(_)
-        ));
-    }
-
-    #[test]
-    fn torn_journal_tail_is_dropped_on_load() {
-        let (record, truth) = record_and_truth(13);
-        let mut detector = RealTimeDetector::new(fast_config());
-        let training = detector
-            .build_training_windows(record.signal(), &truth)
-            .unwrap();
-        let balanced = detector.balance(&training).unwrap();
-        let nf = balanced.num_features();
-        let rows: Vec<f64> = balanced.features().iter().flatten().copied().collect();
-        let labels = balanced.labels();
-        let cut = balanced.len() * 3 / 4;
-
-        detector
-            .retrain_incremental(&rows[..cut * nf], nf, &labels[..cut])
-            .unwrap();
-        let base = match detector.save_delta() {
-            DeltaSave::Full(bytes) => bytes,
-            other => panic!("{other:?}"),
-        };
-        let before_append = detector.clone();
-        detector
-            .retrain_incremental(&rows[cut * nf..], nf, &labels[cut..])
-            .unwrap();
-        let journal = match detector.save_delta() {
-            DeltaSave::Append(bytes) => bytes,
-            other => panic!("{other:?}"),
-        };
-
-        // Power fails halfway through the append: the torn entry is dropped
-        // and the detector is exactly the pre-append one.
-        let torn = &journal[..journal.len() / 2];
-        let (resumed, report) = RealTimeDetector::load_with_journal(&base, torn).unwrap();
-        assert_eq!(report.entries_applied, 0);
-        assert_eq!(report.valid_len, 0);
-        assert_eq!(report.torn_bytes, torn.len());
-        assert_eq!(resumed.flat_forest(), before_append.flat_forest());
-        assert_eq!(
-            resumed.incremental_trainer(),
-            before_append.incremental_trainer()
-        );
-
-        // Corruption that is not a tail tear stays a typed error.
-        let mut flipped = journal.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x08;
-        assert!(matches!(
-            RealTimeDetector::load_with_journal(&base, &flipped),
-            Err(CoreError::Persist(_))
-        ));
-        // A journal against the wrong base is rejected, not misapplied.
-        let mut other = RealTimeDetector::new(fast_config());
-        other
-            .retrain_incremental(&rows[..cut * nf], nf, &labels[..cut])
-            .unwrap();
-        other
-            .retrain_incremental(&rows[cut * nf..], nf, &labels[cut..])
-            .unwrap();
-        let other_base = match other.save_delta() {
-            DeltaSave::Full(bytes) => bytes,
-            other => panic!("{other:?}"),
-        };
-        assert!(matches!(
-            RealTimeDetector::load_with_journal(&other_base, &journal),
-            Err(CoreError::Persist(_))
-        ));
-    }
-
-    #[test]
-    fn journal_compaction_folds_into_a_fresh_base() {
-        let (record, truth) = record_and_truth(14);
-        let mut detector = RealTimeDetector::new(fast_config());
-        let training = detector
-            .build_training_windows(record.signal(), &truth)
-            .unwrap();
-        let balanced = detector.balance(&training).unwrap();
-        let nf = balanced.num_features();
-        let rows: Vec<f64> = balanced.features().iter().flatten().copied().collect();
-        let labels = balanced.labels();
-        let cut = balanced.len() / 2;
-        detector
-            .retrain_incremental(&rows[..cut * nf], nf, &labels[..cut])
-            .unwrap();
-
-        // A policy that compacts as soon as any entry lands.
-        let eager = CompactionPolicy {
-            max_journal_fraction: 0.0,
-            min_journal_bytes: 0,
-        };
-        assert!(matches!(
-            detector.save_delta_with(eager),
-            DeltaSave::Full(_)
-        ));
-        detector
-            .retrain_incremental(&rows[cut * nf..], nf, &labels[cut..])
-            .unwrap();
-        let compacted = match detector.save_delta_with(eager) {
-            DeltaSave::Full(bytes) => bytes,
-            other => panic!("eager policy must compact, got {other:?}"),
-        };
-        // The fresh base resumes with an empty journal.
-        let (resumed, report) = RealTimeDetector::load_with_journal(&compacted, &[]).unwrap();
-        assert_eq!(report.entries_applied, 0);
-        assert_eq!(resumed.flat_forest(), detector.flat_forest());
-
-        // And a batch retrain invalidates delta state: the next save
-        // re-bases instead of appending to a journal of a dead pool.
-        detector.train(&balanced).unwrap();
-        let batch_base = match detector.save_delta() {
-            DeltaSave::Full(bytes) => bytes,
-            other => panic!("a batch retrain must re-base, got {other:?}"),
-        };
-        // A journal bound to that batch-trained base passes entry 0's
-        // binding checks but cannot re-apply: the batch model kept no pool.
-        let mut writer = JournalWriter::new(&batch_base, 0).unwrap();
-        writer
-            .append_retrain(&rows[..cut * nf], nf, &labels[..cut])
-            .unwrap();
-        match RealTimeDetector::load_with_journal(&batch_base, writer.unflushed()) {
-            Err(CoreError::Persist(PersistError::Corrupted { detail })) => assert!(
-                detail.starts_with("journal entry 0 does not re-apply") && detail.contains("batch"),
-                "{detail}"
-            ),
-            other => panic!("batch-trained base with a journal must fail on entry 0: {other:?}"),
-        }
     }
 
     #[test]
@@ -2250,183 +1640,28 @@ mod tests {
             Err(CoreError::Persist(_))
         ));
         assert!(RealTimeDetector::load_state(b"not a snapshot, not even close").is_err());
-    }
 
-    /// A detector with most of its pool grown, plus the remaining balanced
-    /// rows split into `parts` retrain batches.
-    #[allow(clippy::type_complexity)]
-    fn detector_and_batches(
-        seed: u64,
-        parts: usize,
-    ) -> (RealTimeDetector, Vec<(Vec<f64>, Vec<bool>)>, usize) {
-        let (record, truth) = record_and_truth(seed);
-        let mut detector = RealTimeDetector::new(fast_config());
-        let training = detector
-            .build_training_windows(record.signal(), &truth)
-            .unwrap();
-        let balanced = detector.balance(&training).unwrap();
-        let nf = balanced.num_features();
-        let rows: Vec<f64> = balanced.features().iter().flatten().copied().collect();
-        let labels = balanced.labels();
-        let cut = balanced.len() / 2;
-        detector
-            .retrain_incremental(&rows[..cut * nf], nf, &labels[..cut])
-            .unwrap();
-        let per = (balanced.len() - cut).div_ceil(parts).max(1);
-        let mut batches = Vec::new();
-        let mut at = cut;
-        while at < balanced.len() {
-            let to = (at + per).min(balanced.len());
-            batches.push((rows[at * nf..to * nf].to_vec(), labels[at..to].to_vec()));
-            at = to;
-        }
-        (detector, batches, nf)
-    }
-
-    #[test]
-    fn store_round_trip_keeps_the_detector_node_identical() {
-        let (mut detector, batches, nf) = detector_and_batches(21, 2);
-        let base_capacity = detector.save_state().len() * 2;
-        let geometry = FlashGeometry::for_base(base_capacity, 64 * 1024);
-        let mut store = detector
-            .init_store(MemFlash::new(geometry.total_bytes()), geometry)
-            .unwrap();
-        assert_eq!(store.sequence(), 1);
-        assert_eq!(
-            detector.save_to_store(&mut store).unwrap(),
-            StoreSave::Clean
-        );
-
-        // Steady state: each batch costs one O(batch) journal append.
-        for (rows, labels) in &batches {
-            detector.retrain_incremental(rows, nf, labels).unwrap();
-            assert_eq!(
-                detector.save_to_store(&mut store).unwrap(),
-                StoreSave::Appended
-            );
-        }
-        assert_eq!(store.journal_entries(), batches.len());
-
-        // Power cycle: mount + resume is node-identical.
-        let geometry = *store.geometry();
-        let (store, report) = FlashStore::mount(store.into_flash(), geometry).unwrap();
-        assert_eq!(report.journal_entries, batches.len());
-        let (resumed, replay) = RealTimeDetector::resume_from_store(&store).unwrap();
-        assert_eq!(replay.entries_applied, batches.len());
-        assert_eq!(resumed.flat_forest(), detector.flat_forest());
-        assert_eq!(
-            resumed.incremental_trainer(),
-            detector.incremental_trainer()
-        );
-        assert_eq!(resumed.save_state(), detector.save_state());
-    }
-
-    /// Journal-entry size for one batch, measured on a throwaway clone.
-    fn probe_entry_len(
-        detector: &RealTimeDetector,
-        batch: &(Vec<f64>, Vec<bool>),
-        nf: usize,
-    ) -> usize {
-        let mut probe = detector.clone();
-        probe.save_delta();
-        probe.retrain_incremental(&batch.0, nf, &batch.1).unwrap();
-        match probe.save_delta() {
-            DeltaSave::Append(bytes) => bytes.len(),
-            other => panic!("probe save must append, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn store_compacts_into_the_inactive_slot_when_the_journal_fills() {
-        let (mut detector, batches, nf) = detector_and_batches(22, 4);
-        let base_capacity = detector.save_state().len() * 2;
-        // A journal region 2.5 entries wide: the store's capacity-derived
-        // policy must fold the state into the inactive slot mid-sequence.
-        let entry_len = probe_entry_len(&detector, &batches[0], nf);
-        let geometry = FlashGeometry::for_base(base_capacity, entry_len * 5 / 2);
-        let mut store = detector
-            .init_store(MemFlash::new(geometry.total_bytes()), geometry)
-            .unwrap();
-
-        let mut outcomes = Vec::new();
-        for (rows, labels) in &batches {
-            detector.retrain_incremental(rows, nf, labels).unwrap();
-            outcomes.push(detector.save_to_store(&mut store).unwrap());
-        }
-        assert!(
-            outcomes.contains(&StoreSave::Appended) && outcomes.contains(&StoreSave::Rebased),
-            "the sequence must exercise both paths, got {outcomes:?}"
-        );
-        assert!(store.sequence() > 1, "compaction must bump the sequence");
-        let (resumed, _) = RealTimeDetector::resume_from_store(&store).unwrap();
-        assert_eq!(resumed.save_state(), detector.save_state());
-    }
-
-    #[test]
-    fn store_crash_at_any_write_byte_recovers_pre_or_post_state() {
-        let (mut detector, batches, nf) = detector_and_batches(23, 3);
-        let base_capacity = detector.save_state().len() * 2;
-
-        // Fault-free reference pass, sized so the middle batch forces an A/B
-        // compaction: record the expected snapshot after every operation.
-        let entry_len = probe_entry_len(&detector, &batches[0], nf);
-        let geometry = FlashGeometry::for_base(base_capacity, entry_len * 5 / 2);
-        let mut store = detector
-            .init_store(FaultyFlash::new(geometry.total_bytes()), geometry)
-            .unwrap();
-        let armed = detector.clone();
-        let image = store.flash().image().to_vec();
-        let format_bytes = store.flash().bytes_written();
-        let mut states = vec![detector.save_state()];
-        let mut outcomes = Vec::new();
-        for (rows, labels) in &batches {
-            detector.retrain_incremental(rows, nf, labels).unwrap();
-            outcomes.push(detector.save_to_store(&mut store).unwrap());
-            states.push(detector.save_state());
-        }
-        let total_bytes = store.into_flash().bytes_written() - format_bytes;
-        assert!(
-            outcomes.contains(&StoreSave::Appended) && outcomes.contains(&StoreSave::Rebased),
-            "the sweep must cover both append and compaction, got {outcomes:?}"
-        );
-
-        // Sweep a power loss across the stream (strided — the byte-exact
-        // exhaustive sweep lives in seizure-ml's crash-injection suite).
-        let stride = (total_bytes / 40).max(1) | 1;
-        let mut cut = 0;
-        while cut <= total_bytes {
-            let flash = FaultyFlash::from_image(image.clone()).power_loss_after(cut);
-            let (mut live, mut store) = (
-                armed.clone(),
-                FlashStore::mount(flash, geometry).map(|(s, _)| s).unwrap(),
-            );
-            let mut died_at = None;
-            for (i, (rows, labels)) in batches.iter().enumerate() {
-                live.retrain_incremental(rows, nf, labels).unwrap();
-                if live.save_to_store(&mut store).is_err() {
-                    died_at = Some(i);
-                    break;
-                }
-            }
-            let (store, _) = FlashStore::mount(store.into_flash().reboot(), geometry)
-                .unwrap_or_else(|e| panic!("cut {cut}: store lost: {e}"));
-            let (resumed, _) = RealTimeDetector::resume_from_store(&store)
-                .unwrap_or_else(|e| panic!("cut {cut}: resume failed: {e}"));
-            let observed = resumed.save_state();
-            match died_at {
-                Some(i) => assert!(
-                    observed == states[i] || observed == states[i + 1],
-                    "cut {cut}: crash during save {i} recovered neither the pre-save nor \
-                     the committed state"
-                ),
-                None => assert_eq!(
-                    &observed,
-                    states.last().unwrap(),
-                    "cut {cut}: completed run must resume the final state"
-                ),
-            }
-            cut += stride;
-        }
+        // A well-formed envelope carrying the retired batch-model marker `1`
+        // (followed, as that model wrote it, by standardization statistics)
+        // is corrupt, not a panic.
+        let config = fast_config();
+        let mut retired = SnapshotWriter::new();
+        retired.f64(config.window_secs);
+        retired.f64(config.overlap);
+        persist::write_forest_config(&mut retired, &config.forest);
+        retired.u64(config.seed);
+        retired.usize(config.incremental_block_size);
+        retired.bool(config.quality_gate);
+        retired.f64(0.0);
+        retired.f64(0.0);
+        retired.f64(0.0);
+        retired.u8(1);
+        retired.slice_f64(&[0.0; 54]);
+        retired.slice_f64(&[1.0; 54]);
+        assert!(matches!(
+            RealTimeDetector::load_state(&retired.finish(SnapshotKind::RealTimeDetector)),
+            Err(CoreError::Persist(PersistError::Corrupted { .. }))
+        ));
     }
 
     #[test]

@@ -41,14 +41,11 @@ use seizure_features::scratch::FeatureScratchPool;
 pub struct FeatureWorkspace {
     pub(crate) matrix: FeatureMatrix,
     pub(crate) pool: FeatureScratchPool,
-    /// Per-window class predictions of the last detect/predict call routed
-    /// through this workspace (refilled in place, never re-grown per record).
+    /// Per-window class predictions of the last detect call routed through
+    /// this workspace (refilled in place, never re-grown per record).
     pub(crate) predictions: Vec<bool>,
-    /// Flat staging buffer for row-vector prediction inputs
-    /// ([`RealTimeDetector::predict_rows_with`](crate::realtime::RealTimeDetector::predict_rows_with)).
-    pub(crate) row_buf: Vec<f64>,
-    /// Per-window quality indicator matrix of the last gated detect /
-    /// calibration call (separate from `matrix` so the quality columns
+    /// Per-window quality indicator matrix of the last gated detect or
+    /// pipeline quality check (separate from `matrix` so the quality columns
     /// survive the feature extraction that follows them).
     pub(crate) quality: FeatureMatrix,
     /// Per-window quality verdicts aligned with `predictions`.
@@ -67,17 +64,17 @@ impl FeatureWorkspace {
         Self::default()
     }
 
-    /// The workspace's feature matrix as the last operation left it. After
-    /// an extraction call this holds raw features; the detect/evaluate paths
-    /// standardize the buffer in place afterwards, so read rows out before
-    /// classifying (or re-extract) when the raw values matter.
+    /// The workspace's feature matrix as the last operation left it: the
+    /// raw features of the last extraction, detect or evaluate call (the
+    /// detector classifies raw features, so detecting leaves the rows as
+    /// extracted).
     pub fn matrix(&self) -> &FeatureMatrix {
         &self.matrix
     }
 
     /// The per-window predictions of the last
     /// [`RealTimeDetector::detect_into`](crate::realtime::RealTimeDetector::detect_into)
-    /// or `predict_rows_with` call that used this workspace.
+    /// call that used this workspace.
     pub fn predictions(&self) -> &[bool] {
         &self.predictions
     }
@@ -85,15 +82,15 @@ impl FeatureWorkspace {
     /// The per-window quality verdicts of the last
     /// [`RealTimeDetector::detect_into`](crate::realtime::RealTimeDetector::detect_into)
     /// call routed through this workspace. Aligned with
-    /// [`FeatureWorkspace::predictions`] when the detector's quality gate is
-    /// enabled; empty when it is off.
+    /// [`FeatureWorkspace::predictions`]; all `Clean` when the detector's
+    /// quality gate is off.
     pub fn verdicts(&self) -> &[QualityVerdict] {
         &self.verdicts
     }
 
     /// The per-window quality indicator matrix of the last gated detect or
-    /// calibration call (see [`seizure_features::quality`] for the column
-    /// layout).
+    /// pipeline quality check (see [`seizure_features::quality`] for the
+    /// column layout).
     pub fn quality(&self) -> &FeatureMatrix {
         &self.quality
     }

@@ -63,9 +63,8 @@
 //! must not grow without bound. [`CompactionPolicy`] decides when the
 //! accumulated journal should be folded into a fresh full snapshot (one
 //! O(pool) write that empties the journal); `seizure-core`'s
-//! `RealTimeDetector::save_delta` and `SelfLearningPipeline::save_delta`
-//! apply it automatically and tell the caller which kind of Flash write to
-//! perform through [`DeltaSave`].
+//! `SelfLearningPipeline::save_delta` applies it automatically and tells
+//! the caller which kind of Flash write to perform through [`DeltaSave`].
 //!
 //! # Example
 //!
@@ -144,8 +143,7 @@ pub struct JournalScan {
 }
 
 /// What a journal replay did, reported alongside the reconstructed state by
-/// [`replay`] and by `seizure-core`'s `load_with_journal` /
-/// `resume_with_journal`.
+/// [`replay`] and by `seizure-core`'s `resume_with_journal`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalReplayReport {
     /// Entries applied on top of the base snapshot.
@@ -547,9 +545,7 @@ pub fn replay(base_snapshot: &[u8], journal: &[u8]) -> Result<Replayed, PersistE
 
 /// Validates an entry's bindings — the base fingerprint it extends and the
 /// pool length it applies at. [`replay_entries`] checks every entry with
-/// it; `seizure-core`'s detector also calls it for a journal it cannot
-/// replay at all (a batch-trained base), so the binding rules are written
-/// once.
+/// it.
 pub fn validate_entry(
     entry: &JournalEntry,
     fingerprint: u64,
@@ -657,7 +653,7 @@ impl CompactionPolicy {
 }
 
 /// The Flash write a delta save asks the caller to perform —
-/// `seizure-core`'s `save_delta` entry points return this.
+/// `seizure-core`'s `SelfLearningPipeline::save_delta` returns this.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaSave {
     /// Replace the base-snapshot region with these bytes and erase the

@@ -429,7 +429,7 @@ impl Flash for FaultyFlash {
 }
 
 /// What a store-routed delta save actually wrote — returned by
-/// `seizure-core`'s `save_to_store` entry points.
+/// `seizure-core`'s `SelfLearningPipeline::save_to_store`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreSave {
     /// Nothing changed since the last save; nothing was written.
