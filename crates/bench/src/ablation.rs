@@ -11,6 +11,7 @@ use seizure_core::algorithm::{posteriori_detect, DetectorConfig};
 use seizure_core::label::window_labels;
 use seizure_core::labeler::{LabelerConfig, PosterioriLabeler};
 use seizure_core::metric::DeviationSummary;
+use seizure_core::workspace::FeatureWorkspace;
 use seizure_core::{CoreError, SeizureLabel};
 use seizure_data::cohort::Cohort;
 use seizure_features::extractor::{FeatureExtractor, SlidingWindowConfig};
@@ -52,13 +53,15 @@ pub fn run_feature_ablation(scale: ExperimentScale) -> Result<AblationResults, C
     let labeler = PosterioriLabeler::new(LabelerConfig::default());
     let patients = [0usize, 4, 7]; // mixed difficulty: 1, 5, 8
     let samples_per_patient = scale.samples_per_seizure().clamp(1, 3);
+    let mut workspace = FeatureWorkspace::new();
 
     // 1. Rank the ten features with backward elimination on training records,
     //    using the ground-truth window labels.
     let mut ranking_votes = [0.0f64; 10];
     for &patient in &patients {
         let record = cohort.sample_record(patient, 0, &sample_config, 9999)?;
-        let features = labeler.extract_features(record.signal())?;
+        labeler.extract_features_with(record.signal(), &mut workspace)?;
+        let features = workspace.matrix();
         let window = SlidingWindowConfig::new(
             record.signal().sampling_frequency(),
             labeler.config().window_secs,
@@ -71,7 +74,7 @@ pub fn run_feature_ablation(scale: ExperimentScale) -> Result<AblationResults, C
             window.window_seconds(),
             window.step_seconds(),
         )?;
-        let elimination = backward_elimination(&features, &labels, &CentroidSeparation)?;
+        let elimination = backward_elimination(features, &labels, &CentroidSeparation)?;
         for (rank, &feature) in elimination.ranking.iter().enumerate() {
             ranking_votes[feature] += (10 - rank) as f64;
         }
@@ -90,8 +93,8 @@ pub fn run_feature_ablation(scale: ExperimentScale) -> Result<AblationResults, C
                 for sample in 0..samples_per_patient {
                     let record =
                         cohort.sample_record(patient, seizure, &sample_config, sample as u64)?;
-                    let features = labeler.extract_features(record.signal())?;
-                    let projected = features.select_columns(selected)?;
+                    labeler.extract_features_with(record.signal(), &mut workspace)?;
+                    let projected = workspace.matrix().select_columns(selected)?;
                     let window = SlidingWindowConfig::new(
                         record.signal().sampling_frequency(),
                         labeler.config().window_secs,

@@ -105,7 +105,7 @@ pub fn run_labeling_experiment_with(
                     &sample_config,
                     sample as u64,
                 )?;
-                let label = labeler.label_record_with(&record, w, &mut workspace)?;
+                let (label, _) = labeler.label(record.signal(), w, &mut workspace)?;
                 summary.record(
                     (record.annotation().onset(), record.annotation().offset()),
                     label.as_interval(),
@@ -254,11 +254,12 @@ mod tests {
             ..LabelerConfig::default()
         });
         let mut per_seizure = Vec::new();
+        let mut workspace = FeatureWorkspace::new();
         for patient_idx in 0..cohort.patients().len() {
             let w = cohort.average_seizure_duration(patient_idx)?;
             for seizure_idx in 0..cohort.seizures_of(patient_idx)?.len() {
                 let record = cohort.sample_record(patient_idx, seizure_idx, &sample_config, 0)?;
-                let label = labeler.label_record(&record, w)?;
+                let (label, _) = labeler.label(record.signal(), w, &mut workspace)?;
                 let mut summary = DeviationSummary::new();
                 summary.record(
                     (record.annotation().onset(), record.annotation().offset()),

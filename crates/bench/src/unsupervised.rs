@@ -9,11 +9,11 @@
 //! compared against the supervised random forest trained on expert labels.
 
 use crate::scale::ExperimentScale;
-use seizure_core::label::{window_labels, SeizureLabel};
+use seizure_core::label::SeizureLabel;
 use seizure_core::realtime::{RealTimeDetector, RealTimeDetectorConfig};
+use seizure_core::workspace::FeatureWorkspace;
 use seizure_core::CoreError;
 use seizure_data::cohort::Cohort;
-use seizure_features::extractor::SlidingWindowConfig;
 use seizure_ml::kmeans::{KMeans, KMeansConfig};
 use seizure_ml::kmedoids::{KMedoids, KMedoidsConfig};
 use seizure_ml::metrics::ConfusionMatrix;
@@ -58,7 +58,7 @@ pub fn run_unsupervised_baseline(scale: ExperimentScale) -> Result<BaselineResul
     let sample_config = scale.sample_config();
     let detector_config = RealTimeDetectorConfig::default();
     let patients = [0usize, 7]; // patients 1 and 8
-    let detector_template = RealTimeDetector::new(detector_config);
+    let mut workspace = FeatureWorkspace::new();
 
     let mut kmeans_cm = ConfusionMatrix::default();
     let mut kmedoids_cm = ConfusionMatrix::default();
@@ -84,29 +84,26 @@ pub fn run_unsupervised_baseline(scale: ExperimentScale) -> Result<BaselineResul
             }
         }
         detector.train(&training)?;
+        let forest = detector
+            .flat_forest()
+            .expect("a successful `train` leaves a fitted forest");
 
-        // Evaluation records: the held-out seizures.
+        // Evaluation records: the held-out seizures. All three detectors see
+        // the rich features of every window and score against its truth.
         for seizure in train_count..num_seizures {
             let record =
                 cohort.sample_record(patient, seizure, &sample_config, 500 + seizure as u64)?;
-            let signal = record.signal();
-            let window = SlidingWindowConfig::new(
-                signal.sampling_frequency(),
-                detector_config.window_secs,
-                detector_config.overlap,
-            )?;
-            let rows = detector_template.extract_features(signal)?;
             let truth_label =
                 SeizureLabel::new(record.annotation().onset(), record.annotation().offset())?;
-            let truth = window_labels(
+            let truth = detector.build_training_windows_with(
+                record.signal(),
                 &truth_label,
-                rows.len(),
-                window.window_seconds(),
-                window.step_seconds(),
+                &mut workspace,
             )?;
+            let matrix = workspace.matrix();
 
             // Normalize rows per feature for the clustering baselines.
-            let normalized = normalize_rows(&rows);
+            let normalized = normalize_rows(&matrix.to_rows());
 
             let kmeans = KMeans::fit(&normalized, &KMeansConfig::default(), 7)?;
             let assignments = kmeans.predict_batch(&normalized);
@@ -122,7 +119,7 @@ pub fn run_unsupervised_baseline(scale: ExperimentScale) -> Result<BaselineResul
                 assignments.iter().map(|&a| a == seizure_cluster).collect();
             kmedoids_cm.merge(&ConfusionMatrix::from_predictions(&predictions, &truth)?);
 
-            let predictions = detector.predict_rows(&rows)?;
+            let predictions = forest.predict_batch(matrix.data(), matrix.num_features())?;
             forest_cm.merge(&ConfusionMatrix::from_predictions(&predictions, &truth)?);
         }
     }

@@ -10,10 +10,8 @@ use crate::algorithm::{posteriori_detect, Detection, DetectorConfig};
 use crate::error::CoreError;
 use crate::label::SeizureLabel;
 use crate::workspace::FeatureWorkspace;
-use seizure_data::sampler::EegRecord;
 use seizure_data::signal::EegSignal;
 use seizure_features::extractor::{FeatureExtractor, PaperFeatureSet, SlidingWindowConfig};
-use seizure_features::FeatureMatrix;
 
 /// Configuration of the a-posteriori labeler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,32 +53,19 @@ impl PosterioriLabeler {
         &self.config
     }
 
-    /// Extracts the paper's ten-feature matrix from a two-channel signal
-    /// through the parallel batch engine.
+    /// Extracts the paper's ten-feature matrix of `signal` into the
+    /// workspace matrix through the parallel batch engine, reusing the
+    /// workspace's matrix buffer and pooled scratches across records.
     ///
     /// The batch engine's fused scratch kernels agree with the seed
-    /// `extract_matrix` path to ~1e-9 relative, not bitwise (same contract
-    /// as the real-time detector's batch path since the inference engine
-    /// landed), so labels on pathologically near-tie records may differ
-    /// from pre-batch-engine runs in the last ulps of the score.
+    /// per-window `extract_window` path to ~1e-9 relative, not bitwise, so
+    /// labels on pathologically near-tie records may differ from
+    /// pre-batch-engine runs in the last ulps of the score.
     ///
     /// # Errors
     ///
     /// Propagates feature-extraction failures (mismatched channels, too-short
     /// signal, invalid configuration).
-    pub fn extract_features(&self, signal: &EegSignal) -> Result<FeatureMatrix, CoreError> {
-        let mut ws = FeatureWorkspace::new();
-        self.extract_features_with(signal, &mut ws)?;
-        Ok(ws.matrix)
-    }
-
-    /// Multi-record twin of [`PosterioriLabeler::extract_features`]: refills
-    /// the workspace's matrix in place and reuses its pooled scratches across
-    /// records, per the labeling experiments' batch path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PosterioriLabeler::extract_features`].
     pub fn extract_features_with(
         &self,
         signal: &EegSignal,
@@ -101,30 +86,16 @@ impl PosterioriLabeler {
 
     /// Labels the single seizure contained in `signal`, given the patient's
     /// average seizure duration in seconds, and returns both the label and the
-    /// raw detection (distance profile).
+    /// raw detection (distance profile). The paper features are extracted
+    /// into `workspace` ([`PosterioriLabeler::extract_features_with`]), so a
+    /// labeling sweep over many records reuses one set of buffers.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] if the average seizure duration
-    /// is not positive and the errors of [`posteriori_detect`] otherwise.
-    pub fn label_signal_with_detection(
-        &self,
-        signal: &EegSignal,
-        average_seizure_secs: f64,
-    ) -> Result<(SeizureLabel, Detection), CoreError> {
-        let mut ws = FeatureWorkspace::new();
-        self.label_signal_with_detection_using(signal, average_seizure_secs, &mut ws)
-    }
-
-    /// Workspace-reusing twin of
-    /// [`PosterioriLabeler::label_signal_with_detection`], for callers that
-    /// label many records in a row (the labeling experiments).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`PosterioriLabeler::label_signal_with_detection`].
-    pub fn label_signal_with_detection_using(
+    /// is not positive, and otherwise propagates feature-extraction failures
+    /// and the errors of [`posteriori_detect`].
+    pub fn label(
         &self,
         signal: &EegSignal,
         average_seizure_secs: f64,
@@ -150,52 +121,6 @@ impl PosterioriLabeler {
         let label = SeizureLabel::new(onset, offset)?;
         Ok((label, detection))
     }
-
-    /// Labels the single seizure contained in `signal`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PosterioriLabeler::label_signal_with_detection`].
-    pub fn label_signal(
-        &self,
-        signal: &EegSignal,
-        average_seizure_secs: f64,
-    ) -> Result<SeizureLabel, CoreError> {
-        Ok(self
-            .label_signal_with_detection(signal, average_seizure_secs)?
-            .0)
-    }
-
-    /// Labels an evaluation record (convenience wrapper around
-    /// [`PosterioriLabeler::label_signal`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PosterioriLabeler::label_signal`].
-    pub fn label_record(
-        &self,
-        record: &EegRecord,
-        average_seizure_secs: f64,
-    ) -> Result<SeizureLabel, CoreError> {
-        self.label_signal(record.signal(), average_seizure_secs)
-    }
-
-    /// Workspace-reusing twin of [`PosterioriLabeler::label_record`] for
-    /// labeling whole cohorts of records with one extraction workspace.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PosterioriLabeler::label_signal`].
-    pub fn label_record_with(
-        &self,
-        record: &EegRecord,
-        average_seizure_secs: f64,
-        workspace: &mut FeatureWorkspace,
-    ) -> Result<SeizureLabel, CoreError> {
-        Ok(self
-            .label_signal_with_detection_using(record.signal(), average_seizure_secs, workspace)?
-            .0)
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +128,7 @@ mod tests {
     use super::*;
     use crate::metric::deviation_seconds;
     use seizure_data::cohort::Cohort;
-    use seizure_data::sampler::SampleConfig;
+    use seizure_data::sampler::{EegRecord, SampleConfig};
 
     fn test_record(seed: u64) -> (EegRecord, f64) {
         let cohort = Cohort::chb_mit_like(9);
@@ -217,7 +142,9 @@ mod tests {
     fn labels_a_clean_record_close_to_the_ground_truth() {
         let (record, w) = test_record(1);
         let labeler = PosterioriLabeler::new(LabelerConfig::default());
-        let label = labeler.label_record(&record, w).unwrap();
+        let (label, _) = labeler
+            .label(record.signal(), w, &mut FeatureWorkspace::new())
+            .unwrap();
         let delta = deviation_seconds(
             (record.annotation().onset(), record.annotation().offset()),
             label.as_interval(),
@@ -232,7 +159,7 @@ mod tests {
         let (record, w) = test_record(2);
         let labeler = PosterioriLabeler::new(LabelerConfig::default());
         let (label, detection) = labeler
-            .label_signal_with_detection(record.signal(), w)
+            .label(record.signal(), w, &mut FeatureWorkspace::new())
             .unwrap();
         assert!(!detection.distances.is_empty());
         assert!(detection.peak_distance() > 0.0);
@@ -244,25 +171,31 @@ mod tests {
     fn invalid_average_duration_is_rejected() {
         let (record, _) = test_record(3);
         let labeler = PosterioriLabeler::new(LabelerConfig::default());
-        assert!(labeler.label_record(&record, 0.0).is_err());
-        assert!(labeler.label_record(&record, -5.0).is_err());
-        assert!(labeler.label_record(&record, f64::NAN).is_err());
+        let mut ws = FeatureWorkspace::new();
+        for w in [0.0, -5.0, f64::NAN] {
+            assert!(labeler.label(record.signal(), w, &mut ws).is_err());
+        }
     }
 
     #[test]
     fn too_short_signal_is_rejected() {
         let labeler = PosterioriLabeler::new(LabelerConfig::default());
         let signal = EegSignal::new(vec![0.0; 64], vec![0.0; 64], 64.0).unwrap();
-        assert!(labeler.label_signal(&signal, 30.0).is_err());
+        assert!(labeler
+            .label(&signal, 30.0, &mut FeatureWorkspace::new())
+            .is_err());
     }
 
     #[test]
     fn extract_features_produces_ten_columns() {
         let (record, _) = test_record(4);
         let labeler = PosterioriLabeler::new(LabelerConfig::default());
-        let features = labeler.extract_features(record.signal()).unwrap();
-        assert_eq!(features.num_features(), 10);
-        assert!(features.num_windows() > 100);
+        let mut ws = FeatureWorkspace::new();
+        labeler
+            .extract_features_with(record.signal(), &mut ws)
+            .unwrap();
+        assert_eq!(ws.matrix().num_features(), 10);
+        assert!(ws.matrix().num_windows() > 100);
     }
 
     #[test]
@@ -275,7 +208,9 @@ mod tests {
         let labeler = PosterioriLabeler::new(config);
         assert_eq!(labeler.config().window_secs, 2.0);
         let (record, w) = test_record(5);
-        let label = labeler.label_record(&record, w).unwrap();
+        let (label, _) = labeler
+            .label(record.signal(), w, &mut FeatureWorkspace::new())
+            .unwrap();
         assert!(label.duration_secs() > 0.0);
     }
 }

@@ -27,6 +27,7 @@
 //! ```
 //! use seizure_core::labeler::{PosterioriLabeler, LabelerConfig};
 //! use seizure_core::metric::deviation_seconds;
+//! use seizure_core::workspace::FeatureWorkspace;
 //! use seizure_data::cohort::Cohort;
 //! use seizure_data::sampler::SampleConfig;
 //!
@@ -38,7 +39,7 @@
 //!
 //! let labeler = PosterioriLabeler::new(LabelerConfig::default());
 //! let w = cohort.average_seizure_duration(0)?;
-//! let label = labeler.label_record(&record, w)?;
+//! let (label, _) = labeler.label(record.signal(), w, &mut FeatureWorkspace::new())?;
 //! let delta = deviation_seconds(
 //!     (record.annotation().onset(), record.annotation().offset()),
 //!     (label.onset_secs(), label.offset_secs()),

@@ -265,7 +265,14 @@ impl SelfLearningPipeline {
             return Ok(None);
         }
         let label = match source {
-            LabelSource::Algorithm => self.labeler.label_record(record, average_seizure_secs)?,
+            LabelSource::Algorithm => {
+                // A fresh workspace per record, as the `learn` benchmark's
+                // paper-feature replay uses.
+                let mut fresh = FeatureWorkspace::new();
+                self.labeler
+                    .label(record.signal(), average_seizure_secs, &mut fresh)?
+                    .0
+            }
             LabelSource::Expert => {
                 SeizureLabel::new(record.annotation().onset(), record.annotation().offset())?
             }
@@ -734,7 +741,9 @@ impl SelfLearningPipeline {
     /// yet and propagates evaluation failures otherwise.
     pub fn evaluate(&self, record: &EegRecord) -> Result<SelfLearningReport, CoreError> {
         let truth = SeizureLabel::new(record.annotation().onset(), record.annotation().offset())?;
-        let cm = self.detector.evaluate(record.signal(), &truth)?;
+        let cm = self
+            .detector
+            .evaluate(record.signal(), &truth, &mut FeatureWorkspace::new())?;
         Ok(SelfLearningReport::from_confusion(&cm))
     }
 
@@ -761,7 +770,7 @@ impl SelfLearningPipeline {
                 SeizureLabel::new(record.annotation().onset(), record.annotation().offset())?;
             let cm = self
                 .detector
-                .evaluate_with(record.signal(), &truth, &mut workspace)?;
+                .evaluate(record.signal(), &truth, &mut workspace)?;
             pooled.merge(&cm);
         }
         Ok(SelfLearningReport::from_confusion(&pooled))
@@ -1056,7 +1065,7 @@ mod tests {
                 .assess_quality_into(record.signal(), &mut ws)
                 .unwrap();
             (0..labels.len())
-                .filter(|&w| ws.verdicts()[w] != QualityVerdict::Reject)
+                .filter(|&w| ws.verdicts[w] != QualityVerdict::Reject)
                 .collect()
         } else {
             (0..labels.len()).collect()

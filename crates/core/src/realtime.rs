@@ -314,57 +314,11 @@ impl RealTimeDetector {
         )?)
     }
 
-    /// Extracts the rich (54-feature) matrix of a signal through the batch
-    /// engine: parallel over windows, one flat row-major buffer, per-thread
-    /// scratch workspaces.
-    ///
-    /// # Errors
-    ///
-    /// Propagates feature-extraction failures.
-    pub fn extract_feature_matrix(&self, signal: &EegSignal) -> Result<FeatureMatrix, CoreError> {
-        let mut ws = FeatureWorkspace::new();
-        self.extract_feature_matrix_with(signal, &mut ws)?;
-        Ok(ws.matrix)
-    }
-
-    /// Multi-record twin of [`RealTimeDetector::extract_feature_matrix`]:
-    /// refills the workspace's matrix in place and reuses its pooled
-    /// FFT/wavelet scratches, so consecutive records extract without
-    /// reallocating.
-    ///
-    /// # Errors
-    ///
-    /// Propagates feature-extraction failures.
-    pub fn extract_feature_matrix_with(
-        &self,
-        signal: &EegSignal,
-        workspace: &mut FeatureWorkspace,
-    ) -> Result<(), CoreError> {
-        let fs = signal.sampling_frequency();
-        let window = self.window_config(fs)?;
-        let extractor = RichFeatureSet::new(fs)?;
-        extractor.extract_batch_into(
-            signal.f7t3(),
-            signal.f8t4(),
-            &window,
-            &workspace.pool,
-            &mut workspace.matrix,
-        )?;
-        Ok(())
-    }
-
-    /// Extracts the rich (54-feature) matrix of a signal as plain rows
-    /// (allocating; kept for the training path, which needs row vectors).
-    ///
-    /// # Errors
-    ///
-    /// Propagates feature-extraction failures.
-    pub fn extract_features(&self, signal: &EegSignal) -> Result<Vec<Vec<f64>>, CoreError> {
-        Ok(self.extract_feature_matrix(signal)?.to_rows())
-    }
-
     /// Builds a per-window labeled dataset from a signal and a seizure label
-    /// (which may come from the a-posteriori algorithm or from an expert).
+    /// (which may come from the a-posteriori algorithm or from an expert):
+    /// [`RealTimeDetector::build_training_windows_with`] into a fresh
+    /// workspace, with the rows copied out into the [`Dataset`] that
+    /// [`RealTimeDetector::train`] takes.
     ///
     /// # Errors
     ///
@@ -374,22 +328,16 @@ impl RealTimeDetector {
         signal: &EegSignal,
         label: &SeizureLabel,
     ) -> Result<Dataset, CoreError> {
-        let fs = signal.sampling_frequency();
-        let window = self.window_config(fs)?;
-        let rows = self.extract_features(signal)?;
-        let labels = window_labels(
-            label,
-            rows.len(),
-            window.window_seconds(),
-            window.step_seconds(),
-        )?;
-        Ok(Dataset::new(rows, labels)?)
+        let mut ws = FeatureWorkspace::new();
+        let labels = self.build_training_windows_with(signal, label, &mut ws)?;
+        Ok(Dataset::new(ws.matrix.to_rows(), labels)?)
     }
 
-    /// Flat-path twin of [`RealTimeDetector::build_training_windows`]:
-    /// extracts the record's features into the workspace matrix (reusing its
-    /// buffers) and returns the per-window labels, leaving the rows in
-    /// `workspace.matrix()` — no `Vec<Vec<f64>>` round-trip.
+    /// Extracts the rich (54-feature) matrix of every window of `signal`
+    /// into the workspace matrix through the batch engine (parallel over
+    /// windows, one flat row-major buffer, pooled per-worker scratches, all
+    /// reused across records) and returns the per-window labels, leaving
+    /// the rows in `workspace.matrix()`.
     ///
     /// This is the **full-record reference path**: it extracts every window
     /// of the record. The self-learning pipeline no longer calls it; it picks
@@ -406,7 +354,15 @@ impl RealTimeDetector {
         label: &SeizureLabel,
         workspace: &mut FeatureWorkspace,
     ) -> Result<Vec<bool>, CoreError> {
-        self.extract_feature_matrix_with(signal, workspace)?;
+        let fs = signal.sampling_frequency();
+        let window = self.window_config(fs)?;
+        RichFeatureSet::new(fs)?.extract_batch_into(
+            signal.f7t3(),
+            signal.f8t4(),
+            &window,
+            &workspace.pool,
+            &mut workspace.matrix,
+        )?;
         self.training_labels(signal, label)
     }
 
@@ -542,36 +498,36 @@ impl RealTimeDetector {
         self.flat.as_ref()
     }
 
-    /// Classifies every analysis window of `signal` (true = seizure alarm).
-    /// Sweeps over many records should call [`RealTimeDetector::detect_into`]
-    /// with one reused workspace instead.
+    /// Classifies every analysis window of `signal` (true = seizure alarm):
+    /// [`RealTimeDetector::detect_into`] on a fresh workspace, with the
+    /// predictions copied out.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`RealTimeDetector::detect_into`].
+    pub fn detect(&self, signal: &EegSignal) -> Result<Vec<bool>, CoreError> {
+        let mut ws = FeatureWorkspace::new();
+        Ok(self.detect_into(signal, &mut ws)?.0.to_vec())
+    }
+
+    /// Classifies every analysis window of `signal` and returns
+    /// `(predictions, verdicts)` borrowed from the workspace, one entry per
+    /// window (true = seizure alarm). With the quality gate enabled, every
+    /// `Reject` window's prediction is forced to `false`; with it disabled
+    /// all verdicts read `Clean`. Extraction and the forest's batch
+    /// prediction both run on workspace-owned buffers, so a sweep over many
+    /// records touches the heap only when a record first outgrows them.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidState`] if the detector has not been trained
     /// and propagates feature-extraction failures.
-    pub fn detect(&self, signal: &EegSignal) -> Result<Vec<bool>, CoreError> {
-        let mut ws = FeatureWorkspace::new();
-        self.detect_into(signal, &mut ws)?;
-        Ok(ws.predictions)
-    }
-
-    /// Allocation-free end of the detect path: classifies every window of
-    /// `signal` into the workspace's prediction buffer (readable through
-    /// [`FeatureWorkspace::predictions`]) and returns the window count.
-    /// Extraction and the forest's batch prediction both run on
-    /// workspace-owned buffers, so a sweep over many records touches the
-    /// heap only when a record first outgrows them.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RealTimeDetector::detect`].
     // lint: hot-path
-    pub fn detect_into(
+    pub fn detect_into<'w>(
         &self,
         signal: &EegSignal,
-        workspace: &mut FeatureWorkspace,
-    ) -> Result<usize, CoreError> {
+        workspace: &'w mut FeatureWorkspace,
+    ) -> Result<(&'w [bool], &'w [QualityVerdict]), CoreError> {
         let forest = self.require_flat()?;
         let fs = signal.sampling_frequency();
         let window = self.window_config(fs)?;
@@ -608,30 +564,12 @@ impl RealTimeDetector {
                 }
             }
         } else {
-            // Keep the verdict buffer aligned with the predictions so
-            // `detect_with_quality` stays well-defined on ungated detectors.
+            // Keep the verdicts aligned with the predictions on ungated
+            // detectors too.
             verdicts.clear();
             verdicts.resize(predictions.len(), QualityVerdict::Clean);
         }
-        Ok(predictions.len())
-    }
-
-    /// Gated detect that also surfaces the per-window quality verdicts:
-    /// returns `(predictions, verdicts)` borrowed from the workspace, one
-    /// entry per analysis window. With the gate enabled, every `Reject`
-    /// window's prediction is forced to `false`; with it disabled all
-    /// verdicts read `Clean`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`RealTimeDetector::detect`].
-    pub fn detect_with_quality<'w>(
-        &self,
-        signal: &EegSignal,
-        workspace: &'w mut FeatureWorkspace,
-    ) -> Result<(&'w [bool], &'w [QualityVerdict]), CoreError> {
-        self.detect_into(signal, workspace)?;
-        Ok((&workspace.predictions, &workspace.verdicts))
+        Ok((predictions, verdicts))
     }
 
     /// Fills the workspace's quality matrix and verdict buffer for `signal`
@@ -759,31 +697,6 @@ impl RealTimeDetector {
         self.flat.as_ref().ok_or_else(|| CoreError::InvalidState {
             detail: "the real-time detector has not been trained yet".to_string(),
         })
-    }
-
-    /// Classifies pre-extracted rich-feature rows through the flat batch
-    /// path. Predictions are identical to the boxed per-row path (the flat
-    /// forest is a bit-exact compilation of the fitted ensemble).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidState`] if the detector has not been
-    /// trained and [`CoreError::InvalidParameter`] if the rows disagree with
-    /// the training feature count.
-    pub fn predict_rows(&self, rows: &[Vec<f64>]) -> Result<Vec<bool>, CoreError> {
-        let forest = self.require_flat()?;
-        let num_features = forest.num_features();
-        if let Some(bad) = rows.iter().find(|r| r.len() != num_features) {
-            return Err(CoreError::InvalidParameter {
-                name: "rows",
-                reason: format!(
-                    "row has {} features but the detector was trained on {num_features}",
-                    bad.len()
-                ),
-            });
-        }
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        Ok(forest.predict_batch(&flat, num_features)?)
     }
 
     /// Serializes the detector's full state — configuration, the quality
@@ -925,40 +838,30 @@ impl RealTimeDetector {
         Ok(())
     }
 
-    /// Evaluates the detector on a signal whose true seizure position is known,
-    /// returning the per-window confusion matrix.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the errors of [`RealTimeDetector::detect`].
-    pub fn evaluate(
-        &self,
-        signal: &EegSignal,
-        truth: &SeizureLabel,
-    ) -> Result<ConfusionMatrix, CoreError> {
-        let mut ws = FeatureWorkspace::new();
-        self.evaluate_with(signal, truth, &mut ws)
-    }
-
-    /// Multi-record twin of [`RealTimeDetector::evaluate`], reusing the
-    /// workspace across records of an evaluation sweep.
+    /// Evaluates the detector on a signal whose true seizure position is
+    /// known, returning the per-window confusion matrix. Runs
+    /// [`RealTimeDetector::detect_into`] on `workspace`, so an evaluation
+    /// sweep reuses one set of buffers across records.
     ///
     /// # Errors
     ///
     /// Propagates the errors of [`RealTimeDetector::detect_into`].
-    pub fn evaluate_with(
+    pub fn evaluate(
         &self,
         signal: &EegSignal,
         truth: &SeizureLabel,
         workspace: &mut FeatureWorkspace,
     ) -> Result<ConfusionMatrix, CoreError> {
-        let fs = signal.sampling_frequency();
-        let window = self.window_config(fs)?;
-        let count = self.detect_into(signal, workspace)?;
-        let truth_labels =
-            window_labels(truth, count, window.window_seconds(), window.step_seconds())?;
+        let window = self.window_config(signal.sampling_frequency())?;
+        let (predictions, _) = self.detect_into(signal, workspace)?;
+        let truth_labels = window_labels(
+            truth,
+            predictions.len(),
+            window.window_seconds(),
+            window.step_seconds(),
+        )?;
         Ok(ConfusionMatrix::from_predictions(
-            &workspace.predictions,
+            predictions,
             &truth_labels,
         )?)
     }
@@ -1329,7 +1232,9 @@ mod tests {
         detector.train(&balanced).unwrap();
         assert!(detector.is_trained());
 
-        let cm = detector.evaluate(record.signal(), &truth).unwrap();
+        let cm = detector
+            .evaluate(record.signal(), &truth, &mut FeatureWorkspace::new())
+            .unwrap();
         // Training data, so the detector should do very well.
         assert!(cm.sensitivity() > 0.7, "sensitivity = {}", cm.sensitivity());
         assert!(cm.specificity() > 0.7, "specificity = {}", cm.specificity());
@@ -1346,7 +1251,11 @@ mod tests {
         let balanced = detector.balance(&training).unwrap();
         detector.train(&balanced).unwrap();
         let cm = detector
-            .evaluate(test_record.signal(), &test_truth)
+            .evaluate(
+                test_record.signal(),
+                &test_truth,
+                &mut FeatureWorkspace::new(),
+            )
             .unwrap();
         assert!(cm.geometric_mean() > 0.6, "gmean = {}", cm.geometric_mean());
 
@@ -1363,7 +1272,11 @@ mod tests {
         let pool = detector.incremental_trainer().unwrap().num_samples();
         assert!(pool >= many_blocks.forest.n_trees * many_blocks.incremental_block_size);
         let cm = detector
-            .evaluate(test_record.signal(), &test_truth)
+            .evaluate(
+                test_record.signal(),
+                &test_truth,
+                &mut FeatureWorkspace::new(),
+            )
             .unwrap();
         assert!(cm.sensitivity() > 0.7, "sensitivity = {}", cm.sensitivity());
         assert!(cm.specificity() > 0.7, "specificity = {}", cm.specificity());
@@ -1400,25 +1313,41 @@ mod tests {
         detector
             .train(&detector.balance(&training).unwrap())
             .unwrap();
-        assert!(detector.flat_forest().is_some());
 
+        // The workspace call returns one prediction and one verdict per
+        // window, and the allocating wrapper copies the same predictions.
         let batch = detector.detect(record.signal()).unwrap();
-        let rows = detector
-            .extract_feature_matrix(record.signal())
-            .unwrap()
-            .to_rows();
-        let via_rows = detector.predict_rows(&rows).unwrap();
-        assert_eq!(batch, via_rows);
-
-        // The workspace-reusing path agrees with the allocating one and
-        // leaves its results readable from the workspace.
         let mut ws = FeatureWorkspace::new();
-        let count = detector.detect_into(record.signal(), &mut ws).unwrap();
-        assert_eq!(count, batch.len());
-        assert_eq!(ws.predictions(), &batch[..]);
+        let (predictions, verdicts) = detector.detect_into(record.signal(), &mut ws).unwrap();
+        assert_eq!(predictions, &batch[..]);
+        assert_eq!(verdicts.len(), batch.len());
+        let verdicts = verdicts.to_vec();
 
-        // Mismatched row widths are rejected instead of panicking.
-        assert!(detector.predict_rows(&[vec![1.0, 2.0]]).is_err());
+        // They are the flat forest's predictions on the full-record training
+        // rows, with `Reject` windows forced silent.
+        let forest = detector.flat_forest().unwrap();
+        let rows: Vec<f64> = training.features().iter().flatten().copied().collect();
+        let raw = forest
+            .predict_batch(&rows, training.num_features())
+            .unwrap();
+        let gated: Vec<bool> = raw
+            .iter()
+            .zip(&verdicts)
+            .map(|(&p, &v)| p && v != QualityVerdict::Reject)
+            .collect();
+        assert_eq!(batch, gated);
+
+        // An ungated detector (the same forest: the gate takes no part in
+        // training) reports every window `Clean` and alarms on the raw
+        // forest output.
+        let mut ungated = RealTimeDetector::new(RealTimeDetectorConfig {
+            quality_gate: false,
+            ..fast_config()
+        });
+        ungated.train(&ungated.balance(&training).unwrap()).unwrap();
+        let (predictions, verdicts) = ungated.detect_into(record.signal(), &mut ws).unwrap();
+        assert!(verdicts.iter().all(|&v| v == QualityVerdict::Clean));
+        assert_eq!(predictions, &raw[..]);
     }
 
     #[test]
@@ -1446,7 +1375,9 @@ mod tests {
         detector
             .train(&detector.balance(&training).unwrap())
             .unwrap();
-        let cm = detector.evaluate(record.signal(), &truth).unwrap();
+        let cm = detector
+            .evaluate(record.signal(), &truth, &mut FeatureWorkspace::new())
+            .unwrap();
         assert_eq!(cm.total(), training.len());
     }
 
@@ -1489,7 +1420,9 @@ mod tests {
         );
 
         // The incrementally trained detector is a usable seizure detector.
-        let cm = detector.evaluate(record.signal(), &truth).unwrap();
+        let cm = detector
+            .evaluate(record.signal(), &truth, &mut FeatureWorkspace::new())
+            .unwrap();
         assert!(cm.sensitivity() > 0.6, "sensitivity = {}", cm.sensitivity());
         assert!(cm.specificity() > 0.6, "specificity = {}", cm.specificity());
 
@@ -1678,9 +1611,8 @@ mod tests {
         detector.train(&training).unwrap();
 
         let mut ws = FeatureWorkspace::new();
-        detector.detect_into(record.signal(), &mut ws).unwrap();
-        let batch_alarms = ws.predictions.clone();
-        let batch_verdicts = ws.verdicts.clone();
+        let (batch_alarms, batch_verdicts) =
+            detector.detect_into(record.signal(), &mut ws).unwrap();
 
         let fs = record.signal().sampling_frequency();
         let mut streaming = detector.streaming(fs).unwrap();

@@ -31,7 +31,7 @@ use seizure_features::scratch::FeatureScratchPool;
 ///     let record = cohort.sample_record(0, seizure, &config, 0)?;
 ///     let w = cohort.average_seizure_duration(0)?;
 ///     // Every record reuses the same matrix buffer and scratch pool.
-///     let label = labeler.label_record_with(&record, w, &mut ws)?;
+///     let (label, _) = labeler.label(record.signal(), w, &mut ws)?;
 ///     println!("onset = {:.1} s", label.onset_secs());
 /// }
 /// # Ok(())
@@ -41,8 +41,10 @@ use seizure_features::scratch::FeatureScratchPool;
 pub struct FeatureWorkspace {
     pub(crate) matrix: FeatureMatrix,
     pub(crate) pool: FeatureScratchPool,
-    /// Per-window class predictions of the last detect call routed through
-    /// this workspace (refilled in place, never re-grown per record).
+    /// Per-window class predictions of the last
+    /// [`RealTimeDetector::detect_into`](crate::realtime::RealTimeDetector::detect_into)
+    /// call routed through this workspace (refilled in place, never
+    /// re-grown per record).
     pub(crate) predictions: Vec<bool>,
     /// Per-window quality indicator matrix of the last gated detect or
     /// pipeline quality check (separate from `matrix` so the quality columns
@@ -70,28 +72,5 @@ impl FeatureWorkspace {
     /// extracted).
     pub fn matrix(&self) -> &FeatureMatrix {
         &self.matrix
-    }
-
-    /// The per-window predictions of the last
-    /// [`RealTimeDetector::detect_into`](crate::realtime::RealTimeDetector::detect_into)
-    /// call that used this workspace.
-    pub fn predictions(&self) -> &[bool] {
-        &self.predictions
-    }
-
-    /// The per-window quality verdicts of the last
-    /// [`RealTimeDetector::detect_into`](crate::realtime::RealTimeDetector::detect_into)
-    /// call routed through this workspace. Aligned with
-    /// [`FeatureWorkspace::predictions`]; all `Clean` when the detector's
-    /// quality gate is off.
-    pub fn verdicts(&self) -> &[QualityVerdict] {
-        &self.verdicts
-    }
-
-    /// The per-window quality indicator matrix of the last gated detect or
-    /// pipeline quality check (see [`seizure_features::quality`] for the
-    /// column layout).
-    pub fn quality(&self) -> &FeatureMatrix {
-        &self.quality
     }
 }

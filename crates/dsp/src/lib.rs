@@ -51,7 +51,7 @@ pub mod window;
 
 pub use error::DspError;
 pub use fft::{fft, ifft, real_fft_magnitude, Complex, FftPlan};
-pub use spectrum::{band_power, periodogram, welch, HopPeriodogram, PowerSpectrum, PsdPlan};
+pub use spectrum::{band_power, periodogram, welch, PowerSpectrum, PsdPlan};
 pub use wavelet::{
     dwt_single, idwt_single, wavedec, wavedec_into, waverec, StreamingWavelet, Wavelet,
     WaveletDecomposition, WaveletWorkspace,

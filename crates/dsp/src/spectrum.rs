@@ -389,185 +389,6 @@ pub fn welch(signal: &[f64], fs: f64, segment_len: usize) -> Result<PowerSpectru
     PowerSpectrum::new(freqs, power, fs)
 }
 
-/// Welch-style segment reuse for sliding windows that advance by one hop.
-///
-/// Each hop of samples is periodogrammed **once** (rectangular taper, hop
-/// resolution) and the bins are kept in a ring of `segments` slots; a window
-/// estimate is then the Bartlett average of the `segments` hop periodograms
-/// it covers. With 75 % overlap every hop is shared by four windows, so the
-/// per-window FFT cost drops from one `window_len`-point transform to one
-/// `hop_len`-point transform — a 4× reduction in segments times the
-/// `log(n)` factor.
-///
-/// The estimate is *not* the single long periodogram the batch extractor
-/// computes: averaging short rectangular segments trades frequency
-/// resolution (`fs / hop_len` instead of `fs / window_len`) for variance,
-/// exactly as Welch's method does. Total power is preserved (the average of
-/// per-segment mean squares equals the window mean square), while narrow
-/// band powers differ by the estimator's resolution — callers that need
-/// bit-exact band features keep the per-window [`PsdPlan`] path instead.
-///
-/// Averaging always runs in temporal order (oldest hop first), so the output
-/// is a pure function of the hop history and independent of ring phase.
-///
-/// # Example
-///
-/// ```
-/// use seizure_dsp::spectrum::{periodogram, total_power_bins, HopPeriodogram};
-///
-/// # fn main() -> Result<(), seizure_dsp::DspError> {
-/// let fs = 256.0;
-/// let record: Vec<f64> = (0..1024)
-///     .map(|n| (2.0 * std::f64::consts::PI * 10.0 * n as f64 / fs).sin())
-///     .collect();
-/// let mut hops = HopPeriodogram::new(256, 4)?;
-/// for hop in record.chunks_exact(256) {
-///     hops.push_hop(hop, fs)?;
-/// }
-/// let mut power = vec![0.0; hops.num_bins()];
-/// hops.average_into(&mut power)?;
-/// let window_total = periodogram(&record, fs)?.total_power();
-/// assert!((total_power_bins(&power, fs, 256) - window_total).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct HopPeriodogram {
-    plan: PsdPlan,
-    segments: usize,
-    /// Ring of per-hop one-sided PSD bins, `segments * num_bins` slots.
-    ring: Vec<f64>,
-    /// FFT scratch reused by every [`HopPeriodogram::push_hop`] call.
-    scratch: Vec<Complex>,
-    /// Number of hops pushed so far, saturating at `segments`.
-    filled: usize,
-    /// Ring slot the next hop will overwrite (equivalently: the slot holding
-    /// the oldest hop once the ring is full).
-    next: usize,
-}
-
-impl HopPeriodogram {
-    /// Builds an averager for hops of `hop_len` samples and windows covering
-    /// `segments` consecutive hops.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] if `hop_len` is zero and
-    /// [`DspError::InvalidParameter`] if `segments` is zero.
-    pub fn new(hop_len: usize, segments: usize) -> Result<Self, DspError> {
-        if segments == 0 {
-            return Err(DspError::InvalidParameter {
-                name: "segments",
-                reason: "a window must cover at least one hop".to_string(),
-            });
-        }
-        let plan = PsdPlan::new(hop_len, WindowKind::Rectangular)?;
-        let ring = vec![0.0; segments * plan.num_bins()];
-        let scratch = vec![Complex::zero(); plan.scratch_len()];
-        Ok(Self {
-            plan,
-            segments,
-            ring,
-            scratch,
-            filled: 0,
-            next: 0,
-        })
-    }
-
-    /// Number of samples per hop.
-    pub fn hop_len(&self) -> usize {
-        self.plan.window_len()
-    }
-
-    /// Number of hops a window covers (the Bartlett averaging factor).
-    pub fn segments(&self) -> usize {
-        self.segments
-    }
-
-    /// Number of one-sided PSD bins per hop (`hop_len / 2 + 1`).
-    pub fn num_bins(&self) -> usize {
-        self.plan.num_bins()
-    }
-
-    /// `true` once `segments` hops have been pushed and a window average is
-    /// available.
-    pub fn ready(&self) -> bool {
-        self.filled >= self.segments
-    }
-
-    /// Number of `f64` bin slots carried across hops — the retained state the
-    /// edge memory model prices per channel.
-    pub fn state_len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Forgets all carried periodograms so the next hop starts a new record.
-    pub fn reset(&mut self) {
-        self.filled = 0;
-        self.next = 0;
-    }
-
-    /// Periodograms one hop of samples into the ring, evicting the oldest
-    /// hop once the ring is full. No heap allocations are performed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidLength`] if `hop` does not match the
-    /// planned hop length and [`DspError::InvalidParameter`] if `fs` is not
-    /// strictly positive.
-    // lint: hot-path
-    pub fn push_hop(&mut self, hop: &[f64], fs: f64) -> Result<(), DspError> {
-        let bins = self.plan.num_bins();
-        let slot = self.next;
-        let power = &mut self.ring[slot * bins..(slot + 1) * bins];
-        self.plan.power_into(hop, fs, power, &mut self.scratch)?;
-        self.next = (self.next + 1) % self.segments;
-        self.filled = (self.filled + 1).min(self.segments);
-        Ok(())
-    }
-
-    /// Writes the Bartlett average of the last `segments` hop periodograms
-    /// into `power`, oldest hop first. No heap allocations are performed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidLength`] if fewer than `segments` hops have
-    /// been pushed or `power` does not have [`HopPeriodogram::num_bins`]
-    /// slots.
-    // lint: hot-path
-    pub fn average_into(&self, power: &mut [f64]) -> Result<(), DspError> {
-        let bins = self.plan.num_bins();
-        if !self.ready() {
-            return Err(DspError::InvalidLength {
-                operation: "HopPeriodogram::average_into",
-                actual: self.filled,
-                requirement: "all segments must be filled before averaging",
-            });
-        }
-        if power.len() != bins {
-            return Err(DspError::InvalidLength {
-                operation: "HopPeriodogram::average_into",
-                actual: power.len(),
-                requirement: "power buffer must have hop_len / 2 + 1 bins",
-            });
-        }
-        power.fill(0.0);
-        // `next` points at the oldest slot once the ring is full.
-        for j in 0..self.segments {
-            let slot = (self.next + j) % self.segments;
-            let seg = &self.ring[slot * bins..(slot + 1) * bins];
-            for (acc, p) in power.iter_mut().zip(seg.iter()) {
-                *acc += p;
-            }
-        }
-        let inv = 1.0 / self.segments as f64;
-        for p in power.iter_mut() {
-            *p *= inv;
-        }
-        Ok(())
-    }
-}
-
 /// Integrates the PSD over the frequency band `[low_hz, high_hz]` (inclusive).
 ///
 /// This is the "total band power" quantity used by the paper's spectral
@@ -895,86 +716,6 @@ mod tests {
         assert!(band_power_bins(psd.power(), fs, x.len(), 8.0, 4.0).is_err());
         assert!(band_power_bins(psd.power(), 0.0, x.len(), 4.0, 8.0).is_err());
         assert_eq!(total_power_bins(&[], fs, 0), 0.0);
-    }
-
-    #[test]
-    fn hop_periodogram_average_is_mean_of_hop_periodograms() {
-        let fs = 256.0;
-        let record = sine(11.0, fs, 256 * 7, 1.4);
-        let mut hops = HopPeriodogram::new(256, 4).unwrap();
-        let mut avg = vec![0.0; hops.num_bins()];
-        for (h, hop) in record.chunks_exact(256).enumerate() {
-            hops.push_hop(hop, fs).unwrap();
-            if h + 1 < 4 {
-                assert!(!hops.ready());
-                assert!(hops.average_into(&mut avg).is_err());
-                continue;
-            }
-            hops.average_into(&mut avg).unwrap();
-            // Reference: mean of the 4 covered hop periodograms.
-            let start_hop = h + 1 - 4;
-            let mut reference = vec![0.0; hops.num_bins()];
-            for j in start_hop..=h {
-                let psd = periodogram(&record[j * 256..(j + 1) * 256], fs).unwrap();
-                for (acc, p) in reference.iter_mut().zip(psd.power()) {
-                    *acc += p / 4.0;
-                }
-            }
-            for (a, b) in avg.iter().zip(reference.iter()) {
-                assert!((a - b).abs() < 1e-12 * (1.0 + b.abs()), "hop={h}");
-            }
-        }
-    }
-
-    #[test]
-    fn hop_periodogram_preserves_total_power() {
-        let fs = 256.0;
-        let mut state = 0.37_f64;
-        let record: Vec<f64> = (0..1024 + 3 * 256)
-            .map(|_| {
-                state = (state * 997.0).fract();
-                state - 0.5
-            })
-            .collect();
-        let mut hops = HopPeriodogram::new(256, 4).unwrap();
-        let mut avg = vec![0.0; hops.num_bins()];
-        for start in (0..=record.len() - 1024).step_by(256) {
-            let window = &record[start..start + 1024];
-            if start == 0 {
-                for hop in window.chunks_exact(256) {
-                    hops.push_hop(hop, fs).unwrap();
-                }
-            } else {
-                hops.push_hop(&window[1024 - 256..], fs).unwrap();
-            }
-            hops.average_into(&mut avg).unwrap();
-            let streaming_total = total_power_bins(&avg, fs, 256);
-            let batch_total = periodogram(window, fs).unwrap().total_power();
-            assert!(
-                (streaming_total - batch_total).abs() < 1e-9 * (1.0 + batch_total.abs()),
-                "start={start}: {streaming_total} vs {batch_total}"
-            );
-        }
-    }
-
-    #[test]
-    fn hop_periodogram_reset_and_validation() {
-        assert!(HopPeriodogram::new(0, 4).is_err());
-        assert!(HopPeriodogram::new(256, 0).is_err());
-        let mut hops = HopPeriodogram::new(64, 2).unwrap();
-        assert_eq!(hops.hop_len(), 64);
-        assert_eq!(hops.segments(), 2);
-        assert_eq!(hops.num_bins(), 33);
-        assert_eq!(hops.state_len(), 2 * 33);
-        assert!(hops.push_hop(&[0.0; 32], 64.0).is_err());
-        assert!(hops.push_hop(&[0.0; 64], 0.0).is_err());
-        hops.push_hop(&[1.0; 64], 64.0).unwrap();
-        hops.push_hop(&[1.0; 64], 64.0).unwrap();
-        assert!(hops.ready());
-        let mut wrong = vec![0.0; 5];
-        assert!(hops.average_into(&mut wrong).is_err());
-        hops.reset();
-        assert!(!hops.ready());
     }
 
     #[test]

@@ -311,19 +311,13 @@ impl MemoryModel {
     /// for this platform's channel count: per channel, the linearized
     /// window ring buffer, `window / step` hop summaries
     /// ([`HOP_SUMMARY_F64`] `f64` + [`HOP_SUMMARY_U32`] `u32` slots each),
-    /// the carried db4 coefficients (approximations on every level, details
-    /// from level [`STREAM_MIN_DETAIL_LEVEL`] up) and, when `hop_welch` is
-    /// set, the ring of hop periodograms. The formula mirrors the extractor's
-    /// own `state_bytes()` byte for byte (`tests/edge_platform.rs` pins the
-    /// two against each other); transient FFT scratch is excluded on both
-    /// sides. Returns 0 for geometries the streaming extractor rejects
-    /// (window not a multiple of the step).
-    pub fn streaming_state_bytes(
-        &self,
-        window_samples: usize,
-        step_samples: usize,
-        hop_welch: bool,
-    ) -> usize {
+    /// and the carried db4 coefficients (approximations on every level,
+    /// details from level [`STREAM_MIN_DETAIL_LEVEL`] up). The formula
+    /// mirrors the extractor's own `state_bytes()` byte for byte
+    /// (`tests/edge_platform.rs` pins the two against each other); transient
+    /// FFT scratch is excluded on both sides. Returns 0 for geometries the
+    /// streaming extractor rejects (window not a multiple of the step).
+    pub fn streaming_state_bytes(&self, window_samples: usize, step_samples: usize) -> usize {
         if step_samples == 0 || !window_samples.is_multiple_of(step_samples) {
             return 0;
         }
@@ -344,12 +338,7 @@ impl MemoryModel {
                 wavelet_slots += window_samples >> level;
             }
         }
-        let hop_psd_slots = if hop_welch {
-            k * (step_samples / 2 + 1)
-        } else {
-            0
-        };
-        let f64_slots = window_samples + k * HOP_SUMMARY_F64 + wavelet_slots + hop_psd_slots;
+        let f64_slots = window_samples + k * HOP_SUMMARY_F64 + wavelet_slots;
         let u32_slots = k * HOP_SUMMARY_U32;
         self.spec.num_channels * (f64_slots * std::mem::size_of::<f64>() + u32_slots * 4)
     }
@@ -376,8 +365,7 @@ impl MemoryModel {
     ) -> Result<MemoryBudget, EdgeError> {
         let mut budget = self.budget_with_quality_gate(buffer_secs, snapshot_bytes)?;
         let staging = self.spec.num_channels * step_samples * std::mem::size_of::<f64>();
-        budget.working_bytes +=
-            self.streaming_state_bytes(window_samples, step_samples, false) + staging;
+        budget.working_bytes += self.streaming_state_bytes(window_samples, step_samples) + staging;
         budget.fits_ram = budget.working_bytes <= self.spec.ram_bytes;
         Ok(budget)
     }
@@ -582,18 +570,10 @@ mod tests {
         let wavelet_slots = (512 + 256 + 128 + 64 + 32) + (128 + 64 + 32);
         let per_channel =
             (1024 + 4 * HOP_SUMMARY_F64 + wavelet_slots) * 8 + 4 * HOP_SUMMARY_U32 * 4;
-        assert_eq!(
-            model.streaming_state_bytes(1024, 256, false),
-            2 * per_channel
-        );
-        // Welch-reuse mode adds four hop periodograms of 129 bins each.
-        assert_eq!(
-            model.streaming_state_bytes(1024, 256, true),
-            2 * (per_channel + 4 * 129 * 8)
-        );
+        assert_eq!(model.streaming_state_bytes(1024, 256), 2 * per_channel);
         // Unstreamable geometries price to zero.
-        assert_eq!(model.streaming_state_bytes(1024, 0, false), 0);
-        assert_eq!(model.streaming_state_bytes(1024, 300, false), 0);
+        assert_eq!(model.streaming_state_bytes(1024, 0), 0);
+        assert_eq!(model.streaming_state_bytes(1024, 300), 0);
     }
 
     #[test]
@@ -606,10 +586,10 @@ mod tests {
         assert_eq!(streaming.history_bytes, gated.history_bytes);
         assert_eq!(
             streaming.working_bytes,
-            gated.working_bytes + model.streaming_state_bytes(1024, 256, false) + 2 * 256 * 8
+            gated.working_bytes + model.streaming_state_bytes(1024, 256) + 2 * 256 * 8
         );
         // The carried state alone fits the 48 KB RAM…
-        assert!(model.streaming_state_bytes(1024, 256, false) <= 48 * 1024);
+        assert!(model.streaming_state_bytes(1024, 256) <= 48 * 1024);
         // …but a full-precision f64 deployment next to the hour-long quality
         // ribbon does not: a real deployment stores the carried state as f32.
         let hour = model.budget_with_streaming(3600.0, 0, 1024, 256).unwrap();

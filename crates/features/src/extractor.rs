@@ -200,57 +200,26 @@ pub trait FeatureExtractor {
     /// a numeric routine fails.
     fn extract_window(&self, f7t3: &[f64], f8t4: &[f64]) -> Result<Vec<f64>, FeatureError>;
 
-    /// Extracts the full feature matrix by sliding `config`'s window over both
-    /// channels.
+    /// Extracts the full feature matrix through the batch engine: one flat
+    /// row-major buffer, filled in parallel across windows with per-thread
+    /// scratch workspaces. Allocating wrapper around
+    /// [`FeatureExtractor::extract_batch_into`] with a fresh matrix and
+    /// scratch pool.
     ///
     /// # Errors
     ///
     /// Returns [`FeatureError::ChannelLengthMismatch`] if the channels differ in
     /// length and [`FeatureError::SignalTooShort`] if not even one window fits.
-    fn extract_matrix(
-        &self,
-        f7t3: &[f64],
-        f8t4: &[f64],
-        config: &SlidingWindowConfig,
-    ) -> Result<FeatureMatrix, FeatureError> {
-        if f7t3.len() != f8t4.len() {
-            return Err(FeatureError::ChannelLengthMismatch {
-                left: f7t3.len(),
-                right: f8t4.len(),
-            });
-        }
-        let count = config.num_windows(f7t3.len());
-        if count == 0 {
-            return Err(FeatureError::SignalTooShort {
-                actual: f7t3.len(),
-                required: config.window_samples(),
-            });
-        }
-        let mut matrix = FeatureMatrix::with_names(self.feature_names());
-        for (w1, w2) in config.windows(f7t3).zip(config.windows(f8t4)) {
-            matrix.push_row(self.extract_window(w1, w2)?)?;
-        }
-        Ok(matrix)
-    }
-
-    /// Extracts the full feature matrix through the batch engine: one flat
-    /// row-major buffer, filled in parallel across windows with per-thread
-    /// scratch workspaces.
-    ///
-    /// The default implementation falls back to the sequential
-    /// [`FeatureExtractor::extract_matrix`]; [`PaperFeatureSet`] and
-    /// [`RichFeatureSet`] override it with the allocation-free parallel path.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`FeatureExtractor::extract_matrix`].
     fn extract_batch(
         &self,
         f7t3: &[f64],
         f8t4: &[f64],
         config: &SlidingWindowConfig,
     ) -> Result<FeatureMatrix, FeatureError> {
-        self.extract_matrix(f7t3, f8t4, config)
+        let pool = FeatureScratchPool::new();
+        let mut matrix = FeatureMatrix::default();
+        self.extract_batch_into(f7t3, f8t4, config, &pool, &mut matrix)?;
+        Ok(matrix)
     }
 
     /// Multi-record variant of [`FeatureExtractor::extract_batch`]: refills
@@ -258,10 +227,6 @@ pub trait FeatureExtractor {
     /// workspaces out of `pool` instead of building them per record, so a
     /// whole cohort of records is extracted with one matrix buffer and one
     /// scratch set.
-    ///
-    /// The default implementation falls back to the allocating
-    /// [`FeatureExtractor::extract_batch`]; [`PaperFeatureSet`] and
-    /// [`RichFeatureSet`] override it with the fully reusable path.
     ///
     /// # Errors
     ///
@@ -273,11 +238,7 @@ pub trait FeatureExtractor {
         config: &SlidingWindowConfig,
         pool: &FeatureScratchPool,
         matrix: &mut FeatureMatrix,
-    ) -> Result<(), FeatureError> {
-        let _ = pool;
-        *matrix = self.extract_batch(f7t3, f8t4, config)?;
-        Ok(())
-    }
+    ) -> Result<(), FeatureError>;
 }
 
 /// Misuse-only error constructor for a selected window the record lacks.
@@ -521,30 +482,6 @@ impl FeatureExtractor for PaperFeatureSet {
             sample_entropy(d6, 2, 0.2)?,
             sample_entropy(d6, 2, 0.35)?,
         ])
-    }
-
-    fn extract_matrix(
-        &self,
-        f7t3: &[f64],
-        f8t4: &[f64],
-        config: &SlidingWindowConfig,
-    ) -> Result<FeatureMatrix, FeatureError> {
-        // The legacy row-by-row path delegates to the flat batch engine so
-        // every caller gets the allocation-free parallel extraction; the
-        // sequential trait default remains available as the test reference.
-        self.extract_batch(f7t3, f8t4, config)
-    }
-
-    fn extract_batch(
-        &self,
-        f7t3: &[f64],
-        f8t4: &[f64],
-        config: &SlidingWindowConfig,
-    ) -> Result<FeatureMatrix, FeatureError> {
-        let pool = FeatureScratchPool::new();
-        let mut matrix = FeatureMatrix::default();
-        self.extract_batch_into(f7t3, f8t4, config, &pool, &mut matrix)?;
-        Ok(matrix)
     }
 
     fn extract_batch_into(
@@ -844,29 +781,6 @@ impl FeatureExtractor for RichFeatureSet {
         Ok(out)
     }
 
-    fn extract_matrix(
-        &self,
-        f7t3: &[f64],
-        f8t4: &[f64],
-        config: &SlidingWindowConfig,
-    ) -> Result<FeatureMatrix, FeatureError> {
-        // Delegate the legacy row-by-row entry point to the flat batch
-        // engine; the sequential trait default remains the test reference.
-        self.extract_batch(f7t3, f8t4, config)
-    }
-
-    fn extract_batch(
-        &self,
-        f7t3: &[f64],
-        f8t4: &[f64],
-        config: &SlidingWindowConfig,
-    ) -> Result<FeatureMatrix, FeatureError> {
-        let pool = FeatureScratchPool::new();
-        let mut matrix = FeatureMatrix::default();
-        self.extract_batch_into(f7t3, f8t4, config, &pool, &mut matrix)?;
-        Ok(matrix)
-    }
-
     fn extract_batch_into(
         &self,
         f7t3: &[f64],
@@ -1007,42 +921,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_matrix_dimensions() {
-        let fs = 256.0;
-        let (a, b) = two_channels(fs, 20.0);
-        let cfg = SlidingWindowConfig::paper_default(fs).unwrap();
-        let ex = PaperFeatureSet::new(fs).unwrap();
-        let m = ex.extract_matrix(&a, &b, &cfg).unwrap();
-        assert_eq!(m.num_features(), 10);
-        assert_eq!(m.num_windows(), cfg.num_windows(a.len()));
-    }
-
-    #[test]
-    fn extract_matrix_rejects_mismatched_channels() {
-        let fs = 256.0;
-        let (a, mut b) = two_channels(fs, 10.0);
-        b.pop();
-        let cfg = SlidingWindowConfig::paper_default(fs).unwrap();
-        let ex = PaperFeatureSet::new(fs).unwrap();
-        assert!(matches!(
-            ex.extract_matrix(&a, &b, &cfg),
-            Err(FeatureError::ChannelLengthMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn extract_matrix_rejects_short_signal() {
-        let fs = 256.0;
-        let a = tone(5.0, fs, 512, 1.0);
-        let cfg = SlidingWindowConfig::paper_default(fs).unwrap();
-        let ex = PaperFeatureSet::new(fs).unwrap();
-        assert!(matches!(
-            ex.extract_matrix(&a, &a, &cfg),
-            Err(FeatureError::SignalTooShort { .. })
-        ));
-    }
-
-    #[test]
     fn rich_feature_set_has_54_features() {
         let ex = RichFeatureSet::new(256.0).unwrap();
         assert_eq!(ex.num_features(), 54);
@@ -1131,38 +1009,25 @@ mod tests {
     }
 
     #[test]
-    fn extract_matrix_delegates_to_batch_engine() {
-        // The legacy `extract_matrix` entry point now routes through the
-        // flat batch engine: same names, same rows, bit-identical data.
-        let fs = 256.0;
-        let (a, b) = two_channels(fs, 12.0);
-        let cfg = SlidingWindowConfig::paper_default(fs).unwrap();
-        let rich = RichFeatureSet::new(fs).unwrap();
-        let via_matrix = rich.extract_matrix(&a, &b, &cfg).unwrap();
-        let via_batch = rich.extract_batch(&a, &b, &cfg).unwrap();
-        assert_eq!(via_matrix, via_batch);
-        let paper = PaperFeatureSet::new(fs).unwrap();
-        let via_matrix = paper.extract_matrix(&a, &b, &cfg).unwrap();
-        let via_batch = paper.extract_batch(&a, &b, &cfg).unwrap();
-        assert_eq!(via_matrix, via_batch);
-    }
-
-    #[test]
     fn batch_extraction_validates_like_sequential() {
         let fs = 256.0;
         let (a, mut b) = two_channels(fs, 8.0);
-        let cfg = SlidingWindowConfig::paper_default(fs).unwrap();
-        let ex = RichFeatureSet::new(fs).unwrap();
         b.pop();
-        assert!(matches!(
-            ex.extract_batch(&a, &b, &cfg),
-            Err(FeatureError::ChannelLengthMismatch { .. })
-        ));
         let short = tone(5.0, fs, 512, 1.0);
-        assert!(matches!(
-            ex.extract_batch(&short, &short, &cfg),
-            Err(FeatureError::SignalTooShort { .. })
-        ));
+        let cfg = SlidingWindowConfig::paper_default(fs).unwrap();
+        let rich = RichFeatureSet::new(fs).unwrap();
+        let paper = PaperFeatureSet::new(fs).unwrap();
+        let extractors: [&dyn FeatureExtractor; 2] = [&rich, &paper];
+        for ex in extractors {
+            assert!(matches!(
+                ex.extract_batch(&a, &b, &cfg),
+                Err(FeatureError::ChannelLengthMismatch { .. })
+            ));
+            assert!(matches!(
+                ex.extract_batch(&short, &short, &cfg),
+                Err(FeatureError::SignalTooShort { .. })
+            ));
+        }
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //!
 //! let config = SlidingWindowConfig::paper_default(fs)?;
 //! let extractor = PaperFeatureSet::new(fs)?;
-//! let matrix = extractor.extract_matrix(&f7t3, &f8t4, &config)?;
+//! let matrix = extractor.extract_batch(&f7t3, &f8t4, &config)?;
 //! assert_eq!(matrix.num_features(), 10);
 //! assert!(matrix.num_windows() > 0);
 //! # Ok(())
@@ -72,4 +72,4 @@ pub use extractor::{FeatureExtractor, PaperFeatureSet, RichFeatureSet, SlidingWi
 pub use matrix::FeatureMatrix;
 pub use quality::{QualityExtractor, QualityScratch};
 pub use scratch::{FeatureScratch, FeatureScratchPool};
-pub use streaming::{SpectralMode, StreamingRichExtractor};
+pub use streaming::StreamingRichExtractor;

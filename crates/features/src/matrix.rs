@@ -94,13 +94,6 @@ impl FeatureMatrix {
         self.data
     }
 
-    /// Mutable access to the flat row-major buffer, for in-place batch
-    /// transforms (e.g. standardization) that keep the matrix alive for
-    /// reuse.
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Clears the matrix and prepares `rows` zeroed windows in place,
     /// reusing the existing allocation; returns the mutable flat buffer.
     /// This is the multi-record reuse entry of the batch extraction path.

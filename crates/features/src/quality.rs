@@ -245,7 +245,7 @@ impl QualityExtractor {
     ///
     /// # Errors
     ///
-    /// Same contract as [`crate::extractor::FeatureExtractor::extract_matrix`].
+    /// Same contract as [`crate::extractor::FeatureExtractor::extract_batch`].
     pub fn extract_batch_into(
         &self,
         f7t3: &[f64],

@@ -15,14 +15,12 @@
 //! * [`incremental`] — the stateful retraining engine for growing training
 //!   sets: appends merge into the presorted columns and only the trees whose
 //!   bootstrap pools were touched are refitted,
-//! * [`linear`] — a logistic-regression baseline,
 //! * [`kmeans`] / [`kmedoids`] — unsupervised clustering baselines,
 //! * [`persist`] — versioned binary snapshots of forests, training sets and
 //!   incremental trainers, so a wearable resumes its personalized pool
 //!   across power cycles,
 //! * [`metrics`] — confusion matrices, sensitivity, specificity and the
 //!   geometric mean used by the paper's Fig. 4,
-//! * [`split`] — train/test and leave-one-group-out splitting utilities,
 //! * [`dataset`] — the labeled design-matrix container shared by all of them.
 //!
 //! # Example
@@ -60,10 +58,8 @@ pub mod forest;
 pub mod incremental;
 pub mod kmeans;
 pub mod kmedoids;
-pub mod linear;
 pub mod metrics;
 pub mod persist;
-pub mod split;
 pub mod training;
 pub mod tree;
 

@@ -546,7 +546,7 @@ pub fn replay(base_snapshot: &[u8], journal: &[u8]) -> Result<Replayed, PersistE
 /// Validates an entry's bindings — the base fingerprint it extends and the
 /// pool length it applies at. [`replay_entries`] checks every entry with
 /// it.
-pub fn validate_entry(
+fn validate_entry(
     entry: &JournalEntry,
     fingerprint: u64,
     pool_len: usize,
@@ -573,10 +573,11 @@ pub fn validate_entry(
 }
 
 /// Re-applies journal `entries` onto `trainer` with a single refit: in
-/// journal order each entry's bindings are checked ([`validate_entry`]) and
-/// its batch appended with `retrain`'s own checks, then the trees whose
-/// pools grew are refit once (`None` for an empty journal). Trainer state is
-/// a pure function of (final pool, config, seed), so the result — including
+/// journal order each entry's bindings (the base fingerprint it extends and
+/// the pool length it applies at) are checked and its batch appended with
+/// `retrain`'s own checks, then the trees whose pools grew are refit once
+/// (`None` for an empty journal). Trainer state is a pure function of
+/// (final pool, config, seed), so the result — including
 /// [`IncrementalTrainer::last_refit_count`] — equals one `retrain` per entry,
 /// which in the cold-start regime refit every full-pool fallback tree per
 /// entry. `visit` runs before each entry's checks, so a caller layering
@@ -585,10 +586,10 @@ pub fn validate_entry(
 ///
 /// # Errors
 ///
-/// The first failure in journal order: from `visit`, from
-/// [`validate_entry`], or [`PersistError::Corrupted`] (`journal entry {i}
-/// does not re-apply`) where `retrain` would reject entry `i`. On `Err`,
-/// drop the trainer: it may hold part of the journal.
+/// The first failure in journal order: from `visit`, from the binding
+/// checks, or [`PersistError::Corrupted`] (`journal entry {i} does not
+/// re-apply`) where `retrain` would reject entry `i`. On `Err`, drop the
+/// trainer: it may hold part of the journal.
 pub fn replay_entries<E: From<PersistError>>(
     trainer: &mut IncrementalTrainer,
     entries: &[JournalEntry],

@@ -9,7 +9,6 @@ use seizure_ml::kmeans::{KMeans, KMeansConfig};
 use seizure_ml::metrics::{geometric_mean, ConfusionMatrix};
 use seizure_ml::persist::journal::{replay, JournalWriter};
 use seizure_ml::persist::{trainer_from_bytes, trainer_to_bytes};
-use seizure_ml::split::{leave_one_group_out, stratified_split, train_test_split};
 use seizure_ml::training::{train_forest, train_forest_with_width, IdWidth, TrainingSet};
 use seizure_ml::tree::{DecisionTree, DecisionTreeConfig};
 
@@ -357,50 +356,6 @@ proptest! {
         let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = values.iter().cloned().fold(0.0, f64::max);
         prop_assert!(g >= min - 1e-9 && g <= max + 1e-9);
-    }
-
-    #[test]
-    fn train_test_split_partitions_the_data(n in 10usize..200, fraction in 0.2f64..0.8, seed in 0u64..100) {
-        let data = Dataset::new(
-            (0..n).map(|i| vec![i as f64]).collect(),
-            (0..n).map(|i| i % 2 == 0).collect(),
-        ).unwrap();
-        let (train, test) = train_test_split(&data, fraction, seed).unwrap();
-        prop_assert_eq!(train.len() + test.len(), n);
-        // Every original sample appears exactly once across the two splits.
-        let mut seen: Vec<f64> = train.features().iter().chain(test.features()).map(|r| r[0]).collect();
-        seen.sort_by(f64::total_cmp);
-        for (i, v) in seen.iter().enumerate() {
-            prop_assert_eq!(*v, i as f64);
-        }
-    }
-
-    #[test]
-    fn stratified_split_keeps_both_classes(n in 20usize..200, seed in 0u64..100) {
-        let data = Dataset::new(
-            (0..n).map(|i| vec![i as f64]).collect(),
-            (0..n).map(|i| i % 4 == 0).collect(),
-        ).unwrap();
-        let (train, test) = stratified_split(&data, 0.5, seed).unwrap();
-        prop_assert!(train.num_positive() > 0 && train.num_negative() > 0);
-        prop_assert!(test.num_positive() > 0 && test.num_negative() > 0);
-    }
-
-    #[test]
-    fn leave_one_group_out_covers_every_sample_once(n_groups in 2usize..8, per_group in 1usize..6) {
-        let n = n_groups * per_group;
-        let data = Dataset::new(
-            (0..n).map(|i| vec![i as f64]).collect(),
-            (0..n).map(|i| i % 2 == 0).collect(),
-        ).unwrap();
-        let groups: Vec<usize> = (0..n).map(|i| i / per_group).collect();
-        let folds = leave_one_group_out(&data, &groups).unwrap();
-        prop_assert_eq!(folds.len(), n_groups);
-        let total_test: usize = folds.iter().map(|f| f.test.len()).sum();
-        prop_assert_eq!(total_test, n);
-        for fold in &folds {
-            prop_assert_eq!(fold.train.len() + fold.test.len(), n);
-        }
     }
 
     /// The owned-block scratch load (k-way merge of the owned blocks'

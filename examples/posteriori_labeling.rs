@@ -15,6 +15,7 @@
 
 use selflearn_seizure::core::labeler::{LabelerConfig, PosterioriLabeler};
 use selflearn_seizure::core::metric::{deviation_seconds, DeviationSummary};
+use selflearn_seizure::core::workspace::FeatureWorkspace;
 use selflearn_seizure::data::cohort::Cohort;
 use selflearn_seizure::data::sampler::SampleConfig;
 
@@ -22,6 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cohort = Cohort::chb_mit_like(42);
     let config = SampleConfig::new(600.0, 900.0, 128.0)?;
     let labeler = PosterioriLabeler::new(LabelerConfig::default());
+    // One extraction workspace serves every record.
+    let mut workspace = FeatureWorkspace::new();
     let samples_per_seizure = 2u64;
 
     println!("per-patient labeling quality (reduced-scale run)");
@@ -33,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for seizure in 0..cohort.seizures_of(patient)?.len() {
             for sample in 0..samples_per_seizure {
                 let record = cohort.sample_record(patient, seizure, &config, sample)?;
-                let label = labeler.label_record(&record, w)?;
+                let (label, _) = labeler.label(record.signal(), w, &mut workspace)?;
                 summary.record(
                     (record.annotation().onset(), record.annotation().offset()),
                     label.as_interval(),
@@ -55,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let patient = 7;
     let record = cohort.sample_record(patient, 0, &config, 0)?;
     let w = cohort.average_seizure_duration(patient)?;
-    let (label, detection) = labeler.label_signal_with_detection(record.signal(), w)?;
+    let (label, detection) = labeler.label(record.signal(), w, &mut workspace)?;
     let delta = deviation_seconds(
         (record.annotation().onset(), record.annotation().offset()),
         label.as_interval(),

@@ -9,6 +9,7 @@
 
 use selflearn_seizure::core::labeler::{LabelerConfig, PosterioriLabeler};
 use selflearn_seizure::core::metric::{deviation_seconds, normalized_deviation};
+use selflearn_seizure::core::workspace::FeatureWorkspace;
 use selflearn_seizure::data::cohort::Cohort;
 use selflearn_seizure::data::sampler::SampleConfig;
 
@@ -43,7 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Run the a-posteriori minimally-supervised labeling (Algorithm 1).
     let labeler = PosterioriLabeler::new(LabelerConfig::default());
-    let label = labeler.label_record(&record, average_seizure_secs)?;
+    let (label, _) = labeler.label(
+        record.signal(),
+        average_seizure_secs,
+        &mut FeatureWorkspace::new(),
+    )?;
     println!(
         "algorithm label: [{:.1}, {:.1}] s",
         label.onset_secs(),

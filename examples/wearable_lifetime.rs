@@ -390,11 +390,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut workspace = FeatureWorkspace::new();
     let (predictions, _) = survivor
         .detector()
-        .detect_with_quality(held_out.signal(), &mut workspace)?;
+        .detect_into(held_out.signal(), &mut workspace)?;
     let clean_alarms = predictions.iter().filter(|&&p| p).count();
     let (predictions, verdicts) = survivor
         .detector()
-        .detect_with_quality(hostile.signal(), &mut workspace)?;
+        .detect_into(hostile.signal(), &mut workspace)?;
     let hostile_alarms = predictions.iter().filter(|&&p| p).count();
     let rejected = verdicts
         .iter()

@@ -25,6 +25,7 @@
 //! ```
 //! use selflearn_seizure::core::labeler::{LabelerConfig, PosterioriLabeler};
 //! use selflearn_seizure::core::metric::deviation_seconds;
+//! use selflearn_seizure::core::workspace::FeatureWorkspace;
 //! use selflearn_seizure::data::cohort::Cohort;
 //! use selflearn_seizure::data::sampler::SampleConfig;
 //!
@@ -36,7 +37,8 @@
 //! let record = cohort.sample_record(0, 0, &config, 0)?;
 //!
 //! let labeler = PosterioriLabeler::new(LabelerConfig::default());
-//! let label = labeler.label_record(&record, cohort.average_seizure_duration(0)?)?;
+//! let w = cohort.average_seizure_duration(0)?;
+//! let (label, _) = labeler.label(record.signal(), w, &mut FeatureWorkspace::new())?;
 //! let delta = deviation_seconds(
 //!     (record.annotation().onset(), record.annotation().offset()),
 //!     label.as_interval(),

@@ -341,13 +341,13 @@ fn dual_slot_store_formula_matches_the_real_layout() {
 }
 
 /// The edge memory model's streaming-state formula must agree byte for byte
-/// with the streaming extractor's own accounting, for both spectral modes
-/// and across window geometries — so the RAM a wearable reserves for the
-/// hop-structured extraction covers exactly the state the extractor carries.
+/// with the streaming extractor's own accounting across window geometries,
+/// so the RAM a wearable reserves for the hop-structured extraction covers
+/// exactly the state the extractor carries.
 #[test]
 fn streaming_state_formula_matches_the_real_extractor() {
     use selflearn_seizure::features::extractor::SlidingWindowConfig;
-    use selflearn_seizure::features::streaming::{SpectralMode, StreamingRichExtractor};
+    use selflearn_seizure::features::streaming::StreamingRichExtractor;
 
     let memory = MemoryModel::new(PlatformSpec::stm32l151_default());
     for (fs, window_secs, overlap) in [
@@ -359,17 +359,10 @@ fn streaming_state_formula_matches_the_real_extractor() {
         let config = SlidingWindowConfig::new(fs, window_secs, overlap).unwrap();
         let window = config.window_samples();
         let step = config.step_samples();
-        let exact = StreamingRichExtractor::new(&config).unwrap();
         assert_eq!(
-            memory.streaming_state_bytes(window, step, false),
-            exact.state_bytes(),
-            "exact mode, fs {fs}, {window_secs} s window, {overlap} overlap"
-        );
-        let welch = StreamingRichExtractor::with_mode(&config, SpectralMode::HopWelch).unwrap();
-        assert_eq!(
-            memory.streaming_state_bytes(window, step, true),
-            welch.state_bytes(),
-            "hop-welch mode, fs {fs}, {window_secs} s window, {overlap} overlap"
+            memory.streaming_state_bytes(window, step),
+            StreamingRichExtractor::new(&config).unwrap().state_bytes(),
+            "fs {fs}, {window_secs} s window, {overlap} overlap"
         );
     }
 

@@ -3,6 +3,7 @@
 
 use selflearn_seizure::core::labeler::{LabelerConfig, PosterioriLabeler};
 use selflearn_seizure::core::metric::{deviation_seconds, normalized_deviation, DeviationSummary};
+use selflearn_seizure::core::workspace::FeatureWorkspace;
 use selflearn_seizure::data::cohort::Cohort;
 use selflearn_seizure::data::sampler::SampleConfig;
 
@@ -15,13 +16,14 @@ fn test_config() -> SampleConfig {
 fn clean_patients_are_labeled_close_to_the_ground_truth() {
     let cohort = Cohort::chb_mit_like(1);
     let labeler = PosterioriLabeler::new(LabelerConfig::default());
+    let mut ws = FeatureWorkspace::new();
     let config = test_config();
 
     // Patients 8 and 9 are the cleanest profiles of the cohort.
     for patient in [7usize, 8] {
         let w = cohort.average_seizure_duration(patient).unwrap();
         let record = cohort.sample_record(patient, 0, &config, 11).unwrap();
-        let label = labeler.label_record(&record, w).unwrap();
+        let label = labeler.label(record.signal(), w, &mut ws).unwrap().0;
         let delta = deviation_seconds(
             (record.annotation().onset(), record.annotation().offset()),
             label.as_interval(),
@@ -46,6 +48,7 @@ fn clean_patients_are_labeled_close_to_the_ground_truth() {
 fn labeling_quality_summary_over_several_records() {
     let cohort = Cohort::chb_mit_like(2);
     let labeler = PosterioriLabeler::new(LabelerConfig::default());
+    let mut ws = FeatureWorkspace::new();
     let config = test_config();
     let mut summary = DeviationSummary::new();
 
@@ -53,7 +56,7 @@ fn labeling_quality_summary_over_several_records() {
     for (patient, seizure) in [(4usize, 0usize), (7, 1), (8, 0), (8, 2), (0, 0)] {
         let w = cohort.average_seizure_duration(patient).unwrap();
         let record = cohort.sample_record(patient, seizure, &config, 5).unwrap();
-        let label = labeler.label_record(&record, w).unwrap();
+        let label = labeler.label(record.signal(), w, &mut ws).unwrap().0;
         summary
             .record(
                 (record.annotation().onset(), record.annotation().offset()),
@@ -73,11 +76,12 @@ fn labeling_quality_summary_over_several_records() {
 fn labels_have_the_requested_average_duration() {
     let cohort = Cohort::chb_mit_like(3);
     let labeler = PosterioriLabeler::new(LabelerConfig::default());
+    let mut ws = FeatureWorkspace::new();
     let config = test_config();
     let patient = 5;
     let w = cohort.average_seizure_duration(patient).unwrap();
     let record = cohort.sample_record(patient, 1, &config, 9).unwrap();
-    let label = labeler.label_record(&record, w).unwrap();
+    let label = labeler.label(record.signal(), w, &mut ws).unwrap().0;
     // The label length is W rounded to the feature-matrix step (1 s), clamped
     // to the record end.
     assert!((label.duration_secs() - w).abs() <= 1.5);
@@ -87,9 +91,10 @@ fn labels_have_the_requested_average_duration() {
 fn the_hard_patient_is_harder_than_the_clean_one() {
     let cohort = Cohort::chb_mit_like(4);
     let labeler = PosterioriLabeler::new(LabelerConfig::default());
+    let mut ws = FeatureWorkspace::new();
     let config = test_config();
 
-    let mean_delta = |patient: usize, samples: u64| {
+    let mut mean_delta = |patient: usize, samples: u64| {
         let w = cohort.average_seizure_duration(patient).unwrap();
         let mut summary = DeviationSummary::new();
         for seizure in 0..cohort.seizures_of(patient).unwrap().len() {
@@ -97,7 +102,7 @@ fn the_hard_patient_is_harder_than_the_clean_one() {
                 let record = cohort
                     .sample_record(patient, seizure, &config, sample)
                     .unwrap();
-                let label = labeler.label_record(&record, w).unwrap();
+                let label = labeler.label(record.signal(), w, &mut ws).unwrap().0;
                 summary
                     .record(
                         (record.annotation().onset(), record.annotation().offset()),

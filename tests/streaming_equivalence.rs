@@ -1,15 +1,16 @@
 //! Streaming-vs-batch equivalence of the hop-structured feature extraction.
 //!
 //! The batch extractor is the bit-exact reference; the streaming extractor
-//! must reproduce it per the documented error model: band powers (in exact
-//! spectral mode), zero crossings, peak-to-peak, permutation entropies and
-//! wavelet Shannon entropies bitwise, everything else within
-//! `1e-7 · (1 + |batch|)` of floating-point re-association slack — across
-//! random cohorts, hostile degradations and window geometries, down to the
-//! sample-at-a-time `push()` front end.
+//! must reproduce it per the documented error model: band powers, zero
+//! crossings, peak-to-peak, permutation entropies and wavelet Shannon
+//! entropies bitwise, everything else within `1e-7 · (1 + |batch|)` of
+//! floating-point re-association slack — across random cohorts, hostile
+//! degradations and window geometries, down to the sample-at-a-time
+//! `push()` front end.
 
 use proptest::prelude::*;
-use selflearn_seizure::core::realtime::{RealTimeDetector, RealTimeDetectorConfig};
+use selflearn_seizure::core::realtime::{QualityVerdict, RealTimeDetector, RealTimeDetectorConfig};
+use selflearn_seizure::core::workspace::FeatureWorkspace;
 use selflearn_seizure::core::SeizureLabel;
 use selflearn_seizure::data::cohort::Cohort;
 use selflearn_seizure::data::sampler::SampleConfig;
@@ -24,10 +25,10 @@ use selflearn_seizure::features::FeatureMatrix;
 /// moments); observed slack is ~1e-12, the bound leaves two orders of room.
 const BOUNDED_TOL: f64 = 1e-7;
 
-/// Per-channel feature columns that must match bit for bit in exact
-/// spectral mode: the 11 band-power slots, zero crossings (20),
-/// peak-to-peak (21), both permutation entropies (22–23) and the three
-/// wavelet Shannon entropies (24–26).
+/// Per-channel feature columns that must match bit for bit: the 11
+/// band-power slots, zero crossings (20), peak-to-peak (21), both
+/// permutation entropies (22–23) and the three wavelet Shannon entropies
+/// (24–26).
 fn is_exact_column(channel_col: usize) -> bool {
     channel_col < 11 || (20..=26).contains(&channel_col)
 }
@@ -188,8 +189,9 @@ fn streaming_survives_hostile_scenarios_within_the_error_model() {
 }
 
 /// The full sample-at-a-time path: a trained detector streamed one sample
-/// pair per tick agrees with its own batch `detect` on clean and degraded
-/// records (the gate is uncalibrated, so no record-level gain correction
+/// pair per tick agrees with its own batch `detect_into`, alarms and quality
+/// verdicts alike, on a clean record and on every hostile scenario at two
+/// severities (the gate is uncalibrated, so no record-level gain correction
 /// separates the two paths).
 #[test]
 fn sample_at_a_time_push_matches_batch_detect() {
@@ -205,17 +207,33 @@ fn sample_at_a_time_push_matches_batch_detect() {
     detector.train(&training).unwrap();
 
     let probe = cohort.sample_record(8, 1, &sample, 6).unwrap();
-    let degraded = degrade_signal(probe.signal(), HostileScenario::MainsHum, 0.8, 123).unwrap();
-    for signal in [probe.signal(), &degraded] {
-        let batch = detector.detect(signal).unwrap();
+    let mut signals = vec![("clean".to_string(), probe.signal().clone())];
+    for scenario in HostileScenario::all() {
+        for severity in [0.3, 0.8] {
+            let degraded = degrade_signal(probe.signal(), scenario, severity, 123).unwrap();
+            signals.push((format!("{} at {severity}", scenario.name()), degraded));
+        }
+    }
+    let mut ws = FeatureWorkspace::new();
+    let mut rejected = 0;
+    for (context, signal) in &signals {
+        let (batch_alarms, batch_verdicts) = detector.detect_into(signal, &mut ws).unwrap();
         let mut streaming = detector.streaming(signal.sampling_frequency()).unwrap();
-        let mut alarms = Vec::new();
+        let (mut alarms, mut verdicts) = (Vec::new(), Vec::new());
         for (&a, &b) in signal.f7t3().iter().zip(signal.f8t4().iter()) {
             if let Some(detection) = streaming.push(a, b).unwrap() {
-                assert_eq!(detection.window_index, alarms.len());
+                assert_eq!(detection.window_index, alarms.len(), "{context}");
                 alarms.push(detection.alarm);
+                verdicts.push(detection.verdict);
             }
         }
-        assert_eq!(alarms, batch);
+        assert_eq!(alarms, batch_alarms, "{context}: alarms");
+        assert_eq!(verdicts, batch_verdicts, "{context}: verdicts");
+        rejected += verdicts
+            .iter()
+            .filter(|&&v| v == QualityVerdict::Reject)
+            .count();
     }
+    // The sweep reaches the gate's `Reject` path, not only clean windows.
+    assert!(rejected > 0);
 }
