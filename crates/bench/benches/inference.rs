@@ -23,8 +23,7 @@
 //! that still asserts streaming-vs-batch probability equivalence and a
 //! conservative streaming speedup floor, without rewriting the JSON.
 
-use std::time::Instant;
-
+use seizure_bench::best_of;
 use seizure_bench::synth::synth_channels;
 use seizure_features::extractor::{FeatureExtractor, RichFeatureSet, SlidingWindowConfig};
 use seizure_features::streaming::StreamingRichExtractor;
@@ -32,18 +31,6 @@ use seizure_features::FeatureMatrix;
 use seizure_ml::dataset::Dataset;
 use seizure_ml::flat::FlatForest;
 use seizure_ml::forest::{RandomForest, RandomForestConfig};
-
-/// Best-of-`reps` wall time of `f`, after one warmup run.
-fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut result = f(); // warmup
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        result = f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (best, result)
-}
 
 fn main() {
     let quick = std::env::args().any(|arg| arg == "--quick");

@@ -7,7 +7,7 @@
 //!
 //! * **full**: what the loop paid before — `persist::trainer_to_bytes`
 //!   re-serializes the whole O(pool) trainer after every retrain;
-//! * **delta**: `persist::journal::JournalWriter::append_retrain` — one
+//! * **delta**: `persist::journal::JournalWriter::append` — one
 //!   checksummed O(batch) entry appended after the base snapshot.
 //!
 //! Before any timing, `journal::replay(base, journal)` is asserted to
@@ -84,10 +84,11 @@ fn main() {
         )
         .expect("append retrain");
     writer
-        .append_retrain(
+        .append(
             &rows[base_n * num_features..],
             num_features,
             &labels[base_n..],
+            &[],
         )
         .expect("journal append");
     let journal = writer.take_unflushed();
@@ -123,10 +124,11 @@ fn main() {
     for _ in 0..=reps {
         let mut w = JournalWriter::new(&base, base_n).expect("writer");
         let start = Instant::now();
-        w.append_retrain(
+        w.append(
             &rows[base_n * num_features..],
             num_features,
             &labels[base_n..],
+            &[],
         )
         .expect("journal append");
         delta_time = delta_time.min(start.elapsed().as_secs_f64());
@@ -177,10 +179,11 @@ fn main() {
     for lo in (cold_base_n..cold_n).step_by(entry_n) {
         let hi = lo + entry_n;
         cold_writer
-            .append_retrain(
+            .append(
                 &rows[lo * num_features..hi * num_features],
                 num_features,
                 &labels[lo..hi],
+                &[],
             )
             .expect("journal append");
     }

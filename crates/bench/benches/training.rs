@@ -18,26 +18,13 @@
 //!
 //! Run with: `cargo bench -p seizure-bench --bench training [-- --quick]`
 
-use std::time::Instant;
-
+use seizure_bench::best_of;
 use seizure_bench::synth::synth_channels;
 use seizure_features::extractor::{FeatureExtractor, RichFeatureSet, SlidingWindowConfig};
 use seizure_ml::dataset::Dataset;
 use seizure_ml::flat::FlatForest;
 use seizure_ml::forest::{RandomForest, RandomForestConfig};
 use seizure_ml::training::{train_forest, TrainingSet};
-
-/// Best-of-`reps` wall time of `f`, after one warmup run.
-fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut result = f(); // warmup
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        result = f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (best, result)
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

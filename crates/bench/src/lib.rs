@@ -22,3 +22,19 @@ pub mod training;
 pub mod unsupervised;
 
 pub use scale::ExperimentScale;
+
+use std::time::Instant;
+
+/// Best-of-`reps` wall time of `f` in seconds, after one warmup run,
+/// together with the last run's result. The bench targets time their
+/// compared paths with it.
+pub fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut result = f(); // warmup
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let start = Instant::now();
+        result = f();
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    (best, result)
+}

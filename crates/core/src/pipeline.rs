@@ -112,7 +112,8 @@ pub struct SelfLearningPipeline {
     produced_labels: Vec<SeizureLabel>,
     /// Extraction state reused across every record the pipeline touches.
     workspace: FeatureWorkspace,
-    /// Delta-journal state armed by [`SelfLearningPipeline::save_delta`] /
+    /// Delta-journal state armed by
+    /// [`SelfLearningPipeline::save_delta_with`] /
     /// [`SelfLearningPipeline::resume_with_journal`]; `None` while the
     /// pipeline persists through full snapshots only. The pipeline is the
     /// device's one durable unit: each entry carries the staged batch plus
@@ -403,19 +404,16 @@ impl SelfLearningPipeline {
         self.produced_labels.push(*label);
         // With delta persistence armed, journal the staged batch together
         // with the produced label and the gate's post-record amplitude
-        // reference, so the next `save_delta` appends O(batch) bytes and a
+        // reference, so the next delta save appends O(batch) bytes and a
         // resume restores the counter, the label history and the gate
         // calibration.
         if let Some(delta) = &mut self.delta {
             let gate = self.detector.quality_gate();
             let annotation =
                 encode_annotation(label, gate.reference_log_std(), gate.calibration_weight());
-            delta.writer.append_with(
-                matrix.data(),
-                num_features,
-                &self.batch_labels,
-                &annotation,
-            )?;
+            delta
+                .writer
+                .append(matrix.data(), num_features, &self.batch_labels, &annotation)?;
         }
         Ok(())
     }
@@ -561,16 +559,12 @@ impl SelfLearningPipeline {
     /// O(pool) snapshot every time. The first call returns
     /// [`DeltaSave::Full`] (write as the base snapshot, erase the journal
     /// region); afterwards each learned seizure costs one O(batch)
-    /// [`DeltaSave::Append`], until the [`CompactionPolicy`] folds the
-    /// journal into a fresh full base; with nothing new to persist it
-    /// returns [`DeltaSave::Clean`]. Restore with
+    /// [`DeltaSave::Append`], until `policy` folds the journal into a fresh
+    /// full base; with nothing new to persist it returns
+    /// [`DeltaSave::Clean`]. Restore with
     /// [`SelfLearningPipeline::resume_with_journal`].
-    pub fn save_delta(&mut self) -> DeltaSave {
-        self.save_delta_with(CompactionPolicy::default())
-    }
-
-    /// [`SelfLearningPipeline::save_delta`] under an explicit compaction
-    /// policy.
+    /// [`SelfLearningPipeline::save_to_store`] performs these writes on a
+    /// crash-proof [`FlashStore`].
     pub fn save_delta_with(&mut self, policy: CompactionPolicy) -> DeltaSave {
         if let Some(save) = self.delta.as_mut().and_then(|d| d.save(policy)) {
             return save;
@@ -667,7 +661,7 @@ impl SelfLearningPipeline {
 
     /// Restores a pipeline from a base snapshot plus its delta journal and
     /// arms delta persistence for the next
-    /// [`SelfLearningPipeline::save_delta`]. Each journal entry's balanced
+    /// [`SelfLearningPipeline::save_delta_with`]. Each journal entry's balanced
     /// batch is appended to the incremental trainer's pool (one refit covers
     /// the whole journal) **and** its annotation restores the produced label
     /// and the seizure counter; the last entry's restores the quality gate's
@@ -1139,7 +1133,7 @@ mod tests {
                     ..fast_detector_config()
                 },
             );
-            pipeline.save_delta();
+            pipeline.save_delta_with(CompactionPolicy::default());
             for seizure in 0..2 {
                 let record = cohort
                     .sample_record(patient, seizure, &config, 90 + seizure as u64)
@@ -1276,11 +1270,14 @@ mod tests {
         pipeline
             .observe_missed_seizure(&record, w, LabelSource::Algorithm)
             .unwrap();
-        let base = match pipeline.save_delta() {
+        let base = match pipeline.save_delta_with(CompactionPolicy::default()) {
             DeltaSave::Full(bytes) => bytes,
             other => panic!("first delta save must be full, got {other:?}"),
         };
-        assert_eq!(pipeline.save_delta(), DeltaSave::Clean);
+        assert_eq!(
+            pipeline.save_delta_with(CompactionPolicy::default()),
+            DeltaSave::Clean
+        );
         let mut pools = vec![pipeline.training_windows()];
 
         // Seizures 2-4: one O(batch) append each. With few seizures in the
@@ -1378,7 +1375,7 @@ mod tests {
         pipeline
             .observe_missed_seizure(&record, w, LabelSource::Algorithm)
             .unwrap();
-        let base = match pipeline.save_delta() {
+        let base = match pipeline.save_delta_with(CompactionPolicy::default()) {
             DeltaSave::Full(bytes) => bytes,
             other => panic!("{other:?}"),
         };
@@ -1602,7 +1599,7 @@ mod tests {
             ..CompactionPolicy::default()
         };
         let mut probe = pipeline.clone();
-        probe.save_delta();
+        probe.save_delta_with(CompactionPolicy::default());
         probe
             .observe_missed_seizure(&records[0], w, LabelSource::Algorithm)
             .unwrap();

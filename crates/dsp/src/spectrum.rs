@@ -435,55 +435,6 @@ pub fn relative_band_power(
     Ok(band / total)
 }
 
-/// Integrates a raw one-sided PSD bin slice (as produced by
-/// [`PsdPlan::power_into`]) over `[low_hz, high_hz]`, without materializing a
-/// [`PowerSpectrum`]. `window_len` is the analysis-window length the bins
-/// came from; bin `k` sits at `k * fs / window_len` Hz, exactly as in
-/// [`periodogram`].
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidParameter`] for a malformed band (as
-/// [`band_power`]) or a non-positive `fs`/`window_len`.
-pub fn band_power_bins(
-    power: &[f64],
-    fs: f64,
-    window_len: usize,
-    low_hz: f64,
-    high_hz: f64,
-) -> Result<f64, DspError> {
-    if low_hz.is_nan() || high_hz.is_nan() || low_hz < 0.0 || low_hz >= high_hz {
-        return Err(DspError::InvalidParameter {
-            name: "band",
-            reason: format!("invalid frequency band [{low_hz}, {high_hz}]"),
-        });
-    }
-    if fs <= 0.0 || fs.is_nan() || window_len == 0 {
-        return Err(DspError::InvalidParameter {
-            name: "fs",
-            reason: "band_power_bins requires a positive fs and window length".to_string(),
-        });
-    }
-    let resolution = fs / window_len as f64;
-    let mut acc = 0.0;
-    for (k, p) in power.iter().enumerate() {
-        let f = k as f64 * fs / window_len as f64;
-        if f >= low_hz && f <= high_hz {
-            acc += p * resolution;
-        }
-    }
-    Ok(acc)
-}
-
-/// Total power of a raw one-sided PSD bin slice: the bin sum times the
-/// frequency resolution, matching [`PowerSpectrum::total_power`].
-pub fn total_power_bins(power: &[f64], fs: f64, window_len: usize) -> f64 {
-    if window_len == 0 {
-        return 0.0;
-    }
-    power.iter().sum::<f64>() * (fs / window_len as f64)
-}
-
 /// Convenience helper returning the magnitude spectrum of a real signal; kept
 /// here so that callers that need a quick spectral sketch do not have to deal
 /// with [`Complex`] values.
@@ -700,22 +651,6 @@ mod tests {
         assert!(plan
             .power_into(&x, 64.0, &mut power, &mut bad_scratch)
             .is_err());
-    }
-
-    #[test]
-    fn band_power_bins_matches_band_power() {
-        let fs = 256.0;
-        let x = sine(6.0, fs, 1024, 1.0);
-        let psd = periodogram(&x, fs).unwrap();
-        let from_psd = band_power(&psd, 4.0, 8.0).unwrap();
-        let from_bins = band_power_bins(psd.power(), fs, x.len(), 4.0, 8.0).unwrap();
-        assert!((from_psd - from_bins).abs() < 1e-12);
-        let total_psd = psd.total_power();
-        let total_bins = total_power_bins(psd.power(), fs, x.len());
-        assert!((total_psd - total_bins).abs() < 1e-12);
-        assert!(band_power_bins(psd.power(), fs, x.len(), 8.0, 4.0).is_err());
-        assert!(band_power_bins(psd.power(), 0.0, x.len(), 4.0, 8.0).is_err());
-        assert_eq!(total_power_bins(&[], fs, 0), 0.0);
     }
 
     #[test]

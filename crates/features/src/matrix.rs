@@ -87,13 +87,6 @@ impl FeatureMatrix {
         &self.data
     }
 
-    /// Consumes the matrix and returns its flat row-major buffer, for
-    /// callers that want to transform the features in place (e.g. batch
-    /// standardization) without copying.
-    pub fn into_data(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Clears the matrix and prepares `rows` zeroed windows in place,
     /// reusing the existing allocation; returns the mutable flat buffer.
     /// This is the multi-record reuse entry of the batch extraction path.

@@ -34,6 +34,10 @@
 //! the line directly above it. An annotation without a reason, for an
 //! unknown rule, or covering no violation is itself a violation.
 //!
+//! `panic-free-decode` takes no annotation: the persist surface decodes
+//! through bounds-checked readers, so an `allow(panic-free-decode)` is
+//! itself a violation and the site it covers is still reported.
+//!
 //! Hot blocks are opted in with a `lint: hot-path` comment directly above
 //! the function (or impl block): the marker covers the next braced block.
 
@@ -476,6 +480,16 @@ fn parse_annotations(file: &str, masked: &Masked) -> (Vec<Allow>, Vec<usize>, Ve
                 ));
                 continue;
             };
+            if rule == Rule::PanicFreeDecode {
+                diags.push(annotation_diag(
+                    file,
+                    comment.line,
+                    "panic-free-decode cannot be waived: read through a bounds-checked \
+                     reader that returns a typed error"
+                        .to_string(),
+                ));
+                continue;
+            }
             let after = rest[close + 1..].trim_start();
             let reason = after
                 .strip_prefix('\u{2014}')

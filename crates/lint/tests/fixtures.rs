@@ -1,6 +1,7 @@
 //! Fixture tests: every rule must fire on its seeded violation file, stay
 //! silent on the corrected form, and honor the annotated escape hatch —
-//! including rejecting an annotation that carries no reason.
+//! including rejecting an annotation that carries no reason, and any
+//! annotation for `panic-free-decode`, which admits no waiver.
 
 use seizure_lint::{classify, crate_forbid_diagnostic, scan_file, Rule};
 
@@ -10,6 +11,7 @@ const NAN_ALLOWED: &str = include_str!("../fixtures/nan_ordering_allowed.rs");
 const NAN_NO_REASON: &str = include_str!("../fixtures/nan_ordering_no_reason.rs");
 const DECODE_BAD: &str = include_str!("../fixtures/decode_bad.rs");
 const DECODE_GOOD: &str = include_str!("../fixtures/decode_good.rs");
+const DECODE_WAIVED: &str = include_str!("../fixtures/decode_waived.rs");
 const HOT_PATH: &str = include_str!("../fixtures/hot_path.rs");
 const DETERMINISM_BAD: &str = include_str!("../fixtures/determinism_bad.rs");
 const UNSAFE_AUDIT: &str = include_str!("../fixtures/unsafe_audit.rs");
@@ -98,6 +100,24 @@ fn panic_free_decode_silent_on_checked_reads() {
         Rule::PanicFreeDecode,
     );
     assert!(lines.is_empty(), "{lines:?}");
+}
+
+#[test]
+fn panic_free_decode_admits_no_waiver() {
+    let label = "crates/ml/src/persist/fixture.rs";
+    // Both annotations are findings themselves (standalone and trailing)...
+    let report = scan_file(label, DECODE_WAIVED);
+    let annotations: Vec<usize> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "lint-annotation")
+        .map(|d| d.line)
+        .collect();
+    assert_eq!(annotations, vec![6, 12], "{:?}", report.diagnostics);
+    assert!(report.diagnostics[0].message.contains("cannot be waived"));
+    // ...and the literal index and the unwrap they cover still fire.
+    let lines = rule_lines(DECODE_WAIVED, label, Rule::PanicFreeDecode);
+    assert_eq!(lines, vec![7, 12]);
 }
 
 #[test]

@@ -63,8 +63,10 @@
 //! must not grow without bound. [`CompactionPolicy`] decides when the
 //! accumulated journal should be folded into a fresh full snapshot (one
 //! O(pool) write that empties the journal); `seizure-core`'s
-//! `SelfLearningPipeline::save_delta` applies it automatically and tells
-//! the caller which kind of Flash write to perform through [`DeltaSave`].
+//! `SelfLearningPipeline::save_delta_with` applies it and tells the caller
+//! which kind of Flash write to perform through [`DeltaSave`], and
+//! `SelfLearningPipeline::save_to_store` performs that write on a
+//! [`FlashStore`](super::store::FlashStore).
 //!
 //! # Example
 //!
@@ -89,7 +91,7 @@
 //! let base = trainer_to_bytes(&trainer);
 //! let mut writer = JournalWriter::new(&base, trainer.num_samples())?;
 //! trainer.retrain(&[40.0, 1.0], 1, &[true, false])?;
-//! writer.append_retrain(&[40.0, 1.0], 1, &[true, false])?;
+//! writer.append(&[40.0, 1.0], 1, &[true, false], &[])?;
 //! let mut journal_region: Vec<u8> = Vec::new();
 //! journal_region.extend_from_slice(&writer.take_unflushed());
 //!
@@ -100,10 +102,7 @@
 //! # }
 //! ```
 
-use super::{
-    trainer_from_bytes, PersistError, SnapshotKind, SnapshotReader, SnapshotWriter, ENVELOPE_LEN,
-    FORMAT_VERSION, MAGIC,
-};
+use super::{trainer_from_bytes, Envelope, PersistError, SnapshotKind, SnapshotWriter};
 use crate::error::MlError;
 use crate::flat::FlatForest;
 use crate::incremental::IncrementalTrainer;
@@ -157,13 +156,13 @@ pub struct JournalReplayReport {
 
 /// Emits journal entries for the `retrain` batches appended after a base
 /// snapshot was written. The writer tracks the pool length itself, so every
-/// batch handed to [`JournalWriter::append_retrain`] must also have been
+/// batch handed to [`JournalWriter::append`] must also have been
 /// handed to the trainer's `retrain` (in the same order) — `seizure-core`'s
 /// detector and pipeline couple the two calls.
 ///
 /// Only the **unflushed** entries are held in RAM: once
-/// [`JournalWriter::take_unflushed`] / [`JournalWriter::mark_flushed`] hand
-/// a batch to stable storage, the writer remembers just its byte length —
+/// [`JournalWriter::take_unflushed`] hands a batch to stable storage, the
+/// writer remembers just its byte length —
 /// on a RAM-constrained wearable the armed writer stays O(batch), not
 /// O(journal).
 #[derive(Debug, Clone, PartialEq)]
@@ -189,8 +188,8 @@ impl JournalWriter {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Truncated`] / [`PersistError::BadMagic`] when
-    /// `base_snapshot` is not an envelope to fingerprint.
+    /// Those of [`base_fingerprint`] when `base_snapshot` is not an envelope
+    /// to fingerprint.
     pub fn new(base_snapshot: &[u8], pool_len: usize) -> Result<Self, PersistError> {
         Ok(Self {
             base_fingerprint: base_fingerprint(base_snapshot)?,
@@ -225,7 +224,9 @@ impl JournalWriter {
         }
     }
 
-    /// Appends one entry recording a `retrain` batch (no annotation).
+    /// Appends one entry recording a `retrain` batch together with an
+    /// opaque per-batch `annotation` replayed back to the caller (see
+    /// [`JournalEntry::annotation`]; pass `&[]` when unused).
     ///
     /// # Errors
     ///
@@ -233,23 +234,7 @@ impl JournalWriter {
     /// `labels.len() * num_features` values, and [`MlError::InvalidDataset`]
     /// for an empty batch — the same shapes `retrain` itself rejects, so a
     /// batch the trainer accepted always journals cleanly.
-    pub fn append_retrain(
-        &mut self,
-        rows: &[f64],
-        num_features: usize,
-        labels: &[bool],
-    ) -> Result<(), MlError> {
-        self.append_with(rows, num_features, labels, &[])
-    }
-
-    /// [`JournalWriter::append_retrain`] with an opaque per-batch
-    /// `annotation` replayed back to the caller (see
-    /// [`JournalEntry::annotation`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`JournalWriter::append_retrain`].
-    pub fn append_with(
+    pub fn append(
         &mut self,
         rows: &[f64],
         num_features: usize,
@@ -261,13 +246,12 @@ impl JournalWriter {
                 detail: "a journal entry must record at least one sample".to_string(),
             });
         }
-        if rows.len() != labels.len() * num_features {
+        if labels.len().checked_mul(num_features) != Some(rows.len()) {
             return Err(MlError::DimensionMismatch {
                 detail: format!(
-                    "batch has {} values but {} labels x {num_features} features require {}",
+                    "batch of {} values does not cover {} labels x {num_features} features",
                     rows.len(),
-                    labels.len(),
-                    labels.len() * num_features
+                    labels.len()
                 ),
             });
         }
@@ -299,13 +283,6 @@ impl JournalWriter {
         std::mem::take(&mut self.unflushed)
     }
 
-    /// Marks everything written so far as flushed to stable storage,
-    /// dropping the buffered bytes (use [`JournalWriter::take_unflushed`]
-    /// to receive them instead).
-    pub fn mark_flushed(&mut self) {
-        self.take_unflushed();
-    }
-
     /// Number of entries written (including entries resumed from Flash).
     pub fn num_entries(&self) -> usize {
         self.entries
@@ -314,11 +291,6 @@ impl JournalWriter {
     /// Pool length after every journaled batch.
     pub fn pool_len(&self) -> usize {
         self.pool_len
-    }
-
-    /// Fingerprint of the base snapshot this journal extends.
-    pub fn base_fingerprint(&self) -> u64 {
-        self.base_fingerprint
     }
 
     /// Total journal length in bytes (flushed + unflushed).
@@ -353,7 +325,7 @@ impl DeltaState {
     /// has outgrown the policy — the caller must fold it into a fresh full
     /// base snapshot and re-arm.
     pub fn save(&mut self, policy: CompactionPolicy) -> Option<DeltaSave> {
-        if self.unflushed_is_empty() {
+        if self.writer.unflushed().is_empty() {
             return Some(DeltaSave::Clean);
         }
         if policy.should_compact(self.base_len, self.writer.len()) {
@@ -361,38 +333,21 @@ impl DeltaState {
         }
         Some(DeltaSave::Append(self.writer.take_unflushed()))
     }
-
-    fn unflushed_is_empty(&self) -> bool {
-        self.writer.unflushed().is_empty()
-    }
 }
 
-/// The fingerprint journal entries are bound to: the trailing FNV-1a
-/// checksum of the base snapshot. Only the envelope's presence is checked
-/// here (length and magic) — full validation happens when the base itself is
-/// decoded.
+/// The fingerprint journal entries are bound to: the FNV-1a checksum stored
+/// at the end of the base snapshot. Only the framing is checked here (magic
+/// and declared length); the checksum itself is verified when the base is
+/// decoded or mounted.
 ///
 /// # Errors
 ///
-/// [`PersistError::Truncated`] / [`PersistError::BadMagic`] when the bytes
-/// cannot be an envelope.
+/// [`PersistError::BadMagic`], [`PersistError::Truncated`],
+/// [`PersistError::UnsupportedVersion`] (a torn envelope of another format
+/// generation) or [`PersistError::Corrupted`] when the bytes are not exactly
+/// one envelope.
 pub fn base_fingerprint(base_snapshot: &[u8]) -> Result<u64, PersistError> {
-    if base_snapshot.len() < ENVELOPE_LEN {
-        return Err(PersistError::Truncated {
-            needed: ENVELOPE_LEN,
-            available: base_snapshot.len(),
-        });
-    }
-    // lint: allow(panic-free-decode) — len >= ENVELOPE_LEN checked on entry
-    if base_snapshot[..8] != MAGIC {
-        let mut found = [0u8; 8];
-        // lint: allow(panic-free-decode) — len >= ENVELOPE_LEN checked on entry
-        found.copy_from_slice(&base_snapshot[..8]);
-        return Err(PersistError::BadMagic { found });
-    }
-    let tail = &base_snapshot[base_snapshot.len() - 8..];
-    // lint: allow(panic-free-decode) — tail slice is exactly 8 bytes by construction
-    Ok(u64::from_le_bytes(tail.try_into().expect("8 bytes")))
+    Ok(Envelope::whole(base_snapshot)?.checksum)
 }
 
 /// Walks a journal front to back, validating and decoding every complete
@@ -409,57 +364,35 @@ pub fn base_fingerprint(base_snapshot: &[u8]) -> Result<u64, PersistError> {
 /// [`PersistError::Corrupted`] for structurally inconsistent payloads.
 pub fn scan_journal(journal: &[u8]) -> Result<JournalScan, PersistError> {
     let mut entries = Vec::new();
-    let mut pos = 0;
-    while pos < journal.len() {
-        let rest = &journal[pos..];
-        // A torn final entry is a strict prefix of a valid one: give the
-        // typed errors precedence over the tear verdict wherever enough
-        // bytes survive to tell the difference.
-        if rest.len() < 8 {
-            if rest == &MAGIC[..rest.len()] {
-                break; // torn inside the magic
-            }
-            let mut found = [0u8; 8];
-            found[..rest.len()].copy_from_slice(rest);
-            return Err(PersistError::BadMagic { found });
-        }
-        // lint: allow(panic-free-decode) — rest.len() >= 8 checked above
-        if rest[..8] != MAGIC {
-            let mut found = [0u8; 8];
-            // lint: allow(panic-free-decode) — rest.len() >= 8 checked above
-            found.copy_from_slice(&rest[..8]);
-            return Err(PersistError::BadMagic { found });
-        }
-        if rest.len() >= 10 {
-            // lint: allow(panic-free-decode) — guarded by rest.len() >= 10
-            let version = u16::from_le_bytes([rest[8], rest[9]]);
-            if version != FORMAT_VERSION {
-                return Err(PersistError::UnsupportedVersion { found: version });
-            }
-        }
-        if rest.len() < 20 {
-            break; // torn inside the header
-        }
-        // lint: allow(panic-free-decode) — guarded by rest.len() >= 20
-        let declared = u64::from_le_bytes(rest[12..20].try_into().expect("8 bytes"));
-        let entry_len = (declared as usize).saturating_add(ENVELOPE_LEN);
-        if rest.len() < entry_len {
-            break; // torn inside the payload or the checksum
-        }
-        entries.push(read_entry(&rest[..entry_len], entries.len())?);
-        pos += entry_len;
+    let mut valid_len = 0;
+    while let Some(rest) = journal.get(valid_len..).filter(|rest| !rest.is_empty()) {
+        // Only a strict prefix of a valid entry is a tear; the envelope
+        // parser reports everything else that ends early as corruption.
+        let (entry, len) = match next_entry(rest, entries.len()) {
+            Err(PersistError::Truncated { .. }) => break,
+            scanned => scanned?,
+        };
+        entries.push(entry);
+        valid_len += len;
     }
     Ok(JournalScan {
         entries,
-        valid_len: pos,
-        torn_bytes: journal.len() - pos,
+        valid_len,
+        torn_bytes: journal.len() - valid_len,
     })
 }
 
-/// Decodes one complete entry envelope (full validation via
-/// [`SnapshotReader::open`]).
-fn read_entry(bytes: &[u8], index: usize) -> Result<JournalEntry, PersistError> {
-    let mut r = SnapshotReader::open(bytes, SnapshotKind::JournalEntry)?;
+/// Frames, verifies and decodes the entry at the front of `bytes` (entry
+/// `index` of its journal) and returns it with the bytes it occupies. Only
+/// a torn entry — a strict prefix of one — yields
+/// [`PersistError::Truncated`]. The Flash store's mount walks its journal
+/// region with it too.
+pub(super) fn next_entry(
+    bytes: &[u8],
+    index: usize,
+) -> Result<(JournalEntry, usize), PersistError> {
+    let envelope = Envelope::parse(bytes)?;
+    let mut r = envelope.open(SnapshotKind::JournalEntry)?;
     let base_fingerprint = r.u64()?;
     let pool_len_before = r.usize()?;
     let num_features = r.usize()?;
@@ -467,7 +400,7 @@ fn read_entry(bytes: &[u8], index: usize) -> Result<JournalEntry, PersistError> 
     let rows = r.slice_f64()?;
     let annotation = r.nested()?.to_vec();
     r.finish()?;
-    if rows.len() != labels.len() * num_features {
+    if labels.len().checked_mul(num_features) != Some(rows.len()) {
         return Err(PersistError::Corrupted {
             detail: format!(
                 "journal entry {index} holds {} values for {} labels x {num_features} features",
@@ -481,14 +414,15 @@ fn read_entry(bytes: &[u8], index: usize) -> Result<JournalEntry, PersistError> 
             detail: format!("journal entry {index} records an empty batch"),
         });
     }
-    Ok(JournalEntry {
+    let entry = JournalEntry {
         base_fingerprint,
         pool_len_before,
         num_features,
         rows,
         labels,
         annotation,
-    })
+    };
+    Ok((entry, envelope.len()))
 }
 
 /// A replayed trainer together with a writer positioned to keep appending.
@@ -654,7 +588,7 @@ impl CompactionPolicy {
 }
 
 /// The Flash write a delta save asks the caller to perform —
-/// `seizure-core`'s `SelfLearningPipeline::save_delta` returns this.
+/// `seizure-core`'s `SelfLearningPipeline::save_delta_with` returns this.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaSave {
     /// Replace the base-snapshot region with these bytes and erase the
@@ -673,7 +607,7 @@ mod tests {
     use super::*;
     use crate::forest::RandomForestConfig;
     use crate::incremental::IncrementalTrainerConfig;
-    use crate::persist::trainer_to_bytes;
+    use crate::persist::{trainer_to_bytes, ENVELOPE_LEN, FORMAT_VERSION};
 
     fn rows_and_labels(n: usize) -> (Vec<f64>, Vec<bool>) {
         let mut rows = Vec::with_capacity(n * 2);
@@ -722,7 +656,7 @@ mod tests {
             let to = (at + per).min(n);
             let (r, l) = (&rows[at * 2..to * 2], &labels[at..to]);
             trainer.retrain(r, 2, l).unwrap();
-            writer.append_retrain(r, 2, l).unwrap();
+            writer.append(r, 2, l, &[]).unwrap();
             journal.extend_from_slice(&writer.take_unflushed());
             at = to;
         }
@@ -802,7 +736,7 @@ mod tests {
         let (rows, labels) = rows_and_labels(100);
         let (r, l) = (&rows[75 * 2..], &labels[75..]);
         trainer.retrain(r, 2, l).unwrap();
-        resumed_writer.append_retrain(r, 2, l).unwrap();
+        resumed_writer.append(r, 2, l, &[]).unwrap();
         assert_eq!(
             resumed_writer.unflushed().len(),
             resumed_writer.len() - replayed.report.valid_len
@@ -889,14 +823,12 @@ mod tests {
         ];
         for (bad_rows, bad_features, bad_labels) in bad_entries {
             let mut writer = JournalWriter::new(&base, 50).unwrap();
+            writer.append(&rows[..20], 2, &labels[..10], &[]).unwrap();
             writer
-                .append_retrain(&rows[..20], 2, &labels[..10])
+                .append(bad_rows, bad_features, bad_labels, &[])
                 .unwrap();
             writer
-                .append_retrain(bad_rows, bad_features, bad_labels)
-                .unwrap();
-            writer
-                .append_retrain(&rows[20..40], 2, &labels[10..20])
+                .append(&rows[20..40], 2, &labels[10..20], &[])
                 .unwrap();
             let err = replay(&base, writer.unflushed()).unwrap_err();
             assert!(matches!(err, PersistError::Corrupted { .. }), "{err}");
@@ -906,14 +838,36 @@ mod tests {
                 "{err}"
             );
         }
+
+        // A checksum-valid entry of 4 labels x 2^62 features holding no
+        // values: the shape product overflows to 0 and must not match the
+        // empty row slice, whether it extends this base or a cold-start one.
+        let overflowing = |base: &[u8], pool_len: usize| {
+            let mut w = SnapshotWriter::new();
+            w.u64(base_fingerprint(base).unwrap());
+            w.usize(pool_len);
+            w.usize(1 << 62);
+            w.bools(&[true, false, true, false]);
+            w.slice_f64(&[]);
+            w.nested(&[]);
+            w.finish(SnapshotKind::JournalEntry)
+        };
+        let entry = overflowing(&base, 50);
+        let err = scan_journal(&entry).unwrap_err();
+        assert!(matches!(err, PersistError::Corrupted { .. }), "{err}");
+        let err = replay(&base, &entry).unwrap_err();
+        assert!(matches!(err, PersistError::Corrupted { .. }), "{err}");
+        let cold = trainer_to_bytes(&IncrementalTrainer::new(config(), 1));
+        let err = replay(&cold, &overflowing(&cold, 0)).unwrap_err();
+        assert!(matches!(err, PersistError::Corrupted { .. }), "{err}");
     }
 
     #[test]
     fn writer_rejects_malformed_batches() {
         let (base, journal, mut writer, _) = journaled(60, 60, 1);
-        assert!(writer.append_retrain(&[1.0, 2.0], 2, &[]).is_err());
+        assert!(writer.append(&[1.0, 2.0], 2, &[], &[]).is_err());
         assert!(writer
-            .append_retrain(&[1.0, 2.0, 3.0], 2, &[true, false])
+            .append(&[1.0, 2.0, 3.0], 2, &[true, false], &[])
             .is_err());
         // Nothing was appended by the rejected calls.
         assert_eq!(writer.num_entries(), 0);
@@ -933,7 +887,7 @@ mod tests {
         let base = trainer_to_bytes(&trainer);
         let mut writer = JournalWriter::new(&base, 40).unwrap();
         writer
-            .append_with(&rows[80..], 2, &labels[40..], b"onset=12.5")
+            .append(&rows[80..], 2, &labels[40..], b"onset=12.5")
             .unwrap();
         let scan = scan_journal(writer.unflushed()).unwrap();
         assert_eq!(scan.entries[0].annotation, b"onset=12.5");
@@ -955,16 +909,12 @@ mod tests {
         let (_, _, mut writer, _) = journaled(60, 60, 1);
         assert!(writer.unflushed().is_empty());
         let (rows, labels) = rows_and_labels(70);
-        writer
-            .append_retrain(&rows[120..], 2, &labels[60..])
-            .unwrap();
+        writer.append(&rows[120..], 2, &labels[60..], &[]).unwrap();
         let first = writer.unflushed().to_vec();
         assert_eq!(first.len(), writer.len());
-        writer.mark_flushed();
+        writer.take_unflushed();
         assert!(writer.unflushed().is_empty());
-        writer
-            .append_retrain(&rows[120..], 2, &labels[60..])
-            .unwrap();
+        writer.append(&rows[120..], 2, &labels[60..], &[]).unwrap();
         assert_eq!(writer.unflushed().len(), writer.len() - first.len());
     }
 

@@ -1,18 +1,19 @@
-//! Versioned binary persistence for the training and inference engines.
+//! Versioned binary persistence for the incremental trainer.
 //!
 //! The paper's wearable personalizes its forest over days of wear, but until
 //! this module the [`IncrementalTrainer`]'s sample pool lived only in process
 //! memory — one power cycle and the accumulated personalization was gone.
 //! This module is a self-contained little-endian codec (the workspace's
 //! vendored `serde` is a non-deriving stub, so nothing here depends on it)
-//! that snapshots and restores [`FlatForest`], [`TrainingSet`] and the full
-//! [`IncrementalTrainer`] state, so a device can power down mid-lifetime and
-//! resume retraining exactly where it left off.
+//! that snapshots and restores the full [`IncrementalTrainer`] state, so a
+//! device can power down mid-lifetime and resume retraining exactly where it
+//! left off. `seizure-core` nests that trainer snapshot inside its detector
+//! and pipeline snapshots.
 //!
 //! Full snapshots are O(pool) to write; the [`journal`] submodule layers an
 //! append-only delta journal of `retrain` batches on top, so the per-seizure
 //! Flash write of a self-learning wearable is O(batch) between full
-//! snapshots.
+//! snapshots, and the [`store`] submodule lays both out crash-proof on Flash.
 //!
 //! # Envelope format
 //!
@@ -28,13 +29,17 @@
 //! | 20     | `L`  | payload |
 //! | 20+L   | 8    | FNV-1a 64 checksum of bytes `0 .. 20+L` |
 //!
-//! [`SnapshotReader::open`] validates the envelope front to back — magic,
-//! version, length consistency, checksum, kind — and returns a **typed**
-//! [`PersistError`] for every way a file can be wrong (truncated, foreign,
-//! from a future format, bit-flipped, or of another payload kind). Corrupted
-//! input never panics and never allocates unbounded buffers: every array
-//! length read from a payload is bounds-checked against the bytes that are
-//! actually present before anything is reserved.
+//! One checked parser reads this layout, for snapshots, journal entries and
+//! the Flash store's bases alike. It frames the envelope at the front of a
+//! byte string through one bounds-checked little-endian cursor, so no decode
+//! path indexes a byte it has not checked. [`SnapshotReader::open`] then
+//! validates front to back — magic, version, length consistency, checksum,
+//! kind — and returns a **typed** [`PersistError`] for every way a file can
+//! be wrong (truncated, foreign, from a future format, bit-flipped, or of
+//! another payload kind). Corrupted input never panics and never allocates
+//! unbounded buffers: every array length read from a payload is
+//! bounds-checked against the bytes that are actually present before
+//! anything is reserved.
 //!
 //! # Versioning policy
 //!
@@ -46,26 +51,25 @@
 //!
 //! # What is (and isn't) stored
 //!
-//! * [`FlatForest`] — everything (struct-of-arrays nodes, roots, feature
-//!   count).
-//! * [`TrainingSet`] — the design matrix (serialized feature-major, the v2
-//!   wire layout, regardless of the in-memory block-major storage) and the
-//!   labels. The per-block sorted id runs are **rebuilt** on load rather
-//!   than stored: they are fully determined by the columns and the block
-//!   length (`f64::total_cmp` with stable ties), rebuilding sorts each
-//!   block independently (O(n log block), cheaper than the global sort the
-//!   flat orders needed), and dropping them shrinks the snapshot — the
-//!   deciding factor against a 384 KB-Flash budget (see `seizure-edge`'s
-//!   `MemoryModel::trainer_snapshot_bytes`). A trainer snapshot rebuilds
-//!   its runs with the trainer's own `block_size`, so the restored set is
-//!   `==`-identical to the saved one.
-//! * [`IncrementalTrainer`] — config, seed, the training set, every cached
-//!   per-tree arena together with its `(blocks_owned, pool_len)` draw-stream
-//!   fingerprint, and the last refit count. A restored trainer is
-//!   `==`-identical to the saved one, so `save → load → retrain(new rows)`
-//!   emits a forest node-identical to the uninterrupted trainer for **any**
-//!   split point of any grow schedule (property-tested; see
-//!   `crates/ml/tests/properties.rs`).
+//! [`IncrementalTrainer`] snapshots hold the config, the seed, the training
+//! pool, every cached per-tree arena together with its
+//! `(blocks_owned, pool_len)` draw-stream fingerprint, and the last refit
+//! count.
+//!
+//! * The pool's design matrix is serialized feature-major (the v2 wire
+//!   layout, regardless of the in-memory block-major storage), next to the
+//!   bit-packed labels.
+//! * The per-block sorted id runs are **rebuilt** on load rather than
+//!   stored. They are fully determined by the columns and the trainer's
+//!   `block_size` (`f64::total_cmp` with stable ties), rebuilding sorts each
+//!   block independently (O(n log block)), and dropping them shrinks the
+//!   snapshot — the deciding factor against a 384 KB-Flash budget (see
+//!   `seizure-edge`'s `MemoryModel::trainer_snapshot_bytes`).
+//!
+//! A restored trainer is `==`-identical to the saved one, so
+//! `save → load → retrain(new rows)` emits a forest node-identical to the
+//! uninterrupted trainer for **any** split point of any grow schedule
+//! (property-tested; see `crates/ml/tests/properties.rs`).
 //!
 //! # Example
 //!
@@ -92,7 +96,7 @@
 //! # }
 //! ```
 
-use crate::flat::{FlatForest, LEAF};
+use crate::flat::LEAF;
 use crate::forest::RandomForestConfig;
 use crate::incremental::{IncrementalTrainer, IncrementalTrainerConfig, TreeState};
 use crate::training::{NodeArena, TrainingSet, MAX_RUN_BLOCK};
@@ -122,17 +126,15 @@ pub const ENVELOPE_LEN: usize = HEADER_LEN + CHECKSUM_LEN;
 
 /// What a snapshot contains, stored in the envelope header so a reader can
 /// refuse payloads of the wrong kind before decoding a single body byte.
+/// Tags 1 and 2 belonged to the retired standalone flat-forest and
+/// training-set snapshots and stay unassigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum SnapshotKind {
-    /// A compiled [`FlatForest`].
-    FlatForest = 1,
-    /// A [`TrainingSet`] (design matrix + labels; orders rebuilt on load).
-    TrainingSet = 2,
     /// A full [`IncrementalTrainer`] (pool + cached trees + fingerprints).
     IncrementalTrainer = 3,
-    /// A `seizure-core` real-time detector (forest or trainer + scaling
-    /// statistics); the payload is encoded by that crate.
+    /// A `seizure-core` real-time detector (gate calibration plus the
+    /// trainer); the payload is encoded by that crate.
     RealTimeDetector = 4,
     /// A `seizure-core` self-learning pipeline; the payload is encoded by
     /// that crate.
@@ -140,20 +142,6 @@ pub enum SnapshotKind {
     /// One delta-journal entry (a single `retrain` batch bound to its base
     /// snapshot); see [`journal`].
     JournalEntry = 6,
-}
-
-impl SnapshotKind {
-    fn from_u16(v: u16) -> Option<Self> {
-        match v {
-            1 => Some(Self::FlatForest),
-            2 => Some(Self::TrainingSet),
-            3 => Some(Self::IncrementalTrainer),
-            4 => Some(Self::RealTimeDetector),
-            5 => Some(Self::SelfLearningPipeline),
-            6 => Some(Self::JournalEntry),
-            _ => None,
-        }
-    }
 }
 
 /// Typed decoding failure. Corrupted input of any shape maps to one of these
@@ -312,16 +300,6 @@ impl SnapshotWriter {
         self.buf.push(v);
     }
 
-    /// Appends a little-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a little-endian `u64`.
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -348,7 +326,7 @@ impl SnapshotWriter {
     pub fn slice_u32(&mut self, s: &[u32]) {
         self.usize(s.len());
         for &v in s {
-            self.u32(v);
+            self.buf.extend_from_slice(&v.to_le_bytes());
         }
     }
 
@@ -476,120 +454,226 @@ fn seal_envelope(buf: &mut Vec<u8>, start: usize, kind: SnapshotKind) {
     buf.extend_from_slice(&checksum.to_le_bytes());
 }
 
-/// Little-endian payload reader over a validated envelope.
+/// Bounds-checked little-endian cursor over untrusted bytes, under the
+/// envelope parser, the payload reader and the Flash store's slot header
+/// alike. A read that would run past the end returns `None` and consumes
+/// nothing.
 #[derive(Debug)]
-pub struct SnapshotReader<'a> {
-    payload: &'a [u8],
+struct ByteReader<'a> {
+    bytes: &'a [u8],
     pos: usize,
 }
 
+impl<'a> ByteReader<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes, pos: 0 }
+    }
+
+    /// The next `n` bytes.
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let end = self.pos.checked_add(n)?;
+        let taken = self.bytes.get(self.pos..end)?;
+        self.pos = end;
+        Some(taken)
+    }
+
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// The bytes read so far.
+    fn consumed(&self) -> &'a [u8] {
+        self.bytes.get(..self.pos).unwrap_or_default()
+    }
+
+    /// How many bytes are left to read.
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+}
+
+/// One envelope framed at the front of a byte string by
+/// [`Envelope::parse`], which verifies only the magic and that the declared
+/// length is present. Decoders go on through [`Envelope::open`]; the Flash
+/// store checks only the checksum of a base it treats as opaque.
+#[derive(Debug, Clone, Copy)]
+struct Envelope<'a> {
+    /// Format version stored in the header.
+    version: u16,
+    /// Payload kind tag stored in the header.
+    kind: u16,
+    payload: &'a [u8],
+    /// Header plus payload: the bytes the checksum covers.
+    signed: &'a [u8],
+    /// FNV-1a checksum stored behind the payload; a journal entry's base
+    /// fingerprint.
+    checksum: u64,
+}
+
+impl<'a> Envelope<'a> {
+    /// Frames the envelope at the front of `bytes`, leaving any bytes behind
+    /// it to the caller. This is the one reader of the header layout.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::BadMagic`] when `bytes` do not open with [`MAGIC`] (or,
+    /// when shorter, with a prefix of it). When `bytes` end before the
+    /// envelope they declare: [`PersistError::UnsupportedVersion`] if the
+    /// version field survived and names another format generation, otherwise
+    /// [`PersistError::Truncated`]. `Truncated` therefore means a strict
+    /// prefix of an envelope of this format — what a torn write leaves.
+    fn parse(bytes: &'a [u8]) -> Result<Self, PersistError> {
+        let mut r = ByteReader::new(bytes);
+        let magic = r.take(MAGIC.len());
+        let head = magic.unwrap_or(bytes);
+        if !MAGIC.starts_with(head) {
+            let mut found = [0u8; 8];
+            found.iter_mut().zip(head).for_each(|(f, &b)| *f = b);
+            return Err(PersistError::BadMagic { found });
+        }
+        let version = magic.and_then(|_| r.u16());
+        let kind = version.and_then(|_| r.u16());
+        let declared = kind.and_then(|_| r.u64());
+        let payload = declared.and_then(|len| r.take(usize::try_from(len).ok()?));
+        let signed = r.consumed();
+        let checksum = payload.and_then(|_| r.u64());
+        match (version, kind, payload, checksum) {
+            (Some(version), Some(kind), Some(payload), Some(checksum)) => Ok(Self {
+                version,
+                kind,
+                payload,
+                signed,
+                checksum,
+            }),
+            (Some(found), ..) if found != FORMAT_VERSION => {
+                Err(PersistError::UnsupportedVersion { found })
+            }
+            _ => Err(PersistError::Truncated {
+                // Saturate: a corrupt length field must produce this typed
+                // error, not an overflow panic while describing it.
+                needed: declared.map_or(ENVELOPE_LEN, |len| {
+                    usize::try_from(len)
+                        .unwrap_or(usize::MAX)
+                        .saturating_add(ENVELOPE_LEN)
+                }),
+                available: bytes.len(),
+            }),
+        }
+    }
+
+    /// Frames `bytes` as exactly one envelope.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`Envelope::parse`], plus [`PersistError::Corrupted`] when
+    /// bytes follow the declared envelope.
+    fn whole(bytes: &'a [u8]) -> Result<Self, PersistError> {
+        let envelope = Self::parse(bytes)?;
+        if envelope.len() < bytes.len() {
+            return Err(PersistError::Corrupted {
+                detail: format!(
+                    "payload declares {} bytes but {} are present",
+                    envelope.payload.len(),
+                    bytes.len() - ENVELOPE_LEN
+                ),
+            });
+        }
+        Ok(envelope)
+    }
+
+    /// Bytes the envelope occupies, checksum included.
+    fn len(&self) -> usize {
+        self.signed.len() + CHECKSUM_LEN
+    }
+
+    /// Recomputes the checksum over the signed bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::ChecksumMismatch`] when it differs from the stored one.
+    fn verify_checksum(&self) -> Result<(), PersistError> {
+        let computed = fnv1a(self.signed);
+        if computed != self.checksum {
+            return Err(PersistError::ChecksumMismatch {
+                stored: self.checksum,
+                computed,
+            });
+        }
+        Ok(())
+    }
+
+    /// Validates version, checksum and kind, in that order, and returns a
+    /// reader over the payload.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::UnsupportedVersion`],
+    /// [`PersistError::ChecksumMismatch`] or [`PersistError::WrongKind`].
+    fn open(self, kind: SnapshotKind) -> Result<SnapshotReader<'a>, PersistError> {
+        if self.version != FORMAT_VERSION {
+            return Err(PersistError::UnsupportedVersion {
+                found: self.version,
+            });
+        }
+        self.verify_checksum()?;
+        if self.kind != kind as u16 {
+            return Err(PersistError::WrongKind {
+                expected: kind,
+                found: self.kind,
+            });
+        }
+        Ok(SnapshotReader {
+            payload: ByteReader::new(self.payload),
+        })
+    }
+}
+
+/// Little-endian payload reader over a validated envelope.
+#[derive(Debug)]
+pub struct SnapshotReader<'a> {
+    payload: ByteReader<'a>,
+}
+
 impl<'a> SnapshotReader<'a> {
-    /// Validates the envelope front to back — length, magic, version,
-    /// declared payload length, checksum, kind — and returns a reader over
-    /// the payload.
+    /// Validates the envelope that `bytes` must hold exactly — magic,
+    /// version, declared payload length, checksum, kind — and returns a
+    /// reader over the payload.
     ///
     /// # Errors
     ///
     /// One typed [`PersistError`] per failure mode; see the variant docs.
     pub fn open(bytes: &'a [u8], kind: SnapshotKind) -> Result<Self, PersistError> {
-        if bytes.len() < ENVELOPE_LEN {
-            return Err(PersistError::Truncated {
-                needed: ENVELOPE_LEN,
-                available: bytes.len(),
-            });
-        }
-        // lint: allow(panic-free-decode) — len >= ENVELOPE_LEN checked on entry
-        if bytes[..8] != MAGIC {
-            let mut found = [0u8; 8];
-            // lint: allow(panic-free-decode) — len >= ENVELOPE_LEN checked on entry
-            found.copy_from_slice(&bytes[..8]);
-            return Err(PersistError::BadMagic { found });
-        }
-        // lint: allow(panic-free-decode) — len >= ENVELOPE_LEN checked on entry
-        let version = u16::from_le_bytes([bytes[8], bytes[9]]);
-        if version != FORMAT_VERSION {
-            return Err(PersistError::UnsupportedVersion { found: version });
-        }
-        // lint: allow(panic-free-decode) — len >= ENVELOPE_LEN checked on entry
-        let found_kind = u16::from_le_bytes([bytes[10], bytes[11]]);
-        // lint: allow(panic-free-decode) — fixed 8-byte read inside the validated header
-        let declared = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-        let body_end = bytes.len() - CHECKSUM_LEN;
-        let actual = (body_end - HEADER_LEN) as u64;
-        if declared > actual {
-            return Err(PersistError::Truncated {
-                // Saturate: a corrupt length field must produce this typed
-                // error, not an overflow panic while describing it.
-                needed: (declared as usize).saturating_add(ENVELOPE_LEN),
-                available: bytes.len(),
-            });
-        }
-        if declared < actual {
-            return Err(PersistError::Corrupted {
-                detail: format!("payload declares {declared} bytes but {actual} are present"),
-            });
-        }
-        // lint: allow(panic-free-decode) — body_end = len - CHECKSUM_LEN, len >= ENVELOPE_LEN
-        let stored = u64::from_le_bytes(bytes[body_end..].try_into().expect("8 bytes"));
-        let computed = fnv1a(&bytes[..body_end]);
-        if stored != computed {
-            return Err(PersistError::ChecksumMismatch { stored, computed });
-        }
-        if found_kind != kind as u16 {
-            return Err(PersistError::WrongKind {
-                expected: kind,
-                found: found_kind,
-            });
-        }
-        Ok(Self {
-            payload: &bytes[HEADER_LEN..body_end],
-            pos: 0,
+        Envelope::whole(bytes)?.open(kind)
+    }
+
+    /// The value `read` takes from the payload, or
+    /// [`PersistError::Corrupted`] when fewer than the `n` bytes it needs
+    /// remain.
+    fn field<T>(
+        &mut self,
+        n: usize,
+        read: impl FnOnce(&mut ByteReader<'a>) -> Option<T>,
+    ) -> Result<T, PersistError> {
+        read(&mut self.payload).ok_or_else(|| PersistError::Corrupted {
+            detail: format!(
+                "payload field needs {n} bytes at offset {} but only {} remain",
+                self.payload.pos,
+                self.payload.remaining()
+            ),
         })
-    }
-
-    /// The payload kind stored in an envelope, without full validation —
-    /// lets a dispatcher route bytes of unknown kind.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PersistError::Truncated`] / [`PersistError::BadMagic`] when
-    /// there is no envelope to inspect.
-    pub fn peek_kind(bytes: &[u8]) -> Result<Option<SnapshotKind>, PersistError> {
-        if bytes.len() < ENVELOPE_LEN {
-            return Err(PersistError::Truncated {
-                needed: ENVELOPE_LEN,
-                available: bytes.len(),
-            });
-        }
-        // lint: allow(panic-free-decode) — len >= ENVELOPE_LEN checked on entry
-        if bytes[..8] != MAGIC {
-            let mut found = [0u8; 8];
-            // lint: allow(panic-free-decode) — len >= ENVELOPE_LEN checked on entry
-            found.copy_from_slice(&bytes[..8]);
-            return Err(PersistError::BadMagic { found });
-        }
-        Ok(SnapshotKind::from_u16(u16::from_le_bytes([
-            // lint: allow(panic-free-decode) — len >= ENVELOPE_LEN checked on entry
-            bytes[10], bytes[11],
-        ])))
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        let end = self.pos.checked_add(n).ok_or(PersistError::Corrupted {
-            detail: "payload offset overflow".to_string(),
-        })?;
-        if end > self.payload.len() {
-            return Err(PersistError::Corrupted {
-                detail: format!(
-                    "payload field needs {n} bytes at offset {} but only {} remain",
-                    self.pos,
-                    self.payload.len() - self.pos
-                ),
-            });
-        }
-        let slice = &self.payload[self.pos..end];
-        self.pos = end;
-        Ok(slice)
     }
 
     /// Reads one byte.
@@ -598,27 +682,7 @@ impl<'a> SnapshotReader<'a> {
     ///
     /// [`PersistError::Corrupted`] when the payload is exhausted.
     pub fn u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Corrupted`] when the payload is exhausted.
-    pub fn u16(&mut self) -> Result<u16, PersistError> {
-        // lint: allow(panic-free-decode) — take(2) guarantees exactly 2 bytes
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Corrupted`] when the payload is exhausted.
-    pub fn u32(&mut self) -> Result<u32, PersistError> {
-        // lint: allow(panic-free-decode) — take(4) guarantees exactly 4 bytes
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+        self.field(1, ByteReader::u8)
     }
 
     /// Reads a little-endian `u64`.
@@ -627,8 +691,7 @@ impl<'a> SnapshotReader<'a> {
     ///
     /// [`PersistError::Corrupted`] when the payload is exhausted.
     pub fn u64(&mut self) -> Result<u64, PersistError> {
-        // lint: allow(panic-free-decode) — take(8) guarantees exactly 8 bytes
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+        self.field(8, ByteReader::u64)
     }
 
     /// Reads a `u64` and narrows it to `usize`.
@@ -669,23 +732,20 @@ impl<'a> SnapshotReader<'a> {
         }
     }
 
-    /// Reads a length prefix for elements of `elem_size` bytes,
-    /// bounds-checked against the remaining payload **before** any
-    /// allocation, so corrupt lengths cannot trigger huge reservations.
-    fn len_prefix(&mut self, elem_size: usize) -> Result<usize, PersistError> {
+    /// The next `n` payload bytes. Every length prefix is checked against
+    /// the remaining payload here, **before** anything is allocated, so
+    /// corrupt lengths cannot trigger huge reservations.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
+        self.field(n, |r| r.take(n))
+    }
+
+    /// Reads a length prefix and the `N`-byte elements behind it.
+    fn elements<const N: usize>(&mut self) -> Result<&'a [[u8; N]], PersistError> {
         let len = self.usize()?;
-        let bytes = len.checked_mul(elem_size).ok_or(PersistError::Corrupted {
+        let bytes = len.checked_mul(N).ok_or(PersistError::Corrupted {
             detail: format!("slice length {len} overflows"),
         })?;
-        if bytes > self.payload.len() - self.pos {
-            return Err(PersistError::Corrupted {
-                detail: format!(
-                    "slice declares {bytes} bytes but only {} remain",
-                    self.payload.len() - self.pos
-                ),
-            });
-        }
-        Ok(len)
+        Ok(self.take(bytes)?.as_chunks().0)
     }
 
     /// Reads a length-prefixed `u32` slice.
@@ -694,12 +754,8 @@ impl<'a> SnapshotReader<'a> {
     ///
     /// [`PersistError::Corrupted`] on exhaustion or an oversized length.
     pub fn slice_u32(&mut self) -> Result<Vec<u32>, PersistError> {
-        let len = self.len_prefix(4)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.u32()?);
-        }
-        Ok(out)
+        let elements = self.elements()?;
+        Ok(elements.iter().map(|&b| u32::from_le_bytes(b)).collect())
     }
 
     /// Reads a length-prefixed `f64` slice (bit-exact).
@@ -708,12 +764,8 @@ impl<'a> SnapshotReader<'a> {
     ///
     /// [`PersistError::Corrupted`] on exhaustion or an oversized length.
     pub fn slice_f64(&mut self) -> Result<Vec<f64>, PersistError> {
-        let len = self.len_prefix(8)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.f64()?);
-        }
-        Ok(out)
+        let elements = self.elements()?;
+        Ok(elements.iter().map(|&b| f64::from_le_bytes(b)).collect())
     }
 
     /// Reads a length-prefixed, bit-packed `bool` slice.
@@ -723,16 +775,7 @@ impl<'a> SnapshotReader<'a> {
     /// [`PersistError::Corrupted`] on exhaustion or an oversized length.
     pub fn bools(&mut self) -> Result<Vec<bool>, PersistError> {
         let len = self.usize()?;
-        let packed = len.div_ceil(8);
-        if packed > self.payload.len() - self.pos {
-            return Err(PersistError::Corrupted {
-                detail: format!(
-                    "bit-packed slice declares {packed} bytes but only {} remain",
-                    self.payload.len() - self.pos
-                ),
-            });
-        }
-        let bytes = self.take(packed)?;
+        let bytes = self.take(len.div_ceil(8))?;
         Ok((0..len).map(|i| bytes[i / 8] >> (i % 8) & 1 == 1).collect())
     }
 
@@ -742,7 +785,7 @@ impl<'a> SnapshotReader<'a> {
     ///
     /// [`PersistError::Corrupted`] on exhaustion or an oversized length.
     pub fn nested(&mut self) -> Result<&'a [u8], PersistError> {
-        let len = self.len_prefix(1)?;
+        let len = self.usize()?;
         self.take(len)
     }
 
@@ -753,11 +796,11 @@ impl<'a> SnapshotReader<'a> {
     ///
     /// [`PersistError::Corrupted`] when bytes remain.
     pub fn finish(self) -> Result<(), PersistError> {
-        if self.pos != self.payload.len() {
+        if self.payload.remaining() != 0 {
             return Err(PersistError::Corrupted {
                 detail: format!(
                     "{} unread trailing bytes after the payload",
-                    self.payload.len() - self.pos
+                    self.payload.remaining()
                 ),
             });
         }
@@ -827,36 +870,25 @@ fn read_arena(r: &mut SnapshotReader<'_>) -> Result<NodeArena, PersistError> {
     })
 }
 
-/// Validates the structural invariants of flat node storage: per-node arrays
-/// of one length, in-bounds roots, in-bounds split features, and children
-/// that point strictly forward. Both tree builders emit nodes in DFS
-/// preorder, so every authentic child index exceeds its parent's; enforcing
-/// that here makes decoded trees provably acyclic — a crafted snapshot with
-/// a back-pointing child must fail with a typed error, not hang the first
-/// prediction.
-fn check_nodes(
-    num_features: usize,
-    roots: &[u32],
-    feature: &[u32],
-    left: &[u32],
-    right: &[u32],
-) -> Result<(), PersistError> {
-    let n = feature.len();
-    if roots.iter().any(|&r| r as usize >= n) {
-        return Err(PersistError::Corrupted {
-            detail: "tree root index out of bounds".to_string(),
-        });
-    }
-    for i in 0..n {
-        if feature[i] == LEAF {
+/// Validates the structural invariants of a tree arena: in-bounds split
+/// features and children that point strictly forward. The tree builder
+/// emits nodes in DFS preorder from root 0, so every authentic child index
+/// exceeds its parent's; enforcing that here makes decoded trees provably
+/// acyclic — a crafted snapshot with a back-pointing child must fail with a
+/// typed error, not hang the first prediction.
+fn check_arena(num_features: usize, arena: &NodeArena) -> Result<(), PersistError> {
+    let n = arena.feature.len();
+    let splits = arena.feature.iter().zip(&arena.left).zip(&arena.right);
+    for (i, ((&feature, &left), &right)) in splits.enumerate() {
+        if feature == LEAF {
             continue;
         }
-        if feature[i] as usize >= num_features || left[i] as usize >= n || right[i] as usize >= n {
+        if feature as usize >= num_features || left as usize >= n || right as usize >= n {
             return Err(PersistError::Corrupted {
                 detail: format!("split node {i} references out-of-bounds data"),
             });
         }
-        if left[i] as usize <= i || right[i] as usize <= i {
+        if left as usize <= i || right as usize <= i {
             return Err(PersistError::Corrupted {
                 detail: format!(
                     "split node {i} has a non-forward child, breaking DFS preorder acyclicity"
@@ -865,61 +897,6 @@ fn check_nodes(
         }
     }
     Ok(())
-}
-
-/// Writes the payload of a [`FlatForest`] snapshot into `w`. Public for the
-/// same reason as [`write_trainer_body`]: compound snapshots in
-/// `seizure-core` nest the forest in place instead of copying a separately
-/// finished child.
-pub fn write_forest_body(w: &mut SnapshotWriter, forest: &FlatForest) {
-    w.usize(forest.num_features);
-    w.slice_u32(&forest.roots);
-    w.slice_u32(&forest.feature);
-    w.slice_f64(&forest.threshold);
-    w.slice_u32(&forest.left);
-    w.slice_u32(&forest.right);
-    w.slice_f64(&forest.leaf_prob);
-}
-
-/// Snapshots a [`FlatForest`].
-pub fn forest_to_bytes(forest: &FlatForest) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
-    write_forest_body(&mut w, forest);
-    w.finish(SnapshotKind::FlatForest)
-}
-
-/// Restores a [`FlatForest`] snapshot, validating node-storage invariants so
-/// a decoded forest can never walk out of bounds.
-///
-/// # Errors
-///
-/// A typed [`PersistError`] for any malformed input; see the module docs.
-pub fn forest_from_bytes(bytes: &[u8]) -> Result<FlatForest, PersistError> {
-    let mut r = SnapshotReader::open(bytes, SnapshotKind::FlatForest)?;
-    let num_features = r.usize()?;
-    let roots = r.slice_u32()?;
-    let feature = r.slice_u32()?;
-    let threshold = r.slice_f64()?;
-    let left = r.slice_u32()?;
-    let right = r.slice_u32()?;
-    let leaf_prob = r.slice_f64()?;
-    r.finish()?;
-    let n = feature.len();
-    if [threshold.len(), left.len(), right.len(), leaf_prob.len()] != [n; 4] {
-        return Err(PersistError::Corrupted {
-            detail: "forest node arrays disagree on node count".to_string(),
-        });
-    }
-    check_nodes(num_features, &roots, &feature, &left, &right)?;
-    Ok(FlatForest::from_raw_parts(
-        num_features,
-        roots,
-        feature,
-        threshold,
-        left,
-        right,
-        leaf_prob,
-    ))
 }
 
 fn write_training_set_body(w: &mut SnapshotWriter, set: &TrainingSet) {
@@ -951,30 +928,6 @@ fn read_training_set_body(
             detail: format!("training set does not reconstruct: {e}"),
         }
     })
-}
-
-/// Snapshots a [`TrainingSet`]. Only the feature-major matrix and the labels
-/// are stored; the per-block sorted id runs are rebuilt on load (see the
-/// module docs for why).
-pub fn training_set_to_bytes(set: &TrainingSet) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
-    write_training_set_body(&mut w, set);
-    w.finish(SnapshotKind::TrainingSet)
-}
-
-/// Restores a [`TrainingSet`] snapshot. The rebuilt sorted runs are
-/// identical to the saved set's (the runs are a pure function of the columns
-/// and the block length; standalone sets use the default maximum block), so
-/// the restored set is `==`-identical to the original.
-///
-/// # Errors
-///
-/// A typed [`PersistError`] for any malformed input; see the module docs.
-pub fn training_set_from_bytes(bytes: &[u8]) -> Result<TrainingSet, PersistError> {
-    let mut r = SnapshotReader::open(bytes, SnapshotKind::TrainingSet)?;
-    let set = read_training_set_body(&mut r, MAX_RUN_BLOCK)?;
-    r.finish()?;
-    Ok(set)
 }
 
 /// Writes the payload of an [`IncrementalTrainer`] snapshot into `w` —
@@ -1082,19 +1035,7 @@ pub fn trainer_from_bytes(bytes: &[u8]) -> Result<IncrementalTrainer, PersistErr
                     detail: format!("tree {t} fingerprints a pool larger than the training set"),
                 });
             }
-            let roots = [0u32];
-            check_nodes(
-                num_features,
-                if state.arena.feature.is_empty() {
-                    &[]
-                } else {
-                    &roots
-                },
-                &state.arena.feature,
-                &state.arena.left,
-                &state.arena.right,
-            )
-            .map_err(|e| PersistError::Corrupted {
+            check_arena(num_features, &state.arena).map_err(|e| PersistError::Corrupted {
                 detail: format!("tree {t}: {e}"),
             })?;
         }
@@ -1111,7 +1052,7 @@ pub fn trainer_from_bytes(bytes: &[u8]) -> Result<IncrementalTrainer, PersistErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::training::train_forest;
+    use crate::persist::journal::JournalWriter;
 
     fn rows_and_labels(n: usize) -> (Vec<f64>, Vec<bool>) {
         let mut rows = Vec::with_capacity(n * 2);
@@ -1142,46 +1083,37 @@ mod tests {
     }
 
     #[test]
-    fn forest_round_trips_bit_identically() {
-        let (rows, labels) = rows_and_labels(80);
-        let set = TrainingSet::from_rows(&rows, 2, &labels).unwrap();
-        let config = RandomForestConfig {
-            n_trees: 7,
-            max_depth: 6,
-            ..RandomForestConfig::default()
-        };
-        let forest = train_forest(&set, &config, 3).unwrap();
-        let restored = forest_from_bytes(&forest_to_bytes(&forest)).unwrap();
-        assert_eq!(restored, forest);
-        // Bit-identical predictions, probability included.
-        for row in rows.chunks_exact(2).take(10) {
-            assert_eq!(
-                restored.predict_proba(row).to_bits(),
-                forest.predict_proba(row).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn training_set_round_trips_with_rebuilt_orders() {
-        // Heavy ties + a NaN exercise the presort rebuild's total order.
+    fn trainer_round_trips_with_rebuilt_orders() {
+        // Heavy ties + a NaN exercise the presort rebuild's total order,
+        // across several run blocks of the trainer's own block size.
         let mut rows: Vec<f64> = (0..120).map(|i| ((i * 7) % 5) as f64 * 0.5).collect();
         rows[13] = f64::NAN;
         let labels: Vec<bool> = (0..60).map(|i| i % 3 == 0).collect();
-        let set = TrainingSet::from_rows(&rows, 2, &labels).unwrap();
-        let restored = training_set_from_bytes(&training_set_to_bytes(&set)).unwrap();
+        let config = IncrementalTrainerConfig {
+            forest: RandomForestConfig {
+                n_trees: 3,
+                max_depth: 4,
+                ..RandomForestConfig::default()
+            },
+            block_size: 16,
+        };
+        let mut trainer = IncrementalTrainer::new(config, 2);
+        trainer.retrain(&rows, 2, &labels).unwrap();
+        let restored = trainer_from_bytes(&trainer_to_bytes(&trainer)).unwrap();
         // Structural identity covering columns, labels AND the presorted
         // order arrays; compared through Debug because derived `PartialEq`
         // can never equate the NaN column with itself.
-        assert_eq!(format!("{restored:?}"), format!("{set:?}"));
+        assert_eq!(format!("{restored:?}"), format!("{trainer:?}"));
     }
 
     #[test]
-    fn grown_training_set_round_trips_like_a_rebuilt_one() {
+    fn grown_trainer_round_trips_like_a_rebuilt_one() {
+        // The pool's tail run absorbs the second batch through an in-place
+        // merge; the decoder rebuilds every run from scratch.
         let (rows, labels) = rows_and_labels(50);
-        let mut grown = TrainingSet::from_rows(&rows[..40], 2, &labels[..20]).unwrap();
-        grown.append_rows(&rows[40..], &labels[20..]).unwrap();
-        let restored = training_set_from_bytes(&training_set_to_bytes(&grown)).unwrap();
+        let mut grown = small_trainer(20);
+        grown.retrain(&rows[40..], 2, &labels[20..]).unwrap();
+        let restored = trainer_from_bytes(&trainer_to_bytes(&grown)).unwrap();
         assert_eq!(restored, grown);
     }
 
@@ -1301,13 +1233,13 @@ mod tests {
         let trainer = small_trainer(60);
 
         let mut copying = SnapshotWriter::new();
-        copying.u32(7);
+        copying.u64(7);
         copying.nested(&trainer_to_bytes(&trainer));
         copying.u8(9);
         let copying = copying.finish(SnapshotKind::RealTimeDetector);
 
         let mut in_place = SnapshotWriter::new();
-        in_place.u32(7);
+        in_place.u64(7);
         let child = in_place.begin_nested(SnapshotKind::IncrementalTrainer);
         write_trainer_body(&mut in_place, &trainer);
         in_place.end_nested(child);
@@ -1317,7 +1249,7 @@ mod tests {
 
         // The nested block still round-trips through the validating reader.
         let mut r = SnapshotReader::open(&in_place, SnapshotKind::RealTimeDetector).unwrap();
-        assert_eq!(r.u32().unwrap(), 7);
+        assert_eq!(r.u64().unwrap(), 7);
         let restored = trainer_from_bytes(r.nested().unwrap()).unwrap();
         assert_eq!(restored, trainer);
         assert_eq!(r.u8().unwrap(), 9);
@@ -1373,7 +1305,7 @@ mod tests {
     #[should_panic(expected = "must be closed")]
     fn unclosed_nested_envelope_panics_at_finish() {
         let mut w = SnapshotWriter::new();
-        let _open = w.begin_nested(SnapshotKind::FlatForest);
+        let _open = w.begin_nested(SnapshotKind::IncrementalTrainer);
         let _ = w.finish(SnapshotKind::RealTimeDetector);
     }
 
@@ -1399,7 +1331,9 @@ mod tests {
     fn foreign_bytes_are_rejected_as_bad_magic() {
         let err = trainer_from_bytes(b"definitely not a snapshot, way too long").unwrap_err();
         assert!(matches!(err, PersistError::BadMagic { .. }), "{err}");
-        assert!(SnapshotReader::peek_kind(b"nope").is_err());
+        // Too short for an envelope, yet no prefix of the magic either.
+        let err = trainer_from_bytes(b"nope").unwrap_err();
+        assert!(matches!(err, PersistError::BadMagic { .. }), "{err}");
     }
 
     #[test]
@@ -1428,6 +1362,22 @@ mod tests {
         bytes[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
         let err = trainer_from_bytes(&bytes).unwrap_err();
         assert!(matches!(err, PersistError::Truncated { .. }), "{err}");
+
+        // A checksum-valid pool of 4 labels x 2^62 features holding no
+        // values: the shape product overflows to 0 and must not match the
+        // empty column slice.
+        let mut w = SnapshotWriter::new();
+        write_forest_config(&mut w, &RandomForestConfig::default());
+        w.usize(16); // block_size
+        w.u64(0); // seed
+        w.usize(0); // last refit count
+        w.bool(true); // the pool
+        w.usize(1 << 62);
+        w.bools(&[true, false, true, false]);
+        w.slice_f64(&[]);
+        w.usize(0); // no cached trees
+        let err = trainer_from_bytes(&w.finish(SnapshotKind::IncrementalTrainer)).unwrap_err();
+        assert!(matches!(err, PersistError::Corrupted { .. }), "{err}");
     }
 
     #[test]
@@ -1444,36 +1394,53 @@ mod tests {
 
     #[test]
     fn cyclic_node_graphs_are_rejected() {
-        // A validly-signed envelope whose single split node points at
-        // itself: bounds-legal, but traversal would never terminate.
+        // A validly-signed trainer snapshot whose one cached tree has a
+        // split node pointing at itself: bounds-legal, but traversal would
+        // never terminate.
         let mut w = SnapshotWriter::new();
-        w.usize(1); // num_features
-        w.slice_u32(&[0]); // roots
-        w.slice_u32(&[0]); // node 0 splits on feature 0
-        w.slice_f64(&[0.5]);
-        w.slice_u32(&[0]); // left child: itself
-        w.slice_u32(&[0]); // right child: itself
-        w.slice_f64(&[0.0]);
-        let err = forest_from_bytes(&w.finish(SnapshotKind::FlatForest)).unwrap_err();
+        write_forest_config(
+            &mut w,
+            &RandomForestConfig {
+                n_trees: 1,
+                ..RandomForestConfig::default()
+            },
+        );
+        w.usize(16); // block_size
+        w.u64(0); // seed
+        w.usize(0); // last refit count
+        w.bool(true); // the pool
+        w.usize(1);
+        w.bools(&[true, false]);
+        w.slice_f64(&[0.0, 1.0]);
+        w.usize(1); // one cached tree
+        w.usize(1); // blocks owned
+        w.usize(2); // pool length
+        let cyclic = NodeArena {
+            feature: vec![0],
+            threshold: vec![0.5],
+            left: vec![0],
+            right: vec![0],
+            leaf_prob: vec![0.0],
+        };
+        write_arena(&mut w, &cyclic);
+        let err = trainer_from_bytes(&w.finish(SnapshotKind::IncrementalTrainer)).unwrap_err();
         assert!(matches!(err, PersistError::Corrupted { .. }), "{err}");
+        assert!(err.to_string().contains("non-forward child"), "{err}");
     }
 
     #[test]
     fn wrong_payload_kinds_are_rejected() {
-        let (rows, labels) = rows_and_labels(30);
-        let set = TrainingSet::from_rows(&rows, 2, &labels).unwrap();
-        let bytes = training_set_to_bytes(&set);
-        let err = trainer_from_bytes(&bytes).unwrap_err();
+        let base = trainer_to_bytes(&small_trainer(30));
+        let (rows, labels) = rows_and_labels(4);
+        let mut writer = JournalWriter::new(&base, 30).unwrap();
+        writer.append(&rows, 2, &labels, &[]).unwrap();
+        let err = trainer_from_bytes(writer.unflushed()).unwrap_err();
         assert_eq!(
             err,
             PersistError::WrongKind {
                 expected: SnapshotKind::IncrementalTrainer,
-                found: SnapshotKind::TrainingSet as u16,
+                found: SnapshotKind::JournalEntry as u16,
             }
-        );
-        assert_eq!(
-            SnapshotReader::peek_kind(&bytes).unwrap(),
-            Some(SnapshotKind::TrainingSet)
         );
     }
 
@@ -1504,8 +1471,8 @@ mod tests {
             ),
             (
                 PersistError::WrongKind {
-                    expected: SnapshotKind::FlatForest,
-                    found: 3,
+                    expected: SnapshotKind::IncrementalTrainer,
+                    found: 6,
                 },
                 "kind",
             ),

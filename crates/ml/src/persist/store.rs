@@ -23,12 +23,15 @@
 //!   now-inactive slot and are discarded instead of mis-applied.
 //!
 //! Mount arbitration validates, per slot: header magic + header checksum,
-//! base length against the slot capacity, the full envelope checksum of the
-//! base bytes, and the header fingerprint against the base's actual trailing
-//! checksum. Of the valid slots the one with the newer sequence (serial-number
-//! arithmetic, so the order survives wraparound) wins; if the newer slot is
-//! corrupt the store falls back to the older slot and the journal prefix
-//! bound to it. If neither slot validates, mount returns the typed
+//! base length against the slot capacity, the base's envelope framing (magic
+//! and declared length, read by the one envelope parser), the header
+//! fingerprint against the base's stored checksum, and that checksum against
+//! the base bytes. The base stays opaque otherwise: its format version and
+//! payload kind are for the decoder to judge, not the arbitration. Of the
+//! valid slots the one with the newer sequence (serial-number arithmetic, so
+//! the order survives wraparound) wins; if the newer slot is corrupt the
+//! store falls back to the older slot and the journal prefix bound to it. If
+//! neither slot validates, mount returns the typed
 //! [`PersistError::NoValidSlot`] — never a panic.
 //!
 //! The Flash itself is abstracted behind the byte-addressed [`Flash`] trait
@@ -39,8 +42,8 @@
 //! asserts the invariant: remount yields either the pre-operation or the
 //! fully committed state, never a panic and never silent corruption.
 
-use super::journal::{self, JournalEntry};
-use super::{fnv1a, PersistError, ENVELOPE_LEN};
+use super::journal;
+use super::{fnv1a, ByteReader, Envelope, PersistError, ENVELOPE_LEN};
 
 /// Magic opening a slot header: `SZRSLOT\0`.
 pub const SLOT_MAGIC: [u8; 8] = *b"SZRSLOT\0";
@@ -449,51 +452,40 @@ struct SlotHeader {
 }
 
 impl SlotHeader {
-    fn encode(&self) -> [u8; SLOT_HEADER_LEN] {
-        let mut bytes = [0u8; SLOT_HEADER_LEN];
-        // lint: allow(panic-free-decode) — encode fills a fixed SLOT_HEADER_LEN array
-        bytes[..8].copy_from_slice(&SLOT_MAGIC);
-        // lint: allow(panic-free-decode) — encode fills a fixed SLOT_HEADER_LEN array
-        bytes[8..16].copy_from_slice(&self.sequence.to_le_bytes());
-        // lint: allow(panic-free-decode) — encode fills a fixed SLOT_HEADER_LEN array
-        bytes[16..24].copy_from_slice(&self.base_len.to_le_bytes());
-        // lint: allow(panic-free-decode) — encode fills a fixed SLOT_HEADER_LEN array
-        bytes[24..32].copy_from_slice(&self.base_fingerprint.to_le_bytes());
-        // lint: allow(panic-free-decode) — encode fills a fixed SLOT_HEADER_LEN array
-        let checksum = fnv1a(&bytes[..32]);
-        // lint: allow(panic-free-decode) — encode fills a fixed SLOT_HEADER_LEN array
-        bytes[32..].copy_from_slice(&checksum.to_le_bytes());
+    fn encode(&self) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(SLOT_HEADER_LEN);
+        bytes.extend_from_slice(&SLOT_MAGIC);
+        for field in [self.sequence, self.base_len, self.base_fingerprint] {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        let checksum = fnv1a(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
         bytes
     }
 
     fn decode(bytes: &[u8]) -> Result<SlotHeader, PersistError> {
-        if bytes.len() < SLOT_HEADER_LEN {
+        let mut r = ByteReader::new(bytes);
+        let (magic, sequence, base_len, base_fingerprint) = (r.array(), r.u64(), r.u64(), r.u64());
+        let signed = r.consumed();
+        let (Some(magic), Some(sequence), Some(base_len), Some(base_fingerprint), Some(stored)) =
+            (magic, sequence, base_len, base_fingerprint, r.u64())
+        else {
             return Err(PersistError::Truncated {
                 needed: SLOT_HEADER_LEN,
                 available: bytes.len(),
             });
+        };
+        if magic != SLOT_MAGIC {
+            return Err(PersistError::BadMagic { found: magic });
         }
-        // lint: allow(panic-free-decode) — len >= SLOT_HEADER_LEN checked on entry
-        if bytes[..8] != SLOT_MAGIC {
-            let mut found = [0u8; 8];
-            // lint: allow(panic-free-decode) — len >= SLOT_HEADER_LEN checked on entry
-            found.copy_from_slice(&bytes[..8]);
-            return Err(PersistError::BadMagic { found });
-        }
-        // lint: allow(panic-free-decode) — fixed 8-byte read, len >= SLOT_HEADER_LEN
-        let stored = u64::from_le_bytes(bytes[32..40].try_into().expect("8 bytes"));
-        // lint: allow(panic-free-decode) — len >= SLOT_HEADER_LEN checked on entry
-        let computed = fnv1a(&bytes[..32]);
+        let computed = fnv1a(signed);
         if stored != computed {
             return Err(PersistError::ChecksumMismatch { stored, computed });
         }
         Ok(SlotHeader {
-            // lint: allow(panic-free-decode) — fixed 8-byte read, len >= SLOT_HEADER_LEN
-            sequence: u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
-            // lint: allow(panic-free-decode) — fixed 8-byte read, len >= SLOT_HEADER_LEN
-            base_len: u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")),
-            // lint: allow(panic-free-decode) — fixed 8-byte read, len >= SLOT_HEADER_LEN
-            base_fingerprint: u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes")),
+            sequence,
+            base_len,
+            base_fingerprint,
         })
     }
 }
@@ -617,24 +609,24 @@ impl<F: Flash> FlashStore<F> {
             }
         };
 
-        // Journal: keep the longest prefix of checksum-valid frames whose
-        // entries bind to the selected base and chain their pool positions.
+        // Journal: keep the longest prefix of entries that frame, verify and
+        // decode, bind to the selected base and chain their pool positions.
         let raw = flash.read(geometry.journal_offset(), geometry.journal_bytes)?;
         let mut journal_len = 0usize;
         let mut journal_entries = 0usize;
         let mut expected_pool: Option<usize> = None;
-        let mut frame_extent = 0usize;
-        while let Some((entry, frame_len)) = Self::next_frame(&raw[frame_extent..]) {
-            frame_extent += frame_len;
-            if entry.base_fingerprint != header.base_fingerprint {
+        while let Some(rest) = raw.get(journal_len..) {
+            let Ok((entry, len)) = journal::next_entry(rest, journal_entries) else {
                 break;
-            }
-            if expected_pool.is_some_and(|pool| entry.pool_len_before != pool) {
+            };
+            if entry.base_fingerprint != header.base_fingerprint
+                || expected_pool.is_some_and(|pool| entry.pool_len_before != pool)
+            {
                 break;
             }
             expected_pool = Some(entry.pool_len_before + entry.labels.len());
             journal_entries += 1;
-            journal_len = frame_extent;
+            journal_len += len;
         }
         let tail_dirty = raw[journal_len..].iter().any(|&b| b != 0xFF);
         let discarded = raw[journal_len..]
@@ -676,34 +668,25 @@ impl<F: Flash> FlashStore<F> {
         let offset = geometry.slot_offset(slot);
         let header = SlotHeader::decode(&flash.read(offset, SLOT_HEADER_LEN)?)?;
         let base_len = header.base_len as usize;
-        if base_len < ENVELOPE_LEN || base_len > geometry.base_capacity() {
+        if base_len > geometry.base_capacity() {
             return Err(PersistError::Corrupted {
                 detail: format!(
-                    "slot header declares a {}-byte base outside [{}, {}]",
-                    base_len,
-                    ENVELOPE_LEN,
+                    "slot header declares a {base_len}-byte base beyond the {}-byte slot capacity",
                     geometry.base_capacity()
                 ),
             });
         }
-        let base = flash.read(offset + SLOT_HEADER_LEN, base_len)?;
-        // Checks length and magic, returns the trailing checksum.
-        let fingerprint = journal::base_fingerprint(&base)?;
-        if fingerprint != header.base_fingerprint {
+        let bytes = flash.read(offset + SLOT_HEADER_LEN, base_len)?;
+        let base = Envelope::whole(&bytes)?;
+        if base.checksum != header.base_fingerprint {
             return Err(PersistError::Corrupted {
                 detail: format!(
-                    "slot header fingerprint {:#018x} does not match the base's {fingerprint:#018x}",
-                    header.base_fingerprint
+                    "slot header fingerprint {:#018x} does not match the base's {:#018x}",
+                    header.base_fingerprint, base.checksum
                 ),
             });
         }
-        let computed = fnv1a(&base[..base_len - 8]);
-        if computed != fingerprint {
-            return Err(PersistError::ChecksumMismatch {
-                stored: fingerprint,
-                computed,
-            });
-        }
+        base.verify_checksum()?;
         Ok(header)
     }
 
@@ -711,31 +694,6 @@ impl<F: Flash> FlashStore<F> {
         flash
             .read(geometry.slot_offset(slot), SLOT_MAGIC.len())
             .is_ok_and(|bytes| bytes == SLOT_MAGIC)
-    }
-
-    /// Parses one journal frame from the front of `bytes`: checksum-valid
-    /// envelope holding a decodable journal entry. `None` on anything else
-    /// (erased space, torn tail, corruption) — the caller stops there.
-    fn next_frame(bytes: &[u8]) -> Option<(JournalEntry, usize)> {
-        // lint: allow(panic-free-decode) — len >= ENVELOPE_LEN checked in the same condition
-        if bytes.len() < ENVELOPE_LEN || bytes[..8] != super::MAGIC {
-            return None;
-        }
-        // lint: allow(panic-free-decode) — fixed 8-byte read, len >= ENVELOPE_LEN
-        let declared = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-        let frame_len = declared.checked_add(ENVELOPE_LEN)?;
-        if bytes.len() < frame_len {
-            return None;
-        }
-        let frame = &bytes[..frame_len];
-        // lint: allow(panic-free-decode) — frame_len >= ENVELOPE_LEN > 8 by construction
-        let stored = u64::from_le_bytes(frame[frame_len - 8..].try_into().expect("8 bytes"));
-        if fnv1a(&frame[..frame_len - 8]) != stored {
-            return None;
-        }
-        let scan = journal::scan_journal(frame).ok()?;
-        let entry = scan.entries.into_iter().next()?;
-        Some((entry, frame_len))
     }
 
     /// Compacts: writes `base` into the inactive slot and commits it by
@@ -746,8 +704,9 @@ impl<F: Flash> FlashStore<F> {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Corrupted`] when `base` is not an envelope or
-    /// exceeds the slot capacity, or any Flash failure.
+    /// [`PersistError::Corrupted`] when `base` exceeds the slot capacity,
+    /// the errors of [`journal::base_fingerprint`] when it is not an
+    /// envelope, or any Flash failure.
     pub fn commit_base(&mut self, base: &[u8]) -> Result<(), PersistError> {
         let fingerprint = journal::base_fingerprint(base)?;
         if base.len() > self.geometry.base_capacity() {
@@ -963,7 +922,7 @@ mod tests {
         let (rows, labels) = rows_and_labels(extra + salt);
         let (rows, labels) = (&rows[salt * 2..], &labels[salt..]);
         trainer.retrain(rows, 2, labels).unwrap();
-        writer.append_retrain(rows, 2, labels).unwrap();
+        writer.append(rows, 2, labels, &[]).unwrap();
         writer.take_unflushed()
     }
 

@@ -167,7 +167,7 @@ impl TrainingSet {
             });
         }
         let n = labels.len();
-        if rows.len() != n * num_features {
+        if n.checked_mul(num_features) != Some(rows.len()) {
             return Err(MlError::DimensionMismatch {
                 detail: format!(
                     "flat matrix of {} values does not cover {n} samples x {num_features} features",
@@ -212,7 +212,7 @@ impl TrainingSet {
             });
         }
         let n = labels.len();
-        if columns.len() != n * num_features {
+        if n.checked_mul(num_features) != Some(columns.len()) {
             return Err(MlError::DimensionMismatch {
                 detail: format!(
                     "column storage of {} values does not cover {n} samples x {num_features} features",

@@ -85,7 +85,7 @@ fn build_stream(pool: usize, plan: &[Option<usize>]) -> (Vec<u8>, Vec<Op>, Vec<S
                 let (rows, labels) = rows_and_labels(batch, salt);
                 salt += batch;
                 trainer.retrain(&rows, NUM_FEATURES, &labels).unwrap();
-                writer.append_retrain(&rows, NUM_FEATURES, &labels).unwrap();
+                writer.append(&rows, NUM_FEATURES, &labels, &[]).unwrap();
                 let frame = writer.take_unflushed();
                 ops.push(Op::Append(frame.clone()));
                 let mut journal = previous.journal;

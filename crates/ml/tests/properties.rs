@@ -298,7 +298,7 @@ proptest! {
             let (r, l) = (&flat[prev * 3..cut * 3], &labels[prev..cut]);
             trainer.retrain(r, 3, l).unwrap();
             if let Some(w) = writer.as_mut() {
-                w.append_retrain(r, 3, l).unwrap();
+                w.append(r, 3, l, &[]).unwrap();
                 journal.extend_from_slice(&w.take_unflushed());
                 states.push(trainer.clone());
                 boundaries.push(journal.len());

@@ -78,7 +78,7 @@ fn journal_entry_bytes_are_frozen() {
     let (rows, labels) = rows_and_labels(5);
     let annotation: Vec<u8> = (0..40).collect();
     let mut writer = JournalWriter::new(&base, 0).unwrap();
-    writer.append_with(&rows, 2, &labels, &annotation).unwrap();
+    writer.append(&rows, 2, &labels, &annotation).unwrap();
     assert_pinned(
         "journal entry",
         writer.unflushed(),

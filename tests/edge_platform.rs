@@ -228,16 +228,14 @@ fn journal_entry_size_formula_matches_the_real_codec() {
     let batch = 33;
     let batch_rows: Vec<f64> = (0..batch * 2).map(|i| i as f64).collect();
     let batch_labels: Vec<bool> = (0..batch).map(|i| i % 2 == 0).collect();
-    writer
-        .append_retrain(&batch_rows, 2, &batch_labels)
-        .unwrap();
+    writer.append(&batch_rows, 2, &batch_labels, &[]).unwrap();
     assert_eq!(writer.len(), memory.journal_entry_bytes(batch, 2, 0));
 
     // A pipeline-level entry annotating the 40-byte produced label + gate
     // calibration block.
     let before = writer.len();
     writer
-        .append_with(&batch_rows, 2, &batch_labels, &[0u8; 40])
+        .append(&batch_rows, 2, &batch_labels, &[0u8; 40])
         .unwrap();
     assert_eq!(
         writer.len() - before,
