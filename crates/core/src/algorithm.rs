@@ -9,28 +9,16 @@
 //! vector gives a single distance per position; the position with the maximum
 //! distance is labeled as the seizure.
 //!
-//! Two implementations are provided:
-//!
-//! * [`Implementation::Reference`] follows the paper's pseudo-code literally and
-//!   has the paper's `O(L² · W · F)` complexity.
-//! * [`Implementation::Optimized`] produces bit-identical distance rankings in
-//!   `O(L · F · log L + L · W · F · W / s)` using sorted prefix sums over the
-//!   subsampled rows, which makes the full-scale experiments tractable.
+//! The paper's pseudo-code costs `O(L² · W · F)`. This implementation produces
+//! the same distances in `O(L · F · log L + L · W · F · W / s)` using sorted
+//! prefix sums over the subsampled rows, which makes the full-scale
+//! experiments tractable; the literal pseudo-code stays in the test suite as
+//! its oracle.
 
 use crate::error::CoreError;
 use seizure_features::normalize::normalize_features;
 use seizure_features::FeatureMatrix;
 use std::convert::Infallible;
-
-/// Which implementation of Algorithm 1 to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Implementation {
-    /// Literal transcription of the paper's pseudo-code (`O(L²WF)`).
-    Reference,
-    /// Prefix-sum accelerated variant with identical output.
-    #[default]
-    Optimized,
-}
 
 /// Configuration of the a-posteriori detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,20 +26,11 @@ pub struct DetectorConfig {
     /// Subsampling step for the points outside the window (the paper uses every
     /// fourth point because consecutive windows overlap by 75 %).
     pub subsample_step: usize,
-    /// Implementation variant.
-    pub implementation: Implementation,
-    /// Whether to z-normalize each feature across the signal before computing
-    /// distances (Line 1 of the pseudo-code). Disable only for debugging.
-    pub normalize: bool,
 }
 
 impl Default for DetectorConfig {
     fn default() -> Self {
-        Self {
-            subsample_step: 4,
-            implementation: Implementation::Optimized,
-            normalize: true,
-        }
+        Self { subsample_step: 4 }
     }
 }
 
@@ -72,17 +51,13 @@ impl Detection {
     pub fn peak_distance(&self) -> f64 {
         self.distances[self.window_index]
     }
-
-    /// Range of feature-matrix rows labeled as seizure: `[y, y + W)`.
-    pub fn labeled_rows(&self) -> std::ops::Range<usize> {
-        self.window_index..self.window_index + self.window_length
-    }
 }
 
 /// Runs Algorithm 1 on `features` with a seizure window of `window_length` rows.
 ///
-/// With [`Implementation::Optimized`] the `L − W` candidate positions are
-/// scored on every worker of `seizure_parallel` (one contiguous block of
+/// Each feature is first z-normalized across the signal (Line 1 of the
+/// pseudo-code). The `L − W` candidate positions are then scored on every
+/// worker of `seizure_parallel` (one contiguous block of
 /// candidates each; fewer than 16 candidates stay on the calling thread).
 /// Each candidate's distance is computed by the same operations in the same
 /// order wherever it runs, so the distances and the detected position are
@@ -138,27 +113,22 @@ pub fn posteriori_detect(
         });
     }
 
-    let matrix = if config.normalize {
-        normalize_features(features)?
-    } else {
-        features.clone()
-    };
+    let matrix = normalize_features(features)?;
+    let distances = distance_profile(&matrix, window_length, config.subsample_step);
+    Ok(Detection {
+        window_index: peak_index(&distances),
+        window_length,
+        distances,
+    })
+}
 
-    let distances = match config.implementation {
-        Implementation::Reference => {
-            reference_distances(&matrix, window_length, config.subsample_step)
-        }
-        Implementation::Optimized => {
-            optimized_distances(&matrix, window_length, config.subsample_step)
-        }
-    };
-
-    // NaN-safe peak selection with NaN ranked *worst*: a candidate whose
-    // distance was poisoned by a NaN feature value must never outrank a
-    // finite one. (The former `partial_cmp` fallback to `Equal` let a NaN
-    // candidate late in the profile displace the true peak, silently
-    // mislabeling the seizure.)
-    let window_index = distances
+/// NaN-safe peak selection with NaN ranked *worst*: a candidate whose
+/// distance was poisoned by a NaN feature value must never outrank a finite
+/// one. (The former `partial_cmp` fallback to `Equal` let a NaN candidate
+/// late in the profile displace the true peak, silently mislabeling the
+/// seizure.) Ties go to the later candidate.
+fn peak_index(distances: &[f64]) -> usize {
+    distances
         .iter()
         .enumerate()
         .max_by(|a, b| match (a.1.is_nan(), b.1.is_nan()) {
@@ -168,63 +138,18 @@ pub fn posteriori_detect(
             (false, false) => a.1.total_cmp(b.1),
         })
         .map(|(i, _)| i)
-        .unwrap_or(0);
-
-    Ok(Detection {
-        window_index,
-        window_length,
-        distances,
-    })
+        .unwrap_or(0)
 }
 
-/// Literal transcription of the paper's pseudo-code.
-fn reference_distances(matrix: &FeatureMatrix, w_len: usize, step: usize) -> Vec<f64> {
-    let rows = matrix.num_windows();
-    let features = matrix.num_features();
-    let candidates = rows - w_len;
-    let norm_outside = ((rows - w_len) as f64 / step as f64).max(1.0);
-    let mut distances = Vec::with_capacity(candidates);
-
-    for i in 0..candidates {
-        let mut distance_vector = vec![0.0; features];
-        for w in 0..w_len {
-            let inside = matrix.row(i + w);
-            let mut edge = vec![0.0; features];
-            let mut k = 0;
-            while k < rows {
-                if k < i || k >= i + w_len {
-                    let outside = matrix.row(k);
-                    for f in 0..features {
-                        edge[f] += (inside[f] - outside[f]).abs();
-                    }
-                }
-                k += step;
-            }
-            for f in 0..features {
-                distance_vector[f] += edge[f] / norm_outside;
-            }
-        }
-        let norm: f64 = distance_vector
-            .iter()
-            .map(|v| {
-                let v = v / w_len as f64;
-                v * v
-            })
-            .sum::<f64>()
-            .sqrt();
-        distances.push(norm);
-    }
-    distances
-}
-
-/// Prefix-sum accelerated variant.
+/// Algorithm 1's distance profile, with prefix sums in place of the
+/// pseudo-code's scan over every outside row.
 ///
 /// For each feature, the subsampled rows (`0, s, 2s, …`) are sorted once so
 /// that `Σ_k |v - X[k]|` over **all** subsampled rows can be answered per query
 /// in `O(log L)`, and it is asked once per (row, feature). The contribution of
 /// subsampled rows that fall *inside* the current window is then subtracted
 /// directly (there are at most `W / s + 1` of them), which reproduces the
-/// reference result exactly.
+/// pseudo-code's result up to rounding.
 ///
 /// Cost: the index and the per-(row, feature) grid sums are
 /// `O(L · F · log L)` on the calling thread; the candidate loop, about
@@ -233,7 +158,7 @@ fn reference_distances(matrix: &FeatureMatrix, w_len: usize, step: usize) -> Vec
 /// across [`seizure_parallel::par_process_rows`] workers, each with its own
 /// `distance_vector` and `totals`. Candidates share only read-only inputs,
 /// so every distance is bit-identical to the one-thread loop.
-fn optimized_distances(matrix: &FeatureMatrix, w_len: usize, step: usize) -> Vec<f64> {
+fn distance_profile(matrix: &FeatureMatrix, w_len: usize, step: usize) -> Vec<f64> {
     let rows = matrix.num_windows();
     let features = matrix.num_features();
     let candidates = rows - w_len;
@@ -352,89 +277,26 @@ mod tests {
         let matrix = matrix_with_anomaly(120, 40..60, 6.0);
         let detection = posteriori_detect(&matrix, 20, &DetectorConfig::default()).unwrap();
         assert!((38..=42).contains(&detection.window_index));
-        assert_eq!(detection.labeled_rows().len(), 20);
         assert!(detection.peak_distance() > 0.0);
         assert_eq!(detection.distances.len(), 100);
-    }
-
-    #[test]
-    fn reference_and_optimized_agree() {
-        for (rows, w, step) in [(60, 10, 4), (75, 13, 4), (50, 7, 3), (64, 16, 1)] {
-            let matrix = matrix_with_anomaly(rows, (rows / 3)..(rows / 3 + w), 4.0);
-            let reference = posteriori_detect(
-                &matrix,
-                w,
-                &DetectorConfig {
-                    implementation: Implementation::Reference,
-                    subsample_step: step,
-                    normalize: true,
-                },
-            )
-            .unwrap();
-            let optimized = posteriori_detect(
-                &matrix,
-                w,
-                &DetectorConfig {
-                    implementation: Implementation::Optimized,
-                    subsample_step: step,
-                    normalize: true,
-                },
-            )
-            .unwrap();
-            assert_eq!(reference.window_index, optimized.window_index);
-            for (a, b) in reference.distances.iter().zip(optimized.distances.iter()) {
-                assert!((a - b).abs() < 1e-9, "rows={rows} w={w} step={step}");
-            }
-        }
     }
 
     /// Regression for the NaN-unsafe peak selection: a NaN feature value
     /// poisons the distance of every candidate window containing it, and
     /// those candidates sit *after* the true peak here — the former
     /// `partial_cmp().unwrap_or(Equal)` fold let the last NaN candidate
-    /// displace the real seizure window. NaN must rank worst, on both
-    /// implementations, without panicking.
+    /// displace the real seizure window. NaN must rank worst, without
+    /// panicking.
     #[test]
     fn nan_features_never_win_the_detection() {
-        let mut data: Vec<Vec<f64>> = (0..30)
-            .map(|i| vec![if (10..15).contains(&i) { 8.0 } else { 0.0 }])
+        let mut distances: Vec<f64> = (0..25)
+            .map(|i| 1.0 / (1.0 + (i as f64 - 10.0).abs()))
             .collect();
-        // An odd row index keeps the NaN off the subsample grid (step 2), so
-        // only the windows *containing* it go NaN; the grid sums stay finite
-        // for everything else.
-        data[25][0] = f64::NAN;
-        let matrix = FeatureMatrix::from_rows(vec!["f".into()], data).unwrap();
-        for implementation in [Implementation::Reference, Implementation::Optimized] {
-            let detection = posteriori_detect(
-                &matrix,
-                5,
-                &DetectorConfig {
-                    implementation,
-                    subsample_step: 2,
-                    normalize: false,
-                },
-            )
-            .unwrap();
-            assert_eq!(detection.window_index, 10, "{implementation:?}");
-            assert!(
-                detection.peak_distance().is_finite(),
-                "{implementation:?}: a NaN candidate won the peak"
-            );
-            // The poisoned candidates are really NaN — the selection, not
-            // luck, kept them out.
-            assert!(detection.distances[21..25].iter().all(|d| d.is_nan()));
-        }
-    }
-
-    #[test]
-    fn works_without_normalization() {
-        let matrix = matrix_with_anomaly(80, 30..40, 5.0);
-        let config = DetectorConfig {
-            normalize: false,
-            ..DetectorConfig::default()
-        };
-        let detection = posteriori_detect(&matrix, 10, &config).unwrap();
-        assert!((28..=32).contains(&detection.window_index));
+        distances[21..25].fill(f64::NAN);
+        assert_eq!(peak_index(&distances), 10);
+        assert_eq!(peak_index(&[f64::NAN, 0.5, f64::NAN, 0.25]), 1);
+        // A profile poisoned throughout still selects a candidate.
+        assert_eq!(peak_index(&[f64::NAN; 3]), 2);
     }
 
     #[test]
@@ -443,10 +305,7 @@ mod tests {
         assert!(posteriori_detect(&matrix, 0, &DetectorConfig::default()).is_err());
         assert!(posteriori_detect(&matrix, 50, &DetectorConfig::default()).is_err());
         assert!(posteriori_detect(&matrix, 60, &DetectorConfig::default()).is_err());
-        let bad_step = DetectorConfig {
-            subsample_step: 0,
-            ..DetectorConfig::default()
-        };
+        let bad_step = DetectorConfig { subsample_step: 0 };
         assert!(posteriori_detect(&matrix, 10, &bad_step).is_err());
     }
 

@@ -52,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alarm;
 pub mod algorithm;
 pub mod error;
 pub mod label;
@@ -62,8 +61,7 @@ pub mod pipeline;
 pub mod realtime;
 pub mod workspace;
 
-pub use alarm::{alarms_from_windows, evaluate_events, Alarm, AlarmConfig, EventReport};
-pub use algorithm::{posteriori_detect, Detection, DetectorConfig, Implementation};
+pub use algorithm::{posteriori_detect, Detection, DetectorConfig};
 pub use error::CoreError;
 pub use label::SeizureLabel;
 pub use labeler::{LabelerConfig, PosterioriLabeler};

@@ -6,7 +6,7 @@
 //! personalized training set and the real-time detector is retrained. With
 //! every missed seizure the detector becomes more robust.
 
-use crate::algorithm::{DetectorConfig, Implementation};
+use crate::algorithm::DetectorConfig;
 use crate::error::CoreError;
 use crate::label::SeizureLabel;
 use crate::labeler::{LabelerConfig, PosterioriLabeler};
@@ -149,6 +149,10 @@ pub const QUARANTINE_REJECT_FRACTION: f64 = 0.25;
 /// resume state-identical to the pipeline that never powered down even
 /// though gate calibration advances with every learned record.
 const LABEL_ANNOTATION_LEN: usize = 40;
+
+/// The labeler block's implementation marker: `1` names Algorithm 1's
+/// prefix-sum implementation, the only one; `resume` rejects any other value.
+const LABELER_IMPLEMENTATION_MARKER: u8 = 1;
 
 fn encode_annotation(
     label: &SeizureLabel,
@@ -469,11 +473,11 @@ impl SelfLearningPipeline {
         w.f64(labeler.window_secs);
         w.f64(labeler.overlap);
         w.usize(labeler.detector.subsample_step);
-        w.u8(match labeler.detector.implementation {
-            Implementation::Reference => 0,
-            Implementation::Optimized => 1,
-        });
-        w.bool(labeler.detector.normalize);
+        // The implementation marker and the normalization flag: Algorithm 1
+        // has one implementation and always normalizes, and `resume`
+        // accepts only these two values.
+        w.u8(LABELER_IMPLEMENTATION_MARKER);
+        w.bool(true);
         // The detector (and through it the O(pool) trainer payload) is
         // nested in place — lengths and checksums are back-patched instead
         // of memcpying separately finished child envelopes.
@@ -506,17 +510,19 @@ impl SelfLearningPipeline {
         let window_secs = r.f64()?;
         let overlap = r.f64()?;
         let subsample_step = r.usize()?;
-        let implementation = match r.u8()? {
-            0 => Implementation::Reference,
-            1 => Implementation::Optimized,
-            marker => {
-                return Err(PersistError::Corrupted {
-                    detail: format!("unknown labeler implementation marker {marker}"),
-                }
-                .into())
+        let marker = r.u8()?;
+        if marker != LABELER_IMPLEMENTATION_MARKER {
+            return Err(PersistError::Corrupted {
+                detail: format!("unknown labeler implementation marker {marker}"),
             }
-        };
-        let normalize = r.bool()?;
+            .into());
+        }
+        if !r.bool()? {
+            return Err(PersistError::Corrupted {
+                detail: "the labeler block disables feature normalization".to_string(),
+            }
+            .into());
+        }
         let detector = RealTimeDetector::load_state(r.nested()?)?;
         let num_seizures = r.usize()?;
         let num_quarantined = r.usize()?;
@@ -535,11 +541,7 @@ impl SelfLearningPipeline {
         let labeler_config = LabelerConfig {
             window_secs,
             overlap,
-            detector: DetectorConfig {
-                subsample_step,
-                implementation,
-                normalize,
-            },
+            detector: DetectorConfig { subsample_step },
         };
         Ok(Self {
             labeler: PosterioriLabeler::new(labeler_config),
@@ -1432,6 +1434,28 @@ mod tests {
         ));
     }
 
+    /// The pipeline snapshot as the copying codec the format was defined
+    /// with writes it, with the labeler block's implementation marker and
+    /// normalization flag as given (`save` writes `1` and `true`).
+    fn copying_snapshot(pipeline: &SelfLearningPipeline, marker: u8, normalize: bool) -> Vec<u8> {
+        let labeler = pipeline.labeler.config();
+        let mut reference = SnapshotWriter::new();
+        reference.f64(labeler.window_secs);
+        reference.f64(labeler.overlap);
+        reference.usize(labeler.detector.subsample_step);
+        reference.u8(marker);
+        reference.bool(normalize);
+        reference.nested(&pipeline.detector.save_state());
+        reference.usize(pipeline.num_seizures);
+        reference.usize(pipeline.num_quarantined);
+        reference.usize(pipeline.produced_labels.len());
+        for label in &pipeline.produced_labels {
+            reference.f64(label.onset_secs());
+            reference.f64(label.offset_secs());
+        }
+        reference.finish(SnapshotKind::SelfLearningPipeline)
+    }
+
     /// The zero-copy pipeline snapshot (detector nested in place) must stay
     /// byte-identical to the copying path the format was defined with.
     #[test]
@@ -1446,29 +1470,7 @@ mod tests {
         pipeline
             .observe_missed_seizure(&record, w, LabelSource::Algorithm)
             .unwrap();
-
-        let labeler = pipeline.labeler.config();
-        let mut reference = SnapshotWriter::new();
-        reference.f64(labeler.window_secs);
-        reference.f64(labeler.overlap);
-        reference.usize(labeler.detector.subsample_step);
-        reference.u8(match labeler.detector.implementation {
-            Implementation::Reference => 0,
-            Implementation::Optimized => 1,
-        });
-        reference.bool(labeler.detector.normalize);
-        reference.nested(&pipeline.detector.save_state());
-        reference.usize(pipeline.num_seizures);
-        reference.usize(pipeline.num_quarantined);
-        reference.usize(pipeline.produced_labels.len());
-        for label in &pipeline.produced_labels {
-            reference.f64(label.onset_secs());
-            reference.f64(label.offset_secs());
-        }
-        assert_eq!(
-            pipeline.save(),
-            reference.finish(SnapshotKind::SelfLearningPipeline)
-        );
+        assert_eq!(pipeline.save(), copying_snapshot(&pipeline, 1, true));
     }
 
     #[test]
@@ -1485,6 +1487,19 @@ mod tests {
         let restored = SelfLearningPipeline::resume(&pipeline.save()).unwrap();
         assert_eq!(restored.num_seizures_collected(), 0);
         assert!(!restored.detector().is_trained());
+        // Algorithm 1 has one implementation and always normalizes: a
+        // well-formed snapshot whose labeler block says otherwise is
+        // corrupt.
+        assert!(SelfLearningPipeline::resume(&copying_snapshot(&pipeline, 1, true)).is_ok());
+        for (marker, normalize) in [(0, true), (2, true), (1, false)] {
+            assert!(
+                matches!(
+                    SelfLearningPipeline::resume(&copying_snapshot(&pipeline, marker, normalize)),
+                    Err(CoreError::Persist(PersistError::Corrupted { .. }))
+                ),
+                "marker {marker}, normalize {normalize}"
+            );
+        }
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl SeizureAnnotation {
         self.offset_sec - self.onset_sec
     }
 
-    /// Midpoint of the seizure in seconds.
-    pub fn midpoint(&self) -> f64 {
-        0.5 * (self.onset_sec + self.offset_sec)
-    }
-
     /// Returns `true` if the time `t` (seconds) falls inside the seizure.
     pub fn contains(&self, t: f64) -> bool {
         t >= self.onset_sec && t <= self.offset_sec
@@ -76,17 +71,6 @@ impl SeizureAnnotation {
         let lo = self.onset_sec.max(start);
         let hi = self.offset_sec.min(end);
         (hi - lo).max(0.0)
-    }
-
-    /// Returns a copy of the annotation shifted by `delta_sec` (used when a
-    /// seizure segment is placed inside a longer synthetic recording).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::InvalidParameter`] if the shifted onset would be
-    /// negative.
-    pub fn shifted(&self, delta_sec: f64) -> Result<SeizureAnnotation, DataError> {
-        SeizureAnnotation::new(self.onset_sec + delta_sec, self.offset_sec + delta_sec)
     }
 }
 
@@ -104,10 +88,9 @@ mod tests {
     }
 
     #[test]
-    fn duration_midpoint_contains() {
+    fn duration_and_contains() {
         let a = SeizureAnnotation::new(100.0, 140.0).unwrap();
         assert_eq!(a.duration(), 40.0);
-        assert_eq!(a.midpoint(), 120.0);
         assert!(a.contains(100.0));
         assert!(a.contains(140.0));
         assert!(!a.contains(99.9));
@@ -121,14 +104,5 @@ mod tests {
         assert_eq!(a.overlap_with(0.0, 100.0), 0.0);
         assert_eq!(a.overlap_with(90.0, 150.0), 40.0);
         assert_eq!(a.overlap_with(150.0, 200.0), 0.0);
-    }
-
-    #[test]
-    fn shifted_moves_both_bounds() {
-        let a = SeizureAnnotation::new(10.0, 40.0).unwrap();
-        let b = a.shifted(100.0).unwrap();
-        assert_eq!(b.onset(), 110.0);
-        assert_eq!(b.offset(), 140.0);
-        assert!(a.shifted(-20.0).is_err());
     }
 }

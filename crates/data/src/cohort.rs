@@ -8,8 +8,7 @@
 use crate::error::DataError;
 use crate::patient::PatientProfile;
 use crate::sampler::{EegRecord, SampleConfig};
-use crate::signal::EegSignal;
-use crate::synth::{generate_background_record, generate_record, randn};
+use crate::synth::{generate_record, randn};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -136,14 +135,6 @@ impl Cohort {
         self.seizures.iter().map(Vec::len).sum()
     }
 
-    /// Iterator over all `(patient_idx, seizure_idx)` pairs in the cohort.
-    pub fn seizure_indices(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.seizures
-            .iter()
-            .enumerate()
-            .flat_map(|(p, list)| (0..list.len()).map(move |s| (p, s)))
-    }
-
     /// Average seizure duration of a patient in seconds — the quantity a
     /// medical expert provides to the labeling algorithm as the window length
     /// `W`.
@@ -219,25 +210,6 @@ impl Cohort {
         )
     }
 
-    /// Generates a seizure-free recording of `duration_secs` seconds for the
-    /// given patient (used to build the non-seizure half of training sets).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::IndexOutOfRange`] for an invalid patient index or
-    /// [`DataError::InvalidParameter`] for a non-positive duration.
-    pub fn sample_background(
-        &self,
-        patient_idx: usize,
-        duration_secs: f64,
-        fs: f64,
-        sample_seed: u64,
-    ) -> Result<EegSignal, DataError> {
-        let profile = self.patient(patient_idx)?;
-        let mut rng = self.record_rng(patient_idx, usize::MAX, sample_seed);
-        generate_background_record(profile, duration_secs, fs, &mut rng)
-    }
-
     fn record_rng(&self, patient_idx: usize, seizure_idx: usize, sample_seed: u64) -> ChaCha8Rng {
         // Mix the cohort seed and the record identity into one 64-bit seed.
         let mut h = self.seed ^ 0x9E37_79B9_7F4A_7C15;
@@ -266,7 +238,6 @@ mod tests {
             .map(|p| cohort.seizures_of(p).unwrap().len())
             .collect();
         assert_eq!(counts, vec![7, 3, 7, 4, 5, 3, 5, 4, 7]);
-        assert_eq!(cohort.seizure_indices().count(), 45);
         assert_eq!(cohort.seed(), 7);
     }
 
@@ -304,7 +275,6 @@ mod tests {
         assert!(cohort
             .sample_record(12, 0, &SampleConfig::fast_test().unwrap(), 0)
             .is_err());
-        assert!(cohort.sample_background(12, 10.0, 64.0, 0).is_err());
     }
 
     #[test]
@@ -338,12 +308,5 @@ mod tests {
         // 30-second records cannot contain a ~60-second seizure.
         let config = SampleConfig::new(30.0, 31.0, 64.0).unwrap();
         assert!(cohort.sample_record(0, 0, &config, 0).is_err());
-    }
-
-    #[test]
-    fn sample_background_has_requested_duration() {
-        let cohort = Cohort::chb_mit_like(5);
-        let bg = cohort.sample_background(3, 90.0, 64.0, 1).unwrap();
-        assert_eq!(bg.len(), (90.0 * 64.0) as usize);
     }
 }

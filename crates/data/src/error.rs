@@ -22,16 +22,6 @@ pub enum DataError {
         /// Number of available entities.
         available: usize,
     },
-    /// Reading or writing record files failed.
-    Io {
-        /// Human-readable description of the failure.
-        detail: String,
-    },
-    /// A record file had an unexpected format.
-    Format {
-        /// Description of the formatting problem.
-        detail: String,
-    },
 }
 
 impl fmt::Display for DataError {
@@ -48,21 +38,11 @@ impl fmt::Display for DataError {
                 f,
                 "{entity} index {index} out of range: only {available} available"
             ),
-            DataError::Io { detail } => write!(f, "record i/o failed: {detail}"),
-            DataError::Format { detail } => write!(f, "malformed record: {detail}"),
         }
     }
 }
 
 impl Error for DataError {}
-
-impl From<std::io::Error> for DataError {
-    fn from(e: std::io::Error) -> Self {
-        DataError::Io {
-            detail: e.to_string(),
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -82,12 +62,6 @@ mod tests {
         };
         assert!(e.to_string().contains("12"));
         assert!(e.to_string().contains('9'));
-        let e: DataError = std::io::Error::new(std::io::ErrorKind::NotFound, "nope").into();
-        assert!(e.to_string().contains("nope"));
-        let e = DataError::Format {
-            detail: "bad header".into(),
-        };
-        assert!(e.to_string().contains("bad header"));
     }
 
     #[test]

@@ -94,12 +94,6 @@ impl SampleConfig {
     pub fn edge_margin_secs(&self) -> f64 {
         self.edge_margin_secs
     }
-
-    /// Returns a copy with a different edge margin.
-    pub fn with_edge_margin(mut self, margin_secs: f64) -> Self {
-        self.edge_margin_secs = margin_secs.max(0.0);
-        self
-    }
 }
 
 /// One generated evaluation record: a signal containing exactly one seizure
@@ -200,14 +194,6 @@ mod tests {
         let cfg = SampleConfig::fast_test().unwrap();
         assert!(cfg.max_duration_secs() < 600.0);
         assert!(cfg.sampling_frequency() < 256.0);
-    }
-
-    #[test]
-    fn edge_margin_is_adjustable() {
-        let cfg = SampleConfig::fast_test().unwrap().with_edge_margin(25.0);
-        assert_eq!(cfg.edge_margin_secs(), 25.0);
-        let cfg = cfg.with_edge_margin(-3.0);
-        assert_eq!(cfg.edge_margin_secs(), 0.0);
     }
 
     #[test]

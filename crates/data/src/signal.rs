@@ -91,40 +91,6 @@ impl EegSignal {
         self.len() as f64 / self.fs
     }
 
-    /// Converts a time in seconds to the nearest sample index, clamped to the
-    /// signal length.
-    pub fn seconds_to_sample(&self, seconds: f64) -> usize {
-        ((seconds * self.fs).round().max(0.0) as usize).min(self.len())
-    }
-
-    /// Converts a sample index to seconds.
-    pub fn sample_to_seconds(&self, sample: usize) -> f64 {
-        sample as f64 / self.fs
-    }
-
-    /// Extracts the sub-signal between `start_sec` and `end_sec` (clamped to
-    /// the recording bounds).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DataError::InvalidParameter`] if the interval is empty after
-    /// clamping.
-    pub fn slice_seconds(&self, start_sec: f64, end_sec: f64) -> Result<EegSignal, DataError> {
-        let start = self.seconds_to_sample(start_sec.max(0.0));
-        let end = self.seconds_to_sample(end_sec);
-        if end <= start {
-            return Err(DataError::InvalidParameter {
-                name: "interval",
-                reason: format!("empty interval [{start_sec}, {end_sec}] after clamping"),
-            });
-        }
-        EegSignal::new(
-            self.f7t3[start..end].to_vec(),
-            self.f8t4[start..end].to_vec(),
-            self.fs,
-        )
-    }
-
     /// Concatenates `other` after `self`, returning a new signal.
     ///
     /// # Errors
@@ -180,25 +146,6 @@ mod tests {
         assert!((s.duration_secs() - 2.0).abs() < 1e-12);
         assert_eq!(s.f7t3()[10], 10.0);
         assert_eq!(s.f8t4()[20], 20.0);
-    }
-
-    #[test]
-    fn time_sample_conversions() {
-        let s = EegSignal::new(ramp(1024), ramp(1024), 256.0).unwrap();
-        assert_eq!(s.seconds_to_sample(1.0), 256);
-        assert_eq!(s.seconds_to_sample(100.0), 1024); // clamped
-        assert_eq!(s.seconds_to_sample(-1.0), 0);
-        assert!((s.sample_to_seconds(512) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn slice_seconds_extracts_expected_samples() {
-        let s = EegSignal::new(ramp(1024), ramp(1024), 256.0).unwrap();
-        let cut = s.slice_seconds(1.0, 2.0).unwrap();
-        assert_eq!(cut.len(), 256);
-        assert_eq!(cut.f7t3()[0], 256.0);
-        assert!(s.slice_seconds(3.0, 2.0).is_err());
-        assert!(s.slice_seconds(10.0, 20.0).is_err());
     }
 
     #[test]

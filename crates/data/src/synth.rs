@@ -318,32 +318,6 @@ pub fn generate_record<R: Rng + ?Sized>(
     })
 }
 
-/// Generates a seizure-free background recording of `total_secs` seconds
-/// (used to build the non-seizure half of balanced training sets).
-///
-/// # Errors
-///
-/// Returns [`DataError::InvalidParameter`] if the duration or `fs` is not
-/// positive.
-pub fn generate_background_record<R: Rng + ?Sized>(
-    profile: &PatientProfile,
-    total_secs: f64,
-    fs: f64,
-    rng: &mut R,
-) -> Result<EegSignal, DataError> {
-    if fs <= 0.0 || total_secs <= 0.0 {
-        return Err(DataError::InvalidParameter {
-            name: "duration",
-            reason: "duration and sampling frequency must be positive".to_string(),
-        });
-    }
-    let mut f7t3 = background_channel(profile, total_secs, fs, rng);
-    let mut f8t4 = background_channel(profile, total_secs, fs, rng);
-    add_artifacts(&mut f7t3, profile, fs, rng);
-    add_artifacts(&mut f8t4, profile, fs, rng);
-    EegSignal::new(f7t3, f8t4, fs)
-}
-
 /// Hostile recording conditions a wearable sees in the field but a clean
 /// synthetic cohort never exercises.
 ///
@@ -724,18 +698,6 @@ mod tests {
         assert!(generate_record(&p, 0.0, 0.0, 30.0, 64.0, &mut rng).is_err());
         assert!(generate_record(&p, 100.0, 10.0, 0.0, 64.0, &mut rng).is_err());
         assert!(generate_record(&p, 100.0, 10.0, 30.0, 0.0, &mut rng).is_err());
-        assert!(generate_background_record(&p, 0.0, 64.0, &mut rng).is_err());
-    }
-
-    #[test]
-    fn background_record_is_seizure_free_scale() {
-        let mut rng = ChaCha8Rng::seed_from_u64(6);
-        let p = profile();
-        let bg = generate_background_record(&p, 120.0, 64.0, &mut rng).unwrap();
-        assert_eq!(bg.len(), (120.0 * 64.0) as usize);
-        // The background RMS stays in the vicinity of the configured amplitude.
-        let r = rms(bg.f7t3());
-        assert!(r > 0.3 * p.background_amplitude && r < 3.0 * p.background_amplitude);
     }
 
     #[test]

@@ -142,23 +142,14 @@ fn is_power_of_two(n: usize) -> bool {
 /// # }
 /// ```
 pub fn fft(input: &[Complex]) -> Result<Vec<Complex>, DspError> {
-    transform(input, Direction::Forward)
-}
-
-/// Computes the inverse discrete Fourier transform of `input`.
-///
-/// The output is scaled by `1/n` so that `ifft(fft(x)) == x` up to rounding.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `input` is empty.
-pub fn ifft(input: &[Complex]) -> Result<Vec<Complex>, DspError> {
-    let mut out = transform(input, Direction::Inverse)?;
-    let scale = 1.0 / input.len() as f64;
-    for v in &mut out {
-        *v = v.scale(scale);
+    if input.is_empty() {
+        return Err(DspError::EmptyInput { operation: "fft" });
     }
-    Ok(out)
+    if is_power_of_two(input.len()) {
+        Ok(radix2(input))
+    } else {
+        Ok(dft(input))
+    }
 }
 
 /// Computes the forward FFT of a real-valued signal.
@@ -171,70 +162,8 @@ pub fn real_fft(signal: &[f64]) -> Result<Vec<Complex>, DspError> {
     fft(&buf)
 }
 
-/// Returns the single-sided magnitude spectrum of a real signal.
-///
-/// The result has `n/2 + 1` entries covering DC up to the Nyquist frequency.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `signal` is empty.
-///
-/// # Example
-///
-/// ```
-/// use seizure_dsp::real_fft_magnitude;
-///
-/// # fn main() -> Result<(), seizure_dsp::DspError> {
-/// let fs = 64.0;
-/// let signal: Vec<f64> = (0..64)
-///     .map(|n| (2.0 * std::f64::consts::PI * 8.0 * n as f64 / fs).cos())
-///     .collect();
-/// let mag = real_fft_magnitude(&signal)?;
-/// // The peak lies at bin 8 (8 Hz with a 1 Hz resolution).
-/// let peak = mag
-///     .iter()
-///     .enumerate()
-///     .max_by(|a, b| a.1.total_cmp(b.1))
-///     .map(|(i, _)| i)
-///     .unwrap();
-/// assert_eq!(peak, 8);
-/// # Ok(())
-/// # }
-/// ```
-pub fn real_fft_magnitude(signal: &[f64]) -> Result<Vec<f64>, DspError> {
-    let spectrum = real_fft(signal)?;
-    let half = signal.len() / 2 + 1;
-    Ok(spectrum[..half].iter().map(Complex::magnitude).collect())
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    Forward,
-    Inverse,
-}
-
-impl Direction {
-    fn sign(self) -> f64 {
-        match self {
-            Direction::Forward => -1.0,
-            Direction::Inverse => 1.0,
-        }
-    }
-}
-
-fn transform(input: &[Complex], direction: Direction) -> Result<Vec<Complex>, DspError> {
-    if input.is_empty() {
-        return Err(DspError::EmptyInput { operation: "fft" });
-    }
-    if is_power_of_two(input.len()) {
-        Ok(radix2(input, direction))
-    } else {
-        Ok(dft(input, direction))
-    }
-}
-
 /// Iterative radix-2 decimation-in-time FFT. `input.len()` must be a power of two.
-fn radix2(input: &[Complex], direction: Direction) -> Vec<Complex> {
+fn radix2(input: &[Complex]) -> Vec<Complex> {
     let n = input.len();
     let mut data = input.to_vec();
     if n == 1 {
@@ -252,10 +181,9 @@ fn radix2(input: &[Complex], direction: Direction) -> Vec<Complex> {
         }
     }
 
-    let sign = direction.sign();
     let mut len = 2;
     while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+        let ang = -2.0 * std::f64::consts::PI / len as f64;
         let wlen = Complex::from_polar_unit(ang);
         for start in (0..n).step_by(len) {
             let mut w = Complex::from(1.0);
@@ -273,14 +201,13 @@ fn radix2(input: &[Complex], direction: Direction) -> Vec<Complex> {
 }
 
 /// Direct DFT used for non-power-of-two lengths.
-fn dft(input: &[Complex], direction: Direction) -> Vec<Complex> {
+fn dft(input: &[Complex]) -> Vec<Complex> {
     let n = input.len();
-    let sign = direction.sign();
     let mut out = vec![Complex::zero(); n];
     for (k, out_k) in out.iter_mut().enumerate() {
         let mut acc = Complex::zero();
         for (t, &x) in input.iter().enumerate() {
-            let ang = sign * 2.0 * std::f64::consts::PI * (k * t) as f64 / n as f64;
+            let ang = -2.0 * std::f64::consts::PI * (k * t) as f64 / n as f64;
             acc = acc + x * Complex::from_polar_unit(ang);
         }
         *out_k = acc;
@@ -438,23 +365,6 @@ impl FftPlan {
     /// Returns [`DspError::InvalidLength`] if `signal` or `out` does not match
     /// the planned length.
     pub fn forward_real_into(&self, signal: &[f64], out: &mut [Complex]) -> Result<(), DspError> {
-        self.forward_real_windowed_into(signal, None, out)
-    }
-
-    /// Computes the forward FFT of `signal` tapered element-wise by `window`
-    /// into `out`, fusing the windowing into the bit-reversal load so no
-    /// intermediate windowed copy is needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidLength`] if `signal`, `window` (when given)
-    /// or `out` does not match the planned length.
-    pub fn forward_real_windowed_into(
-        &self,
-        signal: &[f64],
-        window: Option<&[f64]>,
-        out: &mut [Complex],
-    ) -> Result<(), DspError> {
         if signal.len() != self.n {
             return Err(DspError::InvalidLength {
                 operation: "FftPlan::forward_real_into",
@@ -469,29 +379,10 @@ impl FftPlan {
                 requirement: "output length must match the planned length",
             });
         }
-        if let Some(w) = window {
-            if w.len() != self.n {
-                return Err(DspError::InvalidLength {
-                    operation: "FftPlan::forward_real_into",
-                    actual: w.len(),
-                    requirement: "window length must match the planned length",
-                });
-            }
-        }
         match &self.kind {
             PlanKind::Radix2 { rev, twiddles } => {
-                match window {
-                    Some(w) => {
-                        for (slot, &src) in out.iter_mut().zip(rev.iter()) {
-                            let i = src as usize;
-                            *slot = Complex::from(signal[i] * w[i]);
-                        }
-                    }
-                    None => {
-                        for (slot, &src) in out.iter_mut().zip(rev.iter()) {
-                            *slot = Complex::from(signal[src as usize]);
-                        }
-                    }
+                for (slot, &src) in out.iter_mut().zip(rev.iter()) {
+                    *slot = Complex::from(signal[src as usize]);
                 }
                 butterfly_passes(out, twiddles);
             }
@@ -500,12 +391,8 @@ impl FftPlan {
                 for (k, slot) in out.iter_mut().enumerate() {
                     let mut acc = Complex::zero();
                     let mut idx = 0;
-                    for (t, &x) in signal.iter().enumerate() {
-                        let tapered = match window {
-                            Some(w) => x * w[t],
-                            None => x,
-                        };
-                        acc = acc + roots[idx].scale(tapered);
+                    for &x in signal {
+                        acc = acc + roots[idx].scale(x);
                         idx += k;
                         if idx >= n {
                             idx -= n;
@@ -539,7 +426,7 @@ impl FftPlan {
 /// let plan = RealFftPlan::new(signal.len())?;
 /// let mut power = vec![0.0; plan.num_bins()];
 /// let mut scratch = vec![Complex::zero(); plan.scratch_len()];
-/// plan.magnitudes_squared_into(&signal, None, &mut power, &mut scratch)?;
+/// plan.magnitudes_squared_into(&signal, &mut power, &mut scratch)?;
 ///
 /// let reference = real_fft(&signal)?;
 /// for (p, bin) in power.iter().zip(reference.iter()) {
@@ -621,17 +508,16 @@ impl RealFftPlan {
         }
     }
 
-    /// Computes `|X[k]|²` of the (optionally tapered) real signal for
-    /// `k = 0..=n/2` into `out`, without allocating.
+    /// Computes `|X[k]|²` of the real signal for `k = 0..=n/2` into `out`,
+    /// without allocating.
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::InvalidLength`] if `signal`, `window` (when
-    /// given), `out` or `scratch` has the wrong length.
+    /// Returns [`DspError::InvalidLength`] if `signal`, `out` or `scratch`
+    /// has the wrong length.
     pub fn magnitudes_squared_into(
         &self,
         signal: &[f64],
-        window: Option<&[f64]>,
         out: &mut [f64],
         scratch: &mut [Complex],
     ) -> Result<(), DspError> {
@@ -641,15 +527,6 @@ impl RealFftPlan {
                 actual: signal.len(),
                 requirement: "signal length must match the planned length",
             });
-        }
-        if let Some(w) = window {
-            if w.len() != self.n {
-                return Err(DspError::InvalidLength {
-                    operation: "RealFftPlan::magnitudes_squared_into",
-                    actual: w.len(),
-                    requirement: "window length must match the planned length",
-                });
-            }
         }
         if out.len() != self.num_bins() {
             return Err(DspError::InvalidLength {
@@ -667,7 +544,7 @@ impl RealFftPlan {
         }
         match &self.kind {
             RealPlanKind::Fallback(plan) => {
-                plan.forward_real_windowed_into(signal, window, &mut scratch[..self.n])?;
+                plan.forward_real_into(signal, &mut scratch[..self.n])?;
                 for (slot, bin) in out.iter_mut().zip(scratch.iter()) {
                     *slot = bin.magnitude_squared();
                 }
@@ -680,22 +557,9 @@ impl RealFftPlan {
             } => {
                 let m = self.n / 2;
                 let z = &mut scratch[..m];
-                // Load sample pairs straight into bit-reversed order, fusing
-                // the taper into the load.
-                match window {
-                    Some(w) => {
-                        for (j, &dst) in rev.iter().enumerate() {
-                            z[dst as usize] = Complex::new(
-                                signal[2 * j] * w[2 * j],
-                                signal[2 * j + 1] * w[2 * j + 1],
-                            );
-                        }
-                    }
-                    None => {
-                        for (j, &dst) in rev.iter().enumerate() {
-                            z[dst as usize] = Complex::new(signal[2 * j], signal[2 * j + 1]);
-                        }
-                    }
+                // Load sample pairs straight into bit-reversed order.
+                for (j, &dst) in rev.iter().enumerate() {
+                    z[dst as usize] = Complex::new(signal[2 * j], signal[2 * j + 1]);
                 }
                 butterfly_passes(z, twiddles);
 
@@ -729,20 +593,6 @@ impl RealFftPlan {
     }
 }
 
-/// Next power of two greater than or equal to `n`.
-///
-/// Useful for zero-padding signals before calling [`fft`].
-///
-/// # Example
-///
-/// ```
-/// assert_eq!(seizure_dsp::fft::next_power_of_two(1000), 1024);
-/// assert_eq!(seizure_dsp::fft::next_power_of_two(1024), 1024);
-/// ```
-pub fn next_power_of_two(n: usize) -> usize {
-    n.next_power_of_two()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -754,7 +604,6 @@ mod tests {
     #[test]
     fn fft_of_empty_is_error() {
         assert!(fft(&[]).is_err());
-        assert!(ifft(&[]).is_err());
     }
 
     #[test]
@@ -762,9 +611,6 @@ mod tests {
         let x = vec![Complex::new(3.5, -1.25)];
         let spec = fft(&x).unwrap();
         assert_eq!(spec, x);
-        let back = ifft(&spec).unwrap();
-        assert!(close(back[0].re, 3.5, 1e-12));
-        assert!(close(back[0].im, -1.25, 1e-12));
     }
 
     #[test]
@@ -833,36 +679,12 @@ mod tests {
     }
 
     #[test]
-    fn ifft_inverts_fft_power_of_two() {
-        let x: Vec<Complex> = (0..64)
-            .map(|i| Complex::new((i as f64 * 0.3).sin(), (i as f64 * 0.7).cos()))
-            .collect();
-        let y = ifft(&fft(&x).unwrap()).unwrap();
-        for (a, b) in x.iter().zip(y.iter()) {
-            assert!(close(a.re, b.re, 1e-10));
-            assert!(close(a.im, b.im, 1e-10));
-        }
-    }
-
-    #[test]
-    fn ifft_inverts_fft_arbitrary_length() {
-        let x: Vec<Complex> = (0..50)
-            .map(|i| Complex::new((i as f64 * 0.11).cos(), (i as f64 * 0.23).sin()))
-            .collect();
-        let y = ifft(&fft(&x).unwrap()).unwrap();
-        for (a, b) in x.iter().zip(y.iter()) {
-            assert!(close(a.re, b.re, 1e-9));
-            assert!(close(a.im, b.im, 1e-9));
-        }
-    }
-
-    #[test]
     fn dft_matches_radix2_on_power_of_two() {
         let x: Vec<Complex> = (0..32)
             .map(|i| Complex::new((i as f64).sin(), (i as f64 * 0.5).cos()))
             .collect();
-        let a = radix2(&x, Direction::Forward);
-        let b = dft(&x, Direction::Forward);
+        let a = radix2(&x);
+        let b = dft(&x);
         for (u, v) in a.iter().zip(b.iter()) {
             assert!(close(u.re, v.re, 1e-8));
             assert!(close(u.im, v.im, 1e-8));
@@ -879,13 +701,6 @@ mod tests {
         let freq_energy: f64 =
             spec.iter().map(Complex::magnitude_squared).sum::<f64>() / x.len() as f64;
         assert!(close(time_energy, freq_energy, 1e-6));
-    }
-
-    #[test]
-    fn real_fft_magnitude_length() {
-        let signal = vec![0.0; 100];
-        let mag = real_fft_magnitude(&signal).unwrap();
-        assert_eq!(mag.len(), 51);
     }
 
     #[test]
@@ -928,29 +743,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_windowed_load_matches_pre_windowed_signal() {
-        let signal: Vec<f64> = (0..128).map(|i| (i as f64 * 0.21).sin()).collect();
-        let taper: Vec<f64> = (0..128)
-            .map(|i| 0.5 + 0.4 * (i as f64 * 0.05).cos())
-            .collect();
-        let plan = FftPlan::new(signal.len()).unwrap();
-        let mut fused = vec![Complex::zero(); signal.len()];
-        plan.forward_real_windowed_into(&signal, Some(&taper), &mut fused)
-            .unwrap();
-        let pre: Vec<f64> = signal
-            .iter()
-            .zip(taper.iter())
-            .map(|(s, w)| s * w)
-            .collect();
-        let mut separate = vec![Complex::zero(); signal.len()];
-        plan.forward_real_into(&pre, &mut separate).unwrap();
-        for (a, b) in fused.iter().zip(separate.iter()) {
-            assert!(close(a.re, b.re, 1e-12));
-            assert!(close(a.im, b.im, 1e-12));
-        }
-    }
-
-    #[test]
     fn plan_rejects_mismatched_buffers() {
         assert!(FftPlan::new(0).is_err());
         let plan = FftPlan::new(16).unwrap();
@@ -961,10 +753,6 @@ mod tests {
         assert!(plan.forward_real_into(&signal, &mut short_out).is_err());
         let mut out = vec![Complex::zero(); 16];
         assert!(plan.forward_real_into(&signal[..8], &mut out).is_err());
-        let bad_window = vec![1.0; 4];
-        assert!(plan
-            .forward_real_windowed_into(&signal, Some(&bad_window), &mut out)
-            .is_err());
     }
 
     #[test]
@@ -974,13 +762,5 @@ mod tests {
         plan.forward_real_into(&[2.5], &mut out).unwrap();
         assert!(close(out[0].re, 2.5, 1e-15));
         assert!(close(out[0].im, 0.0, 1e-15));
-    }
-
-    #[test]
-    fn next_power_of_two_values() {
-        assert_eq!(next_power_of_two(1), 1);
-        assert_eq!(next_power_of_two(3), 4);
-        assert_eq!(next_power_of_two(1024), 1024);
-        assert_eq!(next_power_of_two(1025), 2048);
     }
 }

@@ -7,16 +7,13 @@
 //! "A Self-Learning Methodology for Epileptic Seizure Detection with
 //! Minimally-Supervised Edge Labeling" (DATE 2019)*:
 //!
-//! * [`fft`] — iterative radix-2 fast Fourier transform with a DFT fallback for
-//!   arbitrary lengths, plus real-signal helpers.
-//! * [`spectrum`] — periodogram and Welch power spectral density estimates and
-//!   frequency-band power integration.
+//! * [`mod@fft`] — iterative radix-2 fast Fourier transform with a DFT fallback
+//!   for arbitrary lengths, plus the real-signal plans the feature engines run.
+//! * [`spectrum`] — the rectangular periodogram and frequency-band power
+//!   integration.
 //! * [`wavelet`] — Daubechies-4 discrete wavelet transform, the multi-level
 //!   decomposition (level 7 in the paper) and its inverse.
-//! * [`filter`] — windowed-sinc FIR design, biquad IIR sections and zero-phase
-//!   filtering used to condition raw EEG channels.
-//! * [`window`] — Hann, Hamming and rectangular tapers.
-//! * [`stats`] — descriptive statistics, z-scoring and robust scaling.
+//! * [`stats`] — descriptive statistics.
 //!
 //! # Example
 //!
@@ -43,16 +40,14 @@
 
 pub mod error;
 pub mod fft;
-pub mod filter;
 pub mod spectrum;
 pub mod stats;
 pub mod wavelet;
-pub mod window;
 
 pub use error::DspError;
-pub use fft::{fft, ifft, real_fft_magnitude, Complex, FftPlan};
-pub use spectrum::{band_power, periodogram, welch, PowerSpectrum, PsdPlan};
+pub use fft::{fft, Complex, FftPlan};
+pub use spectrum::{band_power, periodogram, PowerSpectrum, PsdPlan};
 pub use wavelet::{
-    dwt_single, idwt_single, wavedec, wavedec_into, waverec, StreamingWavelet, Wavelet,
-    WaveletDecomposition, WaveletWorkspace,
+    dwt_single, idwt_single, wavedec, waverec, StreamingWavelet, WaveletDecomposition,
+    WaveletWorkspace,
 };

@@ -3,43 +3,17 @@
 //! The paper decomposes each 4-second EEG window "until level seven using the
 //! Daubechies 4 (db4) wavelet basis function" (§III-A) and computes nonlinear
 //! entropy features on the resulting sub-band coefficients. This module
-//! implements the db4 analysis/synthesis filter bank (alongside Haar and db2),
-//! single-level and multi-level decompositions with periodic signal extension,
-//! and the corresponding reconstructions.
+//! implements the db4 analysis/synthesis filter bank, single-level and
+//! multi-level decompositions with periodic signal extension, and the
+//! corresponding reconstructions.
 
 use crate::error::DspError;
 
-/// Wavelet families supported by the transform.
-///
-/// # Example
-///
-/// ```
-/// use seizure_dsp::Wavelet;
-///
-/// let db4 = Wavelet::Daubechies4;
-/// assert_eq!(db4.low_pass().len(), 8);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Wavelet {
-    /// Haar wavelet (db1), 2 filter taps.
-    Haar,
-    /// Daubechies-2 wavelet, 4 filter taps.
-    Daubechies2,
-    /// Daubechies-4 wavelet, 8 filter taps — the basis used by the paper.
-    #[default]
-    Daubechies4,
-}
+/// Number of db4 filter taps.
+const TAPS: usize = 8;
 
-// db2 scaling coefficients (4 taps).
-const DB2_LOW: [f64; 4] = [
-    0.482_962_913_144_690_2,
-    0.836_516_303_737_469,
-    0.224_143_868_041_857_35,
-    -0.129_409_522_550_921_45,
-];
-
-// db4 scaling coefficients (8 taps).
-const DB4_LOW: [f64; 8] = [
+/// db4 scaling (low-pass analysis) filter coefficients.
+const DB4_LOW: [f64; TAPS] = [
     0.230_377_813_308_855_23,
     0.714_846_570_552_541_5,
     0.630_880_767_929_590_4,
@@ -50,63 +24,58 @@ const DB4_LOW: [f64; 8] = [
     -0.010_597_401_784_997_278,
 ];
 
-const HAAR_LOW: [f64; 2] = [
-    std::f64::consts::FRAC_1_SQRT_2,
-    std::f64::consts::FRAC_1_SQRT_2,
+/// db4 wavelet (high-pass analysis) filter coefficients, derived from the
+/// low-pass filter by the quadrature-mirror relation
+/// `high[k] = (-1)^k · low[TAPS - 1 - k]`.
+const DB4_HIGH: [f64; TAPS] = [
+    DB4_LOW[7],
+    -DB4_LOW[6],
+    DB4_LOW[5],
+    -DB4_LOW[4],
+    DB4_LOW[3],
+    -DB4_LOW[2],
+    DB4_LOW[1],
+    -DB4_LOW[0],
 ];
 
-impl Wavelet {
-    /// Low-pass (scaling) analysis filter coefficients.
-    pub fn low_pass(&self) -> &'static [f64] {
-        match self {
-            Wavelet::Haar => &HAAR_LOW,
-            Wavelet::Daubechies2 => &DB2_LOW,
-            Wavelet::Daubechies4 => &DB4_LOW,
-        }
+/// Maximum number of db4 decomposition levels that keeps every level at
+/// least as long as the filter, following the usual `wmaxlev` convention.
+///
+/// # Example
+///
+/// ```
+/// // A 4-second window at 256 Hz supports the paper's level 7.
+/// assert_eq!(seizure_dsp::wavelet::max_level(1024), 7);
+/// ```
+pub fn max_level(signal_len: usize) -> usize {
+    if signal_len < TAPS {
+        return 0;
     }
-
-    /// High-pass (wavelet) analysis filter coefficients, derived from the
-    /// low-pass filter by the quadrature-mirror relation.
-    pub fn high_pass(&self) -> Vec<f64> {
-        let low = self.low_pass();
-        let n = low.len();
-        (0..n)
-            .map(|k| {
-                let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
-                sign * low[n - 1 - k]
-            })
-            .collect()
-    }
-
-    /// Number of filter taps.
-    pub fn filter_len(&self) -> usize {
-        self.low_pass().len()
-    }
-
-    /// Short lowercase name of the wavelet (e.g. `"db4"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Wavelet::Haar => "haar",
-            Wavelet::Daubechies2 => "db2",
-            Wavelet::Daubechies4 => "db4",
-        }
-    }
-
-    /// Maximum number of decomposition levels that keeps every level at least
-    /// as long as the filter, following the usual `wmaxlev` convention.
-    pub fn max_level(&self, signal_len: usize) -> usize {
-        if signal_len < self.filter_len() {
-            return 0;
-        }
-        let ratio = signal_len as f64 / (self.filter_len() as f64 - 1.0);
-        ratio.log2().floor().max(0.0) as usize
-    }
+    let ratio = signal_len as f64 / (TAPS as f64 - 1.0);
+    ratio.log2().floor().max(0.0) as usize
 }
 
-impl std::fmt::Display for Wavelet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+/// Rejects an empty signal, zero levels, and a depth the signal cannot
+/// support: more levels than [`max_level`] or fewer samples than two filter
+/// lengths.
+fn check_depth(operation: &'static str, signal_len: usize, levels: usize) -> Result<(), DspError> {
+    if signal_len == 0 {
+        return Err(DspError::EmptyInput { operation });
     }
+    if levels == 0 {
+        return Err(DspError::InvalidParameter {
+            name: "levels",
+            reason: "decomposition requires at least one level".to_string(),
+        });
+    }
+    if levels > max_level(signal_len) || signal_len < TAPS * 2 {
+        return Err(DspError::InvalidLength {
+            operation,
+            actual: signal_len,
+            requirement: "signal too short for the requested number of levels",
+        });
+    }
+    Ok(())
 }
 
 /// Result of a multi-level wavelet decomposition (the analogue of `wavedec`).
@@ -116,7 +85,6 @@ impl std::fmt::Display for Wavelet {
 /// (lowest-frequency) to the finest (highest-frequency) detail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WaveletDecomposition {
-    wavelet: Wavelet,
     levels: usize,
     original_len: usize,
     approximation: Vec<f64>,
@@ -124,11 +92,6 @@ pub struct WaveletDecomposition {
 }
 
 impl WaveletDecomposition {
-    /// The wavelet family used for the decomposition.
-    pub fn wavelet(&self) -> Wavelet {
-        self.wavelet
-    }
-
     /// Number of decomposition levels.
     pub fn levels(&self) -> usize {
         self.levels
@@ -159,21 +122,6 @@ impl WaveletDecomposition {
     pub fn details(&self) -> &[Vec<f64>] {
         &self.details
     }
-
-    /// Approximate frequency band `[low, high]` in Hz covered by the detail
-    /// coefficients at `level`, for a signal sampled at `fs` Hz.
-    ///
-    /// Level `l` details cover `[fs / 2^(l+1), fs / 2^l]`; for instance at
-    /// 256 Hz the level-7 detail band is `[1, 2]` Hz, squarely inside the delta
-    /// band the paper's features focus on.
-    pub fn detail_band(&self, level: usize, fs: f64) -> Option<(f64, f64)> {
-        if level == 0 || level > self.levels {
-            return None;
-        }
-        let high = fs / 2f64.powi(level as i32);
-        let low = fs / 2f64.powi(level as i32 + 1);
-        Some((low, high))
-    }
 }
 
 /// Symmetrically maps an arbitrary (possibly negative) index into `0..len` via
@@ -194,23 +142,23 @@ fn periodic_index(idx: isize, len: usize) -> usize {
 /// # Example
 ///
 /// ```
-/// use seizure_dsp::{dwt_single, Wavelet};
+/// use seizure_dsp::dwt_single;
 ///
 /// # fn main() -> Result<(), seizure_dsp::DspError> {
 /// let signal: Vec<f64> = (0..64).map(|i| (i as f64 * 0.2).sin()).collect();
-/// let (approx, detail) = dwt_single(&signal, Wavelet::Daubechies4)?;
+/// let (approx, detail) = dwt_single(&signal)?;
 /// assert_eq!(approx.len(), 32);
 /// assert_eq!(detail.len(), 32);
 /// # Ok(())
 /// # }
 /// ```
-pub fn dwt_single(signal: &[f64], wavelet: Wavelet) -> Result<(Vec<f64>, Vec<f64>), DspError> {
+pub fn dwt_single(signal: &[f64]) -> Result<(Vec<f64>, Vec<f64>), DspError> {
     if signal.is_empty() {
         return Err(DspError::EmptyInput {
             operation: "dwt_single",
         });
     }
-    if signal.len() < wavelet.filter_len() {
+    if signal.len() < TAPS {
         return Err(DspError::InvalidLength {
             operation: "dwt_single",
             actual: signal.len(),
@@ -220,13 +168,7 @@ pub fn dwt_single(signal: &[f64], wavelet: Wavelet) -> Result<(Vec<f64>, Vec<f64
     let half = signal.len().div_ceil(2);
     let mut approx = vec![0.0; half];
     let mut detail = vec![0.0; half];
-    dwt_step(
-        signal,
-        wavelet.low_pass(),
-        &wavelet.high_pass(),
-        &mut approx,
-        &mut detail,
-    );
+    dwt_step(signal, &mut approx, &mut detail);
     Ok((approx, detail))
 }
 
@@ -238,21 +180,20 @@ pub fn dwt_single(signal: &[f64], wavelet: Wavelet) -> Result<(Vec<f64>, Vec<f64
 /// boundary tail that wraps periodically — the interior loop carries no
 /// modulo arithmetic, which is where nearly all of the time goes on the
 /// paper's 1024-sample windows.
-fn dwt_step(signal: &[f64], low: &[f64], high: &[f64], approx: &mut [f64], detail: &mut [f64]) {
+fn dwt_step(signal: &[f64], approx: &mut [f64], detail: &mut [f64]) {
     let n = signal.len();
-    let taps = low.len();
-    // Outputs with 2i + taps - 1 < n never wrap.
-    let interior = if n >= taps { (n - taps) / 2 + 1 } else { 0 };
+    // Outputs with 2i + TAPS - 1 < n never wrap.
+    let interior = if n >= TAPS { (n - TAPS) / 2 + 1 } else { 0 };
     let interior = interior.min(approx.len());
     for (i, (a_slot, d_slot)) in approx[..interior]
         .iter_mut()
         .zip(detail[..interior].iter_mut())
         .enumerate()
     {
-        let window = &signal[2 * i..2 * i + taps];
+        let window = &signal[2 * i..2 * i + TAPS];
         let mut a = 0.0;
         let mut d = 0.0;
-        for ((&lo, &hi), &x) in low.iter().zip(high.iter()).zip(window.iter()) {
+        for ((&lo, &hi), &x) in DB4_LOW.iter().zip(DB4_HIGH.iter()).zip(window.iter()) {
             a += lo * x;
             d += hi * x;
         }
@@ -267,7 +208,7 @@ fn dwt_step(signal: &[f64], low: &[f64], high: &[f64], approx: &mut [f64], detai
     {
         let mut a = 0.0;
         let mut d = 0.0;
-        for (k, (&lo, &hi)) in low.iter().zip(high.iter()).enumerate() {
+        for (k, (&lo, &hi)) in DB4_LOW.iter().zip(DB4_HIGH.iter()).enumerate() {
             let idx = periodic_index(2 * i as isize + k as isize, n);
             a += lo * signal[idx];
             d += hi * signal[idx];
@@ -288,7 +229,6 @@ fn dwt_step(signal: &[f64], low: &[f64], high: &[f64], approx: &mut [f64], detai
 pub fn idwt_single(
     approx: &[f64],
     detail: &[f64],
-    wavelet: Wavelet,
     output_len: usize,
 ) -> Result<Vec<f64>, DspError> {
     if approx.is_empty() || detail.is_empty() {
@@ -310,11 +250,9 @@ pub fn idwt_single(
             requirement: "output length must be 2*len or 2*len-1 of the coefficient vectors",
         });
     }
-    let low = wavelet.low_pass();
-    let high = wavelet.high_pass();
     let mut out = vec![0.0; output_len];
     for i in 0..approx.len() {
-        for (k, (&lo, &hi)) in low.iter().zip(high.iter()).enumerate() {
+        for (k, (&lo, &hi)) in DB4_LOW.iter().zip(DB4_HIGH.iter()).enumerate() {
             let idx = periodic_index(2 * i as isize + k as isize, output_len);
             out[idx] += lo * approx[i] + hi * detail[i];
         }
@@ -336,55 +274,27 @@ pub fn idwt_single(
 /// Decompose a 4-second, 256 Hz window to level 7, as the paper does:
 ///
 /// ```
-/// use seizure_dsp::{wavedec, Wavelet};
+/// use seizure_dsp::wavedec;
 ///
 /// # fn main() -> Result<(), seizure_dsp::DspError> {
 /// let window: Vec<f64> = (0..1024).map(|i| (i as f64 * 0.05).sin()).collect();
-/// let dec = wavedec(&window, Wavelet::Daubechies4, 7)?;
+/// let dec = wavedec(&window, 7)?;
 /// assert_eq!(dec.levels(), 7);
 /// assert_eq!(dec.detail(7).unwrap().len(), 8);
-/// // Level 7 details at 256 Hz cover [1, 2] Hz.
-/// let (lo, hi) = dec.detail_band(7, 256.0).unwrap();
-/// assert!((lo - 1.0).abs() < 1e-9 && (hi - 2.0).abs() < 1e-9);
 /// # Ok(())
 /// # }
 /// ```
-pub fn wavedec(
-    signal: &[f64],
-    wavelet: Wavelet,
-    levels: usize,
-) -> Result<WaveletDecomposition, DspError> {
-    if signal.is_empty() {
-        return Err(DspError::EmptyInput {
-            operation: "wavedec",
-        });
-    }
-    if levels == 0 {
-        return Err(DspError::InvalidParameter {
-            name: "levels",
-            reason: "decomposition requires at least one level".to_string(),
-        });
-    }
-    // Follow the `wmaxlev` convention: the requested depth must not exceed
-    // `max_level`, which guarantees that the input of every level stays at
-    // least as long as the analysis filter.
-    if levels > wavelet.max_level(signal.len()) || signal.len() < wavelet.filter_len() * 2 {
-        return Err(DspError::InvalidLength {
-            operation: "wavedec",
-            actual: signal.len(),
-            requirement: "signal too short for the requested number of levels",
-        });
-    }
+pub fn wavedec(signal: &[f64], levels: usize) -> Result<WaveletDecomposition, DspError> {
+    check_depth("wavedec", signal.len(), levels)?;
     let mut details: Vec<Vec<f64>> = Vec::with_capacity(levels);
     let mut current = signal.to_vec();
     for _ in 0..levels {
-        let (a, d) = dwt_single(&current, wavelet)?;
+        let (a, d) = dwt_single(&current)?;
         details.push(d);
         current = a;
     }
     details.reverse(); // coarsest first
     Ok(WaveletDecomposition {
-        wavelet,
         levels,
         original_len: signal.len(),
         approximation: current,
@@ -394,8 +304,7 @@ pub fn wavedec(
 
 /// Reusable multi-level wavelet decomposition workspace.
 ///
-/// A `WaveletWorkspace` is built once per (wavelet, signal length, depth)
-/// triple; [`WaveletWorkspace::decompose`] then re-runs `wavedec` into
+/// A `WaveletWorkspace` is built once per (signal length, depth) pair; [`WaveletWorkspace::decompose`] then re-runs `wavedec` into
 /// preallocated flat coefficient storage with **zero heap allocations** per
 /// call. This is the wavelet half of the batch inference engine's scratch
 /// space: each worker thread owns one workspace and reuses it for every
@@ -408,14 +317,14 @@ pub fn wavedec(
 /// # Example
 ///
 /// ```
-/// use seizure_dsp::wavelet::{wavedec, WaveletWorkspace, Wavelet};
+/// use seizure_dsp::wavelet::{wavedec, WaveletWorkspace};
 ///
 /// # fn main() -> Result<(), seizure_dsp::DspError> {
 /// let window: Vec<f64> = (0..1024).map(|i| (i as f64 * 0.05).sin()).collect();
-/// let mut ws = WaveletWorkspace::new(Wavelet::Daubechies4, window.len(), 7)?;
+/// let mut ws = WaveletWorkspace::new(window.len(), 7)?;
 /// ws.decompose(&window)?;
 ///
-/// let reference = wavedec(&window, Wavelet::Daubechies4, 7)?;
+/// let reference = wavedec(&window, 7)?;
 /// assert_eq!(ws.detail(7).unwrap(), reference.detail(7).unwrap());
 /// assert_eq!(ws.approximation(), reference.approximation());
 /// # Ok(())
@@ -423,12 +332,8 @@ pub fn wavedec(
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct WaveletWorkspace {
-    wavelet: Wavelet,
     levels: usize,
     signal_len: usize,
-    /// Precomputed high-pass filter (the low-pass is borrowed from the
-    /// wavelet's static table).
-    high: Vec<f64>,
     /// Flat coefficient storage: `[d1 | d2 | … | dL | aL]`.
     coeffs: Vec<f64>,
     /// Per-level `(start, len)` of the detail bands in `coeffs`, finest
@@ -453,25 +358,8 @@ impl WaveletWorkspace {
     /// [`DspError::EmptyInput`] for a zero-length signal,
     /// [`DspError::InvalidParameter`] for zero levels and
     /// [`DspError::InvalidLength`] when the signal cannot support the depth.
-    pub fn new(wavelet: Wavelet, signal_len: usize, levels: usize) -> Result<Self, DspError> {
-        if signal_len == 0 {
-            return Err(DspError::EmptyInput {
-                operation: "WaveletWorkspace::new",
-            });
-        }
-        if levels == 0 {
-            return Err(DspError::InvalidParameter {
-                name: "levels",
-                reason: "decomposition requires at least one level".to_string(),
-            });
-        }
-        if levels > wavelet.max_level(signal_len) || signal_len < wavelet.filter_len() * 2 {
-            return Err(DspError::InvalidLength {
-                operation: "WaveletWorkspace::new",
-                actual: signal_len,
-                requirement: "signal too short for the requested number of levels",
-            });
-        }
+    pub fn new(signal_len: usize, levels: usize) -> Result<Self, DspError> {
+        check_depth("WaveletWorkspace::new", signal_len, levels)?;
         let mut detail_bounds = Vec::with_capacity(levels);
         let mut offset = 0;
         let mut len = signal_len;
@@ -483,10 +371,8 @@ impl WaveletWorkspace {
         let approx_bounds = (offset, len);
         let max_band = signal_len.div_ceil(2);
         Ok(Self {
-            wavelet,
             levels,
             signal_len,
-            high: wavelet.high_pass(),
             coeffs: vec![0.0; offset + len],
             detail_bounds,
             approx_bounds,
@@ -494,11 +380,6 @@ impl WaveletWorkspace {
             pong: vec![0.0; max_band],
             ready: false,
         })
-    }
-
-    /// The wavelet family of the workspace.
-    pub fn wavelet(&self) -> Wavelet {
-        self.wavelet
     }
 
     /// Number of decomposition levels.
@@ -526,7 +407,6 @@ impl WaveletWorkspace {
                 requirement: "signal length must match the workspace's planned length",
             });
         }
-        let low = self.wavelet.low_pass();
         let mut current_len = self.signal_len;
         for level in 0..self.levels {
             let (d_start, d_len) = self.detail_bounds[level];
@@ -534,15 +414,9 @@ impl WaveletWorkspace {
             let half = current_len.div_ceil(2);
             debug_assert_eq!(half, d_len);
             if level == 0 {
-                dwt_step(signal, low, &self.high, &mut self.ping[..half], detail);
+                dwt_step(signal, &mut self.ping[..half], detail);
             } else {
-                dwt_step(
-                    &self.pong[..current_len],
-                    low,
-                    &self.high,
-                    &mut self.ping[..half],
-                    detail,
-                );
+                dwt_step(&self.pong[..current_len], &mut self.ping[..half], detail);
             }
             std::mem::swap(&mut self.ping, &mut self.pong);
             current_len = half;
@@ -580,17 +454,6 @@ impl WaveletWorkspace {
     }
 }
 
-/// Multi-level decomposition into a reusable [`WaveletWorkspace`] — the
-/// allocation-free counterpart of [`wavedec`].
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidLength`] if the signal length does not match
-/// the workspace.
-pub fn wavedec_into(signal: &[f64], workspace: &mut WaveletWorkspace) -> Result<(), DspError> {
-    workspace.decompose(signal)
-}
-
 /// Reconstructs the original signal from a [`WaveletDecomposition`] (`waverec`).
 ///
 /// # Errors
@@ -608,7 +471,7 @@ pub fn waverec(decomposition: &WaveletDecomposition) -> Result<Vec<f64>, DspErro
     // details are stored coarsest-first; reconstruct from the deepest level up.
     for (i, detail) in decomposition.details.iter().enumerate() {
         let target_len = lengths[decomposition.levels - 1 - i];
-        current = idwt_single(&current, detail, decomposition.wavelet, target_len)?;
+        current = idwt_single(&current, detail, target_len)?;
     }
     Ok(current)
 }
@@ -620,7 +483,7 @@ pub fn waverec(decomposition: &WaveletDecomposition) -> Result<Vec<f64>, DspErro
 /// a **clean prefix** — coefficients whose filter taps land entirely inside
 /// the clean prefix of the band above, which are therefore shift-covariant:
 /// window `w+1`'s clean coefficient `i` equals window `w`'s coefficient
-/// `i + step/2^l` — and a short **corrupted tail** (at most `taps - 2`
+/// `i + step/2^l` — and a short **corrupted tail** (at most `TAPS - 2`
 /// coefficients per level for the wrap, plus the few that read the previous
 /// band's own tail) that must be recomputed for every window. Per window this
 /// operator shifts each clean prefix left with `copy_within`, computes only
@@ -646,12 +509,12 @@ pub fn waverec(decomposition: &WaveletDecomposition) -> Result<Vec<f64>, DspErro
 /// # Example
 ///
 /// ```
-/// use seizure_dsp::wavelet::{StreamingWavelet, Wavelet, WaveletWorkspace};
+/// use seizure_dsp::wavelet::{StreamingWavelet, WaveletWorkspace};
 ///
 /// # fn main() -> Result<(), seizure_dsp::DspError> {
 /// let record: Vec<f64> = (0..2048).map(|i| (i as f64 * 0.05).sin()).collect();
-/// let mut streaming = StreamingWavelet::new(Wavelet::Daubechies4, 1024, 256, 5, 3)?;
-/// let mut batch = WaveletWorkspace::new(Wavelet::Daubechies4, 1024, 5)?;
+/// let mut streaming = StreamingWavelet::new(1024, 256, 5, 3)?;
+/// let mut batch = WaveletWorkspace::new(1024, 5)?;
 /// for start in (0..=1024).step_by(256) {
 ///     let window = &record[start..start + 1024];
 ///     streaming.update(window)?;
@@ -663,15 +526,12 @@ pub fn waverec(decomposition: &WaveletDecomposition) -> Result<Vec<f64>, DspErro
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingWavelet {
-    wavelet: Wavelet,
     levels: usize,
     window_len: usize,
     step: usize,
     min_detail_level: usize,
-    /// Precomputed high-pass filter.
-    high: Vec<f64>,
     /// Per-level clean-prefix length `c_l`, level 1 first; follows the
-    /// recurrence `c_l = (c_{l-1} - taps) / 2 + 1` with `c_0 = window_len`.
+    /// recurrence `c_l = (c_{l-1} - TAPS) / 2 + 1` with `c_0 = window_len`.
     clean: Vec<usize>,
     /// Per-level approximation band of the current window, level 1 first,
     /// `window_len >> l` coefficients each: clean prefix then corrupted tail.
@@ -697,30 +557,12 @@ impl StreamingWavelet {
     /// level with fewer clean coefficients than it must produce per hop
     /// (i.e. nothing would be reusable and batch recompute is the answer).
     pub fn new(
-        wavelet: Wavelet,
         window_len: usize,
         step: usize,
         levels: usize,
         min_detail_level: usize,
     ) -> Result<Self, DspError> {
-        if window_len == 0 {
-            return Err(DspError::EmptyInput {
-                operation: "StreamingWavelet::new",
-            });
-        }
-        if levels == 0 {
-            return Err(DspError::InvalidParameter {
-                name: "levels",
-                reason: "decomposition requires at least one level".to_string(),
-            });
-        }
-        if levels > wavelet.max_level(window_len) || window_len < wavelet.filter_len() * 2 {
-            return Err(DspError::InvalidLength {
-                operation: "StreamingWavelet::new",
-                actual: window_len,
-                requirement: "signal too short for the requested number of levels",
-            });
-        }
+        check_depth("StreamingWavelet::new", window_len, levels)?;
         let scale = 1usize << levels;
         if step == 0 || !step.is_multiple_of(scale) {
             return Err(DspError::InvalidParameter {
@@ -744,12 +586,11 @@ impl StreamingWavelet {
                 reason: format!("must be within 1..=levels ({levels}), got {min_detail_level}"),
             });
         }
-        let taps = wavelet.filter_len();
         let mut clean = Vec::with_capacity(levels);
         let mut c_prev = window_len;
         for level in 1..=levels {
-            let c = if c_prev >= taps {
-                (c_prev - taps) / 2 + 1
+            let c = if c_prev >= TAPS {
+                (c_prev - TAPS) / 2 + 1
             } else {
                 0
             };
@@ -775,22 +616,15 @@ impl StreamingWavelet {
             })
             .collect();
         Ok(Self {
-            wavelet,
             levels,
             window_len,
             step,
             min_detail_level,
-            high: wavelet.high_pass(),
             clean,
             approx,
             detail,
             ready: false,
         })
-    }
-
-    /// The wavelet family of the operator.
-    pub fn wavelet(&self) -> Wavelet {
-        self.wavelet
     }
 
     /// Number of decomposition levels.
@@ -852,8 +686,6 @@ impl StreamingWavelet {
             });
         }
         let first = !self.ready;
-        let low = self.wavelet.low_pass();
-        let taps = low.len();
         for level in 1..=self.levels {
             let n = self.window_len >> level;
             let n_prev = self.window_len >> (level - 1);
@@ -882,10 +714,10 @@ impl StreamingWavelet {
             // recurrence), so a plain slice window suffices — identical
             // arithmetic to the batch filter step's interior loop.
             for i in new_start..c {
-                let input = &prev_full[2 * i..2 * i + taps];
+                let input = &prev_full[2 * i..2 * i + TAPS];
                 let mut a = 0.0;
                 let mut d = 0.0;
-                for ((&lo, &hi), &x) in low.iter().zip(self.high.iter()).zip(input.iter()) {
+                for ((&lo, &hi), &x) in DB4_LOW.iter().zip(DB4_HIGH.iter()).zip(input.iter()) {
                     a += lo * x;
                     d += hi * x;
                 }
@@ -900,7 +732,7 @@ impl StreamingWavelet {
             for i in c..n {
                 let mut a = 0.0;
                 let mut d = 0.0;
-                for (k, (&lo, &hi)) in low.iter().zip(self.high.iter()).enumerate() {
+                for (k, (&lo, &hi)) in DB4_LOW.iter().zip(DB4_HIGH.iter()).enumerate() {
                     let idx = periodic_index(2 * i as isize + k as isize, n_prev);
                     let x = prev_full[idx];
                     a += lo * x;
@@ -968,69 +800,61 @@ mod tests {
     }
 
     #[test]
-    fn filters_have_expected_lengths() {
-        assert_eq!(Wavelet::Haar.filter_len(), 2);
-        assert_eq!(Wavelet::Daubechies2.filter_len(), 4);
-        assert_eq!(Wavelet::Daubechies4.filter_len(), 8);
+    fn low_pass_filter_sums_to_sqrt_two() {
+        let sum: f64 = DB4_LOW.iter().sum();
+        assert!((sum - std::f64::consts::SQRT_2).abs() < 1e-9);
     }
 
     #[test]
-    fn low_pass_filters_sum_to_sqrt_two() {
-        for w in [Wavelet::Haar, Wavelet::Daubechies2, Wavelet::Daubechies4] {
-            let sum: f64 = w.low_pass().iter().sum();
-            assert!((sum - std::f64::consts::SQRT_2).abs() < 1e-9, "{w}");
-        }
+    fn high_pass_filter_sums_to_zero() {
+        let sum: f64 = DB4_HIGH.iter().sum();
+        assert!(sum.abs() < 1e-9);
     }
 
     #[test]
-    fn high_pass_filters_sum_to_zero() {
-        for w in [Wavelet::Haar, Wavelet::Daubechies2, Wavelet::Daubechies4] {
-            let sum: f64 = w.high_pass().iter().sum();
-            assert!(sum.abs() < 1e-9, "{w}");
+    fn high_pass_is_the_quadrature_mirror_of_low_pass() {
+        for (k, &hi) in DB4_HIGH.iter().enumerate() {
+            let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
+            assert_eq!(hi, sign * DB4_LOW[TAPS - 1 - k], "tap {k}");
         }
     }
 
     #[test]
     fn filters_are_orthonormal() {
-        for w in [Wavelet::Haar, Wavelet::Daubechies2, Wavelet::Daubechies4] {
-            let low = w.low_pass();
-            let norm: f64 = low.iter().map(|c| c * c).sum();
-            assert!((norm - 1.0).abs() < 1e-9, "{w}");
-        }
+        let norm: f64 = DB4_LOW.iter().map(|c| c * c).sum();
+        assert!((norm - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn dwt_rejects_degenerate_inputs() {
-        assert!(dwt_single(&[], Wavelet::Haar).is_err());
-        assert!(dwt_single(&[1.0, 2.0, 3.0], Wavelet::Daubechies4).is_err());
+        assert!(dwt_single(&[]).is_err());
+        assert!(dwt_single(&[1.0, 2.0, 3.0]).is_err());
     }
 
     #[test]
     fn dwt_output_lengths() {
         let x = test_signal(100);
-        let (a, d) = dwt_single(&x, Wavelet::Daubechies4).unwrap();
+        let (a, d) = dwt_single(&x).unwrap();
         assert_eq!(a.len(), 50);
         assert_eq!(d.len(), 50);
         let x = test_signal(101);
-        let (a, d) = dwt_single(&x, Wavelet::Daubechies4).unwrap();
+        let (a, d) = dwt_single(&x).unwrap();
         assert_eq!(a.len(), 51);
         assert_eq!(d.len(), 51);
     }
 
     #[test]
     fn single_level_perfect_reconstruction_even_length() {
-        for w in [Wavelet::Haar, Wavelet::Daubechies2, Wavelet::Daubechies4] {
-            let x = test_signal(256);
-            let (a, d) = dwt_single(&x, w).unwrap();
-            let rec = idwt_single(&a, &d, w, x.len()).unwrap();
-            assert!(max_abs_diff(&x, &rec) < 1e-9, "{w}");
-        }
+        let x = test_signal(256);
+        let (a, d) = dwt_single(&x).unwrap();
+        let rec = idwt_single(&a, &d, x.len()).unwrap();
+        assert!(max_abs_diff(&x, &rec) < 1e-9);
     }
 
     #[test]
     fn constant_signal_has_zero_details() {
         let x = vec![3.0; 128];
-        let (_, d) = dwt_single(&x, Wavelet::Daubechies4).unwrap();
+        let (_, d) = dwt_single(&x).unwrap();
         assert!(d.iter().all(|v| v.abs() < 1e-9));
     }
 
@@ -1044,7 +868,7 @@ mod tests {
                 1.0 + t + t * t + t * t * t
             })
             .collect();
-        let (_, d) = dwt_single(&x, Wavelet::Daubechies4).unwrap();
+        let (_, d) = dwt_single(&x).unwrap();
         // Ignore the last few coefficients affected by periodic wrap-around.
         let interior = &d[..d.len() - 4];
         assert!(interior.iter().all(|v| v.abs() < 1e-6));
@@ -1054,7 +878,7 @@ mod tests {
     fn wavedec_level7_on_paper_window() {
         // 4-second window at 256 Hz = 1024 samples, decomposed to level 7.
         let x = test_signal(1024);
-        let dec = wavedec(&x, Wavelet::Daubechies4, 7).unwrap();
+        let dec = wavedec(&x, 7).unwrap();
         assert_eq!(dec.levels(), 7);
         assert_eq!(dec.approximation().len(), 8);
         assert_eq!(dec.detail(1).unwrap().len(), 512);
@@ -1066,17 +890,17 @@ mod tests {
     #[test]
     fn wavedec_rejects_invalid_requests() {
         let x = test_signal(64);
-        assert!(wavedec(&[], Wavelet::Daubechies4, 3).is_err());
-        assert!(wavedec(&x, Wavelet::Daubechies4, 0).is_err());
+        assert!(wavedec(&[], 3).is_err());
+        assert!(wavedec(&x, 0).is_err());
         // 64 samples cannot support 7 levels of db4.
-        assert!(wavedec(&x, Wavelet::Daubechies4, 7).is_err());
+        assert!(wavedec(&x, 7).is_err());
     }
 
     #[test]
     fn waverec_inverts_wavedec() {
         for levels in 1..=5 {
             let x = test_signal(1024);
-            let dec = wavedec(&x, Wavelet::Daubechies4, levels).unwrap();
+            let dec = wavedec(&x, levels).unwrap();
             let rec = waverec(&dec).unwrap();
             assert_eq!(rec.len(), x.len());
             assert!(max_abs_diff(&x, &rec) < 1e-8, "levels={levels}");
@@ -1086,7 +910,7 @@ mod tests {
     #[test]
     fn waverec_inverts_wavedec_level7() {
         let x = test_signal(1024);
-        let dec = wavedec(&x, Wavelet::Daubechies4, 7).unwrap();
+        let dec = wavedec(&x, 7).unwrap();
         let rec = waverec(&dec).unwrap();
         assert!(max_abs_diff(&x, &rec) < 1e-8);
     }
@@ -1094,7 +918,7 @@ mod tests {
     #[test]
     fn energy_is_preserved_by_orthonormal_transform() {
         let x = test_signal(512);
-        let dec = wavedec(&x, Wavelet::Daubechies4, 4).unwrap();
+        let dec = wavedec(&x, 4).unwrap();
         let coeff_energy: f64 = dec.approximation().iter().map(|c| c * c).sum::<f64>()
             + dec
                 .details()
@@ -1106,31 +930,19 @@ mod tests {
     }
 
     #[test]
-    fn detail_band_frequencies_at_256hz() {
-        let x = test_signal(1024);
-        let dec = wavedec(&x, Wavelet::Daubechies4, 7).unwrap();
-        let (lo1, hi1) = dec.detail_band(1, 256.0).unwrap();
-        assert_eq!((lo1, hi1), (64.0, 128.0));
-        let (lo6, hi6) = dec.detail_band(6, 256.0).unwrap();
-        assert_eq!((lo6, hi6), (2.0, 4.0));
-        assert!(dec.detail_band(0, 256.0).is_none());
-        assert!(dec.detail_band(8, 256.0).is_none());
-    }
-
-    #[test]
     fn max_level_matches_wmaxlev_convention() {
-        assert_eq!(Wavelet::Daubechies4.max_level(1024), 7);
-        assert_eq!(Wavelet::Haar.max_level(1024), 10);
-        assert_eq!(Wavelet::Daubechies4.max_level(4), 0);
+        assert_eq!(max_level(1024), 7);
+        assert_eq!(max_level(768), 6);
+        assert_eq!(max_level(4), 0);
     }
 
     #[test]
     fn workspace_matches_wavedec_exactly() {
         let x = test_signal(1024);
         for levels in [1usize, 3, 5, 7] {
-            let mut ws = WaveletWorkspace::new(Wavelet::Daubechies4, x.len(), levels).unwrap();
-            wavedec_into(&x, &mut ws).unwrap();
-            let reference = wavedec(&x, Wavelet::Daubechies4, levels).unwrap();
+            let mut ws = WaveletWorkspace::new(x.len(), levels).unwrap();
+            ws.decompose(&x).unwrap();
+            let reference = wavedec(&x, levels).unwrap();
             for level in 1..=levels {
                 assert_eq!(
                     ws.detail(level).unwrap(),
@@ -1146,11 +958,11 @@ mod tests {
     fn workspace_is_reusable_across_signals() {
         let a = test_signal(256);
         let b: Vec<f64> = a.iter().map(|v| v * 2.0 + 1.0).collect();
-        let mut ws = WaveletWorkspace::new(Wavelet::Daubechies4, 256, 4).unwrap();
+        let mut ws = WaveletWorkspace::new(256, 4).unwrap();
         ws.decompose(&a).unwrap();
         let first_d2 = ws.detail(2).unwrap().to_vec();
         ws.decompose(&b).unwrap();
-        let reference = wavedec(&b, Wavelet::Daubechies4, 4).unwrap();
+        let reference = wavedec(&b, 4).unwrap();
         assert_eq!(ws.detail(2).unwrap(), reference.detail(2).unwrap());
         assert_ne!(ws.detail(2).unwrap(), &first_d2[..]);
         // Going back to the first signal reproduces the original output.
@@ -1161,9 +973,9 @@ mod tests {
     #[test]
     fn workspace_on_odd_lengths_matches_wavedec() {
         let x = test_signal(100);
-        let mut ws = WaveletWorkspace::new(Wavelet::Daubechies2, x.len(), 3).unwrap();
+        let mut ws = WaveletWorkspace::new(x.len(), 3).unwrap();
         ws.decompose(&x).unwrap();
-        let reference = wavedec(&x, Wavelet::Daubechies2, 3).unwrap();
+        let reference = wavedec(&x, 3).unwrap();
         for level in 1..=3 {
             assert_eq!(ws.detail(level).unwrap(), reference.detail(level).unwrap());
         }
@@ -1172,11 +984,10 @@ mod tests {
 
     #[test]
     fn workspace_validation_and_accessors() {
-        assert!(WaveletWorkspace::new(Wavelet::Daubechies4, 0, 3).is_err());
-        assert!(WaveletWorkspace::new(Wavelet::Daubechies4, 64, 0).is_err());
-        assert!(WaveletWorkspace::new(Wavelet::Daubechies4, 64, 7).is_err());
-        let mut ws = WaveletWorkspace::new(Wavelet::Haar, 64, 3).unwrap();
-        assert_eq!(ws.wavelet(), Wavelet::Haar);
+        assert!(WaveletWorkspace::new(0, 3).is_err());
+        assert!(WaveletWorkspace::new(64, 0).is_err());
+        assert!(WaveletWorkspace::new(64, 7).is_err());
+        let mut ws = WaveletWorkspace::new(64, 3).unwrap();
         assert_eq!(ws.levels(), 3);
         assert_eq!(ws.signal_len(), 64);
         // Before the first decomposition no views are available.
@@ -1193,8 +1004,8 @@ mod tests {
     #[test]
     fn streaming_matches_workspace_bit_exactly() {
         let record = test_signal(1024 + 12 * 256);
-        let mut streaming = StreamingWavelet::new(Wavelet::Daubechies4, 1024, 256, 5, 1).unwrap();
-        let mut batch = WaveletWorkspace::new(Wavelet::Daubechies4, 1024, 5).unwrap();
+        let mut streaming = StreamingWavelet::new(1024, 256, 5, 1).unwrap();
+        let mut batch = WaveletWorkspace::new(1024, 5).unwrap();
         let mut windows = 0;
         for start in (0..=record.len() - 1024).step_by(256) {
             let window = &record[start..start + 1024];
@@ -1220,8 +1031,8 @@ mod tests {
     #[test]
     fn streaming_min_detail_level_skips_fine_bands() {
         let record = test_signal(1024 + 4 * 256);
-        let mut streaming = StreamingWavelet::new(Wavelet::Daubechies4, 1024, 256, 5, 3).unwrap();
-        let mut batch = WaveletWorkspace::new(Wavelet::Daubechies4, 1024, 5).unwrap();
+        let mut streaming = StreamingWavelet::new(1024, 256, 5, 3).unwrap();
+        let mut batch = WaveletWorkspace::new(1024, 5).unwrap();
         for start in (0..=record.len() - 1024).step_by(256) {
             let window = &record[start..start + 1024];
             streaming.update(window).unwrap();
@@ -1237,21 +1048,21 @@ mod tests {
             }
         }
         // Skipped fine bands shrink the carried state accordingly.
-        let full = StreamingWavelet::new(Wavelet::Daubechies4, 1024, 256, 5, 1).unwrap();
+        let full = StreamingWavelet::new(1024, 256, 5, 1).unwrap();
         assert_eq!(full.state_len() - streaming.state_len(), 512 + 256);
     }
 
     #[test]
     fn streaming_matches_workspace_across_geometries() {
-        for (wavelet, window, step, levels) in [
-            (Wavelet::Daubechies4, 512usize, 128usize, 4usize),
-            (Wavelet::Daubechies4, 256, 64, 5),
-            (Wavelet::Daubechies2, 256, 64, 3),
-            (Wavelet::Haar, 256, 128, 2),
+        for (window, step, levels) in [
+            (512usize, 128usize, 4usize),
+            (256, 64, 5),
+            (256, 64, 3),
+            (256, 128, 2),
         ] {
             let record = test_signal(window + 6 * step);
-            let mut streaming = StreamingWavelet::new(wavelet, window, step, levels, 1).unwrap();
-            let mut batch = WaveletWorkspace::new(wavelet, window, levels).unwrap();
+            let mut streaming = StreamingWavelet::new(window, step, levels, 1).unwrap();
+            let mut batch = WaveletWorkspace::new(window, levels).unwrap();
             for start in (0..=record.len() - window).step_by(step) {
                 let w = &record[start..start + window];
                 streaming.update(w).unwrap();
@@ -1260,7 +1071,7 @@ mod tests {
                     assert_eq!(
                         streaming.detail(level).unwrap(),
                         batch.detail(level).unwrap(),
-                        "{wavelet} window={window} step={step} start={start} level={level}"
+                        "window={window} step={step} start={start} level={level}"
                     );
                 }
                 assert_eq!(streaming.approximation(), batch.approximation());
@@ -1271,7 +1082,7 @@ mod tests {
     #[test]
     fn streaming_reset_restarts_the_record() {
         let record = test_signal(1024 + 2 * 256);
-        let mut streaming = StreamingWavelet::new(Wavelet::Daubechies4, 1024, 256, 5, 1).unwrap();
+        let mut streaming = StreamingWavelet::new(1024, 256, 5, 1).unwrap();
         for start in (0..=record.len() - 1024).step_by(256) {
             streaming.update(&record[start..start + 1024]).unwrap();
         }
@@ -1281,7 +1092,7 @@ mod tests {
         assert!(streaming.detail(3).is_none());
         let window = &record[128..128 + 1024];
         streaming.update(window).unwrap();
-        let mut batch = WaveletWorkspace::new(Wavelet::Daubechies4, 1024, 5).unwrap();
+        let mut batch = WaveletWorkspace::new(1024, 5).unwrap();
         batch.decompose(window).unwrap();
         assert_eq!(streaming.detail(3).unwrap(), batch.detail(3).unwrap());
     }
@@ -1289,21 +1100,20 @@ mod tests {
     #[test]
     fn streaming_validation() {
         // Hop not a multiple of 2^levels.
-        assert!(StreamingWavelet::new(Wavelet::Daubechies4, 1024, 100, 5, 1).is_err());
+        assert!(StreamingWavelet::new(1024, 100, 5, 1).is_err());
         // Zero hop, zero levels, empty window.
-        assert!(StreamingWavelet::new(Wavelet::Daubechies4, 1024, 0, 5, 1).is_err());
-        assert!(StreamingWavelet::new(Wavelet::Daubechies4, 1024, 256, 0, 1).is_err());
-        assert!(StreamingWavelet::new(Wavelet::Daubechies4, 0, 256, 5, 1).is_err());
+        assert!(StreamingWavelet::new(1024, 0, 5, 1).is_err());
+        assert!(StreamingWavelet::new(1024, 256, 0, 1).is_err());
+        assert!(StreamingWavelet::new(0, 256, 5, 1).is_err());
         // Non-overlapping windows leave no reusable coefficients.
-        assert!(StreamingWavelet::new(Wavelet::Daubechies4, 1024, 1024, 5, 1).is_err());
+        assert!(StreamingWavelet::new(1024, 1024, 5, 1).is_err());
         // min_detail_level outside 1..=levels.
-        assert!(StreamingWavelet::new(Wavelet::Daubechies4, 1024, 256, 5, 0).is_err());
-        assert!(StreamingWavelet::new(Wavelet::Daubechies4, 1024, 256, 5, 6).is_err());
+        assert!(StreamingWavelet::new(1024, 256, 5, 0).is_err());
+        assert!(StreamingWavelet::new(1024, 256, 5, 6).is_err());
         // Too deep for the window.
-        assert!(StreamingWavelet::new(Wavelet::Daubechies4, 64, 32, 7, 1).is_err());
+        assert!(StreamingWavelet::new(64, 32, 7, 1).is_err());
 
-        let mut ok = StreamingWavelet::new(Wavelet::Daubechies4, 1024, 256, 5, 3).unwrap();
-        assert_eq!(ok.wavelet(), Wavelet::Daubechies4);
+        let mut ok = StreamingWavelet::new(1024, 256, 5, 3).unwrap();
         assert_eq!(ok.levels(), 5);
         assert_eq!(ok.window_len(), 1024);
         assert_eq!(ok.step(), 256);
@@ -1311,12 +1121,5 @@ mod tests {
         assert!(ok.detail(3).is_none());
         assert!(ok.approximation().is_empty());
         assert!(ok.update(&[0.0; 512]).is_err());
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(Wavelet::Daubechies4.to_string(), "db4");
-        assert_eq!(Wavelet::Haar.to_string(), "haar");
-        assert_eq!(Wavelet::Daubechies2.to_string(), "db2");
     }
 }

@@ -1,11 +1,9 @@
 //! Property-based tests for the DSP substrate.
 
 use proptest::prelude::*;
-use seizure_dsp::fft::{fft, ifft, Complex};
-use seizure_dsp::spectrum::{band_power, periodogram, relative_band_power};
-use seizure_dsp::stats;
-use seizure_dsp::wavelet::{dwt_single, idwt_single, wavedec, waverec, Wavelet};
-use seizure_dsp::window::{coefficients, WindowKind};
+use seizure_dsp::fft::{fft, Complex};
+use seizure_dsp::spectrum::{band_power, periodogram};
+use seizure_dsp::wavelet::{dwt_single, idwt_single, wavedec, waverec};
 
 fn finite_signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e3f64..1e3f64, len)
@@ -13,20 +11,6 @@ fn finite_signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>>
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn fft_ifft_roundtrip(signal in finite_signal(1..300)) {
-        let input: Vec<Complex> = signal.iter().map(|&x| Complex::from(x)).collect();
-        let spectrum = fft(&input).unwrap();
-        let restored = ifft(&spectrum).unwrap();
-        // Tolerance scales with the signal amplitude (inputs go up to 1e3) and
-        // length, since the DFT fallback accumulates rounding over n terms.
-        let tol = 1e-9 * (1.0 + signal.iter().fold(0.0f64, |m, x| m.max(x.abs()))) * signal.len() as f64;
-        for (a, b) in input.iter().zip(restored.iter()) {
-            prop_assert!((a.re - b.re).abs() < tol);
-            prop_assert!((a.im - b.im).abs() < tol);
-        }
-    }
 
     #[test]
     fn fft_is_linear(a in finite_signal(64..65), b in finite_signal(64..65), alpha in -10.0f64..10.0) {
@@ -65,15 +49,10 @@ proptest! {
 
     #[test]
     fn dwt_single_roundtrip_even_lengths(signal in finite_signal(8..200).prop_filter("even", |v| v.len() % 2 == 0)) {
-        for wavelet in [Wavelet::Haar, Wavelet::Daubechies2, Wavelet::Daubechies4] {
-            if signal.len() < wavelet.filter_len() {
-                continue;
-            }
-            let (a, d) = dwt_single(&signal, wavelet).unwrap();
-            let rec = idwt_single(&a, &d, wavelet, signal.len()).unwrap();
-            for (x, y) in signal.iter().zip(rec.iter()) {
-                prop_assert!((x - y).abs() < 1e-6);
-            }
+        let (a, d) = dwt_single(&signal).unwrap();
+        let rec = idwt_single(&a, &d, signal.len()).unwrap();
+        for (x, y) in signal.iter().zip(rec.iter()) {
+            prop_assert!((x - y).abs() < 1e-6);
         }
     }
 
@@ -87,28 +66,11 @@ proptest! {
                 state / 2147483647.0 - 0.5
             })
             .collect();
-        let dec = wavedec(&signal, Wavelet::Daubechies4, levels).unwrap();
+        let dec = wavedec(&signal, levels).unwrap();
         let rec = waverec(&dec).unwrap();
         for (x, y) in signal.iter().zip(rec.iter()) {
             prop_assert!((x - y).abs() < 1e-8);
         }
-    }
-
-    #[test]
-    fn zscore_is_location_scale_invariant_in_shape(signal in finite_signal(4..100), shift in -100.0f64..100.0, scale in 0.1f64..10.0) {
-        let z1 = stats::zscore(&signal).unwrap();
-        let transformed: Vec<f64> = signal.iter().map(|x| x * scale + shift).collect();
-        let z2 = stats::zscore(&transformed).unwrap();
-        for (a, b) in z1.iter().zip(z2.iter()) {
-            prop_assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn relative_band_power_is_bounded(signal in finite_signal(64..512)) {
-        let psd = periodogram(&signal, 256.0).unwrap();
-        let rel = relative_band_power(&psd, 4.0, 8.0).unwrap();
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&rel));
     }
 
     #[test]
@@ -119,25 +81,5 @@ proptest! {
         prop_assert!(wide + 1e-12 >= narrow);
     }
 
-    #[test]
-    fn windows_are_bounded_by_one(len in 1usize..512) {
-        for kind in [WindowKind::Rectangular, WindowKind::Hann, WindowKind::Hamming, WindowKind::Blackman] {
-            let w = coefficients(kind, len).unwrap();
-            prop_assert!(w.iter().all(|&c| (-1e-9..=1.0 + 1e-12).contains(&c)));
-        }
-    }
 
-    #[test]
-    fn percentile_lies_within_data_range(signal in finite_signal(1..64), p in 0.0f64..100.0) {
-        let v = stats::percentile(&signal, p).unwrap();
-        let (lo, hi) = stats::min_max(&signal).unwrap();
-        prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
-    }
-
-    #[test]
-    fn geometric_mean_between_min_and_max(signal in prop::collection::vec(1e-3f64..1e3, 1..64)) {
-        let g = stats::geometric_mean(&signal).unwrap();
-        let (lo, hi) = stats::min_max(&signal).unwrap();
-        prop_assert!(g >= lo - 1e-9 && g <= hi + 1e-9);
-    }
 }

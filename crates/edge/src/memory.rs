@@ -264,7 +264,7 @@ impl MemoryModel {
     }
 
     /// RAM scratch of the signal-quality front end over a `buffer_secs`
-    /// history buffer: one live `f64` row of [`QUALITY_FEATURES`] indicators
+    /// history buffer: one live `f64` row of `QUALITY_FEATURES` indicators
     /// (windows are assessed streaming, so only the current row is resident),
     /// a one-byte verdict per analysis step (one step per second, matching
     /// the detector's 4 s windows at 75 % overlap — the full verdict ribbon
@@ -310,9 +310,9 @@ impl MemoryModel {
     /// (`seizure-features`' `StreamingRichExtractor`) carries across hops
     /// for this platform's channel count: per channel, the linearized
     /// window ring buffer, `window / step` hop summaries
-    /// ([`HOP_SUMMARY_F64`] `f64` + [`HOP_SUMMARY_U32`] `u32` slots each),
+    /// (`HOP_SUMMARY_F64` `f64` + `HOP_SUMMARY_U32` `u32` slots each),
     /// and the carried db4 coefficients (approximations on every level,
-    /// details from level [`STREAM_MIN_DETAIL_LEVEL`] up). The formula
+    /// details from level `STREAM_MIN_DETAIL_LEVEL` up). The formula
     /// mirrors the extractor's own `state_bytes()` byte for byte
     /// (`tests/edge_platform.rs` pins the two against each other); transient
     /// FFT scratch is excluded on both sides. Returns 0 for geometries the

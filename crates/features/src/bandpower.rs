@@ -5,7 +5,7 @@
 //! for the rich feature set of the real-time detector.
 
 use crate::error::FeatureError;
-use seizure_dsp::spectrum::{band_power, periodogram, relative_band_power, PowerSpectrum};
+use seizure_dsp::spectrum::{band_power, periodogram, PowerSpectrum};
 
 /// Standard clinical EEG frequency bands.
 ///
@@ -99,31 +99,8 @@ impl BandPowers {
     }
 }
 
-/// Computes the absolute power of `band` in `window` sampled at `fs` Hz.
-///
-/// # Errors
-///
-/// Propagates [`FeatureError::Dsp`] from the underlying PSD estimation.
-pub fn total_band_power(window: &[f64], fs: f64, band: Band) -> Result<f64, FeatureError> {
-    let psd = periodogram(window, fs)?;
-    let (lo, hi) = band.range();
-    Ok(band_power(&psd, lo, hi)?)
-}
-
-/// Computes the relative power of `band` (power in the band divided by the
-/// total power of the window).
-///
-/// # Errors
-///
-/// Propagates [`FeatureError::Dsp`] from the underlying PSD estimation.
-pub fn total_relative_band_power(window: &[f64], fs: f64, band: Band) -> Result<f64, FeatureError> {
-    let psd = periodogram(window, fs)?;
-    let (lo, hi) = band.range();
-    Ok(relative_band_power(&psd, lo, hi)?)
-}
-
 /// Computes absolute and relative power for all five clinical bands from a
-/// single PSD estimate (cheaper than calling the per-band helpers repeatedly).
+/// single PSD estimate.
 ///
 /// # Errors
 ///
@@ -260,9 +237,10 @@ mod tests {
     fn theta_tone_dominates_theta_band() {
         let fs = 256.0;
         let window = tone(6.0, fs, 1024, 1.0);
-        let theta = total_band_power(&window, fs, Band::Theta).unwrap();
-        let delta = total_band_power(&window, fs, Band::Delta).unwrap();
-        let beta = total_band_power(&window, fs, Band::Beta).unwrap();
+        let bp = all_band_powers(&window, fs).unwrap();
+        let theta = bp.absolute(Band::Theta);
+        let delta = bp.absolute(Band::Delta);
+        let beta = bp.absolute(Band::Beta);
         assert!(theta > 10.0 * delta);
         assert!(theta > 10.0 * beta);
     }
@@ -271,7 +249,7 @@ mod tests {
     fn relative_power_of_pure_tone_is_near_one() {
         let fs = 256.0;
         let window = tone(6.0, fs, 1024, 3.0);
-        let rel = total_relative_band_power(&window, fs, Band::Theta).unwrap();
+        let rel = all_band_powers(&window, fs).unwrap().relative(Band::Theta);
         assert!(rel > 0.95);
     }
 
@@ -300,7 +278,6 @@ mod tests {
 
     #[test]
     fn empty_window_is_rejected() {
-        assert!(total_band_power(&[], 256.0, Band::Theta).is_err());
         assert!(all_band_powers(&[], 256.0).is_err());
     }
 

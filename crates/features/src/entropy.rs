@@ -2,8 +2,8 @@
 //!
 //! The paper's selected feature set uses permutation entropy (Bandt & Pompe,
 //! 2002), Rényi entropy and sample entropy (Chen et al., 2005) computed on the
-//! detail coefficients of a Daubechies-4 wavelet decomposition. Approximate and
-//! Shannon entropy are provided in addition for the rich feature set.
+//! detail coefficients of a Daubechies-4 wavelet decomposition. Shannon entropy
+//! is provided in addition for the rich feature set.
 
 use crate::error::FeatureError;
 use seizure_dsp::stats;
@@ -573,61 +573,6 @@ fn count_similar(data: &[f64], m: usize, r: f64) -> usize {
     count
 }
 
-/// Approximate entropy `ApEn(m, r)` with tolerance `r = k * std(data)`.
-///
-/// Approximate entropy differs from sample entropy by including self-matches
-/// and averaging the per-template logarithms; it is part of the rich feature
-/// set (Ocak 2009 uses DWT + ApEn for seizure detection). Degenerate inputs
-/// return `0`.
-///
-/// # Errors
-///
-/// Returns [`FeatureError::InvalidConfig`] if `m == 0`, `k <= 0` or `k` is NaN.
-pub fn approximate_entropy(data: &[f64], m: usize, k: f64) -> Result<f64, FeatureError> {
-    if m == 0 {
-        return Err(FeatureError::InvalidConfig {
-            name: "m",
-            reason: "embedding dimension must be at least 1".to_string(),
-        });
-    }
-    if k <= 0.0 || k.is_nan() {
-        return Err(FeatureError::InvalidConfig {
-            name: "k",
-            reason: format!("tolerance fraction must be positive, got {k}"),
-        });
-    }
-    if data.len() < m + 2 {
-        return Ok(0.0);
-    }
-    let sd = stats::std_dev(data).unwrap_or(0.0);
-    if sd == 0.0 {
-        return Ok(0.0);
-    }
-    let r = k * sd;
-    let phi = |m: usize| -> f64 {
-        let n = data.len() - m + 1;
-        let mut sum = 0.0;
-        for i in 0..n {
-            let mut count = 0usize;
-            for j in 0..n {
-                let mut similar = true;
-                for t in 0..m {
-                    if (data[i + t] - data[j + t]).abs() > r {
-                        similar = false;
-                        break;
-                    }
-                }
-                if similar {
-                    count += 1;
-                }
-            }
-            sum += ((count as f64) / (n as f64)).ln();
-        }
-        sum / n as f64
-    };
-    Ok(phi(m) - phi(m + 1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -815,26 +760,6 @@ mod tests {
     #[test]
     fn sample_entropy_short_series_is_zero() {
         assert_eq!(sample_entropy(&[1.0, 2.0], 2, 0.2).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn approximate_entropy_of_constant_is_zero() {
-        assert_eq!(approximate_entropy(&[1.0; 64], 2, 0.2).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn approximate_entropy_of_random_exceeds_periodic() {
-        let periodic: Vec<f64> = (0..200).map(|i| (i as f64 * 0.2).sin()).collect();
-        let random = pseudo_random(200, 31);
-        let ap_periodic = approximate_entropy(&periodic, 2, 0.2).unwrap();
-        let ap_random = approximate_entropy(&random, 2, 0.2).unwrap();
-        assert!(ap_random > ap_periodic);
-    }
-
-    #[test]
-    fn approximate_entropy_invalid_parameters() {
-        assert!(approximate_entropy(&[1.0; 10], 0, 0.2).is_err());
-        assert!(approximate_entropy(&[1.0; 10], 2, -0.5).is_err());
     }
 
     #[test]

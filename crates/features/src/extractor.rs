@@ -20,7 +20,7 @@ use crate::scratch::{FeatureScratch, FeatureScratchPool};
 use crate::statistics::{window_statistics, window_statistics_fused};
 use crate::waveform::{line_length, nonlinear_energy, peak_to_peak, zero_crossings};
 use seizure_dsp::spectrum::periodogram;
-use seizure_dsp::wavelet::{wavedec, Wavelet, WaveletDecomposition};
+use seizure_dsp::wavelet::{max_level, wavedec, WaveletDecomposition};
 
 /// Sliding-window segmentation parameters.
 ///
@@ -158,15 +158,6 @@ impl SlidingWindowConfig {
     /// Time in seconds at which window `index` starts.
     pub fn window_start_seconds(&self, index: usize) -> f64 {
         self.window_start_sample(index) as f64 / self.fs
-    }
-
-    /// Index of the first window that contains the given sample, clamped into
-    /// the valid range for a signal with `num_windows` windows.
-    pub fn sample_to_window_index(&self, sample: usize, num_windows: usize) -> usize {
-        if num_windows == 0 {
-            return 0;
-        }
-        (sample / self.step_samples).min(num_windows - 1)
     }
 
     /// Iterator over the window slices of `signal`.
@@ -348,11 +339,8 @@ impl PaperFeatureSet {
     }
 
     fn decompose(&self, window: &[f64]) -> Result<WaveletDecomposition, FeatureError> {
-        let wavelet = Wavelet::Daubechies4;
-        let levels = PAPER_WAVELET_LEVELS
-            .min(wavelet.max_level(window.len()))
-            .max(1);
-        Ok(wavedec(window, wavelet, levels)?)
+        let levels = PAPER_WAVELET_LEVELS.min(max_level(window.len())).max(1);
+        Ok(wavedec(window, levels)?)
     }
 
     /// Detail coefficients at the requested level, falling back to the deepest
@@ -609,11 +597,8 @@ impl RichFeatureSet {
         out.push(permutation_entropy(window, 3, 1)?);
         out.push(permutation_entropy(window, 5, 1)?);
 
-        let wavelet = Wavelet::Daubechies4;
-        let levels = RICH_WAVELET_LEVELS
-            .min(wavelet.max_level(window.len()))
-            .max(1);
-        let dec = wavedec(window, wavelet, levels)?;
+        let levels = RICH_WAVELET_LEVELS.min(max_level(window.len())).max(1);
+        let dec = wavedec(window, levels)?;
         for level in [3usize, 4, 5] {
             let level = level.min(dec.levels()).max(1);
             let detail = dec.detail(level).expect("clamped level");
@@ -868,9 +853,6 @@ mod tests {
         let cfg = SlidingWindowConfig::paper_default(256.0).unwrap();
         assert_eq!(cfg.window_start_sample(10), 2560);
         assert!((cfg.window_start_seconds(10) - 10.0).abs() < 1e-12);
-        assert_eq!(cfg.sample_to_window_index(2560, 57), 10);
-        assert_eq!(cfg.sample_to_window_index(100_000, 57), 56);
-        assert_eq!(cfg.sample_to_window_index(100, 0), 0);
     }
 
     #[test]

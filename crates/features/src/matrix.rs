@@ -54,32 +54,6 @@ impl FeatureMatrix {
         Ok(m)
     }
 
-    /// Creates a matrix from a single flat row-major buffer, the layout the
-    /// batch extraction path fills in parallel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::DimensionMismatch`] if there are no feature
-    /// names or `data.len()` is not a multiple of the feature count.
-    pub fn from_flat(names: Vec<String>, data: Vec<f64>) -> Result<Self, FeatureError> {
-        if names.is_empty() {
-            return Err(FeatureError::DimensionMismatch {
-                detail: "a feature matrix needs at least one named column".to_string(),
-            });
-        }
-        if !data.len().is_multiple_of(names.len()) {
-            return Err(FeatureError::DimensionMismatch {
-                detail: format!(
-                    "flat buffer of {} values is not a multiple of {} features",
-                    data.len(),
-                    names.len()
-                ),
-            });
-        }
-        let rows = data.len() / names.len();
-        Ok(Self { names, data, rows })
-    }
-
     /// The underlying flat row-major buffer (`num_windows() * num_features()`
     /// values). This is the zero-copy input of the flat-forest batch
     /// prediction path.
@@ -227,32 +201,6 @@ impl FeatureMatrix {
         Ok(out)
     }
 
-    /// Returns a new matrix containing only the rows in `range`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::DimensionMismatch`] if the range exceeds the
-    /// number of windows.
-    pub fn select_rows(
-        &self,
-        range: std::ops::Range<usize>,
-    ) -> Result<FeatureMatrix, FeatureError> {
-        if range.end > self.rows || range.start > range.end {
-            return Err(FeatureError::DimensionMismatch {
-                detail: format!(
-                    "row range {:?} out of bounds for a matrix with {} windows",
-                    range, self.rows
-                ),
-            });
-        }
-        let mut out = FeatureMatrix::with_names(self.names.clone());
-        for r in range {
-            out.push_row(self.row(r).to_vec())
-                .expect("row length matches");
-        }
-        Ok(out)
-    }
-
     /// Appends all rows of `other` to this matrix.
     ///
     /// # Errors
@@ -329,15 +277,6 @@ mod tests {
         assert_eq!(p.feature_names(), &["f3".to_string(), "f1".to_string()]);
         assert_eq!(p.row(1), &[6.0, 4.0]);
         assert!(m.select_columns(&[5]).is_err());
-    }
-
-    #[test]
-    fn select_rows_subsets() {
-        let m = sample();
-        let s = m.select_rows(1..3).unwrap();
-        assert_eq!(s.num_windows(), 2);
-        assert_eq!(s.row(0), &[4.0, 5.0, 6.0]);
-        assert!(m.select_rows(2..5).is_err());
     }
 
     #[test]

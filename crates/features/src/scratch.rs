@@ -13,8 +13,7 @@ use crate::entropy::permutation_entropy_scratch;
 use crate::error::FeatureError;
 use seizure_dsp::fft::Complex;
 use seizure_dsp::spectrum::PsdPlan;
-use seizure_dsp::wavelet::{Wavelet, WaveletWorkspace};
-use seizure_dsp::window::WindowKind;
+use seizure_dsp::wavelet::{max_level, WaveletWorkspace};
 
 /// Preallocated workspace for extracting the features of one analysis window.
 ///
@@ -80,10 +79,9 @@ impl FeatureScratch {
                 reason: format!("sampling frequency must be positive, got {fs}"),
             });
         }
-        let wavelet = Wavelet::Daubechies4;
-        let levels = max_wavelet_levels.min(wavelet.max_level(window_len)).max(1);
-        let psd = PsdPlan::new(window_len, WindowKind::Rectangular)?;
-        let workspace = WaveletWorkspace::new(wavelet, window_len, levels)?;
+        let levels = max_wavelet_levels.min(max_level(window_len)).max(1);
+        let psd = PsdPlan::new(window_len)?;
+        let workspace = WaveletWorkspace::new(window_len, levels)?;
         Ok(Self {
             fs,
             window_len,
@@ -199,9 +197,7 @@ impl FeatureScratchPool {
         window_len: usize,
         max_wavelet_levels: usize,
     ) -> Result<FeatureScratch, FeatureError> {
-        let wanted_levels = max_wavelet_levels
-            .min(seizure_dsp::wavelet::Wavelet::Daubechies4.max_level(window_len))
-            .max(1);
+        let wanted_levels = max_wavelet_levels.min(max_level(window_len)).max(1);
         {
             let mut pool = self.inner.lock().expect("scratch pool poisoned");
             if let Some(pos) = pool.iter().position(|s| {

@@ -62,14 +62,13 @@ use crate::matrix::FeatureMatrix;
 use crate::statistics::{MomentSummary, SpreadSummary};
 use seizure_dsp::fft::Complex;
 use seizure_dsp::spectrum::PsdPlan;
-use seizure_dsp::wavelet::{StreamingWavelet, Wavelet};
-use seizure_dsp::window::WindowKind;
+use seizure_dsp::wavelet::{max_level, StreamingWavelet};
 
-/// Number of `f64` fields a [`HopSummary`] carries (priced by
+/// Number of `f64` fields one hop summary carries (priced by
 /// `edge::memory::streaming_state_bytes`).
 pub const HOP_SUMMARY_F64_SLOTS: usize = 24;
 
-/// Number of `u32` fields a [`HopSummary`] carries (the zero-crossing count
+/// Number of `u32` fields one hop summary carries (the zero-crossing count
 /// plus the order-3 and order-5 ordinal pattern tables).
 pub const HOP_SUMMARY_U32_SLOTS: usize = 1 + 6 + 120;
 
@@ -285,15 +284,14 @@ impl StreamingRichExtractor {
             });
         }
         let k = window / hop;
-        let wavelet = Wavelet::Daubechies4;
-        let levels = RICH_WAVELET_LEVELS.min(wavelet.max_level(window)).max(1);
+        let levels = RICH_WAVELET_LEVELS.min(max_level(window)).max(1);
         let min_detail = 3.min(levels);
-        let psd = PsdPlan::new(window, WindowKind::Rectangular)?;
+        let psd = PsdPlan::new(window)?;
         let make_channel = || -> Result<ChannelStream, FeatureError> {
             Ok(ChannelStream {
                 window_buf: vec![0.0; window],
                 ring: Vec::with_capacity(k),
-                wavelet: StreamingWavelet::new(wavelet, window, hop, levels, min_detail)?,
+                wavelet: StreamingWavelet::new(window, hop, levels, min_detail)?,
             })
         };
         Ok(Self {
@@ -323,11 +321,6 @@ impl StreamingRichExtractor {
     /// Hop length in samples.
     pub fn step_samples(&self) -> usize {
         self.hop
-    }
-
-    /// Hops per window (`window / hop`).
-    pub fn hops_per_window(&self) -> usize {
-        self.k
     }
 
     /// Number of features per emitted row (54: 27 per channel).

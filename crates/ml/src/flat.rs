@@ -1,6 +1,6 @@
 //! Flat, cache-friendly compilation of fitted random forests.
 //!
-//! The boxed [`DecisionTree`] representation chases a `Box<Node>` pointer per
+//! The boxed [`DecisionTree`](crate::DecisionTree) representation chases a `Box<Node>` pointer per
 //! split, so every level of every tree of every window prediction is a
 //! dependent cache miss. [`FlatForest`] compiles a fitted ensemble into
 //! struct-of-arrays node storage — split feature, threshold, child indices
@@ -247,7 +247,7 @@ impl FlatForest {
         let samples = self.validate_matrix(matrix, num_features)?;
         out.clear();
         out.resize(samples, 0.0);
-        seizure_parallel::par_fill(out, |i| {
+        seizure_parallel::par_fill_slice(out, |i| {
             self.predict_proba(&matrix[i * num_features..(i + 1) * num_features])
         });
         Ok(())

@@ -192,11 +192,6 @@ impl MemFlash {
     pub fn image(&self) -> &[u8] {
         &self.image
     }
-
-    /// Consumes the device and returns the raw contents.
-    pub fn into_image(self) -> Vec<u8> {
-        self.image
-    }
 }
 
 fn check_range(capacity: usize, offset: usize, len: usize) -> Result<(), PersistError> {

@@ -8,9 +8,9 @@
 //! columns** — the pool is cut into fixed-size sample blocks, each block
 //! holding its feature values feature-major — and keeps one **sorted run of
 //! block-relative u16 ids per block per feature**; tree growth then runs on a
-//! reusable [`SplitScratch`] whose per-feature index segments are kept sorted
+//! reusable split scratch whose per-feature index segments are kept sorted
 //! by stable partitioning at each split (no per-node sorting), and nodes are
-//! appended to a [`NodeArena`] in DFS preorder (no per-node boxing). Trees
+//! appended to a node arena in DFS preorder (no per-node boxing). Trees
 //! are fitted in parallel over the `seizure-parallel` scoped threads.
 //!
 //! The block-run layout serves the self-learning loop, whose training set
@@ -47,11 +47,10 @@
 //!
 //! For retraining that reuses trees across pool growth instead of refitting
 //! the whole ensemble, see
-//! [`IncrementalTrainer`](crate::incremental::IncrementalTrainer), which is
+//! [`crate::incremental::IncrementalTrainer`], which is
 //! built on the same scratch machinery and aligns its ownership blocks with
 //! the run blocks here.
 
-use crate::dataset::Dataset;
 use crate::error::MlError;
 use crate::flat::{FlatForest, LEAF};
 use crate::forest::RandomForestConfig;
@@ -265,20 +264,6 @@ impl TrainingSet {
             labels,
             order: vec![0u16; n * num_features],
         })
-    }
-
-    /// Builds a training set from a row-vector [`Dataset`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TrainingSet::from_rows`].
-    pub fn from_dataset(data: &Dataset) -> Result<Self, MlError> {
-        let num_features = data.num_features();
-        let mut rows = Vec::with_capacity(data.len() * num_features);
-        for row in data.features() {
-            rows.extend_from_slice(row);
-        }
-        Self::from_rows(&rows, num_features, data.labels())
     }
 
     /// Appends new samples (flat row-major, `labels.len() * num_features`
@@ -1306,7 +1291,14 @@ fn build_node<W: SampleWord>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Dataset;
     use crate::forest::RandomForest;
+
+    /// The training set of a row-vector [`Dataset`].
+    fn training_set(data: &Dataset) -> TrainingSet {
+        let rows: Vec<f64> = data.features().iter().flatten().copied().collect();
+        TrainingSet::from_rows(&rows, data.num_features(), data.labels()).unwrap()
+    }
 
     fn blob_dataset(n_per_class: usize, separation: f64) -> Dataset {
         let mut rows = Vec::new();
@@ -1447,7 +1439,7 @@ mod tests {
             max_depth: 6,
             ..RandomForestConfig::default()
         };
-        let whole = TrainingSet::from_dataset(&data).unwrap();
+        let whole = training_set(&data);
         let reference = train_forest(&whole, &config, 11).unwrap();
         for rb in [1usize, 7, 16, 80, 128] {
             let blocked =
@@ -1528,7 +1520,7 @@ mod tests {
         for seed in [0, 1, 7, 42] {
             let boxed = RandomForest::fit(&data, &config, seed).unwrap();
             let reference = FlatForest::from_forest(&boxed);
-            let set = TrainingSet::from_dataset(&data).unwrap();
+            let set = training_set(&data);
             let engine = train_forest(&set, &config, seed).unwrap();
             assert_eq!(engine, reference, "seed {seed}");
         }
@@ -1537,7 +1529,7 @@ mod tests {
     #[test]
     fn narrow_and_wide_ids_produce_identical_forests() {
         let data = blob_dataset(35, 1.2);
-        let set = TrainingSet::from_dataset(&data).unwrap();
+        let set = training_set(&data);
         let config = RandomForestConfig {
             n_trees: 9,
             max_depth: 6,
@@ -1566,7 +1558,7 @@ mod tests {
             ..RandomForestConfig::default()
         };
         let reference = FlatForest::from_forest(&RandomForest::fit(&data, &config, 3).unwrap());
-        let set = TrainingSet::from_dataset(&data).unwrap();
+        let set = training_set(&data);
         assert_eq!(train_forest(&set, &config, 3).unwrap(), reference);
     }
 

@@ -177,17 +177,6 @@ impl DecisionTree {
         }
         depth_of(&self.root)
     }
-
-    /// Number of leaves in the fitted tree.
-    pub fn num_leaves(&self) -> usize {
-        fn leaves_of(node: &Node) -> usize {
-            match node {
-                Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => leaves_of(left) + leaves_of(right),
-            }
-        }
-        leaves_of(&self.root)
-    }
 }
 
 use rand::SeedableRng;
@@ -313,7 +302,6 @@ mod tests {
             assert_eq!(tree.predict(row), label);
         }
         assert_eq!(tree.depth(), 1);
-        assert_eq!(tree.num_leaves(), 2);
     }
 
     #[test]
@@ -348,7 +336,7 @@ mod tests {
     fn pure_dataset_yields_single_leaf() {
         let data = Dataset::new(vec![vec![1.0], vec![2.0]], vec![true, true]).unwrap();
         let tree = DecisionTree::fit(&data, &DecisionTreeConfig::default(), 0).unwrap();
-        assert_eq!(tree.num_leaves(), 1);
+        assert_eq!(tree.depth(), 0);
         assert!(tree.predict(&[100.0]));
         assert_eq!(tree.predict_proba(&[0.0]), 1.0);
     }

@@ -148,21 +148,9 @@ where
     Ok(out)
 }
 
-/// Fills `out` by evaluating `f` on every index in parallel.
-///
-/// Convenience wrapper over [`par_fill_slice`] for `f64` outputs (e.g.
-/// per-sample class probabilities).
-pub fn par_fill<F>(out: &mut [f64], f: F)
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    par_fill_slice(out, f);
-}
-
 /// Fills a slice of any `Send` element type by evaluating `f` on every index
-/// in parallel — the generic sibling of [`par_fill`], used by the prediction
-/// into-variants to write class labels (`bool`) without a staging `f64`
-/// buffer.
+/// in parallel, e.g. per-sample class probabilities (`f64`) or class labels
+/// (`bool`).
 ///
 /// The slice is split into contiguous blocks, one per scoped worker thread;
 /// small slices run on the calling thread.
@@ -291,9 +279,9 @@ mod tests {
     }
 
     #[test]
-    fn par_fill_matches_serial_map() {
+    fn par_fill_slice_matches_serial_map() {
         let mut out = vec![0.0; 513];
-        par_fill(&mut out, |i| (i * i) as f64);
+        par_fill_slice(&mut out, |i| (i * i) as f64);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, (i * i) as f64);
         }

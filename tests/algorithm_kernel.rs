@@ -12,12 +12,12 @@
 //! sides of the serial cutoff.
 
 use proptest::prelude::*;
-use selflearn_seizure::core::algorithm::{posteriori_detect, DetectorConfig, Implementation};
+use selflearn_seizure::core::algorithm::{posteriori_detect, DetectorConfig};
 use selflearn_seizure::features::normalize::normalize_features;
 use selflearn_seizure::features::FeatureMatrix;
 
-/// The per-candidate loop the hoist replaced, on the matrix the detector
-/// sees (already normalized when the configuration asks for it).
+/// The per-candidate loop the hoist replaced, on the normalized matrix the
+/// detector scores.
 fn oracle_distances(matrix: &FeatureMatrix, w_len: usize, step: usize) -> Vec<f64> {
     let rows = matrix.num_windows();
     let features = matrix.num_features();
@@ -101,30 +101,25 @@ fn random_matrix(seed: u64, rows: usize, features: usize, nan_every: usize) -> F
     FeatureMatrix::from_rows(names, data).unwrap()
 }
 
-/// The given window lengths at steps 1–5, normalized and raw, against the
-/// oracle.
+/// The given window lengths at steps 1–5 against the oracle.
 fn assert_bit_identical(matrix: &FeatureMatrix, windows: &[usize], case: &str) {
     let rows = matrix.num_windows();
     let normalized = normalize_features(matrix).unwrap();
     for step in 1..=5 {
         for &w in windows {
-            for (normalize, seen) in [(false, matrix), (true, &normalized)] {
-                let config = DetectorConfig {
-                    subsample_step: step,
-                    implementation: Implementation::Optimized,
-                    normalize,
-                };
-                let detection = posteriori_detect(matrix, w, &config).unwrap();
-                let expected = oracle_distances(seen, w, step);
-                assert_eq!(detection.distances.len(), expected.len());
-                for (c, (a, b)) in detection.distances.iter().zip(&expected).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{case}, rows {rows}, W {w}, step {step}, normalize {normalize}: \
-                         candidate {c} reads {a}, the pre-hoist loop {b}"
-                    );
-                }
+            let config = DetectorConfig {
+                subsample_step: step,
+            };
+            let detection = posteriori_detect(matrix, w, &config).unwrap();
+            let expected = oracle_distances(&normalized, w, step);
+            assert_eq!(detection.distances.len(), expected.len());
+            for (c, (a, b)) in detection.distances.iter().zip(&expected).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{case}, rows {rows}, W {w}, step {step}: \
+                     candidate {c} reads {a}, the pre-hoist loop {b}"
+                );
             }
         }
     }

@@ -2,8 +2,9 @@
 //! methodology.
 
 use proptest::prelude::*;
-use selflearn_seizure::core::algorithm::{posteriori_detect, DetectorConfig, Implementation};
+use selflearn_seizure::core::algorithm::{posteriori_detect, DetectorConfig};
 use selflearn_seizure::core::metric::{deviation_seconds, normalized_deviation};
+use selflearn_seizure::features::normalize::normalize_features;
 use selflearn_seizure::features::FeatureMatrix;
 
 fn feature_matrix(rows: usize, features: usize, seed: u64) -> FeatureMatrix {
@@ -21,11 +22,52 @@ fn feature_matrix(rows: usize, features: usize, seed: u64) -> FeatureMatrix {
     FeatureMatrix::from_rows(names, data).unwrap()
 }
 
+/// Literal transcription of the paper's pseudo-code (`O(L²WF)`), on the
+/// normalized matrix.
+fn reference_distances(matrix: &FeatureMatrix, w_len: usize, step: usize) -> Vec<f64> {
+    let rows = matrix.num_windows();
+    let features = matrix.num_features();
+    let candidates = rows - w_len;
+    let norm_outside = ((rows - w_len) as f64 / step as f64).max(1.0);
+    let mut distances = Vec::with_capacity(candidates);
+
+    for i in 0..candidates {
+        let mut distance_vector = vec![0.0; features];
+        for w in 0..w_len {
+            let inside = matrix.row(i + w);
+            let mut edge = vec![0.0; features];
+            let mut k = 0;
+            while k < rows {
+                if k < i || k >= i + w_len {
+                    let outside = matrix.row(k);
+                    for f in 0..features {
+                        edge[f] += (inside[f] - outside[f]).abs();
+                    }
+                }
+                k += step;
+            }
+            for f in 0..features {
+                distance_vector[f] += edge[f] / norm_outside;
+            }
+        }
+        let norm: f64 = distance_vector
+            .iter()
+            .map(|v| {
+                let v = v / w_len as f64;
+                v * v
+            })
+            .sum::<f64>()
+            .sqrt();
+        distances.push(norm);
+    }
+    distances
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The optimized implementation of Algorithm 1 is exactly equivalent to
-    /// the paper's reference pseudo-code on arbitrary feature matrices.
+    /// Algorithm 1's prefix-sum implementation is equivalent to the paper's
+    /// pseudo-code on arbitrary feature matrices.
     #[test]
     fn optimized_algorithm_matches_reference(
         rows in 20usize..70,
@@ -36,20 +78,18 @@ proptest! {
     ) {
         prop_assume!(rows > window + 2);
         let matrix = feature_matrix(rows, features, seed);
-        let reference = posteriori_detect(
-            &matrix,
-            window,
-            &DetectorConfig { implementation: Implementation::Reference, subsample_step: step, normalize: true },
-        )
-        .unwrap();
-        let optimized = posteriori_detect(
-            &matrix,
-            window,
-            &DetectorConfig { implementation: Implementation::Optimized, subsample_step: step, normalize: true },
-        )
-        .unwrap();
-        prop_assert_eq!(reference.window_index, optimized.window_index);
-        for (a, b) in reference.distances.iter().zip(optimized.distances.iter()) {
+        let reference = reference_distances(&normalize_features(&matrix).unwrap(), window, step);
+        let optimized = posteriori_detect(&matrix, window, &DetectorConfig { subsample_step: step })
+            .unwrap();
+        let reference_peak = reference
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .map(|(i, _)| i)
+            .unwrap();
+        prop_assert_eq!(reference_peak, optimized.window_index);
+        prop_assert_eq!(reference.len(), optimized.distances.len());
+        for (a, b) in reference.iter().zip(optimized.distances.iter()) {
             prop_assert!((a - b).abs() < 1e-9);
         }
     }

@@ -14,7 +14,7 @@ use selflearn_seizure::core::labeler::LabelerConfig;
 use selflearn_seizure::core::pipeline::SelfLearningPipeline;
 use selflearn_seizure::core::realtime::RealTimeDetectorConfig;
 use selflearn_seizure::dsp::spectrum::periodogram;
-use selflearn_seizure::dsp::wavelet::{wavedec, Wavelet};
+use selflearn_seizure::dsp::wavelet::wavedec;
 use selflearn_seizure::features::extractor::{
     FeatureExtractor, PaperFeatureSet, RichFeatureSet, SlidingWindowConfig,
 };
@@ -148,7 +148,7 @@ fn first_window_spectrum_and_decomposition_are_pinned() {
             float_pin(psd.freqs().iter().chain(psd.power()).copied()),
             psd_pin,
         );
-        let dec = wavedec(window, Wavelet::Daubechies4, levels).unwrap();
+        let dec = wavedec(window, levels).unwrap();
         let coefficients = dec
             .approximation()
             .iter()
