@@ -1,0 +1,112 @@
+//! Freezes the fitted cold-start state.
+//!
+//! An incremental trainer of 12 trees over 8-sample blocks grows through
+//! three retrains to 24, 40 and 64 samples. Every step holds fewer blocks
+//! than trees, so the cold-start trees (no owned block yet) refit from the
+//! whole pool each time, next to the owners of new single blocks. The four
+//! features take one of seven levels, so equal values straddle blocks, and
+//! feature 3's lowest level is NaN. `NaN == NaN` is false, so the split scan
+//! weighs cuts inside the NaN group and the run merge's tie order there
+//! reaches the fitted nodes (ties between equal finite values cannot be
+//! split, so their order never does). After each step the test pins the length and FNV-1a hash of `trainer_to_bytes`,
+//! which holds the pool and every fitted node. A journal replay of the last
+//! two batches onto the 24-sample snapshot must reach the 64-sample pin.
+//!
+//! A refactor of the training engine must leave every pin unchanged; a pin
+//! moves only when the fitted forests do.
+
+use seizure_ml::persist::journal::{replay, JournalWriter};
+use seizure_ml::persist::{fnv1a, trainer_to_bytes};
+use seizure_ml::{IncrementalTrainer, IncrementalTrainerConfig, RandomForestConfig};
+
+const NUM_FEATURES: usize = 4;
+const CUTS: [usize; 3] = [24, 40, 64];
+
+fn config() -> IncrementalTrainerConfig {
+    IncrementalTrainerConfig {
+        forest: RandomForestConfig {
+            n_trees: 12,
+            max_depth: 6,
+            min_samples_split: 2,
+            max_features: Some(2),
+            bootstrap_fraction: 1.0,
+        },
+        block_size: 8,
+    }
+}
+
+/// Row-major rows quantized to seven levels per feature, with the label
+/// nudging features 0 and 2 up a level so the trees find real splits and
+/// feature 3's lowest level replaced by NaN. Labels alternate in runs of at
+/// most three.
+fn rows_and_labels(n: usize) -> (Vec<f64>, Vec<bool>) {
+    let labels: Vec<bool> = (0..n).map(|i| (i * 5 + i / 3) % 7 < 3).collect();
+    let mut rows = Vec::with_capacity(n * NUM_FEATURES);
+    for (i, &label) in labels.iter().enumerate() {
+        for f in 0..NUM_FEATURES {
+            let h = ((i * NUM_FEATURES + f) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut level = (h >> 40) % 7;
+            if label && f % 2 == 0 {
+                level = (level + 1).min(6);
+            }
+            rows.push(if f == 3 && level == 0 {
+                f64::NAN
+            } else {
+                level as f64 * 0.25 - 0.5
+            });
+        }
+    }
+    (rows, labels)
+}
+
+fn pin(bytes: &[u8]) -> (usize, u64) {
+    (bytes.len(), fnv1a(bytes))
+}
+
+#[test]
+fn cold_start_refits_and_their_replay_are_pinned() {
+    let (rows, labels) = rows_and_labels(CUTS[2]);
+    let batch =
+        |lo: usize, hi: usize| (&rows[lo * NUM_FEATURES..hi * NUM_FEATURES], &labels[lo..hi]);
+    let expected: [(usize, u64); 3] = [
+        (3753, 0x85a3_e64e_441c_dc80),
+        (4771, 0x2c3e_9b60_cdcb_7543),
+        (6214, 0xf9c6_be67_f824_c411),
+    ];
+
+    let mut trainer = IncrementalTrainer::new(config(), 17);
+    let mut base = Vec::new();
+    let mut pins = Vec::new();
+    let mut prev = 0;
+    for &cut in &CUTS {
+        let (r, l) = batch(prev, cut);
+        trainer.retrain(r, NUM_FEATURES, l).unwrap();
+        assert!(
+            cut.div_ceil(8) < trainer.num_trees(),
+            "{cut} samples left cold start"
+        );
+        let bytes = trainer_to_bytes(&trainer);
+        pins.push(pin(&bytes));
+        if base.is_empty() {
+            base = bytes;
+        }
+        prev = cut;
+    }
+    assert_eq!(
+        pins, expected,
+        "a fitted trainer moved (len, fnv1a per step)"
+    );
+
+    let mut writer = JournalWriter::new(&base, CUTS[0]).unwrap();
+    for pair in CUTS.windows(2) {
+        let (r, l) = batch(pair[0], pair[1]);
+        writer.append(r, NUM_FEATURES, l, &[]).unwrap();
+    }
+    let replayed = replay(&base, writer.unflushed()).unwrap();
+    assert_eq!(replayed.report.entries_applied, 2);
+    assert_eq!(
+        pin(&trainer_to_bytes(&replayed.trainer)),
+        expected[2],
+        "replaying the journal onto the 24-sample snapshot moved"
+    );
+}
