@@ -158,16 +158,24 @@ fn main() {
 
     // --- Cold-start power-up: one refit vs one retrain per entry. ---
     // Seizure-sized entries (~120 windows at paper scale) over a six-entry
-    // base, as on a device a few seizures into its life.
+    // base, as on a device a few seizures into its life. The quick pool
+    // (24 + 3 x 4 samples) would fit one 128-sample block, so the smoke
+    // spreads it over 8-sample blocks to reach the multi-block merge the
+    // cold-start trees share.
     let entry_n = (samples / 30).max(4);
     let cold_base_n = 6 * entry_n;
     let cold_entries = 3;
     let cold_n = cold_base_n + cold_entries * entry_n;
+    let cold_config = IncrementalTrainerConfig {
+        block_size: if quick { 8 } else { trainer_config.block_size },
+        ..trainer_config
+    };
+    let cold_blocks = cold_n.div_ceil(cold_config.block_size);
     assert!(
-        cold_n.div_ceil(trainer_config.block_size) < trainer_config.forest.n_trees,
-        "the replayed journal must stay in the cold-start regime"
+        (2..cold_config.forest.n_trees).contains(&cold_blocks),
+        "the replayed journal must span several blocks and stay in the cold-start regime"
     );
-    let mut cold = IncrementalTrainer::new(trainer_config, seed);
+    let mut cold = IncrementalTrainer::new(cold_config, seed);
     cold.retrain(
         &rows[..cold_base_n * num_features],
         num_features,
@@ -215,7 +223,7 @@ fn main() {
         "one-refit replay diverged from one retrain per entry"
     );
     println!(
-        "  cold-start replay ({cold_base_n} + {cold_entries} x {entry_n} samples): \
+        "  cold-start replay ({cold_base_n} + {cold_entries} x {entry_n} samples, {cold_blocks} blocks): \
          one refit {:>8.2} ms, one retrain per entry {:>8.2} ms ({:.2}x)",
         1e3 * one_refit_time,
         1e3 * per_entry_time,

@@ -13,7 +13,10 @@
 //! refitted tree hands `fit_tree_jobs` exactly its owned block list, so its
 //! scratch load k-way-merges O(owned blocks) of presorted runs instead of
 //! scanning the whole pool — the per-seizure retrain cost is O(batch) end to
-//! end, independent of how large the pool has grown.
+//! end, independent of how large the pool has grown. The cold-start trees of
+//! one refit all bootstrap from the whole pool, so the refit gathers and
+//! merges it once and each of them only expands that shared order by its
+//! own draws.
 //!
 //! # Pool partitioning
 //!
@@ -73,8 +76,8 @@ use crate::error::MlError;
 use crate::flat::FlatForest;
 use crate::forest::RandomForestConfig;
 use crate::training::{
-    fit_tree_jobs, resolve_tree_config, stitch_forest, tree_stream_seed, IdWidth, NodeArena,
-    TrainingSet, TreeJob, MAX_RUN_BLOCK,
+    fit_tree_jobs, resolve_tree_config, stitch_forest, tree_stream_seed, IdWidth, LocalPool,
+    NodeArena, TrainingSet, TreeJob, MAX_RUN_BLOCK,
 };
 use crate::tree::DecisionTreeConfig;
 use rand::Rng;
@@ -126,9 +129,10 @@ pub struct IncrementalTrainer {
     last_refit: usize,
     /// Diagnostic mode: refitted trees select the **whole pool** and draw
     /// global ids (the pre-block-run behaviour), emulating the old O(pool)
-    /// scratch load. Output forests are bit-identical to the owned-block
-    /// path; the retrain bench uses this as its speedup baseline. Never
-    /// persisted; restored trainers reset to `false`.
+    /// scratch load: each refitted tree gathers and merges the whole pool
+    /// itself, cold-start trees included. Output forests are bit-identical
+    /// to the owned-block path; the retrain bench uses this as its speedup
+    /// baseline. Never persisted; restored trainers reset to `false`.
     reference_loads: bool,
 }
 
@@ -362,10 +366,11 @@ impl IncrementalTrainer {
         // t + n_trees, ...`) are all full except possibly the global tail,
         // so local id `j` addresses the `j`-th sample of their concatenation
         // and the draw maps onto the owned pool with no arithmetic at all.
+        let all_blocks: Vec<u32> = (0..num_blocks as u32).collect();
         let mut draw_buf: Vec<u32> = Vec::new();
         let mut block_buf: Vec<u32> = Vec::new();
-        // (tree index, draw range, block range, new fingerprint) per
-        // refitted tree.
+        // (tree index, draw range, owned-block range, new fingerprint) per
+        // refitted tree; an empty block range selects the whole pool.
         type Pending = (
             usize,
             std::ops::Range<usize>,
@@ -388,9 +393,7 @@ impl IncrementalTrainer {
                 continue;
             }
             let block_start = block_buf.len();
-            if blocks_owned == 0 || self.reference_loads {
-                block_buf.extend(0..num_blocks as u32);
-            } else {
+            if blocks_owned > 0 && !self.reference_loads {
                 block_buf.extend((0..blocks_owned).map(|i| (t + i * n_trees) as u32));
             }
             let m =
@@ -422,12 +425,27 @@ impl IncrementalTrainer {
             ));
         }
 
+        // Every cold-start tree selects the whole pool, so its gather and
+        // run merge happen once here and each of those trees only expands
+        // the shared order by its own draws. Reference mode keeps one
+        // whole-pool merge per refitted tree: it is the O(pool) baseline.
+        let mut whole_pool = LocalPool::default();
+        let shared = (!self.reference_loads && pending.iter().any(|p| p.3.blocks_owned == 0))
+            .then(|| whole_pool.prepare(set, &all_blocks));
         let jobs: Vec<TreeJob<'_>> = pending
             .iter()
-            .map(|(t, draws, blocks, _)| TreeJob {
-                blocks: &block_buf[blocks.clone()],
-                draws: &draw_buf[draws.clone()],
-                seed: tree_stream_seed(self.seed, *t),
+            .map(|(t, draws, blocks, _)| {
+                let whole = blocks.is_empty();
+                TreeJob {
+                    blocks: if whole {
+                        &all_blocks
+                    } else {
+                        &block_buf[blocks.clone()]
+                    },
+                    shared: if whole { shared } else { None },
+                    draws: &draw_buf[draws.clone()],
+                    seed: tree_stream_seed(self.seed, *t),
+                }
             })
             .collect();
         let arenas = fit_tree_jobs(set, tree_config, &jobs, IdWidth::Auto)?;

@@ -21,14 +21,16 @@
 //!   (one bounded in-place merge) and builds fresh runs for wholly new
 //!   blocks, so growing the pool costs O(batch log batch) — no global merge
 //!   over the untouched prefix;
-//! * `load_tree` k-way-merges only the runs of the blocks a tree's job
-//!   selects, so a subset-tree refit reads O(owned blocks) per feature
-//!   instead of O(pool). The merge pops runs by `(value, block ordinal)` —
-//!   value order via `f64::total_cmp`, ties broken toward the earlier block,
-//!   and within a block toward the lower relative id — which reproduces the
-//!   exact `(value, global id)` order of a whole-pool stable sort, keeping
-//!   refits **node-identical** to a from-scratch fit (a property-tested
-//!   invariant);
+//! * a tree job k-way-merges only the runs of the blocks it selects, so a
+//!   subset-tree refit reads O(owned blocks) per feature instead of
+//!   O(pool). The merge pops runs by `(value, block ordinal)` — value order
+//!   via `f64::total_cmp`, ties broken toward the earlier block, and within
+//!   a block toward the lower relative id — which reproduces the exact
+//!   `(value, global id)` order of a whole-pool stable sort, keeping refits
+//!   **node-identical** to a from-scratch fit (a property-tested invariant).
+//!   Jobs that select the same blocks can share one prepared selection
+//!   (gathered pool plus merged order), so each of them only expands the
+//!   shared order by its own bootstrap counts;
 //! * sample ids inside a run are block-relative u16 (blocks never exceed
 //!   65 536 samples), and the scratch's id width is chosen **per selection**:
 //!   narrow (u16) words whenever the selected blocks hold fewer than 65 536
@@ -479,6 +481,14 @@ impl TrainingSet {
         &self.columns[base..base + self.num_features * len]
     }
 
+    /// Block `b`'s sorted runs of every feature, feature-major in the
+    /// geometry of [`TrainingSet::block_storage`].
+    fn block_order(&self, b: usize) -> &[u16] {
+        let len = self.block_len(b);
+        let base = b * self.run_block * self.num_features;
+        &self.order[base..base + self.num_features * len]
+    }
+
     /// Block `b`'s labels, relative-id indexed.
     fn block_labels(&self, b: usize) -> &[bool] {
         let start = b * self.run_block;
@@ -633,37 +643,67 @@ fn heap_sift_down(heap: &mut [RunCursor]) {
 }
 
 /// A tree job's sample pool in selection-local layout: feature-major columns
-/// over the `n` selected samples plus their labels. Single-block selections
-/// borrow the training set's storage directly; multi-block selections read
-/// the gather buffers of a [`LocalPool`].
-struct PoolView<'a> {
+/// over the `n` selected samples, their labels and every feature's sorted
+/// local ids. Single-block selections borrow the training set's storage
+/// directly; multi-block selections read the buffers of a [`LocalPool`].
+/// [`LocalPool::prepare`] builds one per job on the worker, or once for
+/// every job that selects the same blocks (the incremental trainer's
+/// cold-start trees all select the whole pool), which then only expand the
+/// shared ids by their own bootstrap counts.
+#[derive(Clone, Copy)]
+pub(crate) struct PoolView<'a> {
     /// Feature-major columns: `cols[f * n + i]` is feature `f` of local
     /// sample `i`.
     cols: &'a [f64],
     labels: &'a [bool],
+    sorted: SortedIds<'a>,
     n: usize,
     num_features: usize,
 }
 
-/// Reusable per-worker gather buffers materializing a job's selected blocks
-/// into the selection-local layout (and the running base offset of each
-/// selected block within it).
+/// Every feature's ascending order of a selection's local ids,
+/// feature-major (`n` ids per feature, `(value, local id)` order per
+/// `f64::total_cmp`).
+#[derive(Clone, Copy)]
+enum SortedIds<'a> {
+    /// A single block's presorted runs, borrowed from the training set: its
+    /// block-relative ids are the local ids.
+    Block(&'a [u16]),
+    /// The selected blocks' runs, k-way-merged into local ids.
+    Merged(&'a [u32]),
+}
+
+/// Reusable buffers materializing a block selection in the selection-local
+/// layout: the gathered columns and labels, the running base offset of each
+/// selected block within them, the merged sorted ids and the run-merge heap
+/// (one cursor per selected block).
 #[derive(Debug, Default)]
 pub(crate) struct LocalPool {
     cols: Vec<f64>,
     labels: Vec<bool>,
     bases: Vec<u32>,
+    order: Vec<u32>,
+    heap: Vec<RunCursor>,
 }
 
 impl LocalPool {
-    /// Computes the selected blocks' local base offsets and materializes the
-    /// selection-local pool. A single-block selection is returned zero-copy:
-    /// the block-major storage is already feature-major over that block.
-    fn prepare<'a>(
-        &'a mut self,
-        set: &'a TrainingSet,
-        blocks: &[u32],
-    ) -> (PoolView<'a>, &'a [u32]) {
+    /// Prepares the selection of `blocks` (ascending). A single-block
+    /// selection is returned zero-copy: the block-major storage is already
+    /// feature-major over that block, and its runs are already sorted local
+    /// ids. Several blocks are gathered into the local layout and their runs
+    /// merged by [`merge_runs`].
+    pub(crate) fn prepare<'a>(&'a mut self, set: &'a TrainingSet, blocks: &[u32]) -> PoolView<'a> {
+        let nf = set.num_features();
+        if let [b] = *blocks {
+            let b = b as usize;
+            return PoolView {
+                cols: set.block_storage(b),
+                labels: set.block_labels(b),
+                sorted: SortedIds::Block(set.block_order(b)),
+                n: set.block_len(b),
+                num_features: nf,
+            };
+        }
         self.bases.clear();
         let mut sel = 0u32;
         for &b in blocks {
@@ -671,19 +711,9 @@ impl LocalPool {
             sel += set.block_len(b as usize) as u32;
         }
         let sel = sel as usize;
-        let nf = set.num_features();
-        if blocks.len() == 1 {
-            let b = blocks[0] as usize;
-            let view = PoolView {
-                cols: set.block_storage(b),
-                labels: set.block_labels(b),
-                n: sel,
-                num_features: nf,
-            };
-            return (view, &self.bases);
-        }
         self.cols.resize(sel * nf, 0.0);
         self.labels.resize(sel, false);
+        self.order.resize(sel * nf, 0);
         // lint: hot-path
         for (o, &b) in blocks.iter().enumerate() {
             let b = b as usize;
@@ -695,21 +725,81 @@ impl LocalPool {
                     .copy_from_slice(set.block_values(f, b));
             }
         }
-        let view = PoolView {
+        merge_runs(set, blocks, &self.bases, &mut self.heap, &mut self.order);
+        PoolView {
             cols: &self.cols,
             labels: &self.labels,
+            sorted: SortedIds::Merged(&self.order),
             n: sel,
             num_features: nf,
-        };
-        (view, &self.bases)
+        }
     }
+}
+
+/// K-way-merges the presorted runs of `blocks` (local base offsets `bases`)
+/// into `out`: for every feature, the selection's local ids in ascending
+/// order. The merge pops the minimal `(value key, block ordinal)` head, so
+/// equal values come out in ascending local (hence global) id order,
+/// reproducing a whole-pool stable sort exactly — O(selection log blocks)
+/// per feature, regardless of the pool size.
+fn merge_runs(
+    set: &TrainingSet,
+    blocks: &[u32],
+    bases: &[u32],
+    heap: &mut Vec<RunCursor>,
+    out: &mut [u32],
+) {
+    let mut k = 0usize;
+    // lint: hot-path
+    for f in 0..set.num_features() {
+        heap.clear();
+        for (o, &b) in blocks.iter().enumerate() {
+            let run = set.block_run(f, b as usize);
+            let vals = set.block_values(f, b as usize);
+            heap_push(
+                heap,
+                RunCursor {
+                    key: total_cmp_key(vals[run[0] as usize]),
+                    ordinal: o as u32,
+                    pos: 0,
+                },
+            );
+        }
+        loop {
+            let cur = heap[0];
+            let o = cur.ordinal as usize;
+            let b = blocks[o] as usize;
+            let run = set.block_run(f, b);
+            out[k] = bases[o] + run[cur.pos as usize] as u32;
+            k += 1;
+            let pos = cur.pos as usize + 1;
+            if pos < run.len() {
+                let vals = set.block_values(f, b);
+                heap[0] = RunCursor {
+                    key: total_cmp_key(vals[run[pos] as usize]),
+                    ordinal: cur.ordinal,
+                    pos: pos as u32,
+                };
+                heap_sift_down(heap);
+            } else {
+                match heap.pop() {
+                    Some(last) if !heap.is_empty() => {
+                        heap[0] = last;
+                        heap_sift_down(heap);
+                    }
+                    _ => break,
+                }
+            }
+        }
+    }
+    debug_assert_eq!(k, out.len());
 }
 
 /// Reusable per-worker scratch for growing one tree at a time: the per-tree
 /// bootstrap multiset orders (one sorted segment per feature), the stable
-/// partition buffer, the bootstrap count table, the run-merge heap and the
-/// candidate-feature list. One scratch serves every tree a worker fits, so
-/// tree growth touches the heap only when a buffer first grows.
+/// partition buffer, the bootstrap count table and the candidate-feature
+/// list. One scratch serves every tree a worker fits, so tree growth touches
+/// the heap only when a buffer first grows.
 #[derive(Debug, Default)]
 struct SplitScratch<W> {
     /// Per-feature bootstrap multiset, column-major: `order[f * m ..][..m]`
@@ -728,127 +818,65 @@ struct SplitScratch<W> {
     side: Vec<u8>,
     /// Candidate feature list shuffled per node.
     features: Vec<usize>,
-    /// K-way run-merge heap (one cursor per selected block).
-    heap: Vec<RunCursor>,
 }
 
 impl<W: SampleWord> SplitScratch<W> {
     /// Prepares the scratch for one tree: zeroes the count table, tallies the
     /// bootstrap draws and materializes the per-feature sorted multisets by
-    /// k-way-merging the selected blocks' presorted runs — O(selection) per
-    /// feature, regardless of the pool size. The merge pops the minimal
-    /// `(value key, block ordinal)` head, so equal values come out in
-    /// ascending local (hence global) id order, reproducing a whole-pool
-    /// stable sort exactly.
-    fn load_tree(
-        &mut self,
-        set: &TrainingSet,
-        blocks: &[u32],
-        bases: &[u32],
-        view: &PoolView<'_>,
-        draws: &[u32],
-    ) {
-        let sel = view.n;
+    /// expanding the selection's sorted ids by their bootstrap counts —
+    /// O(selection) per feature, regardless of the pool size.
+    fn load_tree(&mut self, view: &PoolView<'_>, draws: &[u32]) {
+        let n = view.n;
         let m = draws.len();
         self.counts.clear();
-        self.counts.resize(sel, 0);
+        self.counts.resize(n, 0);
         for &d in draws {
             self.counts[d as usize] += 1;
         }
         self.buf.resize(m, W::default());
         self.side.clear();
-        self.side.resize(sel, 0);
+        self.side.resize(n, 0);
         // Three spare slots absorb the unconditional overflow writes of the
         // branch-light emit below.
         let need = view.num_features * m + 3;
         if self.order.len() != need {
             self.order.resize(need, W::default());
         }
-        let mut k = 0usize;
-        if blocks.len() == 1 {
-            // Single run: relative ids are the local ids, no merge needed.
-            let b = blocks[0] as usize;
-            // lint: hot-path
-            for f in 0..view.num_features {
-                for &rel in set.block_run(f, b) {
-                    let local = rel as u32;
-                    let c = self.counts[rel as usize] as usize;
-                    let packed = W::pack(local, view.labels[rel as usize]);
-                    // Branch-light emit: bootstrap multiplicities are almost
-                    // always <= 3, so three unconditional stores cover ~98%
-                    // of samples without a data-dependent branch; slots
-                    // written past `k + c` are overwritten by the following
-                    // samples (or land in the spare tail).
-                    let end = k + c;
-                    self.order[k] = packed;
-                    self.order[k + 1] = packed;
-                    self.order[k + 2] = packed;
-                    if c > 3 {
-                        for slot in &mut self.order[k + 3..end] {
-                            *slot = packed;
-                        }
-                    }
-                    k = end;
-                }
-            }
-        } else {
-            // lint: hot-path
-            for f in 0..view.num_features {
-                let heap = &mut self.heap;
-                heap.clear();
-                for (o, &b) in blocks.iter().enumerate() {
-                    let run = set.block_run(f, b as usize);
-                    let vals = set.block_values(f, b as usize);
-                    heap_push(
-                        heap,
-                        RunCursor {
-                            key: total_cmp_key(vals[run[0] as usize]),
-                            ordinal: o as u32,
-                            pos: 0,
-                        },
-                    );
-                }
-                loop {
-                    let cur = self.heap[0];
-                    let o = cur.ordinal as usize;
-                    let b = blocks[o] as usize;
-                    let run = set.block_run(f, b);
-                    let rel = run[cur.pos as usize] as usize;
-                    let local = bases[o] + rel as u32;
-                    let c = self.counts[local as usize] as usize;
-                    let packed = W::pack(local, view.labels[local as usize]);
-                    let end = k + c;
-                    self.order[k] = packed;
-                    self.order[k + 1] = packed;
-                    self.order[k + 2] = packed;
-                    if c > 3 {
-                        for slot in &mut self.order[k + 3..end] {
-                            *slot = packed;
-                        }
-                    }
-                    k = end;
-                    let pos = cur.pos as usize + 1;
-                    if pos < run.len() {
-                        let vals = set.block_values(f, b);
-                        self.heap[0] = RunCursor {
-                            key: total_cmp_key(vals[run[pos] as usize]),
-                            ordinal: cur.ordinal,
-                            pos: pos as u32,
-                        };
-                        heap_sift_down(&mut self.heap);
-                    } else {
-                        match self.heap.pop() {
-                            Some(last) if !self.heap.is_empty() => {
-                                self.heap[0] = last;
-                                heap_sift_down(&mut self.heap);
-                            }
-                            _ => break,
-                        }
-                    }
-                }
-            }
-        }
+        let k = match view.sorted {
+            SortedIds::Block(ids) => self.expand(ids, view.labels),
+            SortedIds::Merged(ids) => self.expand(ids, view.labels),
+        };
         debug_assert_eq!(k, view.num_features * m);
+    }
+
+    /// Writes each of `ids` (feature-major sorted local ids) into the order
+    /// as many times as the bootstrap drew it and returns the count written.
+    /// Every feature's ids expand to exactly `m` words, so the feature-major
+    /// id layout lands on the `m`-per-feature segments.
+    fn expand<I: Copy + Into<u32>>(&mut self, ids: &[I], labels: &[bool]) -> usize {
+        let mut k = 0usize;
+        // lint: hot-path
+        for &id in ids {
+            let local = id.into();
+            let c = self.counts[local as usize] as usize;
+            let packed = W::pack(local, labels[local as usize]);
+            // Branch-light emit: bootstrap multiplicities are almost always
+            // <= 3, so three unconditional stores cover ~98% of samples
+            // without a data-dependent branch; slots written past `k + c`
+            // are overwritten by the following samples (or land in the spare
+            // tail).
+            let end = k + c;
+            self.order[k] = packed;
+            self.order[k + 1] = packed;
+            self.order[k + 2] = packed;
+            if c > 3 {
+                for slot in &mut self.order[k + 3..end] {
+                    *slot = packed;
+                }
+            }
+            k = end;
+        }
+        k
     }
 }
 
@@ -935,9 +963,11 @@ pub(crate) fn resolve_tree_config(
 /// allowed) and the seed of the tree's feature-subsampling stream. Local id
 /// `i` addresses the `i`-th sample of the selected blocks' concatenation in
 /// list order; when the selection is the whole pool in block order, local
-/// and global ids coincide.
+/// and global ids coincide. `shared` is the blocks' pool view when the caller
+/// prepared it once for several jobs; `None` has the worker prepare it.
 pub(crate) struct TreeJob<'a> {
     pub blocks: &'a [u32],
+    pub shared: Option<PoolView<'a>>,
     pub draws: &'a [u32],
     pub seed: u64,
 }
@@ -1090,6 +1120,7 @@ pub fn train_forest_with_width(
     let jobs: Vec<TreeJob<'_>> = (0..config.n_trees)
         .map(|t| TreeJob {
             blocks: &all_blocks,
+            shared: None,
             draws: &draws[t * sample_count..(t + 1) * sample_count],
             seed: tree_stream_seed(seed, t),
         })
@@ -1099,9 +1130,9 @@ pub fn train_forest_with_width(
     Ok(stitch_forest(set.num_features(), &refs))
 }
 
-/// Grows one tree on the scratch and returns its arena: gathers the job's
-/// selection-local pool, merges the selected runs into the per-feature
-/// multisets and recurses over the splits.
+/// Grows one tree on the scratch and returns its arena: takes the job's
+/// shared pool view or prepares it in the worker's pool, expands the sorted
+/// ids into the per-feature multisets and recurses over the splits.
 fn build_tree<W: SampleWord>(
     set: &TrainingSet,
     config: &DecisionTreeConfig,
@@ -1109,8 +1140,11 @@ fn build_tree<W: SampleWord>(
     pool: &mut LocalPool,
     scratch: &mut SplitScratch<W>,
 ) -> NodeArena {
-    let (view, bases) = pool.prepare(set, job.blocks);
-    scratch.load_tree(set, job.blocks, bases, &view, job.draws);
+    let view = match job.shared {
+        Some(view) => view,
+        None => pool.prepare(set, job.blocks),
+    };
+    scratch.load_tree(&view, job.draws);
     let mut rng = ChaCha8Rng::seed_from_u64(job.seed);
     let mut arena = NodeArena::default();
     let pos: usize = scratch.order[..job.draws.len()]

@@ -393,6 +393,52 @@ proptest! {
         }
     }
 
+    /// Cold-start trees share one whole-pool gather and run merge per refit,
+    /// while reference loads merge once per tree; both must fit the same
+    /// forest where the merge's tie order decides the bootstrap multisets.
+    /// Values sit on five levels, so equal values straddle blocks; column 1
+    /// holds NaN on level 0; and 16 trees over 4-sample blocks keep more
+    /// trees than blocks at every cut, so every retrain refits cold-start
+    /// trees.
+    #[test]
+    fn shared_cold_start_order_matches_per_tree_reference_loads(
+        points in prop::collection::vec((prop::collection::vec(0u8..5, 3), any::<bool>()), 10..61),
+        seed in 0u64..30,
+        cuts_raw in prop::collection::vec(1usize..1000, 0..4),
+    ) {
+        let n = points.len();
+        let (levels, labels): (Vec<Vec<u8>>, Vec<bool>) = points.into_iter().unzip();
+        let labels = cap_runs(labels, 4);
+        let flat: Vec<f64> = levels
+            .iter()
+            .flat_map(|row| {
+                row.iter().enumerate().map(|(f, &level)| {
+                    if f == 1 && level == 0 { f64::NAN } else { f64::from(level) * 0.5 }
+                })
+            })
+            .collect();
+        let config = IncrementalTrainerConfig {
+            forest: RandomForestConfig { n_trees: 16, max_depth: 5, ..Default::default() },
+            block_size: 4,
+        };
+        let mut cuts: Vec<usize> = cuts_raw.iter().map(|c| 1 + c % n).collect();
+        cuts.push(n);
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut shared = IncrementalTrainer::new(config, seed);
+        let mut reference = IncrementalTrainer::new(config, seed);
+        reference.set_reference_loads(true);
+        let mut prev = 0;
+        for &cut in &cuts {
+            prop_assert!(cut.div_ceil(config.block_size) < config.forest.n_trees);
+            let (r, l) = (&flat[prev * 3..cut * 3], &labels[prev..cut]);
+            let fast = shared.retrain(r, 3, l).unwrap();
+            let slow = reference.retrain(r, 3, l).unwrap();
+            prop_assert_eq!(&fast, &slow);
+            prev = cut;
+        }
+    }
+
     #[test]
     fn kmeans_assigns_every_point_to_an_existing_cluster(seed in 0u64..200, k in 1usize..4) {
         let points: Vec<Vec<f64>> = (0..30)
