@@ -1,22 +1,27 @@
-//! Freezes the fitted cold-start state.
+//! Freezes the fitted trainer state, cold-start trees and block owners.
 //!
-//! An incremental trainer of 12 trees over 8-sample blocks grows through
-//! three retrains to 24, 40 and 64 samples. Every step holds fewer blocks
-//! than trees, so the cold-start trees (no owned block yet) refit from the
-//! whole pool each time, next to the owners of new single blocks. The four
-//! features take one of seven levels, so equal values straddle blocks, and
-//! feature 3's lowest level is NaN. `NaN == NaN` is false, so the split scan
-//! weighs cuts inside the NaN group and the run merge's tie order there
-//! reaches the fitted nodes (ties between equal finite values cannot be
-//! split, so their order never does). After each step the test pins the length and FNV-1a hash of `trainer_to_bytes`,
-//! which holds the pool and every fitted node. A journal replay of the last
-//! two batches onto the 24-sample snapshot must reach the 64-sample pin.
+//! The first test grows an incremental trainer of 12 trees over 8-sample
+//! blocks through three retrains to 24, 40 and 64 samples. Every step holds
+//! fewer blocks than trees, so the cold-start trees (no owned block yet)
+//! refit from the whole pool each time, next to the owners of new single
+//! blocks. The second grows 3 trees over 4-sample blocks to 21, 49 and 65
+//! samples (6, 13 and 17 blocks, each time with a partial last block), so
+//! every tree refits from two to six owned blocks at every step.
+//!
+//! The four features take one of seven levels, so equal values straddle
+//! blocks, and feature 3's lowest level is NaN. `NaN == NaN` is false, so
+//! the split scan weighs cuts inside the NaN group and the order of that tie
+//! group reaches the fitted nodes (ties between equal finite values cannot
+//! be split, so their order never does). After each step a test pins the
+//! length and FNV-1a hash of `trainer_to_bytes`, which holds the pool and
+//! every fitted node. A journal replay of the last two batches onto the
+//! first snapshot must reach the last pin.
 //!
 //! A refactor of the training engine must leave every pin unchanged; a pin
 //! moves only when the fitted forests do.
 
 use seizure_ml::persist::journal::{replay, JournalWriter};
-use seizure_ml::persist::{fnv1a, trainer_to_bytes};
+use seizure_ml::persist::{fnv1a, trainer_from_bytes, trainer_to_bytes};
 use seizure_ml::{IncrementalTrainer, IncrementalTrainerConfig, RandomForestConfig};
 
 const NUM_FEATURES: usize = 4;
@@ -108,5 +113,67 @@ fn cold_start_refits_and_their_replay_are_pinned() {
         pin(&trainer_to_bytes(&replayed.trainer)),
         expected[2],
         "replaying the journal onto the 24-sample snapshot moved"
+    );
+}
+
+#[test]
+fn multi_block_owner_refits_and_their_replay_are_pinned() {
+    const OWNER_CUTS: [usize; 3] = [21, 49, 65];
+    let config = IncrementalTrainerConfig {
+        forest: RandomForestConfig {
+            n_trees: 3,
+            ..config().forest
+        },
+        block_size: 4,
+    };
+    let (rows, labels) = rows_and_labels(OWNER_CUTS[2]);
+    let batch =
+        |lo: usize, hi: usize| (&rows[lo * NUM_FEATURES..hi * NUM_FEATURES], &labels[lo..hi]);
+    let expected: [(usize, u64); 3] = [
+        (1389, 0x177f_dadc_5dcb_047f),
+        (2289, 0xd8aa_b2cb_0810_f82f),
+        (2971, 0x3272_07d7_4e6b_ad01),
+    ];
+
+    let mut trainer = IncrementalTrainer::new(config, 17);
+    let mut base = Vec::new();
+    let mut pins = Vec::new();
+    let mut prev = 0;
+    for &cut in &OWNER_CUTS {
+        let (r, l) = batch(prev, cut);
+        trainer.retrain(r, NUM_FEATURES, l).unwrap();
+        assert_eq!(
+            trainer.last_refit_count(),
+            trainer.num_trees(),
+            "{cut} samples left a tree unrefit"
+        );
+        let bytes = trainer_to_bytes(&trainer);
+        assert_eq!(
+            trainer_to_bytes(&trainer_from_bytes(&bytes).unwrap()),
+            bytes,
+            "the {cut}-sample snapshot does not re-encode to itself"
+        );
+        pins.push(pin(&bytes));
+        if base.is_empty() {
+            base = bytes;
+        }
+        prev = cut;
+    }
+    assert_eq!(
+        pins, expected,
+        "a fitted trainer moved (len, fnv1a per step)"
+    );
+
+    let mut writer = JournalWriter::new(&base, OWNER_CUTS[0]).unwrap();
+    for pair in OWNER_CUTS.windows(2) {
+        let (r, l) = batch(pair[0], pair[1]);
+        writer.append(r, NUM_FEATURES, l, &[]).unwrap();
+    }
+    let replayed = replay(&base, writer.unflushed()).unwrap();
+    assert_eq!(replayed.report.entries_applied, 2);
+    assert_eq!(
+        pin(&trainer_to_bytes(&replayed.trainer)),
+        expected[2],
+        "replaying the journal onto the 21-sample snapshot moved"
     );
 }
