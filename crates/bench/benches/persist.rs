@@ -160,8 +160,8 @@ fn main() {
     // Seizure-sized entries (~120 windows at paper scale) over a six-entry
     // base, as on a device a few seizures into its life. The quick pool
     // (24 + 3 x 4 samples) would fit one 128-sample block, so the smoke
-    // spreads it over 8-sample blocks to reach the multi-block merge the
-    // cold-start trees share.
+    // spreads it over 8-sample blocks: the replay then refits block owners
+    // next to the cold-start trees, as the paper-scale pool does.
     let entry_n = (samples / 30).max(4);
     let cold_base_n = 6 * entry_n;
     let cold_entries = 3;

@@ -457,11 +457,11 @@ impl RealTimeDetector {
 
     /// Adds new labeled windows (flat row-major, `labels.len() *
     /// num_features` values) to the detector's growing training pool and
-    /// retrains through the [`IncrementalTrainer`]: the pool append sorts
-    /// only the block-local presorted runs it touches, and only the trees
-    /// whose bootstrap pools were touched by the growth are refitted —
-    /// loading just their owned blocks — so the self-learning loop stops
-    /// paying a full `train_forest` per missed seizure. An untrained
+    /// retrains through the [`IncrementalTrainer`]: the pool append merges
+    /// the batch into the presorted runs, and only the trees whose
+    /// bootstrap pools were touched by the growth are refitted, so the
+    /// self-learning loop stops paying a full `train_forest` per missed
+    /// seizure. An untrained
     /// detector starts a fresh pool; a [`RealTimeDetector::train`]ed one
     /// extends the pool `train` fitted.
     ///

@@ -167,23 +167,13 @@ impl MemoryModel {
             + annotation_bytes
     }
 
-    /// Exact RAM held by a training pool's presorted order storage under the
-    /// block-run layout (`seizure-ml`'s `TrainingSet`): one u16 block-relative
-    /// id per sample per feature. Runs are the only storage — every block's
-    /// base offset is closed-form (`block * run_block * num_features`), so no
-    /// offset table exists and the price is independent of the block length.
-    /// Pinned byte-for-byte to `TrainingSet::order_bytes` in
+    /// Exact RAM held by a training pool's presorted order storage
+    /// (`seizure-ml`'s `TrainingSet`): one run of u16 sample ids per feature,
+    /// so one id per sample per feature and nothing else. Pinned
+    /// byte-for-byte to `TrainingSet::order_bytes` in
     /// `tests/edge_platform.rs`.
-    pub fn block_run_order_bytes(&self, num_samples: usize, num_features: usize) -> usize {
+    pub fn order_bytes(&self, num_samples: usize, num_features: usize) -> usize {
         2 * num_samples * num_features
-    }
-
-    /// RAM the pre-block-run layout held for the same orders: one flat u32
-    /// global id per sample per feature — exactly twice
-    /// [`MemoryModel::block_run_order_bytes`]. Kept as the comparison term so
-    /// budget reviews can price the layout switch.
-    pub fn flat_order_bytes(&self, num_samples: usize, num_features: usize) -> usize {
-        4 * num_samples * num_features
     }
 
     /// [`MemoryModel::budget`] with a persisted-state snapshot stored in

@@ -4,19 +4,15 @@
 //! missed seizure is observed, even though the personalized training set only
 //! ever *grows*. [`IncrementalTrainer`] is a stateful retraining engine built
 //! on the scratch machinery of [`crate::training`]: it owns a growable
-//! [`TrainingSet`] whose per-block sorted runs are **aligned with the
-//! ownership blocks below** (appends sort only the touched tail/new block
-//! runs, no prefix re-sort), and caches one fitted arena per tree together
+//! [`TrainingSet`] (appends merge the sorted batch into each feature's
+//! presorted run, no re-sort), and caches one fitted arena per tree together
 //! with a fingerprint of the sample pool the tree's bootstrap stream drew
 //! from. On [`IncrementalTrainer::retrain`] only the trees whose pools were
 //! touched by the growth are refitted; the rest are reused verbatim. A
-//! refitted tree hands `fit_tree_jobs` exactly its owned block list, so its
-//! scratch load k-way-merges O(owned blocks) of presorted runs instead of
-//! scanning the whole pool — the per-seizure retrain cost is O(batch) end to
-//! end, independent of how large the pool has grown. The cold-start trees of
-//! one refit all bootstrap from the whole pool, so the refit gathers and
-//! merges it once and each of them only expands that shared order by its
-//! own draws.
+//! refitted tree maps its bootstrap draws to pool ids and expands the
+//! presorted runs by its counts, so each refit costs O(pool) per feature.
+//! The pool is capped at [`TrainingSet::MAX_SAMPLES`] samples, far above
+//! what the wearable can persist.
 //!
 //! # Pool partitioning
 //!
@@ -36,10 +32,8 @@
 //! Every retrained state is a pure function of `(final training set, config,
 //! seed)`: block ownership depends only on the final sample count, each
 //! tree's bootstrap draws replay a private ChaCha8 stream parameterized by
-//! its pool length, [`TrainingSet::append_rows`] reproduces the exact
-//! per-block sorted runs a from-scratch build would produce, and the
-//! owned-run k-way merge reproduces the whole-pool `(value, id)` sort over
-//! the owned subset. Consequently a
+//! its pool length, and [`TrainingSet::append_rows`] reproduces the exact
+//! sorted runs a from-scratch build would produce. Consequently a
 //! trainer grown through **any** schedule of appends emits a [`FlatForest`]
 //! identical — node for node, hence prediction-equivalent on any matrix — to
 //! a fresh trainer fitted once on the final dataset with the same seed (a
@@ -76,8 +70,8 @@ use crate::error::MlError;
 use crate::flat::FlatForest;
 use crate::forest::RandomForestConfig;
 use crate::training::{
-    fit_tree_jobs, resolve_tree_config, stitch_forest, tree_stream_seed, IdWidth, LocalPool,
-    NodeArena, TrainingSet, TreeJob, MAX_RUN_BLOCK,
+    fit_tree_jobs, resolve_tree_config, stitch_forest, tree_stream_seed, NodeArena, TrainingSet,
+    TreeJob,
 };
 use crate::tree::DecisionTreeConfig;
 use rand::Rng;
@@ -89,12 +83,11 @@ use rand_chacha::ChaCha8Rng;
 pub struct IncrementalTrainerConfig {
     /// Hyper-parameters shared with the batch forest engines.
     pub forest: RandomForestConfig,
-    /// Samples per ownership block (at most 65 536 — block-relative sample
-    /// ids are u16). Smaller blocks spread fresh data over more (cheaper)
-    /// trees and reach tree specialization sooner; larger blocks keep each
-    /// tree's pool bigger. The default (128) puts every tree of a 30-tree
-    /// ensemble on its own data once ~4k samples arrived. The training set's
-    /// per-block sorted runs are aligned with these blocks.
+    /// Samples per ownership block (at most 65 536, the pool cap). Smaller
+    /// blocks spread fresh data over more trees and reach tree
+    /// specialization sooner; larger blocks keep each tree's pool bigger.
+    /// The default (128) puts every tree of a 30-tree ensemble on its own
+    /// data once ~4k samples arrived.
     pub block_size: usize,
 }
 
@@ -127,13 +120,6 @@ pub struct IncrementalTrainer {
     set: Option<TrainingSet>,
     trees: Vec<TreeState>,
     last_refit: usize,
-    /// Diagnostic mode: refitted trees select the **whole pool** and draw
-    /// global ids (the pre-block-run behaviour), emulating the old O(pool)
-    /// scratch load: each refitted tree gathers and merges the whole pool
-    /// itself, cold-start trees included. Output forests are bit-identical
-    /// to the owned-block path; the retrain bench uses this as its speedup
-    /// baseline. Never persisted; restored trainers reset to `false`.
-    reference_loads: bool,
 }
 
 impl IncrementalTrainer {
@@ -146,15 +132,7 @@ impl IncrementalTrainer {
             set: None,
             trees: Vec::new(),
             last_refit: 0,
-            reference_loads: false,
         }
-    }
-
-    /// Switches between owned-block scratch loads (`false`, the default) and
-    /// the whole-pool reference loads described on the field — forests are
-    /// bit-identical either way; only the retrain cost differs.
-    pub fn set_reference_loads(&mut self, on: bool) {
-        self.reference_loads = on;
     }
 
     /// The trainer's configuration.
@@ -240,7 +218,6 @@ impl IncrementalTrainer {
             set,
             trees,
             last_refit,
-            reference_loads: false,
         }
     }
 
@@ -251,11 +228,12 @@ impl IncrementalTrainer {
     /// # Errors
     ///
     /// Returns [`MlError::InvalidParameter`] for a zero `block_size`, a
-    /// `block_size` above 65 536 (block-relative ids are u16) or
-    /// invalid forest hyper-parameters, [`MlError::DimensionMismatch`] if
-    /// the matrix does not match `labels.len() * num_features` or
-    /// `num_features` differs from earlier appends, and
-    /// [`MlError::InvalidDataset`] for an empty append — or for a
+    /// `block_size` above [`TrainingSet::MAX_SAMPLES`] or invalid forest
+    /// hyper-parameters, [`MlError::DimensionMismatch`] if the matrix does
+    /// not match `labels.len() * num_features` or `num_features` differs
+    /// from earlier appends, and [`MlError::InvalidDataset`] for an empty
+    /// append, for one that would grow the pool past
+    /// [`TrainingSet::MAX_SAMPLES`] samples — or for a
     /// **single-class** append longer than `block_size`: such a batch fills
     /// whole ownership blocks with one label, so every block-specialized
     /// tree drawing from them would silently degrade into a single-class
@@ -288,12 +266,12 @@ impl IncrementalTrainer {
                 reason: "ownership blocks must hold at least one sample".to_string(),
             });
         }
-        if block > MAX_RUN_BLOCK {
+        if block > TrainingSet::MAX_SAMPLES {
             return Err(MlError::InvalidParameter {
                 name: "block_size",
                 reason: format!(
-                    "ownership blocks are limited to {MAX_RUN_BLOCK} samples (block-relative \
-                     u16 ids), got {block}"
+                    "ownership blocks are limited to the {} samples a pool holds, got {block}",
+                    TrainingSet::MAX_SAMPLES
                 ),
             });
         }
@@ -313,16 +291,7 @@ impl IncrementalTrainer {
             });
         }
         match &mut self.set {
-            // Align the set's sorted-run blocks with the ownership blocks,
-            // so a tree's owned pool is exactly a list of presorted runs.
-            None => {
-                self.set = Some(TrainingSet::from_rows_in_blocks(
-                    rows,
-                    num_features,
-                    labels,
-                    block,
-                )?)
-            }
+            None => self.set = Some(TrainingSet::from_rows(rows, num_features, labels)?),
             Some(set) => {
                 if num_features != set.num_features() {
                     return Err(MlError::DimensionMismatch {
@@ -336,7 +305,6 @@ impl IncrementalTrainer {
             }
         }
         let set = self.set.as_ref().expect("training set installed above");
-        debug_assert_eq!(set.run_block(), block, "run blocks track ownership blocks");
         resolve_tree_config(set, &self.config.forest)
     }
 
@@ -358,26 +326,16 @@ impl IncrementalTrainer {
         let block = self.config.block_size;
         let n = set.len();
         let n_trees = self.config.forest.n_trees;
-        let num_blocks = n.div_ceil(block);
 
         // Fingerprint every tree's pool and draw fresh bootstrap streams for
-        // the ones whose pool grew (or that were never fitted). Draws are
-        // **selection-local**: a tree's owned blocks (ascending `t,
-        // t + n_trees, ...`) are all full except possibly the global tail,
-        // so local id `j` addresses the `j`-th sample of their concatenation
-        // and the draw maps onto the owned pool with no arithmetic at all.
-        let all_blocks: Vec<u32> = (0..num_blocks as u32).collect();
-        let mut draw_buf: Vec<u32> = Vec::new();
-        let mut block_buf: Vec<u32> = Vec::new();
-        // (tree index, draw range, owned-block range, new fingerprint) per
-        // refitted tree; an empty block range selects the whole pool.
-        type Pending = (
-            usize,
-            std::ops::Range<usize>,
-            std::ops::Range<usize>,
-            TreeState,
-        );
-        let mut pending: Vec<Pending> = Vec::new();
+        // the ones whose pool grew (or that were never fitted). A tree draws
+        // positions `j` in its own pool: a cold-start tree's pool is the
+        // whole pool, so `j` is the pool id; an owner's `j`-th sample sits in
+        // its `j / block`-th owned block (blocks `t, t + n_trees, ...`, all
+        // full except possibly the global tail).
+        let mut draw_buf: Vec<u16> = Vec::new();
+        // (tree index, draw range, new fingerprint) per refitted tree.
+        let mut pending: Vec<(usize, std::ops::Range<usize>, TreeState)> = Vec::new();
         let mut last_refit = 0;
         for t in 0..n_trees {
             let (blocks_owned, pool_len) = fingerprint(t, n, n_trees, block);
@@ -392,31 +350,24 @@ impl IncrementalTrainer {
             if unchanged {
                 continue;
             }
-            let block_start = block_buf.len();
-            if blocks_owned > 0 && !self.reference_loads {
-                block_buf.extend((0..blocks_owned).map(|i| (t + i * n_trees) as u32));
-            }
             let m =
                 ((pool_len as f64 * self.config.forest.bootstrap_fraction).round() as usize).max(1);
             let start = draw_buf.len();
+            draw_buf.reserve(m);
             let mut rng = ChaCha8Rng::seed_from_u64(draw_stream_seed(self.seed, t));
+            // lint: hot-path
             for _ in 0..m {
                 let j = rng.gen_range(0..pool_len);
-                let id = if blocks_owned > 0 && self.reference_loads {
-                    // Reference mode selects the whole pool, so the draw must
-                    // be mapped back to a global id (the old O(pool) layout);
-                    // the drawn sample is the same either way.
-                    let b = t + (j / block) * n_trees;
-                    b * block + j % block
-                } else {
+                let id = if blocks_owned == 0 {
                     j
+                } else {
+                    (t + j / block * n_trees) * block + j % block
                 };
-                draw_buf.push(id as u32);
+                draw_buf.push(id as u16);
             }
             pending.push((
                 t,
                 start..draw_buf.len(),
-                block_start..block_buf.len(),
                 TreeState {
                     arena: NodeArena::default(),
                     blocks_owned,
@@ -425,34 +376,18 @@ impl IncrementalTrainer {
             ));
         }
 
-        // Every cold-start tree selects the whole pool, so its gather and
-        // run merge happen once here and each of those trees only expands
-        // the shared order by its own draws. Reference mode keeps one
-        // whole-pool merge per refitted tree: it is the O(pool) baseline.
-        let mut whole_pool = LocalPool::default();
-        let shared = (!self.reference_loads && pending.iter().any(|p| p.3.blocks_owned == 0))
-            .then(|| whole_pool.prepare(set, &all_blocks));
         let jobs: Vec<TreeJob<'_>> = pending
             .iter()
-            .map(|(t, draws, blocks, _)| {
-                let whole = blocks.is_empty();
-                TreeJob {
-                    blocks: if whole {
-                        &all_blocks
-                    } else {
-                        &block_buf[blocks.clone()]
-                    },
-                    shared: if whole { shared } else { None },
-                    draws: &draw_buf[draws.clone()],
-                    seed: tree_stream_seed(self.seed, *t),
-                }
+            .map(|(t, draws, _)| TreeJob {
+                draws: &draw_buf[draws.clone()],
+                seed: tree_stream_seed(self.seed, *t),
             })
             .collect();
-        let arenas = fit_tree_jobs(set, tree_config, &jobs, IdWidth::Auto)?;
+        let arenas = fit_tree_jobs(set, tree_config, &jobs)?;
 
         self.trees.resize(n_trees, TreeState::default());
         self.last_refit = last_refit;
-        for ((t, _, _, mut state), arena) in pending.into_iter().zip(arenas) {
+        for ((t, _, mut state), arena) in pending.into_iter().zip(arenas) {
             state.arena = arena;
             self.trees[t] = state;
         }

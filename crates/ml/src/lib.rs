@@ -10,10 +10,11 @@
 //!
 //! * [`tree`] — CART-style decision trees with Gini impurity,
 //! * [`forest`] — bagged random forests with per-split feature subsampling,
-//! * [`training`] — the parallel, scratch-backed training engine: presorted
-//!   feature columns, arena-built trees, bit-identical to the boxed path,
+//! * [`training`] — the parallel, scratch-backed training engine:
+//!   feature-major columns with one presorted u16 id run per feature,
+//!   arena-built trees, bit-identical to the boxed path,
 //! * [`incremental`] — the stateful retraining engine for growing training
-//!   sets: appends merge into the presorted columns and only the trees whose
+//!   sets: appends merge into the presorted runs and only the trees whose
 //!   bootstrap pools were touched are refitted,
 //! * [`kmeans`] / [`kmedoids`] — unsupervised clustering baselines,
 //! * [`persist`] — versioned binary snapshots of forests, training sets and
@@ -70,5 +71,5 @@ pub use forest::{RandomForest, RandomForestConfig};
 pub use incremental::{IncrementalTrainer, IncrementalTrainerConfig};
 pub use metrics::ConfusionMatrix;
 pub use persist::PersistError;
-pub use training::{train_forest, train_forest_with_width, IdWidth, TrainingSet};
+pub use training::{train_forest, TrainingSet};
 pub use tree::{DecisionTree, DecisionTreeConfig};

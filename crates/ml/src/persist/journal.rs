@@ -15,11 +15,12 @@
 //! never lost power (property-tested over random grow schedules, split
 //! points and journal truncation points; see
 //! `crates/ml/tests/properties.rs`). Replay also reconstructs the pool's
-//! block-local presorted runs: the decoded base snapshot rebuilds its runs
-//! on the trainer's own ownership block size and every replayed batch
-//! re-enters through the O(batch) block-run append, so the replayed
-//! trainer's runs — and therefore every future owned-block refit, including
-//! pools past 65 536 rows — match the uninterrupted trainer bit for bit.
+//! presorted runs: the decoded base snapshot rebuilds them with one sort per
+//! feature and every replayed batch re-enters through the merging append, so
+//! the replayed trainer's runs — and therefore every future refit — match
+//! the uninterrupted trainer bit for bit. An entry that would grow the pool
+//! past `TrainingSet::MAX_SAMPLES` samples does not re-apply, since
+//! `retrain` rejects it too.
 //!
 //! # Journal format
 //!

@@ -56,15 +56,15 @@
 //! `(blocks_owned, pool_len)` draw-stream fingerprint, and the last refit
 //! count.
 //!
-//! * The pool's design matrix is serialized feature-major (the v2 wire
-//!   layout, regardless of the in-memory block-major storage), next to the
-//!   bit-packed labels.
-//! * The per-block sorted id runs are **rebuilt** on load rather than
-//!   stored. They are fully determined by the columns and the trainer's
-//!   `block_size` (`f64::total_cmp` with stable ties), rebuilding sorts each
-//!   block independently (O(n log block)), and dropping them shrinks the
-//!   snapshot — the deciding factor against a 384 KB-Flash budget (see
-//!   `seizure-edge`'s `MemoryModel::trainer_snapshot_bytes`).
+//! * The pool's design matrix is serialized feature-major, the in-memory
+//!   layout, next to the bit-packed labels.
+//! * The per-feature sorted id runs are **rebuilt** on load rather than
+//!   stored. They are fully determined by the columns (`f64::total_cmp`
+//!   with stable ties), rebuilding takes one sort per feature, and dropping
+//!   them shrinks the snapshot — the deciding factor against a 384 KB-Flash
+//!   budget (see `seizure-edge`'s `MemoryModel::trainer_snapshot_bytes`). A
+//!   pool past [`TrainingSet::MAX_SAMPLES`] samples is rejected as
+//!   corrupted.
 //!
 //! A restored trainer is `==`-identical to the saved one, so
 //! `save → load → retrain(new rows)` emits a forest node-identical to the
@@ -99,7 +99,7 @@
 use crate::flat::LEAF;
 use crate::forest::RandomForestConfig;
 use crate::incremental::{IncrementalTrainer, IncrementalTrainerConfig, TreeState};
-use crate::training::{NodeArena, TrainingSet, MAX_RUN_BLOCK};
+use crate::training::{NodeArena, TrainingSet};
 use std::error::Error;
 use std::fmt;
 
@@ -902,31 +902,15 @@ fn check_arena(num_features: usize, arena: &NodeArena) -> Result<(), PersistErro
 fn write_training_set_body(w: &mut SnapshotWriter, set: &TrainingSet) {
     w.usize(set.num_features());
     w.bools(set.labels());
-    // The v2 wire layout is one flat feature-major f64 slice. The in-memory
-    // storage is block-major, but iterating feature → ascending blocks walks
-    // the samples of each feature in global order, so the emitted bytes are
-    // identical to `slice_f64` over the old flat columns.
-    w.usize(set.len() * set.num_features());
-    for f in 0..set.num_features() {
-        for b in 0..set.num_blocks() {
-            for &v in set.block_values(f, b) {
-                w.f64(v);
-            }
-        }
-    }
+    w.slice_f64(set.columns());
 }
 
-fn read_training_set_body(
-    r: &mut SnapshotReader<'_>,
-    run_block: usize,
-) -> Result<TrainingSet, PersistError> {
+fn read_training_set_body(r: &mut SnapshotReader<'_>) -> Result<TrainingSet, PersistError> {
     let num_features = r.usize()?;
     let labels = r.bools()?;
     let columns = r.slice_f64()?;
-    TrainingSet::from_columns(columns, num_features, labels, run_block).map_err(|e| {
-        PersistError::Corrupted {
-            detail: format!("training set does not reconstruct: {e}"),
-        }
+    TrainingSet::from_columns(columns, num_features, labels).map_err(|e| PersistError::Corrupted {
+        detail: format!("training set does not reconstruct: {e}"),
     })
 }
 
@@ -978,14 +962,7 @@ pub fn trainer_from_bytes(bytes: &[u8]) -> Result<IncrementalTrainer, PersistErr
     let seed = r.u64()?;
     let last_refit = r.usize()?;
     let set = if r.bool()? {
-        // Rebuild the sorted runs aligned with the trainer's ownership
-        // blocks. A pathological persisted block_size (zero or beyond the
-        // u16-relative-id ceiling) is clamped here so decode stays total;
-        // `retrain` re-validates the configured value before using it.
-        Some(read_training_set_body(
-            &mut r,
-            block_size.clamp(1, MAX_RUN_BLOCK),
-        )?)
+        Some(read_training_set_body(&mut r)?)
     } else {
         None
     };
@@ -1084,8 +1061,7 @@ mod tests {
 
     #[test]
     fn trainer_round_trips_with_rebuilt_orders() {
-        // Heavy ties + a NaN exercise the presort rebuild's total order,
-        // across several run blocks of the trainer's own block size.
+        // Heavy ties + a NaN exercise the presort rebuild's total order.
         let mut rows: Vec<f64> = (0..120).map(|i| ((i * 7) % 5) as f64 * 0.5).collect();
         rows[13] = f64::NAN;
         let labels: Vec<bool> = (0..60).map(|i| i % 3 == 0).collect();
@@ -1108,8 +1084,8 @@ mod tests {
 
     #[test]
     fn grown_trainer_round_trips_like_a_rebuilt_one() {
-        // The pool's tail run absorbs the second batch through an in-place
-        // merge; the decoder rebuilds every run from scratch.
+        // The pool's runs absorb the second batch through a merge; the
+        // decoder rebuilds every run with one sort.
         let (rows, labels) = rows_and_labels(50);
         let mut grown = small_trainer(20);
         grown.retrain(&rows[40..], 2, &labels[20..]).unwrap();
@@ -1180,47 +1156,6 @@ mod tests {
         let continued = resumed.retrain(&rows[240..], 2, &labels[120..]).unwrap();
         assert_eq!(continued, reference);
         assert_eq!(resumed, uninterrupted);
-    }
-
-    /// The narrow (u16) and wide (u32) id-width regimes are chosen from the
-    /// pool size at fit time; snapshots on both sides of the 65536-sample
-    /// boundary must restore to trainers that keep retraining identically.
-    #[test]
-    fn trainer_round_trips_across_the_id_width_boundary() {
-        for n in [65_535usize, 65_537] {
-            let mut rows = Vec::with_capacity(n * 2);
-            let mut labels = Vec::with_capacity(n);
-            for i in 0..n {
-                let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                rows.push((h % 9973) as f64);
-                rows.push(((h >> 32) % 101) as f64);
-                labels.push(i % 2 == 0);
-            }
-            let config = IncrementalTrainerConfig {
-                forest: RandomForestConfig {
-                    n_trees: 2,
-                    max_depth: 3,
-                    bootstrap_fraction: 0.02,
-                    max_features: Some(2),
-                    ..RandomForestConfig::default()
-                },
-                block_size: 4096,
-            };
-            let mut uninterrupted = IncrementalTrainer::new(config, 5);
-            uninterrupted
-                .retrain(&rows[..(n - 64) * 2], 2, &labels[..n - 64])
-                .unwrap();
-            let restored = trainer_from_bytes(&trainer_to_bytes(&uninterrupted)).unwrap();
-            assert_eq!(restored, uninterrupted);
-            let mut resumed = restored;
-            let continued = resumed
-                .retrain(&rows[(n - 64) * 2..], 2, &labels[n - 64..])
-                .unwrap();
-            let reference = uninterrupted
-                .retrain(&rows[(n - 64) * 2..], 2, &labels[n - 64..])
-                .unwrap();
-            assert_eq!(continued, reference, "n = {n}");
-        }
     }
 
     /// The zero-copy nesting path (`begin_nested` / `end_nested` writing the

@@ -4,40 +4,25 @@
 //! node's samples for every candidate feature of every split and allocates a
 //! boxed node per tree position, which makes retraining the dominant cost of
 //! the paper's self-learning loop. This module is the training twin of
-//! [`FlatForest`]: a [`TrainingSet`] stores the design matrix in **block-major
-//! columns** — the pool is cut into fixed-size sample blocks, each block
-//! holding its feature values feature-major — and keeps one **sorted run of
-//! block-relative u16 ids per block per feature**; tree growth then runs on a
-//! reusable split scratch whose per-feature index segments are kept sorted
-//! by stable partitioning at each split (no per-node sorting), and nodes are
-//! appended to a node arena in DFS preorder (no per-node boxing). Trees
-//! are fitted in parallel over the `seizure-parallel` scoped threads.
+//! [`FlatForest`]: a [`TrainingSet`] stores the design matrix in
+//! **feature-major columns** next to **one presorted run of u16 sample ids
+//! per feature**; tree growth then runs on a reusable split scratch whose
+//! per-feature index segments are kept sorted by stable partitioning at each
+//! split (no per-node sorting), and nodes are appended to a node arena in DFS
+//! preorder (no per-node boxing). Trees are fitted in parallel over the
+//! `seizure-parallel` scoped threads.
 //!
-//! The block-run layout serves the self-learning loop, whose training set
-//! only ever *grows* and whose incremental trainer refits each tree on the
-//! block subset it owns:
+//! The layout is sized to the wearable, whose Flash cannot persist even a
+//! few hundred windows next to its signal buffer:
 //!
-//! * [`TrainingSet::append_rows`] sorts the new ids into the tail block's run
-//!   (one bounded in-place merge) and builds fresh runs for wholly new
-//!   blocks, so growing the pool costs O(batch log batch) — no global merge
-//!   over the untouched prefix;
-//! * a tree job k-way-merges only the runs of the blocks it selects, so a
-//!   subset-tree refit reads O(owned blocks) per feature instead of
-//!   O(pool). The merge pops runs by `(value, block ordinal)` — value order
-//!   via `f64::total_cmp`, ties broken toward the earlier block, and within
-//!   a block toward the lower relative id — which reproduces the exact
-//!   `(value, global id)` order of a whole-pool stable sort, keeping refits
-//!   **node-identical** to a from-scratch fit (a property-tested invariant).
-//!   Jobs that select the same blocks can share one prepared selection
-//!   (gathered pool plus merged order), so each of them only expands the
-//!   shared order by its own bootstrap counts;
-//! * sample ids inside a run are block-relative u16 (blocks never exceed
-//!   65 536 samples), and the scratch's id width is chosen **per selection**:
-//!   narrow (u16) words whenever the selected blocks hold fewer than 65 536
-//!   samples ([`IdWidth::Auto`]), halving the memory traffic of every stable
-//!   partition even when the full pool has long outgrown the u16 range; the
-//!   wide (u32) path packs the label into bit 31 and both widths produce
-//!   bit-identical forests (a property-tested invariant).
+//! * a pool holds at most [`TrainingSet::MAX_SAMPLES`] (65 536) samples, the
+//!   u16 id space; larger pools are rejected with a typed error;
+//! * [`TrainingSet::append_rows`] sorts the batch and merges it into every
+//!   feature's run with one two-way merge (value ties keep ascending ids),
+//!   so the grown set equals a from-scratch build of the concatenated rows;
+//! * a tree job is only its bootstrap draws (pool ids, repetitions allowed)
+//!   and the seed of its feature-subsampling stream: the tree expands every
+//!   feature's run by its draw counts, O(pool) per feature.
 //!
 //! The engine is **bit-identical** to the boxed path: bootstrap draws come
 //! from the same shared RNG stream consumed in tree order, each tree's
@@ -49,9 +34,8 @@
 //!
 //! For retraining that reuses trees across pool growth instead of refitting
 //! the whole ensemble, see
-//! [`crate::incremental::IncrementalTrainer`], which is
-//! built on the same scratch machinery and aligns its ownership blocks with
-//! the run blocks here.
+//! [`crate::incremental::IncrementalTrainer`], which is built on the same
+//! scratch machinery.
 
 use crate::error::MlError;
 use crate::flat::{FlatForest, LEAF};
@@ -64,46 +48,11 @@ use rand_chacha::ChaCha8Rng;
 
 pub use crate::incremental::{IncrementalTrainer, IncrementalTrainerConfig};
 
-/// Largest sample count the narrow (u16) id word can address.
-const NARROW_LIMIT: usize = u16::MAX as usize + 1;
-
-/// Largest permitted run-block length: block-relative ids must fit u16, so
-/// blocks never exceed 65 536 samples. This is also the default block length
-/// for standalone sets, where it keeps any pool up to 65 536 samples in a
-/// single block (one run per feature — exactly the old global presort).
-pub(crate) const MAX_RUN_BLOCK: usize = NARROW_LIMIT;
-
-// Comparison counter for run sorting/merging, tallied in debug builds only
-// so tests can assert that (re)building orders scales with the touched
-// blocks, not the pool.
-#[cfg(debug_assertions)]
-thread_local! {
-    static RUN_SORT_COMPARISONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Drains the debug comparison counter (current thread).
-#[cfg(all(debug_assertions, test))]
-fn take_run_sort_comparisons() -> u64 {
-    RUN_SORT_COMPARISONS.with(|c| c.replace(0))
-}
-
-#[inline]
-fn count_run_comparison() {
-    #[cfg(debug_assertions)]
-    RUN_SORT_COMPARISONS.with(|c| c.set(c.get() + 1));
-}
-
-/// A design matrix prepared for scratch-backed tree growth: block-major
-/// feature storage plus one presorted run of block-relative sample ids per
-/// block per feature, shared read-only by every tree of the ensemble.
-///
-/// Storage geometry: the pool is cut into blocks of `run_block` samples
-/// (only the last block may be partial), block `b` starts at flat offset
-/// `b * run_block * num_features`, and within a block of `len` samples
-/// feature `f` of relative sample `r` lives at `+ f * len + r`. The `order`
-/// array mirrors the same geometry with u16 relative ids sorted by
-/// `(value, relative id)` per `f64::total_cmp`. Every block base is
-/// closed-form, so no offset table is stored.
+/// A design matrix prepared for scratch-backed tree growth: feature-major
+/// columns (`columns[f * len + i]` is feature `f` of sample `i`), the labels
+/// and one presorted run of u16 sample ids per feature (`order[f * len..]`,
+/// sorted by `(value, id)` per `f64::total_cmp`), shared read-only by every
+/// tree of the ensemble.
 ///
 /// # Example
 ///
@@ -123,80 +72,41 @@ fn count_run_comparison() {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainingSet {
-    num_samples: usize,
     num_features: usize,
-    /// Block length of the block-major storage and of the sorted runs.
-    run_block: usize,
-    /// Block-major feature values (see the struct docs for the geometry).
     columns: Vec<f64>,
     labels: Vec<bool>,
-    /// Per-block per-feature sorted runs of block-relative ids, in the same
-    /// geometry as `columns`.
     order: Vec<u16>,
 }
 
 impl TrainingSet {
+    /// Largest pool a training set holds: sample ids are u16.
+    pub const MAX_SAMPLES: usize = u16::MAX as usize + 1;
+
     /// Builds a training set from a flat row-major matrix
     /// (`labels.len() * num_features` values) and presorts every column.
-    /// Uses the maximum run-block length, so pools up to 65 536 samples keep
-    /// one run per feature.
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::InvalidDataset`] for an empty set or zero feature
-    /// count and [`MlError::DimensionMismatch`] if the buffer length does not
-    /// equal `labels.len() * num_features`.
+    /// Returns [`MlError::InvalidDataset`] for an empty set, a zero feature
+    /// count or more than [`TrainingSet::MAX_SAMPLES`] samples, and
+    /// [`MlError::DimensionMismatch`] if the buffer length does not equal
+    /// `labels.len() * num_features`.
     pub fn from_rows(rows: &[f64], num_features: usize, labels: &[bool]) -> Result<Self, MlError> {
-        Self::from_rows_in_blocks(rows, num_features, labels, MAX_RUN_BLOCK)
-    }
-
-    /// [`TrainingSet::from_rows`] with an explicit run-block length, aligning
-    /// the sorted runs with an incremental trainer's ownership blocks.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TrainingSet::from_rows`].
-    pub(crate) fn from_rows_in_blocks(
-        rows: &[f64],
-        num_features: usize,
-        labels: &[bool],
-        run_block: usize,
-    ) -> Result<Self, MlError> {
-        if num_features == 0 {
-            return Err(MlError::InvalidDataset {
-                detail: "training set must contain at least one feature".to_string(),
-            });
-        }
+        check_shape("flat matrix", rows.len(), num_features, labels.len())?;
         let n = labels.len();
-        if n.checked_mul(num_features) != Some(rows.len()) {
-            return Err(MlError::DimensionMismatch {
-                detail: format!(
-                    "flat matrix of {} values does not cover {n} samples x {num_features} features",
-                    rows.len()
-                ),
-            });
-        }
-        let mut set = Self::empty_shell(n, num_features, labels.to_vec(), run_block)?;
-        let rb = set.run_block;
+        let mut columns = vec![0.0; rows.len()];
+        // lint: hot-path
         for (i, row) in rows.chunks_exact(num_features).enumerate() {
-            let len = set.block_len(i / rb);
-            let at = (i / rb) * rb * num_features + i % rb;
             for (f, &x) in row.iter().enumerate() {
-                set.columns[at + f * len] = x;
+                columns[f * n + i] = x;
             }
         }
-        set.build_runs(0);
-        Ok(set)
+        Ok(Self::presorted(columns, num_features, labels.to_vec()))
     }
 
-    /// Builds a training set from flat **feature-major** storage
-    /// (`columns[f * n + i]` is feature `f` of sample `i`) — the persisted
-    /// representation. The persistence codec restores snapshots through this
-    /// constructor; the runs are a pure function of the columns and the block
-    /// length, so the rebuilt order arrays are identical to the saved set's.
-    /// Rebuilding sorts each block's runs independently — O(n log block), a
-    /// cost that scales with the block count rather than one O(n log n)
-    /// global sort per feature (asserted by a debug comparison counter).
+    /// Builds a training set from flat feature-major storage — the persisted
+    /// representation. The runs are a pure function of the columns, so the
+    /// rebuilt order is identical to the saved set's.
     ///
     /// # Errors
     ///
@@ -205,209 +115,87 @@ impl TrainingSet {
         columns: Vec<f64>,
         num_features: usize,
         labels: Vec<bool>,
-        run_block: usize,
     ) -> Result<Self, MlError> {
-        if num_features == 0 {
-            return Err(MlError::InvalidDataset {
-                detail: "training set must contain at least one feature".to_string(),
-            });
-        }
-        let n = labels.len();
-        if n.checked_mul(num_features) != Some(columns.len()) {
-            return Err(MlError::DimensionMismatch {
-                detail: format!(
-                    "column storage of {} values does not cover {n} samples x {num_features} features",
-                    columns.len()
-                ),
-            });
-        }
-        let mut set = Self::empty_shell(n, num_features, labels, run_block)?;
-        let rb = set.run_block;
-        for b in 0..set.num_blocks() {
-            let len = set.block_len(b);
-            let base = b * rb * num_features;
-            for f in 0..num_features {
-                set.columns[base + f * len..base + f * len + len]
-                    .copy_from_slice(&columns[f * n + b * rb..f * n + b * rb + len]);
-            }
-        }
-        set.build_runs(0);
-        Ok(set)
+        check_shape("column storage", columns.len(), num_features, labels.len())?;
+        Ok(Self::presorted(columns, num_features, labels))
     }
 
-    /// Validates the shape and allocates zeroed block-major storage; the
-    /// caller scatters values and then builds the runs.
-    fn empty_shell(
-        n: usize,
-        num_features: usize,
-        labels: Vec<bool>,
-        run_block: usize,
-    ) -> Result<Self, MlError> {
-        if labels.is_empty() {
-            return Err(MlError::InvalidDataset {
-                detail: "training set must contain at least one sample".to_string(),
-            });
+    /// Sorts every column's run with one stable `f64::total_cmp` sort.
+    fn presorted(columns: Vec<f64>, num_features: usize, labels: Vec<bool>) -> Self {
+        let n = labels.len();
+        let mut order = vec![0u16; columns.len()];
+        // lint: hot-path
+        for (vals, run) in columns.chunks_exact(n).zip(order.chunks_exact_mut(n)) {
+            for (i, slot) in run.iter_mut().enumerate() {
+                *slot = i as u16;
+            }
+            run.sort_by(|&a, &b| vals[a as usize].total_cmp(&vals[b as usize]));
         }
-        if n > (u32::MAX >> 1) as usize {
-            return Err(MlError::InvalidDataset {
-                detail: "training sets are limited to 2^31 samples (31-bit ids + label bit)"
-                    .to_string(),
-            });
-        }
-        assert!(
-            (1..=MAX_RUN_BLOCK).contains(&run_block),
-            "run-block length must lie in [1, {MAX_RUN_BLOCK}], got {run_block}"
-        );
-        Ok(Self {
-            num_samples: n,
+        Self {
             num_features,
-            run_block,
-            columns: vec![0.0; n * num_features],
+            columns,
             labels,
-            order: vec![0u16; n * num_features],
-        })
+            order,
+        }
     }
 
     /// Appends new samples (flat row-major, `labels.len() * num_features`
-    /// values) to the set **without touching any full block's runs**: the
-    /// tail block's run absorbs its share of the new ids through one bounded
-    /// in-place merge and wholly new blocks sort their runs from scratch, so
-    /// growth costs O(batch log batch) and the result is exactly the set
+    /// values): every column grows in place and its run absorbs the sorted
+    /// batch through one two-way merge, so the result is exactly the set
     /// [`TrainingSet::from_rows`] would build from the concatenated matrix
-    /// (value ties keep ascending sample ids).
+    /// (value ties keep ascending sample ids). A rejected append leaves the
+    /// set untouched.
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::InvalidDataset`] for an empty append and
+    /// Returns [`MlError::InvalidDataset`] for an empty append or one that
+    /// would grow the set past [`TrainingSet::MAX_SAMPLES`] samples, and
     /// [`MlError::DimensionMismatch`] if the buffer length does not equal
-    /// `labels.len() * num_features` features.
+    /// `labels.len() * num_features`.
     pub fn append_rows(&mut self, rows: &[f64], labels: &[bool]) -> Result<(), MlError> {
-        if labels.is_empty() {
-            return Err(MlError::InvalidDataset {
-                detail: "append requires at least one sample".to_string(),
-            });
-        }
         let k = labels.len();
         let nf = self.num_features;
-        if rows.len() != k * nf {
-            return Err(MlError::DimensionMismatch {
-                detail: format!(
-                    "flat matrix of {} values does not cover {k} samples x {nf} features",
-                    rows.len()
-                ),
-            });
-        }
-        let n = self.num_samples;
+        check_shape("flat matrix", rows.len(), nf, k)?;
+        let n = self.len();
         let total = n + k;
-        if total > (u32::MAX >> 1) as usize {
-            return Err(MlError::InvalidDataset {
-                detail: "training sets are limited to 2^31 samples (31-bit ids + label bit)"
-                    .to_string(),
-            });
-        }
-        let rb = self.run_block;
-        let tail = (n - 1) / rb;
-        let old_in = n - tail * rb;
+        check_capacity(total)?;
         self.columns.resize(total * nf, 0.0);
-        self.order.resize(total * nf, 0u16);
+        self.order.resize(total * nf, 0);
         self.labels.extend_from_slice(labels);
-        self.num_samples = total;
 
-        // The tail block grows in place: each of its per-feature regions
-        // moves from stride `old_in` to the grown stride, relocated back to
-        // front so no unread region is overwritten (relative ids stay valid).
-        let new_in = self.block_len(tail);
-        if old_in < new_in {
-            let base = tail * rb * nf;
-            // lint: hot-path
-            for f in (1..nf).rev() {
-                self.columns.copy_within(
-                    base + f * old_in..base + f * old_in + old_in,
-                    base + f * new_in,
-                );
-                self.order.copy_within(
-                    base + f * old_in..base + f * old_in + old_in,
-                    base + f * new_in,
-                );
-            }
+        // Each feature's region moves from stride `n` to stride `total`,
+        // back to front so no unread region is overwritten.
+        // lint: hot-path
+        for f in (1..nf).rev() {
+            self.columns.copy_within(f * n..f * n + n, f * total);
+            self.order.copy_within(f * n..f * n + n, f * total);
         }
-
-        // Scatter the appended rows into their blocks.
         // lint: hot-path
         for (i, row) in rows.chunks_exact(nf).enumerate() {
-            let g = n + i;
-            let len = self.block_len(g / rb);
-            let at = (g / rb) * rb * nf + g % rb;
             for (f, &x) in row.iter().enumerate() {
-                self.columns[at + f * len] = x;
+                self.columns[f * total + n + i] = x;
             }
         }
 
-        if old_in < rb {
-            self.merge_tail_run(tail, old_in);
-        }
-        self.build_runs(tail + 1);
-        Ok(())
-    }
-
-    /// Sorts the runs of every block from `first_block` on (each block's
-    /// relative ids sorted by `(value, relative id)` — `f64::total_cmp` with
-    /// stable ties).
-    fn build_runs(&mut self, first_block: usize) {
-        let rb = self.run_block;
-        let nf = self.num_features;
-        let columns = &self.columns;
-        let order = &mut self.order;
-        for b in first_block..self.num_samples.div_ceil(rb) {
-            let len = (self.num_samples - b * rb).min(rb);
-            let base = b * rb * nf;
-            // lint: hot-path
-            for f in 0..nf {
-                let off = base + f * len;
-                let vals = &columns[off..off + len];
-                let run = &mut order[off..off + len];
-                for (r, slot) in run.iter_mut().enumerate() {
-                    *slot = r as u16;
-                }
-                run.sort_by(|&a, &b| {
-                    count_run_comparison();
-                    vals[a as usize].total_cmp(&vals[b as usize])
-                });
-            }
-        }
-    }
-
-    /// Merges the tail block's fresh relative ids (`old_in..len`) into its
-    /// existing sorted run, in place and back to front. The fresh ids are
-    /// sorted among themselves first; on value ties the merge takes the fresh
-    /// side, which is correct because every fresh relative id exceeds every
-    /// existing one — so the result is the full stable `(value, id)` sort.
-    fn merge_tail_run(&mut self, b: usize, old_in: usize) {
-        let rb = self.run_block;
-        let nf = self.num_features;
-        let len = self.block_len(b);
-        let base = b * rb * nf;
-        let mut fresh: Vec<u16> = Vec::with_capacity(len - old_in);
-        let columns = &self.columns;
-        let order = &mut self.order;
+        // Merge each column's sorted batch into its run in place, back to
+        // front. On value ties the merge takes the batch side, which is
+        // correct because every batch id exceeds every existing one.
+        let mut fresh: Vec<u16> = Vec::with_capacity(k);
         // lint: hot-path
-        for f in 0..nf {
-            let off = base + f * len;
-            let vals = &columns[off..off + len];
+        for (vals, run) in self
+            .columns
+            .chunks_exact(total)
+            .zip(self.order.chunks_exact_mut(total))
+        {
             fresh.clear();
-            fresh.extend((old_in..len).map(|r| r as u16));
-            fresh.sort_by(|&a, &b| {
-                count_run_comparison();
-                vals[a as usize].total_cmp(&vals[b as usize])
-            });
-            let run = &mut order[off..off + len];
-            let mut i = old_in; // old run occupies run[..old_in]
-            let mut j = fresh.len();
-            for slot in (0..len).rev() {
+            fresh.extend((n..total).map(|i| i as u16));
+            fresh.sort_by(|&a, &b| vals[a as usize].total_cmp(&vals[b as usize]));
+            let mut i = n; // the old run occupies run[..n]
+            let mut j = k;
+            for slot in (0..total).rev() {
                 if j == 0 {
                     break; // the remaining old prefix is already in place
                 }
-                count_run_comparison();
                 let take_fresh = i == 0
                     || vals[fresh[j - 1] as usize].total_cmp(&vals[run[i - 1] as usize])
                         != std::cmp::Ordering::Less;
@@ -420,17 +208,18 @@ impl TrainingSet {
                 }
             }
         }
+        Ok(())
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.num_samples
+        self.labels.len()
     }
 
     /// Returns `true` if the set holds no samples (never: construction
     /// rejects empty sets).
     pub fn is_empty(&self) -> bool {
-        self.num_samples == 0
+        self.labels.is_empty()
     }
 
     /// Number of features per sample.
@@ -443,356 +232,63 @@ impl TrainingSet {
         &self.labels
     }
 
-    /// Block length of the block-major storage and sorted runs.
-    pub(crate) fn run_block(&self) -> usize {
-        self.run_block
+    /// Feature-major values: feature `f` of sample `i` at `f * len + i`.
+    pub(crate) fn columns(&self) -> &[f64] {
+        &self.columns
     }
 
-    /// Number of storage blocks (`ceil(len / run_block)`).
-    pub(crate) fn num_blocks(&self) -> usize {
-        self.num_samples.div_ceil(self.run_block)
+    /// Feature `f`'s values, sample-id indexed.
+    fn column(&self, f: usize) -> &[f64] {
+        let n = self.len();
+        &self.columns[f * n..(f + 1) * n]
     }
 
-    /// Sample count of block `b` (only the last block may be partial).
-    pub(crate) fn block_len(&self, b: usize) -> usize {
-        (self.num_samples - b * self.run_block).min(self.run_block)
-    }
-
-    /// Feature `f`'s values of block `b`, relative-id indexed.
-    pub(crate) fn block_values(&self, f: usize, b: usize) -> &[f64] {
-        let len = self.block_len(b);
-        let off = b * self.run_block * self.num_features + f * len;
-        &self.columns[off..off + len]
-    }
-
-    /// Feature `f`'s sorted run of block `b` (block-relative ids).
-    fn block_run(&self, f: usize, b: usize) -> &[u16] {
-        let len = self.block_len(b);
-        let off = b * self.run_block * self.num_features + f * len;
-        &self.order[off..off + len]
-    }
-
-    /// Block `b`'s full feature-major storage (`num_features * block_len`
-    /// values) — already in the per-selection layout a single-block tree job
-    /// reads, so such jobs borrow it zero-copy.
-    fn block_storage(&self, b: usize) -> &[f64] {
-        let len = self.block_len(b);
-        let base = b * self.run_block * self.num_features;
-        &self.columns[base..base + self.num_features * len]
-    }
-
-    /// Block `b`'s sorted runs of every feature, feature-major in the
-    /// geometry of [`TrainingSet::block_storage`].
-    fn block_order(&self, b: usize) -> &[u16] {
-        let len = self.block_len(b);
-        let base = b * self.run_block * self.num_features;
-        &self.order[base..base + self.num_features * len]
-    }
-
-    /// Block `b`'s labels, relative-id indexed.
-    fn block_labels(&self, b: usize) -> &[bool] {
-        let start = b * self.run_block;
-        &self.labels[start..start + self.block_len(b)]
-    }
-
-    /// Bytes held by the presorted order runs (u16 per sample per feature;
-    /// block base offsets are closed-form, so nothing else is stored). The
-    /// old flat u32 arrays cost exactly twice this.
+    /// Bytes held by the presorted runs: one u16 per sample per feature.
     pub fn order_bytes(&self) -> usize {
         self.order.len() * std::mem::size_of::<u16>()
     }
-
-    /// Value of `feature` for `sample`, off the block-major storage.
-    #[cfg(test)]
-    fn value(&self, feature: usize, sample: u32) -> f64 {
-        let b = sample as usize / self.run_block;
-        self.block_values(feature, b)[sample as usize % self.run_block]
-    }
 }
 
-/// Mask extracting the sample id from a packed wide (u32) id+label word.
-const ID_MASK: u32 = u32::MAX >> 1;
-
-/// Sample-id word of the tree-growth scratch. The wide word (`u32`) packs
-/// the sample's label into bit 31 so the split scan never gathers from the
-/// label array; the narrow word (`u16`) holds the bare id — half the
-/// partition traffic — and reads the label from the (cache-resident, at most
-/// 64 KiB) label table instead. Ids are **selection-local**: they index the
-/// job's gathered pool, not the global sample array.
-pub(crate) trait SampleWord: Copy + Default + Send + 'static {
-    /// Packs a sample id (wide words also pack the label).
-    fn pack(id: u32, label: bool) -> Self;
-    /// The sample id.
-    fn id(self) -> usize;
-    /// The sample's label as 0/1.
-    fn label(self, labels: &[bool]) -> usize;
-}
-
-impl SampleWord for u32 {
-    #[inline]
-    fn pack(id: u32, label: bool) -> Self {
-        id | ((label as u32) << 31)
-    }
-
-    #[inline]
-    fn id(self) -> usize {
-        (self & ID_MASK) as usize
-    }
-
-    #[inline]
-    fn label(self, _labels: &[bool]) -> usize {
-        (self >> 31) as usize
-    }
-}
-
-impl SampleWord for u16 {
-    #[inline]
-    fn pack(id: u32, _label: bool) -> Self {
-        id as u16
-    }
-
-    #[inline]
-    fn id(self) -> usize {
-        self as usize
-    }
-
-    #[inline]
-    fn label(self, labels: &[bool]) -> usize {
-        labels[self as usize] as usize
-    }
-}
-
-/// Width of the sample-id words in the tree-growth scratch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IdWidth {
-    /// Narrow (u16) ids whenever the tree's block selection holds fewer than
-    /// 65 536 samples, wide (u32) ids otherwise. Because ids are
-    /// selection-local, subset-tree refits keep narrow ids long after the
-    /// full pool crosses 65 536 samples.
-    #[default]
-    Auto,
-    /// Force u16 ids (errors when a selection exceeds 65 536 samples).
-    Narrow,
-    /// Force u32 ids.
-    Wide,
-}
-
-/// Monotone key of `f64::total_cmp`: the unsigned order of the mapped bits
-/// equals the total order of the floats (NaN-safe), so the k-way merge
-/// compares run heads with one integer comparison.
-#[inline]
-fn total_cmp_key(v: f64) -> u64 {
-    let bits = v.to_bits();
-    bits ^ ((((bits as i64) >> 63) as u64) | 0x8000_0000_0000_0000)
-}
-
-/// One run's merge cursor: the head value's order key, the run's position in
-/// the job's block selection and the head's index within the run. Ordering
-/// is `(key, ordinal)` — the ordinal tie-break keeps equal values in
-/// ascending global-id order because selected blocks are listed in ascending
-/// base order.
-#[derive(Debug, Clone, Copy, Default)]
-struct RunCursor {
-    key: u64,
-    ordinal: u32,
-    pos: u32,
-}
-
-impl RunCursor {
-    #[inline]
-    fn precedes(self, other: RunCursor) -> bool {
-        self.key < other.key || (self.key == other.key && self.ordinal < other.ordinal)
-    }
-}
-
-/// Pushes a cursor onto the binary min-heap.
-fn heap_push(heap: &mut Vec<RunCursor>, cur: RunCursor) {
-    heap.push(cur);
-    let mut i = heap.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if heap[i].precedes(heap[parent]) {
-            heap.swap(i, parent);
-            i = parent;
-        } else {
-            break;
-        }
-    }
-}
-
-/// Restores the min-heap property after the root was replaced.
-fn heap_sift_down(heap: &mut [RunCursor]) {
-    let n = heap.len();
-    let mut i = 0;
-    loop {
-        let l = 2 * i + 1;
-        if l >= n {
-            break;
-        }
-        let mut c = l;
-        if l + 1 < n && heap[l + 1].precedes(heap[l]) {
-            c = l + 1;
-        }
-        if heap[c].precedes(heap[i]) {
-            heap.swap(i, c);
-            i = c;
-        } else {
-            break;
-        }
-    }
-}
-
-/// A tree job's sample pool in selection-local layout: feature-major columns
-/// over the `n` selected samples, their labels and every feature's sorted
-/// local ids. Single-block selections borrow the training set's storage
-/// directly; multi-block selections read the buffers of a [`LocalPool`].
-/// [`LocalPool::prepare`] builds one per job on the worker, or once for
-/// every job that selects the same blocks (the incremental trainer's
-/// cold-start trees all select the whole pool), which then only expand the
-/// shared ids by their own bootstrap counts.
-#[derive(Clone, Copy)]
-pub(crate) struct PoolView<'a> {
-    /// Feature-major columns: `cols[f * n + i]` is feature `f` of local
-    /// sample `i`.
-    cols: &'a [f64],
-    labels: &'a [bool],
-    sorted: SortedIds<'a>,
-    n: usize,
+/// Validates a training set's shape: at least one feature, a value buffer
+/// covering `samples x num_features`, and 1 to
+/// [`TrainingSet::MAX_SAMPLES`] samples.
+fn check_shape(
+    what: &str,
+    values: usize,
     num_features: usize,
-}
-
-/// Every feature's ascending order of a selection's local ids,
-/// feature-major (`n` ids per feature, `(value, local id)` order per
-/// `f64::total_cmp`).
-#[derive(Clone, Copy)]
-enum SortedIds<'a> {
-    /// A single block's presorted runs, borrowed from the training set: its
-    /// block-relative ids are the local ids.
-    Block(&'a [u16]),
-    /// The selected blocks' runs, k-way-merged into local ids.
-    Merged(&'a [u32]),
-}
-
-/// Reusable buffers materializing a block selection in the selection-local
-/// layout: the gathered columns and labels, the running base offset of each
-/// selected block within them, the merged sorted ids and the run-merge heap
-/// (one cursor per selected block).
-#[derive(Debug, Default)]
-pub(crate) struct LocalPool {
-    cols: Vec<f64>,
-    labels: Vec<bool>,
-    bases: Vec<u32>,
-    order: Vec<u32>,
-    heap: Vec<RunCursor>,
-}
-
-impl LocalPool {
-    /// Prepares the selection of `blocks` (ascending). A single-block
-    /// selection is returned zero-copy: the block-major storage is already
-    /// feature-major over that block, and its runs are already sorted local
-    /// ids. Several blocks are gathered into the local layout and their runs
-    /// merged by [`merge_runs`].
-    pub(crate) fn prepare<'a>(&'a mut self, set: &'a TrainingSet, blocks: &[u32]) -> PoolView<'a> {
-        let nf = set.num_features();
-        if let [b] = *blocks {
-            let b = b as usize;
-            return PoolView {
-                cols: set.block_storage(b),
-                labels: set.block_labels(b),
-                sorted: SortedIds::Block(set.block_order(b)),
-                n: set.block_len(b),
-                num_features: nf,
-            };
-        }
-        self.bases.clear();
-        let mut sel = 0u32;
-        for &b in blocks {
-            self.bases.push(sel);
-            sel += set.block_len(b as usize) as u32;
-        }
-        let sel = sel as usize;
-        self.cols.resize(sel * nf, 0.0);
-        self.labels.resize(sel, false);
-        self.order.resize(sel * nf, 0);
-        // lint: hot-path
-        for (o, &b) in blocks.iter().enumerate() {
-            let b = b as usize;
-            let base = self.bases[o] as usize;
-            let len = set.block_len(b);
-            self.labels[base..base + len].copy_from_slice(set.block_labels(b));
-            for f in 0..nf {
-                self.cols[f * sel + base..f * sel + base + len]
-                    .copy_from_slice(set.block_values(f, b));
-            }
-        }
-        merge_runs(set, blocks, &self.bases, &mut self.heap, &mut self.order);
-        PoolView {
-            cols: &self.cols,
-            labels: &self.labels,
-            sorted: SortedIds::Merged(&self.order),
-            n: sel,
-            num_features: nf,
-        }
+    samples: usize,
+) -> Result<(), MlError> {
+    if num_features == 0 {
+        return Err(MlError::InvalidDataset {
+            detail: "training set must contain at least one feature".to_string(),
+        });
     }
+    if samples.checked_mul(num_features) != Some(values) {
+        return Err(MlError::DimensionMismatch {
+            detail: format!(
+                "{what} of {values} values does not cover {samples} samples x {num_features} features"
+            ),
+        });
+    }
+    if samples == 0 {
+        return Err(MlError::InvalidDataset {
+            detail: "training set must contain at least one sample".to_string(),
+        });
+    }
+    check_capacity(samples)
 }
 
-/// K-way-merges the presorted runs of `blocks` (local base offsets `bases`)
-/// into `out`: for every feature, the selection's local ids in ascending
-/// order. The merge pops the minimal `(value key, block ordinal)` head, so
-/// equal values come out in ascending local (hence global) id order,
-/// reproducing a whole-pool stable sort exactly — O(selection log blocks)
-/// per feature, regardless of the pool size.
-fn merge_runs(
-    set: &TrainingSet,
-    blocks: &[u32],
-    bases: &[u32],
-    heap: &mut Vec<RunCursor>,
-    out: &mut [u32],
-) {
-    let mut k = 0usize;
-    // lint: hot-path
-    for f in 0..set.num_features() {
-        heap.clear();
-        for (o, &b) in blocks.iter().enumerate() {
-            let run = set.block_run(f, b as usize);
-            let vals = set.block_values(f, b as usize);
-            heap_push(
-                heap,
-                RunCursor {
-                    key: total_cmp_key(vals[run[0] as usize]),
-                    ordinal: o as u32,
-                    pos: 0,
-                },
-            );
-        }
-        loop {
-            let cur = heap[0];
-            let o = cur.ordinal as usize;
-            let b = blocks[o] as usize;
-            let run = set.block_run(f, b);
-            out[k] = bases[o] + run[cur.pos as usize] as u32;
-            k += 1;
-            let pos = cur.pos as usize + 1;
-            if pos < run.len() {
-                let vals = set.block_values(f, b);
-                heap[0] = RunCursor {
-                    key: total_cmp_key(vals[run[pos] as usize]),
-                    ordinal: cur.ordinal,
-                    pos: pos as u32,
-                };
-                heap_sift_down(heap);
-            } else {
-                match heap.pop() {
-                    Some(last) if !heap.is_empty() => {
-                        heap[0] = last;
-                        heap_sift_down(heap);
-                    }
-                    _ => break,
-                }
-            }
-        }
+/// Rejects pools past the u16 id space.
+fn check_capacity(samples: usize) -> Result<(), MlError> {
+    if samples > TrainingSet::MAX_SAMPLES {
+        return Err(MlError::InvalidDataset {
+            detail: format!(
+                "training sets are limited to {} samples (u16 ids), got {samples}",
+                TrainingSet::MAX_SAMPLES
+            ),
+        });
     }
-    debug_assert_eq!(k, out.len());
+    Ok(())
 }
 
 /// Reusable per-worker scratch for growing one tree at a time: the per-tree
@@ -801,18 +297,15 @@ fn merge_runs(
 /// list. One scratch serves every tree a worker fits, so tree growth touches
 /// the heap only when a buffer first grows.
 #[derive(Debug, Default)]
-struct SplitScratch<W> {
+struct SplitScratch {
     /// Per-feature bootstrap multiset, column-major: `order[f * m ..][..m]`
-    /// lists the drawn selection-local sample ids in ascending order of
-    /// feature `f` as [`SampleWord`]s, so the split scan reads labels without
-    /// a second gather (wide words) or from the small label table (narrow
-    /// words).
-    order: Vec<W>,
+    /// lists the drawn sample ids in ascending order of feature `f`.
+    order: Vec<u16>,
     /// Stable-partition staging buffer (`m` ids).
-    buf: Vec<W>,
-    /// Bootstrap multiplicity per selected sample (`n` counts).
+    buf: Vec<u16>,
+    /// Bootstrap multiplicity per pool sample.
     counts: Vec<u32>,
-    /// Split-side table per selected sample (1 = left), evaluated once per
+    /// Split-side table per pool sample (1 = left), evaluated once per
     /// split so partitioning the feature segments never re-gathers the split
     /// column.
     side: Vec<u8>,
@@ -820,63 +313,50 @@ struct SplitScratch<W> {
     features: Vec<usize>,
 }
 
-impl<W: SampleWord> SplitScratch<W> {
+impl SplitScratch {
     /// Prepares the scratch for one tree: zeroes the count table, tallies the
     /// bootstrap draws and materializes the per-feature sorted multisets by
-    /// expanding the selection's sorted ids by their bootstrap counts —
-    /// O(selection) per feature, regardless of the pool size.
-    fn load_tree(&mut self, view: &PoolView<'_>, draws: &[u32]) {
-        let n = view.n;
+    /// expanding every feature's presorted run by the bootstrap counts.
+    fn load_tree(&mut self, set: &TrainingSet, draws: &[u16]) {
+        let n = set.len();
         let m = draws.len();
         self.counts.clear();
         self.counts.resize(n, 0);
         for &d in draws {
             self.counts[d as usize] += 1;
         }
-        self.buf.resize(m, W::default());
+        self.buf.resize(m, 0);
         self.side.clear();
         self.side.resize(n, 0);
         // Three spare slots absorb the unconditional overflow writes of the
         // branch-light emit below.
-        let need = view.num_features * m + 3;
+        let need = set.num_features() * m + 3;
         if self.order.len() != need {
-            self.order.resize(need, W::default());
+            self.order.resize(need, 0);
         }
-        let k = match view.sorted {
-            SortedIds::Block(ids) => self.expand(ids, view.labels),
-            SortedIds::Merged(ids) => self.expand(ids, view.labels),
-        };
-        debug_assert_eq!(k, view.num_features * m);
-    }
-
-    /// Writes each of `ids` (feature-major sorted local ids) into the order
-    /// as many times as the bootstrap drew it and returns the count written.
-    /// Every feature's ids expand to exactly `m` words, so the feature-major
-    /// id layout lands on the `m`-per-feature segments.
-    fn expand<I: Copy + Into<u32>>(&mut self, ids: &[I], labels: &[bool]) -> usize {
+        // Every feature's run expands to exactly `m` ids, so the runs'
+        // feature-major layout lands on the `m`-per-feature segments.
         let mut k = 0usize;
         // lint: hot-path
-        for &id in ids {
-            let local = id.into();
-            let c = self.counts[local as usize] as usize;
-            let packed = W::pack(local, labels[local as usize]);
+        for &id in &set.order {
+            let c = self.counts[id as usize] as usize;
             // Branch-light emit: bootstrap multiplicities are almost always
             // <= 3, so three unconditional stores cover ~98% of samples
             // without a data-dependent branch; slots written past `k + c`
             // are overwritten by the following samples (or land in the spare
             // tail).
             let end = k + c;
-            self.order[k] = packed;
-            self.order[k + 1] = packed;
-            self.order[k + 2] = packed;
+            self.order[k] = id;
+            self.order[k + 1] = id;
+            self.order[k + 2] = id;
             if c > 3 {
                 for slot in &mut self.order[k + 3..end] {
-                    *slot = packed;
+                    *slot = id;
                 }
             }
             k = end;
         }
-        k
+        debug_assert_eq!(k, set.num_features() * m);
     }
 }
 
@@ -958,67 +438,26 @@ pub(crate) fn resolve_tree_config(
     })
 }
 
-/// One tree-fitting job: the ascending list of selected storage blocks, the
-/// bootstrap draw multiset (**selection-local** sample ids, repetitions
-/// allowed) and the seed of the tree's feature-subsampling stream. Local id
-/// `i` addresses the `i`-th sample of the selected blocks' concatenation in
-/// list order; when the selection is the whole pool in block order, local
-/// and global ids coincide. `shared` is the blocks' pool view when the caller
-/// prepared it once for several jobs; `None` has the worker prepare it.
+/// One tree-fitting job: the bootstrap draw multiset (pool ids,
+/// repetitions allowed) and the seed of the tree's feature-subsampling
+/// stream.
 pub(crate) struct TreeJob<'a> {
-    pub blocks: &'a [u32],
-    pub shared: Option<PoolView<'a>>,
-    pub draws: &'a [u32],
+    pub draws: &'a [u16],
     pub seed: u64,
 }
 
 /// Fits one arena per job in parallel (per-worker scratch, deterministic
-/// per-tree RNG streams), dispatching each job on its selection's sample-id
-/// width. Both widths produce bit-identical arenas; the narrow path merely
-/// halves the partition traffic.
+/// per-tree RNG streams).
 pub(crate) fn fit_tree_jobs(
     set: &TrainingSet,
     tree_config: &DecisionTreeConfig,
     jobs: &[TreeJob<'_>],
-    width: IdWidth,
 ) -> Result<Vec<NodeArena>, MlError> {
-    let mut narrow = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let sel: usize = job.blocks.iter().map(|&b| set.block_len(b as usize)).sum();
-        narrow.push(match width {
-            IdWidth::Auto => sel < NARROW_LIMIT,
-            IdWidth::Wide => false,
-            IdWidth::Narrow => {
-                if sel > NARROW_LIMIT {
-                    return Err(MlError::InvalidParameter {
-                        name: "id_width",
-                        reason: format!(
-                            "narrow (u16) ids address at most {NARROW_LIMIT} samples, got {sel}"
-                        ),
-                    });
-                }
-                true
-            }
-        });
-    }
     seizure_parallel::par_map_init::<_, _, MlError, _, _>(
         jobs.len(),
         1,
-        || {
-            Ok((
-                LocalPool::default(),
-                SplitScratch::<u16>::default(),
-                SplitScratch::<u32>::default(),
-            ))
-        },
-        |state, t| {
-            let (pool, narrow_scratch, wide_scratch) = state;
-            Ok(if narrow[t] {
-                build_tree(set, tree_config, &jobs[t], pool, narrow_scratch)
-            } else {
-                build_tree(set, tree_config, &jobs[t], pool, wide_scratch)
-            })
-        },
+        || Ok(SplitScratch::default()),
+        |scratch, t| Ok(build_tree(set, tree_config, &jobs[t], scratch)),
     )
 }
 
@@ -1064,9 +503,7 @@ pub(crate) fn stitch_forest(num_features: usize, trees: &[&NodeArena]) -> FlatFo
 /// compiled representation directly. Trees are fitted in parallel (one
 /// deterministic RNG stream per tree), and the result is bit-identical to
 /// `FlatForest::from_forest(&RandomForest::fit(..))` with the same
-/// configuration and seed — **regardless of the set's run-block
-/// partitioning**, because the k-way run merge reproduces the whole-pool
-/// sort exactly. Sample ids are sized automatically ([`IdWidth::Auto`]).
+/// configuration and seed.
 ///
 /// The bit-identity contract holds for feature matrices without NaN values
 /// (every real feature path). With NaNs, both split finders are panic-free
@@ -1086,73 +523,48 @@ pub fn train_forest(
     config: &RandomForestConfig,
     seed: u64,
 ) -> Result<FlatForest, MlError> {
-    train_forest_with_width(set, config, seed, IdWidth::Auto)
-}
-
-/// [`train_forest`] with an explicit sample-id width — both widths produce
-/// bit-identical forests; this entry point exists so the equivalence is
-/// testable and the wide path remains reachable below the auto threshold.
-///
-/// # Errors
-///
-/// Same conditions as [`train_forest`], plus [`MlError::InvalidParameter`]
-/// when [`IdWidth::Narrow`] cannot address the set's samples.
-pub fn train_forest_with_width(
-    set: &TrainingSet,
-    config: &RandomForestConfig,
-    seed: u64,
-    width: IdWidth,
-) -> Result<FlatForest, MlError> {
     let tree_config = resolve_tree_config(set, config)?;
 
     // Bootstrap draws replay the boxed path's shared RNG stream: all trees'
     // indices are drawn sequentially up front so the fan-out cannot perturb
-    // the sequence. Every tree selects the whole pool, so the local draws
-    // equal the global ids the stream produces.
+    // the sequence.
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let sample_count = ((set.len() as f64 * config.bootstrap_fraction).round() as usize).max(1);
-    let mut draws: Vec<u32> = Vec::with_capacity(config.n_trees * sample_count);
-    for _ in 0..config.n_trees * sample_count {
-        draws.push(rng.gen_range(0..set.len()) as u32);
-    }
-
-    let all_blocks: Vec<u32> = (0..set.num_blocks() as u32).collect();
-    let jobs: Vec<TreeJob<'_>> = (0..config.n_trees)
-        .map(|t| TreeJob {
-            blocks: &all_blocks,
-            shared: None,
-            draws: &draws[t * sample_count..(t + 1) * sample_count],
+    let draws: Vec<u16> = (0..config.n_trees * sample_count)
+        .map(|_| rng.gen_range(0..set.len()) as u16)
+        .collect();
+    let jobs: Vec<TreeJob<'_>> = draws
+        .chunks_exact(sample_count)
+        .enumerate()
+        .map(|(t, draws)| TreeJob {
+            draws,
             seed: tree_stream_seed(seed, t),
         })
         .collect();
-    let trees = fit_tree_jobs(set, &tree_config, &jobs, width)?;
+    let trees = fit_tree_jobs(set, &tree_config, &jobs)?;
     let refs: Vec<&NodeArena> = trees.iter().collect();
     Ok(stitch_forest(set.num_features(), &refs))
 }
 
-/// Grows one tree on the scratch and returns its arena: takes the job's
-/// shared pool view or prepares it in the worker's pool, expands the sorted
-/// ids into the per-feature multisets and recurses over the splits.
-fn build_tree<W: SampleWord>(
+/// Grows one tree on the scratch and returns its arena: expands the
+/// presorted runs into the per-feature multisets and recurses over the
+/// splits.
+fn build_tree(
     set: &TrainingSet,
     config: &DecisionTreeConfig,
     job: &TreeJob<'_>,
-    pool: &mut LocalPool,
-    scratch: &mut SplitScratch<W>,
+    scratch: &mut SplitScratch,
 ) -> NodeArena {
-    let view = match job.shared {
-        Some(view) => view,
-        None => pool.prepare(set, job.blocks),
-    };
-    scratch.load_tree(&view, job.draws);
+    scratch.load_tree(set, job.draws);
     let mut rng = ChaCha8Rng::seed_from_u64(job.seed);
     let mut arena = NodeArena::default();
+    let labels = set.labels();
     let pos: usize = scratch.order[..job.draws.len()]
         .iter()
-        .map(|&s| s.label(view.labels))
+        .map(|&s| labels[s as usize] as usize)
         .sum();
     build_node(
-        &view,
+        set,
         scratch,
         &mut arena,
         config,
@@ -1179,11 +591,10 @@ struct NodeSpan {
 
 /// Recursively grows the node covering `span` (the same `[lo, hi)` range
 /// across every feature's sorted segment), appending to `arena` in DFS
-/// preorder exactly like the boxed builder recursion. All sample ids are
-/// selection-local against `view`.
-fn build_node<W: SampleWord>(
-    view: &PoolView<'_>,
-    scratch: &mut SplitScratch<W>,
+/// preorder exactly like the boxed builder recursion.
+fn build_node(
+    set: &TrainingSet,
+    scratch: &mut SplitScratch,
     arena: &mut NodeArena,
     config: &DecisionTreeConfig,
     span: NodeSpan,
@@ -1198,7 +609,7 @@ fn build_node<W: SampleWord>(
         return arena.push(LEAF, 0.0, p);
     }
 
-    let num_features = view.num_features;
+    let num_features = set.num_features();
     scratch.features.clear();
     scratch.features.extend(0..num_features);
     if let Some(k) = config.max_features {
@@ -1208,18 +619,18 @@ fn build_node<W: SampleWord>(
 
     let parent_impurity = gini(p);
     let total_pos = pos;
-    let labels = view.labels;
+    let labels = set.labels();
     let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
 
     for &feature in &scratch.features {
         let seg = &scratch.order[feature * m + lo..feature * m + hi];
-        let col = &view.cols[feature * view.n..];
+        let col = set.column(feature);
         let mut left_pos = 0usize;
         let mut prev_id = seg[0];
-        let mut prev = col[prev_id.id()];
+        let mut prev = col[prev_id as usize];
         for (split_at, &next_id) in seg.iter().enumerate().skip(1) {
-            left_pos += prev_id.label(labels);
-            let next = col[next_id.id()];
+            left_pos += labels[prev_id as usize] as usize;
+            let next = col[next_id as usize];
             if prev == next {
                 prev_id = next_id;
                 continue; // cannot split between identical values
@@ -1252,13 +663,13 @@ fn build_node<W: SampleWord>(
     let mut left_pos = 0usize;
     {
         let SplitScratch { order, side, .. } = scratch;
-        let col = &view.cols[feature * view.n..];
+        let col = set.column(feature);
         for &s in &order[feature * m + lo..feature * m + hi] {
-            let id = s.id();
+            let id = s as usize;
             let is_left = col[id] <= threshold;
             side[id] = is_left as u8;
             left_n += is_left as usize;
-            left_pos += (is_left as usize) & s.label(labels);
+            left_pos += (is_left as usize) & labels[id] as usize;
         }
     }
     if left_n == 0 || left_n == len {
@@ -1294,7 +705,7 @@ fn build_node<W: SampleWord>(
                 // Branch-light select: the destination cursor is chosen with
                 // a conditional move, so the (data-dependent) split side
                 // never costs a branch misprediction.
-                let is_left = side[s.id()] as usize;
+                let is_left = side[s as usize] as usize;
                 let dst = if is_left == 1 { l } else { r };
                 seg[dst] = s;
                 l += is_left;
@@ -1315,8 +726,8 @@ fn build_node<W: SampleWord>(
         hi,
         pos: pos - left_pos,
     };
-    let left_idx = build_node(view, scratch, arena, config, left_span, depth + 1, rng);
-    let right_idx = build_node(view, scratch, arena, config, right_span, depth + 1, rng);
+    let left_idx = build_node(set, scratch, arena, config, left_span, depth + 1, rng);
+    let right_idx = build_node(set, scratch, arena, config, right_span, depth + 1, rng);
     arena.left[idx as usize] = left_idx;
     arena.right[idx as usize] = right_idx;
     idx
@@ -1352,19 +763,6 @@ mod tests {
         Dataset::new(rows, labels).unwrap()
     }
 
-    /// Deterministic pseudo-random row-major matrix plus labels (only the
-    /// debug-build cost tests below use it).
-    #[cfg(debug_assertions)]
-    fn hashed_rows(n: usize, num_features: usize) -> (Vec<f64>, Vec<bool>) {
-        let mut rows = Vec::with_capacity(n * num_features);
-        for i in 0..n * num_features {
-            let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            rows.push((h >> 11) as f64 / (1u64 << 53) as f64);
-        }
-        let labels = (0..n).map(|i| i % 3 == 0).collect();
-        (rows, labels)
-    }
-
     #[test]
     fn training_set_validation() {
         assert!(TrainingSet::from_rows(&[], 1, &[]).is_err());
@@ -1378,30 +776,15 @@ mod tests {
     }
 
     #[test]
-    fn training_set_presorts_block_runs() {
+    fn training_set_presorts_every_column() {
         let rows = [3.0, 0.5, 1.0, 0.7, 2.0, 0.1];
         let set = TrainingSet::from_rows(&rows, 2, &[true, false, true]).unwrap();
-        // One block: runs are the global presorted orders.
-        assert_eq!(set.num_blocks(), 1);
-        // Column 0 holds [3, 1, 2] -> ascending order 1, 2, 0.
-        assert_eq!(set.block_run(0, 0), &[1, 2, 0]);
-        // Column 1 holds [0.5, 0.7, 0.1] -> ascending order 2, 0, 1.
-        assert_eq!(set.block_run(1, 0), &[2, 0, 1]);
-        assert_eq!(set.value(0, 2), 2.0);
-        assert_eq!(set.value(1, 0), 0.5);
-
-        // Two-sample blocks: runs hold block-relative ids.
-        let set = TrainingSet::from_rows_in_blocks(&rows, 2, &[true, false, true], 2).unwrap();
-        assert_eq!(set.num_blocks(), 2);
-        assert_eq!((set.block_len(0), set.block_len(1)), (2, 1));
-        assert_eq!(set.block_run(0, 0), &[1, 0]); // block 0 col 0 holds [3, 1]
-        assert_eq!(set.block_run(1, 0), &[0, 1]); // block 0 col 1 holds [0.5, 0.7]
-        assert_eq!(set.block_run(0, 1), &[0]);
-        assert_eq!(set.block_run(1, 1), &[0]);
-        assert_eq!(set.block_values(0, 0), &[3.0, 1.0]);
-        assert_eq!(set.block_values(0, 1), &[2.0]);
-        assert_eq!(set.value(0, 2), 2.0);
-        assert_eq!(set.value(1, 0), 0.5);
+        // Feature-major columns: [3, 1, 2] then [0.5, 0.7, 0.1].
+        assert_eq!(set.columns(), &[3.0, 1.0, 2.0, 0.5, 0.7, 0.1]);
+        assert_eq!(set.column(1), &[0.5, 0.7, 0.1]);
+        // Column 0 ascends over ids 1, 2, 0 and column 1 over ids 2, 0, 1.
+        assert_eq!(set.order, &[1, 2, 0, 2, 0, 1]);
+        assert_eq!(set.order_bytes(), 12);
     }
 
     #[test]
@@ -1422,31 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn append_rows_matches_full_rebuild_across_block_boundaries() {
-        // Small run blocks force appends that grow a partial tail block AND
-        // spill into wholly new blocks, with heavy value ties throughout.
-        let full_rows: Vec<f64> = (0..60).map(|i| ((i * 7) % 5) as f64 * 0.5).collect();
-        let full_labels: Vec<bool> = (0..30).map(|i| i % 3 == 0).collect();
-        for rb in [1usize, 4, 7, 30] {
-            for cut in [1usize, 10, 17, 29] {
-                let mut grown = TrainingSet::from_rows_in_blocks(
-                    &full_rows[..cut * 2],
-                    2,
-                    &full_labels[..cut],
-                    rb,
-                )
-                .unwrap();
-                grown
-                    .append_rows(&full_rows[cut * 2..], &full_labels[cut..])
-                    .unwrap();
-                let rebuilt =
-                    TrainingSet::from_rows_in_blocks(&full_rows, 2, &full_labels, rb).unwrap();
-                assert_eq!(grown, rebuilt, "run block {rb}, cut {cut}");
-            }
-        }
-    }
-
-    #[test]
     fn append_rows_validation() {
         let mut set = TrainingSet::from_rows(&[1.0, 2.0], 2, &[true]).unwrap();
         assert!(set.append_rows(&[], &[]).is_err());
@@ -1455,92 +813,6 @@ mod tests {
         set.append_rows(&[3.0, 4.0], &[false]).unwrap();
         assert_eq!(set.len(), 2);
         assert_eq!(set.labels(), &[true, false]);
-    }
-
-    #[test]
-    fn run_block_partitioning_is_invisible_to_training() {
-        // The k-way run merge must reproduce the whole-pool sort exactly, so
-        // the same data trains bit-identically under any block partitioning
-        // (including single-sample blocks, the deepest merge fan-in).
-        let data = blob_dataset(40, 1.5);
-        let num_features = data.num_features();
-        let mut rows = Vec::with_capacity(data.len() * num_features);
-        for row in data.features() {
-            rows.extend_from_slice(row);
-        }
-        let config = RandomForestConfig {
-            n_trees: 7,
-            max_depth: 6,
-            ..RandomForestConfig::default()
-        };
-        let whole = training_set(&data);
-        let reference = train_forest(&whole, &config, 11).unwrap();
-        for rb in [1usize, 7, 16, 80, 128] {
-            let blocked =
-                TrainingSet::from_rows_in_blocks(&rows, num_features, data.labels(), rb).unwrap();
-            assert_eq!(
-                train_forest(&blocked, &config, 11).unwrap(),
-                reference,
-                "run block {rb}"
-            );
-            let wide = train_forest_with_width(&blocked, &config, 11, IdWidth::Wide).unwrap();
-            assert_eq!(wide, reference, "run block {rb} (wide)");
-        }
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    fn from_columns_rebuild_cost_scales_with_block_count() {
-        // Satellite: the persist load path must sort per block, not one
-        // O(n log n) global sort per feature. With 256-sample blocks over
-        // 32 768 samples the comparison count must drop well below the
-        // global sort's (log2 256 = 8 vs log2 32768 = 15).
-        let n = 32_768usize;
-        let nf = 3usize;
-        let (rows, labels) = hashed_rows(n, nf);
-        let mut columns = vec![0.0; n * nf];
-        for (i, row) in rows.chunks_exact(nf).enumerate() {
-            for (f, &x) in row.iter().enumerate() {
-                columns[f * n + i] = x;
-            }
-        }
-        let _ = take_run_sort_comparisons();
-        let whole =
-            TrainingSet::from_columns(columns.clone(), nf, labels.clone(), MAX_RUN_BLOCK).unwrap();
-        let whole_cmps = take_run_sort_comparisons();
-        let blocked = TrainingSet::from_columns(columns, nf, labels, 256).unwrap();
-        let blocked_cmps = take_run_sort_comparisons();
-        assert!(whole_cmps > 0 && blocked_cmps > 0);
-        assert!(
-            blocked_cmps * 3 < whole_cmps * 2,
-            "blocked rebuild cost {blocked_cmps} not clearly below global sort cost {whole_cmps}"
-        );
-        assert_eq!(whole.len(), blocked.len());
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    fn append_cost_scales_with_batch_not_pool() {
-        // Appending a small batch must only sort/merge the touched tail
-        // block — never re-merge the 16 384-sample prefix.
-        let n = 16_384usize;
-        let nf = 3usize;
-        let batch = 64usize;
-        let (rows, labels) = hashed_rows(n + batch, nf);
-        let mut set =
-            TrainingSet::from_rows_in_blocks(&rows[..n * nf], nf, &labels[..n], 128).unwrap();
-        let _ = take_run_sort_comparisons();
-        set.append_rows(&rows[n * nf..], &labels[n..]).unwrap();
-        let append_cmps = take_run_sort_comparisons();
-        // Generous bound: per feature, sorting the batch (<= 16 per element)
-        // plus merging through at most two touched blocks.
-        let bound = (nf * (batch * 16 + 2 * 128)) as u64;
-        assert!(
-            append_cmps < bound,
-            "append cost {append_cmps} exceeds touched-block bound {bound}"
-        );
-        let rebuilt = TrainingSet::from_rows_in_blocks(&rows, nf, &labels, 128).unwrap();
-        assert_eq!(set, rebuilt);
     }
 
     #[test]
@@ -1557,24 +829,6 @@ mod tests {
             let set = training_set(&data);
             let engine = train_forest(&set, &config, seed).unwrap();
             assert_eq!(engine, reference, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn narrow_and_wide_ids_produce_identical_forests() {
-        let data = blob_dataset(35, 1.2);
-        let set = training_set(&data);
-        let config = RandomForestConfig {
-            n_trees: 9,
-            max_depth: 6,
-            ..RandomForestConfig::default()
-        };
-        for seed in [0, 5, 11] {
-            let narrow = train_forest_with_width(&set, &config, seed, IdWidth::Narrow).unwrap();
-            let wide = train_forest_with_width(&set, &config, seed, IdWidth::Wide).unwrap();
-            assert_eq!(narrow, wide, "seed {seed}");
-            // Auto picks the narrow path here (70 samples).
-            assert_eq!(train_forest(&set, &config, seed).unwrap(), narrow);
         }
     }
 
@@ -1656,11 +910,5 @@ mod tests {
         let forest = train_forest(&set, &config, 1).unwrap();
         assert!(forest.predict(&[0.5, 39.0]));
         assert!(!forest.predict(&[0.5, 0.0]));
-
-        // NaNs must also merge deterministically across block runs: the
-        // blocked set trains identically to the single-block set because the
-        // merge key preserves total_cmp order bit for bit.
-        let blocked = TrainingSet::from_rows_in_blocks(&rows, 2, &labels, 8).unwrap();
-        assert_eq!(train_forest(&blocked, &config, 1).unwrap(), forest);
     }
 }

@@ -8,9 +8,13 @@ use seizure_ml::incremental::{IncrementalTrainer, IncrementalTrainerConfig};
 use seizure_ml::kmeans::{KMeans, KMeansConfig};
 use seizure_ml::metrics::{geometric_mean, ConfusionMatrix};
 use seizure_ml::persist::journal::{replay, JournalWriter};
-use seizure_ml::persist::{trainer_from_bytes, trainer_to_bytes};
-use seizure_ml::training::{train_forest, train_forest_with_width, IdWidth, TrainingSet};
+use seizure_ml::persist::{
+    trainer_from_bytes, trainer_to_bytes, write_forest_config, PersistError, SnapshotKind,
+    SnapshotWriter,
+};
+use seizure_ml::training::{train_forest, TrainingSet};
 use seizure_ml::tree::{DecisionTree, DecisionTreeConfig};
+use seizure_ml::MlError;
 
 fn labeled_points(n: std::ops::Range<usize>) -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<bool>)> {
     prop::collection::vec((prop::collection::vec(-50.0f64..50.0, 3), any::<bool>()), n)
@@ -147,22 +151,6 @@ proptest! {
         let rebuilt = TrainingSet::from_rows(&flat, 3, &labels).unwrap();
         // Exact equality including the merged presorted index arrays.
         prop_assert_eq!(grown, rebuilt);
-    }
-
-    #[test]
-    fn narrow_and_wide_sample_ids_fit_bit_identical_forests(
-        (rows, labels) in labeled_points(6..50),
-        seed in 0u64..30,
-        n_trees in 1usize..10,
-    ) {
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let set = TrainingSet::from_rows(&flat, 3, &labels).unwrap();
-        let config = RandomForestConfig { n_trees, max_depth: 6, ..Default::default() };
-        let narrow = train_forest_with_width(&set, &config, seed, IdWidth::Narrow).unwrap();
-        let wide = train_forest_with_width(&set, &config, seed, IdWidth::Wide).unwrap();
-        prop_assert_eq!(&narrow, &wide);
-        // Auto resolves to the narrow path below the 65536-sample boundary.
-        prop_assert_eq!(&train_forest(&set, &config, seed).unwrap(), &narrow);
     }
 
     #[test]
@@ -358,87 +346,6 @@ proptest! {
         prop_assert!(g >= min - 1e-9 && g <= max + 1e-9);
     }
 
-    /// The owned-block scratch load (k-way merge of the owned blocks'
-    /// sorted runs, selection-local draws) must be bit-identical to the
-    /// whole-pool reference load (full-pool scan, global draws — the old
-    /// O(pool) layout) over random grow schedules: same trees, same nodes,
-    /// same bits.
-    #[test]
-    fn owned_block_loads_match_whole_pool_reference_loads(
-        (rows, labels) in labeled_points(10..80),
-        seed in 0u64..30,
-        cuts_raw in prop::collection::vec(1usize..1000, 0..3),
-    ) {
-        let n = rows.len();
-        let labels = cap_runs(labels, 8);
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let config = IncrementalTrainerConfig {
-            forest: RandomForestConfig { n_trees: 7, max_depth: 5, ..Default::default() },
-            block_size: 8,
-        };
-        let mut cuts: Vec<usize> = cuts_raw.iter().map(|c| 1 + c % n).collect();
-        cuts.push(n);
-        cuts.sort_unstable();
-        cuts.dedup();
-        let mut owned = IncrementalTrainer::new(config, seed);
-        let mut reference = IncrementalTrainer::new(config, seed);
-        reference.set_reference_loads(true);
-        let mut prev = 0;
-        for &cut in &cuts {
-            let (r, l) = (&flat[prev * 3..cut * 3], &labels[prev..cut]);
-            let fast = owned.retrain(r, 3, l).unwrap();
-            let slow = reference.retrain(r, 3, l).unwrap();
-            prop_assert_eq!(&fast, &slow);
-            prev = cut;
-        }
-    }
-
-    /// Cold-start trees share one whole-pool gather and run merge per refit,
-    /// while reference loads merge once per tree; both must fit the same
-    /// forest where the merge's tie order decides the bootstrap multisets.
-    /// Values sit on five levels, so equal values straddle blocks; column 1
-    /// holds NaN on level 0; and 16 trees over 4-sample blocks keep more
-    /// trees than blocks at every cut, so every retrain refits cold-start
-    /// trees.
-    #[test]
-    fn shared_cold_start_order_matches_per_tree_reference_loads(
-        points in prop::collection::vec((prop::collection::vec(0u8..5, 3), any::<bool>()), 10..61),
-        seed in 0u64..30,
-        cuts_raw in prop::collection::vec(1usize..1000, 0..4),
-    ) {
-        let n = points.len();
-        let (levels, labels): (Vec<Vec<u8>>, Vec<bool>) = points.into_iter().unzip();
-        let labels = cap_runs(labels, 4);
-        let flat: Vec<f64> = levels
-            .iter()
-            .flat_map(|row| {
-                row.iter().enumerate().map(|(f, &level)| {
-                    if f == 1 && level == 0 { f64::NAN } else { f64::from(level) * 0.5 }
-                })
-            })
-            .collect();
-        let config = IncrementalTrainerConfig {
-            forest: RandomForestConfig { n_trees: 16, max_depth: 5, ..Default::default() },
-            block_size: 4,
-        };
-        let mut cuts: Vec<usize> = cuts_raw.iter().map(|c| 1 + c % n).collect();
-        cuts.push(n);
-        cuts.sort_unstable();
-        cuts.dedup();
-        let mut shared = IncrementalTrainer::new(config, seed);
-        let mut reference = IncrementalTrainer::new(config, seed);
-        reference.set_reference_loads(true);
-        let mut prev = 0;
-        for &cut in &cuts {
-            prop_assert!(cut.div_ceil(config.block_size) < config.forest.n_trees);
-            let (r, l) = (&flat[prev * 3..cut * 3], &labels[prev..cut]);
-            let fast = shared.retrain(r, 3, l).unwrap();
-            let slow = reference.retrain(r, 3, l).unwrap();
-            prop_assert_eq!(&fast, &slow);
-            prev = cut;
-        }
-    }
-
     #[test]
     fn kmeans_assigns_every_point_to_an_existing_cluster(seed in 0u64..200, k in 1usize..4) {
         let points: Vec<Vec<f64>> = (0..30)
@@ -453,59 +360,8 @@ proptest! {
     }
 }
 
-/// A large pseudo-random training set for the id-width boundary check.
-fn boundary_set(n: usize) -> TrainingSet {
-    let mut rows = Vec::with_capacity(n * 2);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        rows.push((h % 9973) as f64);
-        rows.push(((h >> 32) % 101) as f64);
-        labels.push(h % 89 < 44);
-    }
-    TrainingSet::from_rows(&rows, 2, &labels).unwrap()
-}
-
-/// The narrow (u16) and wide (u32) sample-id paths must agree exactly on
-/// both sides of the 65535/65536 boundary, where the auto selection flips
-/// from narrow to wide; one sample past the narrow address space the forced
-/// narrow path must refuse instead of truncating ids.
-#[test]
-fn u16_sample_ids_are_bit_identical_at_the_65536_boundary() {
-    let config = RandomForestConfig {
-        n_trees: 2,
-        max_depth: 4,
-        bootstrap_fraction: 0.02,
-        max_features: Some(2),
-        ..RandomForestConfig::default()
-    };
-    // n = 65535: auto selects narrow ids.
-    let below = boundary_set(65535);
-    let narrow = train_forest_with_width(&below, &config, 3, IdWidth::Narrow).unwrap();
-    let wide = train_forest_with_width(&below, &config, 3, IdWidth::Wide).unwrap();
-    assert_eq!(narrow, wide);
-    assert_eq!(train_forest(&below, &config, 3).unwrap(), narrow);
-    // n = 65536: auto switches to wide ids; narrow still addresses exactly
-    // 65536 samples (ids 0..=65535) and stays bit-identical.
-    let at = boundary_set(65536);
-    let wide = train_forest_with_width(&at, &config, 3, IdWidth::Wide).unwrap();
-    assert_eq!(train_forest(&at, &config, 3).unwrap(), wide);
-    assert_eq!(
-        train_forest_with_width(&at, &config, 3, IdWidth::Narrow).unwrap(),
-        wide
-    );
-    // n = 65537: the narrow address space is exhausted.
-    let past = boundary_set(65537);
-    assert!(train_forest_with_width(&past, &config, 3, IdWidth::Narrow).is_err());
-    assert_eq!(
-        train_forest(&past, &config, 3).unwrap(),
-        train_forest_with_width(&past, &config, 3, IdWidth::Wide).unwrap()
-    );
-}
-
-/// Pseudo-random rows/labels for the 65 536-crossing tests (same generator
-/// as [`boundary_set`], returned flat).
-fn boundary_rows(n: usize) -> (Vec<f64>, Vec<bool>) {
+/// Pseudo-random two-feature rows with mixed labels.
+fn hashed_rows(n: usize) -> (Vec<f64>, Vec<bool>) {
     let mut rows = Vec::with_capacity(n * 2);
     let mut labels = Vec::with_capacity(n);
     for i in 0..n {
@@ -517,19 +373,30 @@ fn boundary_rows(n: usize) -> (Vec<f64>, Vec<bool>) {
     (rows, labels)
 }
 
-/// Growing a pool **across** the 65 536-row boundary under block-relative
-/// u16 ids must be bit-identical to a from-scratch build: the append splits
-/// the tail-block merge from the fresh second block, and the trained forest
-/// (auto-wide at this size) must match the rebuilt set's node for node.
-#[test]
-fn append_vs_rebuild_is_bit_identical_crossing_the_65536_boundary() {
-    let (rows, labels) = boundary_rows(70_000);
-    let cut = 65_000; // below the boundary; the append crosses it
-    let mut grown = TrainingSet::from_rows(&rows[..cut * 2], 2, &labels[..cut]).unwrap();
-    grown.append_rows(&rows[cut * 2..], &labels[cut..]).unwrap();
-    let rebuilt = TrainingSet::from_rows(&rows, 2, &labels).unwrap();
-    assert_eq!(grown, rebuilt);
+/// A hand-written trainer snapshot holding a one-feature pool of `n`
+/// samples and no trees.
+fn pool_snapshot(n: usize) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    write_forest_config(&mut w, &RandomForestConfig::default());
+    w.usize(128); // block_size
+    w.u64(1); // seed
+    w.usize(0); // last refit count
+    w.bool(true); // the pool follows
+    w.usize(1); // feature count
+    w.bools(&vec![false; n]);
+    w.slice_f64(&vec![0.5; n]);
+    w.usize(0); // no cached trees
+    w.finish(SnapshotKind::IncrementalTrainer)
+}
 
+/// Sample ids are u16, so a pool holds at most 65 536 windows: a full pool
+/// builds and trains, and every way of reaching 65 537 windows is refused
+/// with a typed error that leaves the pool untouched.
+#[test]
+fn pools_are_capped_at_the_u16_id_space() {
+    let cap = TrainingSet::MAX_SAMPLES;
+    assert_eq!(cap, 65_536);
+    let (rows, labels) = hashed_rows(cap + 1);
     let config = RandomForestConfig {
         n_trees: 2,
         max_depth: 4,
@@ -537,49 +404,52 @@ fn append_vs_rebuild_is_bit_identical_crossing_the_65536_boundary() {
         max_features: Some(2),
         ..RandomForestConfig::default()
     };
-    let from_grown = train_forest(&grown, &config, 5).unwrap();
-    let from_rebuilt = train_forest(&rebuilt, &config, 5).unwrap();
-    assert_eq!(from_grown, from_rebuilt);
-}
 
-/// `save → load → retrain` across the 65 536-row boundary: a trainer
-/// snapshotted below the boundary and restored must retrain the crossing
-/// batch node-identically to the uninterrupted trainer — and both must
-/// equal a from-scratch fit of the final pool (block-relative ids dissolve
-/// the id-width cliff; refitted subset trees keep narrow ids throughout).
-#[test]
-fn save_load_retrain_is_node_identical_crossing_the_65536_boundary() {
-    let (rows, labels) = boundary_rows(70_000);
-    let cut = 64_000;
-    let config = IncrementalTrainerConfig {
-        forest: RandomForestConfig {
-            n_trees: 5,
-            max_depth: 4,
-            bootstrap_fraction: 0.02,
-            max_features: Some(2),
-            ..RandomForestConfig::default()
+    let mut full = TrainingSet::from_rows(&rows[..cap * 2], 2, &labels[..cap]).unwrap();
+    assert_eq!(full.len(), cap);
+    assert_eq!(train_forest(&full, &config, 3).unwrap().num_trees(), 2);
+    let is_cap_error = |e: MlError| matches!(e, MlError::InvalidDataset { .. });
+    assert!(is_cap_error(
+        TrainingSet::from_rows(&rows, 2, &labels).unwrap_err()
+    ));
+    let before = full.clone();
+    assert!(is_cap_error(
+        full.append_rows(&rows[cap * 2..], &labels[cap..])
+            .unwrap_err()
+    ));
+    assert_eq!(full, before);
+
+    let mut trainer = IncrementalTrainer::new(
+        IncrementalTrainerConfig {
+            forest: config,
+            block_size: 8192,
         },
-        block_size: 8192,
-    };
-    let mut uninterrupted = IncrementalTrainer::new(config, 9);
-    uninterrupted
+        9,
+    );
+    let cut = cap - 536;
+    trainer
         .retrain(&rows[..cut * 2], 2, &labels[..cut])
         .unwrap();
-
-    let restored = trainer_from_bytes(&trainer_to_bytes(&uninterrupted)).unwrap();
-    assert_eq!(restored, uninterrupted);
-    let mut resumed = restored;
-
-    let direct = uninterrupted
-        .retrain(&rows[cut * 2..], 2, &labels[cut..])
+    trainer
+        .retrain(&rows[cut * 2..cap * 2], 2, &labels[cut..cap])
         .unwrap();
-    let after_resume = resumed
-        .retrain(&rows[cut * 2..], 2, &labels[cut..])
-        .unwrap();
-    assert_eq!(direct, after_resume);
-    assert_eq!(resumed, uninterrupted);
+    assert_eq!(trainer.num_samples(), cap);
+    let before = trainer.clone();
+    assert!(is_cap_error(
+        trainer
+            .retrain(&rows[cap * 2..], 2, &labels[cap..])
+            .unwrap_err()
+    ));
+    assert_eq!(trainer, before);
 
-    let mut scratch = IncrementalTrainer::new(config, 9);
-    let reference = scratch.retrain(&rows, 2, &labels).unwrap();
-    assert_eq!(direct, reference);
+    assert_eq!(
+        trainer_from_bytes(&pool_snapshot(cap))
+            .unwrap()
+            .num_samples(),
+        cap
+    );
+    assert!(matches!(
+        trainer_from_bytes(&pool_snapshot(cap + 1)),
+        Err(PersistError::Corrupted { .. })
+    ));
 }

@@ -144,19 +144,16 @@ fn snapshot_size_formula_matches_the_real_codec() {
     );
 }
 
-/// The edge memory model's block-run order pricing must agree byte for byte
-/// with the RAM `seizure-ml`'s `TrainingSet` actually holds for its
-/// presorted runs — fresh pools, grown pools and incremental-trainer pools
-/// alike — and the old flat-u32 layout must price at exactly twice that,
-/// documenting what the block-run refactor bought.
+/// The edge memory model's order pricing must agree byte for byte with the
+/// RAM `seizure-ml`'s `TrainingSet` actually holds for its presorted runs —
+/// fresh pools, grown pools and incremental-trainer pools alike.
 #[test]
-fn block_run_order_pricing_matches_the_real_training_set() {
+fn order_pricing_matches_the_real_training_set() {
     use selflearn_seizure::ml::training::TrainingSet;
 
     let memory = MemoryModel::new(PlatformSpec::stm32l151_default());
 
-    // A fresh pool (any run-block partitioning prices identically: the runs
-    // hold one u16 per sample per feature, bases are closed-form).
+    // A fresh pool: one u16 per sample per feature.
     let n = 300;
     let nf = 2;
     let rows: Vec<f64> = (0..n * nf)
@@ -164,14 +161,13 @@ fn block_run_order_pricing_matches_the_real_training_set() {
         .collect();
     let labels: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
     let mut set = TrainingSet::from_rows(&rows, nf, &labels).unwrap();
-    assert_eq!(set.order_bytes(), memory.block_run_order_bytes(n, nf));
+    assert_eq!(set.order_bytes(), memory.order_bytes(n, nf));
 
     // Growth reprices linearly in the appended samples.
     set.append_rows(&rows, &labels).unwrap();
-    assert_eq!(set.order_bytes(), memory.block_run_order_bytes(2 * n, nf));
+    assert_eq!(set.order_bytes(), memory.order_bytes(2 * n, nf));
 
-    // An incremental trainer's pool (ownership-block-aligned runs) prices
-    // the same way.
+    // An incremental trainer's pool prices the same way.
     let config = IncrementalTrainerConfig {
         forest: RandomForestConfig {
             n_trees: 5,
@@ -184,16 +180,9 @@ fn block_run_order_pricing_matches_the_real_training_set() {
     trainer.retrain(&rows, nf, &labels).unwrap();
     assert_eq!(
         trainer.training_set().unwrap().order_bytes(),
-        memory.block_run_order_bytes(n, nf)
+        memory.order_bytes(n, nf)
     );
-
-    // The paper-scale pool: the flat u32 layout cost exactly twice the
-    // block runs, so the refactor halves the order RAM of every pool.
-    assert_eq!(
-        memory.flat_order_bytes(2048, 54),
-        2 * memory.block_run_order_bytes(2048, 54)
-    );
-    assert_eq!(memory.block_run_order_bytes(2048, 54), 2 * 2048 * 54);
+    assert_eq!(memory.order_bytes(2048, 54), 2 * 2048 * 54);
 }
 
 /// The edge memory model's journal-entry formula must agree byte for byte
