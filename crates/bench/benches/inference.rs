@@ -1,11 +1,9 @@
-//! End-to-end inference benchmark: seed path vs batch engine vs streaming.
+//! End-to-end inference benchmark: batch engine vs streaming.
 //!
 //! Measures windows/second for the full hot path of the real-time detector —
 //! sliding-window rich-feature extraction followed by random-forest
-//! classification — in three configurations:
+//! classification — in two configurations:
 //!
-//! * **seed**: per-window `extract_window` (allocating) + per-row boxed
-//!   `RandomForest::predict_proba`, exactly the seed implementation's path;
 //! * **batch**: `extract_batch` (flat matrix, per-thread scratch, parallel
 //!   windows) + `FlatForest::predict_proba_batch` over the flat buffer;
 //! * **streaming**: `StreamingRichExtractor::extract_batch_into` — the
@@ -13,9 +11,8 @@
 //!   wavelet coefficients across the 75 % window overlap instead of
 //!   recomputing each window from scratch — plus the same flat forest.
 //!
-//! Also times the forest in isolation (boxed pointer-chasing vs flat
-//! struct-of-arrays). Results are printed and written to
-//! `BENCH_inference.json` at the workspace root.
+//! Results are printed and written to `BENCH_inference.json` at the
+//! workspace root.
 //!
 //! Run with: `cargo bench -p seizure-bench --bench inference`
 //!
@@ -28,9 +25,8 @@ use seizure_bench::synth::synth_channels;
 use seizure_features::extractor::{FeatureExtractor, RichFeatureSet, SlidingWindowConfig};
 use seizure_features::streaming::StreamingRichExtractor;
 use seizure_features::FeatureMatrix;
-use seizure_ml::dataset::Dataset;
-use seizure_ml::flat::FlatForest;
-use seizure_ml::forest::{RandomForest, RandomForestConfig};
+use seizure_ml::forest::RandomForestConfig;
+use seizure_ml::incremental::{IncrementalTrainer, IncrementalTrainerConfig};
 
 fn main() {
     let quick = std::env::args().any(|arg| arg == "--quick");
@@ -50,24 +46,17 @@ fn main() {
         .expect("training features");
     let seizure_band = windows / 3..windows / 3 + windows / 4;
     let labels: Vec<bool> = (0..windows).map(|i| seizure_band.contains(&i)).collect();
-    let dataset = Dataset::new(matrix.to_rows(), labels).expect("dataset");
-    let forest_config = RandomForestConfig {
-        n_trees: 30,
-        max_depth: 8,
-        ..RandomForestConfig::default()
+    let config = IncrementalTrainerConfig {
+        forest: RandomForestConfig {
+            n_trees: 30,
+            max_depth: 8,
+            ..RandomForestConfig::default()
+        },
+        ..IncrementalTrainerConfig::default()
     };
-    let forest = RandomForest::fit(&dataset, &forest_config, 7).expect("forest");
-    let flat = FlatForest::from_forest(&forest);
-
-    // --- End-to-end: seed path (per-window alloc + boxed forest). ---
-    let (seed_time, seed_probas) = best_of(reps, || {
-        let mut probas = Vec::with_capacity(windows);
-        for (w1, w2) in cfg.windows(&a).zip(cfg.windows(&b)) {
-            let row = extractor.extract_window(w1, w2).expect("window features");
-            probas.push(forest.predict_proba(&row));
-        }
-        probas
-    });
+    let flat = IncrementalTrainer::new(config, 7)
+        .retrain(matrix.data(), matrix.num_features(), &labels)
+        .expect("forest");
 
     // --- End-to-end: batch engine (flat matrix + flat forest). ---
     let (batch_time, batch_probas) = best_of(reps, || {
@@ -95,14 +84,8 @@ fn main() {
         .expect("streaming probas");
     });
 
-    assert_eq!(seed_probas.len(), batch_probas.len());
+    assert_eq!(batch_probas.len(), windows);
     assert_eq!(streaming_probas.len(), batch_probas.len());
-    for (s, p) in seed_probas.iter().zip(batch_probas.iter()) {
-        assert!(
-            (s - p).abs() < 1e-9,
-            "batch path diverged from seed path: {s} vs {p}"
-        );
-    }
     for (s, p) in streaming_probas.iter().zip(batch_probas.iter()) {
         assert!(
             (s - p).abs() < 1e-6,
@@ -110,33 +93,13 @@ fn main() {
         );
     }
 
-    // --- Forest in isolation: boxed per-row vs flat batch. ---
-    let rows = matrix.to_rows();
-    let (boxed_forest_time, _) = best_of(reps, || {
-        rows.iter().map(|r| forest.predict_proba(r)).sum::<f64>()
-    });
-    let (flat_forest_time, _) = best_of(reps, || {
-        flat.predict_proba_batch(matrix.data(), matrix.num_features())
-            .expect("flat probas")
-            .iter()
-            .sum::<f64>()
-    });
-
-    let seed_wps = windows as f64 / seed_time;
     let batch_wps = windows as f64 / batch_time;
     let streaming_wps = windows as f64 / streaming_time;
-    let speedup = batch_wps / seed_wps;
     let streaming_speedup = streaming_wps / batch_wps;
-    let boxed_wps = windows as f64 / boxed_forest_time;
-    let flat_wps = windows as f64 / flat_forest_time;
     // The effective fan-out: honours a `SEIZURE_NUM_THREADS` pin.
     let threads = seizure_parallel::num_threads();
 
     println!("inference bench ({windows} windows, {secs} s at {fs} Hz, {threads} thread(s))");
-    println!(
-        "  end-to-end seed path:   {seed_wps:>10.1} windows/s ({:.3} ms/window)",
-        1e3 * seed_time / windows as f64
-    );
     println!(
         "  end-to-end batch path:  {batch_wps:>10.1} windows/s ({:.3} ms/window)",
         1e3 * batch_time / windows as f64
@@ -145,16 +108,12 @@ fn main() {
         "  end-to-end streaming:   {streaming_wps:>10.1} windows/s ({:.3} ms/window)",
         1e3 * streaming_time / windows as f64
     );
-    println!("  batch vs seed:          {speedup:>10.2}x");
     println!("  streaming vs batch:     {streaming_speedup:>10.2}x");
-    println!("  boxed forest:           {boxed_wps:>10.1} windows/s");
-    println!("  flat forest (batch):    {flat_wps:>10.1} windows/s");
-    println!("  forest speedup:         {:>10.2}x", flat_wps / boxed_wps);
 
     if quick {
         // CI smoke gate: probability equivalence was asserted above; the
-        // speedup floor is deliberately conservative (the full run's target
-        // is >= 3x) so a loaded CI worker doesn't flake the build.
+        // speedup floor is deliberately conservative so a loaded CI worker
+        // doesn't flake the build.
         assert!(
             streaming_speedup >= 1.2,
             "streaming gate: expected at least a 1.2x end-to-end win over the \
@@ -172,34 +131,12 @@ fn main() {
             "  \"sampling_hz\": {:.1},\n",
             "  \"windows\": {},\n",
             "  \"threads\": {},\n",
-            "  \"end_to_end\": {{\n",
-            "    \"seed_windows_per_sec\": {:.1},\n",
-            "    \"batch_windows_per_sec\": {:.1},\n",
-            "    \"speedup\": {:.2}\n",
-            "  }},\n",
-            "  \"streaming\": {{\n",
-            "    \"windows_per_sec\": {:.1},\n",
-            "    \"speedup_vs_batch\": {:.2}\n",
-            "  }},\n",
-            "  \"forest_only\": {{\n",
-            "    \"boxed_windows_per_sec\": {:.1},\n",
-            "    \"flat_windows_per_sec\": {:.1},\n",
-            "    \"speedup\": {:.2}\n",
-            "  }}\n",
+            "  \"batch_windows_per_sec\": {:.1},\n",
+            "  \"streaming_windows_per_sec\": {:.1},\n",
+            "  \"streaming_speedup_vs_batch\": {:.2}\n",
             "}}\n"
         ),
-        secs,
-        fs,
-        windows,
-        threads,
-        seed_wps,
-        batch_wps,
-        speedup,
-        streaming_wps,
-        streaming_speedup,
-        boxed_wps,
-        flat_wps,
-        flat_wps / boxed_wps,
+        secs, fs, windows, threads, batch_wps, streaming_wps, streaming_speedup,
     );
     // cargo runs benches with the package directory as cwd; anchor the
     // result file at the workspace root.

@@ -300,10 +300,9 @@ impl SelfLearningPipeline {
     /// [`RealTimeDetector::build_training_windows_with`], so the pool, the
     /// forest and the journal are exactly what extracting every window would
     /// give. [`RealTimeDetector::retrain_incremental`] then appends the batch
-    /// to the detector's growing pool — sorting only the block-local
-    /// presorted runs the batch touches and refitting only the trees whose
-    /// bootstrap pools the new windows touched, instead of paying a full
-    /// `train_forest` per missed seizure.
+    /// to the detector's growing pool — merging the sorted batch into each
+    /// feature's presorted run and refitting only the trees whose bootstrap
+    /// pools the new windows touched.
     ///
     /// The seizure counter follows the label's **actual seizure content**: a
     /// label that marks no window of this record as seizure (too short for

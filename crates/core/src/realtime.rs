@@ -257,9 +257,8 @@ impl QualityGate {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RealTimeDetector {
     config: RealTimeDetectorConfig,
-    /// The fitted forest compiled into flat struct-of-arrays storage; the
-    /// boxed ensemble is dropped after compilation so only one copy of the
-    /// model stays resident.
+    /// The fitted forest in flat struct-of-arrays storage, as the trainer
+    /// emitted it.
     flat: Option<FlatForest>,
     /// The growable retraining engine that fitted `flat` and holds its
     /// training pool; `None` until the first `train` or retrain.
@@ -459,11 +458,10 @@ impl RealTimeDetector {
     /// num_features` values) to the detector's growing training pool and
     /// retrains through the [`IncrementalTrainer`]: the pool append merges
     /// the batch into the presorted runs, and only the trees whose
-    /// bootstrap pools were touched by the growth are refitted, so the
-    /// self-learning loop stops paying a full `train_forest` per missed
-    /// seizure. An untrained
-    /// detector starts a fresh pool; a [`RealTimeDetector::train`]ed one
-    /// extends the pool `train` fitted.
+    /// bootstrap pools were touched by the growth are refitted, so a missed
+    /// seizure does not refit the whole forest. An untrained detector
+    /// starts a fresh pool; a [`RealTimeDetector::train`]ed one extends the
+    /// pool `train` fitted.
     ///
     /// Features stay **raw** (no standardization): forests split on
     /// per-feature thresholds, so an affine per-column scaling changes no

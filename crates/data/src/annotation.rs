@@ -1,7 +1,6 @@
 //! Ground-truth seizure annotations.
 
 use crate::error::DataError;
-use serde::{Deserialize, Serialize};
 
 /// The annotated position of one epileptic seizure inside a recording,
 /// expressed in seconds from the start of the recording.
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeizureAnnotation {
     onset_sec: f64,
     offset_sec: f64,

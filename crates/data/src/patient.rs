@@ -9,10 +9,8 @@
 //! noise in the signal near the epileptic seizure"; the corresponding profiles
 //! reproduce that confounder.
 
-use serde::{Deserialize, Serialize};
-
 /// Synthetic-EEG generation parameters for one patient.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PatientProfile {
     /// Patient identifier, 1-based as in the paper's tables.
     pub id: usize,

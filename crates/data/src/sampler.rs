@@ -10,11 +10,10 @@
 use crate::annotation::SeizureAnnotation;
 use crate::error::DataError;
 use crate::signal::EegSignal;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one evaluation sample: the record duration range and the
 /// sampling frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleConfig {
     min_duration_secs: f64,
     max_duration_secs: f64,

@@ -1,7 +1,6 @@
 //! Two-channel EEG signal container.
 
 use crate::error::DataError;
-use serde::{Deserialize, Serialize};
 
 /// A two-channel EEG recording over the electrode pairs F7T3 and F8T4, the
 /// montage used by the non-invasive wearable platforms the paper targets
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EegSignal {
     f7t3: Vec<f64>,
     f8t4: Vec<f64>,

@@ -4,10 +4,9 @@
 use crate::error::EdgeError;
 use crate::platform::PlatformSpec;
 use crate::tasks::TaskSet;
-use serde::{Deserialize, Serialize};
 
 /// Which subsystems are running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperatingMode {
     /// Only the a-posteriori labeling algorithm (plus continuous acquisition).
     LabelingOnly,
@@ -18,7 +17,7 @@ pub enum OperatingMode {
 }
 
 /// Energy/lifetime report for one operating point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyReport {
     mode: OperatingMode,
     seizures_per_day: f64,

@@ -8,10 +8,9 @@
 
 use crate::error::EdgeError;
 use crate::platform::PlatformSpec;
-use serde::{Deserialize, Serialize};
 
 /// Memory requirement breakdown for the labeling pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryBudget {
     /// Size of the buffered history (the last hour of data) in bytes; stored in
     /// Flash on the target platform.

@@ -1,14 +1,12 @@
 //! Hardware specification of the target wearable platform.
 
-use serde::{Deserialize, Serialize};
-
 /// Specification of the wearable platform (microcontroller + analog front-end
 /// + battery) used for the energy, memory and timing models.
 ///
 /// The default values follow the paper's §V-B and Table III: an STM32L151
 /// (Cortex-M3 at 32 MHz, 48 KB RAM, 384 KB Flash), an ADS1299-family
 /// biopotential ADC acquiring two electrode pairs, and a 570 mAh battery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformSpec {
     /// Maximum CPU clock frequency in Hz.
     pub cpu_frequency_hz: f64,

@@ -9,10 +9,9 @@
 
 use crate::error::EdgeError;
 use crate::platform::PlatformSpec;
-use serde::{Deserialize, Serialize};
 
 /// One platform task with its current draw and duty cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Human-readable task name (matches the rows of Table III).
     pub name: String,
@@ -60,7 +59,7 @@ impl Task {
 }
 
 /// The set of tasks running on the platform in a given operating mode.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TaskSet {
     tasks: Vec<Task>,
 }

@@ -9,10 +9,9 @@
 
 use crate::error::EdgeError;
 use crate::platform::PlatformSpec;
-use serde::{Deserialize, Serialize};
 
 /// Cost estimate for processing one triggered labeling pass.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LabelingCost {
     /// Number of elementary operations (absolute differences + additions).
     pub operations: f64,

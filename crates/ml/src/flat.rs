@@ -1,44 +1,43 @@
-//! Flat, cache-friendly compilation of fitted random forests.
+//! Flat, cache-friendly storage of fitted random forests.
 //!
-//! The boxed [`DecisionTree`](crate::DecisionTree) representation chases a `Box<Node>` pointer per
-//! split, so every level of every tree of every window prediction is a
-//! dependent cache miss. [`FlatForest`] compiles a fitted ensemble into
-//! struct-of-arrays node storage — split feature, threshold, child indices
-//! and leaf probability each in one contiguous `Vec` — and predicts batches
-//! over a single flat row-major feature matrix, parallel across samples.
+//! [`FlatForest`] holds every tree of the ensemble in struct-of-arrays node
+//! storage — split feature, threshold, child indices and leaf probability
+//! each in one contiguous `Vec`, trees in DFS preorder — and predicts
+//! batches over a single flat row-major feature matrix, parallel across
+//! samples. The training engine grows its trees straight into this layout
+//! ([`crate::incremental::IncrementalTrainer::retrain`] returns one), so a
+//! prediction never chases a boxed node pointer.
 //!
-//! Predictions are **bit-identical** to the boxed forest: node traversal
-//! applies the same `<=` comparisons in the same order and the ensemble
-//! probability is accumulated in the same tree order with the same floating
-//! point operations (a property-tested invariant).
+//! A tree's probability is its leaf's positive fraction, reached by `<=`
+//! comparisons from the root; the ensemble probability sums the trees in
+//! order and divides by their count. The crate's test oracle checks both
+//! against a recursive walk of boxed trees, bit for bit.
 
 use crate::error::MlError;
-use crate::forest::RandomForest;
-use crate::tree::Node;
 
 /// Sentinel marking a leaf in the `feature` array.
 pub(crate) const LEAF: u32 = u32::MAX;
 
-/// A fitted random forest compiled into struct-of-arrays node storage.
+/// A fitted random forest in struct-of-arrays node storage.
 ///
 /// # Example
 ///
 /// ```
-/// use seizure_ml::{Dataset, FlatForest, RandomForest, RandomForestConfig};
+/// use seizure_ml::{IncrementalTrainer, IncrementalTrainerConfig};
 ///
 /// # fn main() -> Result<(), seizure_ml::MlError> {
-/// let data = Dataset::new(
-///     (0..30).map(|i| vec![i as f64, (i * 7 % 5) as f64]).collect(),
-///     (0..30).map(|i| i >= 15).collect(),
-/// )?;
-/// let forest = RandomForest::fit(&data, &RandomForestConfig::default(), 1)?;
-/// let flat = FlatForest::from_forest(&forest);
+/// // Thirty samples of two features, row-major; the second half positive.
+/// let rows: Vec<f64> = (0..30).flat_map(|i| [i as f64, (i * 7 % 5) as f64]).collect();
+/// let labels: Vec<bool> = (0..30).map(|i| i >= 15).collect();
+/// let mut trainer = IncrementalTrainer::new(IncrementalTrainerConfig::default(), 1);
+/// let flat = trainer.retrain(&rows, 2, &labels)?;
 ///
-/// // Same predictions, flat batch input: two samples ([29, 1] and [1, 3]).
+/// // Flat batch input: two samples ([29, 1] and [1, 3]).
 /// let matrix = [29.0, 1.0, 1.0, 3.0];
 /// let probas = flat.predict_proba_batch(&matrix, 2)?;
-/// assert_eq!(probas[0], forest.predict_proba(&[29.0, 1.0]));
-/// assert_eq!(probas[1], forest.predict_proba(&[1.0, 3.0]));
+/// assert_eq!(probas[0], flat.predict_proba(&[29.0, 1.0]));
+/// assert!(flat.predict(&[29.0, 1.0]));
+/// assert!(!flat.predict(&[1.0, 3.0]));
 /// # Ok(())
 /// # }
 /// ```
@@ -60,27 +59,8 @@ pub struct FlatForest {
 }
 
 impl FlatForest {
-    /// Compiles a fitted boxed forest into flat node storage.
-    pub fn from_forest(forest: &RandomForest) -> Self {
-        let mut flat = Self {
-            num_features: forest.num_features(),
-            roots: Vec::with_capacity(forest.num_trees()),
-            feature: Vec::new(),
-            threshold: Vec::new(),
-            left: Vec::new(),
-            right: Vec::new(),
-            leaf_prob: Vec::new(),
-        };
-        for tree in forest.trees() {
-            let root = flat.flatten(tree.root());
-            flat.roots.push(root);
-        }
-        flat
-    }
-
-    /// Assembles a flat forest directly from struct-of-arrays node storage.
-    /// Used by the training engine, which grows trees in arena layout and
-    /// never materializes boxed nodes.
+    /// Assembles a flat forest directly from struct-of-arrays node storage,
+    /// as the training engine stitches its per-tree arenas.
     pub(crate) fn from_raw_parts(
         num_features: usize,
         roots: Vec<u32>,
@@ -101,37 +81,7 @@ impl FlatForest {
         }
     }
 
-    fn push_node(&mut self, feature: u32, threshold: f64, prob: f64) -> u32 {
-        let idx = self.feature.len() as u32;
-        assert!(idx < LEAF, "forest exceeds u32 node indexing");
-        self.feature.push(feature);
-        self.threshold.push(threshold);
-        self.left.push(0);
-        self.right.push(0);
-        self.leaf_prob.push(prob);
-        idx
-    }
-
-    fn flatten(&mut self, node: &Node) -> u32 {
-        match node {
-            Node::Leaf { probability } => self.push_node(LEAF, 0.0, *probability),
-            Node::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                let idx = self.push_node(*feature as u32, *threshold, 0.0);
-                let left_idx = self.flatten(left);
-                let right_idx = self.flatten(right);
-                self.left[idx as usize] = left_idx;
-                self.right[idx as usize] = right_idx;
-                idx
-            }
-        }
-    }
-
-    /// Number of trees in the compiled ensemble.
+    /// Number of trees in the ensemble.
     pub fn num_trees(&self) -> usize {
         self.roots.len()
     }
@@ -164,8 +114,8 @@ impl FlatForest {
         }
     }
 
-    /// Average positive-class probability over all trees — bit-identical to
-    /// [`RandomForest::predict_proba`].
+    /// Average positive-class probability over all trees, summed in tree
+    /// order.
     ///
     /// # Panics
     ///
@@ -176,8 +126,8 @@ impl FlatForest {
         sum / self.roots.len() as f64
     }
 
-    /// Majority-vote class prediction — identical to
-    /// [`RandomForest::predict`].
+    /// Majority-vote class prediction: positive when at least half the
+    /// trees reach a leaf with probability `>= 0.5`.
     pub fn predict(&self, sample: &[f64]) -> bool {
         2 * self.votes(sample) >= self.roots.len()
     }
@@ -212,7 +162,7 @@ impl FlatForest {
 
     /// Predicts class probabilities for every row of a flat row-major matrix
     /// (`num_samples * num_features` values), parallel over samples. Each
-    /// probability is bit-identical to [`RandomForest::predict_proba`] on the
+    /// probability is bit-identical to [`FlatForest::predict_proba`] on the
     /// corresponding row.
     ///
     /// # Errors
@@ -291,95 +241,53 @@ impl FlatForest {
     }
 }
 
-impl From<&RandomForest> for FlatForest {
-    fn from(forest: &RandomForest) -> Self {
-        Self::from_forest(forest)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Dataset;
     use crate::forest::RandomForestConfig;
+    use crate::oracle::{blob_rows, fit};
 
-    fn blob_dataset(n_per_class: usize, separation: f64) -> Dataset {
-        let mut rows = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..n_per_class {
-            let jitter1 = ((i * 37 + 13) % 101) as f64 / 101.0 - 0.5;
-            let jitter2 = ((i * 53 + 29) % 97) as f64 / 97.0 - 0.5;
-            rows.push(vec![jitter1, jitter2, ((i % 7) as f64) / 7.0]);
-            labels.push(false);
-            rows.push(vec![
-                separation + jitter2,
-                separation + jitter1,
-                ((i % 5) as f64) / 5.0,
-            ]);
-            labels.push(true);
-        }
-        Dataset::new(rows, labels).unwrap()
-    }
-
-    fn fitted(seed: u64) -> (Dataset, RandomForest) {
-        let data = blob_dataset(40, 2.0);
+    /// A 15-tree forest over 80 three-feature blob rows.
+    fn fitted(seed: u64) -> (Vec<f64>, FlatForest) {
+        let (rows, labels) = blob_rows(40, 2.0);
         let config = RandomForestConfig {
             n_trees: 15,
             max_depth: 7,
             ..RandomForestConfig::default()
         };
-        let forest = RandomForest::fit(&data, &config, seed).unwrap();
-        (data, forest)
+        let forest = fit(&rows, 3, &labels, config, seed);
+        (rows, forest)
     }
 
     #[test]
-    fn compilation_preserves_shape() {
-        let (_, forest) = fitted(1);
-        let flat = FlatForest::from_forest(&forest);
-        assert_eq!(flat.num_trees(), forest.num_trees());
-        assert_eq!(flat.num_features(), forest.num_features());
+    fn fitted_forest_reports_its_shape() {
+        let (_, flat) = fitted(1);
+        assert_eq!(flat.num_trees(), 15);
+        assert_eq!(flat.num_features(), 3);
         assert!(flat.num_nodes() >= flat.num_trees());
-        let also_flat: FlatForest = (&forest).into();
-        assert_eq!(also_flat, flat);
-    }
-
-    #[test]
-    fn predictions_are_bit_identical_to_boxed_forest() {
-        let (data, forest) = fitted(2);
-        let flat = FlatForest::from_forest(&forest);
-        for row in data.features() {
-            assert_eq!(
-                forest.predict_proba(row).to_bits(),
-                flat.predict_proba(row).to_bits()
-            );
-            assert_eq!(forest.predict(row), flat.predict(row));
-        }
     }
 
     #[test]
     fn batch_predictions_match_per_sample_paths() {
-        let (data, forest) = fitted(3);
-        let flat = FlatForest::from_forest(&forest);
-        let matrix: Vec<f64> = data.features().iter().flatten().copied().collect();
+        let (matrix, flat) = fitted(3);
         let probas = flat.predict_proba_batch(&matrix, 3).unwrap();
         let classes = flat.predict_batch(&matrix, 3).unwrap();
-        assert_eq!(probas.len(), data.len());
-        assert_eq!(classes.len(), data.len());
-        for ((row, p), c) in data.features().iter().zip(&probas).zip(&classes) {
-            assert_eq!(forest.predict_proba(row).to_bits(), p.to_bits());
-            assert_eq!(forest.predict(row), *c);
+        assert_eq!(probas.len(), 80);
+        assert_eq!(classes.len(), 80);
+        for ((row, p), c) in matrix.chunks_exact(3).zip(&probas).zip(&classes) {
+            assert_eq!(flat.predict_proba(row).to_bits(), p.to_bits());
+            assert_eq!(flat.predict(row), *c);
         }
     }
 
     #[test]
     fn into_variants_reuse_buffers_across_batches() {
-        let (data, forest) = fitted(5);
-        let flat = FlatForest::from_forest(&forest);
-        let matrix: Vec<f64> = data.features().iter().flatten().copied().collect();
+        let (matrix, flat) = fitted(5);
+        let samples = matrix.len() / 3;
         let mut probas = Vec::new();
         let mut classes = Vec::new();
         // Shrinking and growing batches through the same buffers.
-        for take in [data.len(), 3, data.len() / 2] {
+        for take in [samples, 3, samples / 2] {
             let slice = &matrix[..take * 3];
             flat.predict_proba_batch_into(slice, 3, &mut probas)
                 .unwrap();
@@ -397,8 +305,7 @@ mod tests {
 
     #[test]
     fn batch_rejects_bad_matrices() {
-        let (_, forest) = fitted(4);
-        let flat = FlatForest::from_forest(&forest);
+        let (_, flat) = fitted(4);
         // Wrong feature count.
         assert!(flat.predict_proba_batch(&[1.0, 2.0], 2).is_err());
         // Right feature count, misaligned buffer.
@@ -406,19 +313,5 @@ mod tests {
         assert!(flat.predict_batch(&[1.0, 2.0, 3.0, 4.0], 3).is_err());
         // Empty batch is fine.
         assert_eq!(flat.predict_proba_batch(&[], 3).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn single_leaf_forest_flattens() {
-        let data = Dataset::new(vec![vec![1.0], vec![2.0]], vec![true, true]).unwrap();
-        let config = RandomForestConfig {
-            n_trees: 3,
-            ..RandomForestConfig::default()
-        };
-        let forest = RandomForest::fit(&data, &config, 0).unwrap();
-        let flat = FlatForest::from_forest(&forest);
-        assert_eq!(flat.num_nodes(), 3);
-        assert_eq!(flat.predict_proba(&[5.0]), 1.0);
-        assert!(flat.predict(&[0.0]));
     }
 }

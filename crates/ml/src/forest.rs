@@ -1,17 +1,12 @@
-//! Random forest classifier.
+//! Random-forest hyper-parameters.
 //!
-//! This is the real-time detector family used by the paper (following Sopic et
-//! al., e-Glass): an ensemble of CART trees, each trained on a bootstrap sample
-//! with per-split feature subsampling, predicting by majority vote.
+//! The paper's real-time detector (following Sopic et al., e-Glass) is an
+//! ensemble of CART trees, each trained on a bootstrap sample with per-split
+//! feature subsampling. [`crate::incremental::IncrementalTrainer`] fits it;
+//! this module holds the configuration it shares with the persisted
+//! snapshots.
 
-use crate::dataset::Dataset;
-use crate::error::MlError;
-use crate::tree::{DecisionTree, DecisionTreeConfig};
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
-/// Hyper-parameters of a [`RandomForest`].
+/// Hyper-parameters of a random forest.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomForestConfig {
     /// Number of trees in the ensemble.
@@ -36,255 +31,5 @@ impl Default for RandomForestConfig {
             max_features: None,
             bootstrap_fraction: 1.0,
         }
-    }
-}
-
-/// A fitted random forest.
-///
-/// # Example
-///
-/// ```
-/// use seizure_ml::{Dataset, RandomForest, RandomForestConfig};
-///
-/// # fn main() -> Result<(), seizure_ml::MlError> {
-/// let data = Dataset::new(
-///     (0..30).map(|i| vec![i as f64, (i * 7 % 5) as f64]).collect(),
-///     (0..30).map(|i| i >= 15).collect(),
-/// )?;
-/// let forest = RandomForest::fit(&data, &RandomForestConfig::default(), 1)?;
-/// assert!(forest.predict(&[29.0, 1.0]));
-/// assert!(!forest.predict(&[1.0, 3.0]));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct RandomForest {
-    trees: Vec<DecisionTree>,
-    num_features: usize,
-}
-
-impl RandomForest {
-    /// Fits a forest to `data`; `seed` makes the bootstrap samples and feature
-    /// subsampling reproducible.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::InvalidParameter`] if `n_trees` is zero, the
-    /// bootstrap fraction is not in `(0, 1]`, or the tree hyper-parameters are
-    /// invalid.
-    pub fn fit(data: &Dataset, config: &RandomForestConfig, seed: u64) -> Result<Self, MlError> {
-        if config.n_trees == 0 {
-            return Err(MlError::InvalidParameter {
-                name: "n_trees",
-                reason: "the ensemble needs at least one tree".to_string(),
-            });
-        }
-        if !(config.bootstrap_fraction > 0.0 && config.bootstrap_fraction <= 1.0) {
-            return Err(MlError::InvalidParameter {
-                name: "bootstrap_fraction",
-                reason: format!("must lie in (0, 1], got {}", config.bootstrap_fraction),
-            });
-        }
-        let max_features = match config.max_features {
-            Some(k) => Some(k),
-            None => Some(((data.num_features() as f64).sqrt().ceil() as usize).max(1)),
-        };
-        let tree_config = DecisionTreeConfig {
-            max_depth: config.max_depth,
-            min_samples_split: config.min_samples_split,
-            max_features,
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let sample_count =
-            ((data.len() as f64 * config.bootstrap_fraction).round() as usize).max(1);
-        let mut trees = Vec::with_capacity(config.n_trees);
-        for t in 0..config.n_trees {
-            let indices: Vec<usize> = (0..sample_count)
-                .map(|_| rng.gen_range(0..data.len()))
-                .collect();
-            let tree_seed = seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(t as u64);
-            trees.push(DecisionTree::fit_with_indices(
-                data,
-                &indices,
-                &tree_config,
-                tree_seed,
-            )?);
-        }
-        Ok(Self {
-            trees,
-            num_features: data.num_features(),
-        })
-    }
-
-    /// Number of trees in the ensemble.
-    pub fn num_trees(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// The fitted trees, used by the flat-forest compiler.
-    pub(crate) fn trees(&self) -> &[DecisionTree] {
-        &self.trees
-    }
-
-    /// Number of features the forest was trained on.
-    pub fn num_features(&self) -> usize {
-        self.num_features
-    }
-
-    /// Average positive-class probability over all trees.
-    pub fn predict_proba(&self, sample: &[f64]) -> f64 {
-        let sum: f64 = self.trees.iter().map(|t| t.predict_proba(sample)).sum();
-        sum / self.trees.len() as f64
-    }
-
-    /// Majority-vote class prediction.
-    pub fn predict(&self, sample: &[f64]) -> bool {
-        let votes = self.trees.iter().filter(|t| t.predict(sample)).count();
-        2 * votes >= self.trees.len()
-    }
-
-    /// Predicts a batch of samples.
-    pub fn predict_batch(&self, samples: &[Vec<f64>]) -> Vec<bool> {
-        samples.iter().map(|s| self.predict(s)).collect()
-    }
-
-    /// Predicts class probabilities for a batch of samples.
-    pub fn predict_proba_batch(&self, samples: &[Vec<f64>]) -> Vec<f64> {
-        samples.iter().map(|s| self.predict_proba(s)).collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Two Gaussian-ish blobs with some overlap.
-    fn blob_dataset(n_per_class: usize, separation: f64) -> Dataset {
-        let mut rows = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..n_per_class {
-            let jitter1 = ((i * 37 + 13) % 101) as f64 / 101.0 - 0.5;
-            let jitter2 = ((i * 53 + 29) % 97) as f64 / 97.0 - 0.5;
-            rows.push(vec![jitter1, jitter2, ((i % 7) as f64) / 7.0]);
-            labels.push(false);
-            rows.push(vec![
-                separation + jitter2,
-                separation + jitter1,
-                ((i % 5) as f64) / 5.0,
-            ]);
-            labels.push(true);
-        }
-        Dataset::new(rows, labels).unwrap()
-    }
-
-    #[test]
-    fn separable_blobs_are_classified_accurately() {
-        let data = blob_dataset(60, 3.0);
-        let forest = RandomForest::fit(&data, &RandomForestConfig::default(), 3).unwrap();
-        let correct = data
-            .features()
-            .iter()
-            .zip(data.labels())
-            .filter(|(row, &label)| forest.predict(row) == label)
-            .count();
-        assert!(correct as f64 / data.len() as f64 > 0.97);
-        assert_eq!(forest.num_trees(), 50);
-        assert_eq!(forest.num_features(), 3);
-    }
-
-    #[test]
-    fn probabilities_are_extreme_far_from_the_boundary() {
-        let data = blob_dataset(60, 4.0);
-        let forest = RandomForest::fit(&data, &RandomForestConfig::default(), 3).unwrap();
-        assert!(forest.predict_proba(&[4.0, 4.0, 0.5]) > 0.9);
-        assert!(forest.predict_proba(&[0.0, 0.0, 0.5]) < 0.1);
-    }
-
-    #[test]
-    fn fit_is_deterministic_in_seed() {
-        let data = blob_dataset(30, 2.0);
-        let cfg = RandomForestConfig {
-            n_trees: 11,
-            ..RandomForestConfig::default()
-        };
-        let a = RandomForest::fit(&data, &cfg, 9).unwrap();
-        let b = RandomForest::fit(&data, &cfg, 9).unwrap();
-        assert_eq!(a, b);
-        let c = RandomForest::fit(&data, &cfg, 10).unwrap();
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn invalid_hyper_parameters_are_rejected() {
-        let data = blob_dataset(5, 2.0);
-        let zero_trees = RandomForestConfig {
-            n_trees: 0,
-            ..RandomForestConfig::default()
-        };
-        assert!(RandomForest::fit(&data, &zero_trees, 0).is_err());
-        let bad_fraction = RandomForestConfig {
-            bootstrap_fraction: 0.0,
-            ..RandomForestConfig::default()
-        };
-        assert!(RandomForest::fit(&data, &bad_fraction, 0).is_err());
-        let bad_fraction = RandomForestConfig {
-            bootstrap_fraction: 1.5,
-            ..RandomForestConfig::default()
-        };
-        assert!(RandomForest::fit(&data, &bad_fraction, 0).is_err());
-    }
-
-    #[test]
-    fn batch_prediction_matches_single_prediction() {
-        let data = blob_dataset(20, 3.0);
-        let forest = RandomForest::fit(&data, &RandomForestConfig::default(), 5).unwrap();
-        let batch = forest.predict_batch(data.features());
-        for (row, batch_pred) in data.features().iter().zip(batch.iter()) {
-            assert_eq!(forest.predict(row), *batch_pred);
-        }
-        let probas = forest.predict_proba_batch(data.features());
-        assert_eq!(probas.len(), data.len());
-        assert!(probas.iter().all(|p| (0.0..=1.0).contains(p)));
-    }
-
-    #[test]
-    fn forest_outperforms_single_stump_on_noisy_data() {
-        let data = blob_dataset(80, 1.2);
-        let stump_cfg = RandomForestConfig {
-            n_trees: 1,
-            max_depth: 1,
-            ..RandomForestConfig::default()
-        };
-        let forest_cfg = RandomForestConfig {
-            n_trees: 60,
-            max_depth: 8,
-            ..RandomForestConfig::default()
-        };
-        let accuracy = |f: &RandomForest| {
-            data.features()
-                .iter()
-                .zip(data.labels())
-                .filter(|(row, &label)| f.predict(row) == label)
-                .count() as f64
-                / data.len() as f64
-        };
-        let stump = RandomForest::fit(&data, &stump_cfg, 1).unwrap();
-        let forest = RandomForest::fit(&data, &forest_cfg, 1).unwrap();
-        assert!(accuracy(&forest) >= accuracy(&stump));
-    }
-
-    #[test]
-    fn smaller_bootstrap_fraction_still_trains() {
-        let data = blob_dataset(40, 2.5);
-        let cfg = RandomForestConfig {
-            n_trees: 15,
-            bootstrap_fraction: 0.5,
-            ..RandomForestConfig::default()
-        };
-        let forest = RandomForest::fit(&data, &cfg, 2).unwrap();
-        assert_eq!(forest.num_trees(), 15);
-        assert!(forest.predict(&[2.5, 2.5, 0.2]));
     }
 }

@@ -37,7 +37,10 @@
 //! trainer grown through **any** schedule of appends emits a [`FlatForest`]
 //! identical — node for node, hence prediction-equivalent on any matrix — to
 //! a fresh trainer fitted once on the final dataset with the same seed (a
-//! property-tested invariant; see `crates/ml/tests/properties.rs`).
+//! property-tested invariant; see `crates/ml/tests/properties.rs`). The
+//! crate's tests also refit that final state with a boxed CART oracle that
+//! follows the pool rules above and sorts every node afresh, and assert the
+//! two forests equal node for node.
 //!
 //! # Example
 //!
@@ -70,10 +73,9 @@ use crate::error::MlError;
 use crate::flat::FlatForest;
 use crate::forest::RandomForestConfig;
 use crate::training::{
-    fit_tree_jobs, resolve_tree_config, stitch_forest, tree_stream_seed, NodeArena, TrainingSet,
-    TreeJob,
+    fit_tree_jobs, resolve_tree_config, stitch_forest, tree_stream_seed, DecisionTreeConfig,
+    NodeArena, TrainingSet, TreeJob,
 };
-use crate::tree::DecisionTreeConfig;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -81,7 +83,7 @@ use rand_chacha::ChaCha8Rng;
 /// Configuration of an [`IncrementalTrainer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IncrementalTrainerConfig {
-    /// Hyper-parameters shared with the batch forest engines.
+    /// Forest hyper-parameters.
     pub forest: RandomForestConfig,
     /// Samples per ownership block (at most 65 536, the pool cap). Smaller
     /// blocks spread fresh data over more trees and reach tree
@@ -417,7 +419,7 @@ fn fingerprint(t: usize, n: usize, n_trees: usize, block: usize) -> (usize, usiz
 
 /// The per-tree bootstrap-draw stream seed, decoupled from the tree's
 /// feature-subsampling stream so the two never correlate.
-fn draw_stream_seed(seed: u64, t: usize) -> u64 {
+pub(crate) fn draw_stream_seed(seed: u64, t: usize) -> u64 {
     tree_stream_seed(seed, t) ^ 0x5851_F42D_4C95_7F2D
 }
 

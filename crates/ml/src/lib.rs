@@ -4,46 +4,47 @@
 //! reproduction.
 //!
 //! The paper's real-time detector is a random forest (following Sopic et al.,
-//! e-Glass, ISCAS 2018), and its related work compares against unsupervised
+//! e-Glass, ISCAS 2018) that the wearable retrains after each confirmed
+//! missed seizure, and its related work compares against unsupervised
 //! k-means / k-medoids detection (Smart & Chen, CIBCB 2015). Everything needed
 //! for those experiments is implemented here from scratch:
 //!
-//! * [`tree`] — CART-style decision trees with Gini impurity,
-//! * [`forest`] — bagged random forests with per-split feature subsampling,
-//! * [`training`] — the parallel, scratch-backed training engine:
+//! * [`incremental`] — the forest's one trainer: appends merge into the
+//!   presorted runs and only the trees whose bootstrap pools were touched
+//!   are refitted,
+//! * [`training`] — the parallel, scratch-backed tree growth it runs on:
 //!   feature-major columns with one presorted u16 id run per feature,
-//!   arena-built trees, bit-identical to the boxed path,
-//! * [`incremental`] — the stateful retraining engine for growing training
-//!   sets: appends merge into the presorted runs and only the trees whose
-//!   bootstrap pools were touched are refitted,
+//!   arena-built trees,
+//! * [`flat`] — the struct-of-arrays forest the trainer emits and the
+//!   detector predicts with,
+//! * [`forest`] — the forest hyper-parameters,
 //! * [`kmeans`] / [`kmedoids`] — unsupervised clustering baselines,
 //! * [`persist`] — versioned binary snapshots of forests, training sets and
 //!   incremental trainers, so a wearable resumes its personalized pool
 //!   across power cycles,
 //! * [`metrics`] — confusion matrices, sensitivity, specificity and the
 //!   geometric mean used by the paper's Fig. 4,
-//! * [`dataset`] — the labeled design-matrix container shared by all of them.
+//! * [`dataset`] — a labeled design-matrix container of row vectors.
 //!
 //! # Example
 //!
 //! ```
-//! use seizure_ml::dataset::Dataset;
-//! use seizure_ml::forest::{RandomForest, RandomForestConfig};
+//! use seizure_ml::incremental::{IncrementalTrainer, IncrementalTrainerConfig};
 //! use seizure_ml::metrics::ConfusionMatrix;
 //!
 //! # fn main() -> Result<(), seizure_ml::MlError> {
-//! // A trivially separable dataset.
+//! // A trivially separable dataset, flat row-major.
 //! let mut rows = Vec::new();
 //! let mut labels = Vec::new();
 //! for i in 0..40 {
 //!     let x = i as f64 / 10.0;
-//!     rows.push(vec![x, (i % 5) as f64]);
+//!     rows.extend([x, (i % 5) as f64]);
 //!     labels.push(x > 2.0);
 //! }
-//! let data = Dataset::new(rows, labels)?;
-//! let forest = RandomForest::fit(&data, &RandomForestConfig::default(), 7)?;
-//! let predictions = forest.predict_batch(data.features());
-//! let cm = ConfusionMatrix::from_predictions(&predictions, data.labels())?;
+//! let mut trainer = IncrementalTrainer::new(IncrementalTrainerConfig::default(), 7);
+//! let forest = trainer.retrain(&rows, 2, &labels)?;
+//! let predictions = forest.predict_batch(&rows, 2)?;
+//! let cm = ConfusionMatrix::from_predictions(&predictions, &labels)?;
 //! assert!(cm.accuracy() > 0.9);
 //! # Ok(())
 //! # }
@@ -60,16 +61,16 @@ pub mod incremental;
 pub mod kmeans;
 pub mod kmedoids;
 pub mod metrics;
+#[cfg(test)]
+mod oracle;
 pub mod persist;
 pub mod training;
-pub mod tree;
 
 pub use dataset::Dataset;
 pub use error::MlError;
 pub use flat::FlatForest;
-pub use forest::{RandomForest, RandomForestConfig};
+pub use forest::RandomForestConfig;
 pub use incremental::{IncrementalTrainer, IncrementalTrainerConfig};
 pub use metrics::ConfusionMatrix;
 pub use persist::PersistError;
-pub use training::{train_forest, TrainingSet};
-pub use tree::{DecisionTree, DecisionTreeConfig};
+pub use training::TrainingSet;

@@ -3,12 +3,11 @@
 //! The paper's wearable personalizes its forest over days of wear, but until
 //! this module the [`IncrementalTrainer`]'s sample pool lived only in process
 //! memory — one power cycle and the accumulated personalization was gone.
-//! This module is a self-contained little-endian codec (the workspace's
-//! vendored `serde` is a non-deriving stub, so nothing here depends on it)
-//! that snapshots and restores the full [`IncrementalTrainer`] state, so a
-//! device can power down mid-lifetime and resume retraining exactly where it
-//! left off. `seizure-core` nests that trainer snapshot inside its detector
-//! and pipeline snapshots.
+//! This module is a self-contained little-endian codec that snapshots and
+//! restores the full [`IncrementalTrainer`] state, so a device can power
+//! down mid-lifetime and resume retraining exactly where it left off.
+//! `seizure-core` nests that trainer snapshot inside its detector and
+//! pipeline snapshots.
 //!
 //! Full snapshots are O(pool) to write; the [`journal`] submodule layers an
 //! append-only delta journal of `retrain` batches on top, so the per-seizure

@@ -1,16 +1,13 @@
 //! Parallel, scratch-backed random-forest training engine.
 //!
-//! [`RandomForest::fit`](crate::forest::RandomForest::fit) re-sorts the
-//! node's samples for every candidate feature of every split and allocates a
-//! boxed node per tree position, which makes retraining the dominant cost of
-//! the paper's self-learning loop. This module is the training twin of
-//! [`FlatForest`]: a [`TrainingSet`] stores the design matrix in
-//! **feature-major columns** next to **one presorted run of u16 sample ids
-//! per feature**; tree growth then runs on a reusable split scratch whose
-//! per-feature index segments are kept sorted by stable partitioning at each
-//! split (no per-node sorting), and nodes are appended to a node arena in DFS
-//! preorder (no per-node boxing). Trees are fitted in parallel over the
-//! `seizure-parallel` scoped threads.
+//! This module grows the trees [`IncrementalTrainer`] fits, straight into
+//! the [`FlatForest`] layout the detector runs. A [`TrainingSet`] stores the
+//! design matrix in **feature-major columns** next to **one presorted run of
+//! u16 sample ids per feature**; tree growth then runs on a reusable split
+//! scratch whose per-feature index segments are kept sorted by stable
+//! partitioning at each split (no per-node sorting), and nodes are appended
+//! to a node arena in DFS preorder (no per-node boxing). Trees are fitted in
+//! parallel over the `seizure-parallel` scoped threads.
 //!
 //! The layout is sized to the wearable, whose Flash cannot persist even a
 //! few hundred windows next to its signal buffer:
@@ -24,25 +21,17 @@
 //!   and the seed of its feature-subsampling stream: the tree expands every
 //!   feature's run by its draw counts, O(pool) per feature.
 //!
-//! The engine is **bit-identical** to the boxed path: bootstrap draws come
-//! from the same shared RNG stream consumed in tree order, each tree's
-//! feature subsampling replays the same per-tree ChaCha8 stream, and the
-//! split scan applies the same floating-point operations in the same order as
-//! [`DecisionTree::fit_with_indices`](crate::tree::DecisionTree::fit_with_indices),
-//! so [`train_forest`] equals `FlatForest::from_forest(&RandomForest::fit(..))`
-//! node for node (a property-tested invariant).
-//!
-//! For retraining that reuses trees across pool growth instead of refitting
-//! the whole ensemble, see
-//! [`crate::incremental::IncrementalTrainer`], which is built on the same
-//! scratch machinery.
+//! Each tree's feature subsampling replays a private ChaCha8 stream, and the
+//! split scan is plain CART: Gini gain at every boundary between distinct
+//! values, the first strictly best gain wins, and the threshold is the
+//! midpoint of the two values. The crate's tests hold a boxed CART oracle
+//! that sorts every node's samples afresh, and assert on finite values that
+//! [`IncrementalTrainer::retrain`] equals it node for node.
 
 use crate::error::MlError;
 use crate::flat::{FlatForest, LEAF};
 use crate::forest::RandomForestConfig;
-use crate::tree::{gini, DecisionTreeConfig};
 use rand::seq::SliceRandom;
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -57,16 +46,16 @@ pub use crate::incremental::{IncrementalTrainer, IncrementalTrainerConfig};
 /// # Example
 ///
 /// ```
-/// use seizure_ml::{RandomForestConfig, TrainingSet};
+/// use seizure_ml::TrainingSet;
 ///
 /// # fn main() -> Result<(), seizure_ml::MlError> {
-/// // Four samples of two features, row-major.
+/// // Four samples of two features, row-major, then one more.
 /// let rows = [0.0, 1.0, 0.2, 0.8, 0.9, 0.1, 1.0, 0.0];
-/// let set = TrainingSet::from_rows(&rows, 2, &[false, false, true, true])?;
-/// let config = RandomForestConfig { n_trees: 5, ..RandomForestConfig::default() };
-/// let forest = seizure_ml::train_forest(&set, &config, 1)?;
-/// assert_eq!(forest.num_trees(), 5);
-/// assert!(forest.predict(&[0.95, 0.05]));
+/// let mut set = TrainingSet::from_rows(&rows, 2, &[false, false, true, true])?;
+/// set.append_rows(&[0.5, 0.5], &[true])?;
+/// assert_eq!(set.len(), 5);
+/// // One u16 id per sample per feature.
+/// assert_eq!(set.order_bytes(), 5 * 2 * 2);
 /// # Ok(())
 /// # }
 /// ```
@@ -387,16 +376,31 @@ impl NodeArena {
     }
 }
 
-/// The per-tree seed feeding each tree's private feature-subsampling stream
-/// (the same mixing the boxed forest applies).
+/// Per-tree growth limits, resolved from a [`RandomForestConfig`] by
+/// [`resolve_tree_config`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct DecisionTreeConfig {
+    /// Maximum tree depth (the root is depth 0).
+    pub(crate) max_depth: usize,
+    /// Minimum number of samples required to attempt a split.
+    pub(crate) min_samples_split: usize,
+    /// Number of features considered at each split.
+    pub(crate) max_features: usize,
+}
+
+/// Gini impurity of a binary class mixture with positive fraction `p`.
+pub(crate) fn gini(p: f64) -> f64 {
+    2.0 * p * (1.0 - p)
+}
+
+/// The per-tree seed feeding each tree's private feature-subsampling stream.
 pub(crate) fn tree_stream_seed(seed: u64, t: usize) -> u64 {
     seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(t as u64)
 }
 
 /// Validates the forest hyper-parameters against `set` and resolves them
-/// into the per-tree configuration (shared by [`train_forest`] and the
-/// incremental trainer).
+/// into the per-tree configuration.
 pub(crate) fn resolve_tree_config(
     set: &TrainingSet,
     config: &RandomForestConfig,
@@ -434,7 +438,7 @@ pub(crate) fn resolve_tree_config(
     Ok(DecisionTreeConfig {
         max_depth: config.max_depth,
         min_samples_split: config.min_samples_split,
-        max_features: Some(max_features),
+        max_features,
     })
 }
 
@@ -462,8 +466,7 @@ pub(crate) fn fit_tree_jobs(
 }
 
 /// Stitches per-tree arenas into one flat forest, offsetting split children
-/// by each tree's base index (leaves keep the 0/0 children the boxed
-/// compiler leaves behind, preserving exact equality).
+/// by each tree's base index (leaves keep 0/0 children).
 pub(crate) fn stitch_forest(num_features: usize, trees: &[&NodeArena]) -> FlatForest {
     let total: usize = trees.iter().map(|t| t.len()).sum();
     assert!(
@@ -497,53 +500,6 @@ pub(crate) fn stitch_forest(num_features: usize, trees: &[&NodeArena]) -> FlatFo
         right,
         leaf_prob,
     )
-}
-
-/// Fits a random forest on a prepared [`TrainingSet`], producing the flat
-/// compiled representation directly. Trees are fitted in parallel (one
-/// deterministic RNG stream per tree), and the result is bit-identical to
-/// `FlatForest::from_forest(&RandomForest::fit(..))` with the same
-/// configuration and seed.
-///
-/// The bit-identity contract holds for feature matrices without NaN values
-/// (every real feature path). With NaNs, both split finders are panic-free
-/// and deterministic (`f64::total_cmp` total order), but the presorted runs
-/// here and the boxed path's per-node sorts may order bit-identical NaNs
-/// differently within a tie group and then choose different (degenerate)
-/// splits.
-///
-/// # Errors
-///
-/// Returns [`MlError::InvalidParameter`] under the same conditions as
-/// [`RandomForest::fit`](crate::forest::RandomForest::fit): zero `n_trees`,
-/// a bootstrap fraction outside `(0, 1]`, zero `max_depth` or an
-/// out-of-range `max_features`.
-pub fn train_forest(
-    set: &TrainingSet,
-    config: &RandomForestConfig,
-    seed: u64,
-) -> Result<FlatForest, MlError> {
-    let tree_config = resolve_tree_config(set, config)?;
-
-    // Bootstrap draws replay the boxed path's shared RNG stream: all trees'
-    // indices are drawn sequentially up front so the fan-out cannot perturb
-    // the sequence.
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let sample_count = ((set.len() as f64 * config.bootstrap_fraction).round() as usize).max(1);
-    let draws: Vec<u16> = (0..config.n_trees * sample_count)
-        .map(|_| rng.gen_range(0..set.len()) as u16)
-        .collect();
-    let jobs: Vec<TreeJob<'_>> = draws
-        .chunks_exact(sample_count)
-        .enumerate()
-        .map(|(t, draws)| TreeJob {
-            draws,
-            seed: tree_stream_seed(seed, t),
-        })
-        .collect();
-    let trees = fit_tree_jobs(set, &tree_config, &jobs)?;
-    let refs: Vec<&NodeArena> = trees.iter().collect();
-    Ok(stitch_forest(set.num_features(), &refs))
 }
 
 /// Grows one tree on the scratch and returns its arena: expands the
@@ -591,7 +547,7 @@ struct NodeSpan {
 
 /// Recursively grows the node covering `span` (the same `[lo, hi)` range
 /// across every feature's sorted segment), appending to `arena` in DFS
-/// preorder exactly like the boxed builder recursion.
+/// preorder.
 fn build_node(
     set: &TrainingSet,
     scratch: &mut SplitScratch,
@@ -612,10 +568,8 @@ fn build_node(
     let num_features = set.num_features();
     scratch.features.clear();
     scratch.features.extend(0..num_features);
-    if let Some(k) = config.max_features {
-        scratch.features.shuffle(rng);
-        scratch.features.truncate(k);
-    }
+    scratch.features.shuffle(rng);
+    scratch.features.truncate(config.max_features);
 
     let parent_impurity = gini(p);
     let total_pos = pos;
@@ -656,9 +610,8 @@ fn build_node(
     };
 
     // Evaluate the split predicate once per element into the side table,
-    // counting the left side's size and positives; the boxed builder
-    // re-checks emptiness on the partitioned sets because midpoint rounding
-    // can push every element to one side.
+    // counting the left side's size and positives. Midpoint rounding can
+    // push every element to one side; such a node becomes a leaf.
     let mut left_n = 0usize;
     let mut left_pos = 0usize;
     {
@@ -736,32 +689,7 @@ fn build_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Dataset;
-    use crate::forest::RandomForest;
-
-    /// The training set of a row-vector [`Dataset`].
-    fn training_set(data: &Dataset) -> TrainingSet {
-        let rows: Vec<f64> = data.features().iter().flatten().copied().collect();
-        TrainingSet::from_rows(&rows, data.num_features(), data.labels()).unwrap()
-    }
-
-    fn blob_dataset(n_per_class: usize, separation: f64) -> Dataset {
-        let mut rows = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..n_per_class {
-            let jitter1 = ((i * 37 + 13) % 101) as f64 / 101.0 - 0.5;
-            let jitter2 = ((i * 53 + 29) % 97) as f64 / 97.0 - 0.5;
-            rows.push(vec![jitter1, jitter2, ((i % 7) as f64) / 7.0]);
-            labels.push(false);
-            rows.push(vec![
-                separation + jitter2,
-                separation + jitter1,
-                ((i % 5) as f64) / 5.0,
-            ]);
-            labels.push(true);
-        }
-        Dataset::new(rows, labels).unwrap()
-    }
+    use crate::oracle::{blob_rows, fit};
 
     #[test]
     fn training_set_validation() {
@@ -816,44 +744,16 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_boxed_forest_exactly() {
-        let data = blob_dataset(40, 1.5);
-        let config = RandomForestConfig {
-            n_trees: 13,
-            max_depth: 7,
-            ..RandomForestConfig::default()
-        };
-        for seed in [0, 1, 7, 42] {
-            let boxed = RandomForest::fit(&data, &config, seed).unwrap();
-            let reference = FlatForest::from_forest(&boxed);
-            let set = training_set(&data);
-            let engine = train_forest(&set, &config, seed).unwrap();
-            assert_eq!(engine, reference, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn engine_handles_duplicate_feature_values() {
-        // Constant column plus a discrete column with heavy ties.
-        let rows: Vec<Vec<f64>> = (0..30)
-            .map(|i| vec![1.0, (i % 3) as f64, (i % 5) as f64])
-            .collect();
-        let labels: Vec<bool> = (0..30).map(|i| i % 3 == 0).collect();
-        let data = Dataset::new(rows, labels).unwrap();
-        let config = RandomForestConfig {
-            n_trees: 9,
-            max_depth: 5,
-            ..RandomForestConfig::default()
-        };
-        let reference = FlatForest::from_forest(&RandomForest::fit(&data, &config, 3).unwrap());
-        let set = training_set(&data);
-        assert_eq!(train_forest(&set, &config, 3).unwrap(), reference);
-    }
-
-    #[test]
     fn engine_rejects_invalid_parameters() {
-        let set = TrainingSet::from_rows(&[1.0, 2.0], 1, &[true, false]).unwrap();
-        let bad = |config: RandomForestConfig| train_forest(&set, &config, 0).is_err();
+        let bad = |forest: RandomForestConfig| {
+            let config = IncrementalTrainerConfig {
+                forest,
+                ..IncrementalTrainerConfig::default()
+            };
+            IncrementalTrainer::new(config, 0)
+                .retrain(&[1.0, 2.0], 1, &[true, false])
+                .is_err()
+        };
         assert!(bad(RandomForestConfig {
             n_trees: 0,
             ..RandomForestConfig::default()
@@ -882,12 +782,11 @@ mod tests {
 
     #[test]
     fn pure_training_set_yields_single_leaves() {
-        let set = TrainingSet::from_rows(&[1.0, 2.0, 3.0], 1, &[true, true, true]).unwrap();
         let config = RandomForestConfig {
             n_trees: 4,
             ..RandomForestConfig::default()
         };
-        let forest = train_forest(&set, &config, 0).unwrap();
+        let forest = fit(&[1.0, 2.0, 3.0], 1, &[true, true, true], config, 0);
         assert_eq!(forest.num_nodes(), 4);
         assert_eq!(forest.predict_proba(&[9.0]), 1.0);
     }
@@ -900,15 +799,135 @@ mod tests {
             .flat_map(|i| [if i % 4 == 0 { f64::NAN } else { 0.5 }, i as f64])
             .collect();
         let labels: Vec<bool> = (0..40).map(|i| i >= 20).collect();
-        let set = TrainingSet::from_rows(&rows, 2, &labels).unwrap();
         let config = RandomForestConfig {
             n_trees: 5,
             max_depth: 4,
             max_features: Some(2),
             ..RandomForestConfig::default()
         };
-        let forest = train_forest(&set, &config, 1).unwrap();
+        let forest = fit(&rows, 2, &labels, config, 1);
         assert!(forest.predict(&[0.5, 39.0]));
         assert!(!forest.predict(&[0.5, 0.0]));
+    }
+
+    /// The fraction of `rows` whose majority vote matches its label.
+    fn accuracy(forest: &FlatForest, rows: &[f64], labels: &[bool]) -> f64 {
+        let nf = forest.num_features();
+        let correct = rows
+            .chunks_exact(nf)
+            .zip(labels)
+            .filter(|(row, &label)| forest.predict(row) == label)
+            .count();
+        correct as f64 / labels.len() as f64
+    }
+
+    /// An AND pattern (positive only when both features are high): a
+    /// greedy tree needs depth 2 to learn it.
+    fn and_rows() -> (Vec<f64>, Vec<bool>) {
+        let mut rows = Vec::new();
+        let mut labels = Vec::new();
+        for i in 0..10 {
+            let jitter = i as f64 * 0.01;
+            for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
+                let level = |high: bool| if high { 1.0 - jitter } else { jitter };
+                rows.extend([level(a), level(b)]);
+                labels.push(a && b);
+            }
+        }
+        (rows, labels)
+    }
+
+    #[test]
+    fn fits_linearly_separable_data_perfectly() {
+        let rows: Vec<f64> = (0..20).map(f64::from).collect();
+        let labels: Vec<bool> = (0..20).map(|i| i >= 10).collect();
+        let config = RandomForestConfig {
+            n_trees: 25,
+            ..RandomForestConfig::default()
+        };
+        let forest = fit(&rows, 1, &labels, config, 0);
+        // Every bootstrap holds both classes, so every tree is one split.
+        assert_eq!(forest.num_nodes(), 3 * 25);
+        assert_eq!(accuracy(&forest, &rows, &labels), 1.0);
+    }
+
+    #[test]
+    fn separable_blobs_are_classified_accurately() {
+        let (rows, labels) = blob_rows(60, 3.0);
+        let forest = fit(&rows, 3, &labels, RandomForestConfig::default(), 3);
+        assert!(accuracy(&forest, &rows, &labels) > 0.97);
+        assert_eq!(forest.num_trees(), 50);
+        assert_eq!(forest.num_features(), 3);
+    }
+
+    #[test]
+    fn probabilities_are_extreme_far_from_the_boundary() {
+        let (rows, labels) = blob_rows(60, 4.0);
+        let forest = fit(&rows, 3, &labels, RandomForestConfig::default(), 3);
+        assert!(forest.predict_proba(&[4.0, 4.0, 0.5]) > 0.9);
+        assert!(forest.predict_proba(&[0.0, 0.0, 0.5]) < 0.1);
+    }
+
+    #[test]
+    fn fit_is_deterministic_in_seed() {
+        let (rows, labels) = blob_rows(30, 2.0);
+        let config = RandomForestConfig {
+            n_trees: 11,
+            ..RandomForestConfig::default()
+        };
+        let a = fit(&rows, 3, &labels, config, 9);
+        assert_eq!(a, fit(&rows, 3, &labels, config, 9));
+        assert_ne!(a, fit(&rows, 3, &labels, config, 10));
+    }
+
+    #[test]
+    fn learns_and_pattern_with_sufficient_depth() {
+        let (rows, labels) = and_rows();
+        let forest = fit(&rows, 2, &labels, RandomForestConfig::default(), 0);
+        assert_eq!(accuracy(&forest, &rows, &labels), 1.0);
+    }
+
+    #[test]
+    fn max_depth_one_cannot_learn_and_pattern() {
+        let (rows, labels) = and_rows();
+        let config = RandomForestConfig {
+            n_trees: 1,
+            max_depth: 1,
+            ..RandomForestConfig::default()
+        };
+        let stump = fit(&rows, 2, &labels, config, 0);
+        assert!(stump.num_nodes() <= 3);
+        assert!(accuracy(&stump, &rows, &labels) < 1.0);
+    }
+
+    #[test]
+    fn forest_outperforms_single_stump_on_noisy_data() {
+        let (rows, labels) = blob_rows(80, 1.2);
+        let stump = RandomForestConfig {
+            n_trees: 1,
+            max_depth: 1,
+            ..RandomForestConfig::default()
+        };
+        let forest = RandomForestConfig {
+            n_trees: 60,
+            max_depth: 8,
+            ..RandomForestConfig::default()
+        };
+        let stump = fit(&rows, 3, &labels, stump, 1);
+        let forest = fit(&rows, 3, &labels, forest, 1);
+        assert!(accuracy(&forest, &rows, &labels) >= accuracy(&stump, &rows, &labels));
+    }
+
+    #[test]
+    fn smaller_bootstrap_fraction_still_trains() {
+        let (rows, labels) = blob_rows(40, 2.5);
+        let config = RandomForestConfig {
+            n_trees: 15,
+            bootstrap_fraction: 0.5,
+            ..RandomForestConfig::default()
+        };
+        let forest = fit(&rows, 3, &labels, config, 2);
+        assert_eq!(forest.num_trees(), 15);
+        assert!(forest.predict(&[2.5, 2.5, 0.2]));
     }
 }

@@ -1,9 +1,8 @@
 //! Property-based tests for the machine-learning substrate.
 
 use proptest::prelude::*;
-use seizure_ml::dataset::Dataset;
 use seizure_ml::flat::FlatForest;
-use seizure_ml::forest::{RandomForest, RandomForestConfig};
+use seizure_ml::forest::RandomForestConfig;
 use seizure_ml::incremental::{IncrementalTrainer, IncrementalTrainerConfig};
 use seizure_ml::kmeans::{KMeans, KMeansConfig};
 use seizure_ml::metrics::{geometric_mean, ConfusionMatrix};
@@ -12,13 +11,24 @@ use seizure_ml::persist::{
     trainer_from_bytes, trainer_to_bytes, write_forest_config, PersistError, SnapshotKind,
     SnapshotWriter,
 };
-use seizure_ml::training::{train_forest, TrainingSet};
-use seizure_ml::tree::{DecisionTree, DecisionTreeConfig};
+use seizure_ml::training::TrainingSet;
 use seizure_ml::MlError;
 
 fn labeled_points(n: std::ops::Range<usize>) -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<bool>)> {
     prop::collection::vec((prop::collection::vec(-50.0f64..50.0, 3), any::<bool>()), n)
         .prop_map(|rows| rows.into_iter().unzip())
+}
+
+/// Fits `forest` on row vectors in one retrain of a fresh trainer.
+fn fit_rows(rows: &[Vec<f64>], labels: &[bool], forest: RandomForestConfig) -> FlatForest {
+    let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+    let config = IncrementalTrainerConfig {
+        forest,
+        ..IncrementalTrainerConfig::default()
+    };
+    IncrementalTrainer::new(config, 3)
+        .retrain(&flat, rows[0].len(), labels)
+        .unwrap()
 }
 
 /// Caps every single-class run of `labels` at `max_run` samples by flipping
@@ -47,8 +57,9 @@ proptest! {
 
     #[test]
     fn tree_probabilities_are_probabilities((rows, labels) in labeled_points(4..60)) {
-        let data = Dataset::new(rows.clone(), labels).unwrap();
-        let tree = DecisionTree::fit(&data, &DecisionTreeConfig::default(), 0).unwrap();
+        // A one-tree forest votes with its tree's leaf probability.
+        let config = RandomForestConfig { n_trees: 1, max_depth: 12, ..Default::default() };
+        let tree = fit_rows(&rows, &labels, config);
         for row in &rows {
             let p = tree.predict_proba(row);
             prop_assert!((0.0..=1.0).contains(&p));
@@ -58,84 +69,12 @@ proptest! {
 
     #[test]
     fn forest_probability_is_mean_of_votes((rows, labels) in labeled_points(6..40)) {
-        let data = Dataset::new(rows.clone(), labels).unwrap();
         let config = RandomForestConfig { n_trees: 7, max_depth: 5, ..Default::default() };
-        let forest = RandomForest::fit(&data, &config, 3).unwrap();
+        let forest = fit_rows(&rows, &labels, config);
         for row in rows.iter().take(10) {
             let p = forest.predict_proba(row);
             prop_assert!((0.0..=1.0).contains(&p));
         }
-    }
-
-    #[test]
-    fn flat_forest_is_bit_identical_to_boxed_forest((rows, labels) in labeled_points(6..50), seed in 0u64..50) {
-        let data = Dataset::new(rows.clone(), labels).unwrap();
-        let config = RandomForestConfig { n_trees: 9, max_depth: 6, ..Default::default() };
-        let forest = RandomForest::fit(&data, &config, seed).unwrap();
-        let flat = FlatForest::from_forest(&forest);
-        prop_assert_eq!(flat.num_trees(), forest.num_trees());
-
-        let matrix: Vec<f64> = rows.iter().flatten().copied().collect();
-        let probas = flat.predict_proba_batch(&matrix, 3).unwrap();
-        let classes = flat.predict_batch(&matrix, 3).unwrap();
-        for ((row, p), c) in rows.iter().zip(&probas).zip(&classes) {
-            // Bit-identical probabilities: same traversals, same accumulation
-            // order, compared through the raw IEEE-754 representation.
-            prop_assert_eq!(forest.predict_proba(row).to_bits(), p.to_bits());
-            prop_assert_eq!(flat.predict_proba(row).to_bits(), p.to_bits());
-            prop_assert_eq!(forest.predict(row), *c);
-        }
-    }
-
-    #[test]
-    fn parallel_training_engine_is_bit_identical_to_sequential_fit(
-        (rows, labels) in labeled_points(6..50),
-        seed in 0u64..50,
-        n_trees in 1usize..12,
-        bootstrap_thirds in 1usize..4,
-    ) {
-        let data = Dataset::new(rows.clone(), labels.clone()).unwrap();
-        let config = RandomForestConfig {
-            n_trees,
-            max_depth: 6,
-            bootstrap_fraction: bootstrap_thirds as f64 / 3.0,
-            ..Default::default()
-        };
-        // Sequential reference: the boxed per-tree fit compiled to flat form.
-        let reference = FlatForest::from_forest(&RandomForest::fit(&data, &config, seed).unwrap());
-        // Engine: presorted columns, scratch-backed growth, parallel trees.
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let set = TrainingSet::from_rows(&flat, 3, &labels).unwrap();
-        let engine = train_forest(&set, &config, seed).unwrap();
-        prop_assert_eq!(&engine, &reference);
-        for row in rows.iter().take(8) {
-            prop_assert_eq!(
-                engine.predict_proba(row).to_bits(),
-                reference.predict_proba(row).to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn presorted_split_finder_matches_seed_split_finder(
-        (rows, labels) in labeled_points(8..60),
-        seed in 0u64..30,
-    ) {
-        // A single tree over all features isolates the split finder: every
-        // chosen (feature, threshold) pair of the presorted-column scan must
-        // equal the boxed finder's per-node sort-and-scan choice.
-        let data = Dataset::new(rows.clone(), labels.clone()).unwrap();
-        let config = RandomForestConfig {
-            n_trees: 1,
-            max_depth: 5,
-            max_features: Some(3),
-            ..Default::default()
-        };
-        let reference = FlatForest::from_forest(&RandomForest::fit(&data, &config, seed).unwrap());
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let set = TrainingSet::from_rows(&flat, 3, &labels).unwrap();
-        let engine = train_forest(&set, &config, seed).unwrap();
-        prop_assert_eq!(engine, reference);
     }
 
     #[test]
@@ -407,7 +346,6 @@ fn pools_are_capped_at_the_u16_id_space() {
 
     let mut full = TrainingSet::from_rows(&rows[..cap * 2], 2, &labels[..cap]).unwrap();
     assert_eq!(full.len(), cap);
-    assert_eq!(train_forest(&full, &config, 3).unwrap().num_trees(), 2);
     let is_cap_error = |e: MlError| matches!(e, MlError::InvalidDataset { .. });
     assert!(is_cap_error(
         TrainingSet::from_rows(&rows, 2, &labels).unwrap_err()
@@ -430,9 +368,10 @@ fn pools_are_capped_at_the_u16_id_space() {
     trainer
         .retrain(&rows[..cut * 2], 2, &labels[..cut])
         .unwrap();
-    trainer
+    let forest = trainer
         .retrain(&rows[cut * 2..cap * 2], 2, &labels[cut..cap])
         .unwrap();
+    assert_eq!(forest.num_trees(), 2);
     assert_eq!(trainer.num_samples(), cap);
     let before = trainer.clone();
     assert!(is_cap_error(

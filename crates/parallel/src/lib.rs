@@ -9,23 +9,33 @@
 //! exactly the shape the feature extractor and the flat forest need — disjoint
 //! output rows, shared read-only input — so a full work-stealing pool would
 //! buy nothing on these regular workloads.
+//!
+//! The worker count is the machine's available parallelism unless the
+//! `SEIZURE_NUM_THREADS` environment variable pins it. The variable is read
+//! once, on the first fan-out, and the value holds for the rest of the
+//! process.
 
 #![forbid(unsafe_code)]
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Number of worker threads to fan out across: the machine's available
 /// parallelism, overridable (and capped to 1) with the
-/// `SEIZURE_NUM_THREADS` environment variable.
+/// `SEIZURE_NUM_THREADS` environment variable. Read on first use and cached
+/// for the life of the process, so a fan-out never touches the environment.
 pub fn num_threads() -> usize {
-    if let Ok(value) = std::env::var("SEIZURE_NUM_THREADS") {
-        if let Ok(n) = value.trim().parse::<usize>() {
-            return n.max(1);
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        if let Ok(value) = std::env::var("SEIZURE_NUM_THREADS") {
+            if let Ok(n) = value.trim().parse::<usize>() {
+                return n.max(1);
+            }
         }
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Minimum number of rows per worker below which threading overhead is not

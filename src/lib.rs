@@ -8,13 +8,13 @@
 //! downstream users (and the examples and integration tests in this
 //! repository) need a single dependency:
 //!
-//! * [`dsp`] — FFT, power spectra, Daubechies wavelets, filters
-//!   ([`seizure_dsp`]),
+//! * [`dsp`] — FFT, power spectra, Daubechies wavelets and the
+//!   statistics the features use ([`seizure_dsp`]),
 //! * [`features`] — EEG feature extraction and selection
 //!   ([`seizure_features`]),
 //! * [`data`] — the synthetic CHB-MIT-like cohort ([`seizure_data`]),
-//! * [`ml`] — random forests, clustering baselines and metrics
-//!   ([`seizure_ml`]),
+//! * [`ml`] — the incrementally retrained random forest, its Flash
+//!   persistence, clustering baselines and metrics ([`seizure_ml`]),
 //! * [`core`] — Algorithm 1, the δ metric and the self-learning pipeline
 //!   ([`seizure_core`]),
 //! * [`edge`] — the wearable-platform energy/memory/timing models
