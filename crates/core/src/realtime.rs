@@ -13,7 +13,7 @@ use seizure_data::signal::EegSignal;
 use seizure_features::extractor::{FeatureExtractor, RichFeatureSet, SlidingWindowConfig};
 use seizure_features::matrix::FeatureMatrix;
 use seizure_features::quality::{
-    self, QualityExtractor, QualityScratch, IDX_DISAGREEMENT, IDX_DRIFT_RATIO, IDX_FLAT_RUN_FRAC,
+    self, QualityExtractor, QualityGrader, IDX_DISAGREEMENT, IDX_DRIFT_RATIO, IDX_FLAT_RUN_FRAC,
     IDX_HUM_RATIO, IDX_LOG_STD, IDX_MAX_JUMP_SIGMA, IDX_RAILED_FRAC, NUM_QUALITY_FEATURES,
 };
 use seizure_features::streaming::StreamingRichExtractor;
@@ -153,8 +153,14 @@ impl QualityGate {
 
     /// Severity of one quality row against the constant thresholds:
     /// 2 = beyond a reject threshold, 1 = beyond a hold/suspect threshold,
-    /// 0 = clean. Per-channel indicators trip on their worst channel.
+    /// 0 = clean. Per-channel indicators trip on their worst channel. The
+    /// gate fails closed: any non-finite indicator (overflowed arithmetic
+    /// on samples whose squares exceed `f64`) counts as beyond its reject
+    /// threshold, because a NaN compares false against every threshold.
     fn raw_level(row: &[f64]) -> u8 {
+        if row.iter().any(|v| !v.is_finite()) {
+            return 2;
+        }
         let per_channel = [
             (IDX_RAILED_FRAC, gate_thresholds::RAILED),
             (IDX_FLAT_RUN_FRAC, gate_thresholds::FLAT),
@@ -871,10 +877,13 @@ impl RealTimeDetector {
     /// hop-structured extraction state across the 75 % window overlap
     /// instead of recomputing each window from scratch.
     ///
-    /// The streaming path matches [`RealTimeDetector::detect`] window for
-    /// window on a detector whose quality gate is uncalibrated, up to the
-    /// bounded floating-point error of the streaming extractor (see
-    /// [`seizure_features::streaming`]). One documented behavioural
+    /// The streaming path matches [`RealTimeDetector::detect_into`] window
+    /// for window on a detector whose quality gate is uncalibrated. The
+    /// quality verdicts are equal by construction: both paths grade through
+    /// the same per-hop summaries ([`QualityGrader`]), so the streamed
+    /// quality rows equal the batch rows bit for bit. The alarms match up to
+    /// the bounded floating-point error of the streaming feature extractor
+    /// (see [`seizure_features::streaming`]). One documented behavioural
     /// difference: the record-level slow gain correction (AGC) is a
     /// whole-record robust fit and is **not** applied while streaming, so a
     /// calibrated gate may rescale batch inputs where the streaming path
@@ -894,8 +903,7 @@ impl RealTimeDetector {
         Ok(StreamingDetector {
             detector: self,
             forest,
-            quality: QualityExtractor::new(fs)?,
-            quality_scratch: QualityScratch::default(),
+            grader: QualityGrader::new(&QualityExtractor::new(fs)?, &window)?,
             quality_row: [0.0; NUM_QUALITY_FEATURES],
             extractor,
             row: vec![0.0; num_features],
@@ -926,19 +934,20 @@ pub struct StreamingDetection {
 /// [`RealTimeDetector`] (see [`RealTimeDetector::streaming`]).
 ///
 /// Samples are buffered into hops; each hop advances the carried extraction
-/// state ([`StreamingRichExtractor`]), and once a full window of hops is in
-/// flight every further hop completes one window: quality verdict (with the
-/// same Schmitt-trigger hysteresis as the batch gate), forest classification
-/// of the raw feature row and alarm gating. After the warm-up allocations in
+/// state ([`StreamingRichExtractor`]) and, with the quality gate on, the
+/// quality grader ([`QualityGrader`]), which summarizes the hop once instead
+/// of regrading the whole window. Once a full window of hops is in flight
+/// every further hop completes one window: quality verdict (with the same
+/// Schmitt-trigger hysteresis as the batch gate), forest classification of
+/// the raw feature row and alarm gating. After the warm-up allocations in
 /// [`RealTimeDetector::streaming`], pushing samples performs no heap
-/// allocation.
+/// allocation (`tests/zero_alloc.rs` counts them).
 #[derive(Debug)]
 pub struct StreamingDetector<'a> {
     detector: &'a RealTimeDetector,
     forest: &'a FlatForest,
     extractor: StreamingRichExtractor,
-    quality: QualityExtractor,
-    quality_scratch: QualityScratch,
+    grader: QualityGrader,
     quality_row: [f64; NUM_QUALITY_FEATURES],
     row: Vec<f64>,
     hop_a: Vec<f64>,
@@ -964,12 +973,15 @@ impl StreamingDetector<'_> {
         self.window_index
     }
 
-    /// Bytes of state carried across hops (the extractor's ring buffers and
-    /// carried operator state plus the hop staging buffers); the edge memory
-    /// model prices the extractor part as
-    /// `seizure_edge::memory::streaming_state_bytes`.
+    /// Bytes of state carried across hops: the extractor's ring buffers and
+    /// carried operator state, the quality grader's rings of hop summaries
+    /// and steps, and the hop staging buffers. The edge memory model prices
+    /// all but the staging as
+    /// `seizure_edge::memory::MemoryModel::streaming_state_bytes`.
     pub fn state_bytes(&self) -> usize {
-        self.extractor.state_bytes() + (self.hop_a.len() + self.hop_b.len()) * 8
+        self.extractor.state_bytes()
+            + self.grader.state_bytes()
+            + (self.hop_a.len() + self.hop_b.len()) * 8
     }
 
     /// Forgets all carried signal state (keeping the borrowed model) so the
@@ -977,6 +989,7 @@ impl StreamingDetector<'_> {
     /// reset to `Clean` and window indices restart at zero.
     pub fn reset(&mut self) {
         self.extractor.reset();
+        self.grader.reset();
         self.fill = 0;
         self.prev_verdict = QualityVerdict::Clean;
         self.window_index = 0;
@@ -1002,16 +1015,17 @@ impl StreamingDetector<'_> {
         let completed = self
             .extractor
             .push_hop(&self.hop_a, &self.hop_b, &mut self.row)?;
+        let gated = self.detector.config.quality_gate;
+        if gated {
+            let graded = self
+                .grader
+                .push_hop(&self.hop_a, &self.hop_b, &mut self.quality_row)?;
+            debug_assert_eq!(graded, completed, "both complete windows on the same hop");
+        }
         if !completed {
             return Ok(None);
         }
-        let verdict = if self.detector.config.quality_gate {
-            self.quality.assess_window_into(
-                self.extractor.current_window(0),
-                self.extractor.current_window(1),
-                &mut self.quality_row,
-                &mut self.quality_scratch,
-            )?;
+        let verdict = if gated {
             let verdict = QualityGate::next_verdict(
                 QualityGate::raw_level(&self.quality_row),
                 self.prev_verdict,
@@ -1022,7 +1036,7 @@ impl StreamingDetector<'_> {
             QualityVerdict::Clean
         };
         let mut alarm = self.forest.predict(&self.row);
-        if self.detector.config.quality_gate && verdict == QualityVerdict::Reject {
+        if gated && verdict == QualityVerdict::Reject {
             alarm = false;
         }
         let detection = StreamingDetection {

@@ -64,6 +64,18 @@ const HOP_SUMMARY_F64: usize = 24;
 /// `streaming::HOP_SUMMARY_U32_SLOTS`; pinned by `tests/edge_platform.rs`.
 const HOP_SUMMARY_U32: usize = 1 + 6 + 120;
 
+/// `f64` slots one hop summary of the quality grader carries per channel
+/// (finite extrema, first and last samples, mean, central M2, energy, step
+/// sum and maximum, and a complex Goertzel partial on each of 16 lanes).
+/// Mirrors `seizure-features`' `quality::QUALITY_HOP_F64_SLOTS`; pinned by
+/// `tests/edge_platform.rs`.
+const QUALITY_HOP_F64: usize = 9 + 2 * 16;
+
+/// `u32` slots per quality hop summary (non-finite count, sample counts at
+/// both extrema, flat-run prefix, suffix and longest run). Mirrors
+/// `quality::QUALITY_HOP_U32_SLOTS`; pinned by `tests/edge_platform.rs`.
+const QUALITY_HOP_U32: usize = 6;
+
 /// The rich feature set decomposes with db4 to at most this many levels.
 const STREAM_WAVELET_MAX_LEVELS: usize = 5;
 
@@ -295,17 +307,19 @@ impl MemoryModel {
         Ok(budget)
     }
 
-    /// Bytes of state the streaming feature extractor
-    /// (`seizure-features`' `StreamingRichExtractor`) carries across hops
-    /// for this platform's channel count: per channel, the linearized
-    /// window ring buffer, `window / step` hop summaries
-    /// (`HOP_SUMMARY_F64` `f64` + `HOP_SUMMARY_U32` `u32` slots each),
-    /// and the carried db4 coefficients (approximations on every level,
-    /// details from level `STREAM_MIN_DETAIL_LEVEL` up). The formula
-    /// mirrors the extractor's own `state_bytes()` byte for byte
-    /// (`tests/edge_platform.rs` pins the two against each other); transient
-    /// FFT scratch is excluded on both sides. Returns 0 for geometries the
-    /// streaming extractor rejects (window not a multiple of the step).
+    /// Bytes of state the streaming detector carries across hops for this
+    /// platform's channel count: the streaming feature extractor's
+    /// (`seizure-features`' `StreamingRichExtractor`) plus the quality
+    /// grader's ([`MemoryModel::quality_grader_bytes`]). Per channel, the
+    /// extractor holds the linearized window ring buffer, `window / step`
+    /// hop summaries (`HOP_SUMMARY_F64` `f64` + `HOP_SUMMARY_U32` `u32`
+    /// slots each) and the carried db4 coefficients (approximations on
+    /// every level, details from level `STREAM_MIN_DETAIL_LEVEL` up). The
+    /// formula mirrors the two engines' own `state_bytes()` byte for byte
+    /// (`tests/edge_platform.rs` pins them against each other); transient
+    /// FFT and selection scratch is excluded on both sides. Returns 0 for
+    /// geometries the streaming engines reject (window not a multiple of
+    /// the step).
     pub fn streaming_state_bytes(&self, window_samples: usize, step_samples: usize) -> usize {
         if step_samples == 0 || !window_samples.is_multiple_of(step_samples) {
             return 0;
@@ -330,15 +344,37 @@ impl MemoryModel {
         let f64_slots = window_samples + k * HOP_SUMMARY_F64 + wavelet_slots;
         let u32_slots = k * HOP_SUMMARY_U32;
         self.spec.num_channels * (f64_slots * std::mem::size_of::<f64>() + u32_slots * 4)
+            + self.quality_grader_bytes(window_samples, step_samples)
+    }
+
+    /// Bytes of state the streaming quality grader (`seizure-features`'
+    /// `QualityGrader`) carries across hops for this platform's channel
+    /// count: per channel, `window / step` hop summaries (`QUALITY_HOP_F64`
+    /// `f64` + `QUALITY_HOP_U32` `u32` slots each) and each hop's
+    /// `step − 1` internal steps, which the window's median step selects
+    /// over. The grader's transient selection buffer (`window − 1` `f64`,
+    /// shared by the channels) is excluded. Mirrors the grader's own
+    /// `state_bytes()` byte for byte; returns 0 when the step does not
+    /// divide the window.
+    pub fn quality_grader_bytes(&self, window_samples: usize, step_samples: usize) -> usize {
+        if step_samples == 0 || !window_samples.is_multiple_of(step_samples) {
+            return 0;
+        }
+        let k = window_samples / step_samples;
+        let summary_bytes = QUALITY_HOP_F64 * std::mem::size_of::<f64>() + QUALITY_HOP_U32 * 4;
+        let step_bytes = (step_samples - 1) * std::mem::size_of::<f64>();
+        self.spec.num_channels * k * (summary_bytes + step_bytes)
     }
 
     /// [`MemoryModel::budget_with_quality_gate`] for a detector running the
     /// sample-at-a-time streaming front end: the RAM side additionally holds
-    /// [`MemoryModel::streaming_state_bytes`] of carried extraction state
-    /// plus one hop of staging samples per channel. On the paper platform
-    /// (STM32L151, 48 KB RAM) the full-precision 4 s / 75 % state at 256 Hz
-    /// is ~41 KB — streamable on its own, but `fits_ram` turns `false` once
-    /// the hour-long quality ribbon shares the RAM, documenting that a
+    /// [`MemoryModel::streaming_state_bytes`] of carried extraction and
+    /// grading state plus one hop of staging samples per channel. On the
+    /// paper platform (STM32L151, 48 KB RAM) the full-precision 4 s / 75 %
+    /// state at 256 Hz is about 60 KB: about 41 KB for the feature
+    /// extractor and about 19 KB for the quality grader's rings. The
+    /// extractor's part fits the RAM on its own; with the grader priced,
+    /// `fits_ram` is `false` even without the hour-long quality ribbon, so a
     /// deployment would down-convert the carried state to `f32`.
     ///
     /// # Errors
@@ -559,10 +595,21 @@ mod tests {
         let wavelet_slots = (512 + 256 + 128 + 64 + 32) + (128 + 64 + 32);
         let per_channel =
             (1024 + 4 * HOP_SUMMARY_F64 + wavelet_slots) * 8 + 4 * HOP_SUMMARY_U32 * 4;
-        assert_eq!(model.streaming_state_bytes(1024, 256), 2 * per_channel);
+        // The grader: four quality hop summaries and 4 × 255 internal steps.
+        let grader_per_channel = 4 * (QUALITY_HOP_F64 * 8 + QUALITY_HOP_U32 * 4) + 4 * 255 * 8;
+        assert_eq!(
+            model.quality_grader_bytes(1024, 256),
+            2 * grader_per_channel
+        );
+        assert_eq!(
+            model.streaming_state_bytes(1024, 256),
+            2 * per_channel + 2 * grader_per_channel
+        );
         // Unstreamable geometries price to zero.
-        assert_eq!(model.streaming_state_bytes(1024, 0), 0);
-        assert_eq!(model.streaming_state_bytes(1024, 300), 0);
+        for step in [0, 300] {
+            assert_eq!(model.streaming_state_bytes(1024, step), 0);
+            assert_eq!(model.quality_grader_bytes(1024, step), 0);
+        }
     }
 
     #[test]
@@ -577,10 +624,14 @@ mod tests {
             streaming.working_bytes,
             gated.working_bytes + model.streaming_state_bytes(1024, 256) + 2 * 256 * 8
         );
-        // The carried state alone fits the 48 KB RAM…
-        assert!(model.streaming_state_bytes(1024, 256) <= 48 * 1024);
-        // …but a full-precision f64 deployment next to the hour-long quality
-        // ribbon does not: a real deployment stores the carried state as f32.
+        // The extractor's carried state alone fits the 48 KB RAM…
+        let grader = model.quality_grader_bytes(1024, 256);
+        assert!(model.streaming_state_bytes(1024, 256) - grader <= 48 * 1024);
+        // …but with the quality grader's rings priced next to it, the
+        // full-precision f64 state does not, with or without the hour-long
+        // quality ribbon: a real deployment stores the carried state as f32.
+        assert!(model.streaming_state_bytes(1024, 256) > 48 * 1024);
+        assert!(!streaming.fits_ram, "{} bytes", streaming.working_bytes);
         let hour = model.budget_with_streaming(3600.0, 0, 1024, 256).unwrap();
         assert!(!hour.fits_ram, "{} bytes", hour.working_bytes);
         assert!(model.budget_with_streaming(0.0, 1, 1024, 256).is_err());

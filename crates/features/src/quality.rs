@@ -20,9 +20,67 @@
 //! channels' `log_std` (a loose electrode makes one channel disagree wildly
 //! with the other).
 //!
-//! All indicators are deterministic and guaranteed finite, including on
-//! flatline, railed and NaN/∞-contaminated inputs: non-finite samples are
-//! counted as railed and replaced by zero before any arithmetic.
+//! # One definition: hop summaries merged per window
+//!
+//! Windows overlap: a 4 s window advances by a 1 s step, so every sample
+//! sits in four windows. The indicators are therefore *defined* through
+//! per-hop summaries. A hop is the window step, and a window holds
+//! `k = window / step` hops. [`QualityGrader`] summarizes each hop of each
+//! channel once, in two sweeps over its samples. When a window completes,
+//! it merges the window's `k` summaries into the 15-indicator row:
+//!
+//! * **Exact merges.** The non-finite count, the railed count (the finite
+//!   extrema carry the count of samples at each, and only hops whose
+//!   extremum is the window's contribute), the flat runs (each hop's
+//!   prefix, suffix and longest run, joined across hop boundaries) and the
+//!   maximum step.
+//! * **Moments.** The mean and AC energy use Chan's pairwise update; the
+//!   raw energy and the step sum add up per hop.
+//! * **Goertzel.** Each probed lane keeps the hop's partial DFT `P_h` over
+//!   the hop's mean-removed samples. The window's DFT is
+//!   `Σ_h e^{−jωhL}·(P_h + (m_h − m)·D_L(ω))`, with `L` the hop length,
+//!   `m_h` and `m` the hop and window means and
+//!   `D_L(ω) = Σ_{n<L} e^{−jωn}`. The rotations and `D_L` are constants of
+//!   the geometry.
+//! * **Median step.** One selection over the window's internal steps and
+//!   its `k − 1` boundary steps: exact.
+//!
+//! Both engines run this definition. The streaming detector pushes each hop
+//! into a [`QualityGrader`] as it is buffered. The record-level batch
+//! ([`QualityExtractor::extract_batch_into`]) drives one grader per worker
+//! over its block of windows, after `k − 1` warm-up hops, so batch rows equal
+//! a one-thread streamed pass bit for bit. A standalone window
+//! ([`QualityExtractor::assess_window_into`]) is graded as one hop, and so is
+//! every window of a geometry whose step does not divide the window.
+//!
+//! # Error model
+//!
+//! The reference formulation computes each statistic in a pass of its own
+//! over the whole window, with the window mean removed before differencing
+//! and before the Goertzel recurrences. Against it:
+//!
+//! * `railed_frac` and `flat_run_frac` are bit-exact (integer counts).
+//! * A one-hop grade removes the same mean, so its line length, max jump and
+//!   log std are bit-exact too. Hum and drift differ by rounding, because
+//!   the window power is `|X|²` of the complex DFT instead of the real
+//!   `s1² + s2² − 2cos ω·s1·s2`.
+//! * With `k > 1` hops every indicator but those two counts moves by
+//!   floating-point re-association only: the steps and Goertzel lanes see
+//!   hop means instead of the window mean, the moments are Chan-merged and
+//!   the DFT is summed from rotated partials.
+//!
+//! `tests/quality_kernel.rs` keeps the reference as an oracle and pins each
+//! indicator's bound, plus identical gate verdicts, across rates, lengths,
+//! random records, every hostile scenario and degenerate windows.
+//!
+//! # Finiteness
+//!
+//! Non-finite samples are counted as railed and replaced by zero before any
+//! arithmetic, so every indicator is deterministic, and finite whenever the
+//! squares of the samples stay finite (|x| below about 1e154). The grader
+//! does not rescale: on larger samples the energy folds overflow and some
+//! indicators come out ∞ or NaN. The quality gate reads any non-finite
+//! indicator as beyond its reject threshold.
 //!
 //! Mains bins are *aliased*: at the wearable's low sampling rates the
 //! 50/60 Hz family folds below Nyquist (50 Hz → 14 Hz at fs = 64). Folded
@@ -86,36 +144,167 @@ const DRIFT_BINS: usize = 3;
 
 /// Lanes of the interleaved Goertzel bank: every mains bin with its two
 /// sharpness neighbours plus the drift bins, rounded up to a whole number of
-/// vector registers.
+/// vector registers. Spare lanes idle on zero constants and are never read.
 const GOERTZEL_LANES: usize = 16;
 const _: () = assert!(3 * MAINS_FAMILY.len() + DRIFT_BINS <= GOERTZEL_LANES);
+
+/// `f64` slots one hop summary carries per channel: the finite extrema, the
+/// first and last raw samples, the mean, central M2 and energy, the step sum
+/// and maximum, and one complex Goertzel partial per lane. Priced by
+/// `edge::memory::MemoryModel::quality_grader_bytes`.
+const QUALITY_HOP_F64_SLOTS: usize = 9 + 2 * GOERTZEL_LANES;
+
+/// `u32` slots one hop summary carries per channel: the non-finite count,
+/// the sample counts at both extrema and the flat-run prefix, suffix and
+/// longest run.
+const QUALITY_HOP_U32_SLOTS: usize = 6;
+
+/// Bytes of one hop summary.
+const HOP_SUMMARY_BYTES: usize = QUALITY_HOP_F64_SLOTS * 8 + QUALITY_HOP_U32_SLOTS * 4;
+
+/// A non-finite sample grades as zero in every arithmetic indicator.
+fn sanitize(v: f64) -> f64 {
+    if v.is_finite() {
+        v
+    } else {
+        0.0
+    }
+}
+
+/// Flat-run equality: non-finite values count as equal to each other (a
+/// dead channel full of NaN is one long dropout).
+fn same(a: f64, b: f64) -> bool {
+    a == b || (!a.is_finite() && !b.is_finite())
+}
+
+/// `e^{−j2π·turns}` as `(re, im)`. The angle is reduced to the nearest whole
+/// turn first, so whole cycles come out as exactly `1`.
+fn phasor(turns: f64) -> (f64, f64) {
+    let angle = 2.0 * PI * (turns - turns.round());
+    (angle.cos(), -angle.sin())
+}
+
+/// Constants of one grading geometry: the segment layout and, per probed
+/// lane, the Goertzel coefficient and the phase factors that place a hop's
+/// partial DFT in its window.
+#[derive(Debug, Clone)]
+struct HopPlan {
+    fs: f64,
+    /// Window length in samples.
+    window: usize,
+    /// Hop length in samples; divides `window`.
+    hop: usize,
+    /// Lanes in use: three per hum bin (the bin, then its −2 Hz and +2 Hz
+    /// sharpness neighbours), then the drift bins.
+    lanes: usize,
+    /// Leading lanes that probe hum bins.
+    hum_lanes: usize,
+    /// Goertzel coefficient `2 cos ω`.
+    coeff: [f64; GOERTZEL_LANES],
+    /// `e^{−jω}`.
+    unit_re: [f64; GOERTZEL_LANES],
+    unit_im: [f64; GOERTZEL_LANES],
+    /// `e^{−jω(L−1)}`: turns the final Goertzel state into the hop's DFT.
+    tail_re: [f64; GOERTZEL_LANES],
+    tail_im: [f64; GOERTZEL_LANES],
+    /// `D_L(ω) = Σ_{n<L} e^{−jωn}`: the DFT of a unit offset over one hop.
+    dirichlet_re: [f64; GOERTZEL_LANES],
+    dirichlet_im: [f64; GOERTZEL_LANES],
+    /// `e^{−jωpL}` for the hop at window position `p`, at
+    /// `[p * GOERTZEL_LANES + lane]`.
+    rot_re: Vec<f64>,
+    rot_im: Vec<f64>,
+}
+
+impl HopPlan {
+    /// The plan for `window`-sample windows made of `hop`-sample hops of a
+    /// signal sampled at `fs` Hz, probing `hum_bins`.
+    fn new(fs: f64, hum_bins: &[f64], window: usize, hop: usize) -> Result<Self, FeatureError> {
+        if window < 4 {
+            return Err(FeatureError::SignalTooShort {
+                actual: window,
+                required: 4,
+            });
+        }
+        debug_assert!(hop > 0 && window.is_multiple_of(hop));
+        if u32::try_from(hop).is_err() {
+            return Err(FeatureError::InvalidConfig {
+                name: "config",
+                reason: format!("quality hops are limited to u32::MAX samples, got {hop}"),
+            });
+        }
+        let mut freqs = [0.0; GOERTZEL_LANES];
+        let mut lanes = 0;
+        for &bin in hum_bins {
+            for freq in [bin, bin - 2.0, bin + 2.0] {
+                freqs[lanes] = freq;
+                lanes += 1;
+            }
+        }
+        let hum_lanes = lanes;
+        for k in 1..=DRIFT_BINS {
+            let freq = k as f64 * fs / window as f64;
+            if freq < fs / 2.0 {
+                freqs[lanes] = freq;
+                lanes += 1;
+            }
+        }
+        let hops = window / hop;
+        let len = hop as f64;
+        let mut plan = Self {
+            fs,
+            window,
+            hop,
+            lanes,
+            hum_lanes,
+            coeff: [0.0; GOERTZEL_LANES],
+            unit_re: [0.0; GOERTZEL_LANES],
+            unit_im: [0.0; GOERTZEL_LANES],
+            tail_re: [0.0; GOERTZEL_LANES],
+            tail_im: [0.0; GOERTZEL_LANES],
+            dirichlet_re: [0.0; GOERTZEL_LANES],
+            dirichlet_im: [0.0; GOERTZEL_LANES],
+            rot_re: vec![0.0; hops * GOERTZEL_LANES],
+            rot_im: vec![0.0; hops * GOERTZEL_LANES],
+        };
+        for (lane, &freq) in freqs.iter().enumerate().take(lanes) {
+            let omega = 2.0 * PI * freq / fs;
+            plan.coeff[lane] = 2.0 * omega.cos();
+            (plan.unit_re[lane], plan.unit_im[lane]) = (omega.cos(), -omega.sin());
+            let cycles = freq / fs;
+            (plan.tail_re[lane], plan.tail_im[lane]) = phasor(cycles * (len - 1.0));
+            // Dirichlet kernel: D_L = e^{−jω(L−1)/2}·sin(ωL/2)/sin(ω/2); the
+            // lanes sit strictly inside (0, fs/2), so sin(ω/2) > 0.
+            let half = cycles * len / 2.0;
+            let gain = (2.0 * PI * (half - half.round())).sin() / (omega / 2.0).sin();
+            let (re, im) = phasor(cycles * (len - 1.0) / 2.0);
+            (plan.dirichlet_re[lane], plan.dirichlet_im[lane]) = (gain * re, gain * im);
+            for p in 0..hops {
+                let at = p * GOERTZEL_LANES + lane;
+                (plan.rot_re[at], plan.rot_im[at]) = phasor(cycles * (p * hop) as f64);
+            }
+        }
+        Ok(plan)
+    }
+}
 
 /// Interleaved Goertzel bank: one lane per probed frequency, all stepped by
 /// the same sample. Each lane runs the classic `v + coeff·s1 − s2`
 /// recurrence; the lanes are independent, so a step is one vectorizable
-/// block instead of one serial dependency chain per frequency. Spare lanes
-/// idle on a zero coefficient and are never read.
+/// block instead of one serial dependency chain per frequency.
 struct GoertzelBank {
     coeff: [f64; GOERTZEL_LANES],
     s1: [f64; GOERTZEL_LANES],
     s2: [f64; GOERTZEL_LANES],
-    lanes: usize,
 }
 
 impl GoertzelBank {
-    fn new() -> Self {
+    fn new(coeff: [f64; GOERTZEL_LANES]) -> Self {
         Self {
-            coeff: [0.0; GOERTZEL_LANES],
+            coeff,
             s1: [0.0; GOERTZEL_LANES],
             s2: [0.0; GOERTZEL_LANES],
-            lanes: 0,
         }
-    }
-
-    /// Adds the next lane, probing `freq` Hz.
-    fn probe(&mut self, freq: f64, fs: f64) {
-        self.coeff[self.lanes] = 2.0 * (2.0 * PI * freq / fs).cos();
-        self.lanes += 1;
     }
 
     fn step(&mut self, v: f64) {
@@ -125,22 +314,542 @@ impl GoertzelBank {
             self.s1[lane] = s0;
         }
     }
+}
 
-    /// Squared DFT magnitude of the samples stepped so far at `lane`.
-    fn power(&self, lane: usize) -> f64 {
-        let (s1, s2, coeff) = (self.s1[lane], self.s2[lane], self.coeff[lane]);
-        (s1 * s1 + s2 * s2 - coeff * s1 * s2).max(0.0)
+/// Everything one hop of one channel contributes to the windows that cover
+/// it (the hop's internal steps are kept next to it, in the grader's step
+/// ring).
+#[derive(Debug, Clone, Copy)]
+struct HopSummary {
+    /// Finite minimum and maximum (`+∞` / `−∞` without a finite sample).
+    lo: f64,
+    hi: f64,
+    /// First and last raw samples (flat-run joins and boundary steps).
+    first: f64,
+    last: f64,
+    /// Mean, central M2 and raw energy `Σc²` of the sanitized samples.
+    mean: f64,
+    m2: f64,
+    energy: f64,
+    /// Sum and maximum of the internal steps.
+    line_sum: f64,
+    max_step: f64,
+    /// Partial DFT per lane over the hop's mean-removed samples.
+    partial_re: [f64; GOERTZEL_LANES],
+    partial_im: [f64; GOERTZEL_LANES],
+    /// Non-finite samples.
+    non_finite: u32,
+    /// Samples equal to `lo` and to `hi`.
+    at_lo: u32,
+    at_hi: u32,
+    /// Lengths of the hop's first, last and longest flat runs.
+    flat_prefix: u32,
+    flat_suffix: u32,
+    flat_longest: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<HopSummary>() == HOP_SUMMARY_BYTES);
+
+impl HopSummary {
+    const EMPTY: Self = Self {
+        lo: f64::INFINITY,
+        hi: f64::NEG_INFINITY,
+        first: 0.0,
+        last: 0.0,
+        mean: 0.0,
+        m2: 0.0,
+        energy: 0.0,
+        line_sum: 0.0,
+        max_step: 0.0,
+        partial_re: [0.0; GOERTZEL_LANES],
+        partial_im: [0.0; GOERTZEL_LANES],
+        non_finite: 0,
+        at_lo: 0,
+        at_hi: 0,
+        flat_prefix: 0,
+        flat_suffix: 0,
+        flat_longest: 0,
+    };
+
+    /// Summarizes one hop of raw samples in two sweeps and writes its
+    /// `raw.len() − 1` internal steps into `steps`.
+    ///
+    /// Sweep 1 reads the raw samples for the finite extrema, the non-finite
+    /// count, the flat runs and the sum and energy folds. Sweep 2 reads them
+    /// again, sanitized and with the hop mean removed, for the AC energy, the
+    /// steps, the counts at both extrema and one step of the Goertzel bank.
+    /// Each fold keeps its left-to-right order and `Iterator::sum`'s `-0.0`
+    /// start, so a one-hop window reproduces the one-pass-per-statistic
+    /// formulation in everything but the Goertzel power.
+    // lint: hot-path
+    fn summarize(plan: &HopPlan, raw: &[f64], steps: &mut [u64]) -> Self {
+        debug_assert_eq!(steps.len() + 1, raw.len());
+        let mut non_finite = 0u32;
+        let mut lo = f64::INFINITY;
+        let mut hi = f64::NEG_INFINITY;
+        // The first sample compares equal to itself, which starts the first
+        // run at 1; the prefix grows while every sample repeats the first.
+        let mut prev = raw[0];
+        let mut run = 0u32;
+        let mut longest = 0u32;
+        let mut prefix = 0u32;
+        let mut in_prefix = true;
+        let mut sum = -0.0_f64;
+        let mut energy = -0.0_f64;
+        for &v in raw {
+            let repeat = same(v, prev);
+            run = if repeat { run + 1 } else { 1 };
+            longest = longest.max(run);
+            in_prefix &= repeat;
+            prefix += u32::from(in_prefix);
+            prev = v;
+            let c = if v.is_finite() {
+                lo = lo.min(v);
+                hi = hi.max(v);
+                v
+            } else {
+                non_finite += 1;
+                0.0
+            };
+            sum += c;
+            energy += c * c;
+        }
+        let mean = sum / raw.len() as f64;
+
+        let mut bank = GoertzelBank::new(plan.coeff);
+        let mut m2 = -0.0_f64;
+        let mut line_sum = -0.0_f64;
+        let mut max_step = 0.0_f64;
+        let head = sanitize(raw[0]) - mean;
+        m2 += head * head;
+        let mut at_lo = u32::from(raw[0] == lo);
+        let mut at_hi = u32::from(raw[0] == hi);
+        bank.step(head);
+        let mut prev = head;
+        for (&v, s) in raw[1..].iter().zip(steps.iter_mut()) {
+            let y = sanitize(v) - mean;
+            m2 += y * y;
+            let step = (y - prev).abs();
+            *s = step.to_bits();
+            line_sum += step;
+            max_step = max_step.max(step);
+            prev = y;
+            at_lo += u32::from(v == lo);
+            at_hi += u32::from(v == hi);
+            bank.step(y);
+        }
+
+        // The Goertzel output s1 − e^{−jω}·s2 is e^{jω(L−1)} times the DFT.
+        let mut partial_re = [0.0; GOERTZEL_LANES];
+        let mut partial_im = [0.0; GOERTZEL_LANES];
+        for lane in 0..GOERTZEL_LANES {
+            let (s1, s2) = (bank.s1[lane], bank.s2[lane]);
+            let t_re = s1 - plan.unit_re[lane] * s2;
+            let t_im = -(plan.unit_im[lane] * s2);
+            partial_re[lane] = plan.tail_re[lane] * t_re - plan.tail_im[lane] * t_im;
+            partial_im[lane] = plan.tail_re[lane] * t_im + plan.tail_im[lane] * t_re;
+        }
+        Self {
+            lo,
+            hi,
+            first: raw[0],
+            last: raw[raw.len() - 1],
+            mean,
+            m2,
+            energy,
+            line_sum,
+            max_step,
+            partial_re,
+            partial_im,
+            non_finite,
+            at_lo,
+            at_hi,
+            flat_prefix: prefix,
+            flat_suffix: run,
+            flat_longest: longest,
+        }
     }
 }
 
-/// Reusable buffers for one window's worth of quality arithmetic. Acquire
-/// one per worker (or per streaming detector) and hand it to
-/// [`QualityExtractor::assess_window_into`] so repeated assessments stay
-/// allocation-free after warm-up.
+/// One channel's carried grading state.
+#[derive(Debug, Clone)]
+struct GraderChannel {
+    /// The last `k` hop summaries, at slot `hop index % k`.
+    ring: Vec<HopSummary>,
+    /// Each ring slot's internal steps as IEEE bits (see `merge_channel`),
+    /// `hop − 1` per slot, slot-major.
+    steps: Vec<u64>,
+}
+
+/// Merges one channel's window — the `k` summaries of `channel.ring`,
+/// oldest at slot `oldest` — into its seven indicators. The result is a
+/// pure function of those summaries and their steps: it does not depend on
+/// how many hops were pushed before, which is what lets batch workers start
+/// anywhere in a record. `select` receives the window's `window − 1` steps.
+// lint: hot-path
+fn merge_channel(
+    plan: &HopPlan,
+    channel: &GraderChannel,
+    oldest: usize,
+    select: &mut [u64],
+    out: &mut [f64],
+) {
+    let ring = &channel.ring;
+    let k = ring.len();
+    let nf = plan.window as f64;
+    let hop = plan.hop as f64;
+    let first = &ring[oldest];
+    let mut non_finite = first.non_finite as usize;
+    let (mut lo, mut hi) = (first.lo, first.hi);
+    let mut longest = first.flat_longest as usize;
+    // Length of the flat run ending at the last merged sample.
+    let mut run = first.flat_suffix as usize;
+    let mut count = hop;
+    let (mut mean, mut m2, mut energy) = (first.mean, first.m2, first.energy);
+    let (mut line_sum, mut max_step) = (first.line_sum, first.max_step);
+    // The steps of all k slots, in any order: selection only sees values.
+    let internal = channel.steps.len();
+    select[..internal].copy_from_slice(&channel.steps);
+    let mut prev = first;
+    for p in 1..k {
+        let h = &ring[(oldest + p) % k];
+        non_finite += h.non_finite as usize;
+        lo = lo.min(h.lo);
+        hi = hi.max(h.hi);
+        let prefix = h.flat_prefix as usize;
+        run = if same(prev.last, h.first) {
+            let joined = run + prefix;
+            longest = longest.max(joined);
+            if prefix == plan.hop {
+                joined
+            } else {
+                h.flat_suffix as usize
+            }
+        } else {
+            h.flat_suffix as usize
+        };
+        longest = longest.max(h.flat_longest as usize);
+        // Chan's pairwise update.
+        let total = count + hop;
+        let delta = h.mean - mean;
+        mean += delta * hop / total;
+        m2 = m2 + h.m2 + delta * delta * count * hop / total;
+        count = total;
+        energy += h.energy;
+        let step = (sanitize(h.first) - sanitize(prev.last)).abs();
+        select[internal + p - 1] = step.to_bits();
+        line_sum += step;
+        line_sum += h.line_sum;
+        max_step = max_step.max(step).max(h.max_step);
+        prev = h;
+    }
+
+    // Railed fraction: samples pinned to either finite rail, plus every
+    // non-finite sample (an overflowed ADC reads as railed, not absent).
+    let mut pinned = 0usize;
+    for h in ring {
+        if h.lo == lo {
+            pinned += h.at_lo as usize;
+        }
+        if h.hi == hi {
+            pinned += h.at_hi as usize;
+        }
+    }
+    let railed = if hi > lo {
+        ((pinned + non_finite) as f64 / nf).min(1.0)
+    } else {
+        (non_finite as f64 / nf).min(1.0)
+    };
+
+    let std = (m2 / nf).sqrt();
+    let log_std = (std + 1e-12).ln();
+
+    let line_length = line_sum / (nf - 1.0);
+    // Selection puts the element a full sort would place at `len / 2`
+    // there, so the median is exact. Every step is an absolute value, so its
+    // sign bit is clear, and for such values (NaN from overflowed arithmetic
+    // included) the IEEE bit patterns order exactly as `f64::total_cmp`
+    // does: selecting over the bits is that selection with integer
+    // comparisons, and it can never panic on a NaN.
+    let mid = select.len() / 2;
+    let (_, &mut median_bits, _) = select.select_nth_unstable(mid);
+    let median_step = f64::from_bits(median_bits);
+    let max_jump = (max_step / (1.4826 * median_step + 1e-12)).min(1e6);
+
+    // The window's DFT per lane, from the rotated, mean-corrected partials.
+    let mut x_re = [0.0; GOERTZEL_LANES];
+    let mut x_im = [0.0; GOERTZEL_LANES];
+    for p in 0..k {
+        let h = &ring[(oldest + p) % k];
+        let shift = h.mean - mean;
+        let rot_re = &plan.rot_re[p * GOERTZEL_LANES..(p + 1) * GOERTZEL_LANES];
+        let rot_im = &plan.rot_im[p * GOERTZEL_LANES..(p + 1) * GOERTZEL_LANES];
+        for lane in 0..GOERTZEL_LANES {
+            let q_re = h.partial_re[lane] + shift * plan.dirichlet_re[lane];
+            let q_im = h.partial_im[lane] + shift * plan.dirichlet_im[lane];
+            x_re[lane] += rot_re[lane] * q_re - rot_im[lane] * q_im;
+            x_im[lane] += rot_re[lane] * q_im + rot_im[lane] * q_re;
+        }
+    }
+    let power = |lane: usize| (x_re[lane] * x_re[lane] + x_im[lane] * x_im[lane]).max(0.0);
+
+    // Aliased mains hum: tone-energy fraction at each observable folded
+    // bin, weighted by spectral sharpness against ±2 Hz neighbours so
+    // broadband (or ictal) energy cannot trip it.
+    let tone_norm = 2.0 / (nf * m2 + 1e-12);
+    let mut hum: f64 = 0.0;
+    for lane in (0..plan.hum_lanes).step_by(3) {
+        let p = power(lane);
+        let p_lo = power(lane + 1);
+        let p_hi = power(lane + 2);
+        let sharpness = p / (p + p_lo + p_hi + 1e-12);
+        // A pure tone scores sharpness ≈ 1, broadband noise ≈ 1/3.
+        let weight = ((sharpness - 1.0 / 3.0) / (2.0 / 3.0)).clamp(0.0, 1.0);
+        hum = hum.max((p * tone_norm).min(1.0) * weight);
+    }
+
+    // Baseline drift: DC offset plus the lowest three DFT bins of the
+    // window (k / window_secs for k = 1..3, i.e. < 1 Hz for 4 s windows)
+    // as a share of total window energy.
+    let mut drift_energy = nf * mean * mean;
+    for lane in plan.hum_lanes..plan.lanes {
+        drift_energy += power(lane) * 2.0 / nf;
+    }
+    let drift = (drift_energy / (energy + 1e-12)).clamp(0.0, 1.0);
+
+    out[IDX_LINE_LENGTH] = line_length;
+    out[IDX_RAILED_FRAC] = railed;
+    out[IDX_FLAT_RUN_FRAC] = longest as f64 / nf;
+    out[IDX_HUM_RATIO] = hum;
+    out[IDX_DRIFT_RATIO] = drift;
+    out[IDX_MAX_JUMP_SIGMA] = max_jump;
+    out[IDX_LOG_STD] = log_std;
+}
+
+/// Streaming quality grader: summarizes each hop of both channels once and
+/// emits one 15-indicator row per completed window (see the module docs for
+/// the definition and its error model).
+///
+/// The streaming detector feeds it one hop at a time through
+/// [`QualityGrader::push_hop`]; [`QualityExtractor::extract_batch_into`]
+/// drives one per worker, so both produce the same rows bit for bit. All
+/// buffers are sized at construction: pushing hops allocates nothing.
+///
+/// # Example
+///
+/// ```
+/// use seizure_features::extractor::SlidingWindowConfig;
+/// use seizure_features::quality::{QualityExtractor, QualityGrader, NUM_QUALITY_FEATURES};
+/// use seizure_features::FeatureMatrix;
+///
+/// # fn main() -> Result<(), seizure_features::FeatureError> {
+/// let config = SlidingWindowConfig::paper_default(64.0)?;
+/// let n = config.window_samples() + 5 * config.step_samples();
+/// let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
+/// let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
+///
+/// let extractor = QualityExtractor::new(64.0)?;
+/// let mut batch = FeatureMatrix::default();
+/// extractor.extract_batch_into(&a, &b, &config, &mut batch)?;
+///
+/// let mut grader = QualityGrader::new(&extractor, &config)?;
+/// let (hop, mut row, mut window) = (config.step_samples(), [0.0; NUM_QUALITY_FEATURES], 0);
+/// for start in (0..n).step_by(hop) {
+///     let (ha, hb) = (&a[start..start + hop], &b[start..start + hop]);
+///     if grader.push_hop(ha, hb, &mut row)? {
+///         assert_eq!(&row[..], batch.row(window));
+///         window += 1;
+///     }
+/// }
+/// assert_eq!(window, batch.num_windows());
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct QualityGrader {
+    plan: HopPlan,
+    channels: [GraderChannel; 2],
+    /// Hops pushed since construction or [`QualityGrader::reset`].
+    hops_seen: usize,
+    /// The window's steps, permuted in place by the median selection
+    /// (transient, not carried state).
+    select: Vec<u64>,
+}
+
+impl QualityGrader {
+    /// Builds the grader for the window geometry of `config`, probing the
+    /// bins of `extractor`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FeatureError::InvalidConfig`] when the step does not divide
+    /// the window (hops must tile windows exactly) and
+    /// [`FeatureError::SignalTooShort`] for windows of fewer than four
+    /// samples.
+    pub fn new(
+        extractor: &QualityExtractor,
+        config: &SlidingWindowConfig,
+    ) -> Result<Self, FeatureError> {
+        let window = config.window_samples();
+        let step = config.step_samples();
+        if !window.is_multiple_of(step) {
+            return Err(FeatureError::InvalidConfig {
+                name: "config",
+                reason: format!(
+                    "streaming quality grading requires the window ({window} samples) to be \
+                     an integer multiple of the step ({step} samples)"
+                ),
+            });
+        }
+        Self::with_segments(extractor, window, step)
+    }
+
+    /// The grader for `window`-sample windows of `hop`-sample hops (`hop`
+    /// divides `window`).
+    fn with_segments(
+        extractor: &QualityExtractor,
+        window: usize,
+        hop: usize,
+    ) -> Result<Self, FeatureError> {
+        let plan = HopPlan::new(extractor.fs, &extractor.hum_bins, window, hop)?;
+        let hops = window / hop;
+        let channel = GraderChannel {
+            ring: vec![HopSummary::EMPTY; hops],
+            steps: vec![0; hops * (hop - 1)],
+        };
+        Ok(Self {
+            plan,
+            channels: [channel.clone(), channel],
+            hops_seen: 0,
+            select: vec![0; window - 1],
+        })
+    }
+
+    /// Whether this grader grades `window`-sample windows of `hop`-sample
+    /// hops for `extractor`'s sampling rate.
+    fn fits(&self, extractor: &QualityExtractor, window: usize, hop: usize) -> bool {
+        self.plan.fs == extractor.fs && self.plan.window == window && self.plan.hop == hop
+    }
+
+    /// Bytes of state carried across hops, both channels: the ring of hop
+    /// summaries (41 `f64` and 6 `u32` slots each) and the ring of internal
+    /// steps. The transient selection buffer of `window − 1` samples is
+    /// excluded, as the streaming extractor excludes its FFT scratch. The
+    /// edge memory model (`edge::memory::MemoryModel::quality_grader_bytes`)
+    /// mirrors this number byte for byte.
+    #[must_use]
+    pub fn state_bytes(&self) -> usize {
+        self.channels
+            .iter()
+            .map(|c| c.ring.len() * HOP_SUMMARY_BYTES + c.steps.len() * 8)
+            .sum()
+    }
+
+    /// Forgets the carried hops so the next hop starts a new record.
+    pub fn reset(&mut self) {
+        self.hops_seen = 0;
+    }
+
+    /// Ingests one hop of both channels. Returns `Ok(false)` while the first
+    /// window is still filling; once `window / step` hops are in, every call
+    /// completes a window, writes its [`NUM_QUALITY_FEATURES`] indicators
+    /// into `row` and returns `Ok(true)`. `row` is only touched (and its
+    /// length only validated) when a window completes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FeatureError::ChannelLengthMismatch`] if the hop slices
+    /// differ in length, and [`FeatureError::DimensionMismatch`] if they are
+    /// not one step long or `row` has the wrong length at window completion.
+    // lint: hot-path
+    pub fn push_hop(
+        &mut self,
+        f7t3: &[f64],
+        f8t4: &[f64],
+        row: &mut [f64],
+    ) -> Result<bool, FeatureError> {
+        if f7t3.len() != f8t4.len() {
+            return Err(FeatureError::ChannelLengthMismatch {
+                left: f7t3.len(),
+                right: f8t4.len(),
+            });
+        }
+        let hop = self.plan.hop;
+        if f7t3.len() != hop {
+            return Err(hop_size_mismatch(f7t3.len(), hop));
+        }
+        let k = self.channels[0].ring.len();
+        let slot = self.hops_seen % k;
+        let gaps = hop - 1;
+        for (channel, raw) in self.channels.iter_mut().zip([f7t3, f8t4]) {
+            let steps = &mut channel.steps[slot * gaps..(slot + 1) * gaps];
+            channel.ring[slot] = HopSummary::summarize(&self.plan, raw, steps);
+        }
+        self.hops_seen += 1;
+        if self.hops_seen < k {
+            return Ok(false);
+        }
+        if row.len() != NUM_QUALITY_FEATURES {
+            return Err(row_size_mismatch(row.len()));
+        }
+        let oldest = self.hops_seen % k;
+        let (left, right) = row.split_at_mut(QUALITY_FEATURES_PER_CHANNEL);
+        let right = &mut right[..QUALITY_FEATURES_PER_CHANNEL];
+        for (channel, out) in self.channels.iter().zip([left, right]) {
+            merge_channel(&self.plan, channel, oldest, &mut self.select, out);
+        }
+        let log_a = row[channel_column(0, IDX_LOG_STD)];
+        let log_b = row[channel_column(1, IDX_LOG_STD)];
+        row[IDX_DISAGREEMENT] = (log_a - log_b).abs();
+        Ok(true)
+    }
+}
+
+/// Misuse-only error constructor, kept outside the hot blocks so the
+/// formatting allocation never sits on the per-hop path.
+#[cold]
+fn hop_size_mismatch(actual: usize, expected: usize) -> FeatureError {
+    FeatureError::DimensionMismatch {
+        detail: format!(
+            "hop has {actual} samples but the quality grader was built for {expected}-sample hops"
+        ),
+    }
+}
+
+/// Misuse-only error constructor for a wrongly sized output row.
+#[cold]
+fn row_size_mismatch(actual: usize) -> FeatureError {
+    FeatureError::DimensionMismatch {
+        detail: format!(
+            "output row has {actual} slots but the quality grader produces \
+             {NUM_QUALITY_FEATURES} indicators"
+        ),
+    }
+}
+
+/// Reusable state for grading standalone windows: the one-hop
+/// [`QualityGrader`] of the last window length seen. Acquire one per worker
+/// and hand it to [`QualityExtractor::assess_window_into`] so repeated
+/// assessments of one length stay allocation-free after the first.
 #[derive(Debug, Default)]
 pub struct QualityScratch {
-    cleaned: Vec<f64>,
-    diffs: Vec<f64>,
+    grader: Option<QualityGrader>,
+}
+
+impl QualityScratch {
+    /// The one-hop grader for `len`-sample windows of `extractor`, rebuilt
+    /// when the geometry changes.
+    fn one_hop_grader(
+        &mut self,
+        extractor: &QualityExtractor,
+        len: usize,
+    ) -> Result<&mut QualityGrader, FeatureError> {
+        let grader = match self.grader.take() {
+            Some(grader) if grader.fits(extractor, len, len) => grader,
+            _ => QualityGrader::with_segments(extractor, len, len)?,
+        };
+        Ok(self.grader.insert(grader))
+    }
 }
 
 /// Computes the per-window quality indicator matrix for a channel pair.
@@ -233,15 +942,17 @@ impl QualityExtractor {
     /// Fills the quality feature matrix for every sliding window of the
     /// channel pair, reusing `matrix`'s allocation across calls.
     ///
-    /// The windows are graded in parallel: the rows are split into one
-    /// contiguous block per worker of [`seizure_parallel::par_process_rows`]
-    /// (records of fewer than 16 windows stay on the calling thread), and
-    /// each worker grades its block in order with one [`QualityScratch`] of
-    /// its own. A window costs the same wherever it lands, so a record's
-    /// grading time falls with the worker count. Every row is
-    /// [`QualityExtractor::assess_window_into`] on that window, so the
-    /// matrix is bit-identical to grading the windows one by one on one
-    /// thread; the first error in window order is returned.
+    /// When the step divides the window, each hop is summarized once and
+    /// every window merges its hops (see the module docs). The windows are
+    /// graded in parallel: the rows are split into one contiguous block per
+    /// worker of [`seizure_parallel::par_process_rows`] (records of fewer
+    /// than 16 windows stay on the calling thread), and each worker drives a
+    /// [`QualityGrader`] of its own over its block, after `k − 1` warm-up
+    /// hops. A window's row depends only on its own hops, so the matrix is
+    /// bit-identical to one grader streamed over the whole record on one
+    /// thread. When the step does not divide the window, every window is
+    /// graded as one hop, as [`QualityExtractor::assess_window_into`] does.
+    /// The first error in window order is returned.
     ///
     /// # Errors
     ///
@@ -268,24 +979,43 @@ impl QualityExtractor {
         }
         let window = config.window_samples();
         let step = config.step_samples();
+        // Segment `s` starts at sample `s * step`: hop `s` when hops tile the
+        // window, window `s` itself otherwise.
+        let segment = if window.is_multiple_of(step) {
+            step
+        } else {
+            window
+        };
+        let warmup = window / segment - 1;
         matrix.ensure_names(Self::feature_names);
         let data = matrix.reset_rows(count);
         seizure_parallel::par_process_rows(data, NUM_QUALITY_FEATURES, |first_row, block| {
-            let mut scratch = QualityScratch::default();
-            for (offset, row) in block.chunks_mut(NUM_QUALITY_FEATURES).enumerate() {
-                let start = (first_row + offset) * step;
-                let end = start + window;
-                self.assess_window_into(&f7t3[start..end], &f8t4[start..end], row, &mut scratch)?;
+            let mut grader = QualityGrader::with_segments(self, window, segment)?;
+            let rows = block.len() / NUM_QUALITY_FEATURES;
+            for s in first_row..first_row + warmup + rows {
+                let span = s * step..s * step + segment;
+                let (a, b) = (&f7t3[span.clone()], &f8t4[span]);
+                let Some(r) = (s - first_row).checked_sub(warmup) else {
+                    grader.push_hop(a, b, &mut [])?;
+                    continue;
+                };
+                let row = &mut block[r * NUM_QUALITY_FEATURES..(r + 1) * NUM_QUALITY_FEATURES];
+                let graded = grader.push_hop(a, b, row)?;
+                debug_assert!(
+                    graded,
+                    "window {} must complete at segment {s}",
+                    first_row + r
+                );
             }
             Ok(())
         })
     }
 
-    /// Assesses one window pair into a caller-provided row of
-    /// [`NUM_QUALITY_FEATURES`] slots, reusing `scratch` buffers — the
-    /// single-window building block behind
-    /// [`QualityExtractor::extract_batch_into`], exposed so streaming
-    /// callers can grade windows as they complete without a matrix.
+    /// Assesses one standalone window pair into a caller-provided row of
+    /// [`NUM_QUALITY_FEATURES`] slots: the window is graded as a single hop
+    /// through the same summary and merge as the streaming grader. `scratch`
+    /// keeps the one-hop grader, so repeated windows of one length stay
+    /// allocation-free.
     ///
     /// # Errors
     ///
@@ -305,182 +1035,9 @@ impl QualityExtractor {
                 right: f8t4.len(),
             });
         }
-        debug_assert_eq!(out.len(), NUM_QUALITY_FEATURES);
-        self.channel_into(f7t3, &mut out[..QUALITY_FEATURES_PER_CHANNEL], scratch)?;
-        self.channel_into(
-            f8t4,
-            &mut out[QUALITY_FEATURES_PER_CHANNEL..2 * QUALITY_FEATURES_PER_CHANNEL],
-            scratch,
-        )?;
-        let log_a = out[channel_column(0, IDX_LOG_STD)];
-        let log_b = out[channel_column(1, IDX_LOG_STD)];
-        out[IDX_DISAGREEMENT] = (log_a - log_b).abs();
-        Ok(())
-    }
-
-    /// The per-channel kernel: two sweeps over the window.
-    ///
-    /// Sweep 1 reads the raw samples once for the finite-extrema census,
-    /// the longest flat run, the sanitized copy and the sum and energy
-    /// folds. Sweep 2 reads the sanitized copy once to remove the mean, fold
-    /// the AC energy, fill the first differences (line length, max step),
-    /// count railed samples and step one interleaved Goertzel bank holding
-    /// every probed frequency. The median step comes from O(n) selection.
-    ///
-    /// Every indicator is bit-identical to evaluating each statistic in a
-    /// pass of its own: each fold keeps its sequential left-to-right order
-    /// and `Iterator::sum`'s `-0.0` start, and each Goertzel lane runs the
-    /// unchanged `v + coeff * s1 - s2` recurrence.
-    // lint: hot-path
-    fn channel_into(
-        &self,
-        raw: &[f64],
-        out: &mut [f64],
-        scratch: &mut QualityScratch,
-    ) -> Result<(), FeatureError> {
-        let n = raw.len();
-        if n < 4 {
-            return Err(FeatureError::SignalTooShort {
-                actual: n,
-                required: 4,
-            });
-        }
-        let nf = n as f64;
-
-        // Sweep 1 over the raw samples.
-        let mut non_finite = 0usize;
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        // Longest run of repeated samples (non-finite values count as equal
-        // to each other: a dead channel full of NaN is one long dropout). The
-        // first sample compares equal to itself, which starts the run at 1.
-        let mut longest = 1usize;
-        let mut run = 0usize;
-        let mut prev = raw[0];
-        let mut sum = -0.0_f64;
-        let mut total_energy = -0.0_f64;
-        // Sanitized copy: all downstream arithmetic sees finite samples.
-        let cleaned = &mut scratch.cleaned;
-        cleaned.clear();
-        cleaned.extend(raw.iter().map(|&v| {
-            let finite = v.is_finite();
-            let same = v == prev || (!finite && !prev.is_finite());
-            run = if same { run + 1 } else { 1 };
-            longest = longest.max(run);
-            prev = v;
-            let c = if finite {
-                lo = lo.min(v);
-                hi = hi.max(v);
-                v
-            } else {
-                non_finite += 1;
-                0.0
-            };
-            sum += c;
-            total_energy += c * c;
-            c
-        }));
-        let flat_run = longest as f64 / nf;
-        let mean = sum / nf;
-
-        // Sweep 2 over the sanitized samples. The bank probes each hum bin
-        // with its ±2 Hz sharpness neighbours (three consecutive lanes per
-        // bin), then the drift bins.
-        let mut bank = GoertzelBank::new();
-        for &bin in &self.hum_bins {
-            for freq in [bin, bin - 2.0, bin + 2.0] {
-                bank.probe(freq, self.fs);
-            }
-        }
-        let hum_lanes = bank.lanes;
-        for k in 1..=DRIFT_BINS {
-            let freq = k as f64 * self.fs / nf;
-            if freq < self.fs / 2.0 {
-                bank.probe(freq, self.fs);
-            }
-        }
-        let mut ac_energy = -0.0_f64;
-        let mut line_sum = -0.0_f64;
-        let mut max_step = 0.0_f64;
-        // Railed samples are pinned to either finite rail; they are counted
-        // on `raw` because a sanitized 0.0 may coincide with a rail.
-        let mut pinned = 0usize;
-        let diffs = &mut scratch.diffs;
-        diffs.clear();
-        diffs.resize(n - 1, 0.0);
-        let (head, tail) = cleaned.split_at_mut(1);
-        head[0] -= mean;
-        let mut prev = head[0];
-        ac_energy += prev * prev;
-        pinned += usize::from(raw[0] == lo || raw[0] == hi);
-        bank.step(prev);
-        for ((c, &r), d) in tail.iter_mut().zip(&raw[1..]).zip(diffs.iter_mut()) {
-            *c -= mean;
-            let x = *c;
-            ac_energy += x * x;
-            let step = (x - prev).abs();
-            *d = step;
-            line_sum += step;
-            max_step = max_step.max(step);
-            prev = x;
-            pinned += usize::from(r == lo || r == hi);
-            bank.step(x);
-        }
-
-        // Railed fraction: samples pinned to either finite rail, plus every
-        // non-finite sample (an overflowed ADC reads as railed, not absent).
-        let railed = if hi > lo {
-            ((pinned + non_finite) as f64 / nf).min(1.0)
-        } else {
-            (non_finite as f64 / nf).min(1.0)
-        };
-
-        let std = (ac_energy / nf).sqrt();
-        let log_std = (std + 1e-12).ln();
-
-        // Line length and step statistics over first differences.
-        let line_length = line_sum / (nf - 1.0);
-        // Selection puts the element a full sort would place at `len / 2`
-        // there, so the median is the same value bit for bit. `total_cmp`
-        // instead of `partial_cmp().expect(...)`: the diffs are built from
-        // the sanitized copy so they are finite today, but a NaN must never
-        // be able to panic the quality front end that exists to absorb
-        // hostile inputs.
-        let mid = diffs.len() / 2;
-        let (_, &mut median_step, _) = diffs.select_nth_unstable_by(mid, f64::total_cmp);
-        let max_jump = (max_step / (1.4826 * median_step + 1e-12)).min(1e6);
-
-        // Aliased mains hum: tone-energy fraction at each observable folded
-        // bin, weighted by spectral sharpness against ±2 Hz neighbours so
-        // broadband (or ictal) energy cannot trip it.
-        let tone_norm = 2.0 / (nf * ac_energy + 1e-12);
-        let mut hum: f64 = 0.0;
-        for lane in (0..hum_lanes).step_by(3) {
-            let p = bank.power(lane);
-            let p_lo = bank.power(lane + 1);
-            let p_hi = bank.power(lane + 2);
-            let sharpness = p / (p + p_lo + p_hi + 1e-12);
-            // A pure tone scores sharpness ≈ 1, broadband noise ≈ 1/3.
-            let weight = ((sharpness - 1.0 / 3.0) / (2.0 / 3.0)).clamp(0.0, 1.0);
-            hum = hum.max((p * tone_norm).min(1.0) * weight);
-        }
-
-        // Baseline drift: DC offset plus the lowest three DFT bins of the
-        // window (k / window_secs for k = 1..3, i.e. < 1 Hz for 4 s windows)
-        // as a share of total window energy.
-        let mut drift_energy = nf * mean * mean;
-        for lane in hum_lanes..bank.lanes {
-            drift_energy += bank.power(lane) * 2.0 / nf;
-        }
-        let drift = (drift_energy / (total_energy + 1e-12)).clamp(0.0, 1.0);
-
-        out[IDX_LINE_LENGTH] = line_length;
-        out[IDX_RAILED_FRAC] = railed;
-        out[IDX_FLAT_RUN_FRAC] = flat_run;
-        out[IDX_HUM_RATIO] = hum;
-        out[IDX_DRIFT_RATIO] = drift;
-        out[IDX_MAX_JUMP_SIGMA] = max_jump;
-        out[IDX_LOG_STD] = log_std;
+        let grader = scratch.one_hop_grader(self, f7t3.len())?;
+        let graded = grader.push_hop(f7t3, f8t4, out)?;
+        debug_assert!(graded, "a one-hop grader completes a window on every push");
         Ok(())
     }
 }
@@ -663,7 +1220,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_fill_matches_single_window_and_reuses_the_matrix() {
+    fn batch_fill_matches_the_streamed_grader_and_reuses_the_matrix() {
         let q = QualityExtractor::new(64.0).unwrap();
         let config = SlidingWindowConfig::new(64.0, 4.0, 0.75).unwrap();
         let a = noise(31, 64 * 20);
@@ -672,17 +1229,62 @@ mod tests {
         q.extract_batch_into(&a, &b, &config, &mut matrix).unwrap();
         assert_eq!(matrix.num_features(), NUM_QUALITY_FEATURES);
         assert_eq!(matrix.num_windows(), config.num_windows(a.len()));
-        let w = config.window_samples();
         let step = config.step_samples();
-        for i in [0usize, 3, matrix.num_windows() - 1] {
-            let s = i * step;
-            let row = q.assess_window(&a[s..s + w], &b[s..s + w]).unwrap();
-            assert_eq!(matrix.row(i), row.as_slice());
+        let mut grader = QualityGrader::new(&q, &config).unwrap();
+        let mut row = [0.0; NUM_QUALITY_FEATURES];
+        let mut window = 0;
+        for s in (0..a.len()).step_by(step) {
+            if grader
+                .push_hop(&a[s..s + step], &b[s..s + step], &mut row)
+                .unwrap()
+            {
+                let streamed = row.map(f64::to_bits);
+                let batch: Vec<u64> = matrix.row(window).iter().map(|v| v.to_bits()).collect();
+                assert_eq!(batch, streamed, "window {window}");
+                window += 1;
+            }
         }
+        assert_eq!(window, matrix.num_windows());
         // Refill with a shorter signal: the matrix shrinks accordingly.
         q.extract_batch_into(&a[..64 * 8], &b[..64 * 8], &config, &mut matrix)
             .unwrap();
         assert_eq!(matrix.num_windows(), config.num_windows(64 * 8));
+    }
+
+    #[test]
+    fn one_hop_grade_is_the_window_as_one_hop() {
+        // A standalone window and the first window of a grader whose only hop
+        // is that window agree bit for bit; a second length rebuilds the
+        // scratch's grader.
+        let q = QualityExtractor::new(128.0).unwrap();
+        let a = noise(41, 300);
+        let b = noise(42, 300);
+        let mut scratch = QualityScratch::default();
+        let mut out = [0.0; NUM_QUALITY_FEATURES];
+        for len in [300, 257, 300] {
+            q.assess_window_into(&a[..len], &b[..len], &mut out, &mut scratch)
+                .unwrap();
+            let mut grader = QualityGrader::with_segments(&q, len, len).unwrap();
+            let mut row = [0.0; NUM_QUALITY_FEATURES];
+            assert!(grader.push_hop(&a[..len], &b[..len], &mut row).unwrap());
+            assert_eq!(out.map(f64::to_bits), row.map(f64::to_bits), "{len}");
+        }
+    }
+
+    #[test]
+    fn grader_prices_its_rings_and_rejects_untiled_geometries() {
+        let q = QualityExtractor::new(256.0).unwrap();
+        let config = SlidingWindowConfig::paper_default(256.0).unwrap();
+        let grader = QualityGrader::new(&q, &config).unwrap();
+        // Four hop summaries and 4 × 255 internal steps per channel.
+        let per_channel = 4 * (QUALITY_HOP_F64_SLOTS * 8 + QUALITY_HOP_U32_SLOTS * 4) + 4 * 255 * 8;
+        assert_eq!(grader.state_bytes(), 2 * per_channel);
+        let uneven = SlidingWindowConfig::new(256.0, 4.0, 0.6).unwrap();
+        assert!(QualityGrader::new(&q, &uneven).is_err());
+        let mut grader = grader;
+        let mut row = [0.0; NUM_QUALITY_FEATURES];
+        assert!(grader.push_hop(&[0.0; 255], &[0.0; 255], &mut row).is_err());
+        assert!(grader.push_hop(&[0.0; 256], &[0.0; 255], &mut row).is_err());
     }
 
     #[test]

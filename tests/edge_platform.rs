@@ -328,15 +328,23 @@ fn dual_slot_store_formula_matches_the_real_layout() {
 }
 
 /// The edge memory model's streaming-state formula must agree byte for byte
-/// with the streaming extractor's own accounting across window geometries,
-/// so the RAM a wearable reserves for the hop-structured extraction covers
-/// exactly the state the extractor carries.
+/// with the streaming engines' own accounting across window geometries —
+/// the feature extractor's and the quality grader's — so the RAM a wearable
+/// reserves for the hop-structured detector covers exactly the state both
+/// carry.
 #[test]
 fn streaming_state_formula_matches_the_real_extractor() {
     use selflearn_seizure::features::extractor::SlidingWindowConfig;
+    use selflearn_seizure::features::quality::{QualityExtractor, QualityGrader};
     use selflearn_seizure::features::streaming::StreamingRichExtractor;
 
     let memory = MemoryModel::new(PlatformSpec::stm32l151_default());
+    let carried = |config: &SlidingWindowConfig| {
+        let extractor = StreamingRichExtractor::new(config).unwrap().state_bytes();
+        let quality = QualityExtractor::new(config.sampling_frequency()).unwrap();
+        let grader = QualityGrader::new(&quality, config).unwrap().state_bytes();
+        (extractor, grader)
+    };
     for (fs, window_secs, overlap) in [
         (256.0, 4.0, 0.75),
         (256.0, 2.0, 0.75),
@@ -346,16 +354,24 @@ fn streaming_state_formula_matches_the_real_extractor() {
         let config = SlidingWindowConfig::new(fs, window_secs, overlap).unwrap();
         let window = config.window_samples();
         let step = config.step_samples();
+        let (extractor, grader) = carried(&config);
+        let context = format!("fs {fs}, {window_secs} s window, {overlap} overlap");
+        assert_eq!(
+            memory.quality_grader_bytes(window, step),
+            grader,
+            "{context}"
+        );
         assert_eq!(
             memory.streaming_state_bytes(window, step),
-            StreamingRichExtractor::new(&config).unwrap().state_bytes(),
-            "fs {fs}, {window_secs} s window, {overlap} overlap"
+            extractor + grader,
+            "{context}"
         );
     }
 
     // The budget the wearable actually plans around: carried state plus one
     // hop of staging per channel on the RAM side, gate accounting unchanged.
     let config = SlidingWindowConfig::new(256.0, 4.0, 0.75).unwrap();
+    let (extractor, grader) = carried(&config);
     let snapshot = memory.trainer_snapshot_bytes(256, 54, 30, 30 * 128);
     let gated = memory.budget_with_quality_gate(1200.0, snapshot).unwrap();
     let streaming = memory
@@ -364,8 +380,6 @@ fn streaming_state_formula_matches_the_real_extractor() {
     assert_eq!(streaming.history_bytes, gated.history_bytes);
     assert_eq!(
         streaming.working_bytes,
-        gated.working_bytes
-            + StreamingRichExtractor::new(&config).unwrap().state_bytes()
-            + 2 * 256 * 8
+        gated.working_bytes + extractor + grader + 2 * 256 * 8
     );
 }

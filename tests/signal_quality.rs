@@ -1,13 +1,16 @@
 //! Cross-crate tests of the signal-quality front end: the gate must never
-//! cost a detection on clean recordings, and its calibrated state must be as
+//! cost a detection on clean recordings, it must fail closed when the
+//! indicators themselves overflow, and its calibrated state must be as
 //! crash-durable as the model it protects.
 
 use proptest::prelude::*;
 use selflearn_seizure::core::labeler::LabelerConfig;
 use selflearn_seizure::core::pipeline::{LabelSource, SelfLearningPipeline};
 use selflearn_seizure::core::realtime::{QualityGate, QualityVerdict, RealTimeDetectorConfig};
+use selflearn_seizure::core::workspace::FeatureWorkspace;
 use selflearn_seizure::data::cohort::Cohort;
-use selflearn_seizure::data::sampler::SampleConfig;
+use selflearn_seizure::data::sampler::{EegRecord, SampleConfig};
+use selflearn_seizure::data::signal::EegSignal;
 use selflearn_seizure::features::quality::QualityExtractor;
 use selflearn_seizure::features::{FeatureMatrix, SlidingWindowConfig};
 use selflearn_seizure::ml::forest::RandomForestConfig;
@@ -144,4 +147,86 @@ fn gate_state_survives_save_crash_resume() {
              committed calibration"
         );
     }
+}
+
+/// A clean record scaled by 1e160 keeps every sample finite, but the squares
+/// overflow, so drift ratio, log std and disagreement come out non-finite in
+/// every window (a NaN compares false against every threshold). The gate
+/// must fail closed: every window is `Reject` in batch and in streaming, and
+/// the self-learning loop quarantines the record instead of learning from
+/// it.
+#[test]
+fn overflowing_record_is_rejected_in_every_window() {
+    let cohort = Cohort::chb_mit_like(37);
+    let patient = 8;
+    let fs = 256.0;
+    let config = SampleConfig::new(120.0, 120.0, fs).unwrap();
+    let clean = cohort.sample_record(patient, 0, &config, 91).unwrap();
+    let scale = |x: &[f64]| x.iter().map(|v| v * 1e160).collect::<Vec<f64>>();
+    let huge = EegSignal::new(
+        scale(clean.signal().f7t3()),
+        scale(clean.signal().f8t4()),
+        fs,
+    )
+    .unwrap();
+    assert!(huge.f7t3().iter().chain(huge.f8t4()).all(|v| v.is_finite()));
+    let record = EegRecord::new(huge, *clean.annotation(), patient, 0).unwrap();
+
+    // Batch grading: non-finite indicators in every window, all rejected.
+    let windows = SlidingWindowConfig::paper_default(fs).unwrap();
+    let mut quality = FeatureMatrix::default();
+    QualityExtractor::new(fs)
+        .unwrap()
+        .extract_batch_into(
+            record.signal().f7t3(),
+            record.signal().f8t4(),
+            &windows,
+            &mut quality,
+        )
+        .unwrap();
+    assert!(quality.rows().all(|row| row.iter().any(|v| !v.is_finite())));
+    let mut verdicts = Vec::new();
+    QualityGate::verdicts_into(&quality, &mut verdicts);
+    assert!(verdicts.iter().all(|&v| v == QualityVerdict::Reject));
+
+    // The loop learns the clean record, then quarantines the scaled one.
+    let detector_config = RealTimeDetectorConfig {
+        forest: RandomForestConfig {
+            n_trees: 8,
+            max_depth: 6,
+            ..RandomForestConfig::default()
+        },
+        ..RealTimeDetectorConfig::default()
+    };
+    let mut pipeline = SelfLearningPipeline::new(LabelerConfig::default(), detector_config);
+    let w = cohort.average_seizure_duration(patient).unwrap();
+    pipeline
+        .observe_missed_seizure(&clean, w, LabelSource::Algorithm)
+        .unwrap()
+        .expect("clean record must pass the gate");
+    let outcome = pipeline
+        .observe_missed_seizure(&record, w, LabelSource::Algorithm)
+        .unwrap();
+    assert!(
+        outcome.is_none(),
+        "the overflowing record must be quarantined"
+    );
+    assert_eq!(pipeline.num_quarantined(), 1);
+
+    // The trained detector's batch and streaming paths reject every window
+    // and raise no alarm.
+    let detector = pipeline.detector();
+    let mut ws = FeatureWorkspace::new();
+    let (alarms, batch_verdicts) = detector.detect_into(record.signal(), &mut ws).unwrap();
+    assert_eq!(batch_verdicts, &verdicts[..]);
+    assert!(alarms.iter().all(|&a| !a));
+    let mut streaming = detector.streaming(fs).unwrap();
+    let mut streamed = Vec::new();
+    for (&a, &b) in record.signal().f7t3().iter().zip(record.signal().f8t4()) {
+        if let Some(detection) = streaming.push(a, b).unwrap() {
+            assert!(!detection.alarm);
+            streamed.push(detection.verdict);
+        }
+    }
+    assert_eq!(streamed, verdicts);
 }

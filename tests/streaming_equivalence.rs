@@ -190,9 +190,10 @@ fn streaming_survives_hostile_scenarios_within_the_error_model() {
 
 /// The full sample-at-a-time path: a trained detector streamed one sample
 /// pair per tick agrees with its own batch `detect_into`, alarms and quality
-/// verdicts alike, on a clean record and on every hostile scenario at two
+/// verdicts alike, on a clean record and on every hostile scenario at four
 /// severities (the gate is uncalibrated, so no record-level gain correction
-/// separates the two paths).
+/// separates the two paths). The verdicts are equal by construction: both
+/// paths grade through the same per-hop summaries.
 #[test]
 fn sample_at_a_time_push_matches_batch_detect() {
     let cohort = Cohort::chb_mit_like(3);
@@ -209,7 +210,7 @@ fn sample_at_a_time_push_matches_batch_detect() {
     let probe = cohort.sample_record(8, 1, &sample, 6).unwrap();
     let mut signals = vec![("clean".to_string(), probe.signal().clone())];
     for scenario in HostileScenario::all() {
-        for severity in [0.3, 0.8] {
+        for severity in [0.25, 0.6, 1.0, 2.5] {
             let degraded = degrade_signal(probe.signal(), scenario, severity, 123).unwrap();
             signals.push((format!("{} at {severity}", scenario.name()), degraded));
         }

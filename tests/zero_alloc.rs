@@ -1,0 +1,160 @@
+//! Runtime check that the streaming detection path does not allocate.
+//!
+//! `seizure-lint`'s `hot-path-alloc` rule checks the claim lexically; this
+//! test counts real heap allocations. A counting global allocator wraps the
+//! system allocator. Its counter lives in a const-initialized thread-local,
+//! because cargo runs tests on parallel threads and only the allocations of
+//! the thread under test may count.
+//!
+//! A trained, calibrated, gated detector streams a clean record and hostile
+//! ones, so the gate's `Suspect` and `Reject` paths run too. Every
+//! `StreamingDetector::push` after the first completed window must allocate
+//! nothing, across resets and records, and so must `FlatForest::predict`.
+//! Batch `detect_into` is left out: on a calibrated gate its slow gain
+//! correction collects the Theil–Sen slopes of every pair of windows on
+//! each call.
+
+use selflearn_seizure::core::labeler::LabelerConfig;
+use selflearn_seizure::core::pipeline::{LabelSource, SelfLearningPipeline};
+use selflearn_seizure::core::realtime::{QualityVerdict, RealTimeDetectorConfig};
+use selflearn_seizure::core::SeizureLabel;
+use selflearn_seizure::data::cohort::Cohort;
+use selflearn_seizure::data::sampler::SampleConfig;
+use selflearn_seizure::data::synth::{degrade_signal, HostileScenario};
+use selflearn_seizure::ml::forest::RandomForestConfig;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts every allocation and reallocation of the current thread, then
+/// defers to the system allocator.
+struct Counting;
+
+fn count() {
+    // `try_with`: the allocator may run while the thread-local is being torn
+    // down at thread exit; those calls go uncounted.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees carry over; counting touches only a
+// const-initialized thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: same contract as `System::alloc`.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: `layout` comes from the caller under `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: same contract as `System::alloc_zeroed`.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: `layout` comes from the caller under `alloc_zeroed`'s
+        // contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // SAFETY: same contract as `System::realloc`.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr` was allocated by this allocator (that is, by
+        // `System`) with `layout`, as `realloc`'s contract requires.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    // SAFETY: same contract as `System::dealloc`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made on this thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+#[test]
+fn the_counter_sees_this_threads_allocations() {
+    let before = allocations();
+    let v: Vec<u64> = Vec::with_capacity(std::hint::black_box(3));
+    assert_eq!(allocations() - before, 1);
+    drop(v);
+}
+
+#[test]
+fn streaming_push_and_forest_predict_do_not_allocate() {
+    let cohort = Cohort::chb_mit_like(37);
+    let patient = 8;
+    let config = SampleConfig::new(150.0, 200.0, 64.0).unwrap();
+    let detector_config = RealTimeDetectorConfig {
+        forest: RandomForestConfig {
+            n_trees: 8,
+            max_depth: 6,
+            ..RandomForestConfig::default()
+        },
+        ..RealTimeDetectorConfig::default()
+    };
+    let mut pipeline = SelfLearningPipeline::new(LabelerConfig::default(), detector_config);
+    let w = cohort.average_seizure_duration(patient).unwrap();
+    let first = cohort.sample_record(patient, 0, &config, 91).unwrap();
+    pipeline
+        .observe_missed_seizure(&first, w, LabelSource::Algorithm)
+        .unwrap()
+        .expect("clean record must pass the gate");
+    let detector = pipeline.detector();
+    assert!(detector.config().quality_gate);
+    assert!(detector.quality_gate().is_calibrated());
+
+    let probe = cohort.sample_record(patient, 1, &config, 92).unwrap();
+    let fs = probe.signal().sampling_frequency();
+    let mut signals = vec![("clean".to_string(), probe.signal().clone())];
+    for scenario in HostileScenario::all() {
+        let degraded = degrade_signal(probe.signal(), scenario, 1.0, 7).unwrap();
+        signals.push((scenario.name().to_string(), degraded));
+    }
+
+    let mut streaming = detector.streaming(fs).unwrap();
+    let mut warmed = false;
+    let (mut suspect, mut rejected) = (0, 0);
+    for (name, signal) in &signals {
+        streaming.reset();
+        for (i, (&a, &b)) in signal.f7t3().iter().zip(signal.f8t4()).enumerate() {
+            let before = allocations();
+            let detection = streaming.push(a, b).unwrap();
+            let allocated = allocations() - before;
+            if warmed {
+                assert_eq!(allocated, 0, "{name}: push of sample {i} allocated");
+            }
+            if let Some(detection) = detection {
+                warmed = true;
+                suspect += usize::from(detection.verdict == QualityVerdict::Suspect);
+                rejected += usize::from(detection.verdict == QualityVerdict::Reject);
+            }
+        }
+    }
+    assert!(warmed);
+    assert!(
+        suspect > 0 && rejected > 0,
+        "{suspect} suspect, {rejected} rejected"
+    );
+
+    let forest = detector.flat_forest().unwrap();
+    let annotation = probe.annotation();
+    let truth = SeizureLabel::new(annotation.onset(), annotation.offset()).unwrap();
+    let rows = detector
+        .build_training_windows(probe.signal(), &truth)
+        .unwrap();
+    for (i, row) in rows.features().iter().enumerate() {
+        let before = allocations();
+        std::hint::black_box(forest.predict(row));
+        assert_eq!(allocations() - before, 0, "predict of row {i} allocated");
+    }
+}
