@@ -10,11 +10,21 @@
 //! optimized scorer splits the candidates across workers, so the oracle is
 //! checked on matrices long enough to split and on candidate counts on both
 //! sides of the serial cutoff.
+//!
+//! The oracle cases stop at 300 rows, so the labeling-scale distances are
+//! also pinned: the length and FNV-1a hash of the distance bits and the
+//! detected row, on the paper features of a 45-minute cohort record per
+//! patient at the self-learning loop's geometry.
 
 use proptest::prelude::*;
 use selflearn_seizure::core::algorithm::{posteriori_detect, DetectorConfig};
+use selflearn_seizure::core::labeler::PosterioriLabeler;
+use selflearn_seizure::core::workspace::FeatureWorkspace;
+use selflearn_seizure::data::cohort::Cohort;
+use selflearn_seizure::data::sampler::SampleConfig;
 use selflearn_seizure::features::normalize::normalize_features;
 use selflearn_seizure::features::FeatureMatrix;
+use selflearn_seizure::ml::persist::fnv1a;
 
 /// The per-candidate loop the hoist replaced, on the normalized matrix the
 /// detector scores.
@@ -161,5 +171,47 @@ fn candidate_counts_around_the_serial_cutoff_match() {
             let matrix = random_matrix(candidates as u64, w + candidates, 4, 5);
             assert_bit_identical(&matrix, &[w], &format!("{candidates} candidates"));
         }
+    }
+}
+
+#[test]
+fn labeling_scale_distances_are_pinned() {
+    // 45-minute records at 256 Hz: 4 s windows with a 1 s hop give
+    // L = 2 697 rows, scored at the paper's step s = 4. The window length
+    // is each patient's average seizure duration in rows.
+    let cohort = Cohort::chb_mit_like(2019);
+    let config = SampleConfig::new(2700.0, 2700.0, 256.0).unwrap();
+    let labeler = PosterioriLabeler::default();
+    let expected = [
+        // (patient index, W, (distances, FNV-1a of their bits), peak row)
+        (8, 60, (2637, 0x5c53_fc95_809a_aa28), 1440),
+        (3, 74, (2623, 0xccd5_f59a_6fce_9ebf), 1709),
+    ];
+    for (patient, w_rows, pin, peak) in expected {
+        let w = cohort.average_seizure_duration(patient).unwrap().round() as usize;
+        assert_eq!(w, w_rows, "patient {}: average seizure rows", patient + 1);
+        let record = cohort.sample_record(patient, 0, &config, 1).unwrap();
+        let mut workspace = FeatureWorkspace::new();
+        labeler
+            .extract_features_with(record.signal(), &mut workspace)
+            .unwrap();
+        assert_eq!(workspace.matrix().num_windows(), 2697);
+        let detection =
+            posteriori_detect(workspace.matrix(), w_rows, &labeler.config().detector).unwrap();
+        let bytes: Vec<u8> = detection
+            .distances
+            .iter()
+            .flat_map(|d| d.to_bits().to_le_bytes())
+            .collect();
+        let got = (detection.distances.len(), fnv1a(&bytes));
+        assert_eq!(
+            (got, detection.window_index),
+            (pin, peak),
+            "patient {}, W {w_rows}: the distance bits moved (got len {}, fnv1a {:#018x}, peak {})",
+            patient + 1,
+            got.0,
+            got.1,
+            detection.window_index
+        );
     }
 }
