@@ -10,10 +10,11 @@
 //! distance is labeled as the seizure.
 //!
 //! The paper's pseudo-code costs `O(L² · W · F)`. This implementation produces
-//! the same distances in `O(L · F · log L + L · W · F · W / s)` using sorted
-//! prefix sums over the subsampled rows, which makes the full-scale
-//! experiments tractable; the literal pseudo-code stays in the test suite as
-//! its oracle.
+//! the same distances from sorted prefix sums over the subsampled rows and
+//! subtraction chains shared by neighbouring candidates: an `O(L · F · log L)`
+//! index, about `⌈(L − W)/s⌉ · (W + s − 1) · (W/s + 1) · F` subtractions and
+//! `(L − W) · W · F` additions. That makes the full-scale experiments
+//! tractable; the literal pseudo-code stays in the test suite as its oracle.
 
 use crate::error::CoreError;
 use seizure_features::normalize::normalize_features;
@@ -142,22 +143,39 @@ fn peak_index(distances: &[f64]) -> usize {
 }
 
 /// Algorithm 1's distance profile, with prefix sums in place of the
-/// pseudo-code's scan over every outside row.
+/// pseudo-code's scan over every outside row and one subtraction chain per
+/// row for each group of candidates.
 ///
 /// For each feature, the subsampled rows (`0, s, 2s, …`) are sorted once so
 /// that `Σ_k |v - X[k]|` over **all** subsampled rows can be answered per query
 /// in `O(log L)`, and it is asked once per (row, feature). The contribution of
-/// subsampled rows that fall *inside* the current window is then subtracted
+/// subsampled rows that fall *inside* a candidate window is then subtracted
 /// directly (there are at most `W / s + 1` of them), which reproduces the
 /// pseudo-code's result up to rounding.
 ///
+/// Candidates `i` with the same first in-window grid row `g = ⌈i/s⌉·s`, at
+/// most `s` of them, subtract the same grid rows `g, g + s, …` from the same
+/// totals in the same order, each up to its own last grid row
+/// `⌊(i + W − 1)/s⌋·s`: one candidate's chain is a prefix of its
+/// neighbour's. Their windows end on at most `s` adjacent rows, so the
+/// chains of a group end at two adjacent lengths at most. The group walks
+/// one chain per row, with the totals of up to eight features at a time in
+/// registers, and computes `total / norm_outside` at each end that a
+/// candidate holding the row reads (the bare grid sum when no grid row falls
+/// inside the window). Each candidate adds its rows' quotients into its own
+/// distance vector in ascending row order. Every distance is therefore the
+/// same sequence of IEEE operations as a chain per candidate (the oracle of
+/// `tests/algorithm_kernel.rs`), bit for bit.
+///
 /// Cost: the index and the per-(row, feature) grid sums are
-/// `O(L · F · log L)` on the calling thread; the candidate loop, about
-/// `(L − W) · W · F · (W / s + 1)` subtractions and nearly all of the work
-/// on a labeling-scale record, is split into contiguous candidate blocks
-/// across [`seizure_parallel::par_process_rows`] workers, each with its own
-/// `distance_vector` and `totals`. Candidates share only read-only inputs,
-/// so every distance is bit-identical to the one-thread loop.
+/// `O(L · F · log L)` on the calling thread. The candidate loop, about
+/// `⌈(L − W)/s⌉ · (W + s − 1) · (W/s + 1) · F` subtractions (`s`× fewer
+/// than a chain per candidate) and `(L − W) · W · F` additions, is split into
+/// contiguous candidate blocks across [`seizure_parallel::par_process_rows`]
+/// workers. A block edge may cut a group; the cut part is a group of fewer
+/// candidates, so no distance depends on the worker count. Each worker keeps
+/// `min(s, block)` distance vectors of `F` values plus one quotient row per
+/// chain end, whatever the step.
 fn distance_profile(matrix: &FeatureMatrix, w_len: usize, step: usize) -> Vec<f64> {
     let rows = matrix.num_windows();
     let features = matrix.num_features();
@@ -208,45 +226,145 @@ fn distance_profile(matrix: &FeatureMatrix, w_len: usize, step: usize) -> Vec<f6
         .collect();
 
     // Candidates are independent: each worker scores one contiguous block
-    // of them with its own accumulators.
+    // of them, one chain group at a time, with its own accumulators. A block
+    // edge may cut a group; the cut part is just a group of fewer candidates.
     let mut distances = vec![0.0; candidates];
     let Ok(()) =
         seizure_parallel::par_process_rows::<Infallible, _>(&mut distances, 1, |first, block| {
-            let mut distance_vector = vec![0.0; features];
-            let mut totals = vec![0.0; features];
-            for (i, distance) in (first..).zip(block.iter_mut()) {
-                // Grid rows inside the window [i, i + w_len).
-                let first_inside = i.div_ceil(step) * step;
-                distance_vector.fill(0.0);
-                for r in i..i + w_len {
-                    let inside = &data[r * features..(r + 1) * features];
-                    totals.copy_from_slice(&grid_sums[r * features..(r + 1) * features]);
-                    // Each feature's total subtracts the in-window grid rows
-                    // in ascending order, as before; running the features
-                    // side by side over one contiguous grid row changes no
-                    // operation order.
-                    for k in (first_inside..i + w_len).step_by(step) {
-                        let grid_row = &data[k * features..(k + 1) * features];
-                        for ((total, &v), &x) in totals.iter_mut().zip(inside).zip(grid_row) {
-                            *total -= (v - x).abs();
+            let mut distance_vectors = vec![0.0; step.min(block.len()) * features];
+            let (mut at_short, mut at_long) = (vec![0.0; features], vec![0.0; features]);
+            let mut done = 0;
+            while done < block.len() {
+                // Candidates `i0..=last` share the first in-window grid row
+                // `chain_row · step`, which is less than `i0 + step`, so no
+                // sum here overflows.
+                let i0 = first + done;
+                let chain_row = i0.div_ceil(step);
+                let len = (chain_row * step - i0 + 1).min(block.len() - done);
+                let last = i0 + len - 1;
+                // The number of grid rows inside candidate `i`'s window. The
+                // group's windows end on at most `step` adjacent rows, so it
+                // takes two adjacent values at most: `short` and `long`.
+                let chain_len = |i: usize| (i + w_len - 1) / step + 1 - chain_row;
+                let (short, long) = (chain_len(i0), chain_len(last));
+                let group = &mut distance_vectors[..len * features];
+                group.fill(0.0);
+                for r in i0..last + w_len {
+                    // The group's candidates whose windows hold row `r`.
+                    let (lo, hi) = ((r + 1).saturating_sub(w_len).max(i0), r.min(last));
+                    let chain = RowChain {
+                        data,
+                        features,
+                        row: r,
+                        chain_row,
+                        step,
+                        short,
+                        norm_outside,
+                        need_short: chain_len(lo) == short,
+                        need_long: long > short && chain_len(hi) == long,
+                    };
+                    let totals = &grid_sums[r * features..(r + 1) * features];
+                    let mut c0 = 0;
+                    while c0 < features {
+                        c0 += match features - c0 {
+                            8.. => chain.walk::<8>(c0, totals, &mut at_short, &mut at_long),
+                            4.. => chain.walk::<4>(c0, totals, &mut at_short, &mut at_long),
+                            2.. => chain.walk::<2>(c0, totals, &mut at_short, &mut at_long),
+                            _ => chain.walk::<1>(c0, totals, &mut at_short, &mut at_long),
+                        };
+                    }
+                    for i in lo..=hi {
+                        let quotients = if chain_len(i) == short {
+                            &at_short
+                        } else {
+                            &at_long
+                        };
+                        let at = (i - i0) * features;
+                        for (d, &q) in group[at..at + features].iter_mut().zip(quotients) {
+                            *d += q;
                         }
                     }
-                    for (d, &total) in distance_vector.iter_mut().zip(&totals) {
-                        *d += total / norm_outside;
-                    }
                 }
-                *distance = distance_vector
-                    .iter()
-                    .map(|v| {
-                        let v = v / w_len as f64;
-                        v * v
-                    })
-                    .sum::<f64>()
-                    .sqrt();
+                for (distance, vector) in block[done..done + len]
+                    .iter_mut()
+                    .zip(group.chunks_exact(features))
+                {
+                    *distance = vector
+                        .iter()
+                        .map(|v| {
+                            let v = v / w_len as f64;
+                            v * v
+                        })
+                        .sum::<f64>()
+                        .sqrt();
+                }
+                done += len;
             }
             Ok(())
         });
     distances
+}
+
+/// One row's subtraction chain for a group of candidates that share their
+/// first in-window grid row.
+struct RowChain<'a> {
+    data: &'a [f64],
+    features: usize,
+    row: usize,
+    /// The first in-window grid row is `chain_row · step`.
+    chain_row: usize,
+    step: usize,
+    /// Grid rows in the group's shorter windows; the longer hold one more.
+    short: usize,
+    norm_outside: f64,
+    /// Whether a candidate holding this row ends its chain at `short`, or
+    /// at `short + 1`, grid rows.
+    need_short: bool,
+    need_long: bool,
+}
+
+impl RowChain<'_> {
+    /// Walks the chain over features `c0..c0 + N`, whose totals stay in
+    /// registers: from the row's grid sums, subtracts `|v − X[k]|` for the
+    /// `short` grid rows in ascending order and stores `total /
+    /// norm_outside` in `at_short`, then subtracts one more grid row and
+    /// stores into `at_long`, each only where a candidate reads it. Returns
+    /// `N`.
+    // lint: hot-path
+    #[inline(always)]
+    fn walk<const N: usize>(
+        &self,
+        c0: usize,
+        grid_sums: &[f64],
+        at_short: &mut [f64],
+        at_long: &mut [f64],
+    ) -> usize {
+        let mut totals = [0.0; N];
+        totals.copy_from_slice(&grid_sums[c0..c0 + N]);
+        let inside = &self.data[self.row * self.features + c0..][..N];
+        let subtract = |totals: &mut [f64; N], j: usize| {
+            let k = (self.chain_row + j) * self.step;
+            let grid_row = &self.data[k * self.features + c0..][..N];
+            for ((total, &v), &x) in totals.iter_mut().zip(inside).zip(grid_row) {
+                *total -= (v - x).abs();
+            }
+        };
+        for j in 0..self.short {
+            subtract(&mut totals, j);
+        }
+        if self.need_short {
+            for (q, &total) in at_short[c0..c0 + N].iter_mut().zip(&totals) {
+                *q = total / self.norm_outside;
+            }
+        }
+        if self.need_long {
+            subtract(&mut totals, self.short);
+            for (q, &total) in at_long[c0..c0 + N].iter_mut().zip(&totals) {
+                *q = total / self.norm_outside;
+            }
+        }
+        N
+    }
 }
 
 #[cfg(test)]

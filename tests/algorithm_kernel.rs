@@ -6,7 +6,8 @@
 //! it asks the sorted prefix-sum index again for each candidate and collects
 //! the in-window grid rows per candidate. Every distance is compared under
 //! `to_bits()`, on random matrices with and without NaN-laced rows, for
-//! subsampling steps 1–5 and every window length from 1 to rows − 1. The
+//! subsampling steps 1–5 and every window length from 1 to rows − 1, and for
+//! steps past the window and the record up to `usize::MAX`. The
 //! optimized scorer splits the candidates across workers, so the oracle is
 //! checked on matrices long enough to split and on candidate counts on both
 //! sides of the serial cutoff.
@@ -111,26 +112,38 @@ fn random_matrix(seed: u64, rows: usize, features: usize, nan_every: usize) -> F
     FeatureMatrix::from_rows(names, data).unwrap()
 }
 
+/// The detector's distances for one window length and step against the
+/// oracle, bit for bit.
+fn assert_matches_oracle(
+    matrix: &FeatureMatrix,
+    normalized: &FeatureMatrix,
+    w: usize,
+    step: usize,
+    case: &str,
+) {
+    let rows = matrix.num_windows();
+    let config = DetectorConfig {
+        subsample_step: step,
+    };
+    let detection = posteriori_detect(matrix, w, &config).unwrap();
+    let expected = oracle_distances(normalized, w, step);
+    assert_eq!(detection.distances.len(), expected.len());
+    for (c, (a, b)) in detection.distances.iter().zip(&expected).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "{case}, rows {rows}, W {w}, step {step}: \
+             candidate {c} reads {a}, the pre-hoist loop {b}"
+        );
+    }
+}
+
 /// The given window lengths at steps 1–5 against the oracle.
 fn assert_bit_identical(matrix: &FeatureMatrix, windows: &[usize], case: &str) {
-    let rows = matrix.num_windows();
     let normalized = normalize_features(matrix).unwrap();
     for step in 1..=5 {
         for &w in windows {
-            let config = DetectorConfig {
-                subsample_step: step,
-            };
-            let detection = posteriori_detect(matrix, w, &config).unwrap();
-            let expected = oracle_distances(&normalized, w, step);
-            assert_eq!(detection.distances.len(), expected.len());
-            for (c, (a, b)) in detection.distances.iter().zip(&expected).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{case}, rows {rows}, W {w}, step {step}: \
-                     candidate {c} reads {a}, the pre-hoist loop {b}"
-                );
-            }
+            assert_matches_oracle(matrix, &normalized, w, step, case);
         }
     }
 }
@@ -170,6 +183,52 @@ fn candidate_counts_around_the_serial_cutoff_match() {
         for w in [1usize, 9, 74] {
             let matrix = random_matrix(candidates as u64, w + candidates, 4, 5);
             assert_bit_identical(&matrix, &[w], &format!("{candidates} candidates"));
+        }
+    }
+}
+
+#[test]
+fn steps_past_the_window_and_the_record_match() {
+    // Candidates that share their first in-window grid row share one
+    // subtraction chain, so a group holds up to `step` candidates. Window
+    // lengths around the step put zero, one or two grid rows in a window;
+    // candidate counts around it fill a group partly, exactly or with a
+    // remainder, and 16 or more may be cut between workers.
+    for step in [6usize, 7, 16, 64] {
+        for w in [1, step - 1, step, step + 1] {
+            for candidates in [step - 1, step, step + 1, 2 * step + 3, 40] {
+                for nan_every in [0, 5] {
+                    let seed = (step * 1_000 + w * 10 + candidates) as u64;
+                    let matrix = random_matrix(seed, w + candidates, 3, nan_every);
+                    let normalized = normalize_features(&matrix).unwrap();
+                    let case = format!("{candidates} candidates, nan_every {nan_every}");
+                    assert_matches_oracle(&matrix, &normalized, w, step, &case);
+                }
+            }
+        }
+    }
+    // Steps at and past the record: one grid row (row 0), so every
+    // candidate but the first falls in one group, and `usize::MAX` must not
+    // overflow the group or grid-row arithmetic.
+    for rows in [2usize, 9, 33, 61] {
+        for nan_every in [0, 4] {
+            let matrix = random_matrix(rows as u64, rows, 4, nan_every);
+            let normalized = normalize_features(&matrix).unwrap();
+            let case = format!("nan_every {nan_every}");
+            for step in [
+                rows - 1,
+                rows,
+                rows + 1,
+                usize::MAX / 2,
+                usize::MAX - 1,
+                usize::MAX,
+            ] {
+                for w in [1, 2, rows / 2, rows - 1] {
+                    if (1..rows).contains(&w) {
+                        assert_matches_oracle(&matrix, &normalized, w, step, &case);
+                    }
+                }
+            }
         }
     }
 }
