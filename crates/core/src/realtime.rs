@@ -1142,11 +1142,7 @@ fn theil_sen(points: &[(f64, f64)]) -> (f64, f64) {
 fn median_slope(points: &[(f64, f64)], cap: usize) -> Option<f64> {
     debug_assert!(cap >= 2 && cap.is_multiple_of(2));
     let n = points.len();
-    let slopes: usize = points
-        .iter()
-        .enumerate()
-        .map(|(i, &(xi, _))| points[i + 1..].iter().filter(|p| p.0 != xi).count())
-        .sum();
+    let slopes = distinct_abscissa_pairs(points);
     let target = slopes.checked_sub(1)? / 2;
 
     // A fixed-seed sample of pairs, uniform over `i < j` (SplitMix64): a
@@ -1217,6 +1213,27 @@ fn median_slope(points: &[(f64, f64)], cap: usize) -> Option<f64> {
             sample.sort_unstable();
         }
     }
+}
+
+/// The number of pairs `i < j` with `xj != xi`, in O(n log n): all
+/// `n(n − 1)/2` pairs minus those with equal abscissae. Sorted under
+/// `total_cmp`, the abscissae that `==` calls equal sit in one run (−0
+/// next to +0), and a NaN equals nothing, not even its neighbour, so the
+/// runs under `==` hold exactly the skipped pairs.
+fn distinct_abscissa_pairs(points: &[(f64, f64)]) -> usize {
+    let mut xs: Vec<f64> = points.iter().map(|p| p.0).collect();
+    xs.sort_unstable_by(f64::total_cmp);
+    let mut equal = 0;
+    let mut run = 1;
+    for pair in xs.windows(2) {
+        if pair[1] == pair[0] {
+            equal += run;
+            run += 1;
+        } else {
+            run = 1;
+        }
+    }
+    xs.len() * xs.len().saturating_sub(1) / 2 - equal
 }
 
 /// One pass over the pairwise slopes: how many lie under `lo` and in
@@ -1394,7 +1411,7 @@ mod tests {
         };
         let lengths = (2..=40).chain([63, 64, 65, 127, 250, 511, 777, 1000, 1800]);
         for n in lengths {
-            let kinds: [(&str, Vec<(f64, f64)>); 6] = [
+            let kinds: [(&str, Vec<(f64, f64)>); 8] = [
                 ("noise", (0..n).map(|i| (i as f64, noise())).collect()),
                 (
                     "trend",
@@ -1412,6 +1429,27 @@ mod tests {
                 ),
                 ("constant", (0..n).map(|i| (i as f64, 1.5)).collect()),
                 ("one abscissa", (0..n).map(|_| (2.0, noise())).collect()),
+                // Both zeros are one abscissa to `!=`, and every NaN is
+                // distinct from everything, itself included.
+                (
+                    "signed zeros and NaN abscissae",
+                    (0..n)
+                        .map(|i| {
+                            let x = match i % 6 {
+                                0 => 0.0,
+                                1 => -0.0,
+                                2 => f64::NAN,
+                                3 => -f64::NAN,
+                                _ => (i % 4) as f64,
+                            };
+                            (x, noise())
+                        })
+                        .collect(),
+                ),
+                (
+                    "repeated abscissae, unsorted",
+                    (0..n).map(|i| (((i * 7) % 5) as f64, noise())).collect(),
+                ),
                 (
                     "nan-laced",
                     (0..n)
@@ -1425,6 +1463,16 @@ mod tests {
                 ),
             ];
             for (kind, points) in kinds {
+                let brute_force: usize = points
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(xi, _))| points[i + 1..].iter().filter(|p| p.0 != xi).count())
+                    .sum();
+                assert_eq!(
+                    distinct_abscissa_pairs(&points),
+                    brute_force,
+                    "{kind}, n {n}: pairs with distinct abscissae"
+                );
                 let got = theil_sen(&points);
                 let want = stored_slopes_theil_sen(&points);
                 assert_eq!(

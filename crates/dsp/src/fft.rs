@@ -112,6 +112,82 @@ impl From<f64> for Complex {
     }
 }
 
+/// Two complex numbers side by side, one per lane, stored component-wise:
+/// both real parts, then both imaginary parts. The two-lane real FFT keeps
+/// one channel in each lane and applies the one-channel expression to each
+/// lane, so the compiler can pack every step into two-wide SIMD ops while
+/// each lane keeps its scalar bits.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ComplexPair {
+    re: [f64; 2],
+    im: [f64; 2],
+}
+
+/// `[f(0), f(1)]`: one expression, evaluated once per lane.
+#[inline(always)]
+fn lanes(f: impl Fn(usize) -> f64) -> [f64; 2] {
+    [f(0), f(1)]
+}
+
+impl ComplexPair {
+    /// Lane-wise [`Complex`] product with a factor both lanes share.
+    #[inline(always)]
+    fn mul_shared(self, w: Complex) -> Self {
+        Self {
+            re: lanes(|l| self.re[l] * w.re - self.im[l] * w.im),
+            im: lanes(|l| self.re[l] * w.im + self.im[l] * w.re),
+        }
+    }
+
+    /// Lane-wise [`Complex::conj`].
+    #[inline(always)]
+    fn conj(self) -> Self {
+        Self {
+            re: self.re,
+            im: lanes(|l| -self.im[l]),
+        }
+    }
+
+    /// Lane-wise [`Complex::scale`].
+    #[inline(always)]
+    fn scale(self, factor: f64) -> Self {
+        Self {
+            re: lanes(|l| self.re[l] * factor),
+            im: lanes(|l| self.im[l] * factor),
+        }
+    }
+
+    /// Lane-wise [`Complex::magnitude_squared`].
+    #[inline(always)]
+    fn magnitude_squared(self) -> [f64; 2] {
+        lanes(|l| self.re[l] * self.re[l] + self.im[l] * self.im[l])
+    }
+}
+
+impl std::ops::Add for ComplexPair {
+    type Output = ComplexPair;
+
+    #[inline(always)]
+    fn add(self, rhs: ComplexPair) -> ComplexPair {
+        ComplexPair {
+            re: lanes(|l| self.re[l] + rhs.re[l]),
+            im: lanes(|l| self.im[l] + rhs.im[l]),
+        }
+    }
+}
+
+impl std::ops::Sub for ComplexPair {
+    type Output = ComplexPair;
+
+    #[inline(always)]
+    fn sub(self, rhs: ComplexPair) -> ComplexPair {
+        ComplexPair {
+            re: lanes(|l| self.re[l] - rhs.re[l]),
+            im: lanes(|l| self.im[l] - rhs.im[l]),
+        }
+    }
+}
+
 /// Returns `true` when `n` is a power of two (and non-zero).
 fn is_power_of_two(n: usize) -> bool {
     n != 0 && (n & (n - 1)) == 0
@@ -319,6 +395,46 @@ fn butterfly_passes(data: &mut [Complex], twiddles: &[Complex]) {
     }
 }
 
+/// [`butterfly_passes`] on two lanes at once: the same stages, blocks,
+/// twiddles and expressions, applied to each lane.
+// lint: hot-path
+fn butterfly_passes_pair(data: &mut [ComplexPair], twiddles: &[Complex]) {
+    let n = data.len();
+    let mut len = 2;
+    let mut stage_offset = 0;
+    while len <= n {
+        let half = len / 2;
+        let stage = &twiddles[stage_offset..stage_offset + half];
+        for block in data.chunks_exact_mut(len) {
+            let (evens, odds) = block.split_at_mut(half);
+            for ((a, b), &w) in evens.iter_mut().zip(odds.iter_mut()).zip(stage) {
+                let even = *a;
+                let odd = b.mul_shared(w);
+                *a = even + odd;
+                *b = even - odd;
+            }
+        }
+        stage_offset += half;
+        len <<= 1;
+    }
+}
+
+/// Bin `k` of the direct DFT of a real signal over the roots of unity
+/// `roots`: the products summed in sample order from zero.
+fn dft_bin(roots: &[Complex], signal: &[f64], k: usize) -> Complex {
+    let n = roots.len();
+    let mut acc = Complex::zero();
+    let mut idx = 0;
+    for &x in signal {
+        acc = acc + roots[idx].scale(x);
+        idx += k;
+        if idx >= n {
+            idx -= n;
+        }
+    }
+    acc
+}
+
 impl FftPlan {
     /// Builds a forward-transform plan for signals of length `n`.
     ///
@@ -387,50 +503,70 @@ impl FftPlan {
                 butterfly_passes(out, twiddles);
             }
             PlanKind::Dft { roots } => {
-                let n = self.n;
                 for (k, slot) in out.iter_mut().enumerate() {
-                    let mut acc = Complex::zero();
-                    let mut idx = 0;
-                    for &x in signal {
-                        acc = acc + roots[idx].scale(x);
-                        idx += k;
-                        if idx >= n {
-                            idx -= n;
-                        }
-                    }
-                    *slot = acc;
+                    *slot = dft_bin(roots, signal, k);
                 }
             }
         }
         Ok(())
     }
+
+    /// `|X[k]|²` of a real signal of the planned length for the first
+    /// `out.len()` bins, bit for bit as [`FftPlan::forward_real_into`]
+    /// computes them, without a spectrum buffer: each direct-DFT bin is
+    /// summed on its own, and the one-point transform is the identity.
+    /// Real plans pack every power of two from 2 on, so the radix-2 kind
+    /// only reaches here at `n = 1`.
+    fn power_bins_into(&self, signal: &[f64], out: &mut [f64]) {
+        match &self.kind {
+            PlanKind::Dft { roots } => {
+                for (k, slot) in out.iter_mut().enumerate() {
+                    *slot = dft_bin(roots, signal, k).magnitude_squared();
+                }
+            }
+            PlanKind::Radix2 { .. } => {
+                debug_assert_eq!(self.n, 1);
+                out[0] = Complex::from(signal[0]).magnitude_squared();
+            }
+        }
+    }
 }
 
-/// A real-input FFT plan computing the one-sided power spectrum with the
-/// classic "two-for-one" trick.
+/// A real-input FFT plan computing the one-sided power spectra of two
+/// channels at once with the classic "two-for-one" trick.
 ///
-/// For even power-of-two lengths the real signal is packed into a half-length
-/// complex buffer (`z[j] = x[2j] + i·x[2j+1]`), transformed with an `n/2`
-/// point FFT and untangled into `|X[k]|²` for `k = 0..=n/2` — half the
-/// butterfly work of a full complex transform and no materialized spectrum.
-/// Other lengths fall back to a full [`FftPlan`]. Like the complex plan,
-/// execution is allocation-free into caller-provided buffers.
+/// For even power-of-two lengths each real signal is packed into a
+/// half-length complex buffer (`z[j] = x[2j] + i·x[2j+1]`), transformed with
+/// an `n/2` point FFT and untangled into `|X[k]|²` for `k = 0..=n/2` — half
+/// the butterfly work of a full complex transform and no materialized
+/// spectrum. The two channels ride in the two lanes of one
+/// [`ComplexPair`] buffer: every load, butterfly and untangle step applies
+/// the one-channel expression to each lane in the one-channel order, so
+/// each lane's bins are bit-identical to transforming that channel alone,
+/// and a NaN or infinity in one lane never reaches the other. Other lengths
+/// run the complex [`FftPlan`]'s direct DFT once per lane, summing only the
+/// `n/2 + 1` bins kept. Execution is allocation-free into caller-provided
+/// buffers.
 ///
 /// # Example
 ///
 /// ```
-/// use seizure_dsp::fft::{real_fft, Complex, RealFftPlan};
+/// use seizure_dsp::fft::{real_fft, ComplexPair, RealFftPlan};
 ///
 /// # fn main() -> Result<(), seizure_dsp::DspError> {
-/// let signal: Vec<f64> = (0..128).map(|i| (i as f64 * 0.2).sin()).collect();
-/// let plan = RealFftPlan::new(signal.len())?;
-/// let mut power = vec![0.0; plan.num_bins()];
-/// let mut scratch = vec![Complex::zero(); plan.scratch_len()];
-/// plan.magnitudes_squared_into(&signal, &mut power, &mut scratch)?;
+/// let a: Vec<f64> = (0..128).map(|i| (i as f64 * 0.2).sin()).collect();
+/// let b: Vec<f64> = (0..128).map(|i| (i as f64 * 0.7).cos()).collect();
+/// let plan = RealFftPlan::new(a.len())?;
+/// let mut power = [vec![0.0; plan.num_bins()], vec![0.0; plan.num_bins()]];
+/// let mut scratch = vec![ComplexPair::default(); plan.scratch_len()];
+/// let [pa, pb] = &mut power;
+/// plan.magnitudes_squared_pair_into([&a, &b], [pa, pb], &mut scratch)?;
 ///
-/// let reference = real_fft(&signal)?;
-/// for (p, bin) in power.iter().zip(reference.iter()) {
-///     assert!((p - bin.magnitude_squared()).abs() < 1e-6);
+/// for (signal, lane) in [&a, &b].into_iter().zip(&power) {
+///     let reference = real_fft(signal)?;
+///     for (p, bin) in lane.iter().zip(reference.iter()) {
+///         assert!((p - bin.magnitude_squared()).abs() < 1e-6);
+///     }
 /// }
 /// # Ok(())
 /// # }
@@ -499,49 +635,127 @@ impl RealFftPlan {
         self.n / 2 + 1
     }
 
-    /// Required scratch length: `n/2` on the packed path, `n` on the
-    /// fallback path.
+    /// Required lane-buffer length: `n/2` on the packed path; the fallback
+    /// path sums each bin straight from the signal and needs none.
     pub fn scratch_len(&self) -> usize {
         match &self.kind {
             RealPlanKind::Packed { .. } => self.n / 2,
-            RealPlanKind::Fallback(_) => self.n,
+            RealPlanKind::Fallback(_) => 0,
         }
     }
 
-    /// Computes `|X[k]|²` of the real signal for `k = 0..=n/2` into `out`,
-    /// without allocating.
+    /// Computes `|X[k]|²` for `k = 0..=n/2` of both real signals, lane 0
+    /// into `out[0]` and lane 1 into `out[1]`, without allocating. Each
+    /// lane's bins equal the one-channel transform's bit for bit.
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::InvalidLength`] if `signal`, `out` or `scratch`
-    /// has the wrong length.
-    pub fn magnitudes_squared_into(
+    /// Returns [`DspError::InvalidLength`] if a signal, an output row or
+    /// `scratch` has the wrong length.
+    // lint: hot-path
+    pub fn magnitudes_squared_pair_into(
+        &self,
+        signals: [&[f64]; 2],
+        out: [&mut [f64]; 2],
+        scratch: &mut [ComplexPair],
+    ) -> Result<(), DspError> {
+        const OPERATION: &str = "RealFftPlan::magnitudes_squared_pair_into";
+        for (signal, row) in signals.iter().zip(&out) {
+            if signal.len() != self.n {
+                return Err(DspError::InvalidLength {
+                    operation: OPERATION,
+                    actual: signal.len(),
+                    requirement: "signal length must match the planned length",
+                });
+            }
+            if row.len() != self.num_bins() {
+                return Err(DspError::InvalidLength {
+                    operation: OPERATION,
+                    actual: row.len(),
+                    requirement: "output must have n/2 + 1 bins",
+                });
+            }
+        }
+        if scratch.len() < self.scratch_len() {
+            return Err(DspError::InvalidLength {
+                operation: OPERATION,
+                actual: scratch.len(),
+                requirement: "scratch must cover the plan's scratch length",
+            });
+        }
+        let [out0, out1] = out;
+        match &self.kind {
+            RealPlanKind::Fallback(plan) => {
+                plan.power_bins_into(signals[0], out0);
+                plan.power_bins_into(signals[1], out1);
+            }
+            RealPlanKind::Packed {
+                rev,
+                twiddles,
+                untangle,
+            } => {
+                let m = self.n / 2;
+                let z = &mut scratch[..m];
+                // Load sample pairs straight into bit-reversed order.
+                let pairs = signals[0].chunks_exact(2).zip(signals[1].chunks_exact(2));
+                for ((x0, x1), &dst) in pairs.zip(rev) {
+                    z[dst as usize] = ComplexPair {
+                        re: [x0[0], x1[0]],
+                        im: [x0[1], x1[1]],
+                    };
+                }
+                butterfly_passes_pair(z, twiddles);
+
+                // Untangle: with E/O the transforms of the even/odd samples,
+                // Z[k] = E[k] + i·O[k] and conj(Z[m-k]) = E[k] - i·O[k], so
+                // X[k]   = E[k] + W_k·O[k]      (W_k = e^{-2πik/n})
+                // X[m-k] = conj(E[k] - W_k·O[k])
+                // and only the squared magnitudes are kept.
+                let z0 = z[0];
+                let first = lanes(|l| {
+                    let s = z0.re[l] + z0.im[l];
+                    s * s
+                });
+                let last = lanes(|l| {
+                    let d = z0.re[l] - z0.im[l];
+                    d * d
+                });
+                (out0[0], out1[0]) = (first[0], first[1]);
+                (out0[m], out1[m]) = (last[0], last[1]);
+                for k in 1..=m / 2 {
+                    let a = z[k];
+                    let b = z[m - k].conj();
+                    let e = (a + b).scale(0.5);
+                    let o = (a - b).scale(0.5);
+                    // W_k · O[k], with O[k] = -i·o.
+                    let w = untangle[k];
+                    let t = ComplexPair {
+                        re: lanes(|l| w.re * o.im[l] + w.im * o.re[l]),
+                        im: lanes(|l| w.im * o.im[l] - w.re * o.re[l]),
+                    };
+                    // At k = m/2 both writes hit one bin; the second wins,
+                    // as in the one-channel untangle.
+                    let sum = (e + t).magnitude_squared();
+                    (out0[k], out1[k]) = (sum[0], sum[1]);
+                    let diff = (e - t).magnitude_squared();
+                    (out0[m - k], out1[m - k]) = (diff[0], diff[1]);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The one-channel periodogram kernel the two-lane one replaced, kept
+    /// as its oracle: `|X[k]|²` of one real signal.
+    #[cfg(test)]
+    pub(crate) fn magnitudes_squared_into(
         &self,
         signal: &[f64],
         out: &mut [f64],
         scratch: &mut [Complex],
     ) -> Result<(), DspError> {
-        if signal.len() != self.n {
-            return Err(DspError::InvalidLength {
-                operation: "RealFftPlan::magnitudes_squared_into",
-                actual: signal.len(),
-                requirement: "signal length must match the planned length",
-            });
-        }
-        if out.len() != self.num_bins() {
-            return Err(DspError::InvalidLength {
-                operation: "RealFftPlan::magnitudes_squared_into",
-                actual: out.len(),
-                requirement: "output must have n/2 + 1 bins",
-            });
-        }
-        if scratch.len() < self.scratch_len() {
-            return Err(DspError::InvalidLength {
-                operation: "RealFftPlan::magnitudes_squared_into",
-                actual: scratch.len(),
-                requirement: "scratch must cover the plan's scratch length",
-            });
-        }
+        assert_eq!(signal.len(), self.n);
+        assert_eq!(out.len(), self.num_bins());
         match &self.kind {
             RealPlanKind::Fallback(plan) => {
                 plan.forward_real_into(signal, &mut scratch[..self.n])?;
@@ -557,17 +771,10 @@ impl RealFftPlan {
             } => {
                 let m = self.n / 2;
                 let z = &mut scratch[..m];
-                // Load sample pairs straight into bit-reversed order.
                 for (j, &dst) in rev.iter().enumerate() {
                     z[dst as usize] = Complex::new(signal[2 * j], signal[2 * j + 1]);
                 }
                 butterfly_passes(z, twiddles);
-
-                // Untangle: with E/O the transforms of the even/odd samples,
-                // Z[k] = E[k] + i·O[k] and conj(Z[m-k]) = E[k] - i·O[k], so
-                // X[k]   = E[k] + W_k·O[k]      (W_k = e^{-2πik/n})
-                // X[m-k] = conj(E[k] - W_k·O[k])
-                // and only the squared magnitudes are kept.
                 out[0] = {
                     let s = z[0].re + z[0].im;
                     s * s
@@ -581,7 +788,6 @@ impl RealFftPlan {
                     let b = z[m - k].conj();
                     let e = (a + b).scale(0.5);
                     let o = (a - b).scale(0.5);
-                    // W_k · O[k], with O[k] = -i·o.
                     let w = untangle[k];
                     let t = Complex::new(w.re * o.im + w.im * o.re, w.im * o.im - w.re * o.re);
                     out[k] = (e + t).magnitude_squared();
@@ -753,6 +959,99 @@ mod tests {
         assert!(plan.forward_real_into(&signal, &mut short_out).is_err());
         let mut out = vec![Complex::zero(); 16];
         assert!(plan.forward_real_into(&signal[..8], &mut out).is_err());
+    }
+
+    /// `n` samples of one hostile family, from a fixed xorshift stream.
+    fn lane_family(family: usize, n: usize, seed: u64) -> Vec<f64> {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64 ^ seed.wrapping_mul(0xD1B5_4A32_D192_ED03);
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        (0..n)
+            .map(|i| {
+                let u = next();
+                match family {
+                    0 => 80.0 * u,
+                    // Few levels: ties and exact cancellations.
+                    1 => (u * 6.0).round(),
+                    2 => [0.0, -0.0, 1e-3 * u][i % 3],
+                    3 => u * 1e-310,
+                    // Squares overflow to infinity.
+                    4 => [1e300, -1e300, u][i % 3],
+                    5 => [f64::INFINITY, f64::NEG_INFINITY, 5.0 * u, u][i % 4],
+                    6 if i % 7 == 3 => f64::NAN,
+                    6 if i % 11 == 5 => -f64::NAN,
+                    6 => u,
+                    7 => f64::NAN,
+                    _ => 0.0,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn two_lane_bins_equal_the_one_channel_kernel_per_lane() {
+        const FAMILIES: usize = 9;
+        for n in [1, 2, 3, 6, 8, 64, 100, 256, 1000, 1024, 4096] {
+            let plan = RealFftPlan::new(n).unwrap();
+            let bins = plan.num_bins();
+            // One lane buffer and one spectrum across every case: stale
+            // contents from the previous case must not leak into the next.
+            let mut lanes = vec![ComplexPair::default(); plan.scratch_len()];
+            let mut spectrum = vec![Complex::zero(); n];
+            let mut pair = [vec![0.0; bins], vec![0.0; bins]];
+            for a_family in 0..FAMILIES {
+                // Each family against itself, its neighbour and all-NaN,
+                // with the lanes swapped too.
+                for b_family in [a_family, (a_family + 1) % FAMILIES, 7] {
+                    let a = lane_family(a_family, n, 1);
+                    let b = lane_family(b_family, n, 2);
+                    for (x, y) in [(&a, &b), (&b, &a)] {
+                        let [p0, p1] = &mut pair;
+                        plan.magnitudes_squared_pair_into([x, y], [p0, p1], &mut lanes)
+                            .unwrap();
+                        for (lane, (signal, got)) in [x, y].into_iter().zip(&pair).enumerate() {
+                            let mut want = vec![0.0; bins];
+                            plan.magnitudes_squared_into(signal, &mut want, &mut spectrum)
+                                .unwrap();
+                            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                                assert!(
+                                    g.to_bits() == w.to_bits(),
+                                    "n {n}, families {a_family}/{b_family}, lane {lane}, \
+                                     bin {k}: {g:e} vs the one-channel kernel's {w:e}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_lane_plan_rejects_mismatched_buffers() {
+        let plan = RealFftPlan::new(16).unwrap();
+        assert_eq!(plan.scratch_len(), 8);
+        assert_eq!(RealFftPlan::new(12).unwrap().scratch_len(), 0);
+        let x = vec![0.0; 16];
+        let mut lanes = vec![ComplexPair::default(); 8];
+        let (mut p0, mut p1) = (vec![0.0; 9], vec![0.0; 9]);
+        let mut short = vec![0.0; 8];
+        assert!(plan
+            .magnitudes_squared_pair_into([&x, &x[..8]], [&mut p0, &mut p1], &mut lanes)
+            .is_err());
+        assert!(plan
+            .magnitudes_squared_pair_into([&x, &x], [&mut p0, &mut short], &mut lanes)
+            .is_err());
+        assert!(plan
+            .magnitudes_squared_pair_into([&x, &x], [&mut p0, &mut p1], &mut lanes[..7])
+            .is_err());
+        assert!(plan
+            .magnitudes_squared_pair_into([&x, &x], [&mut p0, &mut p1], &mut lanes)
+            .is_ok());
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! The paper's selected feature set (§III-A) uses total and relative delta
 //! ([0.5, 4] Hz) and theta ([4, 8] Hz) band powers computed from 4-second EEG
 //! windows; this module provides the rectangular periodogram those features are
-//! built on, as an allocating reference and as an allocation-free plan.
+//! built on, as an allocating reference and as an allocation-free plan that
+//! estimates both channels' spectra in one two-lane pass.
 
 use crate::error::DspError;
-use crate::fft::{real_fft, Complex, RealFftPlan};
+use crate::fft::{real_fft, ComplexPair, RealFftPlan};
 
 /// A one-sided power spectral density estimate.
 ///
@@ -148,31 +149,38 @@ pub fn periodogram(signal: &[f64], fs: f64) -> Result<PowerSpectrum, DspError> {
 
 /// A precomputed periodogram plan for windows of one fixed length.
 ///
-/// Wraps a [`RealFftPlan`] so the one-sided rectangular periodogram of each
-/// analysis window can be computed into caller-provided buffers with **zero
-/// heap allocations** on the hot path. Build one per window length, reuse it
-/// for every window.
+/// Wraps a [`RealFftPlan`] so the one-sided rectangular periodograms of both
+/// channels' analysis windows are computed in one two-lane pass into
+/// caller-provided buffers, with **zero heap allocations** on the hot path.
+/// Each channel's estimate is bit-identical to running that channel alone.
+/// Build one per window length, reuse it for every window.
 ///
 /// # Example
 ///
 /// ```
-/// use seizure_dsp::fft::Complex;
+/// use seizure_dsp::fft::ComplexPair;
 /// use seizure_dsp::spectrum::{periodogram, PsdPlan};
 ///
 /// # fn main() -> Result<(), seizure_dsp::DspError> {
 /// let fs = 256.0;
-/// let x: Vec<f64> = (0..1024)
-///     .map(|n| (2.0 * std::f64::consts::PI * 10.0 * n as f64 / fs).sin())
-///     .collect();
+/// let tone = |hz: f64| -> Vec<f64> {
+///     (0..1024)
+///         .map(|n| (2.0 * std::f64::consts::PI * hz * n as f64 / fs).sin())
+///         .collect()
+/// };
+/// let (a, b) = (tone(10.0), tone(3.0));
 ///
-/// let plan = PsdPlan::new(x.len())?;
-/// let mut power = vec![0.0; plan.num_bins()];
-/// let mut scratch = vec![Complex::zero(); plan.scratch_len()];
-/// plan.power_into(&x, fs, &mut power, &mut scratch)?;
+/// let plan = PsdPlan::new(a.len())?;
+/// let mut power = [vec![0.0; plan.num_bins()], vec![0.0; plan.num_bins()]];
+/// let mut scratch = vec![ComplexPair::default(); plan.scratch_len()];
+/// let [pa, pb] = &mut power;
+/// plan.power_pair_into([&a, &b], fs, [pa, pb], &mut scratch)?;
 ///
-/// let reference = periodogram(&x, fs)?;
-/// for (a, b) in power.iter().zip(reference.power()) {
-///     assert!((a - b).abs() < 1e-9);
+/// for (signal, lane) in [&a, &b].into_iter().zip(&power) {
+///     let reference = periodogram(signal, fs)?;
+///     for (x, y) in lane.iter().zip(reference.power()) {
+///         assert!((x - y).abs() < 1e-9);
+///     }
 /// }
 /// # Ok(())
 /// # }
@@ -209,8 +217,8 @@ impl PsdPlan {
         self.fft.len() / 2 + 1
     }
 
-    /// Minimum scratch length required by [`PsdPlan::power_into`] (`n/2` on
-    /// the packed real-FFT path, `n` on the fallback path).
+    /// Minimum lane-buffer length required by [`PsdPlan::power_pair_into`]
+    /// (`n/2` on the packed real-FFT path, none on the fallback path).
     pub fn scratch_len(&self) -> usize {
         self.fft.scratch_len()
     }
@@ -221,45 +229,58 @@ impl PsdPlan {
         fs / self.fft.len() as f64
     }
 
-    /// Computes the one-sided PSD of `signal` into `power`, using `scratch`
-    /// for the intermediate spectrum. Produces the same estimate as
-    /// [`periodogram`] without allocating.
+    /// Computes the one-sided PSDs of both `signals` into `power` (lane 0
+    /// into `power[0]`, lane 1 into `power[1]`), using `scratch` for the
+    /// two-lane transform. Each row is the estimate [`periodogram`] makes of
+    /// its signal, bit for bit as the one-channel plan computed it, without
+    /// allocating.
     ///
     /// # Errors
     ///
-    /// Returns [`DspError::InvalidLength`] if `signal` does not match the
-    /// planned window length, `power` does not have [`PsdPlan::num_bins`]
-    /// slots, or `scratch` is shorter than [`PsdPlan::scratch_len`], and
-    /// [`DspError::InvalidParameter`] if `fs` is not strictly positive.
-    pub fn power_into(
+    /// Returns [`DspError::InvalidLength`] if a signal does not match the
+    /// planned window length, a `power` row does not have
+    /// [`PsdPlan::num_bins`] slots, or `scratch` is shorter than
+    /// [`PsdPlan::scratch_len`], and [`DspError::InvalidParameter`] if `fs`
+    /// is not strictly positive.
+    // lint: hot-path
+    pub fn power_pair_into(
         &self,
-        signal: &[f64],
+        signals: [&[f64]; 2],
         fs: f64,
-        power: &mut [f64],
-        scratch: &mut [Complex],
+        power: [&mut [f64]; 2],
+        scratch: &mut [ComplexPair],
     ) -> Result<(), DspError> {
         if fs <= 0.0 || fs.is_nan() {
-            return Err(DspError::InvalidParameter {
-                name: "fs",
-                reason: format!("sampling frequency must be positive, got {fs}"),
-            });
+            return Err(non_positive_fs(fs));
         }
-        let n = self.fft.len();
-        if power.len() != self.num_bins() {
-            return Err(DspError::InvalidLength {
-                operation: "PsdPlan::power_into",
-                actual: power.len(),
-                requirement: "power buffer must have n/2 + 1 bins",
-            });
+        for row in &power {
+            if row.len() != self.num_bins() {
+                return Err(DspError::InvalidLength {
+                    operation: "PsdPlan::power_pair_into",
+                    actual: row.len(),
+                    requirement: "power buffer must have n/2 + 1 bins",
+                });
+            }
         }
         if scratch.len() < self.fft.scratch_len() {
             return Err(DspError::InvalidLength {
-                operation: "PsdPlan::power_into",
+                operation: "PsdPlan::power_pair_into",
                 actual: scratch.len(),
                 requirement: "scratch buffer must cover PsdPlan::scratch_len()",
             });
         }
-        self.fft.magnitudes_squared_into(signal, power, scratch)?;
+        let [row0, row1] = power;
+        self.fft
+            .magnitudes_squared_pair_into(signals, [&mut *row0, &mut *row1], scratch)?;
+        self.scale_one_sided(row0, fs);
+        self.scale_one_sided(row1, fs);
+        Ok(())
+    }
+
+    /// Turns `|X[k]|²` bins into the one-sided PSD in place: divided by
+    /// `fs · n`, interior bins doubled for their negative-frequency mirror.
+    fn scale_one_sided(&self, power: &mut [f64], fs: f64) {
+        let n = self.fft.len();
         let half = self.num_bins();
         let denom = fs * n as f64;
         for (k, slot) in power.iter_mut().enumerate() {
@@ -270,7 +291,31 @@ impl PsdPlan {
                 2.0 * two_sided
             };
         }
+    }
+
+    /// The one-channel periodogram the two-lane one replaced, kept as its
+    /// oracle.
+    #[cfg(test)]
+    pub(crate) fn power_into(
+        &self,
+        signal: &[f64],
+        fs: f64,
+        power: &mut [f64],
+        scratch: &mut [crate::fft::Complex],
+    ) -> Result<(), DspError> {
+        assert!(fs > 0.0);
+        self.fft.magnitudes_squared_into(signal, power, scratch)?;
+        self.scale_one_sided(power, fs);
         Ok(())
+    }
+}
+
+/// Misuse-only error constructor, kept out of the hot path.
+#[cold]
+fn non_positive_fs(fs: f64) -> DspError {
+    DspError::InvalidParameter {
+        name: "fs",
+        reason: format!("sampling frequency must be positive, got {fs}"),
     }
 }
 
@@ -405,14 +450,54 @@ mod tests {
         let fs = 256.0;
         for n in [1024, 600] {
             let x = sine(12.0, fs, n, 1.3);
+            let y = sine(3.0, fs, n, 0.4);
             let plan = PsdPlan::new(x.len()).unwrap();
-            let mut power = vec![0.0; plan.num_bins()];
-            let mut scratch = vec![Complex::zero(); plan.scratch_len()];
-            plan.power_into(&x, fs, &mut power, &mut scratch).unwrap();
-            let reference = periodogram(&x, fs).unwrap();
-            assert_eq!(power.len(), reference.len());
-            for (a, b) in power.iter().zip(reference.power()) {
-                assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()), "n={n}");
+            let mut power = [vec![0.0; plan.num_bins()], vec![0.0; plan.num_bins()]];
+            let mut scratch = vec![ComplexPair::default(); plan.scratch_len()];
+            let [px, py] = &mut power;
+            plan.power_pair_into([&x, &y], fs, [px, py], &mut scratch)
+                .unwrap();
+            for (signal, lane) in [&x, &y].into_iter().zip(&power) {
+                let reference = periodogram(signal, fs).unwrap();
+                assert_eq!(lane.len(), reference.len());
+                for (a, b) in lane.iter().zip(reference.power()) {
+                    assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()), "n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn two_lane_psd_equals_the_one_channel_plan_bit_for_bit() {
+        let fs = 256.0;
+        for n in [1, 2, 3, 6, 8, 64, 100, 256, 1000, 1024, 4096] {
+            let plan = PsdPlan::new(n).unwrap();
+            let bins = plan.num_bins();
+            let tone = sine(7.0, fs, n, 30.0);
+            let mut hostile = sine(2.0, fs, n, 1e-300);
+            for (i, x) in hostile.iter_mut().enumerate() {
+                if i % 5 == 1 {
+                    *x = [f64::NAN, -0.0, f64::INFINITY, 1e300][i % 4];
+                }
+            }
+            let mut scratch = vec![ComplexPair::default(); plan.scratch_len()];
+            let mut spectrum = vec![crate::fft::Complex::zero(); n];
+            for (a, b) in [(&tone, &hostile), (&hostile, &tone), (&tone, &tone)] {
+                let mut pair = [vec![0.0; bins], vec![0.0; bins]];
+                let [p0, p1] = &mut pair;
+                plan.power_pair_into([a, b], fs, [p0, p1], &mut scratch)
+                    .unwrap();
+                for (lane, (signal, got)) in [a, b].into_iter().zip(&pair).enumerate() {
+                    let mut want = vec![0.0; bins];
+                    plan.power_into(signal, fs, &mut want, &mut spectrum)
+                        .unwrap();
+                    for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            g.to_bits() == w.to_bits(),
+                            "n {n}, lane {lane}, bin {k}: {g:e} vs the one-channel plan's {w:e}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -422,21 +507,26 @@ mod tests {
         assert!(PsdPlan::new(0).is_err());
         let plan = PsdPlan::new(64).unwrap();
         assert_eq!(plan.num_bins(), 33);
+        assert_eq!(plan.window_len(), 64);
         assert!((plan.resolution(64.0) - 1.0).abs() < 1e-12);
         let x = vec![0.0; 64];
-        let mut power = vec![0.0; 33];
-        let mut scratch = vec![Complex::zero(); 64];
-        assert!(plan.power_into(&x, 0.0, &mut power, &mut scratch).is_err());
+        let (mut p0, mut p1) = (vec![0.0; 33], vec![0.0; 33]);
+        let mut scratch = vec![ComplexPair::default(); 32];
         assert!(plan
-            .power_into(&x[..10], 64.0, &mut power, &mut scratch)
+            .power_pair_into([&x, &x], 0.0, [&mut p0, &mut p1], &mut scratch)
+            .is_err());
+        assert!(plan
+            .power_pair_into([&x, &x[..10]], 64.0, [&mut p0, &mut p1], &mut scratch)
             .is_err());
         let mut bad_power = vec![0.0; 10];
         assert!(plan
-            .power_into(&x, 64.0, &mut bad_power, &mut scratch)
+            .power_pair_into([&x, &x], 64.0, [&mut bad_power, &mut p1], &mut scratch)
             .is_err());
-        let mut bad_scratch = vec![Complex::zero(); 10];
         assert!(plan
-            .power_into(&x, 64.0, &mut power, &mut bad_scratch)
+            .power_pair_into([&x, &x], 64.0, [&mut p0, &mut p1], &mut scratch[..10])
             .is_err());
+        assert!(plan
+            .power_pair_into([&x, &x], 64.0, [&mut p0, &mut p1], &mut scratch)
+            .is_ok());
     }
 }

@@ -317,9 +317,10 @@ impl MemoryModel {
     /// every level, details from level `STREAM_MIN_DETAIL_LEVEL` up). The
     /// formula mirrors the two engines' own `state_bytes()` byte for byte
     /// (`tests/edge_platform.rs` pins them against each other); transient
-    /// FFT and selection scratch is excluded on both sides. Returns 0 for
-    /// geometries the streaming engines reject (window not a multiple of
-    /// the step).
+    /// FFT scratch (the two-lane periodogram buffer and both channels'
+    /// power rows) and selection scratch is excluded on both sides. Returns
+    /// 0 for geometries the streaming engines reject (window not a multiple
+    /// of the step).
     pub fn streaming_state_bytes(&self, window_samples: usize, step_samples: usize) -> usize {
         if step_samples == 0 || !window_samples.is_multiple_of(step_samples) {
             return 0;

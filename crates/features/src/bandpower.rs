@@ -136,38 +136,94 @@ pub fn band_powers_from_psd(psd: &PowerSpectrum) -> Result<BandPowers, seizure_d
     })
 }
 
-/// Computes absolute and relative band powers straight from raw one-sided PSD
-/// bins (as filled by [`seizure_dsp::spectrum::PsdPlan::power_into`]) without
+/// Computes absolute and relative band powers of two spectra at once,
+/// straight from raw one-sided PSD bins (as filled by
+/// [`seizure_dsp::spectrum::PsdPlan::power_pair_into`]) without
 /// materializing a [`PowerSpectrum`]. `window_len` is the analysis-window
-/// length the bins came from. This is the allocation-free twin of
-/// [`band_powers_from_psd`] used by the batch paper and rich extractors and
-/// by the streaming extractor's spectral block.
+/// length the bins came from; both rows must hold the same number of bins.
+/// This is the allocation-free twin of [`band_powers_from_psd`] used by the
+/// batch paper and rich extractors and by the streaming extractor's spectral
+/// block, one lane per channel.
 ///
 /// Bin `k` sits at `k as f64 * fs / window_len as f64` Hz. That frequency
 /// never decreases with `k`, so each band's bins form one contiguous range,
 /// found from the band edges divided by the resolution and then walked to
 /// the exact edge with that same expression: a handful of divisions per
 /// band instead of one division and five range tests per bin. Each band
-/// and the total are then `0.0`-seeded folds in ascending bin order, so
-/// every output is bit-identical to testing every bin against every band
+/// and the total are then `0.0`-seeded folds in ascending bin order, the
+/// two rows' folds interleaved in one pass, so every output is
+/// bit-identical to testing every bin of its own row against every band
 /// (NaN and infinite bins included), and a band without bins reads `0.0`,
 /// never `-0.0`.
 ///
 /// # Errors
 ///
-/// Propagates [`seizure_dsp::DspError`] for a non-positive `fs` or zero
-/// `window_len`.
-pub fn band_powers_from_bins(
-    power: &[f64],
+/// Propagates [`seizure_dsp::DspError`] for a non-positive `fs`, zero
+/// `window_len` or rows of different lengths.
+// lint: hot-path
+pub fn band_powers_from_bin_pair(
+    power: [&[f64]; 2],
     fs: f64,
     window_len: usize,
-) -> Result<BandPowers, seizure_dsp::DspError> {
+) -> Result<[BandPowers; 2], seizure_dsp::DspError> {
     if fs <= 0.0 || fs.is_nan() || window_len == 0 {
-        return Err(seizure_dsp::DspError::InvalidParameter {
-            name: "fs",
-            reason: "band_powers_from_bins requires a positive fs and window length".to_string(),
+        return Err(bad_bin_geometry());
+    }
+    let [row0, row1] = power;
+    if row0.len() != row1.len() {
+        return Err(seizure_dsp::DspError::InvalidLength {
+            operation: "band_powers_from_bin_pair",
+            actual: row1.len(),
+            requirement: "both power rows must hold the same number of bins",
         });
     }
+    let resolution = fs / window_len as f64;
+    let freq = |k: usize| k as f64 * fs / window_len as f64;
+    let sums = |start: usize, end: usize| {
+        let mut acc = [0.0; 2];
+        for (a, b) in row0[start..end].iter().zip(&row1[start..end]) {
+            acc[0] += a;
+            acc[1] += b;
+        }
+        acc
+    };
+    let totals = sums(0, row0.len()).map(|sum| sum * resolution);
+    let mut out = totals.map(|total| BandPowers {
+        absolute: [0.0; 5],
+        relative: [0.0; 5],
+        total,
+    });
+    for (i, band) in Band::ALL.iter().enumerate() {
+        let (lo, hi) = band.range();
+        // Only bin 0 can sit at NaN Hz (`0 · ∞` for an infinite fs), and it
+        // then fails `>= lo`, so every bin from `start` on has a number.
+        let start = first_bin_where(0, row0.len(), lo / resolution, |k| freq(k) >= lo);
+        let end = first_bin_where(start, row0.len(), hi / resolution, |k| freq(k) > hi);
+        for (bands, sum) in out.iter_mut().zip(sums(start, end)) {
+            bands.absolute[i] = sum * resolution;
+            bands.relative[i] = if bands.total > 0.0 {
+                bands.absolute[i] / bands.total
+            } else {
+                0.0
+            };
+        }
+    }
+    Ok(out)
+}
+
+/// Misuse-only error constructor, kept out of the hot path.
+#[cold]
+fn bad_bin_geometry() -> seizure_dsp::DspError {
+    seizure_dsp::DspError::InvalidParameter {
+        name: "fs",
+        reason: "band_powers_from_bin_pair requires a positive fs and window length".to_string(),
+    }
+}
+
+/// The one-spectrum band fold the two-lane one replaced, kept as its
+/// oracle.
+#[cfg(test)]
+pub(crate) fn band_powers_from_bins(power: &[f64], fs: f64, window_len: usize) -> BandPowers {
     let resolution = fs / window_len as f64;
     let freq = |k: usize| k as f64 * fs / window_len as f64;
     let sum = |bins: &[f64]| bins.iter().fold(0.0, |acc, p| acc + p);
@@ -176,8 +232,6 @@ pub fn band_powers_from_bins(
     let mut relative = [0.0; 5];
     for (i, band) in Band::ALL.iter().enumerate() {
         let (lo, hi) = band.range();
-        // Only bin 0 can sit at NaN Hz (`0 · ∞` for an infinite fs), and it
-        // then fails `>= lo`, so every bin from `start` on has a number.
         let start = first_bin_where(0, power.len(), lo / resolution, |k| freq(k) >= lo);
         let end = first_bin_where(start, power.len(), hi / resolution, |k| freq(k) > hi);
         absolute[i] = sum(&power[start..end]) * resolution;
@@ -187,11 +241,11 @@ pub fn band_powers_from_bins(
             0.0
         };
     }
-    Ok(BandPowers {
+    BandPowers {
         absolute,
         relative,
         total,
-    })
+    }
 }
 
 /// First bin of `from..len` where `reached` holds (or `len`), for a
@@ -313,23 +367,39 @@ mod tests {
         }
     }
 
+    fn flat(b: &BandPowers) -> Vec<f64> {
+        let mut all = b.absolute.to_vec();
+        all.extend_from_slice(&b.relative);
+        all.push(b.total);
+        all
+    }
+
+    /// Folds `power` in lane 0 next to a different row of the same length
+    /// in lane 1, then the two swapped, and checks each lane against the
+    /// per-bin scan and against the one-spectrum fold, bit for bit.
     fn assert_same_bits(power: &[f64], fs: f64, window_len: usize, case: &str) {
-        let actual = band_powers_from_bins(power, fs, window_len).unwrap();
-        let expected = per_bin_oracle(power, fs, window_len);
-        let flat = |b: &BandPowers| {
-            let mut all = b.absolute.to_vec();
-            all.extend_from_slice(&b.relative);
-            all.push(b.total);
-            all
-        };
-        for (slot, (a, e)) in flat(&actual).iter().zip(&flat(&expected)).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                e.to_bits(),
-                "{case}, fs {fs}, window {window_len}, {} bins: output {slot} reads {a:e}, \
-                 the per-bin scan {e:e}",
-                power.len()
-            );
+        let partner: Vec<f64> = power.iter().rev().map(|p| 0.5 * p - 1.0).collect();
+        for (lane_rows, lane) in [([power, &partner[..]], 0), ([&partner[..], power], 1)] {
+            let actual = band_powers_from_bin_pair(lane_rows, fs, window_len).unwrap();
+            for (row, got) in lane_rows.iter().zip(&actual) {
+                for (oracle, expected) in [
+                    ("the per-bin scan", per_bin_oracle(row, fs, window_len)),
+                    (
+                        "the one-spectrum fold",
+                        band_powers_from_bins(row, fs, window_len),
+                    ),
+                ] {
+                    for (slot, (a, e)) in flat(got).iter().zip(&flat(&expected)).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            e.to_bits(),
+                            "{case} in lane {lane}, fs {fs}, window {window_len}, {} bins: \
+                             output {slot} reads {a:e}, {oracle} {e:e}",
+                            power.len()
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -385,12 +455,22 @@ mod tests {
     #[test]
     fn a_band_without_bins_reads_positive_zero() {
         // At 16 Hz resolution no bin lands in delta, theta or alpha.
-        let bp = band_powers_from_bins(&[-0.0, 2.0, 3.0], 64.0, 4).unwrap();
+        let row = [-0.0, 2.0, 3.0];
+        let [bp, _] = band_powers_from_bin_pair([&row, &row], 64.0, 4).unwrap();
         for band in [Band::Delta, Band::Theta, Band::Alpha] {
             assert_eq!(bp.absolute(band).to_bits(), 0.0_f64.to_bits(), "{band}");
             assert_eq!(bp.relative(band).to_bits(), 0.0_f64.to_bits(), "{band}");
         }
         assert_eq!(bp.absolute(Band::Beta), 2.0 * 16.0);
         assert_eq!(bp.absolute(Band::Gamma), 3.0 * 16.0);
+    }
+
+    #[test]
+    fn bin_pair_rejects_bad_geometry_and_ragged_rows() {
+        let row = [1.0, 2.0, 3.0];
+        assert!(band_powers_from_bin_pair([&row, &row], 0.0, 4).is_err());
+        assert!(band_powers_from_bin_pair([&row, &row], f64::NAN, 4).is_err());
+        assert!(band_powers_from_bin_pair([&row, &row], 64.0, 0).is_err());
+        assert!(band_powers_from_bin_pair([&row, &row[..2]], 64.0, 4).is_err());
     }
 }

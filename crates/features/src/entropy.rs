@@ -493,8 +493,23 @@ pub fn renyi_entropy(data: &[f64], alpha: f64) -> Result<f64, FeatureError> {
 /// Quadratic (order-2) Rényi entropy, the variant used by the paper's feature
 /// set ("third level Rényi entropy" is this quantity computed on level-3 detail
 /// coefficients).
+///
+/// Allocation-free and bit-identical to [`renyi_entropy`] at `alpha = 2`: it
+/// folds the same `(x * x / total).powf(2.0)` terms with the same
+/// [`Iterator::sum`] instead of materializing the probability vector, so
+/// zero-energy and NaN series keep their bits too.
+// lint: hot-path
 pub fn renyi_entropy_quadratic(data: &[f64]) -> f64 {
-    renyi_entropy(data, 2.0).expect("alpha = 2 is always valid")
+    let alpha = 2.0;
+    let total: f64 = data.iter().map(|x| x * x).sum();
+    if total <= 0.0 {
+        return 0.0;
+    }
+    let sum: f64 = data.iter().map(|x| (x * x / total).powf(alpha)).sum();
+    if sum <= 0.0 {
+        return 0.0;
+    }
+    sum.ln() / (1.0 - alpha)
 }
 
 fn energy_distribution(data: &[f64]) -> Vec<f64> {
@@ -526,10 +541,7 @@ pub fn sample_entropy(data: &[f64], m: usize, k: f64) -> Result<f64, FeatureErro
         });
     }
     if k <= 0.0 || k.is_nan() {
-        return Err(FeatureError::InvalidConfig {
-            name: "k",
-            reason: format!("tolerance fraction must be positive, got {k}"),
-        });
+        return Err(bad_tolerance(k));
     }
     if data.len() < m + 2 {
         return Ok(0.0);
@@ -546,6 +558,80 @@ pub fn sample_entropy(data: &[f64], m: usize, k: f64) -> Result<f64, FeatureErro
         return Ok(0.0);
     }
     Ok(-((count_m1 as f64) / (count_m as f64)).ln())
+}
+
+/// `SampEn(2, r)` at two tolerance fractions `k` from one pass over the
+/// template pairs: bit-identical to
+/// `[sample_entropy(data, 2, k[0])?, sample_entropy(data, 2, k[1])?]`, the
+/// paper's two sample-entropy features.
+///
+/// One standard deviation gives both tolerances. Each pair `i < j` of
+/// length-2 templates takes its `|Δ|` at each offset once, plus the third
+/// offset when `j` starts a length-3 template too, and bumps four integer
+/// counters (length 2 and 3, at each tolerance). Each test is the
+/// reference's `!(|Δ| > r)`, so a NaN distance still counts as a match, and
+/// integer counts make the result independent of the visiting order.
+///
+/// # Errors
+///
+/// Returns [`FeatureError::InvalidConfig`] if a tolerance fraction is not
+/// positive or is NaN.
+// lint: hot-path
+pub(crate) fn sample_entropy_pair(data: &[f64], k: [f64; 2]) -> Result<[f64; 2], FeatureError> {
+    if let Some(&bad) = k.iter().find(|&&k| k <= 0.0 || k.is_nan()) {
+        return Err(bad_tolerance(bad));
+    }
+    let n = data.len();
+    if n < 4 {
+        return Ok([0.0; 2]);
+    }
+    let sd = stats::std_dev(data).unwrap_or(0.0);
+    if sd == 0.0 {
+        // A constant series is perfectly regular.
+        return Ok([0.0; 2]);
+    }
+    let r = k.map(|k| k * sd);
+    let (mut count_m, mut count_m1) = ([0usize; 2], [0usize; 2]);
+    for (i, head) in data.windows(3).enumerate() {
+        // Every `j` but the last starts a length-3 template as well.
+        for tail in data[i + 1..].windows(3) {
+            let d = [0, 1, 2].map(|t| (head[t] - tail[t]).abs());
+            for l in 0..2 {
+                let m_match = within(d[0], r[l]) & within(d[1], r[l]);
+                count_m[l] += usize::from(m_match);
+                count_m1[l] += usize::from(m_match & within(d[2], r[l]));
+            }
+        }
+        let last = &data[n - 2..];
+        let d = [0, 1].map(|t| (head[t] - last[t]).abs());
+        for l in 0..2 {
+            count_m[l] += usize::from(within(d[0], r[l]) & within(d[1], r[l]));
+        }
+    }
+    Ok([0, 1].map(|l| {
+        if count_m[l] == 0 || count_m1[l] == 0 {
+            0.0
+        } else {
+            -((count_m1[l] as f64) / (count_m[l] as f64)).ln()
+        }
+    }))
+}
+
+/// The reference's template test at one offset, `!(|Δ| > r)`: a NaN
+/// distance or tolerance counts as a match.
+#[inline(always)]
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn within(distance: f64, r: f64) -> bool {
+    !(distance > r)
+}
+
+/// Misuse-only error constructor, kept out of the hot path.
+#[cold]
+fn bad_tolerance(k: f64) -> FeatureError {
+    FeatureError::InvalidConfig {
+        name: "k",
+        reason: format!("tolerance fraction must be positive, got {k}"),
+    }
 }
 
 /// Counts pairs of template vectors of length `m` whose Chebyshev distance is
@@ -726,6 +812,73 @@ mod tests {
     #[test]
     fn renyi_entropy_zero_signal_is_zero() {
         assert_eq!(renyi_entropy(&[0.0; 8], 2.0).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn quadratic_renyi_equals_the_allocating_order_two_bit_for_bit() {
+        let mut laced = pseudo_random(97, 29);
+        laced[5] = f64::NAN;
+        let mut infinite = pseudo_random(40, 31);
+        infinite[11] = f64::INFINITY;
+        let cases = [
+            pseudo_random(256, 19),
+            laced,
+            infinite,
+            vec![0.0; 16],
+            vec![-0.0; 3],
+            vec![],
+            vec![1e-170; 8],
+            vec![1e300, -2e300],
+            pseudo_random(33, 37).iter().map(|x| x * 1e-310).collect(),
+        ];
+        for data in &cases {
+            let expected = renyi_entropy(data, 2.0).unwrap();
+            assert_eq!(
+                renyi_entropy_quadratic(data).to_bits(),
+                expected.to_bits(),
+                "{data:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_pass_sample_entropy_pair_equals_two_reference_calls() {
+        let tolerances = [[0.2, 0.35], [0.35, 0.2], [0.2, 0.2], [1e-9, 5.0]];
+        for n in 0..=40usize {
+            let random = pseudo_random(n, 3 + n as u64);
+            let quantized: Vec<f64> = random.iter().map(|x| (x * 3.0).round()).collect();
+            let mut laced = random.clone();
+            for x in laced.iter_mut().skip(2).step_by(5) {
+                *x = f64::NAN;
+            }
+            let spike: Vec<f64> = (0..n)
+                .map(|i| if i == n / 2 { 1e300 } else { 0.0 })
+                .collect();
+            let cases = [
+                ("random", random),
+                ("quantized", quantized),
+                ("constant", vec![2.5; n]),
+                ("NaN-laced", laced),
+                ("spike", spike),
+            ];
+            for (kind, data) in &cases {
+                for k in tolerances {
+                    let got = sample_entropy_pair(data, k).unwrap();
+                    for (lane, k) in k.into_iter().enumerate() {
+                        let want = sample_entropy(data, 2, k).unwrap();
+                        assert_eq!(
+                            got[lane].to_bits(),
+                            want.to_bits(),
+                            "{kind}, n {n}, k {k}: one pass {} vs the reference {want}",
+                            got[lane]
+                        );
+                    }
+                }
+            }
+        }
+        for bad in [[0.0, 0.2], [0.2, -1.0], [f64::NAN, 0.35]] {
+            assert!(sample_entropy_pair(&[1.0; 10], bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

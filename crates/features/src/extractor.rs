@@ -9,9 +9,10 @@
 //! * [`RichFeatureSet`] — a 54-feature catalogue (27 per channel) mirroring the
 //!   real-time random-forest detector of Sopic et al. (e-Glass, ISCAS 2018).
 
-use crate::bandpower::{band_powers_from_bins, band_powers_from_psd, Band};
+use crate::bandpower::{band_powers_from_psd, Band, BandPowers};
 use crate::entropy::{
-    permutation_entropy, renyi_entropy_quadratic, sample_entropy, shannon_entropy,
+    permutation_entropy, renyi_entropy_quadratic, sample_entropy, sample_entropy_pair,
+    shannon_entropy, shannon_entropy_noalloc,
 };
 use crate::error::FeatureError;
 use crate::hjorth::{hjorth_parameters, hjorth_parameters_fused};
@@ -311,6 +312,9 @@ where
 /// Decomposition depth used for the wavelet-domain entropy features.
 const PAPER_WAVELET_LEVELS: usize = 7;
 
+/// Number of features [`PaperFeatureSet`] produces per window.
+const PAPER_FEATURES: usize = 10;
+
 /// The paper's ten-feature set (§III-A), selected by backward elimination.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperFeatureSet {
@@ -378,12 +382,12 @@ impl PaperFeatureSet {
         out: &mut [f64],
         scratch: &mut FeatureScratch,
     ) -> Result<(), FeatureError> {
-        if out.len() != self.num_features() {
+        if out.len() != PAPER_FEATURES {
             return Err(FeatureError::DimensionMismatch {
                 detail: format!(
-                    "output slice has {} slots but the paper set produces {} features",
+                    "output slice has {} slots but the paper set produces {PAPER_FEATURES} \
+                     features",
                     out.len(),
-                    self.num_features()
                 ),
             });
         }
@@ -402,10 +406,8 @@ impl PaperFeatureSet {
                 ),
             });
         }
-        // Spectral features, one reused periodogram plan per channel.
-        let n = scratch.window_len();
-        let left = band_powers_from_bins(scratch.power_bins(f7t3)?, self.fs, n)?;
-        let right = band_powers_from_bins(scratch.power_bins(f8t4)?, self.fs, n)?;
+        // Spectral features of both channels from one two-lane periodogram.
+        let [left, right] = scratch.band_powers([f7t3, f8t4])?;
 
         // Wavelet-domain nonlinear features of F8T4 from the reused workspace.
         scratch.decompose(f8t4)?;
@@ -417,13 +419,16 @@ impl PaperFeatureSet {
         out[5] = scratch.detail_perm_entropy(7, 7, 1)?;
         out[6] = scratch.detail_perm_entropy(6, 7, 1)?;
         out[7] = renyi_entropy_quadratic(scratch.detail_clamped(3));
-        out[8] = sample_entropy(scratch.detail_clamped(6), 2, 0.2)?;
-        out[9] = sample_entropy(scratch.detail_clamped(6), 2, 0.35)?;
+        [out[8], out[9]] = sample_entropy_pair(scratch.detail_clamped(6), [0.2, 0.35])?;
         Ok(())
     }
 }
 
 impl FeatureExtractor for PaperFeatureSet {
+    fn num_features(&self) -> usize {
+        PAPER_FEATURES
+    }
+
     fn feature_names(&self) -> Vec<String> {
         vec![
             "f7t3_theta_power".to_string(),
@@ -620,23 +625,16 @@ impl RichFeatureSet {
         FeatureScratch::new(self.fs, window_len, RICH_WAVELET_LEVELS)
     }
 
-    /// The 27 per-channel features written into `out` without allocating on
-    /// the FFT/wavelet path.
+    /// The 27 per-channel features written into `out` without allocating,
+    /// from the channel's band powers and its window.
     fn channel_features_into(
         &self,
         window: &[f64],
+        bands: &BandPowers,
         out: &mut [f64],
         scratch: &mut FeatureScratch,
     ) -> Result<(), FeatureError> {
         debug_assert_eq!(out.len(), RICH_FEATURES_PER_CHANNEL);
-        if window.len() < 3 {
-            return Err(FeatureError::SignalTooShort {
-                actual: window.len(),
-                required: 3,
-            });
-        }
-        let n = scratch.window_len();
-        let bands = band_powers_from_bins(scratch.power_bins(window)?, self.fs, n)?;
         out[..5].copy_from_slice(&bands.absolute);
         out[5..10].copy_from_slice(&bands.relative);
         out[10] = bands.total;
@@ -662,7 +660,7 @@ impl RichFeatureSet {
 
         scratch.decompose(window)?;
         for (slot, level) in out[24..27].iter_mut().zip([3usize, 4, 5]) {
-            *slot = shannon_entropy(scratch.detail_clamped(level));
+            *slot = shannon_entropy_noalloc(scratch.detail_clamped(level));
         }
         Ok(())
     }
@@ -707,9 +705,10 @@ impl RichFeatureSet {
                 ),
             });
         }
+        let [left_bands, right_bands] = scratch.band_powers([f7t3, f8t4])?;
         let (left, right) = out.split_at_mut(RICH_FEATURES_PER_CHANNEL);
-        self.channel_features_into(f7t3, left, scratch)?;
-        self.channel_features_into(f8t4, right, scratch)?;
+        self.channel_features_into(f7t3, &left_bands, left, scratch)?;
+        self.channel_features_into(f8t4, &right_bands, right, scratch)?;
         Ok(())
     }
 
@@ -754,6 +753,10 @@ impl RichFeatureSet {
 }
 
 impl FeatureExtractor for RichFeatureSet {
+    fn num_features(&self) -> usize {
+        2 * RICH_FEATURES_PER_CHANNEL
+    }
+
     fn feature_names(&self) -> Vec<String> {
         let mut names = Self::channel_feature_names("f7t3");
         names.extend(Self::channel_feature_names("f8t4"));

@@ -1,19 +1,64 @@
 //! Reusable per-thread scratch space for allocation-free feature extraction.
 //!
-//! Extracting features from a 4-second window runs one periodogram and one
-//! multi-level wavelet decomposition per channel; in the seed implementation
-//! each of those allocated fresh buffers for every window of every record.
-//! [`FeatureScratch`] bundles the precomputed [`PsdPlan`] and
-//! [`WaveletWorkspace`] plus their output buffers, so the batch extraction
-//! path performs the FFT and DWT of every sliding window without touching the
-//! heap. One scratch is created per worker thread and reused across all
-//! windows that worker processes.
+//! Extracting features from a 4-second window runs one periodogram per
+//! channel and one multi-level wavelet decomposition; in the seed
+//! implementation each of those allocated fresh buffers for every window of
+//! every record. [`FeatureScratch`] bundles the precomputed [`PsdPlan`] and
+//! [`WaveletWorkspace`] plus their output buffers: a lane buffer of `n/2`
+//! [`ComplexPair`]s (16 KB at `n = 1024`), in which the two channels'
+//! periodograms run side by side, and two power rows, one per channel. The
+//! batch extraction path thus performs the FFTs and the DWT of every sliding
+//! window without touching the heap. One scratch is created per worker
+//! thread and reused across all windows that worker processes.
 
+use crate::bandpower::{band_powers_from_bin_pair, BandPowers};
 use crate::entropy::permutation_entropy_scratch;
 use crate::error::FeatureError;
-use seizure_dsp::fft::Complex;
+use seizure_dsp::fft::ComplexPair;
 use seizure_dsp::spectrum::PsdPlan;
 use seizure_dsp::wavelet::{max_level, WaveletWorkspace};
+
+/// The two-lane periodogram of both channels' windows and its buffers:
+/// the plan, the lane buffer and one power row per channel. Transient
+/// scratch, shared by the batch [`FeatureScratch`] and the streaming
+/// extractor.
+#[derive(Debug, Clone)]
+pub(crate) struct PairSpectrum {
+    fs: f64,
+    psd: PsdPlan,
+    lanes: Vec<ComplexPair>,
+    power: [Vec<f64>; 2],
+}
+
+impl PairSpectrum {
+    /// Builds the buffers for windows of `window_len` samples at `fs` Hz.
+    pub(crate) fn new(fs: f64, window_len: usize) -> Result<Self, FeatureError> {
+        let psd = PsdPlan::new(window_len)?;
+        Ok(Self {
+            fs,
+            lanes: vec![ComplexPair::default(); psd.scratch_len()],
+            power: [vec![0.0; psd.num_bins()], vec![0.0; psd.num_bins()]],
+            psd,
+        })
+    }
+
+    /// Band powers of both channels' windows (F7T3 first), from one
+    /// two-lane periodogram and one interleaved band fold.
+    // lint: hot-path
+    pub(crate) fn band_powers(
+        &mut self,
+        windows: [&[f64]; 2],
+    ) -> Result<[BandPowers; 2], FeatureError> {
+        let [row0, row1] = &mut self.power;
+        self.psd
+            .power_pair_into(windows, self.fs, [row0, row1], &mut self.lanes)?;
+        Ok(band_powers_from_bin_pair(
+            [row0, row1],
+            self.fs,
+            self.psd.window_len(),
+        )?)
+    }
+}
 
 /// Preallocated workspace for extracting the features of one analysis window.
 ///
@@ -49,9 +94,7 @@ use seizure_dsp::wavelet::{max_level, WaveletWorkspace};
 pub struct FeatureScratch {
     fs: f64,
     window_len: usize,
-    psd: PsdPlan,
-    spectrum: Vec<Complex>,
-    power: Vec<f64>,
+    spectrum: PairSpectrum,
     wavelet: WaveletWorkspace,
     /// Dense ordinal-pattern counting table reused by the allocation-free
     /// permutation entropies.
@@ -80,14 +123,11 @@ impl FeatureScratch {
             });
         }
         let levels = max_wavelet_levels.min(max_level(window_len)).max(1);
-        let psd = PsdPlan::new(window_len)?;
         let workspace = WaveletWorkspace::new(window_len, levels)?;
         Ok(Self {
             fs,
             window_len,
-            spectrum: vec![Complex::zero(); psd.scratch_len()],
-            power: vec![0.0; psd.num_bins()],
-            psd,
+            spectrum: PairSpectrum::new(fs, window_len)?,
             wavelet: workspace,
             perm_counts: Vec::new(),
         })
@@ -108,12 +148,13 @@ impl FeatureScratch {
         self.wavelet.levels()
     }
 
-    /// Computes the one-sided PSD bins of `window` into the internal buffer
-    /// and returns them.
-    pub(crate) fn power_bins(&mut self, window: &[f64]) -> Result<&[f64], FeatureError> {
-        self.psd
-            .power_into(window, self.fs, &mut self.power, &mut self.spectrum)?;
-        Ok(&self.power)
+    /// Band powers of both channels' windows (F7T3 first) from the
+    /// scratch's two-lane periodogram.
+    pub(crate) fn band_powers(
+        &mut self,
+        windows: [&[f64]; 2],
+    ) -> Result<[BandPowers; 2], FeatureError> {
+        self.spectrum.band_powers(windows)
     }
 
     /// Runs the db4 decomposition of `window` into the internal workspace.

@@ -21,8 +21,9 @@
 //!   across windows and recomputes only the newly exposed ones plus the
 //!   periodic-boundary tail; detail bands (and hence the Shannon wavelet
 //!   entropies) are **bit-exact**.
-//! * **Spectrum** — the same full-window rectangular periodogram as the
-//!   batch extractor, so all eleven band-power features stay **bit-exact**.
+//! * **Spectrum** — the same full-window rectangular periodograms as the
+//!   batch extractor, both channels in one two-lane pass, so all eleven
+//!   band-power features stay **bit-exact**.
 //!
 //! # Equivalence / error model
 //!
@@ -48,7 +49,7 @@
 //! so the equivalence suite excludes those two columns on such degenerate
 //! windows and only requires them to stay finite.
 
-use crate::bandpower::band_powers_from_bins;
+use crate::bandpower::BandPowers;
 use crate::entropy::{
     accumulate_pattern_counts, accumulate_pattern_counts_delay1, entropy_from_counts,
     shannon_entropy_noalloc,
@@ -59,9 +60,8 @@ use crate::extractor::{
     RICH_WAVELET_LEVELS,
 };
 use crate::matrix::FeatureMatrix;
+use crate::scratch::PairSpectrum;
 use crate::statistics::{MomentSummary, SpreadSummary};
-use seizure_dsp::fft::Complex;
-use seizure_dsp::spectrum::PsdPlan;
 use seizure_dsp::wavelet::{max_level, StreamingWavelet};
 
 /// Number of `f64` fields one hop summary carries (priced by
@@ -238,12 +238,9 @@ pub struct StreamingRichExtractor {
     k: usize,
     /// Batch-identical feature definition, used for names.
     reference: RichFeatureSet,
-    /// Full-window periodogram plan.
-    psd: PsdPlan,
-    /// Window-resolution PSD bins (transient scratch, not carried state).
-    power: Vec<f64>,
-    /// FFT scratch (transient, not carried state).
-    spectrum: Vec<Complex>,
+    /// Two-lane full-window periodogram with its lane buffer and power
+    /// rows (transient scratch, not carried state).
+    spectrum: PairSpectrum,
     channels: [ChannelStream; 2],
     /// Hops ingested since construction or [`StreamingRichExtractor::reset`].
     hops_seen: usize,
@@ -286,7 +283,6 @@ impl StreamingRichExtractor {
         let k = window / hop;
         let levels = RICH_WAVELET_LEVELS.min(max_level(window)).max(1);
         let min_detail = 3.min(levels);
-        let psd = PsdPlan::new(window)?;
         let make_channel = || -> Result<ChannelStream, FeatureError> {
             Ok(ChannelStream {
                 window_buf: vec![0.0; window],
@@ -300,9 +296,7 @@ impl StreamingRichExtractor {
             hop,
             k,
             reference: RichFeatureSet::new(fs)?,
-            power: vec![0.0; psd.num_bins()],
-            spectrum: vec![Complex::zero(); psd.scratch_len()],
-            psd,
+            spectrum: PairSpectrum::new(fs, window)?,
             channels: [make_channel()?, make_channel()?],
             hops_seen: 0,
         })
@@ -346,10 +340,10 @@ impl StreamingRichExtractor {
     /// Bytes of state carried across hops, counted semantically (`f64`
     /// slots × 8 plus `u32` slots × 4, both channels): the linearized window
     /// ring buffers, the hop-summary rings and the carried wavelet
-    /// coefficients. Transient FFT scratch is excluded — it exists in the
-    /// batch path too. The edge memory model
-    /// (`edge::memory::streaming_state_bytes`) mirrors this number byte for
-    /// byte.
+    /// coefficients. Transient FFT scratch (the two-lane buffer and both
+    /// power rows) is excluded — it exists in the batch path too. The edge
+    /// memory model (`edge::memory::streaming_state_bytes`) mirrors this
+    /// number byte for byte.
     pub fn state_bytes(&self) -> usize {
         let per_channel_f64 =
             self.window + self.k * HOP_SUMMARY_F64_SLOTS + self.channels[0].wavelet.state_len();
@@ -427,19 +421,15 @@ impl StreamingRichExtractor {
             return Err(row_size_mismatch(row.len()));
         }
         let base = self.hops_seen - self.k;
+        // Spectral blocks: the bit-exact full-window periodograms of both
+        // channels, side by side.
+        let [c0, c1] = &self.channels;
+        let bands = self
+            .spectrum
+            .band_powers([&c0.window_buf, &c1.window_buf])?;
         let (left, right) = row.split_at_mut(RICH_FEATURES_PER_CHANNEL);
-        for (chan, out) in self.channels.iter_mut().zip([left, right]) {
-            finalize_channel(
-                chan,
-                &self.psd,
-                &mut self.power,
-                &mut self.spectrum,
-                self.fs,
-                self.window,
-                self.k,
-                base,
-                out,
-            )?;
+        for ((chan, bands), out) in self.channels.iter_mut().zip(&bands).zip([left, right]) {
+            finalize_channel(chan, bands, self.window, self.k, base, out)?;
         }
         Ok(true)
     }
@@ -535,27 +525,20 @@ fn row_size_mismatch(actual: usize) -> FeatureError {
     }
 }
 
-/// Merges one channel's hop ring into its 27-feature block. `base` is the
-/// absolute index of the oldest hop of the window; ring slots are visited in
-/// temporal order so the merged moments are a pure function of the hop
-/// history.
+/// Writes one channel's band powers and merges its hop ring into its
+/// 27-feature block. `base` is the absolute index of the oldest hop of the
+/// window; ring slots are visited in temporal order so the merged moments
+/// are a pure function of the hop history.
 // lint: hot-path
-#[allow(clippy::too_many_arguments)]
 fn finalize_channel(
     chan: &mut ChannelStream,
-    psd: &PsdPlan,
-    power: &mut [f64],
-    spectrum: &mut [Complex],
-    fs: f64,
+    bands: &BandPowers,
     window: usize,
     k: usize,
     base: usize,
     out: &mut [f64],
 ) -> Result<(), FeatureError> {
     debug_assert_eq!(out.len(), RICH_FEATURES_PER_CHANNEL);
-    // Spectral block: the bit-exact full-window periodogram.
-    psd.power_into(&chan.window_buf, fs, power, spectrum)?;
-    let bands = band_powers_from_bins(power, fs, window)?;
     out[..5].copy_from_slice(&bands.absolute);
     out[5..10].copy_from_slice(&bands.relative);
     out[10] = bands.total;

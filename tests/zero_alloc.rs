@@ -1,4 +1,5 @@
-//! Runtime check that the streaming detection path does not allocate.
+//! Runtime check that the streaming detection path and the batch window
+//! kernels do not allocate.
 //!
 //! `seizure-lint`'s `hot-path-alloc` rule checks the claim lexically; this
 //! test counts real heap allocations. A counting global allocator wraps the
@@ -10,8 +11,12 @@
 //! ones, so the gate's `Suspect` and `Reject` paths run too. Every
 //! `StreamingDetector::push` after the first completed window must allocate
 //! nothing, across resets and records, and so must `FlatForest::predict`.
-//! Batch `detect_into` is left out: on a calibrated gate its slow gain
-//! correction collects the Theil–Sen slopes of every pair of windows on
+//! The batch extractors' per-window kernels, `extract_window_into` of the
+//! paper and rich feature sets, must allocate nothing after their first
+//! call, on clean, NaN-laced and all-zero windows. Batch `detect_into` is
+//! left out: it fills a feature matrix per record, and on a calibrated gate
+//! its slow gain correction's Theil–Sen fit takes a sorted copy of the
+//! abscissae, two bounded slope-key buffers and the per-window intercepts on
 //! each call.
 
 use selflearn_seizure::core::labeler::LabelerConfig;
@@ -21,6 +26,7 @@ use selflearn_seizure::core::SeizureLabel;
 use selflearn_seizure::data::cohort::Cohort;
 use selflearn_seizure::data::sampler::SampleConfig;
 use selflearn_seizure::data::synth::{degrade_signal, HostileScenario};
+use selflearn_seizure::features::extractor::{FeatureExtractor, PaperFeatureSet, RichFeatureSet};
 use selflearn_seizure::ml::forest::RandomForestConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -156,5 +162,64 @@ fn streaming_push_and_forest_predict_do_not_allocate() {
         let before = allocations();
         std::hint::black_box(forest.predict(row));
         assert_eq!(allocations() - before, 0, "predict of row {i} allocated");
+    }
+}
+
+#[test]
+fn batch_window_kernels_do_not_allocate_after_the_first_call() {
+    let (fs, n) = (256.0, 1024);
+    let tone = |hz: f64, amp: f64| -> Vec<f64> {
+        (0..n)
+            .map(|i| {
+                amp * (2.0 * std::f64::consts::PI * hz * i as f64 / fs).sin() + 0.01 * i as f64
+            })
+            .collect()
+    };
+    let (f7t3, f8t4) = (tone(6.0, 40.0), tone(2.5, 25.0));
+    let lace = |clean: &[f64], every: usize| -> Vec<f64> {
+        let mut laced = clean.to_vec();
+        laced.iter_mut().step_by(every).for_each(|x| *x = f64::NAN);
+        laced
+    };
+    let (nan_f7t3, nan_f8t4) = (lace(&f7t3, 37), lace(&f8t4, 29));
+    let zeros = vec![0.0; n];
+    let windows: [(&str, &[f64], &[f64]); 3] = [
+        ("clean", &f7t3, &f8t4),
+        ("NaN-laced", &nan_f7t3, &nan_f8t4),
+        ("all-zero", &zeros, &zeros),
+    ];
+
+    let paper = PaperFeatureSet::new(fs).unwrap();
+    let rich = RichFeatureSet::new(fs).unwrap();
+    let mut paper_scratch = paper.scratch(n).unwrap();
+    let mut rich_scratch = rich.scratch(n).unwrap();
+    let mut paper_row = vec![0.0; paper.num_features()];
+    let mut rich_row = vec![0.0; rich.num_features()];
+    // The first call sizes the scratch's pattern-count table.
+    paper
+        .extract_window_into(&f7t3, &f8t4, &mut paper_row, &mut paper_scratch)
+        .unwrap();
+    rich.extract_window_into(&f7t3, &f8t4, &mut rich_row, &mut rich_scratch)
+        .unwrap();
+    for round in 0..2 {
+        for (name, a, b) in windows {
+            let before = allocations();
+            paper
+                .extract_window_into(a, b, &mut paper_row, &mut paper_scratch)
+                .unwrap();
+            let paper_allocated = allocations() - before;
+            assert_eq!(
+                paper_allocated, 0,
+                "paper set, {name} window, round {round}: allocated"
+            );
+            let before = allocations();
+            rich.extract_window_into(a, b, &mut rich_row, &mut rich_scratch)
+                .unwrap();
+            let rich_allocated = allocations() - before;
+            assert_eq!(
+                rich_allocated, 0,
+                "rich set, {name} window, round {round}: allocated"
+            );
+        }
     }
 }
