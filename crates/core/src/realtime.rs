@@ -311,12 +311,15 @@ impl RealTimeDetector {
         self.flat.is_some()
     }
 
+    /// The detector's window geometry at `fs`. Its rich features are
+    /// streamed, so the geometry must be one [`StreamingRichExtractor::new`]
+    /// accepts. Any other is refused here, before a window is graded or
+    /// extracted, so every entry point (training, detection, quality
+    /// grading and the pipeline's quarantine check) fails alike.
     fn window_config(&self, fs: f64) -> Result<SlidingWindowConfig, CoreError> {
-        Ok(SlidingWindowConfig::new(
-            fs,
-            self.config.window_secs,
-            self.config.overlap,
-        )?)
+        let window = SlidingWindowConfig::new(fs, self.config.window_secs, self.config.overlap)?;
+        StreamingRichExtractor::new(&window)?;
+        Ok(window)
     }
 
     /// Builds a per-window labeled dataset from a signal and a seizure label
@@ -339,10 +342,11 @@ impl RealTimeDetector {
     }
 
     /// Extracts the rich (54-feature) matrix of every window of `signal`
-    /// into the workspace matrix through the batch engine (parallel over
-    /// windows, one flat row-major buffer, pooled per-worker scratches, all
-    /// reused across records) and returns the per-window labels, leaving
-    /// the rows in `workspace.matrix()`.
+    /// into the workspace matrix and returns the per-window labels, leaving
+    /// the rows in `workspace.matrix()`. The rows are streamed in parallel
+    /// blocks through the same [`StreamingRichExtractor`] the streaming
+    /// detector runs (see [`RichFeatureSet`]), so they equal the rows
+    /// detection computes bit for bit.
     ///
     /// This is the **full-record reference path**: it extracts every window
     /// of the record. The self-learning pipeline no longer calls it; it picks
@@ -352,7 +356,8 @@ impl RealTimeDetector {
     ///
     /// # Errors
     ///
-    /// Propagates feature-extraction failures.
+    /// Propagates feature-extraction failures, including the configuration
+    /// error of a window geometry [`StreamingRichExtractor::new`] refuses.
     pub fn build_training_windows_with(
         &self,
         signal: &EegSignal,
@@ -403,7 +408,6 @@ impl RealTimeDetector {
             signal.f8t4(),
             &window,
             windows,
-            &workspace.pool,
             &mut workspace.matrix,
         )?;
         Ok(())
@@ -518,14 +522,18 @@ impl RealTimeDetector {
     /// `(predictions, verdicts)` borrowed from the workspace, one entry per
     /// window (true = seizure alarm). With the quality gate enabled, every
     /// `Reject` window's prediction is forced to `false`; with it disabled
-    /// all verdicts read `Clean`. Extraction and the forest's batch
-    /// prediction both run on workspace-owned buffers, so a sweep over many
-    /// records touches the heap only when a record first outgrows them.
+    /// all verdicts read `Clean`. The quality and feature matrices, the
+    /// predictions and the verdicts live in the workspace and are refilled
+    /// in place, growing only when a record first outgrows them. Each call
+    /// still builds one quality grader and one streaming rich extractor per
+    /// worker, a fixed handful of allocations per record.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidState`] if the detector has not been trained
-    /// and propagates feature-extraction failures.
+    /// and propagates feature-extraction failures, including the
+    /// configuration error of a window geometry
+    /// [`StreamingRichExtractor::new`] refuses.
     // lint: hot-path
     pub fn detect_into<'w>(
         &self,
@@ -877,13 +885,13 @@ impl RealTimeDetector {
     /// hop-structured extraction state across the 75 % window overlap
     /// instead of recomputing each window from scratch.
     ///
-    /// The streaming path matches [`RealTimeDetector::detect_into`] window
-    /// for window on a detector whose quality gate is uncalibrated. The
-    /// quality verdicts are equal by construction: both paths grade through
-    /// the same per-hop summaries ([`QualityGrader`]), so the streamed
-    /// quality rows equal the batch rows bit for bit. The alarms match up to
-    /// the bounded floating-point error of the streaming feature extractor
-    /// (see [`seizure_features::streaming`]). One documented behavioural
+    /// The streaming path equals [`RealTimeDetector::detect_into`] bit for
+    /// bit, alarms and verdicts alike, on a detector whose quality gate is
+    /// uncalibrated. Both are equal by construction: batch detection streams
+    /// its feature rows through the same [`StreamingRichExtractor`] and
+    /// grades through the same per-hop summaries ([`QualityGrader`]), so
+    /// every streamed feature and quality row equals the batch row (see
+    /// [`seizure_features::streaming`]). One documented behavioural
     /// difference: the record-level slow gain correction (AGC) is a
     /// whole-record robust fit and is **not** applied while streaming, so a
     /// calibrated gate may rescale batch inputs where the streaming path
@@ -1637,34 +1645,85 @@ mod tests {
     }
 
     #[test]
-    fn fractional_overlap_detector_keeps_window_label_alignment() {
-        // Regression for the window-step rounding drift: at 60 % overlap the
-        // exact step is fractional (1.6 s at 64 Hz = 102.4 samples); the
-        // detector must round it (102) and keep per-window labels aligned
-        // with the realized step through training and evaluation.
+    fn fractional_overlap_detector_is_refused_by_every_rich_entry_point() {
+        use crate::labeler::LabelerConfig;
+        use crate::pipeline::SelfLearningPipeline;
+        use seizure_data::sampler::EegRecord;
+        use seizure_data::synth::{degrade_signal, HostileScenario};
+        use seizure_ml::persist::journal::{CompactionPolicy, DeltaSave};
+
+        // At 60 % overlap the exact step is fractional (1.6 s at 64 Hz =
+        // 102.4 samples) and rounds to 102, which does not divide the
+        // 256-sample window, so hop summaries cannot tile it. Training,
+        // batch detection, streaming and the self-learning loop all refuse
+        // it with the streaming extractor's configuration error.
         let (record, truth) = record_and_truth(6);
-        let mut detector = RealTimeDetector::new(RealTimeDetectorConfig {
+        let config = RealTimeDetectorConfig {
             overlap: 0.6,
             ..fast_config()
-        });
-        let window = detector
-            .window_config(record.signal().sampling_frequency())
-            .unwrap();
+        };
+        let fs = record.signal().sampling_frequency();
+        let window = SlidingWindowConfig::new(fs, config.window_secs, config.overlap).unwrap();
         assert_eq!(window.window_samples(), 256);
         assert_eq!(window.step_samples(), 102);
         let realized = (window.window_samples() - window.step_samples()) as f64;
         assert!((realized - 256.0 * 0.6).abs() <= 1.0);
+        let expected = CoreError::Feature(StreamingRichExtractor::new(&window).unwrap_err());
 
-        let training = detector
+        let mut detector = RealTimeDetector::new(config);
+        assert_eq!(
+            detector
+                .build_training_windows(record.signal(), &truth)
+                .unwrap_err(),
+            expected
+        );
+        // A forest fitted on rows of the paper geometry does not make the
+        // detector's own geometry any more streamable.
+        let paper = RealTimeDetector::new(fast_config());
+        let training = paper
             .build_training_windows(record.signal(), &truth)
             .unwrap();
-        detector
-            .train(&detector.balance(&training).unwrap())
-            .unwrap();
-        let cm = detector
-            .evaluate(record.signal(), &truth, &mut FeatureWorkspace::new())
-            .unwrap();
-        assert_eq!(cm.total(), training.len());
+        detector.train(&paper.balance(&training).unwrap()).unwrap();
+        assert_eq!(
+            detector
+                .detect_into(record.signal(), &mut FeatureWorkspace::new())
+                .unwrap_err(),
+            expected
+        );
+        assert_eq!(detector.streaming(fs).unwrap_err(), expected);
+
+        // The pipeline, with its journal armed, fails before learning or
+        // quarantining anything, on a clean record and on a saturated one
+        // its gate would quarantine: counters, pool, labels, gate and
+        // journal stay as they were.
+        let saturated = EegRecord::new(
+            degrade_signal(record.signal(), HostileScenario::Saturation, 1.0, 7).unwrap(),
+            *record.annotation(),
+            8,
+            0,
+        )
+        .unwrap();
+        let mut streamable = SelfLearningPipeline::new(LabelerConfig::default(), fast_config());
+        streamable.add_training_record(&saturated, &truth).unwrap();
+        assert_eq!(streamable.num_quarantined(), 1);
+        let mut pipeline = SelfLearningPipeline::new(LabelerConfig::default(), config);
+        let policy = CompactionPolicy::default();
+        assert!(matches!(
+            pipeline.save_delta_with(policy),
+            DeltaSave::Full(_)
+        ));
+        let before = pipeline.save();
+        for record in [&record, &saturated] {
+            assert_eq!(
+                pipeline.add_training_record(record, &truth).unwrap_err(),
+                expected
+            );
+        }
+        assert_eq!(pipeline.num_seizures_collected(), 0);
+        assert_eq!(pipeline.num_quarantined(), 0);
+        assert_eq!(pipeline.training_windows(), 0);
+        assert_eq!(pipeline.save(), before);
+        assert_eq!(pipeline.save_delta_with(policy), DeltaSave::Clean);
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Reusable multi-record extraction state.
 //!
 //! The detect and labeling paths both turn a record into a [`FeatureMatrix`]
-//! through the parallel batch extraction engine. In the seed implementation
+//! through a parallel batch extraction engine. In the seed implementation
 //! the flat matrix buffer and every worker's FFT/wavelet scratch were rebuilt
 //! per record; a [`FeatureWorkspace`] keeps both alive so a whole cohort of
 //! records — an evaluation sweep, a labeling experiment, the self-learning
-//! training loop — runs on one matrix allocation and one pooled scratch set.
+//! training loop — runs on one matrix allocation and, for the labeler's
+//! paper features, one pooled scratch set. The detector's rich features keep
+//! no per-window scratch: each call streams them through one extractor per
+//! worker.
 
 use crate::realtime::QualityVerdict;
 use seizure_features::matrix::FeatureMatrix;
@@ -40,6 +43,7 @@ use seizure_features::scratch::FeatureScratchPool;
 #[derive(Debug, Clone, Default)]
 pub struct FeatureWorkspace {
     pub(crate) matrix: FeatureMatrix,
+    /// Per-worker scratches of the paper feature set.
     pub(crate) pool: FeatureScratchPool,
     /// Per-window class predictions of the last
     /// [`RealTimeDetector::detect_into`](crate::realtime::RealTimeDetector::detect_into)

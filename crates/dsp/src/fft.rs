@@ -291,50 +291,14 @@ fn dft(input: &[Complex]) -> Vec<Complex> {
     out
 }
 
-/// A precomputed FFT execution plan for signals of one fixed length.
-///
-/// The plan front-loads everything `fft` recomputes per call — the
-/// bit-reversal permutation and the per-stage twiddle factors for
-/// power-of-two lengths, or the table of roots of unity for the direct-DFT
-/// fallback — and executes into a caller-provided output buffer, so the hot
-/// path performs **no heap allocations**. This is the building block of the
-/// batch inference engine: one plan is built per analysis-window length and
-/// reused across every window of a recording.
-///
-/// # Example
-///
-/// ```
-/// use seizure_dsp::fft::{fft, Complex, FftPlan};
-///
-/// # fn main() -> Result<(), seizure_dsp::DspError> {
-/// let signal: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
-/// let plan = FftPlan::new(signal.len())?;
-/// let mut spectrum = vec![Complex::zero(); signal.len()];
-/// plan.forward_real_into(&signal, &mut spectrum)?;
-///
-/// let reference = fft(&signal.iter().map(|&x| Complex::from(x)).collect::<Vec<_>>())?;
-/// for (a, b) in spectrum.iter().zip(reference.iter()) {
-///     assert!((a.re - b.re).abs() < 1e-9 && (a.im - b.im).abs() < 1e-9);
-/// }
-/// # Ok(())
-/// # }
-/// ```
+/// The direct-DFT fallback of [`RealFftPlan`] for the lengths its packed
+/// path cannot take, `n = 1` and every length that is not a power of two:
+/// the table of roots of unity, from which each kept bin is summed on its
+/// own.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FftPlan {
-    n: usize,
-    kind: PlanKind,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum PlanKind {
-    /// Radix-2 Cooley–Tukey: bit-reversal table plus per-stage twiddles
-    /// `e^{-2πik/len}` flattened stage after stage (`n - 1` values total).
-    Radix2 {
-        rev: Vec<u32>,
-        twiddles: Vec<Complex>,
-    },
-    /// Direct DFT fallback: the `n` roots of unity `e^{-2πij/n}`.
-    Dft { roots: Vec<Complex> },
+struct FftPlan {
+    /// The `n` roots of unity `e^{-2πij/n}`.
+    roots: Vec<Complex>,
 }
 
 /// Bit-reversal permutation table for a power-of-two length.
@@ -366,37 +330,12 @@ fn stage_twiddles(n: usize) -> Vec<Complex> {
     twiddles
 }
 
-/// In-place radix-2 butterfly passes over bit-reversal-ordered data.
-///
-/// Each stage walks the buffer in fixed-width `len` chunks via
-/// `chunks_exact_mut` and splits every chunk into its even/odd halves up
-/// front, so the inner loop is a straight zip over three equal-length slices
-/// with all bounds checks hoisted — the shape the autovectorizer wants. The
-/// arithmetic (twiddle multiply, add/sub order) is unchanged from the
-/// indexed form.
-fn butterfly_passes(data: &mut [Complex], twiddles: &[Complex]) {
-    let n = data.len();
-    let mut len = 2;
-    let mut stage_offset = 0;
-    while len <= n {
-        let half = len / 2;
-        let stage = &twiddles[stage_offset..stage_offset + half];
-        for block in data.chunks_exact_mut(len) {
-            let (evens, odds) = block.split_at_mut(half);
-            for ((a, b), &w) in evens.iter_mut().zip(odds.iter_mut()).zip(stage) {
-                let even = *a;
-                let odd = *b * w;
-                *a = even + odd;
-                *b = even - odd;
-            }
-        }
-        stage_offset += half;
-        len <<= 1;
-    }
-}
-
-/// [`butterfly_passes`] on two lanes at once: the same stages, blocks,
-/// twiddles and expressions, applied to each lane.
+/// In-place radix-2 butterfly passes over bit-reversal-ordered data, on two
+/// lanes at once: each stage walks the buffer in fixed-width `len` chunks
+/// and splits every chunk into its even/odd halves up front, so the inner
+/// loop is a straight zip over three equal-length slices with all bounds
+/// checks hoisted. Each lane takes the one-channel oracle's stages, blocks,
+/// twiddles and expressions.
 // lint: hot-path
 fn butterfly_passes_pair(data: &mut [ComplexPair], twiddles: &[Complex]) {
     let n = data.len();
@@ -436,98 +375,26 @@ fn dft_bin(roots: &[Complex], signal: &[f64], k: usize) -> Complex {
 }
 
 impl FftPlan {
-    /// Builds a forward-transform plan for signals of length `n`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] if `n` is zero.
-    pub fn new(n: usize) -> Result<Self, DspError> {
-        if n == 0 {
-            return Err(DspError::EmptyInput {
-                operation: "FftPlan::new",
-            });
-        }
-        let kind = if is_power_of_two(n) {
-            PlanKind::Radix2 {
-                rev: bit_reversal_table(n),
-                twiddles: stage_twiddles(n),
-            }
-        } else {
-            let roots = (0..n)
-                .map(|j| {
-                    Complex::from_polar_unit(-2.0 * std::f64::consts::PI * j as f64 / n as f64)
-                })
-                .collect();
-            PlanKind::Dft { roots }
-        };
-        Ok(Self { n, kind })
-    }
-
-    /// The signal length the plan was built for.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Returns `false`; plans always cover at least one sample.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Computes the forward FFT of a real signal into `out` without
-    /// allocating.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidLength`] if `signal` or `out` does not match
-    /// the planned length.
-    pub fn forward_real_into(&self, signal: &[f64], out: &mut [Complex]) -> Result<(), DspError> {
-        if signal.len() != self.n {
-            return Err(DspError::InvalidLength {
-                operation: "FftPlan::forward_real_into",
-                actual: signal.len(),
-                requirement: "signal length must match the planned length",
-            });
-        }
-        if out.len() != self.n {
-            return Err(DspError::InvalidLength {
-                operation: "FftPlan::forward_real_into",
-                actual: out.len(),
-                requirement: "output length must match the planned length",
-            });
-        }
-        match &self.kind {
-            PlanKind::Radix2 { rev, twiddles } => {
-                for (slot, &src) in out.iter_mut().zip(rev.iter()) {
-                    *slot = Complex::from(signal[src as usize]);
-                }
-                butterfly_passes(out, twiddles);
-            }
-            PlanKind::Dft { roots } => {
-                for (k, slot) in out.iter_mut().enumerate() {
-                    *slot = dft_bin(roots, signal, k);
-                }
-            }
-        }
-        Ok(())
+    /// Builds the fallback for real signals of length `n >= 1`.
+    fn new(n: usize) -> Self {
+        let roots = (0..n)
+            .map(|j| Complex::from_polar_unit(-2.0 * std::f64::consts::PI * j as f64 / n as f64))
+            .collect();
+        Self { roots }
     }
 
     /// `|X[k]|²` of a real signal of the planned length for the first
-    /// `out.len()` bins, bit for bit as [`FftPlan::forward_real_into`]
-    /// computes them, without a spectrum buffer: each direct-DFT bin is
-    /// summed on its own, and the one-point transform is the identity.
-    /// Real plans pack every power of two from 2 on, so the radix-2 kind
-    /// only reaches here at `n = 1`.
+    /// `out.len()` bins, without a spectrum buffer: each bin is summed on
+    /// its own. The one-point transform is the identity: summed over its
+    /// one root, the imaginary part would be `0 + (−0·x)`, which turns an
+    /// infinite sample into NaN.
     fn power_bins_into(&self, signal: &[f64], out: &mut [f64]) {
-        match &self.kind {
-            PlanKind::Dft { roots } => {
-                for (k, slot) in out.iter_mut().enumerate() {
-                    *slot = dft_bin(roots, signal, k).magnitude_squared();
-                }
-            }
-            PlanKind::Radix2 { .. } => {
-                debug_assert_eq!(self.n, 1);
-                out[0] = Complex::from(signal[0]).magnitude_squared();
-            }
+        if let [x] = signal {
+            out[0] = Complex::from(*x).magnitude_squared();
+            return;
+        }
+        for (k, slot) in out.iter_mut().enumerate() {
+            *slot = dft_bin(&self.roots, signal, k).magnitude_squared();
         }
     }
 }
@@ -544,9 +411,8 @@ impl FftPlan {
 /// the one-channel expression to each lane in the one-channel order, so
 /// each lane's bins are bit-identical to transforming that channel alone,
 /// and a NaN or infinity in one lane never reaches the other. Other lengths
-/// run the complex [`FftPlan`]'s direct DFT once per lane, summing only the
-/// `n/2 + 1` bins kept. Execution is allocation-free into caller-provided
-/// buffers.
+/// run a direct DFT once per lane, summing only the `n/2 + 1` bins kept.
+/// Execution is allocation-free into caller-provided buffers.
 ///
 /// # Example
 ///
@@ -586,7 +452,7 @@ enum RealPlanKind {
         twiddles: Vec<Complex>,
         untangle: Vec<Complex>,
     },
-    /// Full complex transform for lengths the packed path cannot handle.
+    /// Direct DFT for lengths the packed path cannot handle.
     Fallback(FftPlan),
 }
 
@@ -615,7 +481,7 @@ impl RealFftPlan {
                 untangle,
             }
         } else {
-            RealPlanKind::Fallback(FftPlan::new(n)?)
+            RealPlanKind::Fallback(FftPlan::new(n))
         };
         Ok(Self { n, kind })
     }
@@ -758,7 +624,7 @@ impl RealFftPlan {
         assert_eq!(out.len(), self.num_bins());
         match &self.kind {
             RealPlanKind::Fallback(plan) => {
-                plan.forward_real_into(signal, &mut scratch[..self.n])?;
+                plan.forward_real_into(signal, &mut scratch[..self.n]);
                 for (slot, bin) in out.iter_mut().zip(scratch.iter()) {
                     *slot = bin.magnitude_squared();
                 }
@@ -795,6 +661,48 @@ impl RealFftPlan {
                 }
                 Ok(())
             }
+        }
+    }
+}
+
+/// The one-channel radix-2 butterfly passes the two-lane ones replaced,
+/// kept for the oracle.
+#[cfg(test)]
+fn butterfly_passes(data: &mut [Complex], twiddles: &[Complex]) {
+    let n = data.len();
+    let mut len = 2;
+    let mut stage_offset = 0;
+    while len <= n {
+        let half = len / 2;
+        let stage = &twiddles[stage_offset..stage_offset + half];
+        for block in data.chunks_exact_mut(len) {
+            let (evens, odds) = block.split_at_mut(half);
+            for ((a, b), &w) in evens.iter_mut().zip(odds.iter_mut()).zip(stage) {
+                let even = *a;
+                let odd = *b * w;
+                *a = even + odd;
+                *b = even - odd;
+            }
+        }
+        stage_offset += half;
+        len <<= 1;
+    }
+}
+
+#[cfg(test)]
+impl FftPlan {
+    /// The full complex spectrum of a real signal of the planned length,
+    /// the fallback's half of the one-channel oracle. The one-point
+    /// transform is the identity, as in [`FftPlan::power_bins_into`].
+    fn forward_real_into(&self, signal: &[f64], out: &mut [Complex]) {
+        assert_eq!(signal.len(), self.roots.len());
+        assert_eq!(out.len(), self.roots.len());
+        if let [x] = signal {
+            out[0] = Complex::from(*x);
+            return;
+        }
+        for (k, slot) in out.iter_mut().enumerate() {
+            *slot = dft_bin(&self.roots, signal, k);
         }
     }
 }
@@ -923,42 +831,21 @@ mod tests {
     }
 
     #[test]
-    fn plan_matches_fft_on_power_of_two() {
-        let signal: Vec<f64> = (0..256).map(|i| (i as f64 * 0.13).sin()).collect();
-        let plan = FftPlan::new(signal.len()).unwrap();
-        let mut out = vec![Complex::zero(); signal.len()];
-        plan.forward_real_into(&signal, &mut out).unwrap();
-        let reference = real_fft(&signal).unwrap();
-        for (a, b) in out.iter().zip(reference.iter()) {
-            assert!(close(a.re, b.re, 1e-8));
-            assert!(close(a.im, b.im, 1e-8));
-        }
-    }
-
-    #[test]
-    fn plan_matches_fft_on_arbitrary_length() {
+    fn fallback_matches_fft_on_arbitrary_length() {
         let signal: Vec<f64> = (0..77).map(|i| (i as f64 * 0.31).cos()).collect();
-        let plan = FftPlan::new(signal.len()).unwrap();
+        let plan = FftPlan::new(signal.len());
         let mut out = vec![Complex::zero(); signal.len()];
-        plan.forward_real_into(&signal, &mut out).unwrap();
+        plan.forward_real_into(&signal, &mut out);
         let reference = real_fft(&signal).unwrap();
         for (a, b) in out.iter().zip(reference.iter()) {
             assert!(close(a.re, b.re, 1e-7));
             assert!(close(a.im, b.im, 1e-7));
         }
-    }
-
-    #[test]
-    fn plan_rejects_mismatched_buffers() {
-        assert!(FftPlan::new(0).is_err());
-        let plan = FftPlan::new(16).unwrap();
-        assert_eq!(plan.len(), 16);
-        assert!(!plan.is_empty());
-        let signal = vec![0.0; 16];
-        let mut short_out = vec![Complex::zero(); 8];
-        assert!(plan.forward_real_into(&signal, &mut short_out).is_err());
-        let mut out = vec![Complex::zero(); 16];
-        assert!(plan.forward_real_into(&signal[..8], &mut out).is_err());
+        let mut power = vec![0.0; 39];
+        plan.power_bins_into(&signal, &mut power);
+        for (p, bin) in power.iter().zip(&out) {
+            assert_eq!(p.to_bits(), bin.magnitude_squared().to_bits());
+        }
     }
 
     /// `n` samples of one hostile family, from a fixed xorshift stream.
@@ -1055,11 +942,16 @@ mod tests {
     }
 
     #[test]
-    fn plan_single_sample_is_identity() {
-        let plan = FftPlan::new(1).unwrap();
+    fn single_sample_fallback_is_the_identity() {
+        let plan = FftPlan::new(1);
         let mut out = vec![Complex::zero(); 1];
-        plan.forward_real_into(&[2.5], &mut out).unwrap();
-        assert!(close(out[0].re, 2.5, 1e-15));
-        assert!(close(out[0].im, 0.0, 1e-15));
+        plan.forward_real_into(&[2.5], &mut out);
+        assert_eq!(out[0], Complex::new(2.5, 0.0));
+        // Summed over its one root, an infinite sample would come out NaN.
+        let mut power = [0.0];
+        for (x, want) in [(2.5, 6.25), (f64::INFINITY, f64::INFINITY), (-0.0, 0.0)] {
+            plan.power_bins_into(&[x], &mut power);
+            assert_eq!(power[0].to_bits(), f64::to_bits(want), "{x}");
+        }
     }
 }

@@ -45,7 +45,7 @@ pub mod stats;
 pub mod wavelet;
 
 pub use error::DspError;
-pub use fft::{fft, Complex, FftPlan};
+pub use fft::{fft, Complex};
 pub use spectrum::{band_power, periodogram, PowerSpectrum, PsdPlan};
 pub use wavelet::{
     dwt_single, idwt_single, wavedec, waverec, StreamingWavelet, WaveletDecomposition,

@@ -9,16 +9,17 @@
 //! * [`RichFeatureSet`] — a 54-feature catalogue (27 per channel) mirroring the
 //!   real-time random-forest detector of Sopic et al. (e-Glass, ISCAS 2018).
 
-use crate::bandpower::{band_powers_from_psd, Band, BandPowers};
+use crate::bandpower::{band_powers_from_psd, Band};
 use crate::entropy::{
     permutation_entropy, renyi_entropy_quadratic, sample_entropy, sample_entropy_pair,
-    shannon_entropy, shannon_entropy_noalloc,
+    shannon_entropy,
 };
 use crate::error::FeatureError;
-use crate::hjorth::{hjorth_parameters, hjorth_parameters_fused};
+use crate::hjorth::hjorth_parameters;
 use crate::matrix::FeatureMatrix;
 use crate::scratch::{FeatureScratch, FeatureScratchPool};
-use crate::statistics::{window_statistics, window_statistics_fused};
+use crate::statistics::window_statistics;
+use crate::streaming::StreamingRichExtractor;
 use crate::waveform::{line_length, nonlinear_energy, peak_to_peak, zero_crossings};
 use seizure_dsp::spectrum::periodogram;
 use seizure_dsp::wavelet::{max_level, wavedec, WaveletDecomposition};
@@ -241,76 +242,30 @@ fn window_out_of_range(index: usize, count: usize) -> FeatureError {
     }
 }
 
-/// Shared driver of the parallel batch extraction path: validates the
-/// channels and the window selection, refills the flat output matrix in
-/// place, and fans the rows out across scoped worker threads, each checking
-/// one [`FeatureScratch`] out of the pool for its whole block. Row `j` holds
-/// window `windows[j]`; `None` selects every window of the record in order.
-// lint: hot-path
-#[allow(clippy::too_many_arguments)]
-fn parallel_extract_into<MN, EX>(
-    num_features: usize,
-    make_names: MN,
+/// Checks a record's channels against the window geometry and returns its
+/// number of complete windows (at least one).
+fn record_windows(
     f7t3: &[f64],
     f8t4: &[f64],
     config: &SlidingWindowConfig,
-    windows: Option<&[usize]>,
-    fs: f64,
-    max_wavelet_levels: usize,
-    pool: &FeatureScratchPool,
-    matrix: &mut FeatureMatrix,
-    extract: EX,
-) -> Result<(), FeatureError>
-where
-    MN: FnOnce() -> Vec<String>,
-    EX: Fn(&[f64], &[f64], &mut [f64], &mut FeatureScratch) -> Result<(), FeatureError> + Sync,
-{
+) -> Result<usize, FeatureError> {
     if f7t3.len() != f8t4.len() {
         return Err(FeatureError::ChannelLengthMismatch {
             left: f7t3.len(),
             right: f8t4.len(),
         });
     }
-    let count = config.num_windows(f7t3.len());
-    if count == 0 {
-        return Err(FeatureError::SignalTooShort {
+    match config.num_windows(f7t3.len()) {
+        0 => Err(FeatureError::SignalTooShort {
             actual: f7t3.len(),
             required: config.window_samples(),
-        });
+        }),
+        count => Ok(count),
     }
-    let rows = match windows {
-        Some(windows) => {
-            if let Some(&index) = windows.iter().find(|&&w| w >= count) {
-                return Err(window_out_of_range(index, count));
-            }
-            windows.len()
-        }
-        None => count,
-    };
-    let window = config.window_samples();
-    let step = config.step_samples();
-    matrix.ensure_names(make_names);
-    debug_assert_eq!(matrix.num_features(), num_features);
-    let data = matrix.reset_rows(rows);
-    seizure_parallel::par_process_rows::<FeatureError, _>(data, num_features, |first_row, block| {
-        let mut scratch = pool.acquire(fs, window, max_wavelet_levels)?;
-        for (offset, row) in block.chunks_mut(num_features).enumerate() {
-            let j = first_row + offset;
-            let start = windows.map_or(j, |windows| windows[j]) * step;
-            extract(
-                &f7t3[start..start + window],
-                &f8t4[start..start + window],
-                row,
-                &mut scratch,
-            )?;
-        }
-        pool.release(scratch);
-        Ok(())
-    })
 }
 
 /// Decomposition depth used for the wavelet-domain entropy features.
-const PAPER_WAVELET_LEVELS: usize = 7;
+pub(crate) const PAPER_WAVELET_LEVELS: usize = 7;
 
 /// Number of features [`PaperFeatureSet`] produces per window.
 const PAPER_FEATURES: usize = 10;
@@ -362,7 +317,7 @@ impl PaperFeatureSet {
     /// Returns [`FeatureError::Dsp`] if the window is too short to support
     /// even one decomposition level.
     pub fn scratch(&self, window_len: usize) -> Result<FeatureScratch, FeatureError> {
-        FeatureScratch::new(self.fs, window_len, PAPER_WAVELET_LEVELS)
+        FeatureScratch::new(self.fs, window_len)
     }
 
     /// Extracts the ten paper features into `out` using preallocated scratch
@@ -477,6 +432,10 @@ impl FeatureExtractor for PaperFeatureSet {
         ])
     }
 
+    /// Fans the record's windows out over the workers of
+    /// [`seizure_parallel::par_process_rows`], each checking one
+    /// [`FeatureScratch`] out of `pool` for its whole block of rows.
+    // lint: hot-path
     fn extract_batch_into(
         &self,
         f7t3: &[f64],
@@ -485,19 +444,21 @@ impl FeatureExtractor for PaperFeatureSet {
         pool: &FeatureScratchPool,
         matrix: &mut FeatureMatrix,
     ) -> Result<(), FeatureError> {
-        parallel_extract_into(
-            self.num_features(),
-            || self.feature_names(),
-            f7t3,
-            f8t4,
-            config,
-            None,
-            self.fs,
-            PAPER_WAVELET_LEVELS,
-            pool,
-            matrix,
-            |w1, w2, out, scratch| self.extract_window_into(w1, w2, out, scratch),
-        )
+        let count = record_windows(f7t3, f8t4, config)?;
+        let window = config.window_samples();
+        let step = config.step_samples();
+        matrix.ensure_names(|| self.feature_names());
+        let data = matrix.reset_rows(count);
+        seizure_parallel::par_process_rows(data, PAPER_FEATURES, |first_row, block| {
+            let mut scratch = pool.acquire(self.fs, window)?;
+            for (offset, row) in block.chunks_mut(PAPER_FEATURES).enumerate() {
+                let start = (first_row + offset) * step;
+                let (a, b) = (&f7t3[start..start + window], &f8t4[start..start + window]);
+                self.extract_window_into(a, b, row, &mut scratch)?;
+            }
+            pool.release(scratch);
+            Ok(())
+        })
     }
 }
 
@@ -505,6 +466,16 @@ impl FeatureExtractor for PaperFeatureSet {
 /// families of the e-Glass real-time detector: band powers, statistics,
 /// Hjorth descriptors, waveform features, permutation entropies and wavelet
 /// Shannon entropies.
+///
+/// The rich set has one engine. Both batch entry points,
+/// [`FeatureExtractor::extract_batch_into`] and
+/// [`RichFeatureSet::extract_windows_into`], stream their rows through the
+/// detector's [`StreamingRichExtractor`], so the rows the forest is trained
+/// on are the bits detection computes. They accept only the geometries
+/// [`StreamingRichExtractor::new`] accepts and return its error for any
+/// other, before the matrix is touched. [`FeatureExtractor::extract_window`]
+/// is the allocating two-pass textbook reference, which the engine matches
+/// to rounding.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RichFeatureSet {
     fs: f64,
@@ -613,113 +584,14 @@ impl RichFeatureSet {
         Ok(out)
     }
 
-    /// Builds the reusable scratch workspace for windows of `window_len`
-    /// samples (db4 decomposition clamped at level 5, matching
-    /// [`RichFeatureSet::extract_window`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::Dsp`] if the window is too short to support
-    /// even one decomposition level.
-    pub fn scratch(&self, window_len: usize) -> Result<FeatureScratch, FeatureError> {
-        FeatureScratch::new(self.fs, window_len, RICH_WAVELET_LEVELS)
-    }
-
-    /// The 27 per-channel features written into `out` without allocating,
-    /// from the channel's band powers and its window.
-    fn channel_features_into(
-        &self,
-        window: &[f64],
-        bands: &BandPowers,
-        out: &mut [f64],
-        scratch: &mut FeatureScratch,
-    ) -> Result<(), FeatureError> {
-        debug_assert_eq!(out.len(), RICH_FEATURES_PER_CHANNEL);
-        out[..5].copy_from_slice(&bands.absolute);
-        out[5..10].copy_from_slice(&bands.relative);
-        out[10] = bands.total;
-
-        let stats = window_statistics_fused(window)?;
-        out[11] = stats.mean;
-        out[12] = stats.variance;
-        out[13] = stats.skewness;
-        out[14] = stats.kurtosis;
-        out[15] = stats.rms;
-
-        let hjorth = hjorth_parameters_fused(window)?;
-        out[16] = hjorth.mobility;
-        out[17] = hjorth.complexity;
-
-        out[18] = line_length(window)?;
-        out[19] = nonlinear_energy(window)?;
-        out[20] = zero_crossings(window)? as f64;
-        out[21] = peak_to_peak(window)?;
-
-        out[22] = scratch.perm_entropy(window, 3, 1)?;
-        out[23] = scratch.perm_entropy(window, 5, 1)?;
-
-        scratch.decompose(window)?;
-        for (slot, level) in out[24..27].iter_mut().zip([3usize, 4, 5]) {
-            *slot = shannon_entropy_noalloc(scratch.detail_clamped(level));
-        }
-        Ok(())
-    }
-
-    /// Extracts all 54 features into `out` using preallocated scratch space —
-    /// the allocation-free twin of [`FeatureExtractor::extract_window`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::DimensionMismatch`] if `out` does not have 54
-    /// slots, [`FeatureError::ChannelLengthMismatch`] if the channels differ
-    /// from each other, [`FeatureError::DimensionMismatch`] if they differ
-    /// from the scratch's planned length, and propagates numeric failures.
-    pub fn extract_window_into(
-        &self,
-        f7t3: &[f64],
-        f8t4: &[f64],
-        out: &mut [f64],
-        scratch: &mut FeatureScratch,
-    ) -> Result<(), FeatureError> {
-        if out.len() != 2 * RICH_FEATURES_PER_CHANNEL {
-            return Err(FeatureError::DimensionMismatch {
-                detail: format!(
-                    "output slice has {} slots but the rich set produces {} features",
-                    out.len(),
-                    2 * RICH_FEATURES_PER_CHANNEL
-                ),
-            });
-        }
-        if f7t3.len() != f8t4.len() {
-            return Err(FeatureError::ChannelLengthMismatch {
-                left: f7t3.len(),
-                right: f8t4.len(),
-            });
-        }
-        if f7t3.len() != scratch.window_len() {
-            return Err(FeatureError::DimensionMismatch {
-                detail: format!(
-                    "window has {} samples but the scratch was built for {}",
-                    f7t3.len(),
-                    scratch.window_len()
-                ),
-            });
-        }
-        let [left_bands, right_bands] = scratch.band_powers([f7t3, f8t4])?;
-        let (left, right) = out.split_at_mut(RICH_FEATURES_PER_CHANNEL);
-        self.channel_features_into(f7t3, &left_bands, left, scratch)?;
-        self.channel_features_into(f8t4, &right_bands, right, scratch)?;
-        Ok(())
-    }
-
     /// Extracts only the selected windows of a record: refills `matrix` with
     /// one row per entry of `windows`, row `j` holding window `windows[j]`
-    /// (any order, repeats allowed; an empty list yields no rows). Every row
-    /// comes from [`RichFeatureSet::extract_window_into`] on the samples the
-    /// full extraction reads, so it equals row `windows[j]` of
-    /// [`FeatureExtractor::extract_batch_into`] bit for bit. The
-    /// self-learning loop uses it to extract just the windows its balanced
-    /// batch keeps.
+    /// (any order, repeats allowed; an empty list yields no rows). Each row
+    /// is streamed from its window's own hops through the same
+    /// [`StreamingRichExtractor`] as [`FeatureExtractor::extract_batch_into`]
+    /// (see [`RichFeatureSet`]), so it equals row `windows[j]` of the full
+    /// extraction bit for bit. The self-learning loop uses it to extract just
+    /// the windows its balanced batch keeps.
     ///
     /// # Errors
     ///
@@ -733,22 +605,78 @@ impl RichFeatureSet {
         f8t4: &[f64],
         config: &SlidingWindowConfig,
         windows: &[usize],
-        pool: &FeatureScratchPool,
         matrix: &mut FeatureMatrix,
     ) -> Result<(), FeatureError> {
-        parallel_extract_into(
-            self.num_features(),
-            || self.feature_names(),
-            f7t3,
-            f8t4,
-            config,
-            Some(windows),
-            self.fs,
-            RICH_WAVELET_LEVELS,
-            pool,
-            matrix,
-            |w1, w2, out, scratch| self.extract_window_into(w1, w2, out, scratch),
-        )
+        self.stream_rows_into(f7t3, f8t4, config, Some(windows), matrix)
+    }
+
+    /// The one rich-feature engine behind both batch entry points. Row `j`
+    /// holds window `windows[j]` (`None` selects every window in order). The
+    /// rows are split into one block per worker of
+    /// [`seizure_parallel::par_process_rows`], and each worker streams its
+    /// block through a [`StreamingRichExtractor`] of its own: a row that
+    /// continues its predecessor's window costs one hop, and any other row
+    /// resets the extractor and pushes its window's `window / step` hops. A
+    /// row depends only on its own window's hops, so every row equals the
+    /// one a single extractor streamed over the whole record, at any thread
+    /// count.
+    fn stream_rows_into(
+        &self,
+        f7t3: &[f64],
+        f8t4: &[f64],
+        config: &SlidingWindowConfig,
+        windows: Option<&[usize]>,
+        matrix: &mut FeatureMatrix,
+    ) -> Result<(), FeatureError> {
+        if config.sampling_frequency() != self.fs {
+            return Err(FeatureError::InvalidConfig {
+                name: "config",
+                reason: format!(
+                    "the window geometry is sampled at {} Hz but the rich set at {} Hz",
+                    config.sampling_frequency(),
+                    self.fs
+                ),
+            });
+        }
+        let engine = StreamingRichExtractor::new(config)?;
+        let count = record_windows(f7t3, f8t4, config)?;
+        let rows = match windows {
+            Some(windows) => {
+                if let Some(&index) = windows.iter().find(|&&w| w >= count) {
+                    return Err(window_out_of_range(index, count));
+                }
+                windows.len()
+            }
+            None => count,
+        };
+        let hop = config.step_samples();
+        let k = config.window_samples() / hop;
+        let num_features = self.num_features();
+        matrix.ensure_names(|| self.feature_names());
+        let data = matrix.reset_rows(rows);
+        seizure_parallel::par_process_rows(data, num_features, |first_row, block| {
+            let mut engine = engine.clone();
+            // The window the engine completed last, while it is mid-record.
+            let mut prev: Option<usize> = None;
+            for (offset, row) in block.chunks_mut(num_features).enumerate() {
+                let j = first_row + offset;
+                let w = windows.map_or(j, |windows| windows[j]);
+                // Window `w` covers hops `w..w + k`.
+                let first_hop = if prev.map(|p| p + 1) == Some(w) {
+                    w + k - 1
+                } else {
+                    engine.reset();
+                    w
+                };
+                for h in first_hop..w + k {
+                    let (a, b) = (&f7t3[h * hop..(h + 1) * hop], &f8t4[h * hop..(h + 1) * hop]);
+                    let wrote = engine.push_hop(a, b, row)?;
+                    debug_assert_eq!(wrote, h + 1 == w + k, "window {w} completes at hop {h}");
+                }
+                prev = Some(w);
+            }
+            Ok(())
+        })
     }
 }
 
@@ -769,27 +697,18 @@ impl FeatureExtractor for RichFeatureSet {
         Ok(out)
     }
 
+    /// Streams the record through [`StreamingRichExtractor`]s, one per
+    /// worker (see [`RichFeatureSet`]); `pool` goes unused, since the rich
+    /// set keeps no per-window scratch.
     fn extract_batch_into(
         &self,
         f7t3: &[f64],
         f8t4: &[f64],
         config: &SlidingWindowConfig,
-        pool: &FeatureScratchPool,
+        _pool: &FeatureScratchPool,
         matrix: &mut FeatureMatrix,
     ) -> Result<(), FeatureError> {
-        parallel_extract_into(
-            self.num_features(),
-            || self.feature_names(),
-            f7t3,
-            f8t4,
-            config,
-            None,
-            self.fs,
-            RICH_WAVELET_LEVELS,
-            pool,
-            matrix,
-            |w1, w2, out, scratch| self.extract_window_into(w1, w2, out, scratch),
-        )
+        self.stream_rows_into(f7t3, f8t4, config, None, matrix)
     }
 }
 
@@ -1019,27 +938,75 @@ mod tests {
     fn extract_batch_into_reuses_matrix_and_pool_across_records() {
         let fs = 256.0;
         let cfg = SlidingWindowConfig::paper_default(fs).unwrap();
-        let ex = RichFeatureSet::new(fs).unwrap();
+        let rich = RichFeatureSet::new(fs).unwrap();
+        let paper = PaperFeatureSet::new(fs).unwrap();
         let pool = FeatureScratchPool::new();
         let mut matrix = FeatureMatrix::default();
-        // Records of different lengths through one matrix and one pool.
+        // Records of different lengths through one matrix and one pool,
+        // switching extractors, which renames the columns.
         for secs in [12.0, 20.0, 8.0] {
             let (a, b) = two_channels(fs, secs);
-            ex.extract_batch_into(&a, &b, &cfg, &pool, &mut matrix)
+            paper
+                .extract_batch_into(&a, &b, &cfg, &pool, &mut matrix)
                 .unwrap();
-            let reference = ex.extract_batch(&a, &b, &cfg).unwrap();
-            assert_eq!(matrix, reference);
+            assert_eq!(matrix.num_features(), 10);
+            assert_eq!(matrix, paper.extract_batch(&a, &b, &cfg).unwrap());
+            rich.extract_batch_into(&a, &b, &cfg, &pool, &mut matrix)
+                .unwrap();
+            assert_eq!(matrix.num_features(), 54);
+            assert_eq!(matrix, rich.extract_batch(&a, &b, &cfg).unwrap());
         }
-        // The workers parked their scratches for the next record.
+        // The paper workers parked their scratches for the next record.
         assert!(pool.idle() > 0);
-        // Switching extractors on the same workspace renames the columns.
-        let paper = PaperFeatureSet::new(fs).unwrap();
-        let (a, b) = two_channels(fs, 10.0);
-        paper
-            .extract_batch_into(&a, &b, &cfg, &pool, &mut matrix)
-            .unwrap();
-        assert_eq!(matrix.num_features(), 10);
-        assert_eq!(matrix, paper.extract_batch(&a, &b, &cfg).unwrap());
+    }
+
+    #[test]
+    fn rich_set_rejects_unstreamable_geometries_before_touching_the_matrix() {
+        let pool = FeatureScratchPool::new();
+        let filled = {
+            let (a, b) = two_channels(256.0, 12.0);
+            let cfg = SlidingWindowConfig::paper_default(256.0).unwrap();
+            RichFeatureSet::new(256.0)
+                .unwrap()
+                .extract_batch(&a, &b, &cfg)
+                .unwrap()
+        };
+        // A 410-sample step that does not divide the window, a 250-sample
+        // hop that is no multiple of 2^5 for the wavelet carry, and a
+        // 4-sample hop no longer than the order-5 pattern span.
+        for (fs, window_secs, overlap) in [(256.0, 4.0, 0.6), (250.0, 4.0, 0.75), (16.0, 1.0, 0.75)]
+        {
+            let bad = SlidingWindowConfig::new(fs, window_secs, overlap).unwrap();
+            let expected = StreamingRichExtractor::new(&bad).unwrap_err();
+            let rich = RichFeatureSet::new(fs).unwrap();
+            let (a, b) = two_channels(fs, 12.0);
+            let mut matrix = filled.clone();
+            assert_eq!(
+                rich.extract_batch_into(&a, &b, &bad, &pool, &mut matrix),
+                Err(expected.clone()),
+                "{fs} Hz, {window_secs} s, {overlap}"
+            );
+            assert_eq!(
+                rich.extract_windows_into(&a, &b, &bad, &[0], &mut matrix),
+                Err(expected)
+            );
+            assert_eq!(matrix, filled);
+        }
+        // A geometry sampled at another rate than the set's is refused too.
+        let (a, b) = two_channels(256.0, 12.0);
+        let other_rate = SlidingWindowConfig::paper_default(128.0).unwrap();
+        let mut matrix = filled.clone();
+        assert!(matches!(
+            RichFeatureSet::new(256.0).unwrap().extract_windows_into(
+                &a,
+                &b,
+                &other_rate,
+                &[0],
+                &mut matrix
+            ),
+            Err(FeatureError::InvalidConfig { .. })
+        ));
+        assert_eq!(matrix, filled);
     }
 
     /// Two channels whose windows all differ (noise plus a tone under a
@@ -1064,7 +1031,6 @@ mod tests {
 
     #[test]
     fn extract_windows_into_matches_batch_rows_bit_for_bit() {
-        let pool = FeatureScratchPool::new();
         let mut selected = FeatureMatrix::default();
         for fs in [256.0, 128.0] {
             let cfg = SlidingWindowConfig::paper_default(fs).unwrap();
@@ -1085,7 +1051,7 @@ mod tests {
                 &[],
             ];
             for windows in lists {
-                ex.extract_windows_into(&a, &b, &cfg, windows, &pool, &mut selected)
+                ex.extract_windows_into(&a, &b, &cfg, windows, &mut selected)
                     .unwrap();
                 assert_eq!(selected.num_windows(), windows.len());
                 assert_eq!(selected.feature_names(), full.feature_names());
@@ -1107,13 +1073,12 @@ mod tests {
         let fs = 256.0;
         let cfg = SlidingWindowConfig::paper_default(fs).unwrap();
         let ex = RichFeatureSet::new(fs).unwrap();
-        let pool = FeatureScratchPool::new();
         let mut matrix = FeatureMatrix::default();
         let (a, b) = two_channels(fs, 12.0);
         let count = cfg.num_windows(a.len());
         for bad in [&[count][..], &[0, 3, count + 7], &[usize::MAX]] {
             assert!(matches!(
-                ex.extract_windows_into(&a, &b, &cfg, bad, &pool, &mut matrix),
+                ex.extract_windows_into(&a, &b, &cfg, bad, &mut matrix),
                 Err(FeatureError::DimensionMismatch { .. })
             ));
         }
@@ -1121,14 +1086,14 @@ mod tests {
         // extraction, whatever the selection.
         let short = tone(5.0, fs, 512, 1.0);
         assert_eq!(
-            ex.extract_windows_into(&short, &short, &cfg, &[], &pool, &mut matrix),
+            ex.extract_windows_into(&short, &short, &cfg, &[], &mut matrix),
             Err(FeatureError::SignalTooShort {
                 actual: 512,
                 required: 1024
             })
         );
         assert!(matches!(
-            ex.extract_windows_into(&a, &b[1..], &cfg, &[0], &pool, &mut matrix),
+            ex.extract_windows_into(&a, &b[1..], &cfg, &[0], &mut matrix),
             Err(FeatureError::ChannelLengthMismatch { .. })
         ));
     }
@@ -1152,17 +1117,6 @@ mod tests {
         for (a, b) in out.iter().zip(reference.iter()) {
             assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()));
         }
-
-        let rich = RichFeatureSet::new(fs).unwrap();
-        let mut scratch = rich.scratch(1024).unwrap();
-        assert_eq!(scratch.wavelet_levels(), 5);
-        let mut out = vec![0.0; 54];
-        rich.extract_window_into(&w1, &w2, &mut out, &mut scratch)
-            .unwrap();
-        let reference = rich.extract_window(&w1, &w2).unwrap();
-        for (a, b) in out.iter().zip(reference.iter()) {
-            assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()));
-        }
     }
 
     #[test]
@@ -1178,12 +1132,6 @@ mod tests {
         let mut out = vec![0.0; 10];
         assert!(paper
             .extract_window_into(&w[..512], &w[..512], &mut out, &mut scratch)
-            .is_err());
-        let rich = RichFeatureSet::new(fs).unwrap();
-        let mut scratch = rich.scratch(1024).unwrap();
-        let mut short_out = vec![0.0; 53];
-        assert!(rich
-            .extract_window_into(&w, &w, &mut short_out, &mut scratch)
             .is_err());
     }
 

@@ -76,77 +76,6 @@ pub fn hjorth_parameters(window: &[f64]) -> Result<HjorthParameters, FeatureErro
     })
 }
 
-/// Allocation-free computation of the same descriptors as
-/// [`hjorth_parameters`], streaming the first and second differences instead
-/// of materializing them (the reference implementation allocates two
-/// derivative vectors per window). The difference means telescope, so their
-/// sums are closed-form; results agree with [`hjorth_parameters`] to
-/// floating-point rounding (≈ 1e-14 relative).
-///
-/// # Errors
-///
-/// Returns [`FeatureError::SignalTooShort`] if the window has fewer than
-/// three samples.
-pub fn hjorth_parameters_fused(window: &[f64]) -> Result<HjorthParameters, FeatureError> {
-    let n = window.len();
-    if n < 3 {
-        return Err(FeatureError::SignalTooShort {
-            actual: n,
-            required: 3,
-        });
-    }
-    let len = n as f64;
-    let mean = window.iter().sum::<f64>() / len;
-    // First differences d1[i] = x[i+1] - x[i] telescope to x[n-1] - x[0];
-    // second differences telescope likewise.
-    let mean_d1 = (window[n - 1] - window[0]) / (len - 1.0);
-    let mean_d2 = ((window[n - 1] - window[n - 2]) - (window[1] - window[0])) / (len - 2.0);
-    let mut m2 = 0.0;
-    let mut m2_d1 = 0.0;
-    let mut m2_d2 = 0.0;
-    let mut prev = window[0];
-    let mut prev_d1 = f64::NAN;
-    for (i, &x) in window.iter().enumerate() {
-        let d = x - mean;
-        m2 += d * d;
-        if i >= 1 {
-            let d1 = x - prev;
-            let dev = d1 - mean_d1;
-            m2_d1 += dev * dev;
-            if i >= 2 {
-                let d2 = d1 - prev_d1;
-                let dev2 = d2 - mean_d2;
-                m2_d2 += dev2 * dev2;
-            }
-            prev_d1 = d1;
-        }
-        prev = x;
-    }
-    let activity = m2 / len;
-    let var_d1 = m2_d1 / (len - 1.0);
-    let var_d2 = m2_d2 / (len - 2.0);
-    let mobility = if activity > 0.0 {
-        (var_d1 / activity).sqrt()
-    } else {
-        0.0
-    };
-    let mobility_d1 = if var_d1 > 0.0 {
-        (var_d2 / var_d1).sqrt()
-    } else {
-        0.0
-    };
-    let complexity = if mobility > 0.0 {
-        mobility_d1 / mobility
-    } else {
-        0.0
-    };
-    Ok(HjorthParameters {
-        activity,
-        mobility,
-        complexity,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,25 +84,6 @@ mod tests {
         (0..n)
             .map(|i| (2.0 * std::f64::consts::PI * freq * i as f64 / fs).sin())
             .collect()
-    }
-
-    #[test]
-    fn fused_matches_reference_hjorth() {
-        let mut state = 5u64;
-        let noisy: Vec<f64> = (0..800)
-            .map(|i| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (i as f64 * 0.05).sin() + ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5)
-            })
-            .collect();
-        for window in [tone(4.0, 256.0, 512), noisy, vec![2.0; 32]] {
-            let a = hjorth_parameters(&window).unwrap();
-            let b = hjorth_parameters_fused(&window).unwrap();
-            assert!((a.activity - b.activity).abs() < 1e-10 * (1.0 + a.activity.abs()));
-            assert!((a.mobility - b.mobility).abs() < 1e-10 * (1.0 + a.mobility.abs()));
-            assert!((a.complexity - b.complexity).abs() < 1e-10 * (1.0 + a.complexity.abs()));
-        }
-        assert!(hjorth_parameters_fused(&[1.0, 2.0]).is_err());
     }
 
     #[test]

@@ -1,27 +1,31 @@
 //! Reusable per-thread scratch space for allocation-free feature extraction.
 //!
-//! Extracting features from a 4-second window runs one periodogram per
-//! channel and one multi-level wavelet decomposition; in the seed
-//! implementation each of those allocated fresh buffers for every window of
-//! every record. [`FeatureScratch`] bundles the precomputed [`PsdPlan`] and
-//! [`WaveletWorkspace`] plus their output buffers: a lane buffer of `n/2`
-//! [`ComplexPair`]s (16 KB at `n = 1024`), in which the two channels'
-//! periodograms run side by side, and two power rows, one per channel. The
-//! batch extraction path thus performs the FFTs and the DWT of every sliding
-//! window without touching the heap. One scratch is created per worker
-//! thread and reused across all windows that worker processes.
+//! Extracting the paper features from a 4-second window runs one
+//! periodogram per channel and one multi-level wavelet decomposition; in the
+//! seed implementation each of those allocated fresh buffers for every
+//! window of every record. [`FeatureScratch`] bundles the precomputed
+//! [`PsdPlan`] and [`WaveletWorkspace`] plus their output buffers: a lane
+//! buffer of `n/2` [`ComplexPair`]s (16 KB at `n = 1024`), in which the two
+//! channels' periodograms run side by side, and two power rows, one per
+//! channel. The paper set's batch path thus performs the FFTs and the DWT of
+//! every sliding window without touching the heap. One scratch is created
+//! per worker thread and reused across all windows that worker processes.
+//! The rich set keeps no per-window scratch: its batch rows are streamed
+//! (see [`crate::streaming`]), and only the two-lane periodogram is shared
+//! with it.
 
 use crate::bandpower::{band_powers_from_bin_pair, BandPowers};
 use crate::entropy::permutation_entropy_scratch;
 use crate::error::FeatureError;
+use crate::extractor::PAPER_WAVELET_LEVELS;
 use seizure_dsp::fft::ComplexPair;
 use seizure_dsp::spectrum::PsdPlan;
 use seizure_dsp::wavelet::{max_level, WaveletWorkspace};
 
 /// The two-lane periodogram of both channels' windows and its buffers:
 /// the plan, the lane buffer and one power row per channel. Transient
-/// scratch, shared by the batch [`FeatureScratch`] and the streaming
-/// extractor.
+/// scratch, shared by the paper set's [`FeatureScratch`] and the streaming
+/// rich extractor.
 #[derive(Debug, Clone)]
 pub(crate) struct PairSpectrum {
     fs: f64,
@@ -60,23 +64,23 @@ impl PairSpectrum {
     }
 }
 
-/// Preallocated workspace for extracting the features of one analysis window.
+/// Preallocated workspace for extracting the paper features of one analysis
+/// window.
 ///
-/// Built by [`PaperFeatureSet::scratch`] / [`RichFeatureSet::scratch`] for a
-/// fixed window length; the depth of the wavelet decomposition is clamped to
-/// what the window supports, exactly mirroring the allocating extractors.
+/// Built by [`PaperFeatureSet::scratch`] for a fixed window length; the depth
+/// of the wavelet decomposition is the paper's level 7, clamped to what the
+/// window supports, exactly mirroring the allocating extractor.
 ///
 /// [`PaperFeatureSet::scratch`]: crate::extractor::PaperFeatureSet::scratch
-/// [`RichFeatureSet::scratch`]: crate::extractor::RichFeatureSet::scratch
 ///
 /// # Example
 ///
 /// ```
-/// use seizure_features::extractor::{FeatureExtractor, RichFeatureSet};
+/// use seizure_features::extractor::{FeatureExtractor, PaperFeatureSet};
 ///
 /// # fn main() -> Result<(), seizure_features::FeatureError> {
 /// let fs = 256.0;
-/// let extractor = RichFeatureSet::new(fs)?;
+/// let extractor = PaperFeatureSet::new(fs)?;
 /// let window: Vec<f64> = (0..1024).map(|i| (i as f64 * 0.1).sin()).collect();
 ///
 /// let mut scratch = extractor.scratch(window.len())?;
@@ -103,26 +107,22 @@ pub struct FeatureScratch {
 
 impl FeatureScratch {
     /// Builds a scratch for windows of `window_len` samples at `fs` Hz, with
-    /// the wavelet decomposition depth clamped to
-    /// `max_wavelet_levels.min(max supported).max(1)`.
+    /// the paper's wavelet decomposition depth of seven levels clamped to
+    /// what the window supports (at least one).
     ///
     /// # Errors
     ///
     /// Returns [`FeatureError::InvalidConfig`] if `fs` is not positive and
     /// [`FeatureError::Dsp`] if the window is too short to support even one
     /// db4 decomposition level.
-    pub fn new(
-        fs: f64,
-        window_len: usize,
-        max_wavelet_levels: usize,
-    ) -> Result<Self, FeatureError> {
+    pub fn new(fs: f64, window_len: usize) -> Result<Self, FeatureError> {
         if fs <= 0.0 || fs.is_nan() {
             return Err(FeatureError::InvalidConfig {
                 name: "fs",
                 reason: format!("sampling frequency must be positive, got {fs}"),
             });
         }
-        let levels = max_wavelet_levels.min(max_level(window_len)).max(1);
+        let levels = PAPER_WAVELET_LEVELS.min(max_level(window_len)).max(1);
         let workspace = WaveletWorkspace::new(window_len, levels)?;
         Ok(Self {
             fs,
@@ -173,17 +173,6 @@ impl FeatureScratch {
             .expect("decompose ran and level is clamped into range")
     }
 
-    /// Permutation entropy of an arbitrary series through the reusable
-    /// counting table.
-    pub(crate) fn perm_entropy(
-        &mut self,
-        data: &[f64],
-        order: usize,
-        delay: usize,
-    ) -> Result<f64, FeatureError> {
-        permutation_entropy_scratch(data, order, delay, &mut self.perm_counts)
-    }
-
     /// Permutation entropy of the (clamped) detail band of the most recent
     /// decomposition, without cloning the coefficients.
     pub(crate) fn detail_perm_entropy(
@@ -202,8 +191,8 @@ impl FeatureScratch {
 }
 
 /// A shared pool of [`FeatureScratch`] workspaces, so multi-record batch
-/// extraction reuses the FFT/wavelet buffers across records instead of
-/// rebuilding them per record per worker.
+/// extraction of the paper set reuses the FFT/wavelet buffers across records
+/// instead of rebuilding them per record per worker.
 ///
 /// Workers of the parallel extraction path check a scratch out once per
 /// record block and return it when done; a scratch is only built when the
@@ -236,20 +225,17 @@ impl FeatureScratchPool {
         &self,
         fs: f64,
         window_len: usize,
-        max_wavelet_levels: usize,
     ) -> Result<FeatureScratch, FeatureError> {
-        let wanted_levels = max_wavelet_levels.min(max_level(window_len)).max(1);
         {
             let mut pool = self.inner.lock().expect("scratch pool poisoned");
-            if let Some(pos) = pool.iter().position(|s| {
-                s.sampling_frequency() == fs
-                    && s.window_len() == window_len
-                    && s.wavelet_levels() == wanted_levels
-            }) {
+            if let Some(pos) = pool
+                .iter()
+                .position(|s| s.sampling_frequency() == fs && s.window_len() == window_len)
+            {
                 return Ok(pool.swap_remove(pos));
             }
         }
-        FeatureScratch::new(fs, window_len, max_wavelet_levels)
+        FeatureScratch::new(fs, window_len)
     }
 
     /// Returns a scratch to the pool for the next record.

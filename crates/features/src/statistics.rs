@@ -52,56 +52,6 @@ pub fn window_statistics(window: &[f64]) -> Result<WindowStatistics, FeatureErro
     })
 }
 
-/// Fused computation of the same summary as [`window_statistics`] in three
-/// data passes instead of eight (each `seizure_dsp::stats` helper rescans the
-/// window and recomputes the mean). Used by the batch feature-extraction
-/// engine; results agree with [`window_statistics`] to floating-point
-/// rounding (≈ 1e-15 relative).
-///
-/// # Errors
-///
-/// Returns [`FeatureError::SignalTooShort`] if the window is empty.
-pub fn window_statistics_fused(window: &[f64]) -> Result<WindowStatistics, FeatureError> {
-    if window.is_empty() {
-        return Err(FeatureError::SignalTooShort {
-            actual: 0,
-            required: 1,
-        });
-    }
-    let n = window.len() as f64;
-    let mean = window.iter().sum::<f64>() / n;
-    let mut m2 = 0.0;
-    let mut sq = 0.0;
-    for &x in window {
-        let d = x - mean;
-        m2 += d * d;
-        sq += x * x;
-    }
-    let variance = m2 / n;
-    let rms = (sq / n).sqrt();
-    let sd = variance.sqrt();
-    let (skewness, kurtosis) = if sd == 0.0 {
-        (0.0, 0.0)
-    } else {
-        let mut s3 = 0.0;
-        let mut s4 = 0.0;
-        for &x in window {
-            let t = (x - mean) / sd;
-            let t2 = t * t;
-            s3 += t2 * t;
-            s4 += t2 * t2;
-        }
-        (s3 / n, s4 / n - 3.0)
-    };
-    Ok(WindowStatistics {
-        mean,
-        variance,
-        skewness,
-        kurtosis,
-        rms,
-    })
-}
-
 /// Mergeable running central-moment summary: count, mean and the second to
 /// fourth central moment sums (`M2 = Σ(x−μ)²`, `M3`, `M4`).
 ///
@@ -111,9 +61,9 @@ pub fn window_statistics_fused(window: &[f64]) -> Result<WindowStatistics, Featu
 /// samples. Merging uses the pairwise update of Chan et al. (1979), which is
 /// numerically stable under the large DC offsets the hostile-scenario
 /// generator produces (raw power sums Σx⁴ would cancel catastrophically
-/// there). Merged results agree with the batch two-pass
-/// [`window_statistics_fused`] to floating-point rounding, not bit-exactly —
-/// the documented bounded-error part of the streaming equivalence model.
+/// there). Merged results agree with the two-pass [`window_statistics`] to
+/// floating-point rounding, not bit-exactly — the bounded-error part of the
+/// streaming extractor's comparison with its textbook reference.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MomentSummary {
     count: f64,
@@ -227,10 +177,10 @@ impl MomentSummary {
     }
 
     /// The same `(mean, variance, skewness, kurtosis, rms)` summary as
-    /// [`window_statistics_fused`], computed from the merged moments plus the
+    /// [`window_statistics`], computed from the merged moments plus the
     /// separately accumulated raw power sum `sum_sq = Σx²` (the RMS is not a
-    /// central moment). Degenerate guards match the batch path: a zero
-    /// standard deviation yields zero skewness and kurtosis.
+    /// central moment). Degenerate guards match the two-pass definition: a
+    /// zero standard deviation yields zero skewness and kurtosis.
     // lint: hot-path
     pub fn statistics(&self, sum_sq: f64) -> WindowStatistics {
         let n = self.count.max(1.0);
@@ -367,31 +317,6 @@ mod tests {
     #[test]
     fn empty_window_rejected() {
         assert!(window_statistics(&[]).is_err());
-        assert!(window_statistics_fused(&[]).is_err());
-    }
-
-    #[test]
-    fn fused_matches_reference_statistics() {
-        let mut state = 11u64;
-        let window: Vec<f64> = (0..500)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                ((state >> 11) as f64 / (1u64 << 53) as f64) * 20.0 - 10.0
-            })
-            .collect();
-        let a = window_statistics(&window).unwrap();
-        let b = window_statistics_fused(&window).unwrap();
-        assert!((a.mean - b.mean).abs() < 1e-12);
-        assert!((a.variance - b.variance).abs() < 1e-12 * (1.0 + a.variance.abs()));
-        assert!((a.skewness - b.skewness).abs() < 1e-12);
-        assert!((a.kurtosis - b.kurtosis).abs() < 1e-12);
-        assert!((a.rms - b.rms).abs() < 1e-12);
-        // Degenerate constant window agrees too.
-        let constant = vec![3.0; 16];
-        assert_eq!(
-            window_statistics(&constant).unwrap(),
-            window_statistics_fused(&constant).unwrap()
-        );
     }
 
     #[test]
@@ -436,9 +361,9 @@ mod tests {
     }
 
     #[test]
-    fn merged_hop_summaries_match_fused_statistics() {
-        // Four 256-sample "hops" merged pairwise must reproduce the batch
-        // two-pass statistics of the concatenated 1024-sample window.
+    fn merged_hop_summaries_match_window_statistics() {
+        // Four 256-sample "hops" merged pairwise must reproduce the two-pass
+        // statistics of the concatenated 1024-sample window.
         for offset in [0.0, 150.0, -1e4] {
             let window = lcg_window(1024, 0xFEED, offset);
             let sum_sq: f64 = window.iter().map(|x| x * x).sum();
@@ -447,7 +372,7 @@ mod tests {
                 .map(MomentSummary::from_slice)
                 .fold(MomentSummary::default(), MomentSummary::merge);
             let streamed = merged.statistics(sum_sq);
-            let batch = window_statistics_fused(&window).unwrap();
+            let batch = window_statistics(&window).unwrap();
             let tol = |b: f64| 1e-9 * (1.0 + b.abs());
             assert!(
                 (streamed.mean - batch.mean).abs() < tol(batch.mean),
@@ -477,7 +402,7 @@ mod tests {
     fn constant_hops_stay_exactly_degenerate() {
         // Railed (saturated) windows: every hop is constant, the merged
         // summary must report exactly zero variance so the degenerate
-        // skewness/kurtosis guard fires like the batch path's.
+        // skewness/kurtosis guard fires like the two-pass definition's.
         let hop = MomentSummary::from_slice(&[150.0; 256]);
         let merged = hop.merge(hop).merge(hop).merge(hop);
         assert_eq!(merged.variance(), 0.0);

@@ -1,53 +1,59 @@
-//! Streaming (hop-structured) rich feature extraction.
+//! Streaming (hop-structured) rich feature extraction: the rich set's one
+//! engine.
 //!
 //! The paper slides 4-second windows with 75 % overlap, so consecutive
-//! windows share three quarters of their samples — yet the batch extractor
-//! recomputes every moment, spectrum and wavelet band from scratch for every
-//! window. [`StreamingRichExtractor`] restructures the extraction into
-//! per-hop operators that carry work across windows:
+//! windows share three quarters of their samples. Recomputing every moment,
+//! spectrum and wavelet band from scratch for every window would scan each
+//! sample four times. [`StreamingRichExtractor`] restructures the extraction
+//! into per-hop operators that carry work across windows:
 //!
 //! * **Moments / Hjorth / waveform** — every hop is summarized once
 //!   ([`MomentSummary`] of the raw samples, second-order
 //!   [`SpreadSummary`]s of its internal first and second differences,
 //!   partial line-length/Teager/zero-crossing/min-max
 //!   folds, the hop's first and last four samples for the boundary terms);
-//!   a window merges its `k = window/hop` hop summaries instead of
-//!   rescanning `window` samples.
+//!   a window merges its `k = window/hop` hop summaries, oldest first,
+//!   instead of rescanning `window` samples.
 //! * **Permutation entropy** — each hop counts its ordinal patterns into a
 //!   dense Lehmer table once; straddling patterns are added when the next
-//!   hop arrives. Window tables are integer sums of hop tables, so the
-//!   entropies are **bit-exact** against the batch path.
+//!   hop arrives. Window tables are integer sums of hop tables.
 //! * **Wavelet** — a [`StreamingWavelet`] shifts clean db4 coefficients
 //!   across windows and recomputes only the newly exposed ones plus the
-//!   periodic-boundary tail; detail bands (and hence the Shannon wavelet
-//!   entropies) are **bit-exact**.
-//! * **Spectrum** — the same full-window rectangular periodograms as the
-//!   batch extractor, both channels in one two-lane pass, so all eleven
-//!   band-power features stay **bit-exact**.
+//!   periodic-boundary tail; the first window after construction or
+//!   [`StreamingRichExtractor::reset`] is a full decomposition, and the
+//!   carried bands equal it bit for bit.
+//! * **Spectrum** — one full-window rectangular periodogram per window, both
+//!   channels in one two-lane pass.
 //!
-//! # Equivalence / error model
+//! # One engine
 //!
-//! Per 27-feature channel block (see [`RichFeatureSet`] for the layout):
+//! Detection pushes hops as they arrive ([`StreamingRichExtractor::push_hop`]).
+//! The rich set's batch entry points, which serve training and batch
+//! detection, stream the same extractor: each worker pushes its block's
+//! `k − 1` warm-up hops and then one hop per row, and a selected window is
+//! streamed from its own `k` hops after a reset
+//! ([`RichFeatureSet::extract_windows_into`]). A window's row is a pure
+//! function of its own hops, so all 54 columns of a batch row equal the
+//! streamed row bit for bit, at any thread count.
 //!
-//! | columns | features | streaming vs batch |
-//! |---|---|---|
-//! | 0–10 | band powers, total power | bit-exact (same full-window periodogram) |
-//! | 11–15 | mean/variance/skew/kurtosis/rms | bounded error (merged vs two-pass moments, ≲1e-9 relative) |
-//! | 16–17 | Hjorth mobility/complexity | bounded error (same reason) |
-//! | 18–19 | line length, nonlinear energy | bounded error (re-associated sums) |
-//! | 20–21 | zero crossings, peak-to-peak | exact (integer count, associative min/max) |
-//! | 22–23 | permutation entropies | bit-exact (integer pattern tables) |
-//! | 24–26 | wavelet Shannon entropies | bit-exact (identical coefficients) |
+//! The allocating two-pass [`FeatureExtractor::extract_window`] of
+//! [`RichFeatureSet`] stays as the textbook reference. Against it, the zero
+//! crossings, peak-to-peak and the permutation and wavelet entropies (20–26
+//! of each 27-column channel block) agree exactly. The other columns differ
+//! only by floating-point re-association: the merged moments, Hjorth
+//! descriptors, line length and nonlinear energy (11–19), and the band
+//! powers (0–10), which the reference sums bin by bin from a one-channel
+//! periodogram. The equivalence suite bounds that at
+//! `1e-7 · (1 + |reference|)` across random, hostile and geometric cohorts.
+//! One carve-out: skewness and kurtosis are
+//! ill-conditioned when a window's variance underflows relative to its power
+//! (e.g. a dropout holding one constant value: the standardized residuals are
+//! pure rounding dust in *both* computations, and their sign is an accident
+//! of summation order), so there the suite only requires them to stay finite.
 //!
-//! The bounded-error columns differ only by floating-point re-association
-//! (Chan-merged moments versus one two-pass scan); the property suite pins
-//! the bound at `1e-7 · (1 + |batch|)` across random, hostile and geometric
-//! cohorts. One carve-out: skewness and kurtosis are ill-conditioned when a
-//! window's variance underflows relative to its power (e.g. a dropout
-//! holding one constant value — the standardized residuals are pure rounding
-//! dust in *both* paths, and their sign is an accident of summation order),
-//! so the equivalence suite excludes those two columns on such degenerate
-//! windows and only requires them to stay finite.
+//! [`FeatureExtractor::extract_window`]: crate::extractor::FeatureExtractor::extract_window
+//! [`RichFeatureSet`]: crate::extractor::RichFeatureSet
+//! [`RichFeatureSet::extract_windows_into`]: crate::extractor::RichFeatureSet::extract_windows_into
 
 use crate::bandpower::BandPowers;
 use crate::entropy::{
@@ -55,11 +61,7 @@ use crate::entropy::{
     shannon_entropy_noalloc,
 };
 use crate::error::FeatureError;
-use crate::extractor::{
-    FeatureExtractor, RichFeatureSet, SlidingWindowConfig, RICH_FEATURES_PER_CHANNEL,
-    RICH_WAVELET_LEVELS,
-};
-use crate::matrix::FeatureMatrix;
+use crate::extractor::{SlidingWindowConfig, RICH_FEATURES_PER_CHANNEL, RICH_WAVELET_LEVELS};
 use crate::scratch::PairSpectrum;
 use crate::statistics::{MomentSummary, SpreadSummary};
 use seizure_dsp::wavelet::{max_level, StreamingWavelet};
@@ -194,15 +196,13 @@ struct ChannelStream {
     wavelet: StreamingWavelet,
 }
 
-/// Stateful streaming twin of [`RichFeatureSet`]: feeds on one hop of both
-/// channels at a time and emits one 54-feature row per completed window,
-/// reusing all work the window overlap already paid for.
+/// Stateful hop-by-hop extractor of the [`RichFeatureSet`] features: feeds
+/// on one hop of both channels at a time and emits one 54-feature row per
+/// completed window, reusing all work the window overlap already paid for.
 ///
-/// Use [`StreamingRichExtractor::extract_batch_into`] for record-level
-/// workloads (fills a [`FeatureMatrix`] exactly like the batch extractor) or
-/// [`StreamingRichExtractor::push_hop`] to drive it hop by hop in real time.
-/// The batch extractor remains the bit-exact reference; see the module docs
-/// for the per-column equivalence/error model.
+/// [`StreamingRichExtractor::push_hop`] drives it in real time; the rich
+/// set's batch entry points drive the same extractor over a record (see the
+/// module docs), so a streamed row and a batch row are the same bits.
 ///
 /// # Example
 ///
@@ -217,18 +217,22 @@ struct ChannelStream {
 /// let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.07).sin()).collect();
 /// let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
 ///
+/// let batch = RichFeatureSet::new(fs)?.extract_batch(&a, &b, &config)?;
 /// let mut streaming = StreamingRichExtractor::new(&config)?;
-/// let mut matrix = seizure_features::FeatureMatrix::default();
-/// streaming.extract_batch_into(&a, &b, &mut matrix)?;
-///
-/// let reference = RichFeatureSet::new(fs)?.extract_batch(&a, &b, &config)?;
-/// assert_eq!(matrix.num_windows(), reference.num_windows());
-/// for (s, r) in matrix.data().iter().zip(reference.data().iter()) {
-///     assert!((s - r).abs() <= 1e-7 * (1.0 + r.abs()));
+/// let mut row = vec![0.0; streaming.num_features()];
+/// let mut window = 0;
+/// for (hop_a, hop_b) in a.chunks(256).zip(b.chunks(256)) {
+///     if streaming.push_hop(hop_a, hop_b, &mut row)? {
+///         assert_eq!(row.as_slice(), batch.row(window));
+///         window += 1;
+///     }
 /// }
+/// assert_eq!(window, batch.num_windows());
 /// # Ok(())
 /// # }
 /// ```
+///
+/// [`RichFeatureSet`]: crate::extractor::RichFeatureSet
 #[derive(Debug, Clone)]
 pub struct StreamingRichExtractor {
     fs: f64,
@@ -236,8 +240,6 @@ pub struct StreamingRichExtractor {
     hop: usize,
     /// Hops per window.
     k: usize,
-    /// Batch-identical feature definition, used for names.
-    reference: RichFeatureSet,
     /// Two-lane full-window periodogram with its lane buffer and power
     /// rows (transient scratch, not carried state).
     spectrum: PairSpectrum,
@@ -295,7 +297,6 @@ impl StreamingRichExtractor {
             window,
             hop,
             k,
-            reference: RichFeatureSet::new(fs)?,
             spectrum: PairSpectrum::new(fs, window)?,
             channels: [make_channel()?, make_channel()?],
             hops_seen: 0,
@@ -325,10 +326,12 @@ impl StreamingRichExtractor {
     /// The linearized samples of the current window for `channel`
     /// (0 = F7T3, 1 = F8T4) — the exact slice the spectral and wavelet
     /// operators see. Meaningful once a [`StreamingRichExtractor::push_hop`]
-    /// call has returned `true`; while the first window is still filling the
-    /// tail of the buffer is zero. Lets streaming callers run window-level
-    /// side analyses (e.g. signal-quality grading) without buffering the
-    /// samples a second time.
+    /// call has returned `true`. While the first window is still filling,
+    /// the unfilled tail holds zeros after construction and the previous
+    /// record's samples after [`StreamingRichExtractor::reset`], which does
+    /// not clear the buffer. Lets streaming callers run window-level side
+    /// analyses (e.g. signal-quality grading) without buffering the samples a
+    /// second time.
     ///
     /// # Panics
     ///
@@ -432,74 +435,6 @@ impl StreamingRichExtractor {
             finalize_channel(chan, bands, self.window, self.k, base, out)?;
         }
         Ok(true)
-    }
-
-    /// Extracts the full feature matrix of a record through the streaming
-    /// path — the drop-in counterpart of [`FeatureExtractor::extract_batch`]
-    /// for the rich set (same rows, same column names, equivalence per the
-    /// module-level error model). Resets any carried state first, so one
-    /// extractor can process a whole cohort of records back to back while
-    /// reusing the matrix allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::ChannelLengthMismatch`] if the channels
-    /// differ in length, [`FeatureError::SignalTooShort`] if not even one
-    /// window fits, and propagates numeric failures.
-    pub fn extract_batch_into(
-        &mut self,
-        f7t3: &[f64],
-        f8t4: &[f64],
-        matrix: &mut FeatureMatrix,
-    ) -> Result<(), FeatureError> {
-        if f7t3.len() != f8t4.len() {
-            return Err(FeatureError::ChannelLengthMismatch {
-                left: f7t3.len(),
-                right: f8t4.len(),
-            });
-        }
-        if f7t3.len() < self.window {
-            return Err(FeatureError::SignalTooShort {
-                actual: f7t3.len(),
-                required: self.window,
-            });
-        }
-        self.reset();
-        let rows = (f7t3.len() - self.window) / self.hop + 1;
-        let num_features = self.num_features();
-        matrix.ensure_names(|| self.reference.feature_names());
-        let data = matrix.reset_rows(rows);
-        let mut empty: [f64; 0] = [];
-        for h in 0..rows + self.k - 1 {
-            let start = h * self.hop;
-            let hop_a = &f7t3[start..start + self.hop];
-            let hop_b = &f8t4[start..start + self.hop];
-            if h + 1 < self.k {
-                self.push_hop(hop_a, hop_b, &mut empty)?;
-            } else {
-                let w = h + 1 - self.k;
-                let row = &mut data[w * num_features..(w + 1) * num_features];
-                let wrote = self.push_hop(hop_a, hop_b, row)?;
-                debug_assert!(wrote, "window {w} must complete at hop {h}");
-            }
-        }
-        Ok(())
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`StreamingRichExtractor::extract_batch_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`StreamingRichExtractor::extract_batch_into`].
-    pub fn extract_batch(
-        &mut self,
-        f7t3: &[f64],
-        f8t4: &[f64],
-    ) -> Result<FeatureMatrix, FeatureError> {
-        let mut matrix = FeatureMatrix::default();
-        self.extract_batch_into(f7t3, f8t4, &mut matrix)?;
-        Ok(matrix)
     }
 }
 
@@ -645,7 +580,8 @@ fn finalize_channel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::extractor::FeatureExtractor;
+    use crate::extractor::{FeatureExtractor, RichFeatureSet};
+    use crate::matrix::FeatureMatrix;
 
     fn synth(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed | 1;
@@ -660,56 +596,65 @@ mod tests {
             .collect()
     }
 
-    fn assert_rows_equivalent(streaming: &FeatureMatrix, batch: &FeatureMatrix, tol: f64) {
-        assert_eq!(streaming.num_windows(), batch.num_windows());
-        for (i, (s, r)) in streaming.data().iter().zip(batch.data().iter()).enumerate() {
-            assert!(
-                (s - r).abs() <= tol * (1.0 + r.abs()),
-                "flat index {i}: streaming {s} vs batch {r}"
-            );
+    /// Every row `push_hop` emits over the whole record, in window order.
+    fn stream(streaming: &mut StreamingRichExtractor, a: &[f64], b: &[f64]) -> Vec<Vec<f64>> {
+        let hop = streaming.step_samples();
+        let mut row = vec![0.0; streaming.num_features()];
+        let mut rows = Vec::new();
+        for (hop_a, hop_b) in a.chunks_exact(hop).zip(b.chunks_exact(hop)) {
+            if streaming.push_hop(hop_a, hop_b, &mut row).unwrap() {
+                rows.push(row.clone());
+            }
+        }
+        rows
+    }
+
+    fn assert_rows_bitwise_equal(streamed: &[Vec<f64>], batch: &FeatureMatrix) {
+        assert_eq!(streamed.len(), batch.num_windows());
+        for (w, row) in streamed.iter().enumerate() {
+            for (c, (s, b)) in row.iter().zip(batch.row(w)).enumerate() {
+                assert_eq!(
+                    s.to_bits(),
+                    b.to_bits(),
+                    "window {w} column {c}: {s} vs {b}"
+                );
+            }
         }
     }
 
     #[test]
-    fn streaming_matches_batch_on_paper_geometry() {
+    fn batch_rows_are_the_streamed_rows() {
         let fs = 256.0;
         let config = SlidingWindowConfig::paper_default(fs).unwrap();
-        let a = synth(1024 + 9 * 256, 7);
-        let b = synth(1024 + 9 * 256, 99);
+        // Long enough for the batch engine to fan out across workers.
+        let a = synth(1024 + 40 * 256, 7);
+        let b = synth(1024 + 40 * 256, 99);
         let mut streaming = StreamingRichExtractor::new(&config).unwrap();
-        let mut matrix = FeatureMatrix::default();
-        streaming.extract_batch_into(&a, &b, &mut matrix).unwrap();
+        let streamed = stream(&mut streaming, &a, &b);
         let batch = RichFeatureSet::new(fs)
             .unwrap()
             .extract_batch(&a, &b, &config)
             .unwrap();
-        assert_rows_equivalent(&matrix, &batch, 1e-9);
+        assert_rows_bitwise_equal(&streamed, &batch);
     }
 
     #[test]
-    fn exact_columns_are_bitwise_equal() {
+    fn streamed_rows_match_the_two_pass_reference() {
         let fs = 256.0;
         let config = SlidingWindowConfig::paper_default(fs).unwrap();
         let a = synth(1024 + 5 * 256, 21);
         let b = synth(1024 + 5 * 256, 22);
         let mut streaming = StreamingRichExtractor::new(&config).unwrap();
-        let matrix = streaming.extract_batch(&a, &b).unwrap();
-        let batch = RichFeatureSet::new(fs)
-            .unwrap()
-            .extract_batch(&a, &b, &config)
-            .unwrap();
-        // Bands, zero crossings, peak-to-peak, permutation and
-        // wavelet entropies must match bit for bit, both channels.
-        let exact: Vec<usize> = (0..11)
-            .chain(20..=26)
-            .flat_map(|c| [c, c + RICH_FEATURES_PER_CHANNEL])
-            .collect();
-        for w in 0..matrix.num_windows() {
-            for &c in &exact {
-                assert_eq!(
-                    matrix.get(w, c),
-                    batch.get(w, c),
-                    "window {w} column {c} must be bit-exact"
+        let reference = RichFeatureSet::new(fs).unwrap();
+        for (w, row) in stream(&mut streaming, &a, &b).iter().enumerate() {
+            let span = w * 256..w * 256 + 1024;
+            let expected = reference
+                .extract_window(&a[span.clone()], &b[span])
+                .unwrap();
+            for (c, (s, r)) in row.iter().zip(&expected).enumerate() {
+                assert!(
+                    (s - r).abs() <= 1e-9 * (1.0 + r.abs()),
+                    "window {w} column {c}: streamed {s} vs reference {r}"
                 );
             }
         }
@@ -722,26 +667,17 @@ mod tests {
         let a = synth(1024 + 3 * 256, 31);
         let b = synth(1024 + 3 * 256, 32);
         let mut streaming = StreamingRichExtractor::new(&config).unwrap();
-        let mut reference = StreamingRichExtractor::new(&config).unwrap();
-        let expected = reference.extract_batch(&a, &b).unwrap();
         let mut row = vec![0.0; streaming.num_features()];
-        let mut produced = 0usize;
+        let mut completed = 0usize;
         for h in 0..a.len() / 256 {
             let s = h * 256;
             let wrote = streaming
                 .push_hop(&a[s..s + 256], &b[s..s + 256], &mut row)
                 .unwrap();
             assert_eq!(wrote, h + 1 >= 4, "hop {h}");
-            if wrote {
-                assert_eq!(
-                    row.as_slice(),
-                    expected.row(produced),
-                    "window {produced} must match the record-level streaming path bitwise"
-                );
-                produced += 1;
-            }
+            completed += usize::from(wrote);
         }
-        assert_eq!(produced, expected.num_windows());
+        assert_eq!(completed, config.num_windows(a.len()));
     }
 
     #[test]
@@ -750,12 +686,15 @@ mod tests {
         let config = SlidingWindowConfig::paper_default(fs).unwrap();
         let a = synth(1024 + 2 * 256, 51);
         let b = synth(1024 + 2 * 256, 52);
+        let mut fresh = StreamingRichExtractor::new(&config).unwrap();
+        let expected = stream(&mut fresh, &a, &b);
+        // Another record, cut off mid-window, then a reset: the first
+        // record streams exactly as through a fresh extractor.
         let mut streaming = StreamingRichExtractor::new(&config).unwrap();
-        let first = streaming.extract_batch(&a, &b).unwrap();
-        // Second record through the same extractor: extract_batch_into
-        // resets, so the output is identical.
-        let second = streaming.extract_batch(&a, &b).unwrap();
-        assert_eq!(first.data(), second.data());
+        let burn = synth(1024 + 5 * 256 + 2 * 256, 53);
+        stream(&mut streaming, &burn, &burn);
+        streaming.reset();
+        assert_eq!(stream(&mut streaming, &a, &b), expected);
     }
 
     #[test]
@@ -772,11 +711,6 @@ mod tests {
             .is_err());
         assert!(streaming
             .push_hop(&[0.0; 100], &[0.0; 100], &mut row)
-            .is_err());
-        let short = vec![0.0; 512];
-        let mut matrix = FeatureMatrix::default();
-        assert!(streaming
-            .extract_batch_into(&short, &short, &mut matrix)
             .is_err());
         let a = synth(1024, 1);
         let mut bad_row = vec![0.0; 10];

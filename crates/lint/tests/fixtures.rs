@@ -202,7 +202,7 @@ fn classification_scopes_paths() {
     assert!(persist.in_persist);
     assert!(!persist.is_test_file);
 
-    let bench = classify("crates/bench/benches/inference.rs");
+    let bench = classify("crates/bench/benches/retrain.rs");
     assert!(bench.is_test_file);
 
     let root_example = classify("examples/quickstart.rs");

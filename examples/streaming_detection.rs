@@ -4,9 +4,9 @@
 //!
 //! The streaming front end carries moments, ordinal-pattern tables and
 //! wavelet coefficients across the 75 % window overlap instead of
-//! recomputing each 4-second window from scratch; the batch extractor stays
-//! the bit-exact reference (see the "Streaming extraction" section of the
-//! README for the per-feature equivalence model).
+//! recomputing each 4-second window from scratch. Batch `detect` streams its
+//! feature rows through the same extractor, so the two agree bit for bit
+//! (see the "Streaming extraction" section of the README).
 //!
 //! Run with:
 //!

@@ -61,16 +61,17 @@ fn assert_pinned(case: &str, got: (usize, u64), expected: (usize, u64)) {
 #[test]
 fn batch_feature_matrices_are_pinned() {
     let expected = [
-        // (fs, paper matrix, rich matrix)
+        // (fs, paper matrix, rich matrix). The rich batch rows are streamed,
+        // so their pins are `streaming_rich_matrix_is_pinned`'s.
         (
             256.0,
             (270, 0x361e_ea72_4cd1_6afe),
-            (1458, 0x93f9_f5fa_05ab_bd35),
+            (1458, 0x9bf7_bdcf_6350_c400),
         ),
         (
             192.0,
             (270, 0x0d38_1b5c_1d0c_cb75),
-            (1458, 0x4dee_5e9f_23b6_75e1),
+            (1458, 0x585d_dc01_349b_fce1),
         ),
     ];
     for (fs, paper_pin, rich_pin) in expected {
@@ -107,14 +108,19 @@ fn streaming_rich_matrix_is_pinned() {
     for (fs, pin) in expected {
         let (a, b) = record(fs);
         let config = SlidingWindowConfig::paper_default(fs).unwrap();
-        let matrix = StreamingRichExtractor::new(&config)
-            .unwrap()
-            .extract_batch(&a, &b)
-            .unwrap();
-        assert_eq!(matrix.num_windows(), 27);
+        let mut streaming = StreamingRichExtractor::new(&config).unwrap();
+        let hop = config.step_samples();
+        let mut row = vec![0.0; streaming.num_features()];
+        let mut rows = Vec::new();
+        for (hop_a, hop_b) in a.chunks_exact(hop).zip(b.chunks_exact(hop)) {
+            if streaming.push_hop(hop_a, hop_b, &mut row).unwrap() {
+                rows.extend_from_slice(&row);
+            }
+        }
+        assert_eq!(rows.len(), 27 * streaming.num_features());
         assert_pinned(
             &format!("streaming rich matrix at {fs} Hz"),
-            float_pin(matrix.data().iter().copied()),
+            float_pin(rows),
             pin,
         );
     }

@@ -11,13 +11,14 @@
 //! ones, so the gate's `Suspect` and `Reject` paths run too. Every
 //! `StreamingDetector::push` after the first completed window must allocate
 //! nothing, across resets and records, and so must `FlatForest::predict`.
-//! The batch extractors' per-window kernels, `extract_window_into` of the
-//! paper and rich feature sets, must allocate nothing after their first
+//! That covers the rich features' one engine, `StreamingRichExtractor::
+//! push_hop`, which the batch path streams too. The paper set's per-window
+//! kernel, `extract_window_into`, must allocate nothing after its first
 //! call, on clean, NaN-laced and all-zero windows. Batch `detect_into` is
-//! left out: it fills a feature matrix per record, and on a calibrated gate
-//! its slow gain correction's Theil–Sen fit takes a sorted copy of the
-//! abscissae, two bounded slope-key buffers and the per-window intercepts on
-//! each call.
+//! left out: it fills a feature matrix per record, builds one quality grader
+//! and one streaming extractor per worker, and on a calibrated gate its slow
+//! gain correction's Theil–Sen fit takes a sorted copy of the abscissae, two
+//! bounded slope-key buffers and the per-window intercepts on each call.
 
 use selflearn_seizure::core::labeler::LabelerConfig;
 use selflearn_seizure::core::pipeline::{LabelSource, SelfLearningPipeline};
@@ -26,7 +27,7 @@ use selflearn_seizure::core::SeizureLabel;
 use selflearn_seizure::data::cohort::Cohort;
 use selflearn_seizure::data::sampler::SampleConfig;
 use selflearn_seizure::data::synth::{degrade_signal, HostileScenario};
-use selflearn_seizure::features::extractor::{FeatureExtractor, PaperFeatureSet, RichFeatureSet};
+use selflearn_seizure::features::extractor::{FeatureExtractor, PaperFeatureSet};
 use selflearn_seizure::ml::forest::RandomForestConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -190,16 +191,11 @@ fn batch_window_kernels_do_not_allocate_after_the_first_call() {
     ];
 
     let paper = PaperFeatureSet::new(fs).unwrap();
-    let rich = RichFeatureSet::new(fs).unwrap();
     let mut paper_scratch = paper.scratch(n).unwrap();
-    let mut rich_scratch = rich.scratch(n).unwrap();
     let mut paper_row = vec![0.0; paper.num_features()];
-    let mut rich_row = vec![0.0; rich.num_features()];
     // The first call sizes the scratch's pattern-count table.
     paper
         .extract_window_into(&f7t3, &f8t4, &mut paper_row, &mut paper_scratch)
-        .unwrap();
-    rich.extract_window_into(&f7t3, &f8t4, &mut rich_row, &mut rich_scratch)
         .unwrap();
     for round in 0..2 {
         for (name, a, b) in windows {
@@ -211,14 +207,6 @@ fn batch_window_kernels_do_not_allocate_after_the_first_call() {
             assert_eq!(
                 paper_allocated, 0,
                 "paper set, {name} window, round {round}: allocated"
-            );
-            let before = allocations();
-            rich.extract_window_into(a, b, &mut rich_row, &mut rich_scratch)
-                .unwrap();
-            let rich_allocated = allocations() - before;
-            assert_eq!(
-                rich_allocated, 0,
-                "rich set, {name} window, round {round}: allocated"
             );
         }
     }
