@@ -10,7 +10,7 @@
 
 use crate::scale::ExperimentScale;
 use seizure_core::label::SeizureLabel;
-use seizure_core::realtime::{RealTimeDetector, RealTimeDetectorConfig};
+use seizure_core::realtime::{balanced_indices, RealTimeDetector, RealTimeDetectorConfig};
 use seizure_core::workspace::FeatureWorkspace;
 use seizure_core::CoreError;
 use seizure_data::cohort::Cohort;
@@ -69,21 +69,22 @@ pub fn run_unsupervised_baseline(scale: ExperimentScale) -> Result<BaselineResul
         let train_count = 2.min(num_seizures - 1);
 
         // Supervised reference: train on expert labels of the first records.
+        // Each record's balanced rows are appended in selection order, the
+        // order `train` spreads the classes from, so the forest is pinned.
         let mut detector = RealTimeDetector::new(detector_config);
-        let mut training = seizure_ml::dataset::Dataset::empty();
+        let (mut rows, mut labels) = (Vec::new(), Vec::new());
         for seizure in 0..train_count {
             let record = cohort.sample_record(patient, seizure, &sample_config, seizure as u64)?;
             let truth =
                 SeizureLabel::new(record.annotation().onset(), record.annotation().offset())?;
-            let windows = detector.build_training_windows(record.signal(), &truth)?;
-            let balanced = detector.balance(&windows)?;
-            if training.is_empty() {
-                training = balanced;
-            } else {
-                training.extend(&balanced)?;
+            let windows =
+                detector.build_training_windows_with(record.signal(), &truth, &mut workspace)?;
+            for w in balanced_indices(&windows)? {
+                rows.extend_from_slice(workspace.matrix().row(w));
+                labels.push(windows[w]);
             }
         }
-        detector.train(&training)?;
+        detector.train(&rows, workspace.matrix().num_features(), &labels)?;
         let forest = detector
             .flat_forest()
             .expect("a successful `train` leaves a fitted forest");

@@ -55,7 +55,9 @@ impl PosterioriLabeler {
 
     /// Extracts the paper's ten-feature matrix of `signal` into the
     /// workspace matrix through the parallel batch engine, reusing the
-    /// workspace's matrix buffer and pooled scratches across records.
+    /// workspace's matrix buffer across records. Each worker builds one
+    /// FFT/wavelet scratch per call and reuses it for every window it
+    /// extracts.
     ///
     /// The batch engine's fused scratch kernels agree with the seed
     /// per-window `extract_window` path to ~1e-9 relative, not bitwise, so
@@ -78,7 +80,6 @@ impl PosterioriLabeler {
             signal.f7t3(),
             signal.f8t4(),
             &config,
-            &workspace.pool,
             &mut workspace.matrix,
         )?;
         Ok(())

@@ -17,13 +17,13 @@ use seizure_features::quality::{
     IDX_HUM_RATIO, IDX_LOG_STD, IDX_MAX_JUMP_SIGMA, IDX_RAILED_FRAC, NUM_QUALITY_FEATURES,
 };
 use seizure_features::streaming::StreamingRichExtractor;
-use seizure_ml::dataset::Dataset;
 use seizure_ml::flat::FlatForest;
 use seizure_ml::forest::RandomForestConfig;
 use seizure_ml::incremental::{IncrementalTrainer, IncrementalTrainerConfig};
 use seizure_ml::metrics::ConfusionMatrix;
 use seizure_ml::persist::journal::{self, JournalEntry};
 use seizure_ml::persist::{self, PersistError, SnapshotKind, SnapshotReader, SnapshotWriter};
+use seizure_ml::MlError;
 
 /// Snapshot marker: the detector has never been trained.
 const MODEL_UNTRAINED: u8 = 0;
@@ -238,7 +238,8 @@ impl QualityGate {
 /// # Example
 ///
 /// ```no_run
-/// use seizure_core::realtime::{RealTimeDetector, RealTimeDetectorConfig};
+/// use seizure_core::realtime::{balanced_indices, RealTimeDetector, RealTimeDetectorConfig};
+/// use seizure_core::workspace::FeatureWorkspace;
 /// use seizure_core::SeizureLabel;
 /// use seizure_data::cohort::Cohort;
 /// use seizure_data::sampler::SampleConfig;
@@ -253,10 +254,18 @@ impl QualityGate {
 ///     record.annotation().onset(),
 ///     record.annotation().offset(),
 /// )?;
-/// let windows = detector.build_training_windows(record.signal(), &expert_label)?;
-/// detector.train(&detector.balance(&windows)?)?;
+/// // Every window's rich row lands in the workspace matrix; train on the
+/// // balanced selection of them, as flat rows.
+/// let mut ws = FeatureWorkspace::new();
+/// let labels = detector.build_training_windows_with(record.signal(), &expert_label, &mut ws)?;
+/// let (mut rows, mut batch) = (Vec::new(), Vec::new());
+/// for w in balanced_indices(&labels)? {
+///     rows.extend_from_slice(ws.matrix().row(w));
+///     batch.push(labels[w]);
+/// }
+/// detector.train(&rows, ws.matrix().num_features(), &batch)?;
 /// let alarms = detector.detect(record.signal())?;
-/// assert_eq!(alarms.len(), windows.len());
+/// assert_eq!(alarms.len(), labels.len());
 /// # Ok(())
 /// # }
 /// ```
@@ -322,35 +331,19 @@ impl RealTimeDetector {
         Ok(window)
     }
 
-    /// Builds a per-window labeled dataset from a signal and a seizure label
-    /// (which may come from the a-posteriori algorithm or from an expert):
-    /// [`RealTimeDetector::build_training_windows_with`] into a fresh
-    /// workspace, with the rows copied out into the [`Dataset`] that
-    /// [`RealTimeDetector::train`] takes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates feature-extraction failures.
-    pub fn build_training_windows(
-        &self,
-        signal: &EegSignal,
-        label: &SeizureLabel,
-    ) -> Result<Dataset, CoreError> {
-        let mut ws = FeatureWorkspace::new();
-        let labels = self.build_training_windows_with(signal, label, &mut ws)?;
-        Ok(Dataset::new(ws.matrix.to_rows(), labels)?)
-    }
-
     /// Extracts the rich (54-feature) matrix of every window of `signal`
-    /// into the workspace matrix and returns the per-window labels, leaving
-    /// the rows in `workspace.matrix()`. The rows are streamed in parallel
-    /// blocks through the same [`StreamingRichExtractor`] the streaming
-    /// detector runs (see [`RichFeatureSet`]), so they equal the rows
-    /// detection computes bit for bit.
+    /// into the workspace matrix and returns the per-window labels under
+    /// `label` (which may come from the a-posteriori algorithm or from an
+    /// expert), leaving the rows in `workspace.matrix()`. The rows are
+    /// streamed in parallel blocks through the same [`StreamingRichExtractor`]
+    /// the streaming detector runs (see [`RichFeatureSet`]), so they equal
+    /// the rows detection computes bit for bit. A caller trains on them by
+    /// picking its rows with [`balanced_indices`] and handing them to
+    /// [`RealTimeDetector::train`] flat.
     ///
-    /// This is the **full-record reference path**: it extracts every window
-    /// of the record. The self-learning pipeline no longer calls it; it picks
-    /// its balanced batch from the labels and quality verdicts first and
+    /// This is the **full-record path**: it extracts every window of the
+    /// record. The self-learning pipeline does not call it; it picks its
+    /// balanced batch from the labels and quality verdicts first and
     /// extracts only those windows, each row bit-identical to the matching
     /// row here.
     ///
@@ -370,7 +363,6 @@ impl RealTimeDetector {
             signal.f7t3(),
             signal.f8t4(),
             &window,
-            &workspace.pool,
             &mut workspace.matrix,
         )?;
         self.training_labels(signal, label)
@@ -413,53 +405,62 @@ impl RealTimeDetector {
         Ok(())
     }
 
-    /// Builds a balanced training dataset: all seizure windows of `dataset`
-    /// plus an equal number of evenly spaced non-seizure windows (the paper
-    /// trains on balanced sets of 2–5 seizures plus seizure-free samples).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidState`] if the dataset contains no seizure
-    /// or no seizure-free windows.
-    pub fn balance(&self, dataset: &Dataset) -> Result<Dataset, CoreError> {
-        let selected = balanced_indices(dataset.labels())?;
-        Ok(dataset.subset(&selected)?)
-    }
-
-    /// Trains the random forest from scratch on a labeled window dataset: a
-    /// fresh [`IncrementalTrainer`] takes the dataset's raw rows as its first
-    /// batch and replaces the current model and pool only on success. A
-    /// later `retrain_incremental` extends this pool; a later `train` starts
-    /// over.
+    /// Trains the random forest from scratch on labeled windows (flat
+    /// row-major, `labels.len() * num_features` values, as
+    /// [`RealTimeDetector::retrain_incremental`] takes them): a fresh
+    /// [`IncrementalTrainer`] takes the raw rows as its first batch and
+    /// replaces the current model and pool only on success. A later
+    /// `retrain_incremental` extends this pool; a later `train` starts over.
     ///
     /// The trainer gives each tree its own ownership blocks of consecutive
     /// rows, so the rows are first reordered by `spread_classes`, the same
     /// proportional class merge the pipeline stages its batches with. In
     /// caller order, a time-ordered record or a positives-first
-    /// [`RealTimeDetector::balance`] output would fill whole blocks with one
+    /// [`balanced_indices`] selection would fill whole blocks with one
     /// class, and the trees owning only seizure-free blocks would outvote
     /// the rest. The fit is therefore a fresh detector's first
     /// [`RealTimeDetector::retrain_incremental`] of the spread rows. Each
     /// tree still sees only its own blocks' share of the seizure windows, so
-    /// on a whole record, which is a few percent seizure, a `balance`d set
-    /// (what the paper and the pipeline train on) fits a stronger forest.
+    /// on a whole record, which is a few percent seizure, a balanced
+    /// selection (what the paper and the pipeline train on) fits a stronger
+    /// forest.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Ml`] if the forest cannot be fitted: an empty
-    /// dataset, or a single-class dataset longer than
+    /// Returns [`CoreError::Ml`], leaving the detector as it was, if the
+    /// rows are malformed (no rows, no features, or a buffer that is not
+    /// `labels.len() * num_features` values long) or the forest cannot be
+    /// fitted: a single-class batch longer than
     /// [`RealTimeDetectorConfig::incremental_block_size`] (every ownership
     /// block it fills would hold one label only).
-    pub fn train(&mut self, dataset: &Dataset) -> Result<(), CoreError> {
-        let labels = dataset.labels();
-        let order = spread_classes(&(0..dataset.len()).collect::<Vec<_>>(), labels);
-        let mut rows = Vec::with_capacity(order.len() * dataset.num_features());
+    pub fn train(
+        &mut self,
+        rows: &[f64],
+        num_features: usize,
+        labels: &[bool],
+    ) -> Result<(), CoreError> {
+        if num_features == 0
+            || labels.is_empty()
+            || labels.len().checked_mul(num_features) != Some(rows.len())
+        {
+            return Err(MlError::InvalidDataset {
+                detail: format!(
+                    "training rows must hold labels x features values, with at least one of \
+                     each: got {} values for {} labels x {num_features} features",
+                    rows.len(),
+                    labels.len()
+                ),
+            }
+            .into());
+        }
+        let order = spread_classes(&(0..labels.len()).collect::<Vec<_>>(), labels);
+        let mut spread_rows = Vec::with_capacity(rows.len());
         for &i in &order {
-            rows.extend_from_slice(&dataset.features()[i]);
+            spread_rows.extend_from_slice(&rows[i * num_features..(i + 1) * num_features]);
         }
         let spread: Vec<bool> = order.iter().map(|&i| labels[i]).collect();
         let mut trainer = fresh_trainer(&self.config);
-        self.flat = Some(trainer.retrain(&rows, dataset.num_features(), &spread)?);
+        self.flat = Some(trainer.retrain(&spread_rows, num_features, &spread)?);
         self.incremental = Some(trainer);
         Ok(())
     }
@@ -554,7 +555,6 @@ impl RealTimeDetector {
         let extractor = RichFeatureSet::new(fs)?;
         let FeatureWorkspace {
             matrix,
-            pool,
             predictions,
             verdicts,
             corrected_f7t3,
@@ -566,7 +566,7 @@ impl RealTimeDetector {
         } else {
             (&corrected_f7t3[..], &corrected_f8t4[..])
         };
-        extractor.extract_batch_into(f7t3, f8t4, &window, pool, matrix)?;
+        extractor.extract_batch_into(f7t3, f8t4, &window, matrix)?;
         forest.predict_batch_into(matrix.data(), matrix.num_features(), predictions)?;
         if self.config.quality_gate {
             // Fail closed: an artifact-dominated window never raises an alarm.
@@ -1059,9 +1059,10 @@ impl StreamingDetector<'_> {
 
 /// Balanced training selection over per-window labels: every seizure window
 /// plus an equal number of evenly spaced seizure-free windows, positives
-/// first (the pipeline re-spreads the two halves with `spread_classes`
-/// before staging them into the incremental pool, so ownership blocks mix
-/// both classes).
+/// first (the paper trains on balanced sets of seizure and seizure-free
+/// windows). The pipeline and [`RealTimeDetector::train`] re-spread the two
+/// halves with `spread_classes` before they reach the incremental pool, so
+/// ownership blocks mix both classes.
 ///
 /// # Errors
 ///
@@ -1340,6 +1341,31 @@ mod tests {
         (record, truth)
     }
 
+    /// Every window's rich row of `record` under `truth`, and the window
+    /// labels.
+    fn training_windows(
+        detector: &RealTimeDetector,
+        record: &seizure_data::sampler::EegRecord,
+        truth: &SeizureLabel,
+    ) -> (FeatureMatrix, Vec<bool>) {
+        let mut ws = FeatureWorkspace::new();
+        let labels = detector
+            .build_training_windows_with(record.signal(), truth, &mut ws)
+            .unwrap();
+        (ws.matrix, labels)
+    }
+
+    /// The rows at `balanced_indices(labels)`, flat and in that order, with
+    /// their labels.
+    fn balanced(matrix: &FeatureMatrix, labels: &[bool]) -> (Vec<f64>, Vec<bool>) {
+        let (mut rows, mut batch) = (Vec::new(), Vec::new());
+        for w in balanced_indices(labels).unwrap() {
+            rows.extend_from_slice(matrix.row(w));
+            batch.push(labels[w]);
+        }
+        (rows, batch)
+    }
+
     fn fast_config() -> RealTimeDetectorConfig {
         RealTimeDetectorConfig {
             forest: RandomForestConfig {
@@ -1519,11 +1545,11 @@ mod tests {
     fn trains_and_detects_the_seizure_it_was_trained_on() {
         let (record, truth) = record_and_truth(1);
         let mut detector = RealTimeDetector::new(fast_config());
-        let training = detector
-            .build_training_windows(record.signal(), &truth)
+        let (matrix, labels) = training_windows(&detector, &record, &truth);
+        let (rows, labels) = balanced(&matrix, &labels);
+        detector
+            .train(&rows, matrix.num_features(), &labels)
             .unwrap();
-        let balanced = detector.balance(&training).unwrap();
-        detector.train(&balanced).unwrap();
         assert!(detector.is_trained());
 
         let cm = detector
@@ -1539,11 +1565,10 @@ mod tests {
         let (train_record, train_truth) = record_and_truth(2);
         let (test_record, test_truth) = record_and_truth(3);
         let mut detector = RealTimeDetector::new(fast_config());
-        let training = detector
-            .build_training_windows(train_record.signal(), &train_truth)
-            .unwrap();
-        let balanced = detector.balance(&training).unwrap();
-        detector.train(&balanced).unwrap();
+        let (matrix, labels) = training_windows(&detector, &train_record, &train_truth);
+        let nf = matrix.num_features();
+        let (rows, batch) = balanced(&matrix, &labels);
+        detector.train(&rows, nf, &batch).unwrap();
         let cm = detector
             .evaluate(
                 test_record.signal(),
@@ -1562,7 +1587,7 @@ mod tests {
             ..fast_config()
         };
         let mut detector = RealTimeDetector::new(many_blocks);
-        detector.train(&training).unwrap();
+        detector.train(matrix.data(), nf, &labels).unwrap();
         let pool = detector.incremental_trainer().unwrap().num_samples();
         assert!(pool >= many_blocks.forest.n_trees * many_blocks.incremental_block_size);
         let cm = detector
@@ -1577,36 +1602,39 @@ mod tests {
     }
 
     #[test]
-    fn balance_produces_equal_class_counts() {
+    fn balanced_indices_produce_equal_class_counts() {
         let (record, truth) = record_and_truth(4);
         let detector = RealTimeDetector::new(fast_config());
-        let training = detector
-            .build_training_windows(record.signal(), &truth)
-            .unwrap();
-        let balanced = detector.balance(&training).unwrap();
-        assert_eq!(balanced.num_positive(), balanced.num_negative());
-        assert!(balanced.len() < training.len());
+        let labels = detector.training_labels(record.signal(), &truth).unwrap();
+        let selected = balanced_indices(&labels).unwrap();
+        let positives = labels.iter().filter(|&&l| l).count();
+        // Every seizure window, in order, then as many seizure-free ones.
+        let (head, tail) = selected.split_at(positives);
+        assert!(head.windows(2).all(|w| w[0] < w[1]));
+        assert!(head.iter().all(|&w| labels[w]));
+        assert_eq!(tail.len(), positives);
+        assert!(tail.iter().all(|&w| !labels[w]));
+        assert!(selected.len() < labels.len());
     }
 
     #[test]
-    fn balance_requires_both_classes() {
-        let detector = RealTimeDetector::new(fast_config());
-        let all_negative = Dataset::new(vec![vec![1.0]; 5], vec![false; 5]).unwrap();
-        assert!(detector.balance(&all_negative).is_err());
-        let all_positive = Dataset::new(vec![vec![1.0]; 5], vec![true; 5]).unwrap();
-        assert!(detector.balance(&all_positive).is_err());
+    fn balanced_indices_require_both_classes() {
+        for labels in [&[false; 5][..], &[true; 5], &[]] {
+            assert!(matches!(
+                balanced_indices(labels),
+                Err(CoreError::InvalidState { .. })
+            ));
+        }
     }
 
     #[test]
     fn batch_detection_is_consistent_across_entry_points() {
         let (record, truth) = record_and_truth(5);
         let mut detector = RealTimeDetector::new(fast_config());
-        let training = detector
-            .build_training_windows(record.signal(), &truth)
-            .unwrap();
-        detector
-            .train(&detector.balance(&training).unwrap())
-            .unwrap();
+        let (matrix, labels) = training_windows(&detector, &record, &truth);
+        let nf = matrix.num_features();
+        let (rows, kept) = balanced(&matrix, &labels);
+        detector.train(&rows, nf, &kept).unwrap();
 
         // The workspace call returns one prediction and one verdict per
         // window, and the allocating wrapper copies the same predictions.
@@ -1620,10 +1648,7 @@ mod tests {
         // They are the flat forest's predictions on the full-record training
         // rows, with `Reject` windows forced silent.
         let forest = detector.flat_forest().unwrap();
-        let rows: Vec<f64> = training.features().iter().flatten().copied().collect();
-        let raw = forest
-            .predict_batch(&rows, training.num_features())
-            .unwrap();
+        let raw = forest.predict_batch(matrix.data(), nf).unwrap();
         let gated: Vec<bool> = raw
             .iter()
             .zip(&verdicts)
@@ -1638,7 +1663,7 @@ mod tests {
             quality_gate: false,
             ..fast_config()
         });
-        ungated.train(&ungated.balance(&training).unwrap()).unwrap();
+        ungated.train(&rows, nf, &kept).unwrap();
         let (predictions, verdicts) = ungated.detect_into(record.signal(), &mut ws).unwrap();
         assert!(verdicts.iter().all(|&v| v == QualityVerdict::Clean));
         assert_eq!(predictions, &raw[..]);
@@ -1673,17 +1698,18 @@ mod tests {
         let mut detector = RealTimeDetector::new(config);
         assert_eq!(
             detector
-                .build_training_windows(record.signal(), &truth)
+                .build_training_windows_with(record.signal(), &truth, &mut FeatureWorkspace::new())
                 .unwrap_err(),
             expected
         );
         // A forest fitted on rows of the paper geometry does not make the
         // detector's own geometry any more streamable.
         let paper = RealTimeDetector::new(fast_config());
-        let training = paper
-            .build_training_windows(record.signal(), &truth)
+        let (matrix, labels) = training_windows(&paper, &record, &truth);
+        let (rows, batch) = balanced(&matrix, &labels);
+        detector
+            .train(&rows, matrix.num_features(), &batch)
             .unwrap();
-        detector.train(&paper.balance(&training).unwrap()).unwrap();
         assert_eq!(
             detector
                 .detect_into(record.signal(), &mut FeatureWorkspace::new())
@@ -1734,14 +1760,10 @@ mod tests {
         let (record, truth) = record_and_truth(7);
         let config = fast_config();
         let mut detector = RealTimeDetector::new(config);
-        let training = detector
-            .build_training_windows(record.signal(), &truth)
-            .unwrap();
-        let balanced = detector.balance(&training).unwrap();
-        let nf = balanced.num_features();
-        let rows: Vec<f64> = balanced.features().iter().flatten().copied().collect();
-        let labels = balanced.labels();
-        let cut = balanced.len() / 2;
+        let (matrix, window_labels) = training_windows(&detector, &record, &truth);
+        let nf = matrix.num_features();
+        let (rows, labels) = balanced(&matrix, &window_labels);
+        let cut = labels.len() / 2;
 
         // Two appends through one detector...
         detector
@@ -1752,12 +1774,12 @@ mod tests {
             .retrain_incremental(&rows[cut * nf..], nf, &labels[cut..])
             .unwrap();
         let trainer = detector.incremental_trainer().unwrap();
-        assert_eq!(trainer.num_samples(), balanced.len());
+        assert_eq!(trainer.num_samples(), labels.len());
         assert!(trainer.last_refit_count() <= first_refits);
 
         // ...equal one single-shot incremental fit on the final pool.
         let mut reference = RealTimeDetector::new(config);
-        reference.retrain_incremental(&rows, nf, labels).unwrap();
+        reference.retrain_incremental(&rows, nf, &labels).unwrap();
         assert_eq!(detector.flat_forest(), reference.flat_forest());
         assert_eq!(
             detector.detect(record.signal()).unwrap(),
@@ -1777,19 +1799,23 @@ mod tests {
         // by the new ones. The pool stays inside one ownership block, where
         // every append refits every tree, so even the refit counter
         // matches...
-        let order = spread_classes(&(0..balanced.len()).collect::<Vec<_>>(), labels);
-        let spread = balanced.subset(&order).unwrap();
-        let spread_rows: Vec<f64> = spread.features().iter().flatten().copied().collect();
-        let first = spread.subset(&(0..cut).collect::<Vec<_>>()).unwrap();
-        assert!(first.num_positive() > 0 && first.num_negative() > 0);
+        let order = spread_classes(&(0..labels.len()).collect::<Vec<_>>(), &labels);
+        let spread_rows: Vec<f64> = order
+            .iter()
+            .flat_map(|&i| &rows[i * nf..(i + 1) * nf])
+            .copied()
+            .collect();
+        let spread: Vec<bool> = order.iter().map(|&i| labels[i]).collect();
+        let (first_rows, first) = (&spread_rows[..cut * nf], &spread[..cut]);
+        assert!(first.contains(&true) && first.contains(&false));
         let mut trained = RealTimeDetector::new(config);
-        trained.train(&first).unwrap();
+        trained.train(first_rows, nf, first).unwrap();
         trained
-            .retrain_incremental(&spread_rows[cut * nf..], nf, &spread.labels()[cut..])
+            .retrain_incremental(&spread_rows[cut * nf..], nf, &spread[cut..])
             .unwrap();
         let mut extended = RealTimeDetector::new(config);
         extended
-            .retrain_incremental(&spread_rows, nf, spread.labels())
+            .retrain_incremental(&spread_rows, nf, &spread)
             .unwrap();
         assert_eq!(
             trained.incremental_trainer(),
@@ -1797,20 +1823,54 @@ mod tests {
         );
         assert_eq!(trained.flat_forest(), extended.flat_forest());
         // ...whatever class grouping the caller's rows arrive in: the
-        // positives-first `balance` output trains the same forest...
+        // positives-first `balanced_indices` selection trains the same
+        // forest...
         let mut grouped = RealTimeDetector::new(config);
-        grouped.train(&balanced).unwrap();
+        grouped.train(&rows, nf, &labels).unwrap();
         let mut interleaved = RealTimeDetector::new(config);
-        interleaved.train(&spread).unwrap();
+        interleaved.train(&spread_rows, nf, &spread).unwrap();
         assert_eq!(grouped, interleaved);
         // ...it round-trips through the one snapshot form...
         let restored = RealTimeDetector::load_state(&trained.save_state()).unwrap();
         assert_eq!(restored, trained);
         // ...and a second `train` starts over from a fresh pool.
-        trained.train(&first).unwrap();
+        trained.train(first_rows, nf, first).unwrap();
         let mut once = RealTimeDetector::new(config);
-        once.train(&first).unwrap();
+        once.train(first_rows, nf, first).unwrap();
         assert_eq!(trained, once);
+    }
+
+    #[test]
+    fn train_refuses_malformed_rows_and_keeps_the_fitted_detector() {
+        let (record, truth) = record_and_truth(12);
+        let mut detector = RealTimeDetector::new(fast_config());
+        let (matrix, window_labels) = training_windows(&detector, &record, &truth);
+        let nf = matrix.num_features();
+        let (rows, labels) = balanced(&matrix, &window_labels);
+        detector.train(&rows, nf, &labels).unwrap();
+        let forest = detector.flat_forest().cloned();
+        let trainer = detector.incremental_trainer().cloned();
+        let bytes = detector.save_state();
+        let malformed: [(&[f64], usize, &[bool]); 6] = [
+            (&rows[..rows.len() - 1], nf, &labels),
+            (&rows, nf, &labels[..labels.len() - 1]),
+            (&rows, nf + 1, &labels),
+            (&rows, 0, &labels),
+            (&[], nf, &[]),
+            (&[], 0, &[]),
+        ];
+        for (case, (rows, nf, labels)) in malformed.into_iter().enumerate() {
+            assert!(
+                matches!(
+                    detector.train(rows, nf, labels),
+                    Err(CoreError::Ml(MlError::InvalidDataset { .. }))
+                ),
+                "case {case}"
+            );
+            assert_eq!(detector.flat_forest(), forest.as_ref(), "case {case}");
+            assert_eq!(detector.incremental_trainer(), trainer.as_ref());
+            assert_eq!(detector.save_state(), bytes, "case {case}");
+        }
     }
 
     #[test]
@@ -1832,14 +1892,10 @@ mod tests {
         let (record, truth) = record_and_truth(10);
         let config = fast_config();
         let mut detector = RealTimeDetector::new(config);
-        let training = detector
-            .build_training_windows(record.signal(), &truth)
-            .unwrap();
-        let balanced = detector.balance(&training).unwrap();
-        let nf = balanced.num_features();
-        let rows: Vec<f64> = balanced.features().iter().flatten().copied().collect();
-        let labels = balanced.labels();
-        let cut = balanced.len() / 2;
+        let (matrix, window_labels) = training_windows(&detector, &record, &truth);
+        let nf = matrix.num_features();
+        let (rows, labels) = balanced(&matrix, &window_labels);
+        let cut = labels.len() / 2;
 
         // Train half, save, cross the "process boundary", resume, train the
         // rest — against a detector that never stopped.
@@ -1874,14 +1930,10 @@ mod tests {
         // Incremental model: the O(pool) trainer payload is the one worth
         // not copying.
         let mut detector = RealTimeDetector::new(config);
-        let training = detector
-            .build_training_windows(record.signal(), &truth)
-            .unwrap();
-        let balanced = detector.balance(&training).unwrap();
-        let nf = balanced.num_features();
-        let rows: Vec<f64> = balanced.features().iter().flatten().copied().collect();
+        let (matrix, window_labels) = training_windows(&detector, &record, &truth);
+        let (rows, labels) = balanced(&matrix, &window_labels);
         detector
-            .retrain_incremental(&rows, nf, balanced.labels())
+            .retrain_incremental(&rows, matrix.num_features(), &labels)
             .unwrap();
         let mut reference = SnapshotWriter::new();
         reference.f64(config.window_secs);
@@ -1950,10 +2002,10 @@ mod tests {
             detector.streaming(64.0),
             Err(CoreError::InvalidState { .. })
         ));
-        let training = detector
-            .build_training_windows(record.signal(), &truth)
+        let (matrix, labels) = training_windows(&detector, &record, &truth);
+        detector
+            .train(matrix.data(), matrix.num_features(), &labels)
             .unwrap();
-        detector.train(&training).unwrap();
 
         let mut ws = FeatureWorkspace::new();
         let (batch_alarms, batch_verdicts) =

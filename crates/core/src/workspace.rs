@@ -1,21 +1,20 @@
 //! Reusable multi-record extraction state.
 //!
-//! The detect and labeling paths both turn a record into a [`FeatureMatrix`]
-//! through a parallel batch extraction engine. In the seed implementation
-//! the flat matrix buffer and every worker's FFT/wavelet scratch were rebuilt
-//! per record; a [`FeatureWorkspace`] keeps both alive so a whole cohort of
+//! The detect, training and labeling paths all turn a record into a
+//! [`FeatureMatrix`] through a parallel batch extraction engine. A
+//! [`FeatureWorkspace`] keeps that flat matrix alive, so a whole cohort of
 //! records — an evaluation sweep, a labeling experiment, the self-learning
-//! training loop — runs on one matrix allocation and, for the labeler's
-//! paper features, one pooled scratch set. The detector's rich features keep
-//! no per-window scratch: each call streams them through one extractor per
-//! worker.
+//! training loop — runs on one matrix allocation, and the rows it holds are
+//! the rows the trainer reads. Per-worker extraction state is built per
+//! call, not kept here: each worker of the paper set builds one
+//! FFT/wavelet scratch, and each worker of the rich set and the quality
+//! grading clones one streaming engine.
 
 use crate::realtime::QualityVerdict;
 use seizure_features::matrix::FeatureMatrix;
-use seizure_features::scratch::FeatureScratchPool;
 
-/// One matrix buffer plus one scratch pool, reused across all records a
-/// caller processes.
+/// The feature matrix plus the detect path's prediction, quality and
+/// gain-correction buffers, reused across all records a caller processes.
 ///
 /// # Example
 ///
@@ -33,7 +32,7 @@ use seizure_features::scratch::FeatureScratchPool;
 /// for seizure in 0..3 {
 ///     let record = cohort.sample_record(0, seizure, &config, 0)?;
 ///     let w = cohort.average_seizure_duration(0)?;
-///     // Every record reuses the same matrix buffer and scratch pool.
+///     // Every record reuses the same matrix buffer.
 ///     let (label, _) = labeler.label(record.signal(), w, &mut ws)?;
 ///     println!("onset = {:.1} s", label.onset_secs());
 /// }
@@ -43,8 +42,6 @@ use seizure_features::scratch::FeatureScratchPool;
 #[derive(Debug, Clone, Default)]
 pub struct FeatureWorkspace {
     pub(crate) matrix: FeatureMatrix,
-    /// Per-worker scratches of the paper feature set.
-    pub(crate) pool: FeatureScratchPool,
     /// Per-window class predictions of the last
     /// [`RealTimeDetector::detect_into`](crate::realtime::RealTimeDetector::detect_into)
     /// call routed through this workspace (refilled in place, never

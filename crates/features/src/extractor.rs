@@ -17,7 +17,7 @@ use crate::entropy::{
 use crate::error::FeatureError;
 use crate::hjorth::hjorth_parameters;
 use crate::matrix::FeatureMatrix;
-use crate::scratch::{FeatureScratch, FeatureScratchPool};
+use crate::scratch::FeatureScratch;
 use crate::statistics::window_statistics;
 use crate::streaming::StreamingRichExtractor;
 use crate::waveform::{line_length, nonlinear_energy, peak_to_peak, zero_crossings};
@@ -194,32 +194,32 @@ pub trait FeatureExtractor {
     fn extract_window(&self, f7t3: &[f64], f8t4: &[f64]) -> Result<Vec<f64>, FeatureError>;
 
     /// Extracts the full feature matrix through the batch engine: one flat
-    /// row-major buffer, filled in parallel across windows with per-thread
-    /// scratch workspaces. Allocating wrapper around
-    /// [`FeatureExtractor::extract_batch_into`] with a fresh matrix and
-    /// scratch pool.
+    /// row-major buffer, filled in parallel across windows. Allocating
+    /// wrapper around [`FeatureExtractor::extract_batch_into`] with a fresh
+    /// matrix.
     ///
     /// # Errors
     ///
     /// Returns [`FeatureError::ChannelLengthMismatch`] if the channels differ in
-    /// length and [`FeatureError::SignalTooShort`] if not even one window fits.
+    /// length, [`FeatureError::SignalTooShort`] if not even one window fits,
+    /// and [`FeatureError::InvalidConfig`] if `config` is sampled at another
+    /// rate than the extractor.
     fn extract_batch(
         &self,
         f7t3: &[f64],
         f8t4: &[f64],
         config: &SlidingWindowConfig,
     ) -> Result<FeatureMatrix, FeatureError> {
-        let pool = FeatureScratchPool::new();
         let mut matrix = FeatureMatrix::default();
-        self.extract_batch_into(f7t3, f8t4, config, &pool, &mut matrix)?;
+        self.extract_batch_into(f7t3, f8t4, config, &mut matrix)?;
         Ok(matrix)
     }
 
     /// Multi-record variant of [`FeatureExtractor::extract_batch`]: refills
-    /// `matrix` in place (reusing its allocation) and checks worker scratch
-    /// workspaces out of `pool` instead of building them per record, so a
-    /// whole cohort of records is extracted with one matrix buffer and one
-    /// scratch set.
+    /// `matrix` in place, reusing its allocation, so a whole cohort of
+    /// records is extracted into one matrix buffer. Each worker builds its
+    /// own per-call state and reuses it across its block of windows. A
+    /// refused `config` is reported before `matrix` is touched.
     ///
     /// # Errors
     ///
@@ -229,9 +229,27 @@ pub trait FeatureExtractor {
         f7t3: &[f64],
         f8t4: &[f64],
         config: &SlidingWindowConfig,
-        pool: &FeatureScratchPool,
         matrix: &mut FeatureMatrix,
     ) -> Result<(), FeatureError>;
+}
+
+/// Refuses a window geometry sampled at another rate than an engine's own
+/// `fs`: its windows would be analysed on the wrong frequency scale.
+pub(crate) fn check_rate(
+    engine: &str,
+    fs: f64,
+    config: &SlidingWindowConfig,
+) -> Result<(), FeatureError> {
+    if config.sampling_frequency() == fs {
+        return Ok(());
+    }
+    Err(FeatureError::InvalidConfig {
+        name: "config",
+        reason: format!(
+            "the window geometry is sampled at {} Hz but the {engine} at {fs} Hz",
+            config.sampling_frequency()
+        ),
+    })
 }
 
 /// Misuse-only error constructor for a selected window the record lacks.
@@ -433,30 +451,29 @@ impl FeatureExtractor for PaperFeatureSet {
     }
 
     /// Fans the record's windows out over the workers of
-    /// [`seizure_parallel::par_process_rows`], each checking one
-    /// [`FeatureScratch`] out of `pool` for its whole block of rows.
+    /// [`seizure_parallel::par_process_rows`], each building one
+    /// [`FeatureScratch`] for its whole block of rows.
     // lint: hot-path
     fn extract_batch_into(
         &self,
         f7t3: &[f64],
         f8t4: &[f64],
         config: &SlidingWindowConfig,
-        pool: &FeatureScratchPool,
         matrix: &mut FeatureMatrix,
     ) -> Result<(), FeatureError> {
+        check_rate("paper set", self.fs, config)?;
         let count = record_windows(f7t3, f8t4, config)?;
         let window = config.window_samples();
         let step = config.step_samples();
         matrix.ensure_names(|| self.feature_names());
         let data = matrix.reset_rows(count);
         seizure_parallel::par_process_rows(data, PAPER_FEATURES, |first_row, block| {
-            let mut scratch = pool.acquire(self.fs, window)?;
+            let mut scratch = self.scratch(window)?;
             for (offset, row) in block.chunks_mut(PAPER_FEATURES).enumerate() {
                 let start = (first_row + offset) * step;
                 let (a, b) = (&f7t3[start..start + window], &f8t4[start..start + window]);
                 self.extract_window_into(a, b, row, &mut scratch)?;
             }
-            pool.release(scratch);
             Ok(())
         })
     }
@@ -628,16 +645,7 @@ impl RichFeatureSet {
         windows: Option<&[usize]>,
         matrix: &mut FeatureMatrix,
     ) -> Result<(), FeatureError> {
-        if config.sampling_frequency() != self.fs {
-            return Err(FeatureError::InvalidConfig {
-                name: "config",
-                reason: format!(
-                    "the window geometry is sampled at {} Hz but the rich set at {} Hz",
-                    config.sampling_frequency(),
-                    self.fs
-                ),
-            });
-        }
+        check_rate("rich set", self.fs, config)?;
         let engine = StreamingRichExtractor::new(config)?;
         let count = record_windows(f7t3, f8t4, config)?;
         let rows = match windows {
@@ -698,14 +706,12 @@ impl FeatureExtractor for RichFeatureSet {
     }
 
     /// Streams the record through [`StreamingRichExtractor`]s, one per
-    /// worker (see [`RichFeatureSet`]); `pool` goes unused, since the rich
-    /// set keeps no per-window scratch.
+    /// worker (see [`RichFeatureSet`]).
     fn extract_batch_into(
         &self,
         f7t3: &[f64],
         f8t4: &[f64],
         config: &SlidingWindowConfig,
-        _pool: &FeatureScratchPool,
         matrix: &mut FeatureMatrix,
     ) -> Result<(), FeatureError> {
         self.stream_rows_into(f7t3, f8t4, config, None, matrix)
@@ -935,34 +941,43 @@ mod tests {
     }
 
     #[test]
-    fn extract_batch_into_reuses_matrix_and_pool_across_records() {
+    fn extract_batch_into_reuses_the_matrix_across_records() {
         let fs = 256.0;
         let cfg = SlidingWindowConfig::paper_default(fs).unwrap();
         let rich = RichFeatureSet::new(fs).unwrap();
         let paper = PaperFeatureSet::new(fs).unwrap();
-        let pool = FeatureScratchPool::new();
         let mut matrix = FeatureMatrix::default();
-        // Records of different lengths through one matrix and one pool,
-        // switching extractors, which renames the columns.
+        // Records of different lengths through one matrix, switching
+        // extractors, which renames the columns.
         for secs in [12.0, 20.0, 8.0] {
             let (a, b) = two_channels(fs, secs);
-            paper
-                .extract_batch_into(&a, &b, &cfg, &pool, &mut matrix)
-                .unwrap();
+            paper.extract_batch_into(&a, &b, &cfg, &mut matrix).unwrap();
             assert_eq!(matrix.num_features(), 10);
             assert_eq!(matrix, paper.extract_batch(&a, &b, &cfg).unwrap());
-            rich.extract_batch_into(&a, &b, &cfg, &pool, &mut matrix)
-                .unwrap();
+            rich.extract_batch_into(&a, &b, &cfg, &mut matrix).unwrap();
             assert_eq!(matrix.num_features(), 54);
             assert_eq!(matrix, rich.extract_batch(&a, &b, &cfg).unwrap());
         }
-        // The paper workers parked their scratches for the next record.
-        assert!(pool.idle() > 0);
+    }
+
+    #[test]
+    fn paper_set_rejects_a_geometry_at_another_rate_before_touching_the_matrix() {
+        let (a, b) = two_channels(256.0, 12.0);
+        let paper = PaperFeatureSet::new(256.0).unwrap();
+        let filled = paper
+            .extract_batch(&a, &b, &SlidingWindowConfig::paper_default(256.0).unwrap())
+            .unwrap();
+        let mut matrix = filled.clone();
+        let other_rate = SlidingWindowConfig::paper_default(128.0).unwrap();
+        assert!(matches!(
+            paper.extract_batch_into(&a, &b, &other_rate, &mut matrix),
+            Err(FeatureError::InvalidConfig { name: "config", .. })
+        ));
+        assert_eq!(matrix, filled);
     }
 
     #[test]
     fn rich_set_rejects_unstreamable_geometries_before_touching_the_matrix() {
-        let pool = FeatureScratchPool::new();
         let filled = {
             let (a, b) = two_channels(256.0, 12.0);
             let cfg = SlidingWindowConfig::paper_default(256.0).unwrap();
@@ -982,7 +997,7 @@ mod tests {
             let (a, b) = two_channels(fs, 12.0);
             let mut matrix = filled.clone();
             assert_eq!(
-                rich.extract_batch_into(&a, &b, &bad, &pool, &mut matrix),
+                rich.extract_batch_into(&a, &b, &bad, &mut matrix),
                 Err(expected.clone()),
                 "{fs} Hz, {window_secs} s, {overlap}"
             );

@@ -71,5 +71,5 @@ pub use error::FeatureError;
 pub use extractor::{FeatureExtractor, PaperFeatureSet, RichFeatureSet, SlidingWindowConfig};
 pub use matrix::FeatureMatrix;
 pub use quality::{QualityExtractor, QualityScratch};
-pub use scratch::{FeatureScratch, FeatureScratchPool};
+pub use scratch::FeatureScratch;
 pub use streaming::StreamingRichExtractor;

@@ -49,9 +49,10 @@
 //! into a [`QualityGrader`] as it is buffered. The record-level batch
 //! ([`QualityExtractor::extract_batch_into`]) drives one grader per worker
 //! over its block of windows, after `k − 1` warm-up hops, so batch rows equal
-//! a one-thread streamed pass bit for bit. A standalone window
-//! ([`QualityExtractor::assess_window_into`]) is graded as one hop, and so is
-//! every window of a geometry whose step does not divide the window.
+//! a one-thread streamed pass bit for bit; a geometry whose step does not
+//! divide the window is refused, as the streaming detector refuses it. A
+//! standalone window ([`QualityExtractor::assess_window_into`]) is graded as
+//! one hop.
 //!
 //! # Error model
 //!
@@ -89,7 +90,7 @@
 //! blind spot of the cheap detector, not a bug.
 
 use crate::error::FeatureError;
-use crate::extractor::SlidingWindowConfig;
+use crate::extractor::{check_rate, SlidingWindowConfig};
 use crate::matrix::FeatureMatrix;
 use std::f64::consts::PI;
 
@@ -682,14 +683,15 @@ impl QualityGrader {
     ///
     /// # Errors
     ///
-    /// Returns [`FeatureError::InvalidConfig`] when the step does not divide
-    /// the window (hops must tile windows exactly) and
-    /// [`FeatureError::SignalTooShort`] for windows of fewer than four
-    /// samples.
+    /// Returns [`FeatureError::InvalidConfig`] when `config` is sampled at
+    /// another rate than `extractor` or its step does not divide the window
+    /// (hops must tile windows exactly), and [`FeatureError::SignalTooShort`]
+    /// for windows of fewer than four samples.
     pub fn new(
         extractor: &QualityExtractor,
         config: &SlidingWindowConfig,
     ) -> Result<Self, FeatureError> {
+        check_rate("quality extractor", extractor.fs, config)?;
         let window = config.window_samples();
         let step = config.step_samples();
         if !window.is_multiple_of(step) {
@@ -942,21 +944,22 @@ impl QualityExtractor {
     /// Fills the quality feature matrix for every sliding window of the
     /// channel pair, reusing `matrix`'s allocation across calls.
     ///
-    /// When the step divides the window, each hop is summarized once and
-    /// every window merges its hops (see the module docs). The windows are
-    /// graded in parallel: the rows are split into one contiguous block per
-    /// worker of [`seizure_parallel::par_process_rows`] (records of fewer
-    /// than 16 windows stay on the calling thread), and each worker drives a
-    /// [`QualityGrader`] of its own over its block, after `k − 1` warm-up
-    /// hops. A window's row depends only on its own hops, so the matrix is
+    /// Each hop is summarized once and every window merges its hops (see the
+    /// module docs). The windows are graded in parallel: the rows are split
+    /// into one contiguous block per worker of
+    /// [`seizure_parallel::par_process_rows`] (records of fewer than 16
+    /// windows stay on the calling thread), and each worker drives a clone
+    /// of one [`QualityGrader`] over its block, after `k − 1` warm-up hops.
+    /// A window's row depends only on its own hops, so the matrix is
     /// bit-identical to one grader streamed over the whole record on one
-    /// thread. When the step does not divide the window, every window is
-    /// graded as one hop, as [`QualityExtractor::assess_window_into`] does.
-    /// The first error in window order is returned.
+    /// thread. The first error in window order is returned.
     ///
     /// # Errors
     ///
-    /// Same contract as [`crate::extractor::FeatureExtractor::extract_batch`].
+    /// Returns [`QualityGrader::new`]'s errors (a step that does not divide
+    /// the window, or a geometry sampled at another rate) before `matrix` is
+    /// touched, and otherwise the contract of
+    /// [`crate::extractor::FeatureExtractor::extract_batch`].
     pub fn extract_batch_into(
         &self,
         f7t3: &[f64],
@@ -964,6 +967,7 @@ impl QualityExtractor {
         config: &SlidingWindowConfig,
         matrix: &mut FeatureMatrix,
     ) -> Result<(), FeatureError> {
+        let grader = QualityGrader::new(self, config)?;
         if f7t3.len() != f8t4.len() {
             return Err(FeatureError::ChannelLengthMismatch {
                 left: f7t3.len(),
@@ -977,35 +981,23 @@ impl QualityExtractor {
                 required: config.window_samples(),
             });
         }
-        let window = config.window_samples();
         let step = config.step_samples();
-        // Segment `s` starts at sample `s * step`: hop `s` when hops tile the
-        // window, window `s` itself otherwise.
-        let segment = if window.is_multiple_of(step) {
-            step
-        } else {
-            window
-        };
-        let warmup = window / segment - 1;
+        let warmup = config.window_samples() / step - 1;
         matrix.ensure_names(Self::feature_names);
         let data = matrix.reset_rows(count);
         seizure_parallel::par_process_rows(data, NUM_QUALITY_FEATURES, |first_row, block| {
-            let mut grader = QualityGrader::with_segments(self, window, segment)?;
+            let mut grader = grader.clone();
             let rows = block.len() / NUM_QUALITY_FEATURES;
-            for s in first_row..first_row + warmup + rows {
-                let span = s * step..s * step + segment;
+            for h in first_row..first_row + warmup + rows {
+                let span = h * step..(h + 1) * step;
                 let (a, b) = (&f7t3[span.clone()], &f8t4[span]);
-                let Some(r) = (s - first_row).checked_sub(warmup) else {
+                let Some(r) = (h - first_row).checked_sub(warmup) else {
                     grader.push_hop(a, b, &mut [])?;
                     continue;
                 };
                 let row = &mut block[r * NUM_QUALITY_FEATURES..(r + 1) * NUM_QUALITY_FEATURES];
                 let graded = grader.push_hop(a, b, row)?;
-                debug_assert!(
-                    graded,
-                    "window {} must complete at segment {s}",
-                    first_row + r
-                );
+                debug_assert!(graded, "window {} must complete at hop {h}", first_row + r);
             }
             Ok(())
         })
@@ -1249,6 +1241,26 @@ mod tests {
         q.extract_batch_into(&a[..64 * 8], &b[..64 * 8], &config, &mut matrix)
             .unwrap();
         assert_eq!(matrix.num_windows(), config.num_windows(64 * 8));
+    }
+
+    #[test]
+    fn batch_and_grader_refuse_a_geometry_at_another_rate() {
+        let q = QualityExtractor::new(64.0).unwrap();
+        let (a, b) = (noise(33, 64 * 12), noise(34, 64 * 12));
+        let mut matrix = FeatureMatrix::default();
+        let config = SlidingWindowConfig::paper_default(64.0).unwrap();
+        q.extract_batch_into(&a, &b, &config, &mut matrix).unwrap();
+        let filled = matrix.clone();
+        let other_rate = SlidingWindowConfig::paper_default(128.0).unwrap();
+        assert!(matches!(
+            q.extract_batch_into(&a, &b, &other_rate, &mut matrix),
+            Err(FeatureError::InvalidConfig { name: "config", .. })
+        ));
+        assert_eq!(matrix, filled);
+        assert!(matches!(
+            QualityGrader::new(&q, &other_rate),
+            Err(FeatureError::InvalidConfig { name: "config", .. })
+        ));
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! buffer of `n/2` [`ComplexPair`]s (16 KB at `n = 1024`), in which the two
 //! channels' periodograms run side by side, and two power rows, one per
 //! channel. The paper set's batch path thus performs the FFTs and the DWT of
-//! every sliding window without touching the heap. One scratch is created
-//! per worker thread and reused across all windows that worker processes.
-//! The rich set keeps no per-window scratch: its batch rows are streamed
-//! (see [`crate::streaming`]), and only the two-lane periodogram is shared
-//! with it.
+//! every sliding window without touching the heap. Each worker of a batch
+//! call builds one scratch and reuses it across all the windows it
+//! processes, so a call allocates per worker, never per window. The rich set
+//! keeps no per-window scratch: its batch rows are streamed (see
+//! [`crate::streaming`]), and only the two-lane periodogram is shared with
+//! it.
 
 use crate::bandpower::{band_powers_from_bin_pair, BandPowers};
 use crate::entropy::permutation_entropy_scratch;
@@ -187,70 +188,5 @@ impl FeatureScratch {
             .detail(level)
             .expect("decompose ran and level is clamped into range");
         permutation_entropy_scratch(detail, order, delay, &mut self.perm_counts)
-    }
-}
-
-/// A shared pool of [`FeatureScratch`] workspaces, so multi-record batch
-/// extraction of the paper set reuses the FFT/wavelet buffers across records
-/// instead of rebuilding them per record per worker.
-///
-/// Workers of the parallel extraction path check a scratch out once per
-/// record block and return it when done; a scratch is only built when the
-/// pool has none matching the requested window geometry. The mutex is
-/// touched once per worker block, never per window.
-#[derive(Debug, Default)]
-pub struct FeatureScratchPool {
-    inner: std::sync::Mutex<Vec<FeatureScratch>>,
-}
-
-impl FeatureScratchPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of idle workspaces currently parked in the pool.
-    pub fn idle(&self) -> usize {
-        self.inner.lock().expect("scratch pool poisoned").len()
-    }
-
-    /// Checks out a scratch for the given geometry, building one only when no
-    /// pooled scratch matches.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FeatureScratch::new`] failures when a fresh scratch must
-    /// be built.
-    pub(crate) fn acquire(
-        &self,
-        fs: f64,
-        window_len: usize,
-    ) -> Result<FeatureScratch, FeatureError> {
-        {
-            let mut pool = self.inner.lock().expect("scratch pool poisoned");
-            if let Some(pos) = pool
-                .iter()
-                .position(|s| s.sampling_frequency() == fs && s.window_len() == window_len)
-            {
-                return Ok(pool.swap_remove(pos));
-            }
-        }
-        FeatureScratch::new(fs, window_len)
-    }
-
-    /// Returns a scratch to the pool for the next record.
-    pub(crate) fn release(&self, scratch: FeatureScratch) {
-        self.inner
-            .lock()
-            .expect("scratch pool poisoned")
-            .push(scratch);
-    }
-}
-
-impl Clone for FeatureScratchPool {
-    /// Cloning a pool yields an empty pool: pooled scratches are a cache, not
-    /// state, and each clone refills on first use.
-    fn clone(&self) -> Self {
-        Self::new()
     }
 }

@@ -23,8 +23,11 @@
 //!   incremental trainers, so a wearable resumes its personalized pool
 //!   across power cycles,
 //! * [`metrics`] — confusion matrices, sensitivity, specificity and the
-//!   geometric mean used by the paper's Fig. 4,
-//! * [`dataset`] — a labeled design-matrix container of row vectors.
+//!   geometric mean used by the paper's Fig. 4.
+//!
+//! Training data is flat row-major `&[f64]` (`labels.len() * num_features`
+//! values) with one `bool` label per row, from the feature matrix to the
+//! trainer.
 //!
 //! # Example
 //!
@@ -53,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dataset;
 pub mod error;
 pub mod flat;
 pub mod forest;
@@ -66,7 +68,6 @@ mod oracle;
 pub mod persist;
 pub mod training;
 
-pub use dataset::Dataset;
 pub use error::MlError;
 pub use flat::FlatForest;
 pub use forest::RandomForestConfig;

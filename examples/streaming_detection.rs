@@ -17,6 +17,7 @@
 use std::time::Instant;
 
 use selflearn_seizure::core::realtime::{QualityVerdict, RealTimeDetector, RealTimeDetectorConfig};
+use selflearn_seizure::core::workspace::FeatureWorkspace;
 use selflearn_seizure::core::SeizureLabel;
 use selflearn_seizure::data::cohort::Cohort;
 use selflearn_seizure::data::sampler::SampleConfig;
@@ -32,13 +33,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         training_record.annotation().onset(),
         training_record.annotation().offset(),
     )?;
+    // Every window of the training record, as flat rows in the workspace.
     let mut detector = RealTimeDetector::new(RealTimeDetectorConfig::default());
-    let training = detector.build_training_windows(training_record.signal(), &truth)?;
-    detector.train(&training)?;
+    let mut ws = FeatureWorkspace::new();
+    let labels = detector.build_training_windows_with(training_record.signal(), &truth, &mut ws)?;
+    detector.train(ws.matrix().data(), ws.matrix().num_features(), &labels)?;
     println!(
         "trained on {:.0} s of patient 5 ({} windows)",
         training_record.signal().duration_secs(),
-        training.len(),
+        labels.len(),
     );
 
     // The batch reference: whole-record extraction + classification.

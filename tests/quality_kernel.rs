@@ -25,7 +25,7 @@
 //! `extract_batch_into`, whose windows merge several hops, are compared
 //! window by window at every tiling geometry. Finally, the batch fan-out
 //! must equal one grader streamed over the record on one thread, bit for
-//! bit.
+//! bit, and a geometry whose step does not tile the window is refused.
 
 use proptest::prelude::*;
 use selflearn_seizure::core::realtime::{QualityGate, QualityVerdict};
@@ -34,10 +34,10 @@ use selflearn_seizure::data::sampler::SampleConfig;
 use selflearn_seizure::data::synth::{degrade_signal, HostileScenario};
 use selflearn_seizure::features::extractor::SlidingWindowConfig;
 use selflearn_seizure::features::quality::{
-    channel_column, QualityExtractor, QualityGrader, QualityScratch, IDX_DISAGREEMENT, IDX_LOG_STD,
+    channel_column, QualityExtractor, QualityGrader, IDX_DISAGREEMENT, IDX_LOG_STD,
     NUM_QUALITY_FEATURES, QUALITY_FEATURES_PER_CHANNEL,
 };
-use selflearn_seizure::features::FeatureMatrix;
+use selflearn_seizure::features::{FeatureError, FeatureMatrix};
 use std::f64::consts::PI;
 
 const RATES: [f64; 3] = [64.0, 128.0, 256.0];
@@ -537,8 +537,7 @@ fn kernel_matches_oracle_on_every_hostile_scenario() {
 // ---------------------------------------------------------------------------
 
 /// Grades every window of the record on this thread: one grader streamed
-/// over the record's hops, or, when the step does not tile the window, each
-/// window graded as one hop.
+/// over the record's hops.
 fn streamed_pass(
     q: &QualityExtractor,
     a: &[f64],
@@ -548,15 +547,6 @@ fn streamed_pass(
     let step = config.step_samples();
     let mut rows = Vec::with_capacity(config.num_windows(a.len()) * NUM_QUALITY_FEATURES);
     let mut row = [0.0; NUM_QUALITY_FEATURES];
-    if !config.window_samples().is_multiple_of(step) {
-        let mut scratch = QualityScratch::default();
-        for (wa, wb) in config.windows(a).zip(config.windows(b)) {
-            q.assess_window_into(wa, wb, &mut row, &mut scratch)
-                .unwrap();
-            rows.extend_from_slice(&row);
-        }
-        return rows;
-    }
     let mut grader = QualityGrader::new(q, config).unwrap();
     for start in (0..a.len() / step).map(|h| h * step) {
         let hop = start..start + step;
@@ -646,12 +636,24 @@ fn batch_fan_out_matches_the_serial_window_loop() {
             "NaN/inf-laced record",
         );
 
-        // The other tiling geometries, and a 60 % overlap whose step does
-        // not divide the window (every window graded as one hop).
-        for (window_secs, overlap) in TILINGS.into_iter().chain([(4.0, 0.6)]) {
+        // The other tiling geometries.
+        for (window_secs, overlap) in TILINGS {
             let other = SlidingWindowConfig::new(fs, window_secs, overlap).unwrap();
             let context = format!("{window_secs} s windows at {overlap} overlap");
             assert_batch_matches_streamed(&q, a, b, &other, &mut matrix, &context);
         }
+
+        // A 60 % overlap, whose step does not divide the window, is refused
+        // with the grader's own error before the matrix is touched.
+        let untiled = SlidingWindowConfig::new(fs, 4.0, 0.6).unwrap();
+        let expected = QualityGrader::new(&q, &untiled).unwrap_err();
+        assert!(matches!(expected, FeatureError::InvalidConfig { .. }));
+        let filled = matrix.clone();
+        assert_eq!(
+            q.extract_batch_into(a, b, &untiled, &mut matrix),
+            Err(expected),
+            "{fs} Hz"
+        );
+        assert_eq!(matrix, filled, "{fs} Hz");
     }
 }

@@ -227,10 +227,13 @@ fn sample_at_a_time_push_matches_batch_detect() {
     let truth =
         SeizureLabel::new(record.annotation().onset(), record.annotation().offset()).unwrap();
     let mut detector = RealTimeDetector::new(RealTimeDetectorConfig::default());
-    let training = detector
-        .build_training_windows(record.signal(), &truth)
+    let mut ws = FeatureWorkspace::new();
+    let labels = detector
+        .build_training_windows_with(record.signal(), &truth, &mut ws)
         .unwrap();
-    detector.train(&training).unwrap();
+    detector
+        .train(ws.matrix().data(), ws.matrix().num_features(), &labels)
+        .unwrap();
 
     let probe = cohort.sample_record(8, 1, &sample, 6).unwrap();
     let mut signals = vec![("clean".to_string(), probe.signal().clone())];
@@ -240,7 +243,6 @@ fn sample_at_a_time_push_matches_batch_detect() {
             signals.push((format!("{} at {severity}", scenario.name()), degraded));
         }
     }
-    let mut ws = FeatureWorkspace::new();
     let mut rejected = 0;
     for (context, signal) in &signals {
         let (batch_alarms, batch_verdicts) = detector.detect_into(signal, &mut ws).unwrap();

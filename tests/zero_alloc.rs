@@ -14,20 +14,26 @@
 //! That covers the rich features' one engine, `StreamingRichExtractor::
 //! push_hop`, which the batch path streams too. The paper set's per-window
 //! kernel, `extract_window_into`, must allocate nothing after its first
-//! call, on clean, NaN-laced and all-zero windows. Batch `detect_into` is
-//! left out: it fills a feature matrix per record, builds one quality grader
-//! and one streaming extractor per worker, and on a calibrated gate its slow
-//! gain correction's Theil–Sen fit takes a sorted copy of the abscissae, two
-//! bounded slope-key buffers and the per-window intercepts on each call.
+//! call, on clean, NaN-laced and all-zero windows, and its batch engine
+//! must allocate per call (one scratch per worker), not per window. Batch
+//! `detect_into` is left out: it fills a feature matrix per record, builds
+//! one quality grader and one streaming extractor per worker, and on a
+//! calibrated gate its slow gain correction's Theil–Sen fit takes a sorted
+//! copy of the abscissae, two bounded slope-key buffers and the per-window
+//! intercepts on each call.
 
 use selflearn_seizure::core::labeler::LabelerConfig;
 use selflearn_seizure::core::pipeline::{LabelSource, SelfLearningPipeline};
 use selflearn_seizure::core::realtime::{QualityVerdict, RealTimeDetectorConfig};
+use selflearn_seizure::core::workspace::FeatureWorkspace;
 use selflearn_seizure::core::SeizureLabel;
 use selflearn_seizure::data::cohort::Cohort;
 use selflearn_seizure::data::sampler::SampleConfig;
 use selflearn_seizure::data::synth::{degrade_signal, HostileScenario};
-use selflearn_seizure::features::extractor::{FeatureExtractor, PaperFeatureSet};
+use selflearn_seizure::features::extractor::{
+    FeatureExtractor, PaperFeatureSet, SlidingWindowConfig,
+};
+use selflearn_seizure::features::FeatureMatrix;
 use selflearn_seizure::ml::forest::RandomForestConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -156,10 +162,11 @@ fn streaming_push_and_forest_predict_do_not_allocate() {
     let forest = detector.flat_forest().unwrap();
     let annotation = probe.annotation();
     let truth = SeizureLabel::new(annotation.onset(), annotation.offset()).unwrap();
-    let rows = detector
-        .build_training_windows(probe.signal(), &truth)
+    let mut ws = FeatureWorkspace::new();
+    detector
+        .build_training_windows_with(probe.signal(), &truth, &mut ws)
         .unwrap();
-    for (i, row) in rows.features().iter().enumerate() {
+    for (i, row) in ws.matrix().rows().enumerate() {
         let before = allocations();
         std::hint::black_box(forest.predict(row));
         assert_eq!(allocations() - before, 0, "predict of row {i} allocated");
@@ -210,4 +217,43 @@ fn batch_window_kernels_do_not_allocate_after_the_first_call() {
             );
         }
     }
+}
+
+#[test]
+fn paper_batch_extraction_allocates_per_call_not_per_window() {
+    // Records of fewer than 16 windows stay below the two-worker fan-out
+    // cutoff, so the one worker runs on this thread and its allocations
+    // count here.
+    let fs = 256.0;
+    let config = SlidingWindowConfig::paper_default(fs).unwrap();
+    let record = |windows: usize| -> (Vec<f64>, Vec<f64>) {
+        let n = config.window_samples() + (windows - 1) * config.step_samples();
+        let a = (0..n)
+            .map(|i| 40.0 * (i as f64 * 0.15).sin() + 0.01 * i as f64)
+            .collect();
+        let b = (0..n).map(|i| 25.0 * (i as f64 * 0.06).cos()).collect();
+        (a, b)
+    };
+    let paper = PaperFeatureSet::new(fs).unwrap();
+    let mut matrix = FeatureMatrix::default();
+    // The warm-up call sizes the matrix for 15 rows.
+    let (a, b) = record(15);
+    paper
+        .extract_batch_into(&a, &b, &config, &mut matrix)
+        .unwrap();
+    let mut counts = Vec::new();
+    for windows in [9, 15] {
+        let (a, b) = record(windows);
+        let before = allocations();
+        paper
+            .extract_batch_into(&a, &b, &config, &mut matrix)
+            .unwrap();
+        counts.push(allocations() - before);
+        assert_eq!(matrix.num_windows(), windows);
+    }
+    assert_eq!(
+        counts[0], counts[1],
+        "a 9-window and a 15-window call allocated {} and {} times",
+        counts[0], counts[1]
+    );
 }
