@@ -89,8 +89,8 @@ pub fn run_labeling_experiment_with(
     let samples = scale.samples_per_seizure();
     let labeler = PosterioriLabeler::new(*labeler_config);
     // One extraction workspace serves every record of the experiment: the
-    // feature matrix buffer and the per-worker FFT/wavelet scratches are
-    // grown once and reused across the whole cohort.
+    // feature matrix buffer is grown once and reused across the whole
+    // cohort (each call builds its own per-worker hop engines).
     let mut workspace = FeatureWorkspace::new();
 
     let mut per_seizure = Vec::with_capacity(cohort.total_seizures());

@@ -55,19 +55,24 @@ impl PosterioriLabeler {
 
     /// Extracts the paper's ten-feature matrix of `signal` into the
     /// workspace matrix through the parallel batch engine, reusing the
-    /// workspace's matrix buffer across records. Each worker builds one
-    /// FFT/wavelet scratch per call and reuses it for every window it
-    /// extracts.
+    /// workspace's matrix buffer across records. Each worker streams its
+    /// block of windows through a clone of one
+    /// [`StreamingPaperExtractor`], hop by hop, so every row is bit-identical
+    /// to the row one extractor streams over the whole record, at any thread
+    /// count.
     ///
-    /// The batch engine's fused scratch kernels agree with the seed
-    /// per-window `extract_window` path to ~1e-9 relative, not bitwise, so
-    /// labels on pathologically near-tie records may differ from
-    /// pre-batch-engine runs in the last ulps of the score.
+    /// The engine agrees with the textbook per-window `extract_window` to
+    /// ~1e-9 relative, not bitwise (its periodogram pair and entropy kernels
+    /// sum in other orders), so labels on pathologically near-tie records
+    /// may differ from that reference in the last ulps of the score.
     ///
     /// # Errors
     ///
     /// Propagates feature-extraction failures (mismatched channels, too-short
-    /// signal, invalid configuration).
+    /// signal, invalid configuration, including a step that does not divide
+    /// the window).
+    ///
+    /// [`StreamingPaperExtractor`]: seizure_features::streaming::StreamingPaperExtractor
     pub fn extract_features_with(
         &self,
         signal: &EegSignal,

@@ -757,8 +757,8 @@ impl SelfLearningPipeline {
             });
         }
         let mut pooled = ConfusionMatrix::default();
-        // One workspace serves the whole sweep: the feature buffer and the
-        // per-worker scratches are grown once and reused per record.
+        // One workspace serves the whole sweep: its buffers are grown once
+        // and reused per record.
         let mut workspace = FeatureWorkspace::new();
         for record in records {
             let truth =

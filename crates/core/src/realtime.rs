@@ -324,10 +324,13 @@ impl RealTimeDetector {
     /// streamed, so the geometry must be one [`StreamingRichExtractor::new`]
     /// accepts. Any other is refused here, before a window is graded or
     /// extracted, so every entry point (training, detection, quality
-    /// grading and the pipeline's quarantine check) fails alike.
+    /// grading and the pipeline's quarantine check) fails alike. The check
+    /// ([`StreamingRichExtractor::check_geometry`]) builds no extractor and
+    /// allocates nothing, so a geometry whose window no record can hold is
+    /// refused by the record check that follows, not by an allocation.
     fn window_config(&self, fs: f64) -> Result<SlidingWindowConfig, CoreError> {
         let window = SlidingWindowConfig::new(fs, self.config.window_secs, self.config.overlap)?;
-        StreamingRichExtractor::new(&window)?;
+        StreamingRichExtractor::check_geometry(&window)?;
         Ok(window)
     }
 

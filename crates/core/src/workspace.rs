@@ -6,9 +6,9 @@
 //! records — an evaluation sweep, a labeling experiment, the self-learning
 //! training loop — runs on one matrix allocation, and the rows it holds are
 //! the rows the trainer reads. Per-worker extraction state is built per
-//! call, not kept here: each worker of the paper set builds one
-//! FFT/wavelet scratch, and each worker of the rich set and the quality
-//! grading clones one streaming engine.
+//! call, not kept here: the paper set, the rich set and the quality grading
+//! each build one hop engine per call, and each worker streams its block of
+//! windows through a clone of it.
 
 use crate::realtime::QualityVerdict;
 use seizure_features::matrix::FeatureMatrix;

@@ -49,5 +49,4 @@ pub use fft::{fft, Complex};
 pub use spectrum::{band_power, periodogram, PowerSpectrum, PsdPlan};
 pub use wavelet::{
     dwt_single, idwt_single, wavedec, waverec, StreamingWavelet, WaveletDecomposition,
-    WaveletWorkspace,
 };

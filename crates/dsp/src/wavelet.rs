@@ -302,158 +302,6 @@ pub fn wavedec(signal: &[f64], levels: usize) -> Result<WaveletDecomposition, Ds
     })
 }
 
-/// Reusable multi-level wavelet decomposition workspace.
-///
-/// A `WaveletWorkspace` is built once per (signal length, depth) pair; [`WaveletWorkspace::decompose`] then re-runs `wavedec` into
-/// preallocated flat coefficient storage with **zero heap allocations** per
-/// call. This is the wavelet half of the batch inference engine's scratch
-/// space: each worker thread owns one workspace and reuses it for every
-/// sliding window it processes.
-///
-/// Coefficients live in one flat buffer laid out `[d1 | d2 | … | dL | aL]`
-/// (finest detail first, approximation last); [`WaveletWorkspace::detail`]
-/// and [`WaveletWorkspace::approximation`] expose the familiar views.
-///
-/// # Example
-///
-/// ```
-/// use seizure_dsp::wavelet::{wavedec, WaveletWorkspace};
-///
-/// # fn main() -> Result<(), seizure_dsp::DspError> {
-/// let window: Vec<f64> = (0..1024).map(|i| (i as f64 * 0.05).sin()).collect();
-/// let mut ws = WaveletWorkspace::new(window.len(), 7)?;
-/// ws.decompose(&window)?;
-///
-/// let reference = wavedec(&window, 7)?;
-/// assert_eq!(ws.detail(7).unwrap(), reference.detail(7).unwrap());
-/// assert_eq!(ws.approximation(), reference.approximation());
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct WaveletWorkspace {
-    levels: usize,
-    signal_len: usize,
-    /// Flat coefficient storage: `[d1 | d2 | … | dL | aL]`.
-    coeffs: Vec<f64>,
-    /// Per-level `(start, len)` of the detail bands in `coeffs`, finest
-    /// (level 1) first.
-    detail_bounds: Vec<(usize, usize)>,
-    /// `(start, len)` of the deepest approximation band in `coeffs`.
-    approx_bounds: (usize, usize),
-    /// Ping/pong buffers holding the running approximation between levels.
-    ping: Vec<f64>,
-    pong: Vec<f64>,
-    /// Whether `decompose` has run at least once.
-    ready: bool,
-}
-
-impl WaveletWorkspace {
-    /// Builds a workspace decomposing signals of `signal_len` samples down to
-    /// `levels` levels.
-    ///
-    /// # Errors
-    ///
-    /// Rejects the same degenerate requests as [`wavedec`]:
-    /// [`DspError::EmptyInput`] for a zero-length signal,
-    /// [`DspError::InvalidParameter`] for zero levels and
-    /// [`DspError::InvalidLength`] when the signal cannot support the depth.
-    pub fn new(signal_len: usize, levels: usize) -> Result<Self, DspError> {
-        check_depth("WaveletWorkspace::new", signal_len, levels)?;
-        let mut detail_bounds = Vec::with_capacity(levels);
-        let mut offset = 0;
-        let mut len = signal_len;
-        for _ in 0..levels {
-            len = len.div_ceil(2);
-            detail_bounds.push((offset, len));
-            offset += len;
-        }
-        let approx_bounds = (offset, len);
-        let max_band = signal_len.div_ceil(2);
-        Ok(Self {
-            levels,
-            signal_len,
-            coeffs: vec![0.0; offset + len],
-            detail_bounds,
-            approx_bounds,
-            ping: vec![0.0; max_band],
-            pong: vec![0.0; max_band],
-            ready: false,
-        })
-    }
-
-    /// Number of decomposition levels.
-    pub fn levels(&self) -> usize {
-        self.levels
-    }
-
-    /// The signal length the workspace was built for.
-    pub fn signal_len(&self) -> usize {
-        self.signal_len
-    }
-
-    /// Decomposes `signal` in place of the previous contents. No heap
-    /// allocations are performed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidLength`] if `signal` does not match the
-    /// planned length.
-    pub fn decompose(&mut self, signal: &[f64]) -> Result<(), DspError> {
-        if signal.len() != self.signal_len {
-            return Err(DspError::InvalidLength {
-                operation: "WaveletWorkspace::decompose",
-                actual: signal.len(),
-                requirement: "signal length must match the workspace's planned length",
-            });
-        }
-        let mut current_len = self.signal_len;
-        for level in 0..self.levels {
-            let (d_start, d_len) = self.detail_bounds[level];
-            let detail = &mut self.coeffs[d_start..d_start + d_len];
-            let half = current_len.div_ceil(2);
-            debug_assert_eq!(half, d_len);
-            if level == 0 {
-                dwt_step(signal, &mut self.ping[..half], detail);
-            } else {
-                dwt_step(&self.pong[..current_len], &mut self.ping[..half], detail);
-            }
-            std::mem::swap(&mut self.ping, &mut self.pong);
-            current_len = half;
-        }
-        let (a_start, a_len) = self.approx_bounds;
-        debug_assert_eq!(a_len, current_len);
-        self.coeffs[a_start..a_start + a_len].copy_from_slice(&self.pong[..a_len]);
-        self.ready = true;
-        Ok(())
-    }
-
-    /// Detail coefficients of the most recent decomposition, `1` being the
-    /// finest level. Returns `None` before the first [`decompose`] call or
-    /// for an out-of-range level.
-    ///
-    /// [`decompose`]: WaveletWorkspace::decompose
-    pub fn detail(&self, level: usize) -> Option<&[f64]> {
-        if !self.ready || level == 0 || level > self.levels {
-            return None;
-        }
-        let (start, len) = self.detail_bounds[level - 1];
-        Some(&self.coeffs[start..start + len])
-    }
-
-    /// Approximation coefficients at the deepest level of the most recent
-    /// decomposition (empty before the first [`decompose`] call).
-    ///
-    /// [`decompose`]: WaveletWorkspace::decompose
-    pub fn approximation(&self) -> &[f64] {
-        if !self.ready {
-            return &[];
-        }
-        let (start, len) = self.approx_bounds;
-        &self.coeffs[start..start + len]
-    }
-}
-
 /// Reconstructs the original signal from a [`WaveletDecomposition`] (`waverec`).
 ///
 /// # Errors
@@ -477,25 +325,32 @@ pub fn waverec(decomposition: &WaveletDecomposition) -> Result<Vec<f64>, DspErro
 }
 
 /// Streaming multi-level DWT over sliding windows that advance by a fixed
-/// hop, reusing every coefficient the window overlap already paid for.
+/// hop, reusing every coefficient the window overlap already paid for. It is
+/// the crate's one forward db4 engine for sliding windows: it decomposes
+/// every window [`wavedec`] accepts, odd lengths included (bands halve
+/// rounding up, as [`wavedec`]'s do), and any hop of at least one sample.
 ///
 /// With periodic extension, a window's level-`l` coefficient band splits into
 /// a **clean prefix** — coefficients whose filter taps land entirely inside
-/// the clean prefix of the band above, which are therefore shift-covariant:
-/// window `w+1`'s clean coefficient `i` equals window `w`'s coefficient
-/// `i + step/2^l` — and a short **corrupted tail** (at most `TAPS - 2`
-/// coefficients per level for the wrap, plus the few that read the previous
-/// band's own tail) that must be recomputed for every window. Per window this
-/// operator shifts each clean prefix left with `copy_within`, computes only
-/// the `step/2^l` newly exposed clean coefficients, and recomputes the tail,
-/// instead of re-running the full filter bank — for the paper's 1024-sample
-/// window with a 256-sample hop that is roughly a 4–5× reduction in filter
+/// the clean prefix of the band above — and a short **corrupted tail**, whose
+/// taps read the band above's own tail or wrap around the periodic boundary.
+/// A clean coefficient depends only on the record, not on where the window
+/// starts. So when the hop shifts level `l` by a whole number
+/// `s = step / 2^l` of coefficients, window `w+1`'s clean coefficient `i` is
+/// window `w`'s coefficient `i + s` wherever that one is clean too. A level
+/// whose shift is whole and shorter than its clean prefix shifts the prefix
+/// left with `copy_within`, computes only the `s` newly exposed clean
+/// coefficients and recomputes the tail. Any other level (a fractional
+/// shift, or a hop the prefix does not cover) is recomputed in full, and so
+/// are all levels of the first window after construction or
+/// [`StreamingWavelet::reset`]. For the paper's 1024-sample window with a
+/// 256-sample hop every level reuses, roughly a 4–5× reduction in filter
 /// work.
 ///
-/// Outputs are **bit-identical** to [`WaveletWorkspace::decompose`] on the
-/// same window: clean, interior-tail and wrapping-tail coefficients are all
-/// produced by the same ascending-tap accumulation as the batch filter step,
-/// so there is no error model to carry — only the operation schedule changes.
+/// Outputs are **bit-identical** to [`wavedec`] on the same window: clean,
+/// interior-tail and wrapping-tail coefficients are all produced by the same
+/// ascending-tap accumulation as the batch filter step, so there is no error
+/// model to carry — only the operation schedule changes.
 ///
 /// Approximation bands are maintained for every level (each feeds the next);
 /// detail bands are maintained only for `min_detail_level..=levels`, so
@@ -509,16 +364,15 @@ pub fn waverec(decomposition: &WaveletDecomposition) -> Result<Vec<f64>, DspErro
 /// # Example
 ///
 /// ```
-/// use seizure_dsp::wavelet::{StreamingWavelet, WaveletWorkspace};
+/// use seizure_dsp::wavelet::{wavedec, StreamingWavelet};
 ///
 /// # fn main() -> Result<(), seizure_dsp::DspError> {
 /// let record: Vec<f64> = (0..2048).map(|i| (i as f64 * 0.05).sin()).collect();
 /// let mut streaming = StreamingWavelet::new(1024, 256, 5, 3)?;
-/// let mut batch = WaveletWorkspace::new(1024, 5)?;
 /// for start in (0..=1024).step_by(256) {
 ///     let window = &record[start..start + 1024];
 ///     streaming.update(window)?;
-///     batch.decompose(window)?;
+///     let batch = wavedec(window, 5)?;
 ///     assert_eq!(streaming.detail(4).unwrap(), batch.detail(4).unwrap());
 /// }
 /// # Ok(())
@@ -530,16 +384,28 @@ pub struct StreamingWavelet {
     window_len: usize,
     step: usize,
     min_detail_level: usize,
-    /// Per-level clean-prefix length `c_l`, level 1 first; follows the
-    /// recurrence `c_l = (c_{l-1} - TAPS) / 2 + 1` with `c_0 = window_len`.
-    clean: Vec<usize>,
+    /// Per level, level 1 first: the clean-prefix length, which follows
+    /// `c_l = (c_{l-1} - TAPS) / 2 + 1` from `c_0 = window_len`, and how many
+    /// of its coefficients the next window inherits (0 when the level is
+    /// recomputed in full).
+    reuse: Vec<LevelReuse>,
     /// Per-level approximation band of the current window, level 1 first,
-    /// `window_len >> l` coefficients each: clean prefix then corrupted tail.
+    /// `ceil(len_{l-1} / 2)` coefficients each: clean prefix then corrupted
+    /// tail.
     approx: Vec<Vec<f64>>,
     /// Per-level detail band, empty below `min_detail_level`.
     detail: Vec<Vec<f64>>,
     /// Whether `update` has run at least once since construction/reset.
     ready: bool,
+}
+
+/// How one level of a [`StreamingWavelet`] carries coefficients across a hop.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LevelReuse {
+    /// Length of the band's clean prefix.
+    clean: usize,
+    /// Clean coefficients the next window inherits, shifted to the front.
+    carry: usize,
 }
 
 impl StreamingWavelet {
@@ -549,35 +415,74 @@ impl StreamingWavelet {
     ///
     /// # Errors
     ///
-    /// Returns the [`WaveletWorkspace::new`] errors for degenerate window
-    /// geometry, plus [`DspError::InvalidParameter`] when `step` or
-    /// `window_len` is not a positive multiple of `2^levels` or
-    /// `min_detail_level` is outside `1..=levels`, and
-    /// [`DspError::InvalidLength`] when the window/hop geometry leaves a
-    /// level with fewer clean coefficients than it must produce per hop
-    /// (i.e. nothing would be reusable and batch recompute is the answer).
+    /// Returns [`StreamingWavelet::check`]'s errors.
     pub fn new(
         window_len: usize,
         step: usize,
         levels: usize,
         min_detail_level: usize,
     ) -> Result<Self, DspError> {
-        check_depth("StreamingWavelet::new", window_len, levels)?;
-        let scale = 1usize << levels;
-        if step == 0 || !step.is_multiple_of(scale) {
-            return Err(DspError::InvalidParameter {
-                name: "step",
-                reason: format!(
-                    "hop must be a positive multiple of 2^levels = {scale}, got {step}"
-                ),
+        Self::check(window_len, step, levels, min_detail_level)?;
+        let mut reuse = Vec::with_capacity(levels);
+        let mut approx = Vec::with_capacity(levels);
+        let mut detail = Vec::with_capacity(levels);
+        let (mut len, mut clean) = (window_len, window_len);
+        for level in 1..=levels {
+            clean = if clean >= TAPS {
+                (clean - TAPS) / 2 + 1
+            } else {
+                0
+            };
+            len = len.div_ceil(2);
+            // The hop shifts this level by `step / 2^level` coefficients.
+            let shift = step >> level;
+            let whole = step.is_multiple_of(1 << level);
+            let carry = if whole && shift < clean {
+                clean - shift
+            } else {
+                0
+            };
+            reuse.push(LevelReuse { clean, carry });
+            approx.push(vec![0.0; len]);
+            detail.push(if level >= min_detail_level {
+                vec![0.0; len]
+            } else {
+                Vec::new()
             });
         }
-        if !window_len.is_multiple_of(scale) {
+        Ok(Self {
+            levels,
+            window_len,
+            step,
+            min_detail_level,
+            reuse,
+            approx,
+            detail,
+            ready: false,
+        })
+    }
+
+    /// Refuses what [`StreamingWavelet::new`] refuses, without allocating:
+    /// the window and depth [`wavedec`] refuses, a zero `step` and a
+    /// `min_detail_level` outside `1..=levels`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::EmptyInput`] for a zero-length window,
+    /// [`DspError::InvalidParameter`] for zero levels, a zero `step` or a
+    /// `min_detail_level` outside `1..=levels`, and
+    /// [`DspError::InvalidLength`] when the window cannot support the depth.
+    pub fn check(
+        window_len: usize,
+        step: usize,
+        levels: usize,
+        min_detail_level: usize,
+    ) -> Result<(), DspError> {
+        check_depth("StreamingWavelet::new", window_len, levels)?;
+        if step == 0 {
             return Err(DspError::InvalidParameter {
-                name: "window_len",
-                reason: format!(
-                    "window length must be a multiple of 2^levels = {scale}, got {window_len}"
-                ),
+                name: "step",
+                reason: "hop must be at least one sample".to_string(),
             });
         }
         if min_detail_level == 0 || min_detail_level > levels {
@@ -586,45 +491,7 @@ impl StreamingWavelet {
                 reason: format!("must be within 1..=levels ({levels}), got {min_detail_level}"),
             });
         }
-        let mut clean = Vec::with_capacity(levels);
-        let mut c_prev = window_len;
-        for level in 1..=levels {
-            let c = if c_prev >= TAPS {
-                (c_prev - TAPS) / 2 + 1
-            } else {
-                0
-            };
-            if c < step >> level {
-                return Err(DspError::InvalidLength {
-                    operation: "StreamingWavelet::new",
-                    actual: window_len,
-                    requirement:
-                        "window/hop geometry must retain at least one hop of clean coefficients per level",
-                });
-            }
-            clean.push(c);
-            c_prev = c;
-        }
-        let approx = (1..=levels).map(|l| vec![0.0; window_len >> l]).collect();
-        let detail = (1..=levels)
-            .map(|l| {
-                if l >= min_detail_level {
-                    vec![0.0; window_len >> l]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        Ok(Self {
-            levels,
-            window_len,
-            step,
-            min_detail_level,
-            clean,
-            approx,
-            detail,
-            ready: false,
-        })
+        Ok(())
     }
 
     /// Number of decomposition levels.
@@ -687,12 +554,10 @@ impl StreamingWavelet {
         }
         let first = !self.ready;
         for level in 1..=self.levels {
-            let n = self.window_len >> level;
-            let n_prev = self.window_len >> (level - 1);
-            let c = self.clean[level - 1];
-            let hop = self.step >> level;
+            let LevelReuse { clean, carry } = self.reuse[level - 1];
+            let carry = if first { 0 } else { carry };
             let (prev_bufs, cur_bufs) = self.approx.split_at_mut(level - 1);
-            let prev_full: &[f64] = if level == 1 {
+            let prev: &[f64] = if level == 1 {
                 window
             } else {
                 &prev_bufs[level - 2]
@@ -700,21 +565,20 @@ impl StreamingWavelet {
             let approx = &mut cur_bufs[0];
             let detail = &mut self.detail[level - 1];
             let has_detail = !detail.is_empty();
-            let new_start = if first { 0 } else { c - hop };
-            if !first {
+            if carry > 0 {
                 // Clean coefficients are shift-covariant: drop the first
-                // `hop` of them, keep the rest.
-                approx.copy_within(hop..c, 0);
+                // `clean - carry` of them, keep the rest.
+                approx.copy_within(clean - carry..clean, 0);
                 if has_detail {
-                    detail.copy_within(hop..c, 0);
+                    detail.copy_within(clean - carry..clean, 0);
                 }
             }
             // Newly exposed clean coefficients: every tap lands inside the
             // previous band's clean prefix (guaranteed by the `clean`
             // recurrence), so a plain slice window suffices — identical
             // arithmetic to the batch filter step's interior loop.
-            for i in new_start..c {
-                let input = &prev_full[2 * i..2 * i + TAPS];
+            for i in carry..clean {
+                let input = &prev[2 * i..2 * i + TAPS];
                 let mut a = 0.0;
                 let mut d = 0.0;
                 for ((&lo, &hi), &x) in DB4_LOW.iter().zip(DB4_HIGH.iter()).zip(input.iter()) {
@@ -729,12 +593,11 @@ impl StreamingWavelet {
             // Corrupted tail: taps either read the previous band's own tail
             // or wrap around the periodic boundary; recomputed every window
             // with the same indexing as the batch boundary loop.
-            for i in c..n {
+            for i in clean..approx.len() {
                 let mut a = 0.0;
                 let mut d = 0.0;
                 for (k, (&lo, &hi)) in DB4_LOW.iter().zip(DB4_HIGH.iter()).enumerate() {
-                    let idx = periodic_index(2 * i as isize + k as isize, n_prev);
-                    let x = prev_full[idx];
+                    let x = prev[periodic_index(2 * i as isize + k as isize, prev.len())];
                     a += lo * x;
                     d += hi * x;
                 }
@@ -936,182 +799,183 @@ mod tests {
         assert_eq!(max_level(4), 0);
     }
 
-    #[test]
-    fn workspace_matches_wavedec_exactly() {
-        let x = test_signal(1024);
-        for levels in [1usize, 3, 5, 7] {
-            let mut ws = WaveletWorkspace::new(x.len(), levels).unwrap();
-            ws.decompose(&x).unwrap();
-            let reference = wavedec(&x, levels).unwrap();
-            for level in 1..=levels {
-                assert_eq!(
-                    ws.detail(level).unwrap(),
-                    reference.detail(level).unwrap(),
-                    "levels={levels} level={level}"
-                );
+    /// Asserts that `streaming`'s maintained bands equal `wavedec` of
+    /// `window` bit for bit (a NaN equals a NaN).
+    fn assert_matches_wavedec(streaming: &StreamingWavelet, window: &[f64], context: &str) {
+        let same = |a: &[f64], b: &[f64]| {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b)
+                    .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+        };
+        let reference = wavedec(window, streaming.levels()).unwrap();
+        for level in 1..=streaming.levels() {
+            let detail = streaming.detail(level);
+            if level < streaming.min_detail_level() {
+                assert!(detail.is_none(), "{context} level {level}");
+                continue;
             }
-            assert_eq!(ws.approximation(), reference.approximation());
-        }
-    }
-
-    #[test]
-    fn workspace_is_reusable_across_signals() {
-        let a = test_signal(256);
-        let b: Vec<f64> = a.iter().map(|v| v * 2.0 + 1.0).collect();
-        let mut ws = WaveletWorkspace::new(256, 4).unwrap();
-        ws.decompose(&a).unwrap();
-        let first_d2 = ws.detail(2).unwrap().to_vec();
-        ws.decompose(&b).unwrap();
-        let reference = wavedec(&b, 4).unwrap();
-        assert_eq!(ws.detail(2).unwrap(), reference.detail(2).unwrap());
-        assert_ne!(ws.detail(2).unwrap(), &first_d2[..]);
-        // Going back to the first signal reproduces the original output.
-        ws.decompose(&a).unwrap();
-        assert_eq!(ws.detail(2).unwrap(), &first_d2[..]);
-    }
-
-    #[test]
-    fn workspace_on_odd_lengths_matches_wavedec() {
-        let x = test_signal(100);
-        let mut ws = WaveletWorkspace::new(x.len(), 3).unwrap();
-        ws.decompose(&x).unwrap();
-        let reference = wavedec(&x, 3).unwrap();
-        for level in 1..=3 {
-            assert_eq!(ws.detail(level).unwrap(), reference.detail(level).unwrap());
-        }
-        assert_eq!(ws.approximation(), reference.approximation());
-    }
-
-    #[test]
-    fn workspace_validation_and_accessors() {
-        assert!(WaveletWorkspace::new(0, 3).is_err());
-        assert!(WaveletWorkspace::new(64, 0).is_err());
-        assert!(WaveletWorkspace::new(64, 7).is_err());
-        let mut ws = WaveletWorkspace::new(64, 3).unwrap();
-        assert_eq!(ws.levels(), 3);
-        assert_eq!(ws.signal_len(), 64);
-        // Before the first decomposition no views are available.
-        assert!(ws.detail(1).is_none());
-        assert!(ws.approximation().is_empty());
-        assert!(ws.decompose(&[0.0; 32]).is_err());
-        ws.decompose(&[1.0; 64]).unwrap();
-        assert!(ws.detail(0).is_none());
-        assert!(ws.detail(4).is_none());
-        assert_eq!(ws.detail(1).unwrap().len(), 32);
-        assert_eq!(ws.approximation().len(), 8);
-    }
-
-    #[test]
-    fn streaming_matches_workspace_bit_exactly() {
-        let record = test_signal(1024 + 12 * 256);
-        let mut streaming = StreamingWavelet::new(1024, 256, 5, 1).unwrap();
-        let mut batch = WaveletWorkspace::new(1024, 5).unwrap();
-        let mut windows = 0;
-        for start in (0..=record.len() - 1024).step_by(256) {
-            let window = &record[start..start + 1024];
-            streaming.update(window).unwrap();
-            batch.decompose(window).unwrap();
-            for level in 1..=5 {
-                assert_eq!(
-                    streaming.detail(level).unwrap(),
-                    batch.detail(level).unwrap(),
-                    "start={start} level={level}"
-                );
-            }
-            assert_eq!(
-                streaming.approximation(),
-                batch.approximation(),
-                "start={start}"
+            assert!(
+                same(detail.unwrap(), reference.detail(level).unwrap()),
+                "{context} level {level}"
             );
+        }
+        assert!(
+            same(streaming.approximation(), reference.approximation()),
+            "{context} approximation"
+        );
+    }
+
+    /// Every window `streaming` decomposes while it slides over `record`
+    /// from `first` by its step, checked against `wavedec`; returns how many.
+    fn sweep(
+        streaming: &mut StreamingWavelet,
+        record: &[f64],
+        first: usize,
+        context: &str,
+    ) -> usize {
+        let (window, step) = (streaming.window_len(), streaming.step());
+        let mut windows = 0;
+        for start in (first..=record.len() - window).step_by(step) {
+            streaming.update(&record[start..start + window]).unwrap();
+            let context = format!("{context} start={start}");
+            assert_matches_wavedec(streaming, &record[start..start + window], &context);
             windows += 1;
         }
-        assert_eq!(windows, 13);
+        windows
+    }
+
+    #[test]
+    fn streaming_matches_wavedec_on_every_length_hop_and_depth() {
+        // Even, odd and prime window lengths; hops that shift every level by
+        // whole coefficients, hops with a fractional shift from level 1 or
+        // deeper, a hop the clean prefixes cannot cover, non-overlapping
+        // windows and a gap between windows; every depth the window allows,
+        // with all detail bands and with the fine ones skipped.
+        let mut windows = 0;
+        for window in [
+            16usize, 17, 31, 64, 100, 127, 257, 500, 768, 1000, 1024, 1280,
+        ] {
+            let record = test_signal(3 * window + 97);
+            for step in [
+                1,
+                2,
+                3,
+                8,
+                24,
+                64,
+                250,
+                256,
+                window / 4,
+                window - 1,
+                window,
+                window + 5,
+            ] {
+                let step = step.max(1);
+                for levels in 1..=max_level(window) {
+                    for min_detail in [1, 3.min(levels)] {
+                        let mut streaming =
+                            StreamingWavelet::new(window, step, levels, min_detail).unwrap();
+                        let context = format!("window={window} step={step} levels={levels}");
+                        // A few windows per geometry keep the sweep quick.
+                        let span = (window + 4 * step).min(record.len());
+                        windows += sweep(&mut streaming, &record[..span], 0, &context);
+                    }
+                }
+            }
+        }
+        assert!(windows > 5_000, "{windows} windows");
+    }
+
+    #[test]
+    fn streaming_matches_wavedec_on_nan_and_infinite_input() {
+        // A non-finite sample poisons the coefficients whose taps read it;
+        // carried and recomputed coefficients must poison alike.
+        let mut record = test_signal(1024 + 12 * 256);
+        record[700] = f64::NAN;
+        record[1500] = f64::INFINITY;
+        record[1501] = f64::NEG_INFINITY;
+        record[3000] = f64::NAN;
+        for (window, step, levels) in [
+            (1024usize, 256usize, 7usize),
+            (1024, 256, 5),
+            (1000, 250, 7),
+        ] {
+            let mut streaming = StreamingWavelet::new(window, step, levels, 1).unwrap();
+            let context = format!("window={window} step={step} levels={levels}");
+            assert!(sweep(&mut streaming, &record, 0, &context) > 10);
+        }
     }
 
     #[test]
     fn streaming_min_detail_level_skips_fine_bands() {
         let record = test_signal(1024 + 4 * 256);
         let mut streaming = StreamingWavelet::new(1024, 256, 5, 3).unwrap();
-        let mut batch = WaveletWorkspace::new(1024, 5).unwrap();
-        for start in (0..=record.len() - 1024).step_by(256) {
-            let window = &record[start..start + 1024];
-            streaming.update(window).unwrap();
-            batch.decompose(window).unwrap();
-            assert!(streaming.detail(1).is_none());
-            assert!(streaming.detail(2).is_none());
-            for level in 3..=5 {
-                assert_eq!(
-                    streaming.detail(level).unwrap(),
-                    batch.detail(level).unwrap(),
-                    "start={start} level={level}"
-                );
-            }
-        }
+        assert_eq!(sweep(&mut streaming, &record, 0, "min detail 3"), 5);
+        assert!(streaming.detail(1).is_none());
+        assert!(streaming.detail(2).is_none());
         // Skipped fine bands shrink the carried state accordingly.
         let full = StreamingWavelet::new(1024, 256, 5, 1).unwrap();
         assert_eq!(full.state_len() - streaming.state_len(), 512 + 256);
-    }
-
-    #[test]
-    fn streaming_matches_workspace_across_geometries() {
-        for (window, step, levels) in [
-            (512usize, 128usize, 4usize),
-            (256, 64, 5),
-            (256, 64, 3),
-            (256, 128, 2),
-        ] {
-            let record = test_signal(window + 6 * step);
-            let mut streaming = StreamingWavelet::new(window, step, levels, 1).unwrap();
-            let mut batch = WaveletWorkspace::new(window, levels).unwrap();
-            for start in (0..=record.len() - window).step_by(step) {
-                let w = &record[start..start + window];
-                streaming.update(w).unwrap();
-                batch.decompose(w).unwrap();
-                for level in 1..=levels {
-                    assert_eq!(
-                        streaming.detail(level).unwrap(),
-                        batch.detail(level).unwrap(),
-                        "window={window} step={step} start={start} level={level}"
-                    );
-                }
-                assert_eq!(streaming.approximation(), batch.approximation());
-            }
-        }
+        // Odd bands halve rounding up: 1000 → 500, 250, 125, 63, 32.
+        let odd = StreamingWavelet::new(1000, 250, 5, 3).unwrap();
+        assert_eq!(
+            odd.state_len(),
+            (500 + 250 + 125 + 63 + 32) + (125 + 63 + 32)
+        );
     }
 
     #[test]
     fn streaming_reset_restarts_the_record() {
-        let record = test_signal(1024 + 2 * 256);
-        let mut streaming = StreamingWavelet::new(1024, 256, 5, 1).unwrap();
-        for start in (0..=record.len() - 1024).step_by(256) {
-            streaming.update(&record[start..start + 1024]).unwrap();
+        let record = test_signal(1024 + 6 * 256);
+        for step in [256usize, 100] {
+            let mut streaming = StreamingWavelet::new(1024, step, 7, 1).unwrap();
+            sweep(
+                &mut streaming,
+                &record[..1024 + 2 * step],
+                0,
+                "first record",
+            );
+            // Jump to an unrelated offset: without a reset the shift
+            // assumption is violated, with one the output matches a fresh
+            // decomposition, and so does every window sliding on from it.
+            streaming.reset();
+            assert!(streaming.detail(3).is_none());
+            assert!(streaming.approximation().is_empty());
+            assert!(sweep(&mut streaming, &record, 133, "after reset") >= 3);
         }
-        // Jump to an unrelated offset: without a reset the shift assumption
-        // is violated, with one the output matches a fresh decomposition.
-        streaming.reset();
-        assert!(streaming.detail(3).is_none());
-        let window = &record[128..128 + 1024];
-        streaming.update(window).unwrap();
-        let mut batch = WaveletWorkspace::new(1024, 5).unwrap();
-        batch.decompose(window).unwrap();
-        assert_eq!(streaming.detail(3).unwrap(), batch.detail(3).unwrap());
     }
 
     #[test]
     fn streaming_validation() {
-        // Hop not a multiple of 2^levels.
-        assert!(StreamingWavelet::new(1024, 100, 5, 1).is_err());
         // Zero hop, zero levels, empty window.
         assert!(StreamingWavelet::new(1024, 0, 5, 1).is_err());
         assert!(StreamingWavelet::new(1024, 256, 0, 1).is_err());
         assert!(StreamingWavelet::new(0, 256, 5, 1).is_err());
-        // Non-overlapping windows leave no reusable coefficients.
-        assert!(StreamingWavelet::new(1024, 1024, 5, 1).is_err());
         // min_detail_level outside 1..=levels.
         assert!(StreamingWavelet::new(1024, 256, 5, 0).is_err());
         assert!(StreamingWavelet::new(1024, 256, 5, 6).is_err());
         // Too deep for the window.
         assert!(StreamingWavelet::new(64, 32, 7, 1).is_err());
+        // `check` refuses exactly what `new` refuses.
+        for (window, step, levels, min_detail) in [
+            (1024usize, 0usize, 5usize, 1usize),
+            (64, 32, 7, 1),
+            (15, 1, 1, 1),
+            (1024, 256, 5, 6),
+        ] {
+            assert_eq!(
+                StreamingWavelet::check(window, step, levels, min_detail).unwrap_err(),
+                StreamingWavelet::new(window, step, levels, min_detail).unwrap_err()
+            );
+        }
+        // A hop that is no multiple of 2^levels, and non-overlapping
+        // windows, decompose every window as `wavedec` does.
+        let record = test_signal(3 * 1024);
+        for step in [100usize, 1024] {
+            let mut streaming = StreamingWavelet::new(1024, step, 5, 1).unwrap();
+            assert!(sweep(&mut streaming, &record, 0, &format!("step={step}")) >= 3);
+        }
 
         let mut ok = StreamingWavelet::new(1024, 256, 5, 3).unwrap();
         assert_eq!(ok.levels(), 5);

@@ -314,7 +314,8 @@ impl MemoryModel {
     /// extractor holds the linearized window ring buffer, `window / step`
     /// hop summaries (`HOP_SUMMARY_F64` `f64` + `HOP_SUMMARY_U32` `u32`
     /// slots each) and the carried db4 coefficients (approximations on
-    /// every level, details from level `STREAM_MIN_DETAIL_LEVEL` up). The
+    /// every level, details from level `STREAM_MIN_DETAIL_LEVEL` up, each
+    /// band half the one above rounded up). The
     /// formula mirrors the two engines' own `state_bytes()` byte for byte
     /// (`tests/edge_platform.rs` pins them against each other); transient
     /// FFT scratch (the two-lane periodogram buffer and both channels'
@@ -335,11 +336,13 @@ impl MemoryModel {
         };
         let levels = STREAM_WAVELET_MAX_LEVELS.min(max_level).max(1);
         let min_detail = STREAM_MIN_DETAIL_LEVEL.min(levels);
-        let mut wavelet_slots = 0usize;
+        // Bands halve rounding up, as the engine's (and `wavedec`'s) do.
+        let (mut band, mut wavelet_slots) = (window_samples, 0usize);
         for level in 1..=levels {
-            wavelet_slots += window_samples >> level;
+            band = band.div_ceil(2);
+            wavelet_slots += band;
             if level >= min_detail {
-                wavelet_slots += window_samples >> level;
+                wavelet_slots += band;
             }
         }
         let f64_slots = window_samples + k * HOP_SUMMARY_F64 + wavelet_slots;

@@ -11,18 +11,17 @@
 
 use crate::bandpower::{band_powers_from_psd, Band};
 use crate::entropy::{
-    permutation_entropy, renyi_entropy_quadratic, sample_entropy, sample_entropy_pair,
-    shannon_entropy,
+    permutation_entropy, renyi_entropy_quadratic, sample_entropy, shannon_entropy,
 };
 use crate::error::FeatureError;
 use crate::hjorth::hjorth_parameters;
 use crate::matrix::FeatureMatrix;
-use crate::scratch::FeatureScratch;
 use crate::statistics::window_statistics;
-use crate::streaming::StreamingRichExtractor;
+use crate::streaming::{stream_rows_into, StreamingPaperExtractor, StreamingRichExtractor};
 use crate::waveform::{line_length, nonlinear_energy, peak_to_peak, zero_crossings};
 use seizure_dsp::spectrum::periodogram;
 use seizure_dsp::wavelet::{max_level, wavedec, WaveletDecomposition};
+use std::sync::OnceLock;
 
 /// Sliding-window segmentation parameters.
 ///
@@ -252,41 +251,32 @@ pub(crate) fn check_rate(
     })
 }
 
-/// Misuse-only error constructor for a selected window the record lacks.
-#[cold]
-fn window_out_of_range(index: usize, count: usize) -> FeatureError {
-    FeatureError::DimensionMismatch {
-        detail: format!("window index {index} out of range for a record of {count} windows"),
-    }
-}
-
-/// Checks a record's channels against the window geometry and returns its
-/// number of complete windows (at least one).
-fn record_windows(
-    f7t3: &[f64],
-    f8t4: &[f64],
-    config: &SlidingWindowConfig,
-) -> Result<usize, FeatureError> {
-    if f7t3.len() != f8t4.len() {
-        return Err(FeatureError::ChannelLengthMismatch {
-            left: f7t3.len(),
-            right: f8t4.len(),
-        });
-    }
-    match config.num_windows(f7t3.len()) {
-        0 => Err(FeatureError::SignalTooShort {
-            actual: f7t3.len(),
-            required: config.window_samples(),
-        }),
-        count => Ok(count),
-    }
-}
-
 /// Decomposition depth used for the wavelet-domain entropy features.
 pub(crate) const PAPER_WAVELET_LEVELS: usize = 7;
 
 /// Number of features [`PaperFeatureSet`] produces per window.
-const PAPER_FEATURES: usize = 10;
+pub(crate) const PAPER_FEATURES: usize = 10;
+
+/// The paper set's column names, built once per process.
+pub(crate) fn paper_names() -> &'static [String] {
+    static NAMES: OnceLock<Vec<String>> = OnceLock::new();
+    NAMES.get_or_init(|| {
+        [
+            "f7t3_theta_power",
+            "f7t3_theta_relative_power",
+            "f7t3_delta_power",
+            "f8t4_theta_relative_power",
+            "f8t4_d7_permutation_entropy_n5",
+            "f8t4_d7_permutation_entropy_n7",
+            "f8t4_d6_permutation_entropy_n7",
+            "f8t4_d3_renyi_entropy",
+            "f8t4_d6_sample_entropy_k020",
+            "f8t4_d6_sample_entropy_k035",
+        ]
+        .map(String::from)
+        .to_vec()
+    })
+}
 
 /// The paper's ten-feature set (§III-A), selected by backward elimination.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -326,75 +316,6 @@ impl PaperFeatureSet {
         let level = level.min(dec.levels()).max(1);
         dec.detail(level).expect("level clamped into valid range")
     }
-
-    /// Builds the reusable scratch workspace for windows of `window_len`
-    /// samples (db4 decomposition clamped at the paper's level 7).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::Dsp`] if the window is too short to support
-    /// even one decomposition level.
-    pub fn scratch(&self, window_len: usize) -> Result<FeatureScratch, FeatureError> {
-        FeatureScratch::new(self.fs, window_len)
-    }
-
-    /// Extracts the ten paper features into `out` using preallocated scratch
-    /// space — the allocation-free twin of
-    /// [`FeatureExtractor::extract_window`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::DimensionMismatch`] if `out` does not have ten
-    /// slots, [`FeatureError::ChannelLengthMismatch`] if the channels differ
-    /// from each other, [`FeatureError::DimensionMismatch`] if they differ
-    /// from the scratch's planned length, and propagates numeric failures.
-    pub fn extract_window_into(
-        &self,
-        f7t3: &[f64],
-        f8t4: &[f64],
-        out: &mut [f64],
-        scratch: &mut FeatureScratch,
-    ) -> Result<(), FeatureError> {
-        if out.len() != PAPER_FEATURES {
-            return Err(FeatureError::DimensionMismatch {
-                detail: format!(
-                    "output slice has {} slots but the paper set produces {PAPER_FEATURES} \
-                     features",
-                    out.len(),
-                ),
-            });
-        }
-        if f7t3.len() != f8t4.len() {
-            return Err(FeatureError::ChannelLengthMismatch {
-                left: f7t3.len(),
-                right: f8t4.len(),
-            });
-        }
-        if f7t3.len() != scratch.window_len() {
-            return Err(FeatureError::DimensionMismatch {
-                detail: format!(
-                    "window has {} samples but the scratch was built for {}",
-                    f7t3.len(),
-                    scratch.window_len()
-                ),
-            });
-        }
-        // Spectral features of both channels from one two-lane periodogram.
-        let [left, right] = scratch.band_powers([f7t3, f8t4])?;
-
-        // Wavelet-domain nonlinear features of F8T4 from the reused workspace.
-        scratch.decompose(f8t4)?;
-        out[0] = left.absolute(Band::Theta);
-        out[1] = left.relative(Band::Theta);
-        out[2] = left.absolute(Band::Delta);
-        out[3] = right.relative(Band::Theta);
-        out[4] = scratch.detail_perm_entropy(7, 5, 1)?;
-        out[5] = scratch.detail_perm_entropy(7, 7, 1)?;
-        out[6] = scratch.detail_perm_entropy(6, 7, 1)?;
-        out[7] = renyi_entropy_quadratic(scratch.detail_clamped(3));
-        [out[8], out[9]] = sample_entropy_pair(scratch.detail_clamped(6), [0.2, 0.35])?;
-        Ok(())
-    }
 }
 
 impl FeatureExtractor for PaperFeatureSet {
@@ -403,18 +324,7 @@ impl FeatureExtractor for PaperFeatureSet {
     }
 
     fn feature_names(&self) -> Vec<String> {
-        vec![
-            "f7t3_theta_power".to_string(),
-            "f7t3_theta_relative_power".to_string(),
-            "f7t3_delta_power".to_string(),
-            "f8t4_theta_relative_power".to_string(),
-            "f8t4_d7_permutation_entropy_n5".to_string(),
-            "f8t4_d7_permutation_entropy_n7".to_string(),
-            "f8t4_d6_permutation_entropy_n7".to_string(),
-            "f8t4_d3_renyi_entropy".to_string(),
-            "f8t4_d6_sample_entropy_k020".to_string(),
-            "f8t4_d6_sample_entropy_k035".to_string(),
-        ]
+        paper_names().to_vec()
     }
 
     fn extract_window(&self, f7t3: &[f64], f8t4: &[f64]) -> Result<Vec<f64>, FeatureError> {
@@ -450,10 +360,10 @@ impl FeatureExtractor for PaperFeatureSet {
         ])
     }
 
-    /// Fans the record's windows out over the workers of
-    /// [`seizure_parallel::par_process_rows`], each building one
-    /// [`FeatureScratch`] for its whole block of rows.
-    // lint: hot-path
+    /// Streams the record through [`StreamingPaperExtractor`]s, one per
+    /// worker, in the crate's one record driver (see
+    /// [`crate::streaming`]). A geometry the extractor refuses (an untiled
+    /// step, say) is refused with its error before `matrix` is touched.
     fn extract_batch_into(
         &self,
         f7t3: &[f64],
@@ -462,20 +372,14 @@ impl FeatureExtractor for PaperFeatureSet {
         matrix: &mut FeatureMatrix,
     ) -> Result<(), FeatureError> {
         check_rate("paper set", self.fs, config)?;
-        let count = record_windows(f7t3, f8t4, config)?;
-        let window = config.window_samples();
-        let step = config.step_samples();
-        matrix.ensure_names(|| self.feature_names());
-        let data = matrix.reset_rows(count);
-        seizure_parallel::par_process_rows(data, PAPER_FEATURES, |first_row, block| {
-            let mut scratch = self.scratch(window)?;
-            for (offset, row) in block.chunks_mut(PAPER_FEATURES).enumerate() {
-                let start = (first_row + offset) * step;
-                let (a, b) = (&f7t3[start..start + window], &f8t4[start..start + window]);
-                self.extract_window_into(a, b, row, &mut scratch)?;
-            }
-            Ok(())
-        })
+        stream_rows_into(
+            f7t3,
+            f8t4,
+            config,
+            None,
+            || StreamingPaperExtractor::new(config),
+            matrix,
+        )
     }
 }
 
@@ -503,6 +407,16 @@ pub(crate) const RICH_FEATURES_PER_CHANNEL: usize = 27;
 
 /// Decomposition depth used for the rich set's wavelet entropy features.
 pub(crate) const RICH_WAVELET_LEVELS: usize = 5;
+
+/// The rich set's column names, built once per process.
+pub(crate) fn rich_names() -> &'static [String] {
+    static NAMES: OnceLock<Vec<String>> = OnceLock::new();
+    NAMES.get_or_init(|| {
+        let mut names = RichFeatureSet::channel_feature_names("f7t3");
+        names.extend(RichFeatureSet::channel_feature_names("f8t4"));
+        names
+    })
+}
 
 impl RichFeatureSet {
     /// Creates the extractor for signals sampled at `fs` Hz.
@@ -627,16 +541,9 @@ impl RichFeatureSet {
         self.stream_rows_into(f7t3, f8t4, config, Some(windows), matrix)
     }
 
-    /// The one rich-feature engine behind both batch entry points. Row `j`
-    /// holds window `windows[j]` (`None` selects every window in order). The
-    /// rows are split into one block per worker of
-    /// [`seizure_parallel::par_process_rows`], and each worker streams its
-    /// block through a [`StreamingRichExtractor`] of its own: a row that
-    /// continues its predecessor's window costs one hop, and any other row
-    /// resets the extractor and pushes its window's `window / step` hops. A
-    /// row depends only on its own window's hops, so every row equals the
-    /// one a single extractor streamed over the whole record, at any thread
-    /// count.
+    /// Checks the rate and hands the record to the crate's one record
+    /// driver with a [`StreamingRichExtractor`] per worker (see
+    /// [`crate::streaming`]).
     fn stream_rows_into(
         &self,
         f7t3: &[f64],
@@ -646,45 +553,14 @@ impl RichFeatureSet {
         matrix: &mut FeatureMatrix,
     ) -> Result<(), FeatureError> {
         check_rate("rich set", self.fs, config)?;
-        let engine = StreamingRichExtractor::new(config)?;
-        let count = record_windows(f7t3, f8t4, config)?;
-        let rows = match windows {
-            Some(windows) => {
-                if let Some(&index) = windows.iter().find(|&&w| w >= count) {
-                    return Err(window_out_of_range(index, count));
-                }
-                windows.len()
-            }
-            None => count,
-        };
-        let hop = config.step_samples();
-        let k = config.window_samples() / hop;
-        let num_features = self.num_features();
-        matrix.ensure_names(|| self.feature_names());
-        let data = matrix.reset_rows(rows);
-        seizure_parallel::par_process_rows(data, num_features, |first_row, block| {
-            let mut engine = engine.clone();
-            // The window the engine completed last, while it is mid-record.
-            let mut prev: Option<usize> = None;
-            for (offset, row) in block.chunks_mut(num_features).enumerate() {
-                let j = first_row + offset;
-                let w = windows.map_or(j, |windows| windows[j]);
-                // Window `w` covers hops `w..w + k`.
-                let first_hop = if prev.map(|p| p + 1) == Some(w) {
-                    w + k - 1
-                } else {
-                    engine.reset();
-                    w
-                };
-                for h in first_hop..w + k {
-                    let (a, b) = (&f7t3[h * hop..(h + 1) * hop], &f8t4[h * hop..(h + 1) * hop]);
-                    let wrote = engine.push_hop(a, b, row)?;
-                    debug_assert_eq!(wrote, h + 1 == w + k, "window {w} completes at hop {h}");
-                }
-                prev = Some(w);
-            }
-            Ok(())
-        })
+        stream_rows_into(
+            f7t3,
+            f8t4,
+            config,
+            windows,
+            || StreamingRichExtractor::new(config),
+            matrix,
+        )
     }
 }
 
@@ -694,9 +570,7 @@ impl FeatureExtractor for RichFeatureSet {
     }
 
     fn feature_names(&self) -> Vec<String> {
-        let mut names = Self::channel_feature_names("f7t3");
-        names.extend(Self::channel_feature_names("f8t4"));
-        names
+        rich_names().to_vec()
     }
 
     fn extract_window(&self, f7t3: &[f64], f8t4: &[f64]) -> Result<Vec<f64>, FeatureError> {
@@ -977,6 +851,28 @@ mod tests {
     }
 
     #[test]
+    fn paper_set_rejects_an_untiled_step_before_touching_the_matrix() {
+        let (a, b) = two_channels(256.0, 12.0);
+        let paper = PaperFeatureSet::new(256.0).unwrap();
+        let filled = paper
+            .extract_batch(&a, &b, &SlidingWindowConfig::paper_default(256.0).unwrap())
+            .unwrap();
+        // A 410-sample step does not divide the 1024-sample window.
+        let untiled = SlidingWindowConfig::new(256.0, 4.0, 0.6).unwrap();
+        let expected = StreamingPaperExtractor::new(&untiled).unwrap_err();
+        assert!(matches!(
+            expected,
+            FeatureError::InvalidConfig { name: "config", .. }
+        ));
+        let mut matrix = filled.clone();
+        assert_eq!(
+            paper.extract_batch_into(&a, &b, &untiled, &mut matrix),
+            Err(expected)
+        );
+        assert_eq!(matrix, filled);
+    }
+
+    #[test]
     fn rich_set_rejects_unstreamable_geometries_before_touching_the_matrix() {
         let filled = {
             let (a, b) = two_channels(256.0, 12.0);
@@ -986,11 +882,9 @@ mod tests {
                 .extract_batch(&a, &b, &cfg)
                 .unwrap()
         };
-        // A 410-sample step that does not divide the window, a 250-sample
-        // hop that is no multiple of 2^5 for the wavelet carry, and a
-        // 4-sample hop no longer than the order-5 pattern span.
-        for (fs, window_secs, overlap) in [(256.0, 4.0, 0.6), (250.0, 4.0, 0.75), (16.0, 1.0, 0.75)]
-        {
+        // A 410-sample step that does not divide the window and a 4-sample
+        // hop no longer than the order-5 pattern span.
+        for (fs, window_secs, overlap) in [(256.0, 4.0, 0.6), (16.0, 1.0, 0.75)] {
             let bad = SlidingWindowConfig::new(fs, window_secs, overlap).unwrap();
             let expected = StreamingRichExtractor::new(&bad).unwrap_err();
             let rich = RichFeatureSet::new(fs).unwrap();
@@ -1007,6 +901,26 @@ mod tests {
             );
             assert_eq!(matrix, filled);
         }
+        // A 250-sample hop, no multiple of 2^5, is streamed: the wavelet
+        // carry recomputes the levels it cannot shift by whole coefficients,
+        // and the batch rows are the streamed rows.
+        let paper_rate = SlidingWindowConfig::paper_default(250.0).unwrap();
+        let (a, b) = distinct_channels(250.0, 12.0);
+        let rich = RichFeatureSet::new(250.0).unwrap();
+        let mut matrix = filled.clone();
+        rich.extract_batch_into(&a, &b, &paper_rate, &mut matrix)
+            .unwrap();
+        let mut streaming = StreamingRichExtractor::new(&paper_rate).unwrap();
+        let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut row = vec![0.0; 54];
+        let mut window = 0;
+        for (hop_a, hop_b) in a.chunks_exact(250).zip(b.chunks_exact(250)) {
+            if streaming.push_hop(hop_a, hop_b, &mut row).unwrap() {
+                assert_eq!(bits(&row), bits(matrix.row(window)), "window {window}");
+                window += 1;
+            }
+        }
+        assert_eq!(window, 9);
         // A geometry sampled at another rate than the set's is refused too.
         let (a, b) = two_channels(256.0, 12.0);
         let other_rate = SlidingWindowConfig::paper_default(128.0).unwrap();
@@ -1111,43 +1025,6 @@ mod tests {
             ex.extract_windows_into(&a, &b[1..], &cfg, &[0], &mut matrix),
             Err(FeatureError::ChannelLengthMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn extract_window_into_matches_extract_window() {
-        let fs = 256.0;
-        let w1 = tone(6.0, fs, 1024, 2.0);
-        let w2 = tone(25.0, fs, 1024, 1.0);
-
-        let paper = PaperFeatureSet::new(fs).unwrap();
-        let mut scratch = paper.scratch(1024).unwrap();
-        assert_eq!(scratch.wavelet_levels(), 7);
-        assert_eq!(scratch.window_len(), 1024);
-        assert_eq!(scratch.sampling_frequency(), fs);
-        let mut out = vec![0.0; 10];
-        paper
-            .extract_window_into(&w1, &w2, &mut out, &mut scratch)
-            .unwrap();
-        let reference = paper.extract_window(&w1, &w2).unwrap();
-        for (a, b) in out.iter().zip(reference.iter()) {
-            assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()));
-        }
-    }
-
-    #[test]
-    fn extract_window_into_validates_buffers() {
-        let fs = 256.0;
-        let w = tone(6.0, fs, 1024, 1.0);
-        let paper = PaperFeatureSet::new(fs).unwrap();
-        let mut scratch = paper.scratch(1024).unwrap();
-        let mut short_out = vec![0.0; 3];
-        assert!(paper
-            .extract_window_into(&w, &w, &mut short_out, &mut scratch)
-            .is_err());
-        let mut out = vec![0.0; 10];
-        assert!(paper
-            .extract_window_into(&w[..512], &w[..512], &mut out, &mut scratch)
-            .is_err());
     }
 
     #[test]

@@ -61,7 +61,6 @@ pub mod hjorth;
 pub mod matrix;
 pub mod normalize;
 pub mod quality;
-pub mod scratch;
 pub mod selection;
 pub mod statistics;
 pub mod streaming;
@@ -71,5 +70,4 @@ pub use error::FeatureError;
 pub use extractor::{FeatureExtractor, PaperFeatureSet, RichFeatureSet, SlidingWindowConfig};
 pub use matrix::FeatureMatrix;
 pub use quality::{QualityExtractor, QualityScratch};
-pub use scratch::FeatureScratch;
-pub use streaming::StreamingRichExtractor;
+pub use streaming::{StreamingPaperExtractor, StreamingRichExtractor};

@@ -72,15 +72,14 @@ impl FeatureMatrix {
         &mut self.data
     }
 
-    /// Installs the column names produced by `names` unless the matrix
-    /// already carries exactly those names, clearing stale rows on a change.
-    /// Building the names to compare is trivial next to extracting even one
-    /// record, and comparing the full set keeps a workspace safe to share
-    /// between extractors of equal width.
-    pub(crate) fn ensure_names(&mut self, names: impl FnOnce() -> Vec<String>) {
-        let names = names();
+    /// Installs `names` as the column names unless the matrix already
+    /// carries exactly those names, clearing stale rows on a change. Only a
+    /// change copies the names, so refilling a matrix with rows of the set
+    /// it already holds allocates no name; comparing the full set keeps a
+    /// workspace safe to share between extractors of equal width.
+    pub(crate) fn ensure_names(&mut self, names: &[String]) {
         if self.names != names {
-            self.names = names;
+            self.names = names.to_vec();
             self.data.clear();
             self.rows = 0;
         }

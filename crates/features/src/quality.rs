@@ -92,7 +92,9 @@
 use crate::error::FeatureError;
 use crate::extractor::{check_rate, SlidingWindowConfig};
 use crate::matrix::FeatureMatrix;
+use crate::streaming::{check_tiled, stream_rows_into, HopEngine};
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 /// Number of per-channel indicators.
 pub const QUALITY_FEATURES_PER_CHANNEL: usize = 7;
@@ -221,19 +223,7 @@ impl HopPlan {
     /// The plan for `window`-sample windows made of `hop`-sample hops of a
     /// signal sampled at `fs` Hz, probing `hum_bins`.
     fn new(fs: f64, hum_bins: &[f64], window: usize, hop: usize) -> Result<Self, FeatureError> {
-        if window < 4 {
-            return Err(FeatureError::SignalTooShort {
-                actual: window,
-                required: 4,
-            });
-        }
-        debug_assert!(hop > 0 && window.is_multiple_of(hop));
-        if u32::try_from(hop).is_err() {
-            return Err(FeatureError::InvalidConfig {
-                name: "config",
-                reason: format!("quality hops are limited to u32::MAX samples, got {hop}"),
-            });
-        }
+        check_segments(window, hop)?;
         let mut freqs = [0.0; GOERTZEL_LANES];
         let mut lanes = 0;
         for &bin in hum_bins {
@@ -287,6 +277,24 @@ impl HopPlan {
         }
         Ok(plan)
     }
+}
+
+/// Refuses a segment layout no grader can hold: windows of fewer than four
+/// samples and hops past the `u32` run counters. Allocates nothing.
+fn check_segments(window: usize, hop: usize) -> Result<(), FeatureError> {
+    if window < 4 {
+        return Err(FeatureError::SignalTooShort {
+            actual: window,
+            required: 4,
+        });
+    }
+    if u32::try_from(hop).is_err() {
+        return Err(FeatureError::InvalidConfig {
+            name: "config",
+            reason: format!("quality hops are limited to u32::MAX samples, got {hop}"),
+        });
+    }
+    Ok(())
 }
 
 /// Interleaved Goertzel bank: one lane per probed frequency, all stepped by
@@ -684,26 +692,17 @@ impl QualityGrader {
     /// # Errors
     ///
     /// Returns [`FeatureError::InvalidConfig`] when `config` is sampled at
-    /// another rate than `extractor` or its step does not divide the window
-    /// (hops must tile windows exactly), and [`FeatureError::SignalTooShort`]
-    /// for windows of fewer than four samples.
+    /// another rate than `extractor`, its step does not divide the window
+    /// (hops must tile windows exactly) or exceeds `u32::MAX` samples, and
+    /// [`FeatureError::SignalTooShort`] for windows of fewer than four
+    /// samples.
     pub fn new(
         extractor: &QualityExtractor,
         config: &SlidingWindowConfig,
     ) -> Result<Self, FeatureError> {
         check_rate("quality extractor", extractor.fs, config)?;
-        let window = config.window_samples();
-        let step = config.step_samples();
-        if !window.is_multiple_of(step) {
-            return Err(FeatureError::InvalidConfig {
-                name: "config",
-                reason: format!(
-                    "streaming quality grading requires the window ({window} samples) to be \
-                     an integer multiple of the step ({step} samples)"
-                ),
-            });
-        }
-        Self::with_segments(extractor, window, step)
+        Self::check(config)?;
+        Self::with_segments(extractor, config.window_samples(), config.step_samples())
     }
 
     /// The grader for `window`-sample windows of `hop`-sample hops (`hop`
@@ -804,6 +803,49 @@ impl QualityGrader {
         let log_b = row[channel_column(1, IDX_LOG_STD)];
         row[IDX_DISAGREEMENT] = (log_a - log_b).abs();
         Ok(true)
+    }
+}
+
+impl HopEngine for QualityGrader {
+    fn names() -> &'static [String] {
+        static NAMES: OnceLock<Vec<String>> = OnceLock::new();
+        NAMES.get_or_init(|| {
+            let per_channel = [
+                "line_length",
+                "railed_frac",
+                "flat_run_frac",
+                "hum_ratio",
+                "drift_ratio",
+                "max_jump_sigma",
+                "log_std",
+            ];
+            let mut names: Vec<String> = Vec::with_capacity(NUM_QUALITY_FEATURES);
+            for prefix in ["f7t3", "f8t4"] {
+                for name in per_channel {
+                    names.push(format!("quality_{prefix}_{name}"));
+                }
+            }
+            names.push("quality_cross_channel_disagreement".to_string());
+            names
+        })
+    }
+
+    fn check(config: &SlidingWindowConfig) -> Result<(), FeatureError> {
+        check_tiled("streaming quality grading", config)?;
+        check_segments(config.window_samples(), config.step_samples())
+    }
+
+    fn push_hop(
+        &mut self,
+        f7t3: &[f64],
+        f8t4: &[f64],
+        row: &mut [f64],
+    ) -> Result<bool, FeatureError> {
+        Self::push_hop(self, f7t3, f8t4, row)
+    }
+
+    fn reset(&mut self) {
+        Self::reset(self);
     }
 }
 
@@ -908,23 +950,7 @@ impl QualityExtractor {
     /// Names of the produced quality features, in column order.
     #[must_use]
     pub fn feature_names() -> Vec<String> {
-        let per_channel = [
-            "line_length",
-            "railed_frac",
-            "flat_run_frac",
-            "hum_ratio",
-            "drift_ratio",
-            "max_jump_sigma",
-            "log_std",
-        ];
-        let mut names: Vec<String> = Vec::with_capacity(NUM_QUALITY_FEATURES);
-        for prefix in ["f7t3", "f8t4"] {
-            for name in per_channel {
-                names.push(format!("quality_{prefix}_{name}"));
-            }
-        }
-        names.push("quality_cross_channel_disagreement".to_string());
-        names
+        QualityGrader::names().to_vec()
     }
 
     /// Quality indicators of a single window pair as a fresh vector.
@@ -945,12 +971,12 @@ impl QualityExtractor {
     /// channel pair, reusing `matrix`'s allocation across calls.
     ///
     /// Each hop is summarized once and every window merges its hops (see the
-    /// module docs). The windows are graded in parallel: the rows are split
-    /// into one contiguous block per worker of
+    /// module docs). The record runs through the crate's one record driver
+    /// (see [`crate::streaming`]): each worker of
     /// [`seizure_parallel::par_process_rows`] (records of fewer than 16
-    /// windows stay on the calling thread), and each worker drives a clone
-    /// of one [`QualityGrader`] over its block, after `k − 1` warm-up hops.
-    /// A window's row depends only on its own hops, so the matrix is
+    /// windows stay on the calling thread) drives a clone of one
+    /// [`QualityGrader`] over its block, after `k − 1` warm-up hops. A
+    /// window's row depends only on its own hops, so the matrix is
     /// bit-identical to one grader streamed over the whole record on one
     /// thread. The first error in window order is returned.
     ///
@@ -967,40 +993,15 @@ impl QualityExtractor {
         config: &SlidingWindowConfig,
         matrix: &mut FeatureMatrix,
     ) -> Result<(), FeatureError> {
-        let grader = QualityGrader::new(self, config)?;
-        if f7t3.len() != f8t4.len() {
-            return Err(FeatureError::ChannelLengthMismatch {
-                left: f7t3.len(),
-                right: f8t4.len(),
-            });
-        }
-        let count = config.num_windows(f7t3.len());
-        if count == 0 {
-            return Err(FeatureError::SignalTooShort {
-                actual: f7t3.len(),
-                required: config.window_samples(),
-            });
-        }
-        let step = config.step_samples();
-        let warmup = config.window_samples() / step - 1;
-        matrix.ensure_names(Self::feature_names);
-        let data = matrix.reset_rows(count);
-        seizure_parallel::par_process_rows(data, NUM_QUALITY_FEATURES, |first_row, block| {
-            let mut grader = grader.clone();
-            let rows = block.len() / NUM_QUALITY_FEATURES;
-            for h in first_row..first_row + warmup + rows {
-                let span = h * step..(h + 1) * step;
-                let (a, b) = (&f7t3[span.clone()], &f8t4[span]);
-                let Some(r) = (h - first_row).checked_sub(warmup) else {
-                    grader.push_hop(a, b, &mut [])?;
-                    continue;
-                };
-                let row = &mut block[r * NUM_QUALITY_FEATURES..(r + 1) * NUM_QUALITY_FEATURES];
-                let graded = grader.push_hop(a, b, row)?;
-                debug_assert!(graded, "window {} must complete at hop {h}", first_row + r);
-            }
-            Ok(())
-        })
+        check_rate("quality extractor", self.fs, config)?;
+        stream_rows_into(
+            f7t3,
+            f8t4,
+            config,
+            None,
+            || QualityGrader::new(self, config),
+            matrix,
+        )
     }
 
     /// Assesses one standalone window pair into a caller-provided row of

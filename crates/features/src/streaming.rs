@@ -1,11 +1,11 @@
-//! Streaming (hop-structured) rich feature extraction: the rich set's one
-//! engine.
+//! Streaming (hop-structured) feature extraction: one hop engine per feature
+//! set, and the one record driver that runs them.
 //!
 //! The paper slides 4-second windows with 75 % overlap, so consecutive
 //! windows share three quarters of their samples. Recomputing every moment,
 //! spectrum and wavelet band from scratch for every window would scan each
-//! sample four times. [`StreamingRichExtractor`] restructures the extraction
-//! into per-hop operators that carry work across windows:
+//! sample four times. [`StreamingRichExtractor`] restructures the rich set's
+//! extraction into per-hop operators that carry work across windows:
 //!
 //! * **Moments / Hjorth / waveform** — every hop is summarized once
 //!   ([`MomentSummary`] of the raw samples, second-order
@@ -25,16 +25,26 @@
 //! * **Spectrum** — one full-window rectangular periodogram per window, both
 //!   channels in one two-lane pass.
 //!
-//! # One engine
+//! [`StreamingPaperExtractor`] is the paper set's engine: the two-lane
+//! periodogram of both channels' windows, a seven-level [`StreamingWavelet`]
+//! carry of F8T4, whose bands equal `wavedec`'s bit for bit, and the
+//! allocation-free entropy kernels on those bands. It stays within 1e-9 of
+//! the textbook reference [`PaperFeatureSet::extract_window`].
+//!
+//! # One record driver
 //!
 //! Detection pushes hops as they arrive ([`StreamingRichExtractor::push_hop`]).
-//! The rich set's batch entry points, which serve training and batch
-//! detection, stream the same extractor: each worker pushes its block's
-//! `k − 1` warm-up hops and then one hop per row, and a selected window is
-//! streamed from its own `k` hops after a reset
-//! ([`RichFeatureSet::extract_windows_into`]). A window's row is a pure
-//! function of its own hops, so all 54 columns of a batch row equal the
-//! streamed row bit for bit, at any thread count.
+//! Every record-level batch entry point — the rich set's
+//! ([`RichFeatureSet::extract_windows_into`] and `extract_batch_into`), the
+//! paper set's and quality grading's
+//! ([`QualityExtractor::extract_batch_into`]) — runs one driver over its
+//! set's hop engine. The driver checks the geometry (without allocating) and
+//! the record before it builds an engine, splits the rows into one block per
+//! worker and streams each block through a clone of the engine: a row that
+//! continues its predecessor's window costs one hop, and any other row
+//! resets the engine and pushes its window's `k` hops. A window's row is a
+//! pure function of its own hops, so every batch row equals the row one
+//! engine streams over the whole record, bit for bit, at any thread count.
 //!
 //! The allocating two-pass [`FeatureExtractor::extract_window`] of
 //! [`RichFeatureSet`] stays as the textbook reference. Against it, the zero
@@ -52,19 +62,211 @@
 //! of summation order), so there the suite only requires them to stay finite.
 //!
 //! [`FeatureExtractor::extract_window`]: crate::extractor::FeatureExtractor::extract_window
+//! [`PaperFeatureSet::extract_window`]: crate::extractor::FeatureExtractor::extract_window
 //! [`RichFeatureSet`]: crate::extractor::RichFeatureSet
 //! [`RichFeatureSet::extract_windows_into`]: crate::extractor::RichFeatureSet::extract_windows_into
+//! [`QualityExtractor::extract_batch_into`]: crate::quality::QualityExtractor::extract_batch_into
 
-use crate::bandpower::BandPowers;
+use crate::bandpower::{band_powers_from_bin_pair, Band, BandPowers};
 use crate::entropy::{
     accumulate_pattern_counts, accumulate_pattern_counts_delay1, entropy_from_counts,
+    permutation_entropy_scratch, renyi_entropy_quadratic, sample_entropy_pair,
     shannon_entropy_noalloc,
 };
 use crate::error::FeatureError;
-use crate::extractor::{SlidingWindowConfig, RICH_FEATURES_PER_CHANNEL, RICH_WAVELET_LEVELS};
-use crate::scratch::PairSpectrum;
+use crate::extractor::{
+    paper_names, rich_names, SlidingWindowConfig, PAPER_FEATURES, PAPER_WAVELET_LEVELS,
+    RICH_FEATURES_PER_CHANNEL, RICH_WAVELET_LEVELS,
+};
+use crate::matrix::FeatureMatrix;
 use crate::statistics::{MomentSummary, SpreadSummary};
+use seizure_dsp::fft::ComplexPair;
+use seizure_dsp::spectrum::PsdPlan;
 use seizure_dsp::wavelet::{max_level, StreamingWavelet};
+
+/// A hop-by-hop engine of one feature set: [`StreamingRichExtractor`],
+/// [`StreamingPaperExtractor`] and the quality grader. [`stream_rows_into`]
+/// drives any of them over a record.
+pub(crate) trait HopEngine: Clone + Sync {
+    /// The set's column names, built once per process.
+    fn names() -> &'static [String];
+
+    /// Refuses a window geometry the engine cannot stream, with the error
+    /// its constructor would return, allocating nothing on success.
+    fn check(config: &SlidingWindowConfig) -> Result<(), FeatureError>;
+
+    /// Ingests one hop of both channels; `Ok(true)` once it completed a
+    /// window into `row`, which it touches only then.
+    fn push_hop(
+        &mut self,
+        f7t3: &[f64],
+        f8t4: &[f64],
+        row: &mut [f64],
+    ) -> Result<bool, FeatureError>;
+
+    /// Forgets the carried hops so the next one starts a new record.
+    fn reset(&mut self);
+}
+
+/// Refuses a step that does not divide the window: an engine's hops must
+/// tile its windows exactly. Allocates nothing on success.
+pub(crate) fn check_tiled(engine: &str, config: &SlidingWindowConfig) -> Result<(), FeatureError> {
+    let (window, hop) = (config.window_samples(), config.step_samples());
+    if hop > 0 && window.is_multiple_of(hop) {
+        return Ok(());
+    }
+    Err(FeatureError::InvalidConfig {
+        name: "config",
+        reason: format!(
+            "{engine} requires the window ({window} samples) to be an integer multiple of \
+             the step ({hop} samples)"
+        ),
+    })
+}
+
+/// Misuse-only error constructor for a selected window the record lacks.
+#[cold]
+fn window_out_of_range(index: usize, count: usize) -> FeatureError {
+    FeatureError::DimensionMismatch {
+        detail: format!("window index {index} out of range for a record of {count} windows"),
+    }
+}
+
+/// Checks a record's channels against the window geometry and returns its
+/// number of complete windows (at least one).
+fn record_windows(
+    f7t3: &[f64],
+    f8t4: &[f64],
+    config: &SlidingWindowConfig,
+) -> Result<usize, FeatureError> {
+    if f7t3.len() != f8t4.len() {
+        return Err(FeatureError::ChannelLengthMismatch {
+            left: f7t3.len(),
+            right: f8t4.len(),
+        });
+    }
+    match config.num_windows(f7t3.len()) {
+        0 => Err(FeatureError::SignalTooShort {
+            actual: f7t3.len(),
+            required: config.window_samples(),
+        }),
+        count => Ok(count),
+    }
+}
+
+/// The crate's one record driver: refills `matrix` with one row per
+/// selected window of the record, streamed through `E` (see the module
+/// docs). Row `j` holds window `windows[j]` (any order, repeats allowed);
+/// `None` selects every window in order.
+///
+/// The geometry ([`HopEngine::check`]), the channels, the record's length
+/// and the selection are all checked before `engine` builds the engine and
+/// before `matrix` is touched, so a refused call allocates no engine. Each
+/// worker of [`seizure_parallel::par_process_rows`] streams its block of
+/// rows through a clone of the engine; the first error in row order is
+/// returned.
+pub(crate) fn stream_rows_into<E: HopEngine>(
+    f7t3: &[f64],
+    f8t4: &[f64],
+    config: &SlidingWindowConfig,
+    windows: Option<&[usize]>,
+    engine: impl FnOnce() -> Result<E, FeatureError>,
+    matrix: &mut FeatureMatrix,
+) -> Result<(), FeatureError> {
+    E::check(config)?;
+    let count = record_windows(f7t3, f8t4, config)?;
+    let rows = match windows {
+        Some(windows) => {
+            if let Some(&index) = windows.iter().find(|&&w| w >= count) {
+                return Err(window_out_of_range(index, count));
+            }
+            windows.len()
+        }
+        None => count,
+    };
+    let engine = engine()?;
+    let names = E::names();
+    let width = names.len();
+    let hop = config.step_samples();
+    let k = config.window_samples() / hop;
+    matrix.ensure_names(names);
+    let data = matrix.reset_rows(rows);
+    seizure_parallel::par_process_rows(data, width, |first_row, block| {
+        let mut engine = engine.clone();
+        // The window the engine completed last, while it is mid-record.
+        let mut prev: Option<usize> = None;
+        for (offset, row) in block.chunks_mut(width).enumerate() {
+            let j = first_row + offset;
+            let w = windows.map_or(j, |windows| windows[j]);
+            // Window `w` covers hops `w..w + k`.
+            let first_hop = if prev.map(|p| p + 1) == Some(w) {
+                w + k - 1
+            } else {
+                engine.reset();
+                w
+            };
+            for h in first_hop..w + k {
+                let span = h * hop..(h + 1) * hop;
+                let wrote = engine.push_hop(&f7t3[span.clone()], &f8t4[span], row)?;
+                debug_assert_eq!(wrote, h + 1 == w + k, "window {w} completes at hop {h}");
+            }
+            prev = Some(w);
+        }
+        Ok(())
+    })
+}
+
+/// Appends one hop to a linearized window of `window.len() / hop.len()`
+/// hops that holds the `hops_seen` hops before it: in place while the
+/// window is still filling, else after shifting the oldest hop out.
+// lint: hot-path
+fn slide_in(window: &mut [f64], hop: &[f64], hops_seen: usize) {
+    let at = if hops_seen < window.len() / hop.len() {
+        hops_seen * hop.len()
+    } else {
+        window.copy_within(hop.len().., 0);
+        window.len() - hop.len()
+    };
+    window[at..at + hop.len()].copy_from_slice(hop);
+}
+
+/// The two-lane periodogram of both channels' windows and its buffers:
+/// the plan, the lane buffer and one power row per channel. Transient
+/// scratch of the streaming rich and paper extractors.
+#[derive(Debug, Clone)]
+struct PairSpectrum {
+    fs: f64,
+    psd: PsdPlan,
+    lanes: Vec<ComplexPair>,
+    power: [Vec<f64>; 2],
+}
+
+impl PairSpectrum {
+    /// Builds the buffers for windows of `window_len` samples at `fs` Hz.
+    fn new(fs: f64, window_len: usize) -> Result<Self, FeatureError> {
+        let psd = PsdPlan::new(window_len)?;
+        Ok(Self {
+            fs,
+            lanes: vec![ComplexPair::default(); psd.scratch_len()],
+            power: [vec![0.0; psd.num_bins()], vec![0.0; psd.num_bins()]],
+            psd,
+        })
+    }
+
+    /// Band powers of both channels' windows (F7T3 first), from one
+    /// two-lane periodogram and one interleaved band fold.
+    // lint: hot-path
+    fn band_powers(&mut self, windows: [&[f64]; 2]) -> Result<[BandPowers; 2], FeatureError> {
+        let [row0, row1] = &mut self.power;
+        self.psd
+            .power_pair_into(windows, self.fs, [row0, row1], &mut self.lanes)?;
+        Ok(band_powers_from_bin_pair(
+            [row0, row1],
+            self.fs,
+            self.psd.window_len(),
+        )?)
+    }
+}
 
 /// Number of `f64` fields one hop summary carries (priced by
 /// `edge::memory::streaming_state_bytes`).
@@ -253,43 +455,19 @@ impl StreamingRichExtractor {
     ///
     /// # Errors
     ///
-    /// Returns [`FeatureError::InvalidConfig`] when the geometry cannot be
-    /// streamed: the window must be an integer number of hops (so hop
-    /// summaries tile windows exactly), the hop must exceed the order-5
-    /// ordinal pattern span of four samples, and the wavelet carry-over
-    /// imposes `hop % 2^levels == 0` with at least one hop of reusable clean
-    /// coefficients per level (propagated as [`FeatureError::Dsp`]). The
-    /// paper's 4 s / 75 % geometry at 256 Hz satisfies all of these.
+    /// Returns [`StreamingRichExtractor::check_geometry`]'s errors.
     pub fn new(config: &SlidingWindowConfig) -> Result<Self, FeatureError> {
+        Self::check_geometry(config)?;
         let fs = config.sampling_frequency();
         let window = config.window_samples();
         let hop = config.step_samples();
-        if hop == 0 || !window.is_multiple_of(hop) || window / hop < 2 {
-            return Err(FeatureError::InvalidConfig {
-                name: "config",
-                reason: format!(
-                    "streaming extraction requires the window ({window} samples) to be an \
-                     integer multiple (>= 2) of the hop ({hop} samples)"
-                ),
-            });
-        }
-        if hop <= 4 {
-            return Err(FeatureError::InvalidConfig {
-                name: "config",
-                reason: format!(
-                    "streaming extraction requires hops longer than the order-5 ordinal \
-                     pattern span of 4 samples, got {hop}"
-                ),
-            });
-        }
         let k = window / hop;
         let levels = RICH_WAVELET_LEVELS.min(max_level(window)).max(1);
-        let min_detail = 3.min(levels);
         let make_channel = || -> Result<ChannelStream, FeatureError> {
             Ok(ChannelStream {
                 window_buf: vec![0.0; window],
                 ring: Vec::with_capacity(k),
-                wavelet: StreamingWavelet::new(window, hop, levels, min_detail)?,
+                wavelet: StreamingWavelet::new(window, hop, levels, 3.min(levels))?,
             })
         };
         Ok(Self {
@@ -301,6 +479,36 @@ impl StreamingRichExtractor {
             channels: [make_channel()?, make_channel()?],
             hops_seen: 0,
         })
+    }
+
+    /// Refuses a geometry [`StreamingRichExtractor::new`] refuses, with the
+    /// same error, without allocating: it builds no extractor, so a caller
+    /// can vet a geometry before any record is at hand.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FeatureError::InvalidConfig`] when the window is not an
+    /// integer multiple (at least two) of the hop, so that hop summaries
+    /// tile windows exactly, or the hop does not exceed the order-5 ordinal
+    /// pattern span of four samples, and [`FeatureError::Dsp`] for a window
+    /// too short for the db4 carry (fewer than 16 samples). The paper's
+    /// 4 s / 75 % geometry satisfies all of these at any rate.
+    pub fn check_geometry(config: &SlidingWindowConfig) -> Result<(), FeatureError> {
+        check_tiled("streaming rich extraction", config)?;
+        let (window, hop) = (config.window_samples(), config.step_samples());
+        if window / hop < 2 || hop <= 4 {
+            return Err(FeatureError::InvalidConfig {
+                name: "config",
+                reason: format!(
+                    "streaming rich extraction requires at least two hops per window, each \
+                     longer than the order-5 ordinal pattern span of 4 samples, got {} hops \
+                     of {hop}",
+                    window / hop
+                ),
+            });
+        }
+        let levels = RICH_WAVELET_LEVELS.min(max_level(window)).max(1);
+        Ok(StreamingWavelet::check(window, hop, levels, 3.min(levels))?)
     }
 
     /// Sampling frequency of the geometry.
@@ -394,16 +602,7 @@ impl StreamingRichExtractor {
         }
         let slot = self.hops_seen % self.k;
         for (chan, hop_samples) in self.channels.iter_mut().zip([f7t3, f8t4]) {
-            // Linearize the window: shift once the buffer is full, append
-            // in place while it is still filling.
-            if self.hops_seen < self.k {
-                let at = self.hops_seen * self.hop;
-                chan.window_buf[at..at + self.hop].copy_from_slice(hop_samples);
-            } else {
-                chan.window_buf.copy_within(self.hop.., 0);
-                let at = self.window - self.hop;
-                chan.window_buf[at..].copy_from_slice(hop_samples);
-            }
+            slide_in(&mut chan.window_buf, hop_samples, self.hops_seen);
             let summary = HopSummary::from_hop(hop_samples);
             if self.hops_seen > 0 {
                 // The previous hop can now count its straddling patterns.
@@ -421,7 +620,7 @@ impl StreamingRichExtractor {
             return Ok(false);
         }
         if row.len() != 2 * RICH_FEATURES_PER_CHANNEL {
-            return Err(row_size_mismatch(row.len()));
+            return Err(row_size_mismatch(row.len(), 2 * RICH_FEATURES_PER_CHANNEL));
         }
         let base = self.hops_seen - self.k;
         // Spectral blocks: the bit-exact full-window periodograms of both
@@ -438,6 +637,218 @@ impl StreamingRichExtractor {
     }
 }
 
+impl HopEngine for StreamingRichExtractor {
+    fn names() -> &'static [String] {
+        rich_names()
+    }
+
+    fn check(config: &SlidingWindowConfig) -> Result<(), FeatureError> {
+        Self::check_geometry(config)
+    }
+
+    fn push_hop(
+        &mut self,
+        f7t3: &[f64],
+        f8t4: &[f64],
+        row: &mut [f64],
+    ) -> Result<bool, FeatureError> {
+        Self::push_hop(self, f7t3, f8t4, row)
+    }
+
+    fn reset(&mut self) {
+        Self::reset(self);
+    }
+}
+
+/// Stateful hop-by-hop extractor of the [`PaperFeatureSet`]'s ten features:
+/// feeds on one hop of both channels at a time and emits one row per
+/// completed window. The paper set's batch entry point drives it over a
+/// record (see the module docs), so a streamed row and a batch row are the
+/// same bits.
+///
+/// It keeps both channels' windows linearized, one hop at a time. A
+/// completed window takes the two-lane periodogram of both (the F7T3 theta
+/// and delta powers and both relative theta powers), and the F8T4 window
+/// advances a [`StreamingWavelet`] carry of the paper's seven db4 levels,
+/// clamped to what the window supports. The permutation, Rényi and sample
+/// entropies then read the carried d7, d6 and d3 bands, which equal
+/// `wavedec`'s bit for bit.
+///
+/// # Example
+///
+/// ```
+/// use seizure_features::extractor::{FeatureExtractor, PaperFeatureSet, SlidingWindowConfig};
+/// use seizure_features::streaming::StreamingPaperExtractor;
+///
+/// # fn main() -> Result<(), seizure_features::FeatureError> {
+/// let fs = 256.0;
+/// let config = SlidingWindowConfig::paper_default(fs)?;
+/// let n = 1024 + 3 * 256;
+/// let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.07).sin()).collect();
+/// let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).cos()).collect();
+///
+/// let batch = PaperFeatureSet::new(fs)?.extract_batch(&a, &b, &config)?;
+/// let mut streaming = StreamingPaperExtractor::new(&config)?;
+/// let mut row = [0.0; 10];
+/// let mut window = 0;
+/// for (hop_a, hop_b) in a.chunks(256).zip(b.chunks(256)) {
+///     if streaming.push_hop(hop_a, hop_b, &mut row)? {
+///         assert_eq!(&row[..], batch.row(window));
+///         window += 1;
+///     }
+/// }
+/// assert_eq!(window, batch.num_windows());
+/// # Ok(())
+/// # }
+/// ```
+///
+/// [`PaperFeatureSet`]: crate::extractor::PaperFeatureSet
+#[derive(Debug, Clone)]
+pub struct StreamingPaperExtractor {
+    hop: usize,
+    /// Hops per window.
+    k: usize,
+    /// Two-lane full-window periodogram (transient scratch).
+    spectrum: PairSpectrum,
+    /// The last window of each channel (F7T3, F8T4), linearized.
+    windows: [Vec<f64>; 2],
+    /// Carried db4 coefficients of the F8T4 window.
+    wavelet: StreamingWavelet,
+    /// Ordinal-pattern counting table of the permutation entropies, sized
+    /// by the first window.
+    perm_counts: Vec<u32>,
+    /// Hops ingested since construction or [`StreamingPaperExtractor::reset`].
+    hops_seen: usize,
+}
+
+impl StreamingPaperExtractor {
+    /// Builds a streaming extractor for the window geometry of `config`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FeatureError::InvalidConfig`] when the step does not divide
+    /// the window (hops must tile windows exactly; a 60 % overlap, say), and
+    /// [`FeatureError::Dsp`] for a window too short for one db4 level (fewer
+    /// than 16 samples), which the per-window reference refuses too.
+    pub fn new(config: &SlidingWindowConfig) -> Result<Self, FeatureError> {
+        Self::check(config)?;
+        let window = config.window_samples();
+        let hop = config.step_samples();
+        let levels = PAPER_WAVELET_LEVELS.min(max_level(window)).max(1);
+        Ok(Self {
+            hop,
+            k: window / hop,
+            spectrum: PairSpectrum::new(config.sampling_frequency(), window)?,
+            windows: [vec![0.0; window], vec![0.0; window]],
+            wavelet: StreamingWavelet::new(window, hop, levels, 3.min(levels))?,
+            perm_counts: Vec::new(),
+            hops_seen: 0,
+        })
+    }
+
+    /// Forgets all carried state so the next hop starts a new record.
+    pub fn reset(&mut self) {
+        self.hops_seen = 0;
+        self.wavelet.reset();
+    }
+
+    /// Ingests one hop of both channels. Returns `Ok(false)` while the first
+    /// window is still filling; once `window / hop` hops are buffered, every
+    /// call completes a window, writes its ten features into `row` and
+    /// returns `Ok(true)`. `row` is only touched (and its length only
+    /// validated) when a window completes. No heap allocations are performed
+    /// after the first completed window of the extractor's life.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FeatureError::ChannelLengthMismatch`] if the hop slices
+    /// differ in length, [`FeatureError::DimensionMismatch`] if they do not
+    /// match the configured hop or `row` does not have ten slots at window
+    /// completion, and propagates numeric failures.
+    // lint: hot-path
+    pub fn push_hop(
+        &mut self,
+        f7t3: &[f64],
+        f8t4: &[f64],
+        row: &mut [f64],
+    ) -> Result<bool, FeatureError> {
+        if f7t3.len() != f8t4.len() {
+            return Err(FeatureError::ChannelLengthMismatch {
+                left: f7t3.len(),
+                right: f8t4.len(),
+            });
+        }
+        if f7t3.len() != self.hop {
+            return Err(hop_size_mismatch(f7t3.len(), self.hop));
+        }
+        for (window, hop_samples) in self.windows.iter_mut().zip([f7t3, f8t4]) {
+            slide_in(window, hop_samples, self.hops_seen);
+        }
+        self.hops_seen += 1;
+        if self.hops_seen < self.k {
+            return Ok(false);
+        }
+        if row.len() != PAPER_FEATURES {
+            return Err(row_size_mismatch(row.len(), PAPER_FEATURES));
+        }
+        let Self {
+            spectrum,
+            windows: [f7t3_window, f8t4_window],
+            wavelet,
+            perm_counts,
+            ..
+        } = self;
+        // Spectral features of both channels from one two-lane periodogram.
+        let [left, right] = spectrum.band_powers([f7t3_window, f8t4_window])?;
+        row[0] = left.absolute(Band::Theta);
+        row[1] = left.relative(Band::Theta);
+        row[2] = left.absolute(Band::Delta);
+        row[3] = right.relative(Band::Theta);
+        // Wavelet-domain nonlinear features of F8T4 from the carried bands,
+        // the paper's levels clamped into the carry's depth.
+        wavelet.update(f8t4_window)?;
+        let levels = wavelet.levels();
+        let detail = |level: usize| {
+            wavelet
+                .detail(level.min(levels).max(1))
+                .expect("clamped level is maintained by construction")
+        };
+        let (d7, d6, d3) = (detail(7), detail(6), detail(3));
+        row[4] = permutation_entropy_scratch(d7, 5, 1, perm_counts)?;
+        row[5] = permutation_entropy_scratch(d7, 7, 1, perm_counts)?;
+        row[6] = permutation_entropy_scratch(d6, 7, 1, perm_counts)?;
+        row[7] = renyi_entropy_quadratic(d3);
+        [row[8], row[9]] = sample_entropy_pair(d6, [0.2, 0.35])?;
+        Ok(true)
+    }
+}
+
+impl HopEngine for StreamingPaperExtractor {
+    fn names() -> &'static [String] {
+        paper_names()
+    }
+
+    fn check(config: &SlidingWindowConfig) -> Result<(), FeatureError> {
+        check_tiled("streaming paper extraction", config)?;
+        let (window, hop) = (config.window_samples(), config.step_samples());
+        let levels = PAPER_WAVELET_LEVELS.min(max_level(window)).max(1);
+        Ok(StreamingWavelet::check(window, hop, levels, 3.min(levels))?)
+    }
+
+    fn push_hop(
+        &mut self,
+        f7t3: &[f64],
+        f8t4: &[f64],
+        row: &mut [f64],
+    ) -> Result<bool, FeatureError> {
+        Self::push_hop(self, f7t3, f8t4, row)
+    }
+
+    fn reset(&mut self) {
+        Self::reset(self);
+    }
+}
+
 /// Misuse-only error constructor, kept outside the hot blocks so the
 /// formatting allocation never sits on the per-hop path.
 #[cold]
@@ -451,11 +862,10 @@ fn hop_size_mismatch(actual: usize, expected: usize) -> FeatureError {
 
 /// Misuse-only error constructor for a wrongly sized output row.
 #[cold]
-fn row_size_mismatch(actual: usize) -> FeatureError {
+fn row_size_mismatch(actual: usize, expected: usize) -> FeatureError {
     FeatureError::DimensionMismatch {
         detail: format!(
-            "output row has {actual} slots but the rich set produces {} features",
-            2 * RICH_FEATURES_PER_CHANNEL
+            "output row has {actual} slots but the extractor produces {expected} features"
         ),
     }
 }

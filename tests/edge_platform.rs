@@ -345,11 +345,14 @@ fn streaming_state_formula_matches_the_real_extractor() {
         let grader = QualityGrader::new(&quality, config).unwrap().state_bytes();
         (extractor, grader)
     };
+    // 250 Hz: a 1000-sample window whose db4 bands halve to odd lengths
+    // (125 → 63 → 32), which the formula must round up as the engine does.
     for (fs, window_secs, overlap) in [
         (256.0, 4.0, 0.75),
         (256.0, 2.0, 0.75),
         (64.0, 4.0, 0.75),
         (256.0, 2.0, 0.5),
+        (250.0, 4.0, 0.75),
     ] {
         let config = SlidingWindowConfig::new(fs, window_secs, overlap).unwrap();
         let window = config.window_samples();

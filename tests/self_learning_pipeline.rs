@@ -2,11 +2,16 @@
 //! the real-time detector and the result is compared against expert labels
 //! (the experiment behind the paper's Fig. 4, at reduced scale).
 
-use selflearn_seizure::core::labeler::LabelerConfig;
+use selflearn_seizure::core::labeler::{LabelerConfig, PosterioriLabeler};
 use selflearn_seizure::core::pipeline::{LabelSource, SelfLearningPipeline};
 use selflearn_seizure::core::realtime::RealTimeDetectorConfig;
+use selflearn_seizure::core::workspace::FeatureWorkspace;
+use selflearn_seizure::core::{CoreError, SeizureLabel};
+use selflearn_seizure::data::annotation::SeizureAnnotation;
 use selflearn_seizure::data::cohort::Cohort;
-use selflearn_seizure::data::sampler::SampleConfig;
+use selflearn_seizure::data::sampler::{EegRecord, SampleConfig};
+use selflearn_seizure::data::signal::EegSignal;
+use selflearn_seizure::features::FeatureError;
 use selflearn_seizure::ml::forest::RandomForestConfig;
 
 fn fast_detector() -> RealTimeDetectorConfig {
@@ -123,4 +128,78 @@ fn detector_improves_with_more_collected_seizures() {
         three >= one - 0.1,
         "3-seizure detector ({three:.3}) much worse than 1-seizure detector ({one:.3})"
     );
+}
+
+#[test]
+fn a_rate_no_record_holds_a_window_of_is_refused_by_every_record_entry_point() {
+    // At 1e15 Hz a 4 s window spans 4e15 samples. The geometry tiles, but a
+    // 4 096-sample record holds no window, and any engine built for it would
+    // ask for petabytes. Every record entry point must return an error
+    // instead of building one.
+    let n = 4096;
+    let signal = EegSignal::new(
+        (0..n).map(|i| (i as f64 * 0.1).sin()).collect(),
+        (0..n).map(|i| (i as f64 * 0.3).cos()).collect(),
+        1e15,
+    )
+    .unwrap();
+    let annotation = SeizureAnnotation::new(0.0, 1e-12).unwrap();
+    let record = EegRecord::new(signal.clone(), annotation, 0, 0).unwrap();
+    let truth = SeizureLabel::new(0.0, 1e-12).unwrap();
+    let too_short = |err: &CoreError| {
+        matches!(
+            err,
+            CoreError::Feature(FeatureError::SignalTooShort {
+                actual: 4096,
+                required: 4_000_000_000_000_000,
+            })
+        )
+    };
+    // With the gate on, quality grading runs first, and its grader's run
+    // counters refuse a 1e15-sample hop.
+    let refused_hop = |err: &CoreError| {
+        matches!(
+            err,
+            CoreError::Feature(FeatureError::InvalidConfig { name: "config", .. })
+        )
+    };
+    let cohort = Cohort::chb_mit_like(17);
+    let normal = cohort.sample_record(8, 0, &sample_config(), 3).unwrap();
+    let mut ws = FeatureWorkspace::new();
+    for gate in [true, false] {
+        let config = RealTimeDetectorConfig {
+            quality_gate: gate,
+            ..fast_detector()
+        };
+        let refused = |err: &CoreError| {
+            if gate {
+                refused_hop(err)
+            } else {
+                too_short(err)
+            }
+        };
+        let mut pipeline = SelfLearningPipeline::new(LabelerConfig::default(), config);
+        let err = pipeline
+            .observe_missed_seizure(&record, 30.0, LabelSource::Algorithm)
+            .unwrap_err();
+        assert!(refused(&err), "gate {gate}: {err:?}");
+        assert_eq!(pipeline.num_seizures_collected(), 0);
+        let err = pipeline
+            .detector()
+            .build_training_windows_with(&signal, &truth, &mut ws)
+            .unwrap_err();
+        assert!(too_short(&err), "gate {gate}: {err:?}");
+        pipeline
+            .observe_missed_seizure(&normal, 30.0, LabelSource::Expert)
+            .unwrap();
+        let err = pipeline
+            .detector()
+            .detect_into(&signal, &mut ws)
+            .unwrap_err();
+        assert!(refused(&err), "gate {gate}: {err:?}");
+    }
+    let err = PosterioriLabeler::new(LabelerConfig::default())
+        .label(&signal, 30.0, &mut ws)
+        .unwrap_err();
+    assert!(too_short(&err), "{err:?}");
 }

@@ -1,15 +1,18 @@
-//! Streaming-equals-batch gate of the rich feature extraction.
+//! Streaming-equals-batch gate of the rich and paper feature extraction.
 //!
-//! The rich set has one engine: its batch entry points stream each worker's
-//! block of rows through a `StreamingRichExtractor`, the extractor the
-//! detector pushes hops into. So every batch row must equal the row one
-//! extractor streams over the whole record on one thread, bit for bit, in
-//! all 54 columns (NaN equal to NaN), across window geometries, random
-//! cohorts, hostile degradations at every severity and thread counts, down to
-//! the sample-at-a-time `push()` front end. The two-pass textbook reference
-//! `RichFeatureSet::extract_window` anchors the engine: every streamed row
-//! stays within `1e-7 · (1 + |reference|)` of it, with only finiteness asked
-//! of skewness and kurtosis on degenerate windows.
+//! Each feature set has one engine: its batch entry points stream each
+//! worker's block of rows through a clone of the set's hop engine
+//! (`StreamingRichExtractor`, the extractor the detector pushes hops into,
+//! and `StreamingPaperExtractor`). So every batch row must equal the row one
+//! engine streams over the whole record on one thread, bit for bit, in every
+//! column (NaN equal to NaN), across window geometries and rates, random
+//! cohorts, hostile degradations at every severity and thread counts, down
+//! to the sample-at-a-time `push()` front end. The two-pass textbook
+//! reference `RichFeatureSet::extract_window` anchors the rich engine: every
+//! streamed row stays within `1e-7 · (1 + |reference|)` of it, with only
+//! finiteness asked of skewness and kurtosis on degenerate windows. The
+//! paper engine's rows stay within 1e-9 of `PaperFeatureSet::extract_window`
+//! on clean records.
 
 use proptest::prelude::*;
 use selflearn_seizure::core::realtime::{QualityVerdict, RealTimeDetector, RealTimeDetectorConfig};
@@ -19,9 +22,9 @@ use selflearn_seizure::data::cohort::Cohort;
 use selflearn_seizure::data::sampler::SampleConfig;
 use selflearn_seizure::data::synth::{degrade_signal, HostileScenario};
 use selflearn_seizure::features::extractor::{
-    FeatureExtractor, RichFeatureSet, SlidingWindowConfig,
+    FeatureExtractor, PaperFeatureSet, RichFeatureSet, SlidingWindowConfig,
 };
-use selflearn_seizure::features::streaming::StreamingRichExtractor;
+use selflearn_seizure::features::streaming::{StreamingPaperExtractor, StreamingRichExtractor};
 use selflearn_seizure::features::FeatureMatrix;
 
 /// Relative tolerance against the two-pass reference (merged vs two-pass
@@ -32,15 +35,37 @@ const REFERENCE_TOL: f64 = 1e-7;
 /// Every row one extractor emits while `push_hop` walks the whole record on
 /// the calling thread, in window order.
 fn stream_record(streaming: &mut StreamingRichExtractor, a: &[f64], b: &[f64]) -> Vec<Vec<f64>> {
-    let hop = streaming.step_samples();
-    let mut row = vec![0.0; streaming.num_features()];
+    let (hop, width) = (streaming.step_samples(), streaming.num_features());
+    stream_hops(a, b, hop, width, |ha, hb, row| {
+        streaming.push_hop(ha, hb, row).unwrap()
+    })
+}
+
+/// Every row `push` completes while it walks `a` and `b` hop by hop.
+fn stream_hops(
+    a: &[f64],
+    b: &[f64],
+    hop: usize,
+    width: usize,
+    mut push: impl FnMut(&[f64], &[f64], &mut [f64]) -> bool,
+) -> Vec<Vec<f64>> {
+    let mut row = vec![0.0; width];
     let mut rows = Vec::new();
     for (hop_a, hop_b) in a.chunks_exact(hop).zip(b.chunks_exact(hop)) {
-        if streaming.push_hop(hop_a, hop_b, &mut row).unwrap() {
+        if push(hop_a, hop_b, &mut row) {
             rows.push(row.clone());
         }
     }
     rows
+}
+
+/// One fresh paper engine's rows over the whole record.
+fn stream_paper(config: &SlidingWindowConfig, a: &[f64], b: &[f64]) -> Vec<Vec<f64>> {
+    let mut streaming = StreamingPaperExtractor::new(config).unwrap();
+    let hop = config.step_samples();
+    stream_hops(a, b, hop, 10, |ha, hb, row| {
+        streaming.push_hop(ha, hb, row).unwrap()
+    })
 }
 
 /// Every column of every batch row equals the streamed row bit for bit (a
@@ -113,12 +138,25 @@ fn synth_channel(n: usize, seed: u64) -> Vec<f64> {
 }
 
 /// The streamable geometries the suite sweeps: the paper default plus
-/// shorter windows, a lower rate and a 50 % overlap.
-const GEOMETRIES: [(f64, f64, f64); 4] = [
+/// shorter windows, a lower rate, a 50 % overlap and a 250-sample hop, which
+/// shifts the db4 bands below level 1 by fractions of a coefficient.
+const GEOMETRIES: [(f64, f64, f64); 5] = [
     (256.0, 4.0, 0.75),
     (256.0, 2.0, 0.75),
     (64.0, 4.0, 0.75),
     (256.0, 2.0, 0.5),
+    (250.0, 4.0, 0.75),
+];
+
+/// The paper set's geometries: the paper default at the rates the repo
+/// samples, the labeler's 2 s / 50 % alternative and 250 Hz.
+const PAPER_GEOMETRIES: [(f64, f64, f64); 6] = [
+    (256.0, 4.0, 0.75),
+    (192.0, 4.0, 0.75),
+    (128.0, 4.0, 0.75),
+    (64.0, 4.0, 0.75),
+    (64.0, 2.0, 0.5),
+    (250.0, 4.0, 0.75),
 ];
 
 proptest! {
@@ -147,6 +185,27 @@ proptest! {
         let context = format!("seed {seed}, {extra_hops} extra hops, geometry {geometry}");
         assert_bit_exact(&streamed, &batch, &context);
         assert_near_reference(&streamed, &a, &b, &config, &context);
+    }
+
+    /// Random signals, every paper geometry: the paper batch matrix is the
+    /// one-thread streamed pass bit for bit.
+    #[test]
+    fn paper_streaming_matches_batch_on_random_signals(
+        seed in 0u64..10_000,
+        extra_hops in 0usize..40,
+        geometry in 0usize..PAPER_GEOMETRIES.len(),
+    ) {
+        let (fs, window_secs, overlap) = PAPER_GEOMETRIES[geometry];
+        let config = SlidingWindowConfig::new(fs, window_secs, overlap).unwrap();
+        let n = config.window_samples() + extra_hops * config.step_samples();
+        let a = synth_channel(n, seed);
+        let b = synth_channel(n, seed ^ 0x5EED);
+        let batch = PaperFeatureSet::new(fs)
+            .unwrap()
+            .extract_batch(&a, &b, &config)
+            .unwrap();
+        let context = format!("paper, seed {seed}, {extra_hops} extra hops, geometry {geometry}");
+        assert_bit_exact(&stream_paper(&config, &a, &b), &batch, &context);
     }
 
     /// Feeding `push_hop` one hop at a time, reusing one extractor across
@@ -210,6 +269,76 @@ fn streaming_survives_hostile_scenarios_within_the_error_model() {
             assert_near_reference(&streamed, a, b, &config, &context);
         }
     }
+}
+
+/// Every paper geometry on a record long enough to fan out across workers:
+/// batch rows are the streamed rows bit for bit, and both stay within 1e-9
+/// of the per-window textbook reference.
+#[test]
+fn paper_streaming_matches_batch_and_the_reference_at_every_rate() {
+    for (fs, window_secs, overlap) in PAPER_GEOMETRIES {
+        let config = SlidingWindowConfig::new(fs, window_secs, overlap).unwrap();
+        let n = config.window_samples() + 47 * config.step_samples();
+        let (a, b) = (synth_channel(n, 3), synth_channel(n, 4));
+        let paper = PaperFeatureSet::new(fs).unwrap();
+        let batch = paper.extract_batch(&a, &b, &config).unwrap();
+        let streamed = stream_paper(&config, &a, &b);
+        let context = format!("paper at {fs} Hz, {window_secs} s, {overlap}");
+        assert_bit_exact(&streamed, &batch, &context);
+        for ((w, row), (wa, wb)) in streamed
+            .iter()
+            .enumerate()
+            .zip(config.windows(&a).zip(config.windows(&b)))
+        {
+            let reference = paper.extract_window(wa, wb).unwrap();
+            for (c, (&s, &r)) in row.iter().zip(&reference).enumerate() {
+                assert!(
+                    (s - r).abs() <= 1e-9 * (1.0 + r.abs()),
+                    "{context}: window {w} column {c}: streamed {s} vs reference {r}"
+                );
+            }
+        }
+    }
+}
+
+/// Every hostile scenario at three severities: the paper engine streams
+/// artifact-dominated records (NaN and railed samples, dropouts, pops)
+/// into the batch rows bit for bit.
+#[test]
+fn paper_streaming_survives_hostile_scenarios_bit_for_bit() {
+    let cohort = Cohort::chb_mit_like(5);
+    let sample = SampleConfig::new(180.0, 220.0, 64.0).unwrap();
+    let record = cohort.sample_record(2, 0, &sample, 40).unwrap();
+    let fs = record.signal().sampling_frequency();
+    let config = SlidingWindowConfig::paper_default(fs).unwrap();
+    let paper = PaperFeatureSet::new(fs).unwrap();
+    for scenario in HostileScenario::all() {
+        for severity in [0.25, 0.6, 1.0] {
+            let degraded = degrade_signal(record.signal(), scenario, severity, 99).unwrap();
+            let (a, b) = (degraded.f7t3(), degraded.f8t4());
+            let batch = paper.extract_batch(a, b, &config).unwrap();
+            let context = format!("paper, {} at severity {severity}", scenario.name());
+            assert_bit_exact(&stream_paper(&config, a, b), &batch, &context);
+        }
+    }
+}
+
+/// A 250 Hz record, whose 250-sample hop shifts the rich set's db4 bands
+/// below level 1 by fractions of a coefficient: batch rows are the streamed
+/// rows bit for bit and stay near the two-pass reference.
+#[test]
+fn rich_streaming_at_250_hz_matches_batch_and_the_reference() {
+    let config = SlidingWindowConfig::paper_default(250.0).unwrap();
+    let n = config.window_samples() + 30 * config.step_samples();
+    let (a, b) = (synth_channel(n, 250), synth_channel(n, 251));
+    let batch = RichFeatureSet::new(250.0)
+        .unwrap()
+        .extract_batch(&a, &b, &config)
+        .unwrap();
+    let mut streaming = StreamingRichExtractor::new(&config).unwrap();
+    let streamed = stream_record(&mut streaming, &a, &b);
+    assert_bit_exact(&streamed, &batch, "rich at 250 Hz");
+    assert_near_reference(&streamed, &a, &b, &config, "rich at 250 Hz");
 }
 
 /// The full sample-at-a-time path: a trained detector streamed one sample

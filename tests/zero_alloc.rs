@@ -1,9 +1,9 @@
-//! Runtime check that the streaming detection path and the batch window
-//! kernels do not allocate.
+//! Runtime check that the streaming detection path and the batch hop
+//! engines do not allocate.
 //!
 //! `seizure-lint`'s `hot-path-alloc` rule checks the claim lexically; this
 //! test counts real heap allocations. A counting global allocator wraps the
-//! system allocator. Its counter lives in a const-initialized thread-local,
+//! system allocator. Its counters live in const-initialized thread-locals,
 //! because cargo runs tests on parallel threads and only the allocations of
 //! the thread under test may count.
 //!
@@ -12,15 +12,17 @@
 //! `StreamingDetector::push` after the first completed window must allocate
 //! nothing, across resets and records, and so must `FlatForest::predict`.
 //! That covers the rich features' one engine, `StreamingRichExtractor::
-//! push_hop`, which the batch path streams too. The paper set's per-window
-//! kernel, `extract_window_into`, must allocate nothing after its first
-//! call, on clean, NaN-laced and all-zero windows, and its batch engine
-//! must allocate per call (one scratch per worker), not per window. Batch
-//! `detect_into` is left out: it fills a feature matrix per record, builds
-//! one quality grader and one streaming extractor per worker, and on a
-//! calibrated gate its slow gain correction's Theil–Sen fit takes a sorted
-//! copy of the abscissae, two bounded slope-key buffers and the per-window
-//! intercepts on each call.
+//! push_hop`, which the batch path streams too. The paper set's engine,
+//! `StreamingPaperExtractor::push_hop`, must allocate nothing after its
+//! first window, on clean, NaN-laced and all-zero records, and its batch
+//! call must allocate per call (one engine per worker), not per window. A
+//! batch call of any of the three sets into a matrix that already carries
+//! the set's column names must allocate no name. Batch `detect_into` is
+//! left out: it fills a feature matrix per record, builds one quality
+//! grader and one streaming extractor per worker, and on a calibrated gate
+//! its slow gain correction's Theil–Sen fit takes a sorted copy of the
+//! abscissae, two bounded slope-key buffers and the per-window intercepts on
+//! each call.
 
 use selflearn_seizure::core::labeler::LabelerConfig;
 use selflearn_seizure::core::pipeline::{LabelSource, SelfLearningPipeline};
@@ -31,8 +33,10 @@ use selflearn_seizure::data::cohort::Cohort;
 use selflearn_seizure::data::sampler::SampleConfig;
 use selflearn_seizure::data::synth::{degrade_signal, HostileScenario};
 use selflearn_seizure::features::extractor::{
-    FeatureExtractor, PaperFeatureSet, SlidingWindowConfig,
+    FeatureExtractor, PaperFeatureSet, RichFeatureSet, SlidingWindowConfig,
 };
+use selflearn_seizure::features::quality::QualityExtractor;
+use selflearn_seizure::features::streaming::StreamingPaperExtractor;
 use selflearn_seizure::features::FeatureMatrix;
 use selflearn_seizure::ml::forest::RandomForestConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -40,16 +44,20 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTE_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Counts every allocation and reallocation of the current thread, then
 /// defers to the system allocator.
 struct Counting;
 
-fn count() {
-    // `try_with`: the allocator may run while the thread-local is being torn
-    // down at thread exit; those calls go uncounted.
+fn count(layout: Layout) {
+    // `try_with`: the allocator may run while the thread-locals are being
+    // torn down at thread exit; those calls go uncounted.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    if layout.align() == 1 {
+        let _ = BYTE_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -58,14 +66,14 @@ fn count() {
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: same contract as `System::alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout);
         // SAFETY: `layout` comes from the caller under `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: same contract as `System::alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout);
         // SAFETY: `layout` comes from the caller under `alloc_zeroed`'s
         // contract.
         unsafe { System.alloc_zeroed(layout) }
@@ -73,7 +81,7 @@ unsafe impl GlobalAlloc for Counting {
 
     // SAFETY: same contract as `System::realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(layout);
         // SAFETY: `ptr` was allocated by this allocator (that is, by
         // `System`) with `layout`, as `realloc`'s contract requires.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -92,6 +100,12 @@ static GLOBAL: Counting = Counting;
 /// Allocations made on this thread so far.
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Allocations of byte buffers (alignment 1, such as a `String`'s) made on
+/// this thread so far.
+fn byte_allocations() -> u64 {
+    BYTE_ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
@@ -174,8 +188,10 @@ fn streaming_push_and_forest_predict_do_not_allocate() {
 }
 
 #[test]
-fn batch_window_kernels_do_not_allocate_after_the_first_call() {
-    let (fs, n) = (256.0, 1024);
+fn paper_push_hop_does_not_allocate_after_the_first_window() {
+    let fs = 256.0;
+    let config = SlidingWindowConfig::paper_default(fs).unwrap();
+    let n = config.window_samples() + 6 * config.step_samples();
     let tone = |hz: f64, amp: f64| -> Vec<f64> {
         (0..n)
             .map(|i| {
@@ -191,32 +207,37 @@ fn batch_window_kernels_do_not_allocate_after_the_first_call() {
     };
     let (nan_f7t3, nan_f8t4) = (lace(&f7t3, 37), lace(&f8t4, 29));
     let zeros = vec![0.0; n];
-    let windows: [(&str, &[f64], &[f64]); 3] = [
+    let records: [(&str, &[f64], &[f64]); 3] = [
         ("clean", &f7t3, &f8t4),
         ("NaN-laced", &nan_f7t3, &nan_f8t4),
         ("all-zero", &zeros, &zeros),
     ];
 
-    let paper = PaperFeatureSet::new(fs).unwrap();
-    let mut paper_scratch = paper.scratch(n).unwrap();
-    let mut paper_row = vec![0.0; paper.num_features()];
-    // The first call sizes the scratch's pattern-count table.
-    paper
-        .extract_window_into(&f7t3, &f8t4, &mut paper_row, &mut paper_scratch)
-        .unwrap();
+    let mut engine = StreamingPaperExtractor::new(&config).unwrap();
+    let mut row = [0.0; 10];
+    let hop = config.step_samples();
+    // The first window sizes the pattern-count table.
+    let mut warmed = false;
+    let mut windows = 0;
     for round in 0..2 {
-        for (name, a, b) in windows {
-            let before = allocations();
-            paper
-                .extract_window_into(a, b, &mut paper_row, &mut paper_scratch)
-                .unwrap();
-            let paper_allocated = allocations() - before;
-            assert_eq!(
-                paper_allocated, 0,
-                "paper set, {name} window, round {round}: allocated"
-            );
+        for (name, a, b) in records {
+            engine.reset();
+            for (h, (hop_a, hop_b)) in a.chunks_exact(hop).zip(b.chunks_exact(hop)).enumerate() {
+                let before = allocations();
+                let completed = engine.push_hop(hop_a, hop_b, &mut row).unwrap();
+                let allocated = allocations() - before;
+                if warmed {
+                    assert_eq!(
+                        allocated, 0,
+                        "{name} record, round {round}, hop {h}: allocated"
+                    );
+                }
+                warmed |= completed;
+                windows += usize::from(completed);
+            }
         }
     }
+    assert_eq!(windows, 2 * 3 * config.num_windows(n));
 }
 
 #[test]
@@ -256,4 +277,44 @@ fn paper_batch_extraction_allocates_per_call_not_per_window() {
         "a 9-window and a 15-window call allocated {} and {} times",
         counts[0], counts[1]
     );
+}
+
+#[test]
+fn batch_calls_into_a_named_matrix_allocate_no_name() {
+    // Each set's column names are built once per process: a batch call into
+    // a matrix that already carries them compares and copies nothing. A name
+    // is a `String`, and its buffer is the only byte buffer (alignment 1) a
+    // batch call makes. Ten windows keep each call on this thread.
+    let fs = 256.0;
+    let config = SlidingWindowConfig::paper_default(fs).unwrap();
+    let n = config.window_samples() + 9 * config.step_samples();
+    let a: Vec<f64> = (0..n).map(|i| 40.0 * (i as f64 * 0.15).sin()).collect();
+    let b: Vec<f64> = (0..n).map(|i| 25.0 * (i as f64 * 0.06).cos()).collect();
+    let assert_names_reused = |set: &str, batch: &dyn Fn(&mut FeatureMatrix)| {
+        let mut matrix = FeatureMatrix::default();
+        // The first call installs the names (and warms the set up).
+        batch(&mut matrix);
+        let names = matrix.feature_names().to_vec();
+        let before = byte_allocations();
+        batch(&mut matrix);
+        assert_eq!(
+            byte_allocations() - before,
+            0,
+            "{set}: a call into a matrix carrying its names allocated a name"
+        );
+        assert_eq!(matrix.feature_names(), &names[..]);
+        assert_eq!(matrix.num_windows(), 10);
+    };
+    let paper = PaperFeatureSet::new(fs).unwrap();
+    assert_names_reused("paper", &|m| {
+        paper.extract_batch_into(&a, &b, &config, m).unwrap()
+    });
+    let rich = RichFeatureSet::new(fs).unwrap();
+    assert_names_reused("rich", &|m| {
+        rich.extract_batch_into(&a, &b, &config, m).unwrap()
+    });
+    let quality = QualityExtractor::new(fs).unwrap();
+    assert_names_reused("quality", &|m| {
+        quality.extract_batch_into(&a, &b, &config, m).unwrap()
+    });
 }
