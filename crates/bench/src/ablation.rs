@@ -1,4 +1,4 @@
-//! Feature-count ablation (design-choice study E9 of `DESIGN.md`).
+//! Feature-count ablation (study E9 of `golden/README.md`).
 //!
 //! The paper selects its ten features with backward elimination and states that
 //! "extracting the ten most relevant features offers a proper trade-off between
@@ -7,6 +7,7 @@
 //! records) and reports the labeling deviation as a function of `k`.
 
 use crate::scale::ExperimentScale;
+use crate::selection::{backward_elimination, select_columns};
 use seizure_core::algorithm::{posteriori_detect, DetectorConfig};
 use seizure_core::label::window_labels;
 use seizure_core::labeler::{LabelerConfig, PosterioriLabeler};
@@ -15,7 +16,6 @@ use seizure_core::workspace::FeatureWorkspace;
 use seizure_core::{CoreError, SeizureLabel};
 use seizure_data::cohort::Cohort;
 use seizure_features::extractor::{FeatureExtractor, SlidingWindowConfig};
-use seizure_features::selection::{backward_elimination, CentroidSeparation};
 
 /// Labeling quality with a given number of features.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,8 +74,7 @@ pub fn run_feature_ablation(scale: ExperimentScale) -> Result<AblationResults, C
             window.window_seconds(),
             window.step_seconds(),
         )?;
-        let elimination = backward_elimination(features, &labels, &CentroidSeparation)?;
-        for (rank, &feature) in elimination.ranking.iter().enumerate() {
+        for (rank, &feature) in backward_elimination(features, &labels)?.iter().enumerate() {
             ranking_votes[feature] += (10 - rank) as f64;
         }
     }
@@ -94,7 +93,7 @@ pub fn run_feature_ablation(scale: ExperimentScale) -> Result<AblationResults, C
                     let record =
                         cohort.sample_record(patient, seizure, &sample_config, sample as u64)?;
                     labeler.extract_features_with(record.signal(), &mut workspace)?;
-                    let projected = workspace.matrix().select_columns(selected)?;
+                    let projected = select_columns(workspace.matrix(), selected)?;
                     let window = SlidingWindowConfig::new(
                         record.signal().sampling_frequency(),
                         labeler.config().window_secs,

@@ -1,8 +1,11 @@
 //! # seizure-bench
 //!
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§VI) on the synthetic CHB-MIT-like cohort, plus the ablation
-//! and baseline studies listed in `DESIGN.md`.
+//! evaluation (§VI) on the synthetic CHB-MIT-like cohort, plus the
+//! feature-ablation (E9) and clustering-baseline (E10) studies listed in
+//! `golden/README.md`. The algorithms only those studies run (backward
+//! elimination, k-means and k-medoids) live here, beside them, not in the
+//! device libraries.
 //!
 //! Each experiment is exposed as a library function returning a plain result
 //! struct, and a thin binary (`table1`, `table2`, `fig4`, `table3`,
@@ -15,8 +18,10 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
+mod clustering;
 pub mod labeling;
 pub mod scale;
+mod selection;
 pub mod synth;
 pub mod training;
 pub mod unsupervised;

@@ -1,4 +1,4 @@
-//! Unsupervised baseline (study E10 of `DESIGN.md`).
+//! Unsupervised baseline (study E10 of `golden/README.md`).
 //!
 //! The paper's related work (§II) cites k-means and k-medoids clustering as the
 //! best-performing unsupervised seizure detectors but notes that "their
@@ -8,14 +8,13 @@
 //! "seizure") and the resulting sensitivity/specificity/geometric mean is
 //! compared against the supervised random forest trained on expert labels.
 
+use crate::clustering::Clusters;
 use crate::scale::ExperimentScale;
 use seizure_core::label::SeizureLabel;
 use seizure_core::realtime::{balanced_indices, RealTimeDetector, RealTimeDetectorConfig};
 use seizure_core::workspace::FeatureWorkspace;
 use seizure_core::CoreError;
 use seizure_data::cohort::Cohort;
-use seizure_ml::kmeans::{KMeans, KMeansConfig};
-use seizure_ml::kmedoids::{KMedoids, KMedoidsConfig};
 use seizure_ml::metrics::ConfusionMatrix;
 
 /// Performance of one detector family in the baseline study.
@@ -106,15 +105,13 @@ pub fn run_unsupervised_baseline(scale: ExperimentScale) -> Result<BaselineResul
             // Normalize rows per feature for the clustering baselines.
             let normalized = normalize_rows(&matrix.to_rows());
 
-            let kmeans = KMeans::fit(&normalized, &KMeansConfig::default(), 7)?;
-            let assignments = kmeans.predict_batch(&normalized);
+            let assignments = Clusters::kmeans(&normalized, 7)?.predict_batch(&normalized);
             let seizure_cluster = minority_cluster(&assignments);
             let predictions: Vec<bool> =
                 assignments.iter().map(|&a| a == seizure_cluster).collect();
             kmeans_cm.merge(&ConfusionMatrix::from_predictions(&predictions, &truth)?);
 
-            let kmedoids = KMedoids::fit(&normalized, &KMedoidsConfig::default(), 7)?;
-            let assignments = kmedoids.predict_batch(&normalized);
+            let assignments = Clusters::kmedoids(&normalized, 7)?.predict_batch(&normalized);
             let seizure_cluster = minority_cluster(&assignments);
             let predictions: Vec<bool> =
                 assignments.iter().map(|&a| a == seizure_cluster).collect();

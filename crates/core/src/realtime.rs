@@ -324,10 +324,12 @@ impl RealTimeDetector {
     /// streamed, so the geometry must be one [`StreamingRichExtractor::new`]
     /// accepts. Any other is refused here, before a window is graded or
     /// extracted, so every entry point (training, detection, quality
-    /// grading and the pipeline's quarantine check) fails alike. The check
-    /// ([`StreamingRichExtractor::check_geometry`]) builds no extractor and
-    /// allocates nothing, so a geometry whose window no record can hold is
-    /// refused by the record check that follows, not by an allocation.
+    /// grading, the streaming front end and the pipeline's quarantine
+    /// check) fails alike. The check
+    /// ([`StreamingRichExtractor::check_geometry`]) builds no extractor,
+    /// allocates nothing and refuses a window longer than `u32::MAX`
+    /// samples, so an absurd rate (`1e15` Hz) is a typed error here, not an
+    /// allocation failure in the extractor.
     fn window_config(&self, fs: f64) -> Result<SlidingWindowConfig, CoreError> {
         let window = SlidingWindowConfig::new(fs, self.config.window_secs, self.config.overlap)?;
         StreamingRichExtractor::check_geometry(&window)?;

@@ -94,17 +94,19 @@ pub const MAX_SCRATCH_ORDER: usize = 8;
 ///
 /// Computes the same quantity as [`permutation_entropy`], but instead of
 /// hashing one heap-allocated key per ordinal pattern it ranks each pattern
-/// with its Lehmer code. This is the variant the batch feature extractors
-/// use: zero allocations per call once `counts` has warmed up, and no
-/// hashing.
+/// with its Lehmer code. This is the variant the paper set's hop engine
+/// ([`crate::streaming::StreamingPaperExtractor`]) uses for its three
+/// permutation entropies: zero allocations per call once `counts` has warmed
+/// up, and no hashing.
 ///
 /// The work is O(patterns), whatever the order:
 ///
-/// * With delay 1 and order 3 or 5 (the rich set's raw-window entropies)
-///   each pattern is ranked incrementally from the previous one, with
-///   `order − 1` comparisons and two table lookups instead of a sort.
-///   Other orders and delays rank every pattern with a stable insertion
-///   sort. Both rankers give every pattern the same rank.
+/// * With delay 1 and order 3 or 5 (in production, the paper set's
+///   order-5 entropy of the d7 band; the rich set counts its raw-window
+///   patterns per hop instead) each pattern is ranked incrementally from
+///   the previous one, with `order − 1` comparisons and two table lookups
+///   instead of a sort. Other orders and delays rank every pattern with a
+///   stable insertion sort. Both rankers give every pattern the same rank.
 /// * When the series has at least `order!` patterns, the ranks are counted
 ///   in a dense `order!`-slot table in `counts` and the entropy is summed
 ///   over its non-empty slots in rank order. With fewer patterns than

@@ -26,8 +26,8 @@
 //! The crate provides those ten features ([`extractor::PaperFeatureSet`]), a
 //! richer feature catalogue used by the real-time random-forest detector
 //! ([`extractor::RichFeatureSet`], mirroring the 54-feature detector of Sopic et
-//! al.), the sliding-window machinery, per-feature normalization and
-//! backward-elimination feature selection.
+//! al.), the sliding-window machinery and the per-feature normalization of
+//! Algorithm 1's line 1.
 //!
 //! # Example
 //!
@@ -61,7 +61,6 @@ pub mod hjorth;
 pub mod matrix;
 pub mod normalize;
 pub mod quality;
-pub mod selection;
 pub mod statistics;
 pub mod streaming;
 pub mod waveform;

@@ -173,53 +173,6 @@ impl FeatureMatrix {
         &mut self.data[row * f + col]
     }
 
-    /// Returns a new matrix containing only the columns at the given indices,
-    /// in the given order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::DimensionMismatch`] if any index is out of range.
-    pub fn select_columns(&self, indices: &[usize]) -> Result<FeatureMatrix, FeatureError> {
-        for &i in indices {
-            if i >= self.num_features() {
-                return Err(FeatureError::DimensionMismatch {
-                    detail: format!(
-                        "column index {i} out of range for a matrix with {} features",
-                        self.num_features()
-                    ),
-                });
-            }
-        }
-        let names = indices.iter().map(|&i| self.names[i].clone()).collect();
-        let mut out = FeatureMatrix::with_names(names);
-        for r in 0..self.rows {
-            let row = indices.iter().map(|&i| self.get(r, i)).collect();
-            out.push_row(row)
-                .expect("selected row length matches names");
-        }
-        Ok(out)
-    }
-
-    /// Appends all rows of `other` to this matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::DimensionMismatch`] if the feature counts differ.
-    pub fn append(&mut self, other: &FeatureMatrix) -> Result<(), FeatureError> {
-        if other.num_features() != self.num_features() {
-            return Err(FeatureError::DimensionMismatch {
-                detail: format!(
-                    "cannot append a matrix with {} features to one with {}",
-                    other.num_features(),
-                    self.num_features()
-                ),
-            });
-        }
-        self.data.extend_from_slice(&other.data);
-        self.rows += other.rows;
-        Ok(())
-    }
-
     /// Converts the matrix into plain row vectors (used by the ML substrate).
     pub fn to_rows(&self) -> Vec<Vec<f64>> {
         self.rows().map(|r| r.to_vec()).collect()
@@ -266,26 +219,6 @@ mod tests {
         let mut m = sample();
         *m.get_mut(0, 0) = 42.0;
         assert_eq!(m.get(0, 0), 42.0);
-    }
-
-    #[test]
-    fn select_columns_projects_and_orders() {
-        let m = sample();
-        let p = m.select_columns(&[2, 0]).unwrap();
-        assert_eq!(p.num_features(), 2);
-        assert_eq!(p.feature_names(), &["f3".to_string(), "f1".to_string()]);
-        assert_eq!(p.row(1), &[6.0, 4.0]);
-        assert!(m.select_columns(&[5]).is_err());
-    }
-
-    #[test]
-    fn append_concatenates_windows() {
-        let mut a = sample();
-        let b = sample();
-        a.append(&b).unwrap();
-        assert_eq!(a.num_windows(), 6);
-        let other = FeatureMatrix::with_names(vec!["x".into()]);
-        assert!(a.append(&other).is_err());
     }
 
     #[test]

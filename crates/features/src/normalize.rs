@@ -3,87 +3,11 @@
 //! Line 1 of the paper's Algorithm 1 normalizes each feature across the whole
 //! signal: "the mean value, across the signal, of the corresponding feature is
 //! subtracted and the result is divided by the standard deviation of the
-//! feature". This module implements that transformation together with a
-//! reusable scaler for applying the *same* transformation to new data (needed
-//! when the real-time detector is trained on one recording and applied to
-//! another).
+//! feature". This module implements that transformation.
 
 use crate::error::FeatureError;
 use crate::matrix::FeatureMatrix;
 use seizure_dsp::stats;
-
-/// A fitted per-feature z-score scaler.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ZScoreScaler {
-    means: Vec<f64>,
-    stds: Vec<f64>,
-}
-
-impl ZScoreScaler {
-    /// Fits the scaler to the columns of `matrix`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::DimensionMismatch`] if the matrix has no windows.
-    pub fn fit(matrix: &FeatureMatrix) -> Result<Self, FeatureError> {
-        if matrix.is_empty() {
-            return Err(FeatureError::DimensionMismatch {
-                detail: "cannot fit a scaler on an empty feature matrix".to_string(),
-            });
-        }
-        let mut means = Vec::with_capacity(matrix.num_features());
-        let mut stds = Vec::with_capacity(matrix.num_features());
-        for c in 0..matrix.num_features() {
-            let col = matrix.column(c);
-            means.push(stats::mean(&col)?);
-            stds.push(stats::std_dev(&col)?);
-        }
-        Ok(Self { means, stds })
-    }
-
-    /// Per-feature means captured at fit time.
-    pub fn means(&self) -> &[f64] {
-        &self.means
-    }
-
-    /// Per-feature standard deviations captured at fit time.
-    pub fn stds(&self) -> &[f64] {
-        &self.stds
-    }
-
-    /// Applies the fitted transformation to `matrix`, returning a new matrix.
-    ///
-    /// Features whose standard deviation was zero at fit time are only
-    /// mean-centred, so the output never contains NaNs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::DimensionMismatch`] if the feature count differs
-    /// from the fitted one.
-    pub fn transform(&self, matrix: &FeatureMatrix) -> Result<FeatureMatrix, FeatureError> {
-        if matrix.num_features() != self.means.len() {
-            return Err(FeatureError::DimensionMismatch {
-                detail: format!(
-                    "scaler was fitted on {} features but the matrix has {}",
-                    self.means.len(),
-                    matrix.num_features()
-                ),
-            });
-        }
-        let mut out = matrix.clone();
-        for r in 0..out.num_windows() {
-            for c in 0..out.num_features() {
-                let centred = out.get(r, c) - self.means[c];
-                *out.get_mut(r, c) = if self.stds[c] > 0.0 {
-                    centred / self.stds[c]
-                } else {
-                    centred
-                };
-            }
-        }
-        Ok(out)
-    }
-}
 
 /// Normalizes each feature column of `matrix` to zero mean and unit standard
 /// deviation (Algorithm 1, Line 1). Constant columns are only mean-centred.
@@ -108,8 +32,21 @@ impl ZScoreScaler {
 /// # }
 /// ```
 pub fn normalize_features(matrix: &FeatureMatrix) -> Result<FeatureMatrix, FeatureError> {
-    let scaler = ZScoreScaler::fit(matrix)?;
-    scaler.transform(matrix)
+    if matrix.is_empty() {
+        return Err(FeatureError::DimensionMismatch {
+            detail: "cannot normalize an empty feature matrix".to_string(),
+        });
+    }
+    let mut out = matrix.clone();
+    for c in 0..matrix.num_features() {
+        let col = matrix.column(c);
+        let (mean, std) = (stats::mean(&col)?, stats::std_dev(&col)?);
+        for r in 0..out.num_windows() {
+            let centred = out.get(r, c) - mean;
+            *out.get_mut(r, c) = if std > 0.0 { centred / std } else { centred };
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -149,29 +86,6 @@ mod tests {
     fn empty_matrix_rejected() {
         let m = FeatureMatrix::with_names(vec!["a".into()]);
         assert!(normalize_features(&m).is_err());
-        assert!(ZScoreScaler::fit(&m).is_err());
-    }
-
-    #[test]
-    fn scaler_applies_training_statistics_to_new_data() {
-        let train = sample();
-        let scaler = ZScoreScaler::fit(&train).unwrap();
-        assert_eq!(scaler.means()[0], 2.5);
-        let test = FeatureMatrix::from_rows(
-            vec!["a".into(), "b".into(), "const".into()],
-            vec![vec![2.5, 25.0, 5.0]],
-        )
-        .unwrap();
-        let z = scaler.transform(&test).unwrap();
-        // The training mean maps exactly to zero.
-        assert!(z.row(0).iter().all(|v| v.abs() < 1e-12));
-    }
-
-    #[test]
-    fn scaler_rejects_feature_count_mismatch() {
-        let scaler = ZScoreScaler::fit(&sample()).unwrap();
-        let other = FeatureMatrix::from_rows(vec!["x".into()], vec![vec![1.0]]).unwrap();
-        assert!(scaler.transform(&other).is_err());
     }
 
     #[test]

@@ -489,13 +489,25 @@ impl StreamingRichExtractor {
     ///
     /// Returns [`FeatureError::InvalidConfig`] when the window is not an
     /// integer multiple (at least two) of the hop, so that hop summaries
-    /// tile windows exactly, or the hop does not exceed the order-5 ordinal
-    /// pattern span of four samples, and [`FeatureError::Dsp`] for a window
-    /// too short for the db4 carry (fewer than 16 samples). The paper's
-    /// 4 s / 75 % geometry satisfies all of these at any rate.
+    /// tile windows exactly, the hop does not exceed the order-5 ordinal
+    /// pattern span of four samples, or the window is longer than
+    /// `u32::MAX` samples, past what the hop summaries' `u32` zero-crossing
+    /// and ordinal-pattern counters can count; and [`FeatureError::Dsp`] for
+    /// a window too short for the db4 carry (fewer than 16 samples). The
+    /// paper's 4 s / 75 % geometry satisfies all of these at any rate up to
+    /// about 1 GHz.
     pub fn check_geometry(config: &SlidingWindowConfig) -> Result<(), FeatureError> {
         check_tiled("streaming rich extraction", config)?;
         let (window, hop) = (config.window_samples(), config.step_samples());
+        if u32::try_from(window).is_err() {
+            return Err(FeatureError::InvalidConfig {
+                name: "config",
+                reason: format!(
+                    "streaming rich extraction counts a window's patterns in u32, so windows \
+                     are limited to u32::MAX samples, got {window}"
+                ),
+            });
+        }
         if window / hop < 2 || hop <= 4 {
             return Err(FeatureError::InvalidConfig {
                 name: "config",

@@ -5,9 +5,8 @@
 //!
 //! The paper's real-time detector is a random forest (following Sopic et al.,
 //! e-Glass, ISCAS 2018) that the wearable retrains after each confirmed
-//! missed seizure, and its related work compares against unsupervised
-//! k-means / k-medoids detection (Smart & Chen, CIBCB 2015). Everything needed
-//! for those experiments is implemented here from scratch:
+//! missed seizure. Everything the device needs for it is implemented here
+//! from scratch:
 //!
 //! * [`incremental`] — the forest's one trainer: appends merge into the
 //!   presorted runs and only the trees whose bootstrap pools were touched
@@ -18,7 +17,6 @@
 //! * [`flat`] — the struct-of-arrays forest the trainer emits and the
 //!   detector predicts with,
 //! * [`forest`] — the forest hyper-parameters,
-//! * [`kmeans`] / [`kmedoids`] — unsupervised clustering baselines,
 //! * [`persist`] — versioned binary snapshots of forests, training sets and
 //!   incremental trainers, so a wearable resumes its personalized pool
 //!   across power cycles,
@@ -60,8 +58,6 @@ pub mod error;
 pub mod flat;
 pub mod forest;
 pub mod incremental;
-pub mod kmeans;
-pub mod kmedoids;
 pub mod metrics;
 #[cfg(test)]
 mod oracle;

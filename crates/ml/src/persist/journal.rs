@@ -596,8 +596,9 @@ pub enum DeltaSave {
     /// journal region (first save, or a compaction folding the journal into
     /// a fresh full snapshot). O(pool).
     Full(Vec<u8>),
-    /// Append these bytes to the journal region. O(batch) — the steady
-    /// state of the per-seizure save.
+    /// Append these bytes to the journal region: one frame per entry
+    /// journaled since the last save. O(batch) per entry — the steady state
+    /// of the per-seizure save.
     Append(Vec<u8>),
     /// Nothing changed since the last save; write nothing.
     Clean,

@@ -432,7 +432,8 @@ impl Flash for FaultyFlash {
 pub enum StoreSave {
     /// Nothing changed since the last save; nothing was written.
     Clean,
-    /// One O(batch) append landed in the journal region.
+    /// The entries journaled since the last save (one per learned seizure,
+    /// each O(batch)) landed in the journal region in one append.
     Appended,
     /// The state was compacted into the inactive base slot (A/B commit).
     Rebased,
@@ -745,13 +746,19 @@ impl<F: Flash> FlashStore<F> {
         Ok(())
     }
 
-    /// Appends journal bytes (one or more frames from a
-    /// [`journal::DeltaSave::Append`]) after the current journal prefix.
+    /// Appends journal bytes (one or more whole frames, as a
+    /// [`journal::DeltaSave::Append`] carries every entry journaled since
+    /// the last save) after the current journal prefix, and counts each
+    /// frame as one entry, as a remount's [`MountReport::journal_entries`]
+    /// will. The frames are counted by walking their envelope lengths; their
+    /// rows are not decoded.
     ///
     /// # Errors
     ///
     /// [`PersistError::Corrupted`] when the bytes do not fit the journal
-    /// region (compact instead), or any Flash failure.
+    /// region (compact instead), the framing errors of the envelope parser
+    /// when they are not a run of whole frames (nothing is written then), or
+    /// any Flash failure.
     pub fn append_journal(&mut self, entry: &[u8]) -> Result<(), PersistError> {
         if entry.is_empty() {
             return Ok(());
@@ -765,6 +772,12 @@ impl<F: Flash> FlashStore<F> {
                 ),
             });
         }
+        let mut frames = 0;
+        let mut rest = entry;
+        while !rest.is_empty() {
+            rest = &rest[Envelope::parse(rest)?.len()..];
+            frames += 1;
+        }
         let offset = self.geometry.journal_offset() + self.journal_len;
         if self.tail_dirty {
             // Stale frames beyond the valid prefix (discarded at mount)
@@ -776,7 +789,7 @@ impl<F: Flash> FlashStore<F> {
         }
         self.flash.program(offset, entry)?;
         self.journal_len += entry.len();
-        self.journal_entries += 1;
+        self.journal_entries += frames;
         Ok(())
     }
 
@@ -1139,6 +1152,38 @@ mod tests {
             "the stale frame2 must not survive behind the new append"
         );
         assert_eq!(store.journal().unwrap(), replacement);
+    }
+
+    #[test]
+    fn one_append_of_two_frames_counts_both() {
+        // A save after two learned seizures appends both entries at once;
+        // the live count must match what a remount finds on the Flash.
+        let (base, mut writer, mut trainer) = base_and_writer(8);
+        let mut store = formatted(&base);
+        store
+            .append_journal(&entry_frame(&mut writer, &mut trainer, 4, 0))
+            .unwrap();
+        let mut two = entry_frame(&mut writer, &mut trainer, 4, 4);
+        two.extend(entry_frame(&mut writer, &mut trainer, 4, 8));
+        store.append_journal(&two).unwrap();
+        let live = (store.journal_entries(), store.journal_len());
+        let (_, report) = remount(store);
+        assert_eq!(live, (report.journal_entries, report.journal_len));
+        assert_eq!(live.0, 3);
+    }
+
+    #[test]
+    fn an_append_that_is_not_whole_frames_writes_nothing() {
+        let (base, mut writer, mut trainer) = base_and_writer(8);
+        let mut store = formatted(&base);
+        let frame = entry_frame(&mut writer, &mut trainer, 4, 0);
+        assert!(store.append_journal(&frame[..frame.len() - 1]).is_err());
+        assert!(store.append_journal(&[0u8; 16]).is_err());
+        assert_eq!((store.journal_entries(), store.journal_len()), (0, 0));
+        store.append_journal(&frame).unwrap();
+        let (store, report) = remount(store);
+        assert_eq!(report.journal_entries, 1);
+        assert_eq!(store.journal().unwrap(), frame);
     }
 
     #[test]

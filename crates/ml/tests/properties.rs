@@ -4,7 +4,6 @@ use proptest::prelude::*;
 use seizure_ml::flat::FlatForest;
 use seizure_ml::forest::RandomForestConfig;
 use seizure_ml::incremental::{IncrementalTrainer, IncrementalTrainerConfig};
-use seizure_ml::kmeans::{KMeans, KMeansConfig};
 use seizure_ml::metrics::{geometric_mean, ConfusionMatrix};
 use seizure_ml::persist::journal::{replay, JournalWriter};
 use seizure_ml::persist::{
@@ -283,19 +282,6 @@ proptest! {
         let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = values.iter().cloned().fold(0.0, f64::max);
         prop_assert!(g >= min - 1e-9 && g <= max + 1e-9);
-    }
-
-    #[test]
-    fn kmeans_assigns_every_point_to_an_existing_cluster(seed in 0u64..200, k in 1usize..4) {
-        let points: Vec<Vec<f64>> = (0..30)
-            .map(|i| vec![(i as f64 * 0.7 + seed as f64).sin() * 10.0, (i as f64 * 1.3).cos() * 10.0])
-            .collect();
-        let model = KMeans::fit(&points, &KMeansConfig { k, ..Default::default() }, seed).unwrap();
-        prop_assert_eq!(model.centroids().len(), k);
-        for p in &points {
-            prop_assert!(model.predict(p) < k);
-        }
-        prop_assert!(model.inertia() >= 0.0);
     }
 }
 

@@ -10,11 +10,10 @@
 //!
 //! * [`dsp`] — FFT, power spectra, Daubechies wavelets and the
 //!   statistics the features use ([`seizure_dsp`]),
-//! * [`features`] — EEG feature extraction and selection
-//!   ([`seizure_features`]),
+//! * [`features`] — EEG feature extraction ([`seizure_features`]),
 //! * [`data`] — the synthetic CHB-MIT-like cohort ([`seizure_data`]),
 //! * [`ml`] — the incrementally retrained random forest, its Flash
-//!   persistence, clustering baselines and metrics ([`seizure_ml`]),
+//!   persistence and metrics ([`seizure_ml`]),
 //! * [`core`] — Algorithm 1, the δ metric and the self-learning pipeline
 //!   ([`seizure_core`]),
 //! * [`edge`] — the wearable-platform energy/memory/timing models

@@ -155,9 +155,11 @@ fn a_rate_no_record_holds_a_window_of_is_refused_by_every_record_entry_point() {
             })
         )
     };
-    // With the gate on, quality grading runs first, and its grader's run
-    // counters refuse a 1e15-sample hop.
-    let refused_hop = |err: &CoreError| {
+    // The detector's geometry check refuses the 4e15-sample window, which
+    // its u32 pattern counters cannot count, before any quality grading or
+    // rich extraction. Only the paper engine, which has no such bound, meets
+    // the record first (ungated labeling) and finds it too short.
+    let invalid_config = |err: &CoreError| {
         matches!(
             err,
             CoreError::Feature(FeatureError::InvalidConfig { name: "config", .. })
@@ -173,7 +175,7 @@ fn a_rate_no_record_holds_a_window_of_is_refused_by_every_record_entry_point() {
         };
         let refused = |err: &CoreError| {
             if gate {
-                refused_hop(err)
+                invalid_config(err)
             } else {
                 too_short(err)
             }
@@ -188,7 +190,7 @@ fn a_rate_no_record_holds_a_window_of_is_refused_by_every_record_entry_point() {
             .detector()
             .build_training_windows_with(&signal, &truth, &mut ws)
             .unwrap_err();
-        assert!(too_short(&err), "gate {gate}: {err:?}");
+        assert!(invalid_config(&err), "gate {gate}: {err:?}");
         pipeline
             .observe_missed_seizure(&normal, 30.0, LabelSource::Expert)
             .unwrap();
@@ -196,10 +198,42 @@ fn a_rate_no_record_holds_a_window_of_is_refused_by_every_record_entry_point() {
             .detector()
             .detect_into(&signal, &mut ws)
             .unwrap_err();
-        assert!(refused(&err), "gate {gate}: {err:?}");
+        assert!(invalid_config(&err), "gate {gate}: {err:?}");
     }
     let err = PosterioriLabeler::new(LabelerConfig::default())
         .label(&signal, 30.0, &mut ws)
         .unwrap_err();
     assert!(too_short(&err), "{err:?}");
+}
+
+#[test]
+fn a_window_past_u32_samples_is_refused_by_the_streaming_front_end() {
+    // At 1e15 Hz a 4 s window spans 4e15 samples, more than the hop
+    // summaries' u32 counters can count. The streaming front end has no
+    // record to check, so the geometry check must refuse the rate before the
+    // extractor asks for a 4e15-sample window ring.
+    let cohort = Cohort::chb_mit_like(17);
+    let record = cohort.sample_record(8, 0, &sample_config(), 3).unwrap();
+    let mut pipeline = SelfLearningPipeline::new(LabelerConfig::default(), fast_detector());
+    pipeline
+        .observe_missed_seizure(&record, 30.0, LabelSource::Expert)
+        .unwrap();
+    let err = pipeline.detector().streaming(1e15).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CoreError::Feature(FeatureError::InvalidConfig { name: "config", .. })
+        ),
+        "{err:?}"
+    );
+    // The paper's rate still streams: 7 s at 256 Hz complete four windows.
+    let mut stream = pipeline.detector().streaming(256.0).unwrap();
+    let mut windows = Vec::new();
+    for i in 0..7 * 256 {
+        let t = i as f64 / 256.0;
+        if let Some(d) = stream.push((t * 9.0).sin(), (t * 5.0).cos()).unwrap() {
+            windows.push(d.window_index);
+        }
+    }
+    assert_eq!(windows, vec![0, 1, 2, 3]);
 }
