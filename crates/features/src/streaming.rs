@@ -124,6 +124,21 @@ pub(crate) fn check_tiled(engine: &str, config: &SlidingWindowConfig) -> Result<
     })
 }
 
+/// Refuses a window longer than `u32::MAX` samples, past what an engine's
+/// `u32` pattern counters can count. Allocates nothing on success.
+fn check_u32_window(engine: &str, window: usize) -> Result<(), FeatureError> {
+    if u32::try_from(window).is_ok() {
+        return Ok(());
+    }
+    Err(FeatureError::InvalidConfig {
+        name: "config",
+        reason: format!(
+            "{engine} counts a window's patterns in u32, so windows are limited to u32::MAX \
+             samples, got {window}"
+        ),
+    })
+}
+
 /// Misuse-only error constructor for a selected window the record lacks.
 #[cold]
 fn window_out_of_range(index: usize, count: usize) -> FeatureError {
@@ -499,15 +514,7 @@ impl StreamingRichExtractor {
     pub fn check_geometry(config: &SlidingWindowConfig) -> Result<(), FeatureError> {
         check_tiled("streaming rich extraction", config)?;
         let (window, hop) = (config.window_samples(), config.step_samples());
-        if u32::try_from(window).is_err() {
-            return Err(FeatureError::InvalidConfig {
-                name: "config",
-                reason: format!(
-                    "streaming rich extraction counts a window's patterns in u32, so windows \
-                     are limited to u32::MAX samples, got {window}"
-                ),
-            });
-        }
+        check_u32_window("streaming rich extraction", window)?;
         if window / hop < 2 || hop <= 4 {
             return Err(FeatureError::InvalidConfig {
                 name: "config",
@@ -739,9 +746,12 @@ impl StreamingPaperExtractor {
     /// # Errors
     ///
     /// Returns [`FeatureError::InvalidConfig`] when the step does not divide
-    /// the window (hops must tile windows exactly; a 60 % overlap, say), and
-    /// [`FeatureError::Dsp`] for a window too short for one db4 level (fewer
-    /// than 16 samples), which the per-window reference refuses too.
+    /// the window (hops must tile windows exactly; a 60 % overlap, say) or
+    /// the window is longer than `u32::MAX` samples, past what the
+    /// permutation entropies' `u32` pattern counters can count, both before
+    /// anything is allocated; and [`FeatureError::Dsp`] for a window too
+    /// short for one db4 level (fewer than 16 samples), which the per-window
+    /// reference refuses too.
     pub fn new(config: &SlidingWindowConfig) -> Result<Self, FeatureError> {
         Self::check(config)?;
         let window = config.window_samples();
@@ -843,6 +853,7 @@ impl HopEngine for StreamingPaperExtractor {
     fn check(config: &SlidingWindowConfig) -> Result<(), FeatureError> {
         check_tiled("streaming paper extraction", config)?;
         let (window, hop) = (config.window_samples(), config.step_samples());
+        check_u32_window("streaming paper extraction", window)?;
         let levels = PAPER_WAVELET_LEVELS.min(max_level(window)).max(1);
         Ok(StreamingWavelet::check(window, hop, levels, 3.min(levels))?)
     }
@@ -1124,8 +1135,16 @@ mod tests {
         // 60 % overlap: 1024-sample window, 410-sample step — not a divisor.
         let uneven = SlidingWindowConfig::new(256.0, 4.0, 0.6).unwrap();
         assert!(StreamingRichExtractor::new(&uneven).is_err());
+        // A window past u32::MAX samples is refused before any allocation
+        // (a 4e15-sample window would otherwise abort the process).
+        let absurd = SlidingWindowConfig::paper_default(1e15).unwrap();
+        assert!(matches!(
+            StreamingPaperExtractor::new(&absurd),
+            Err(FeatureError::InvalidConfig { name: "config", .. })
+        ));
 
         let config = SlidingWindowConfig::paper_default(256.0).unwrap();
+        assert!(StreamingPaperExtractor::new(&config).is_ok());
         let mut streaming = StreamingRichExtractor::new(&config).unwrap();
         let mut row = vec![0.0; 54];
         assert!(streaming

@@ -9,9 +9,10 @@
 //! with a fingerprint of the sample pool the tree's bootstrap stream drew
 //! from. On [`IncrementalTrainer::retrain`] only the trees whose pools were
 //! touched by the growth are refitted; the rest are reused verbatim. A
-//! refitted tree maps its bootstrap draws to pool ids and expands the
-//! presorted runs by its counts, so each refit costs O(pool) per feature.
-//! The pool is capped at [`TrainingSet::MAX_SAMPLES`] samples, far above
+//! refitted tree maps its bootstrap draws to pool ids and tallies them into
+//! distinct ids with their counts, and each of its nodes orders only the
+//! features it tries (see [`crate::training`]), so no refit copies every
+//! feature's run. The pool is capped at [`TrainingSet::MAX_SAMPLES`] samples, far above
 //! what the wearable can persist.
 //!
 //! # Pool partitioning

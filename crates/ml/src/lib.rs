@@ -13,7 +13,7 @@
 //!   are refitted,
 //! * [`training`] — the parallel, scratch-backed tree growth it runs on:
 //!   feature-major columns with one presorted u16 id run per feature,
-//!   arena-built trees,
+//!   arena-built trees whose nodes order only the features they try,
 //! * [`flat`] — the struct-of-arrays forest the trainer emits and the
 //!   detector predicts with,
 //! * [`forest`] — the forest hyper-parameters,

@@ -17,9 +17,11 @@
 //!
 //! The trees are then flattened in DFS preorder through
 //! [`FlatForest::from_raw_parts`]. The comparison holds on finite values:
-//! with NaNs, the engine's presorted runs and the per-node sorts can order
-//! bit-identical NaNs differently inside a tie group and then pick
-//! different (degenerate) splits.
+//! the engine orders every node by `(value, id)`, while the oracle's stable
+//! sort keeps draw order inside a tie. Ties between equal finite values
+//! cannot be split, so their order never reaches a node; but `NaN == NaN`
+//! is false, so the scan weighs cuts inside a group of bit-identical NaNs,
+//! and the two orders can then pick different (degenerate) splits.
 
 use crate::flat::{FlatForest, LEAF};
 use crate::forest::RandomForestConfig;

@@ -3,11 +3,14 @@
 //! This module grows the trees [`IncrementalTrainer`] fits, straight into
 //! the [`FlatForest`] layout the detector runs. A [`TrainingSet`] stores the
 //! design matrix in **feature-major columns** next to **one presorted run of
-//! u16 sample ids per feature**; tree growth then runs on a reusable split
-//! scratch whose per-feature index segments are kept sorted by stable
-//! partitioning at each split (no per-node sorting), and nodes are appended
-//! to a node arena in DFS preorder (no per-node boxing). Trees are fitted in
-//! parallel over the `seizure-parallel` scoped threads.
+//! u16 sample ids per feature**. A tree keeps only its distinct drawn pool
+//! ids with their bootstrap counts, and a node is one contiguous range of
+//! them: for each candidate feature the node puts its ids in that feature's
+//! run order (filtering the run through a per-id node tag while the node
+//! holds a large share of the pool, sorting its ids on `(value total_cmp,
+//! id)` once it is small), then the chosen split partitions the range once.
+//! Nodes are appended to a node arena in DFS preorder (no per-node boxing).
+//! Trees are fitted in parallel over the `seizure-parallel` scoped threads.
 //!
 //! The layout is sized to the wearable, whose Flash cannot persist even a
 //! few hundred windows next to its signal buffer:
@@ -18,15 +21,16 @@
 //!   feature's run with one two-way merge (value ties keep ascending ids),
 //!   so the grown set equals a from-scratch build of the concatenated rows;
 //! * a tree job is only its bootstrap draws (pool ids, repetitions allowed)
-//!   and the seed of its feature-subsampling stream: the tree expands every
-//!   feature's run by its draw counts, O(pool) per feature.
+//!   and the seed of its feature-subsampling stream, and a worker's scratch
+//!   holds a few bytes per pool id, never a copy of every feature's run.
 //!
 //! Each tree's feature subsampling replays a private ChaCha8 stream, and the
-//! split scan is plain CART: Gini gain at every boundary between distinct
-//! values, the first strictly best gain wins, and the threshold is the
-//! midpoint of the two values. The crate's tests hold a boxed CART oracle
-//! that sorts every node's samples afresh, and assert on finite values that
-//! [`IncrementalTrainer::retrain`] equals it node for node.
+//! split scan is plain CART over the node's bootstrap multiset, each id
+//! replayed as often as it was drawn: Gini gain at every boundary between
+//! distinct values, the first strictly best gain wins, and the threshold is
+//! the midpoint of the two values. The crate's tests hold a boxed CART
+//! oracle that sorts every node's samples afresh, and assert on finite
+//! values that [`IncrementalTrainer::retrain`] equals it node for node.
 
 use crate::error::MlError;
 use crate::flat::{FlatForest, LEAF};
@@ -232,6 +236,12 @@ impl TrainingSet {
         &self.columns[f * n..(f + 1) * n]
     }
 
+    /// Feature `f`'s presorted run of sample ids.
+    fn run(&self, f: usize) -> &[u16] {
+        let n = self.len();
+        &self.order[f * n..(f + 1) * n]
+    }
+
     /// Bytes held by the presorted runs: one u16 per sample per feature.
     pub fn order_bytes(&self) -> usize {
         self.order.len() * std::mem::size_of::<u16>()
@@ -280,72 +290,115 @@ fn check_capacity(samples: usize) -> Result<(), MlError> {
     Ok(())
 }
 
-/// Reusable per-worker scratch for growing one tree at a time: the per-tree
-/// bootstrap multiset orders (one sorted segment per feature), the stable
-/// partition buffer, the bootstrap count table and the candidate-feature
-/// list. One scratch serves every tree a worker fits, so tree growth touches
-/// the heap only when a buffer first grows.
+/// Reusable per-worker scratch for growing one tree at a time: the tree's
+/// distinct drawn pool ids (each node owns one contiguous range of them),
+/// their bootstrap counts, the per-id node tags the run filter reads, one
+/// candidate feature's ordered node ids and the candidate-feature list. One
+/// scratch serves every tree a worker fits, so tree growth touches the heap
+/// only when a buffer first grows.
 #[derive(Debug, Default)]
 struct SplitScratch {
-    /// Per-feature bootstrap multiset, column-major: `order[f * m ..][..m]`
-    /// lists the drawn sample ids in ascending order of feature `f`.
-    order: Vec<u16>,
-    /// Stable-partition staging buffer (`m` ids).
-    buf: Vec<u16>,
-    /// Bootstrap multiplicity per pool sample.
+    /// The tree's distinct drawn pool ids; a node is one contiguous range.
+    ids: Vec<u16>,
+    /// Bootstrap multiplicity per pool id (0 = not drawn).
     counts: Vec<u32>,
-    /// Split-side table per pool sample (1 = left), evaluated once per
-    /// split so partitioning the feature segments never re-gathers the split
-    /// column.
-    side: Vec<u8>,
+    /// Per pool id, the stamp of the last node that filtered the presorted
+    /// runs through it (0 = none this tree).
+    tag: Vec<u32>,
+    /// The last stamp handed out this tree.
+    stamp: u32,
+    /// One candidate feature's node ids in `(value, id)` order, plus one
+    /// spare slot for the filter's branch-free store.
+    sorted: Vec<u16>,
     /// Candidate feature list shuffled per node.
     features: Vec<usize>,
 }
 
 impl SplitScratch {
-    /// Prepares the scratch for one tree: zeroes the count table, tallies the
-    /// bootstrap draws and materializes the per-feature sorted multisets by
-    /// expanding every feature's presorted run by the bootstrap counts.
-    fn load_tree(&mut self, set: &TrainingSet, draws: &[u16]) {
-        let n = set.len();
-        let m = draws.len();
+    /// Prepares the scratch for one tree over a pool of `n` ids: tallies the
+    /// bootstrap draws per id and lists the distinct drawn ids in ascending
+    /// order.
+    fn load_tree(&mut self, n: usize, draws: &[u16]) {
         self.counts.clear();
         self.counts.resize(n, 0);
         for &d in draws {
             self.counts[d as usize] += 1;
         }
-        self.buf.resize(m, 0);
-        self.side.clear();
-        self.side.resize(n, 0);
-        // Three spare slots absorb the unconditional overflow writes of the
-        // branch-light emit below.
-        let need = set.num_features() * m + 3;
-        if self.order.len() != need {
-            self.order.resize(need, 0);
-        }
-        // Every feature's run expands to exactly `m` ids, so the runs'
-        // feature-major layout lands on the `m`-per-feature segments.
-        let mut k = 0usize;
-        // lint: hot-path
-        for &id in &set.order {
-            let c = self.counts[id as usize] as usize;
-            // Branch-light emit: bootstrap multiplicities are almost always
-            // <= 3, so three unconditional stores cover ~98% of samples
-            // without a data-dependent branch; slots written past `k + c`
-            // are overwritten by the following samples (or land in the spare
-            // tail).
-            let end = k + c;
-            self.order[k] = id;
-            self.order[k + 1] = id;
-            self.order[k + 2] = id;
-            if c > 3 {
-                for slot in &mut self.order[k + 3..end] {
-                    *slot = id;
-                }
+        self.ids.clear();
+        self.ids
+            .extend((0..n).filter(|&i| self.counts[i] > 0).map(|i| i as u16));
+        self.tag.clear();
+        self.tag.resize(n, 0);
+        self.stamp = 0;
+        self.sorted.resize(n + 1, 0);
+    }
+
+    /// Chooses from its size alone how the node `[lo, hi)` orders its
+    /// candidates, and returns whether it filters: a node holding a large
+    /// share of the `n`-id pool stamps its ids with a fresh tag and filters
+    /// each candidate's presorted run (O(n) per candidate), a smaller one
+    /// sorts its own `d` ids (O(d log d) per candidate).
+    // lint: hot-path
+    fn begin_node(&mut self, lo: usize, hi: usize, n: usize) -> bool {
+        let d = hi - lo;
+        let filters = 4 * d * (usize::BITS - d.leading_zeros()) as usize >= n;
+        if filters {
+            self.stamp += 1;
+            for &id in &self.ids[lo..hi] {
+                self.tag[id as usize] = self.stamp;
             }
-            k = end;
         }
-        debug_assert_eq!(k, set.num_features() * m);
+        filters
+    }
+
+    /// Writes the ids of the node `[lo, hi)` into `sorted[..hi - lo]` in
+    /// feature `f`'s presorted-run order, `(value total_cmp, id)`, the way
+    /// [`SplitScratch::begin_node`] chose.
+    // lint: hot-path
+    fn order_node(&mut self, set: &TrainingSet, f: usize, lo: usize, hi: usize, filters: bool) {
+        if filters {
+            let mut k = 0usize;
+            for &id in set.run(f) {
+                self.sorted[k] = id;
+                k += usize::from(self.tag[id as usize] == self.stamp);
+            }
+            debug_assert_eq!(k, hi - lo);
+        } else {
+            let col = set.column(f);
+            let out = &mut self.sorted[..hi - lo];
+            out.copy_from_slice(&self.ids[lo..hi]);
+            out.sort_unstable_by(|&a, &b| {
+                col[a as usize].total_cmp(&col[b as usize]).then(a.cmp(&b))
+            });
+        }
+    }
+
+    /// Partitions the node's ids `[lo, hi)` so the ids whose value in `col`
+    /// is at most `threshold` come first; returns where the right side starts
+    /// and the left side's bootstrap size and positive count.
+    // lint: hot-path
+    fn partition(
+        &mut self,
+        col: &[f64],
+        labels: &[bool],
+        threshold: f64,
+        lo: usize,
+        hi: usize,
+    ) -> (usize, usize, usize) {
+        let mut mid = lo;
+        let mut left_n = 0usize;
+        let mut left_pos = 0usize;
+        for i in lo..hi {
+            let id = self.ids[i] as usize;
+            if col[id] <= threshold {
+                let c = self.counts[id] as usize;
+                left_n += c;
+                left_pos += c * labels[id] as usize;
+                self.ids.swap(mid, i);
+                mid += 1;
+            }
+        }
+        (mid, left_n, left_pos)
     }
 }
 
@@ -502,51 +555,41 @@ pub(crate) fn stitch_forest(num_features: usize, trees: &[&NodeArena]) -> FlatFo
     )
 }
 
-/// Grows one tree on the scratch and returns its arena: expands the
-/// presorted runs into the per-feature multisets and recurses over the
-/// splits.
+/// Grows one tree on the scratch and returns its arena: tallies the draws
+/// into distinct pool ids and recurses over the splits.
 fn build_tree(
     set: &TrainingSet,
     config: &DecisionTreeConfig,
     job: &TreeJob<'_>,
     scratch: &mut SplitScratch,
 ) -> NodeArena {
-    scratch.load_tree(set, job.draws);
+    scratch.load_tree(set.len(), job.draws);
     let mut rng = ChaCha8Rng::seed_from_u64(job.seed);
     let mut arena = NodeArena::default();
     let labels = set.labels();
-    let pos: usize = scratch.order[..job.draws.len()]
-        .iter()
-        .map(|&s| labels[s as usize] as usize)
-        .sum();
-    build_node(
-        set,
-        scratch,
-        &mut arena,
-        config,
-        NodeSpan {
-            lo: 0,
-            hi: job.draws.len(),
-            pos,
-        },
-        0,
-        &mut rng,
-    );
+    let pos: usize = job.draws.iter().map(|&s| labels[s as usize] as usize).sum();
+    let span = NodeSpan {
+        lo: 0,
+        hi: scratch.ids.len(),
+        len: job.draws.len(),
+        pos,
+    };
+    build_node(set, scratch, &mut arena, config, span, 0, &mut rng);
     arena
 }
 
-/// One node's multiset segment (`[lo, hi)` across every feature's sorted
-/// order) plus its positive count, threaded through the recursion so no node
-/// recounts its labels.
+/// One node: its range `[lo, hi)` of the tree's distinct ids, the size of
+/// its bootstrap multiset and its positive count, threaded through the
+/// recursion so no node recounts its labels.
 #[derive(Clone, Copy)]
 struct NodeSpan {
     lo: usize,
     hi: usize,
+    len: usize,
     pos: usize,
 }
 
-/// Recursively grows the node covering `span` (the same `[lo, hi)` range
-/// across every feature's sorted segment), appending to `arena` in DFS
+/// Recursively grows the node covering `span`, appending to `arena` in DFS
 /// preorder.
 fn build_node(
     set: &TrainingSet,
@@ -557,126 +600,61 @@ fn build_node(
     depth: usize,
     rng: &mut ChaCha8Rng,
 ) -> u32 {
-    let m = scratch.buf.len();
-    let NodeSpan { lo, hi, pos } = span;
-    let len = hi - lo;
+    let NodeSpan { lo, hi, len, pos } = span;
     let p = pos as f64 / len as f64;
     if depth >= config.max_depth || len < config.min_samples_split || p == 0.0 || p == 1.0 {
         return arena.push(LEAF, 0.0, p);
     }
 
-    let num_features = set.num_features();
     scratch.features.clear();
-    scratch.features.extend(0..num_features);
+    scratch.features.extend(0..set.num_features());
     scratch.features.shuffle(rng);
     scratch.features.truncate(config.max_features);
 
-    let parent_impurity = gini(p);
-    let total_pos = pos;
-    let labels = set.labels();
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
-
-    for &feature in &scratch.features {
-        let seg = &scratch.order[feature * m + lo..feature * m + hi];
-        let col = set.column(feature);
-        let mut left_pos = 0usize;
-        let mut prev_id = seg[0];
-        let mut prev = col[prev_id as usize];
-        for (split_at, &next_id) in seg.iter().enumerate().skip(1) {
-            left_pos += labels[prev_id as usize] as usize;
-            let next = col[next_id as usize];
-            if prev == next {
-                prev_id = next_id;
-                continue; // cannot split between identical values
-            }
-            let left_n = split_at;
-            let right_n = len - split_at;
-            let p_left = left_pos as f64 / left_n as f64;
-            let p_right = (total_pos - left_pos) as f64 / right_n as f64;
-            let weighted =
-                (left_n as f64 * gini(p_left) + right_n as f64 * gini(p_right)) / len as f64;
-            let gain = parent_impurity - weighted;
-            if gain > best.map_or(1e-12, |(_, _, g)| g) {
-                best = Some((feature, 0.5 * (prev + next), gain));
-            }
-            prev_id = next_id;
-            prev = next;
-        }
+    let filters = scratch.begin_node(lo, hi, set.len());
+    let mut search = SplitSearch {
+        parent_impurity: gini(p),
+        len,
+        pos,
+        best: None,
+    };
+    for c in 0..scratch.features.len() {
+        let feature = scratch.features[c];
+        scratch.order_node(set, feature, lo, hi, filters);
+        search.scan(
+            feature,
+            set.column(feature),
+            set.labels(),
+            &scratch.counts,
+            &scratch.sorted[..hi - lo],
+        );
     }
 
-    let (feature, threshold) = match best {
+    let (feature, threshold) = match search.best {
         None => return arena.push(LEAF, 0.0, p),
         Some((feature, threshold, _)) => (feature, threshold),
     };
 
-    // Evaluate the split predicate once per element into the side table,
-    // counting the left side's size and positives. Midpoint rounding can
-    // push every element to one side; such a node becomes a leaf.
-    let mut left_n = 0usize;
-    let mut left_pos = 0usize;
-    {
-        let SplitScratch { order, side, .. } = scratch;
-        let col = set.column(feature);
-        for &s in &order[feature * m + lo..feature * m + hi] {
-            let id = s as usize;
-            let is_left = col[id] <= threshold;
-            side[id] = is_left as u8;
-            left_n += is_left as usize;
-            left_pos += (is_left as usize) & labels[id] as usize;
-        }
-    }
+    // Partition the node's ids by the split, counting the left side's
+    // bootstrap size and positives. Midpoint rounding can push every
+    // element to one side; such a node becomes a leaf.
+    let (mid, left_n, left_pos) =
+        scratch.partition(set.column(feature), set.labels(), threshold, lo, hi);
     if left_n == 0 || left_n == len {
         return arena.push(LEAF, 0.0, p);
     }
-    let right_n = len - left_n;
-    let right_pos = pos - left_pos;
-
-    // A child that will immediately become a leaf never reads its sorted
-    // segments (and leaves consume no RNG), so when both children are
-    // guaranteed leaves the partition below is skipped entirely — the
-    // dominant saving on the deepest tree level.
-    let is_leaf = |child_len: usize, child_pos: usize| {
-        depth + 1 >= config.max_depth
-            || child_len < config.min_samples_split
-            || child_pos == 0
-            || child_pos == child_len
-    };
-    let partition_needed = !(is_leaf(left_n, left_pos) && is_leaf(right_n, right_pos));
-
-    // Stable-partition every feature's segment by the chosen split so both
-    // children keep presorted segments, staging through the scratch buffer.
-    if partition_needed {
-        let SplitScratch {
-            order, buf, side, ..
-        } = scratch;
-        for f in 0..num_features {
-            let seg = &mut order[f * m + lo..f * m + hi];
-            buf[..len].copy_from_slice(seg);
-            let mut l = 0usize;
-            let mut r = left_n;
-            for &s in &buf[..len] {
-                // Branch-light select: the destination cursor is chosen with
-                // a conditional move, so the (data-dependent) split side
-                // never costs a branch misprediction.
-                let is_left = side[s as usize] as usize;
-                let dst = if is_left == 1 { l } else { r };
-                seg[dst] = s;
-                l += is_left;
-                r += 1 - is_left;
-            }
-        }
-    }
 
     let idx = arena.push(feature as u32, threshold, 0.0);
-    let mid = lo + left_n;
     let left_span = NodeSpan {
         lo,
         hi: mid,
+        len: left_n,
         pos: left_pos,
     };
     let right_span = NodeSpan {
         lo: mid,
         hi,
+        len: len - left_n,
         pos: pos - left_pos,
     };
     let left_idx = build_node(set, scratch, arena, config, left_span, depth + 1, rng);
@@ -686,10 +664,80 @@ fn build_node(
     idx
 }
 
+/// One node's split search: its totals and the best split seen so far.
+struct SplitSearch {
+    parent_impurity: f64,
+    /// Size of the node's bootstrap multiset.
+    len: usize,
+    /// Positives in the node's bootstrap multiset.
+    pos: usize,
+    /// `(feature, threshold, gain)` of the first strictly best boundary.
+    best: Option<(usize, f64, f64)>,
+}
+
+impl SplitSearch {
+    /// Plain CART over one candidate feature: weighs the Gini gain at every
+    /// boundary of the node's bootstrap multiset in `(value, id)` order,
+    /// replaying each id of `order` as many times as it was drawn. Equal
+    /// values cannot be split, so the copies of a finite value only join the
+    /// left side, while NaN copies (`NaN == NaN` is false) are weighed one
+    /// boundary at a time. The threshold is the midpoint of the two values.
+    // lint: hot-path
+    fn scan(
+        &mut self,
+        feature: usize,
+        col: &[f64],
+        labels: &[bool],
+        counts: &[u32],
+        order: &[u16],
+    ) {
+        let mut left_n = 0usize;
+        let mut left_pos = 0usize;
+        let mut prev = col[order[0] as usize];
+        for &id in order {
+            let id = id as usize;
+            let next = col[id];
+            let label = labels[id] as usize;
+            let copies = counts[id] as usize;
+            if left_n > 0 && prev != next {
+                self.weigh(feature, left_n, left_pos, prev, next);
+                prev = next;
+            }
+            left_n += 1;
+            left_pos += label;
+            if !next.is_nan() {
+                left_n += copies - 1;
+                left_pos += label * (copies - 1);
+            } else {
+                for _ in 1..copies {
+                    self.weigh(feature, left_n, left_pos, prev, next);
+                    left_n += 1;
+                    left_pos += label;
+                }
+            }
+        }
+    }
+
+    /// Weighs the boundary between `left_n` elements ending in value `prev`
+    /// and the rest starting at `next`.
+    fn weigh(&mut self, feature: usize, left_n: usize, left_pos: usize, prev: f64, next: f64) {
+        let right_n = self.len - left_n;
+        let p_left = left_pos as f64 / left_n as f64;
+        let p_right = (self.pos - left_pos) as f64 / right_n as f64;
+        let weighted =
+            (left_n as f64 * gini(p_left) + right_n as f64 * gini(p_right)) / self.len as f64;
+        let gain = self.parent_impurity - weighted;
+        if gain > self.best.map_or(1e-12, |(_, _, g)| g) {
+            self.best = Some((feature, 0.5 * (prev + next), gain));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::{blob_rows, fit};
+    use rand::Rng;
 
     #[test]
     fn training_set_validation() {
@@ -916,6 +964,84 @@ mod tests {
         let stump = fit(&rows, 3, &labels, stump, 1);
         let forest = fit(&rows, 3, &labels, forest, 1);
         assert!(accuracy(&forest, &rows, &labels) >= accuracy(&stump, &rows, &labels));
+    }
+
+    /// The split scan over a node's bootstrap multiset, expanded copy by
+    /// copy in `(value, id)` order: the reference `SplitSearch::scan`
+    /// replays from distinct ids and their counts.
+    fn expanded_scan(col: &[f64], labels: &[bool], seg: &[u16]) -> Option<(usize, f64, f64)> {
+        let len = seg.len();
+        let total_pos = seg.iter().filter(|&&id| labels[id as usize]).count();
+        let parent_impurity = gini(total_pos as f64 / len as f64);
+        let mut best: Option<(usize, f64, f64)> = None;
+        let mut left_pos = 0usize;
+        let mut prev = col[seg[0] as usize];
+        for split_at in 1..len {
+            left_pos += labels[seg[split_at - 1] as usize] as usize;
+            let next = col[seg[split_at] as usize];
+            if prev == next {
+                continue;
+            }
+            let right_n = len - split_at;
+            let p_left = left_pos as f64 / split_at as f64;
+            let p_right = (total_pos - left_pos) as f64 / right_n as f64;
+            let weighted =
+                (split_at as f64 * gini(p_left) + right_n as f64 * gini(p_right)) / len as f64;
+            let gain = parent_impurity - weighted;
+            if gain > best.map_or(1e-12, |(_, _, g)| g) {
+                best = Some((0, 0.5 * (prev + next), gain));
+            }
+            prev = next;
+        }
+        best
+    }
+
+    #[test]
+    fn scan_replays_each_id_count_times() {
+        // Few levels, signed zeros (equal but ordered apart) and NaNs of
+        // both signs, so value ties, zero ties and cuts between NaN copies
+        // all reach the scan.
+        let levels = [-f64::NAN, -1.0, -0.0, 0.0, 0.5, 2.0, f64::NAN];
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        for case in 0..2_000 {
+            let n = rng.gen_range(2..20usize);
+            let col: Vec<f64> = (0..n)
+                .map(|_| levels[rng.gen_range(0..levels.len())])
+                .collect();
+            let labels: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
+            let counts: Vec<u32> = (0..n).map(|_| rng.gen_range(1..5u32)).collect();
+            let mut order: Vec<u16> = (0..n as u16).collect();
+            order.sort_by(|&a, &b| col[a as usize].total_cmp(&col[b as usize]).then(a.cmp(&b)));
+            let seg: Vec<u16> = order
+                .iter()
+                .flat_map(|&id| std::iter::repeat_n(id, counts[id as usize] as usize))
+                .collect();
+            let pos = seg.iter().filter(|&&id| labels[id as usize]).count();
+            let mut search = SplitSearch {
+                parent_impurity: gini(pos as f64 / seg.len() as f64),
+                len: seg.len(),
+                pos,
+                best: None,
+            };
+            search.scan(0, &col, &labels, &counts, &order);
+            // A NaN threshold's sign and payload are unspecified (`NaN + NaN`
+            // may return either operand), and no value is `<=` NaN, so such a
+            // split always becomes a leaf: only its NaN-ness can matter.
+            let bits = |b: Option<(usize, f64, f64)>| {
+                b.map(|(f, t, g)| {
+                    (
+                        f,
+                        if t.is_nan() { None } else { Some(t.to_bits()) },
+                        g.to_bits(),
+                    )
+                })
+            };
+            assert_eq!(
+                bits(search.best),
+                bits(expanded_scan(&col, &labels, &seg)),
+                "case {case}: {col:?} {labels:?} {counts:?}"
+            );
+        }
     }
 
     #[test]

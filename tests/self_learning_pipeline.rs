@@ -146,19 +146,10 @@ fn a_rate_no_record_holds_a_window_of_is_refused_by_every_record_entry_point() {
     let annotation = SeizureAnnotation::new(0.0, 1e-12).unwrap();
     let record = EegRecord::new(signal.clone(), annotation, 0, 0).unwrap();
     let truth = SeizureLabel::new(0.0, 1e-12).unwrap();
-    let too_short = |err: &CoreError| {
-        matches!(
-            err,
-            CoreError::Feature(FeatureError::SignalTooShort {
-                actual: 4096,
-                required: 4_000_000_000_000_000,
-            })
-        )
-    };
-    // The detector's geometry check refuses the 4e15-sample window, which
-    // its u32 pattern counters cannot count, before any quality grading or
-    // rich extraction. Only the paper engine, which has no such bound, meets
-    // the record first (ungated labeling) and finds it too short.
+    // Every engine's geometry check refuses the 4e15-sample window, which
+    // its u32 pattern counters cannot count, before it meets the record: the
+    // detector's before any quality grading or rich extraction, and the
+    // paper engine's before labeling.
     let invalid_config = |err: &CoreError| {
         matches!(
             err,
@@ -173,18 +164,11 @@ fn a_rate_no_record_holds_a_window_of_is_refused_by_every_record_entry_point() {
             quality_gate: gate,
             ..fast_detector()
         };
-        let refused = |err: &CoreError| {
-            if gate {
-                invalid_config(err)
-            } else {
-                too_short(err)
-            }
-        };
         let mut pipeline = SelfLearningPipeline::new(LabelerConfig::default(), config);
         let err = pipeline
             .observe_missed_seizure(&record, 30.0, LabelSource::Algorithm)
             .unwrap_err();
-        assert!(refused(&err), "gate {gate}: {err:?}");
+        assert!(invalid_config(&err), "gate {gate}: {err:?}");
         assert_eq!(pipeline.num_seizures_collected(), 0);
         let err = pipeline
             .detector()
@@ -203,7 +187,7 @@ fn a_rate_no_record_holds_a_window_of_is_refused_by_every_record_entry_point() {
     let err = PosterioriLabeler::new(LabelerConfig::default())
         .label(&signal, 30.0, &mut ws)
         .unwrap_err();
-    assert!(too_short(&err), "{err:?}");
+    assert!(invalid_config(&err), "{err:?}");
 }
 
 #[test]
