@@ -23,10 +23,13 @@
 //! its slow gain correction's Theil–Sen fit takes a sorted copy of the
 //! abscissae, two bounded slope-key buffers and the per-window intercepts on
 //! each call.
+//!
+//! The same allocator also tracks each thread's live heap bytes, so one
+//! test pins what the streaming front end holds at the paper geometry.
 
 use selflearn_seizure::core::labeler::LabelerConfig;
 use selflearn_seizure::core::pipeline::{LabelSource, SelfLearningPipeline};
-use selflearn_seizure::core::realtime::{QualityVerdict, RealTimeDetectorConfig};
+use selflearn_seizure::core::realtime::{QualityVerdict, RealTimeDetector, RealTimeDetectorConfig};
 use selflearn_seizure::core::workspace::FeatureWorkspace;
 use selflearn_seizure::core::SeizureLabel;
 use selflearn_seizure::data::cohort::Cohort;
@@ -35,8 +38,8 @@ use selflearn_seizure::data::synth::{degrade_signal, HostileScenario};
 use selflearn_seizure::features::extractor::{
     FeatureExtractor, PaperFeatureSet, RichFeatureSet, SlidingWindowConfig,
 };
-use selflearn_seizure::features::quality::QualityExtractor;
-use selflearn_seizure::features::streaming::StreamingPaperExtractor;
+use selflearn_seizure::features::quality::{QualityExtractor, QualityGrader};
+use selflearn_seizure::features::streaming::{StreamingPaperExtractor, StreamingRichExtractor};
 use selflearn_seizure::features::FeatureMatrix;
 use selflearn_seizure::ml::forest::RandomForestConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -45,19 +48,33 @@ use std::cell::Cell;
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static BYTE_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-/// Counts every allocation and reallocation of the current thread, then
-/// defers to the system allocator.
+/// Counts every allocation and reallocation of the current thread and
+/// tracks its live heap bytes, then defers to the system allocator.
 struct Counting;
 
-fn count(layout: Layout) {
+/// Counts one allocation or reallocation of `layout` that changes the
+/// thread's live heap bytes by `grown`.
+fn count(layout: Layout, grown: i64) {
     // `try_with`: the allocator may run while the thread-locals are being
     // torn down at thread exit; those calls go uncounted.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     if layout.align() == 1 {
         let _ = BYTE_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
     }
+    track(grown);
+}
+
+/// Adds `grown` (negative on a release) to the thread's live heap bytes.
+fn track(grown: i64) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + grown));
+}
+
+/// A byte count as a signed change of the live heap bytes.
+fn signed(bytes: usize) -> i64 {
+    i64::try_from(bytes).expect("allocation sizes fit in i64")
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -66,14 +83,14 @@ fn count(layout: Layout) {
 unsafe impl GlobalAlloc for Counting {
     // SAFETY: same contract as `System::alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout);
+        count(layout, signed(layout.size()));
         // SAFETY: `layout` comes from the caller under `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: same contract as `System::alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(layout);
+        count(layout, signed(layout.size()));
         // SAFETY: `layout` comes from the caller under `alloc_zeroed`'s
         // contract.
         unsafe { System.alloc_zeroed(layout) }
@@ -81,7 +98,7 @@ unsafe impl GlobalAlloc for Counting {
 
     // SAFETY: same contract as `System::realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(layout);
+        count(layout, signed(new_size) - signed(layout.size()));
         // SAFETY: `ptr` was allocated by this allocator (that is, by
         // `System`) with `layout`, as `realloc`'s contract requires.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -89,6 +106,7 @@ unsafe impl GlobalAlloc for Counting {
 
     // SAFETY: same contract as `System::dealloc`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-signed(layout.size()));
         // SAFETY: `ptr` was allocated by `System` with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -108,12 +126,96 @@ fn byte_allocations() -> u64 {
     BYTE_ALLOCATIONS.with(Cell::get)
 }
 
+/// Heap bytes this thread allocated and has not freed yet, counted from
+/// the thread's start (negative after it frees another thread's memory).
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
+}
+
+/// Builds a value and returns it with the heap bytes it still holds.
+fn held<T>(build: impl FnOnce() -> T) -> (T, i64) {
+    let before = live_bytes();
+    let value = build();
+    (value, live_bytes() - before)
+}
+
 #[test]
 fn the_counter_sees_this_threads_allocations() {
     let before = allocations();
-    let v: Vec<u64> = Vec::with_capacity(std::hint::black_box(3));
+    let live = live_bytes();
+    let mut v: Vec<u64> = Vec::with_capacity(std::hint::black_box(3));
     assert_eq!(allocations() - before, 1);
+    assert_eq!(live_bytes() - live, 24);
+    v.reserve_exact(std::hint::black_box(5));
+    assert_eq!(live_bytes() - live, 40);
     drop(v);
+    assert_eq!(live_bytes(), live);
+}
+
+/// Pins, to the byte, the heap the streaming front end holds at the paper
+/// geometry (256 Hz, 4 s windows, 75 % overlap): the detector's
+/// `streaming(256.0)` and the three hop engines it and the batch paths
+/// build. Streaming a record must leave the front end's heap where
+/// construction left it.
+///
+/// Each priced `state_bytes()` stays below its heap, because the carried
+/// state is not all the engines allocate. Unpriced today: the two-lane
+/// periodogram plan with its lane buffer and power rows, the wavelet
+/// scratch, and the grader's selection buffer (plus, for the detector, its
+/// feature row). The paper engine has no price at all.
+#[test]
+fn streaming_front_end_heap_bytes_are_pinned() {
+    let fs = 256.0;
+    let config = SlidingWindowConfig::paper_default(fs).unwrap();
+    let (rich, rich_bytes) = held(|| StreamingRichExtractor::new(&config).unwrap());
+    let quality = QualityExtractor::new(fs).unwrap();
+    let (grader, grader_bytes) = held(|| QualityGrader::new(&quality, &config).unwrap());
+    let (paper, paper_bytes) = held(|| StreamingPaperExtractor::new(&config).unwrap());
+    assert_eq!(
+        [rich_bytes, grader_bytes, paper_bytes],
+        [81_040, 28_344, 65_872],
+        "rich, quality, paper"
+    );
+    assert!(signed(rich.state_bytes()) < rich_bytes);
+    assert!(signed(grader.state_bytes()) < grader_bytes);
+    drop((rich, grader, paper));
+
+    // A small forest on separable rows; its size does not enter the front
+    // end, which borrows it.
+    let width = 54;
+    let labels: Vec<bool> = (0..40).map(|i| i % 2 == 0).collect();
+    let rows: Vec<f64> = labels
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &seizure)| {
+            (0..width).map(move |c| f64::from(u8::from(seizure)) + 0.01 * (i * width + c) as f64)
+        })
+        .collect();
+    let mut detector = RealTimeDetector::new(RealTimeDetectorConfig {
+        forest: RandomForestConfig {
+            n_trees: 4,
+            max_depth: 4,
+            ..RandomForestConfig::default()
+        },
+        ..RealTimeDetectorConfig::default()
+    });
+    detector.train(&rows, width, &labels).unwrap();
+    assert!(detector.config().quality_gate);
+    let (mut front, front_bytes) = held(|| detector.streaming(fs).unwrap());
+    assert_eq!(front_bytes, 113_912);
+    assert!(signed(front.state_bytes()) < front_bytes);
+
+    let cohort = Cohort::chb_mit_like(37);
+    let sample = SampleConfig::new(60.0, 90.0, fs).unwrap();
+    let record = cohort.sample_record(8, 0, &sample, 91).unwrap();
+    let signal = record.signal();
+    let before = live_bytes();
+    let mut windows = 0;
+    for (&a, &b) in signal.f7t3().iter().zip(signal.f8t4()) {
+        windows += usize::from(front.push(a, b).unwrap().is_some());
+    }
+    assert_eq!(live_bytes(), before, "streaming a record changed the heap");
+    assert_eq!(windows, config.num_windows(signal.len()));
 }
 
 #[test]
