@@ -15,7 +15,7 @@ use seizure_core::metric::DeviationSummary;
 use seizure_core::workspace::FeatureWorkspace;
 use seizure_core::{CoreError, SeizureLabel};
 use seizure_data::cohort::Cohort;
-use seizure_features::extractor::{FeatureExtractor, SlidingWindowConfig};
+use seizure_features::extractor::FeatureExtractor;
 
 /// Labeling quality with a given number of features.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,11 +62,7 @@ pub fn run_feature_ablation(scale: ExperimentScale) -> Result<AblationResults, C
         let record = cohort.sample_record(patient, 0, &sample_config, 9999)?;
         labeler.extract_features_with(record.signal(), &mut workspace)?;
         let features = workspace.matrix();
-        let window = SlidingWindowConfig::new(
-            record.signal().sampling_frequency(),
-            labeler.config().window_secs,
-            labeler.config().overlap,
-        )?;
+        let window = labeler.window_config(record.signal().sampling_frequency())?;
         let truth = SeizureLabel::new(record.annotation().onset(), record.annotation().offset())?;
         let labels = window_labels(
             &truth,
@@ -94,11 +90,7 @@ pub fn run_feature_ablation(scale: ExperimentScale) -> Result<AblationResults, C
                         cohort.sample_record(patient, seizure, &sample_config, sample as u64)?;
                     labeler.extract_features_with(record.signal(), &mut workspace)?;
                     let projected = select_columns(workspace.matrix(), selected)?;
-                    let window = SlidingWindowConfig::new(
-                        record.signal().sampling_frequency(),
-                        labeler.config().window_secs,
-                        labeler.config().overlap,
-                    )?;
+                    let window = labeler.window_config(record.signal().sampling_frequency())?;
                     let w_rows = ((w / window.step_seconds()).round() as usize).max(1);
                     let detection =
                         posteriori_detect(&projected, w_rows, &DetectorConfig::default())?;

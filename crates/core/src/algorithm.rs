@@ -19,7 +19,6 @@
 use crate::error::CoreError;
 use seizure_features::normalize::normalize_features;
 use seizure_features::FeatureMatrix;
-use std::convert::Infallible;
 
 /// Configuration of the a-posteriori detector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,13 +56,9 @@ impl Detection {
 /// Runs Algorithm 1 on `features` with a seizure window of `window_length` rows.
 ///
 /// Each feature is first z-normalized across the signal (Line 1 of the
-/// pseudo-code). The `L − W` candidate positions are then scored on every
-/// worker of `seizure_parallel` (one contiguous block of
-/// candidates each; fewer than 16 candidates stay on the calling thread).
-/// Each candidate's distance is computed by the same operations in the same
-/// order wherever it runs, so the distances and the detected position are
-/// bit-identical for any worker count. Normalization, the sorted grid index
-/// and the peak selection run on the calling thread.
+/// pseudo-code). The `L − W` candidate positions are then scored in one
+/// block, and the peak selected, on the calling thread (the wearable has
+/// one core).
 ///
 /// # Errors
 ///
@@ -168,13 +163,10 @@ fn peak_index(distances: &[f64]) -> usize {
 /// `tests/algorithm_kernel.rs`), bit for bit.
 ///
 /// Cost: the index and the per-(row, feature) grid sums are
-/// `O(L · F · log L)` on the calling thread. The candidate loop, about
+/// `O(L · F · log L)`. The candidate loop takes about
 /// `⌈(L − W)/s⌉ · (W + s − 1) · (W/s + 1) · F` subtractions (`s`× fewer
-/// than a chain per candidate) and `(L − W) · W · F` additions, is split into
-/// contiguous candidate blocks across [`seizure_parallel::par_process_rows`]
-/// workers. A block edge may cut a group; the cut part is a group of fewer
-/// candidates, so no distance depends on the worker count. Each worker keeps
-/// `min(s, block)` distance vectors of `F` values plus one quotient row per
+/// than a chain per candidate) and `(L − W) · W · F` additions. It keeps
+/// `min(s, L − W)` distance vectors of `F` values plus one quotient row per
 /// chain end, whatever the step.
 fn distance_profile(matrix: &FeatureMatrix, w_len: usize, step: usize) -> Vec<f64> {
     let rows = matrix.num_windows();
@@ -225,83 +217,76 @@ fn distance_profile(matrix: &FeatureMatrix, w_len: usize, step: usize) -> Vec<f6
         .map(|(at, &v)| sum_abs_all(at % features, v))
         .collect();
 
-    // Candidates are independent: each worker scores one contiguous block
-    // of them, one chain group at a time, with its own accumulators. A block
-    // edge may cut a group; the cut part is just a group of fewer candidates.
+    // One chain group at a time, in candidate order.
     let mut distances = vec![0.0; candidates];
-    let Ok(()) =
-        seizure_parallel::par_process_rows::<Infallible, _>(&mut distances, 1, |first, block| {
-            let mut distance_vectors = vec![0.0; step.min(block.len()) * features];
-            let (mut at_short, mut at_long) = (vec![0.0; features], vec![0.0; features]);
-            let mut done = 0;
-            while done < block.len() {
-                // Candidates `i0..=last` share the first in-window grid row
-                // `chain_row · step`, which is less than `i0 + step`, so no
-                // sum here overflows.
-                let i0 = first + done;
-                let chain_row = i0.div_ceil(step);
-                let len = (chain_row * step - i0 + 1).min(block.len() - done);
-                let last = i0 + len - 1;
-                // The number of grid rows inside candidate `i`'s window. The
-                // group's windows end on at most `step` adjacent rows, so it
-                // takes two adjacent values at most: `short` and `long`.
-                let chain_len = |i: usize| (i + w_len - 1) / step + 1 - chain_row;
-                let (short, long) = (chain_len(i0), chain_len(last));
-                let group = &mut distance_vectors[..len * features];
-                group.fill(0.0);
-                for r in i0..last + w_len {
-                    // The group's candidates whose windows hold row `r`.
-                    let (lo, hi) = ((r + 1).saturating_sub(w_len).max(i0), r.min(last));
-                    let chain = RowChain {
-                        data,
-                        features,
-                        row: r,
-                        chain_row,
-                        step,
-                        short,
-                        norm_outside,
-                        need_short: chain_len(lo) == short,
-                        need_long: long > short && chain_len(hi) == long,
-                    };
-                    let totals = &grid_sums[r * features..(r + 1) * features];
-                    let mut c0 = 0;
-                    while c0 < features {
-                        c0 += match features - c0 {
-                            8.. => chain.walk::<8>(c0, totals, &mut at_short, &mut at_long),
-                            4.. => chain.walk::<4>(c0, totals, &mut at_short, &mut at_long),
-                            2.. => chain.walk::<2>(c0, totals, &mut at_short, &mut at_long),
-                            _ => chain.walk::<1>(c0, totals, &mut at_short, &mut at_long),
-                        };
-                    }
-                    for i in lo..=hi {
-                        let quotients = if chain_len(i) == short {
-                            &at_short
-                        } else {
-                            &at_long
-                        };
-                        let at = (i - i0) * features;
-                        for (d, &q) in group[at..at + features].iter_mut().zip(quotients) {
-                            *d += q;
-                        }
-                    }
-                }
-                for (distance, vector) in block[done..done + len]
-                    .iter_mut()
-                    .zip(group.chunks_exact(features))
-                {
-                    *distance = vector
-                        .iter()
-                        .map(|v| {
-                            let v = v / w_len as f64;
-                            v * v
-                        })
-                        .sum::<f64>()
-                        .sqrt();
-                }
-                done += len;
+    let mut distance_vectors = vec![0.0; step.min(candidates) * features];
+    let (mut at_short, mut at_long) = (vec![0.0; features], vec![0.0; features]);
+    let mut i0 = 0;
+    while i0 < candidates {
+        // Candidates `i0..=last` share the first in-window grid row
+        // `chain_row · step`, which is less than `i0 + step`, so no sum here
+        // overflows.
+        let chain_row = i0.div_ceil(step);
+        let len = (chain_row * step - i0 + 1).min(candidates - i0);
+        let last = i0 + len - 1;
+        // The number of grid rows inside candidate `i`'s window. The group's
+        // windows end on at most `step` adjacent rows, so it takes two
+        // adjacent values at most: `short` and `long`.
+        let chain_len = |i: usize| (i + w_len - 1) / step + 1 - chain_row;
+        let (short, long) = (chain_len(i0), chain_len(last));
+        let group = &mut distance_vectors[..len * features];
+        group.fill(0.0);
+        for r in i0..last + w_len {
+            // The group's candidates whose windows hold row `r`.
+            let (lo, hi) = ((r + 1).saturating_sub(w_len).max(i0), r.min(last));
+            let chain = RowChain {
+                data,
+                features,
+                row: r,
+                chain_row,
+                step,
+                short,
+                norm_outside,
+                need_short: chain_len(lo) == short,
+                need_long: long > short && chain_len(hi) == long,
+            };
+            let totals = &grid_sums[r * features..(r + 1) * features];
+            let mut c0 = 0;
+            while c0 < features {
+                c0 += match features - c0 {
+                    8.. => chain.walk::<8>(c0, totals, &mut at_short, &mut at_long),
+                    4.. => chain.walk::<4>(c0, totals, &mut at_short, &mut at_long),
+                    2.. => chain.walk::<2>(c0, totals, &mut at_short, &mut at_long),
+                    _ => chain.walk::<1>(c0, totals, &mut at_short, &mut at_long),
+                };
             }
-            Ok(())
-        });
+            for i in lo..=hi {
+                let quotients = if chain_len(i) == short {
+                    &at_short
+                } else {
+                    &at_long
+                };
+                let at = (i - i0) * features;
+                for (d, &q) in group[at..at + features].iter_mut().zip(quotients) {
+                    *d += q;
+                }
+            }
+        }
+        for (distance, vector) in distances[i0..=last]
+            .iter_mut()
+            .zip(group.chunks_exact(features))
+        {
+            *distance = vector
+                .iter()
+                .map(|v| {
+                    let v = v / w_len as f64;
+                    v * v
+                })
+                .sum::<f64>()
+                .sqrt();
+        }
+        i0 += len;
+    }
     distances
 }
 

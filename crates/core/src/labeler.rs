@@ -53,6 +53,21 @@ impl PosterioriLabeler {
         &self.config
     }
 
+    /// The labeler's window geometry at `fs`. Its paper features are
+    /// streamed hop by hop, so the geometry must pass
+    /// [`SlidingWindowConfig::check_streamable`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the configuration error of a window length or overlap
+    /// [`SlidingWindowConfig::new`] refuses, or of a geometry the rule
+    /// refuses.
+    pub fn window_config(&self, fs: f64) -> Result<SlidingWindowConfig, CoreError> {
+        let window = SlidingWindowConfig::new(fs, self.config.window_secs, self.config.overlap)?;
+        window.check_streamable()?;
+        Ok(window)
+    }
+
     /// Extracts the paper's ten-feature matrix of `signal` into the
     /// workspace matrix through the parallel batch engine, reusing the
     /// workspace's matrix buffer across records. Each worker streams its
@@ -68,9 +83,9 @@ impl PosterioriLabeler {
     ///
     /// # Errors
     ///
-    /// Propagates feature-extraction failures (mismatched channels, too-short
-    /// signal, invalid configuration, including a step that does not divide
-    /// the window).
+    /// Propagates feature-extraction failures: mismatched channels, a
+    /// too-short signal, or a geometry [`PosterioriLabeler::window_config`]
+    /// refuses.
     ///
     /// [`StreamingPaperExtractor`]: seizure_features::streaming::StreamingPaperExtractor
     pub fn extract_features_with(
@@ -78,16 +93,26 @@ impl PosterioriLabeler {
         signal: &EegSignal,
         workspace: &mut FeatureWorkspace,
     ) -> Result<(), CoreError> {
+        self.extract_paper_rows(signal, workspace)?;
+        Ok(())
+    }
+
+    /// [`PosterioriLabeler::extract_features_with`], returning the geometry
+    /// the rows were extracted at.
+    fn extract_paper_rows(
+        &self,
+        signal: &EegSignal,
+        workspace: &mut FeatureWorkspace,
+    ) -> Result<SlidingWindowConfig, CoreError> {
         let fs = signal.sampling_frequency();
-        let config = SlidingWindowConfig::new(fs, self.config.window_secs, self.config.overlap)?;
-        let extractor = PaperFeatureSet::new(fs)?;
-        extractor.extract_batch_into(
+        let window = self.window_config(fs)?;
+        PaperFeatureSet::new(fs)?.extract_batch_into(
             signal.f7t3(),
             signal.f8t4(),
-            &config,
+            &window,
             &mut workspace.matrix,
         )?;
-        Ok(())
+        Ok(window)
     }
 
     /// Labels the single seizure contained in `signal`, given the patient's
@@ -113,9 +138,7 @@ impl PosterioriLabeler {
                 reason: format!("must be positive, got {average_seizure_secs}"),
             });
         }
-        let fs = signal.sampling_frequency();
-        let window = SlidingWindowConfig::new(fs, self.config.window_secs, self.config.overlap)?;
-        self.extract_features_with(signal, workspace)?;
+        let window = self.extract_paper_rows(signal, workspace)?;
 
         // The seizure window length expressed in feature-matrix rows.
         let step_secs = window.step_seconds();

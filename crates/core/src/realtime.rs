@@ -321,18 +321,15 @@ impl RealTimeDetector {
     }
 
     /// The detector's window geometry at `fs`. Its rich features are
-    /// streamed, so the geometry must be one [`StreamingRichExtractor::new`]
-    /// accepts. Any other is refused here, before a window is graded or
-    /// extracted, so every entry point (training, detection, quality
-    /// grading, the streaming front end and the pipeline's quarantine
-    /// check) fails alike. The check
-    /// ([`StreamingRichExtractor::check_geometry`]) builds no extractor,
-    /// allocates nothing and refuses a window longer than `u32::MAX`
-    /// samples, so an absurd rate (`1e15` Hz) is a typed error here, not an
-    /// allocation failure in the extractor.
+    /// streamed, so the geometry must pass
+    /// [`SlidingWindowConfig::check_streamable`]. Any other is refused here,
+    /// before a window is graded or extracted, so every entry point
+    /// (training, detection, quality grading, the streaming front end and
+    /// the pipeline's quarantine check) fails alike, and an absurd rate
+    /// (`1e15` Hz) is a typed error, not an allocation failure.
     fn window_config(&self, fs: f64) -> Result<SlidingWindowConfig, CoreError> {
         let window = SlidingWindowConfig::new(fs, self.config.window_secs, self.config.overlap)?;
-        StreamingRichExtractor::check_geometry(&window)?;
+        window.check_streamable()?;
         Ok(window)
     }
 
@@ -354,8 +351,9 @@ impl RealTimeDetector {
     ///
     /// # Errors
     ///
-    /// Propagates feature-extraction failures, including the configuration
-    /// error of a window geometry [`StreamingRichExtractor::new`] refuses.
+    /// Propagates feature-extraction failures, including
+    /// [`SlidingWindowConfig::check_streamable`]'s error for a window
+    /// geometry the engines cannot stream.
     pub fn build_training_windows_with(
         &self,
         signal: &EegSignal,
@@ -537,9 +535,9 @@ impl RealTimeDetector {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidState`] if the detector has not been trained
-    /// and propagates feature-extraction failures, including the
-    /// configuration error of a window geometry
-    /// [`StreamingRichExtractor::new`] refuses.
+    /// and propagates feature-extraction failures, including
+    /// [`SlidingWindowConfig::check_streamable`]'s error for a window
+    /// geometry the engines cannot stream.
     // lint: hot-path
     pub fn detect_into<'w>(
         &self,
@@ -905,8 +903,9 @@ impl RealTimeDetector {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidState`] if the detector is untrained and
-    /// propagates configuration errors (e.g. a window geometry whose hop
-    /// cannot be streamed).
+    /// propagates configuration errors, such as
+    /// [`SlidingWindowConfig::check_streamable`]'s for a window geometry the
+    /// engines cannot stream.
     pub fn streaming(&self, fs: f64) -> Result<StreamingDetector<'_>, CoreError> {
         let forest = self.require_flat()?;
         let window = self.window_config(fs)?;
@@ -1686,7 +1685,7 @@ mod tests {
         // 102.4 samples) and rounds to 102, which does not divide the
         // 256-sample window, so hop summaries cannot tile it. Training,
         // batch detection, streaming and the self-learning loop all refuse
-        // it with the streaming extractor's configuration error.
+        // it with the streaming rule's configuration error.
         let (record, truth) = record_and_truth(6);
         let config = RealTimeDetectorConfig {
             overlap: 0.6,

@@ -415,14 +415,30 @@ impl StreamingWavelet {
     ///
     /// # Errors
     ///
-    /// Returns [`StreamingWavelet::check`]'s errors.
+    /// Returns [`DspError::EmptyInput`] for a zero-length window,
+    /// [`DspError::InvalidParameter`] for zero levels, a zero `step` or a
+    /// `min_detail_level` outside `1..=levels`, and
+    /// [`DspError::InvalidLength`] when the window cannot support the depth
+    /// (as [`wavedec`] refuses it), all before anything is allocated.
     pub fn new(
         window_len: usize,
         step: usize,
         levels: usize,
         min_detail_level: usize,
     ) -> Result<Self, DspError> {
-        Self::check(window_len, step, levels, min_detail_level)?;
+        check_depth("StreamingWavelet::new", window_len, levels)?;
+        if step == 0 {
+            return Err(DspError::InvalidParameter {
+                name: "step",
+                reason: "hop must be at least one sample".to_string(),
+            });
+        }
+        if min_detail_level == 0 || min_detail_level > levels {
+            return Err(DspError::InvalidParameter {
+                name: "min_detail_level",
+                reason: format!("must be within 1..=levels ({levels}), got {min_detail_level}"),
+            });
+        }
         let mut reuse = Vec::with_capacity(levels);
         let mut approx = Vec::with_capacity(levels);
         let mut detail = Vec::with_capacity(levels);
@@ -460,38 +476,6 @@ impl StreamingWavelet {
             detail,
             ready: false,
         })
-    }
-
-    /// Refuses what [`StreamingWavelet::new`] refuses, without allocating:
-    /// the window and depth [`wavedec`] refuses, a zero `step` and a
-    /// `min_detail_level` outside `1..=levels`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] for a zero-length window,
-    /// [`DspError::InvalidParameter`] for zero levels, a zero `step` or a
-    /// `min_detail_level` outside `1..=levels`, and
-    /// [`DspError::InvalidLength`] when the window cannot support the depth.
-    pub fn check(
-        window_len: usize,
-        step: usize,
-        levels: usize,
-        min_detail_level: usize,
-    ) -> Result<(), DspError> {
-        check_depth("StreamingWavelet::new", window_len, levels)?;
-        if step == 0 {
-            return Err(DspError::InvalidParameter {
-                name: "step",
-                reason: "hop must be at least one sample".to_string(),
-            });
-        }
-        if min_detail_level == 0 || min_detail_level > levels {
-            return Err(DspError::InvalidParameter {
-                name: "min_detail_level",
-                reason: format!("must be within 1..=levels ({levels}), got {min_detail_level}"),
-            });
-        }
-        Ok(())
     }
 
     /// Number of decomposition levels.
@@ -955,20 +939,9 @@ mod tests {
         // min_detail_level outside 1..=levels.
         assert!(StreamingWavelet::new(1024, 256, 5, 0).is_err());
         assert!(StreamingWavelet::new(1024, 256, 5, 6).is_err());
-        // Too deep for the window.
+        // Too deep for the window, and shorter than two filter lengths.
         assert!(StreamingWavelet::new(64, 32, 7, 1).is_err());
-        // `check` refuses exactly what `new` refuses.
-        for (window, step, levels, min_detail) in [
-            (1024usize, 0usize, 5usize, 1usize),
-            (64, 32, 7, 1),
-            (15, 1, 1, 1),
-            (1024, 256, 5, 6),
-        ] {
-            assert_eq!(
-                StreamingWavelet::check(window, step, levels, min_detail).unwrap_err(),
-                StreamingWavelet::new(window, step, levels, min_detail).unwrap_err()
-            );
-        }
+        assert!(StreamingWavelet::new(15, 1, 1, 1).is_err());
         // A hop that is no multiple of 2^levels, and non-overlapping
         // windows, decompose every window as `wavedec` does.
         let record = test_signal(3 * 1024);

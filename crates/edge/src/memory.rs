@@ -379,7 +379,12 @@ impl MemoryModel {
     /// extractor and about 19 KB for the quality grader's rings. The
     /// extractor's part fits the RAM on its own; with the grader priced,
     /// `fits_ram` is `false` even without the hour-long quality ribbon, so a
-    /// deployment would down-convert the carried state to `f32`.
+    /// deployment would down-convert the carried state to `f32`. The price
+    /// is a floor: the detector's streaming front end holds 113 912 heap
+    /// bytes at that geometry (measured by the allocator in
+    /// `tests/zero_alloc.rs`), because the periodogram plan and its
+    /// buffers, the wavelet scratch and the grader's selection buffer are
+    /// left out.
     ///
     /// # Errors
     ///

@@ -168,6 +168,52 @@ impl SlidingWindowConfig {
         let count = self.num_windows(signal.len());
         (0..count).map(move |i| &signal[i * step..i * step + window])
     }
+
+    /// The one rule that decides which geometries stream. Every hop engine
+    /// ([`StreamingRichExtractor`], [`StreamingPaperExtractor`] and the
+    /// quality grader), the record driver behind every batch entry point
+    /// and the detector accept exactly the geometries it accepts:
+    ///
+    /// * the step tiles the window, with at least two hops per window, so
+    ///   hop summaries merge into windows exactly;
+    /// * each hop is at least five samples, the span of an order-5 ordinal
+    ///   pattern;
+    /// * the window holds at least 16 samples (one db4 level) and at most
+    ///   `u32::MAX` (the engines count a window's patterns and runs in
+    ///   `u32`), so an absurd rate is refused before an engine asks for its
+    ///   window ring.
+    ///
+    /// The paper's 4 s / 75 % geometry passes at every whole rate from 5 Hz
+    /// up to about 1 GHz. Allocates nothing on success.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FeatureError::InvalidConfig`] (named `config`) stating the
+    /// broken clause.
+    pub fn check_streamable(&self) -> Result<(), FeatureError> {
+        let (window, hop) = (self.window_samples, self.step_samples);
+        let reason = if !window.is_multiple_of(hop) || window / hop < 2 {
+            format!(
+                "a streamed window must be two or more whole hops, got a {window}-sample \
+                 window of {hop}-sample hops"
+            )
+        } else if hop < 5 {
+            format!("a streamed hop must hold an order-5 ordinal pattern (5 samples), got {hop}")
+        } else if window < 16 {
+            format!("a streamed window must hold one db4 level (16 samples), got {window}")
+        } else if u32::try_from(window).is_err() {
+            format!(
+                "the engines count a window in u32, so it holds at most u32::MAX samples, \
+                 got {window}"
+            )
+        } else {
+            return Ok(());
+        };
+        Err(FeatureError::InvalidConfig {
+            name: "config",
+            reason,
+        })
+    }
 }
 
 /// A feature extractor mapping one pair of channel windows to a feature vector.
@@ -202,7 +248,8 @@ pub trait FeatureExtractor {
     /// Returns [`FeatureError::ChannelLengthMismatch`] if the channels differ in
     /// length, [`FeatureError::SignalTooShort`] if not even one window fits,
     /// and [`FeatureError::InvalidConfig`] if `config` is sampled at another
-    /// rate than the extractor.
+    /// rate than the extractor or [`SlidingWindowConfig::check_streamable`]
+    /// refuses it.
     fn extract_batch(
         &self,
         f7t3: &[f64],
@@ -362,8 +409,9 @@ impl FeatureExtractor for PaperFeatureSet {
 
     /// Streams the record through [`StreamingPaperExtractor`]s, one per
     /// worker, in the crate's one record driver (see
-    /// [`crate::streaming`]). A geometry the extractor refuses (an untiled
-    /// step, say) is refused with its error before `matrix` is touched.
+    /// [`crate::streaming`]). A geometry
+    /// [`SlidingWindowConfig::check_streamable`] refuses (an untiled step,
+    /// say) is refused with its error before `matrix` is touched.
     fn extract_batch_into(
         &self,
         f7t3: &[f64],

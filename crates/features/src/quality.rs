@@ -49,10 +49,10 @@
 //! into a [`QualityGrader`] as it is buffered. The record-level batch
 //! ([`QualityExtractor::extract_batch_into`]) drives one grader per worker
 //! over its block of windows, after `k − 1` warm-up hops, so batch rows equal
-//! a one-thread streamed pass bit for bit; a geometry whose step does not
-//! divide the window is refused, as the streaming detector refuses it. A
-//! standalone window ([`QualityExtractor::assess_window_into`]) is graded as
-//! one hop.
+//! a one-thread streamed pass bit for bit. Both refuse the geometries
+//! [`SlidingWindowConfig::check_streamable`] refuses, as the streaming
+//! detector does. A standalone window
+//! ([`QualityExtractor::assess_window_into`]) is graded as one hop.
 //!
 //! # Error model
 //!
@@ -92,7 +92,7 @@
 use crate::error::FeatureError;
 use crate::extractor::{check_rate, SlidingWindowConfig};
 use crate::matrix::FeatureMatrix;
-use crate::streaming::{check_tiled, stream_rows_into, HopEngine};
+use crate::streaming::{stream_rows_into, HopEngine};
 use std::f64::consts::PI;
 use std::sync::OnceLock;
 
@@ -222,8 +222,7 @@ struct HopPlan {
 impl HopPlan {
     /// The plan for `window`-sample windows made of `hop`-sample hops of a
     /// signal sampled at `fs` Hz, probing `hum_bins`.
-    fn new(fs: f64, hum_bins: &[f64], window: usize, hop: usize) -> Result<Self, FeatureError> {
-        check_segments(window, hop)?;
+    fn new(fs: f64, hum_bins: &[f64], window: usize, hop: usize) -> Self {
         let mut freqs = [0.0; GOERTZEL_LANES];
         let mut lanes = 0;
         for &bin in hum_bins {
@@ -275,26 +274,8 @@ impl HopPlan {
                 (plan.rot_re[at], plan.rot_im[at]) = phasor(cycles * (p * hop) as f64);
             }
         }
-        Ok(plan)
+        plan
     }
-}
-
-/// Refuses a segment layout no grader can hold: windows of fewer than four
-/// samples and hops past the `u32` run counters. Allocates nothing.
-fn check_segments(window: usize, hop: usize) -> Result<(), FeatureError> {
-    if window < 4 {
-        return Err(FeatureError::SignalTooShort {
-            actual: window,
-            required: 4,
-        });
-    }
-    if u32::try_from(hop).is_err() {
-        return Err(FeatureError::InvalidConfig {
-            name: "config",
-            reason: format!("quality hops are limited to u32::MAX samples, got {hop}"),
-        });
-    }
-    Ok(())
 }
 
 /// Interleaved Goertzel bank: one lane per probed frequency, all stepped by
@@ -692,38 +673,37 @@ impl QualityGrader {
     /// # Errors
     ///
     /// Returns [`FeatureError::InvalidConfig`] when `config` is sampled at
-    /// another rate than `extractor`, its step does not divide the window
-    /// (hops must tile windows exactly) or exceeds `u32::MAX` samples, and
-    /// [`FeatureError::SignalTooShort`] for windows of fewer than four
-    /// samples.
+    /// another rate than `extractor`, and
+    /// [`SlidingWindowConfig::check_streamable`]'s error for a geometry the
+    /// engines cannot stream, both before anything is allocated.
     pub fn new(
         extractor: &QualityExtractor,
         config: &SlidingWindowConfig,
     ) -> Result<Self, FeatureError> {
         check_rate("quality extractor", extractor.fs, config)?;
-        Self::check(config)?;
-        Self::with_segments(extractor, config.window_samples(), config.step_samples())
+        config.check_streamable()?;
+        Ok(Self::with_segments(
+            extractor,
+            config.window_samples(),
+            config.step_samples(),
+        ))
     }
 
     /// The grader for `window`-sample windows of `hop`-sample hops (`hop`
-    /// divides `window`).
-    fn with_segments(
-        extractor: &QualityExtractor,
-        window: usize,
-        hop: usize,
-    ) -> Result<Self, FeatureError> {
-        let plan = HopPlan::new(extractor.fs, &extractor.hum_bins, window, hop)?;
+    /// divides `window`; at least four samples, at most `u32::MAX`).
+    fn with_segments(extractor: &QualityExtractor, window: usize, hop: usize) -> Self {
+        let plan = HopPlan::new(extractor.fs, &extractor.hum_bins, window, hop);
         let hops = window / hop;
         let channel = GraderChannel {
             ring: vec![HopSummary::EMPTY; hops],
             steps: vec![0; hops * (hop - 1)],
         };
-        Ok(Self {
+        Self {
             plan,
             channels: [channel.clone(), channel],
             hops_seen: 0,
             select: vec![0; window - 1],
-        })
+        }
     }
 
     /// Whether this grader grades `window`-sample windows of `hop`-sample
@@ -830,11 +810,6 @@ impl HopEngine for QualityGrader {
         })
     }
 
-    fn check(config: &SlidingWindowConfig) -> Result<(), FeatureError> {
-        check_tiled("streaming quality grading", config)?;
-        check_segments(config.window_samples(), config.step_samples())
-    }
-
     fn push_hop(
         &mut self,
         f7t3: &[f64],
@@ -882,15 +857,28 @@ pub struct QualityScratch {
 
 impl QualityScratch {
     /// The one-hop grader for `len`-sample windows of `extractor`, rebuilt
-    /// when the geometry changes.
+    /// when the geometry changes. Refuses windows of fewer than four samples
+    /// and windows past the grader's `u32` run counters.
     fn one_hop_grader(
         &mut self,
         extractor: &QualityExtractor,
         len: usize,
     ) -> Result<&mut QualityGrader, FeatureError> {
+        if len < 4 {
+            return Err(FeatureError::SignalTooShort {
+                actual: len,
+                required: 4,
+            });
+        }
+        if u32::try_from(len).is_err() {
+            return Err(FeatureError::InvalidConfig {
+                name: "config",
+                reason: format!("quality hops are limited to u32::MAX samples, got {len}"),
+            });
+        }
         let grader = match self.grader.take() {
             Some(grader) if grader.fits(extractor, len, len) => grader,
-            _ => QualityGrader::with_segments(extractor, len, len)?,
+            _ => QualityGrader::with_segments(extractor, len, len),
         };
         Ok(self.grader.insert(grader))
     }
@@ -982,9 +970,9 @@ impl QualityExtractor {
     ///
     /// # Errors
     ///
-    /// Returns [`QualityGrader::new`]'s errors (a step that does not divide
-    /// the window, or a geometry sampled at another rate) before `matrix` is
-    /// touched, and otherwise the contract of
+    /// Returns [`QualityGrader::new`]'s errors (a geometry sampled at another
+    /// rate, or one [`SlidingWindowConfig::check_streamable`] refuses) before
+    /// `matrix` is touched, and otherwise the contract of
     /// [`crate::extractor::FeatureExtractor::extract_batch`].
     pub fn extract_batch_into(
         &self,
@@ -1277,7 +1265,7 @@ mod tests {
         for len in [300, 257, 300] {
             q.assess_window_into(&a[..len], &b[..len], &mut out, &mut scratch)
                 .unwrap();
-            let mut grader = QualityGrader::with_segments(&q, len, len).unwrap();
+            let mut grader = QualityGrader::with_segments(&q, len, len);
             let mut row = [0.0; NUM_QUALITY_FEATURES];
             assert!(grader.push_hop(&a[..len], &b[..len], &mut row).unwrap());
             assert_eq!(out.map(f64::to_bits), row.map(f64::to_bits), "{len}");

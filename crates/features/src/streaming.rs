@@ -38,13 +38,15 @@
 //! ([`RichFeatureSet::extract_windows_into`] and `extract_batch_into`), the
 //! paper set's and quality grading's
 //! ([`QualityExtractor::extract_batch_into`]) — runs one driver over its
-//! set's hop engine. The driver checks the geometry (without allocating) and
-//! the record before it builds an engine, splits the rows into one block per
-//! worker and streams each block through a clone of the engine: a row that
-//! continues its predecessor's window costs one hop, and any other row
-//! resets the engine and pushes its window's `k` hops. A window's row is a
-//! pure function of its own hops, so every batch row equals the row one
-//! engine streams over the whole record, bit for bit, at any thread count.
+//! set's hop engine. The driver vets the geometry with the one rule every
+//! engine shares ([`SlidingWindowConfig::check_streamable`], which allocates
+//! nothing) and checks the record before it builds an engine. It then
+//! splits the rows into one block per worker and streams each block through
+//! a clone of the engine: a row that continues its predecessor's window
+//! costs one hop, and any other row resets the engine and pushes its
+//! window's `k` hops. A window's row is a pure function of its own hops, so
+//! every batch row equals the row one engine streams over the whole record,
+//! bit for bit, at any thread count.
 //!
 //! The allocating two-pass [`FeatureExtractor::extract_window`] of
 //! [`RichFeatureSet`] stays as the textbook reference. Against it, the zero
@@ -91,10 +93,6 @@ pub(crate) trait HopEngine: Clone + Sync {
     /// The set's column names, built once per process.
     fn names() -> &'static [String];
 
-    /// Refuses a window geometry the engine cannot stream, with the error
-    /// its constructor would return, allocating nothing on success.
-    fn check(config: &SlidingWindowConfig) -> Result<(), FeatureError>;
-
     /// Ingests one hop of both channels; `Ok(true)` once it completed a
     /// window into `row`, which it touches only then.
     fn push_hop(
@@ -106,37 +104,6 @@ pub(crate) trait HopEngine: Clone + Sync {
 
     /// Forgets the carried hops so the next one starts a new record.
     fn reset(&mut self);
-}
-
-/// Refuses a step that does not divide the window: an engine's hops must
-/// tile its windows exactly. Allocates nothing on success.
-pub(crate) fn check_tiled(engine: &str, config: &SlidingWindowConfig) -> Result<(), FeatureError> {
-    let (window, hop) = (config.window_samples(), config.step_samples());
-    if hop > 0 && window.is_multiple_of(hop) {
-        return Ok(());
-    }
-    Err(FeatureError::InvalidConfig {
-        name: "config",
-        reason: format!(
-            "{engine} requires the window ({window} samples) to be an integer multiple of \
-             the step ({hop} samples)"
-        ),
-    })
-}
-
-/// Refuses a window longer than `u32::MAX` samples, past what an engine's
-/// `u32` pattern counters can count. Allocates nothing on success.
-fn check_u32_window(engine: &str, window: usize) -> Result<(), FeatureError> {
-    if u32::try_from(window).is_ok() {
-        return Ok(());
-    }
-    Err(FeatureError::InvalidConfig {
-        name: "config",
-        reason: format!(
-            "{engine} counts a window's patterns in u32, so windows are limited to u32::MAX \
-             samples, got {window}"
-        ),
-    })
 }
 
 /// Misuse-only error constructor for a selected window the record lacks.
@@ -174,12 +141,12 @@ fn record_windows(
 /// docs). Row `j` holds window `windows[j]` (any order, repeats allowed);
 /// `None` selects every window in order.
 ///
-/// The geometry ([`HopEngine::check`]), the channels, the record's length
-/// and the selection are all checked before `engine` builds the engine and
-/// before `matrix` is touched, so a refused call allocates no engine. Each
-/// worker of [`seizure_parallel::par_process_rows`] streams its block of
-/// rows through a clone of the engine; the first error in row order is
-/// returned.
+/// The geometry ([`SlidingWindowConfig::check_streamable`]), the channels,
+/// the record's length and the selection are all checked before `engine`
+/// builds the engine and before `matrix` is touched, so a refused call
+/// allocates no engine. Each worker of
+/// [`seizure_parallel::par_process_rows`] streams its block of rows through
+/// a clone of the engine; the first error in row order is returned.
 pub(crate) fn stream_rows_into<E: HopEngine>(
     f7t3: &[f64],
     f8t4: &[f64],
@@ -188,7 +155,7 @@ pub(crate) fn stream_rows_into<E: HopEngine>(
     engine: impl FnOnce() -> Result<E, FeatureError>,
     matrix: &mut FeatureMatrix,
 ) -> Result<(), FeatureError> {
-    E::check(config)?;
+    config.check_streamable()?;
     let count = record_windows(f7t3, f8t4, config)?;
     let rows = match windows {
         Some(windows) => {
@@ -324,8 +291,8 @@ struct HopSummary {
 }
 
 impl HopSummary {
-    /// Summarizes one hop of samples (`hop.len() >= 5`, enforced by the
-    /// extractor's geometry validation).
+    /// Summarizes one hop of samples (`hop.len() >= 5`, enforced by
+    /// [`SlidingWindowConfig::check_streamable`]).
     // lint: hot-path
     fn from_hop(hop: &[f64]) -> Self {
         let raw = MomentSummary::from_slice(hop);
@@ -470,9 +437,10 @@ impl StreamingRichExtractor {
     ///
     /// # Errors
     ///
-    /// Returns [`StreamingRichExtractor::check_geometry`]'s errors.
+    /// Returns [`SlidingWindowConfig::check_streamable`]'s error, before
+    /// anything is allocated, for a geometry the engines cannot stream.
     pub fn new(config: &SlidingWindowConfig) -> Result<Self, FeatureError> {
-        Self::check_geometry(config)?;
+        config.check_streamable()?;
         let fs = config.sampling_frequency();
         let window = config.window_samples();
         let hop = config.step_samples();
@@ -494,40 +462,6 @@ impl StreamingRichExtractor {
             channels: [make_channel()?, make_channel()?],
             hops_seen: 0,
         })
-    }
-
-    /// Refuses a geometry [`StreamingRichExtractor::new`] refuses, with the
-    /// same error, without allocating: it builds no extractor, so a caller
-    /// can vet a geometry before any record is at hand.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FeatureError::InvalidConfig`] when the window is not an
-    /// integer multiple (at least two) of the hop, so that hop summaries
-    /// tile windows exactly, the hop does not exceed the order-5 ordinal
-    /// pattern span of four samples, or the window is longer than
-    /// `u32::MAX` samples, past what the hop summaries' `u32` zero-crossing
-    /// and ordinal-pattern counters can count; and [`FeatureError::Dsp`] for
-    /// a window too short for the db4 carry (fewer than 16 samples). The
-    /// paper's 4 s / 75 % geometry satisfies all of these at any rate up to
-    /// about 1 GHz.
-    pub fn check_geometry(config: &SlidingWindowConfig) -> Result<(), FeatureError> {
-        check_tiled("streaming rich extraction", config)?;
-        let (window, hop) = (config.window_samples(), config.step_samples());
-        check_u32_window("streaming rich extraction", window)?;
-        if window / hop < 2 || hop <= 4 {
-            return Err(FeatureError::InvalidConfig {
-                name: "config",
-                reason: format!(
-                    "streaming rich extraction requires at least two hops per window, each \
-                     longer than the order-5 ordinal pattern span of 4 samples, got {} hops \
-                     of {hop}",
-                    window / hop
-                ),
-            });
-        }
-        let levels = RICH_WAVELET_LEVELS.min(max_level(window)).max(1);
-        Ok(StreamingWavelet::check(window, hop, levels, 3.min(levels))?)
     }
 
     /// Sampling frequency of the geometry.
@@ -661,10 +595,6 @@ impl HopEngine for StreamingRichExtractor {
         rich_names()
     }
 
-    fn check(config: &SlidingWindowConfig) -> Result<(), FeatureError> {
-        Self::check_geometry(config)
-    }
-
     fn push_hop(
         &mut self,
         f7t3: &[f64],
@@ -745,15 +675,10 @@ impl StreamingPaperExtractor {
     ///
     /// # Errors
     ///
-    /// Returns [`FeatureError::InvalidConfig`] when the step does not divide
-    /// the window (hops must tile windows exactly; a 60 % overlap, say) or
-    /// the window is longer than `u32::MAX` samples, past what the
-    /// permutation entropies' `u32` pattern counters can count, both before
-    /// anything is allocated; and [`FeatureError::Dsp`] for a window too
-    /// short for one db4 level (fewer than 16 samples), which the per-window
-    /// reference refuses too.
+    /// Returns [`SlidingWindowConfig::check_streamable`]'s error, before
+    /// anything is allocated, for a geometry the engines cannot stream.
     pub fn new(config: &SlidingWindowConfig) -> Result<Self, FeatureError> {
-        Self::check(config)?;
+        config.check_streamable()?;
         let window = config.window_samples();
         let hop = config.step_samples();
         let levels = PAPER_WAVELET_LEVELS.min(max_level(window)).max(1);
@@ -848,14 +773,6 @@ impl StreamingPaperExtractor {
 impl HopEngine for StreamingPaperExtractor {
     fn names() -> &'static [String] {
         paper_names()
-    }
-
-    fn check(config: &SlidingWindowConfig) -> Result<(), FeatureError> {
-        check_tiled("streaming paper extraction", config)?;
-        let (window, hop) = (config.window_samples(), config.step_samples());
-        check_u32_window("streaming paper extraction", window)?;
-        let levels = PAPER_WAVELET_LEVELS.min(max_level(window)).max(1);
-        Ok(StreamingWavelet::check(window, hop, levels, 3.min(levels))?)
     }
 
     fn push_hop(

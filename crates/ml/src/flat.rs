@@ -34,10 +34,8 @@ pub(crate) const LEAF: u32 = u32::MAX;
 ///
 /// // Flat batch input: two samples ([29, 1] and [1, 3]).
 /// let matrix = [29.0, 1.0, 1.0, 3.0];
-/// let probas = flat.predict_proba_batch(&matrix, 2)?;
-/// assert_eq!(probas[0], flat.predict_proba(&[29.0, 1.0]));
-/// assert!(flat.predict(&[29.0, 1.0]));
-/// assert!(!flat.predict(&[1.0, 3.0]));
+/// assert_eq!(flat.predict_batch(&matrix, 2)?, [true, false]);
+/// assert!(flat.predict_proba(&[29.0, 1.0]) > 0.5);
 /// # Ok(())
 /// # }
 /// ```
@@ -160,56 +158,14 @@ impl FlatForest {
         Ok(matrix.len() / num_features)
     }
 
-    /// Predicts class probabilities for every row of a flat row-major matrix
+    /// Majority-vote predictions for every row of a flat row-major matrix
     /// (`num_samples * num_features` values), parallel over samples. Each
-    /// probability is bit-identical to [`FlatForest::predict_proba`] on the
-    /// corresponding row.
+    /// prediction equals [`FlatForest::predict`] on its row.
     ///
     /// # Errors
     ///
     /// Returns [`MlError::DimensionMismatch`] if `num_features` does not
     /// match the training data or does not divide `matrix.len()`.
-    pub fn predict_proba_batch(
-        &self,
-        matrix: &[f64],
-        num_features: usize,
-    ) -> Result<Vec<f64>, MlError> {
-        let mut out = Vec::new();
-        self.predict_proba_batch_into(matrix, num_features, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of [`FlatForest::predict_proba_batch`]: clears
-    /// `out` and refills it in place, so a buffer reused across calls only
-    /// allocates when a batch first outgrows it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::DimensionMismatch`] under the same conditions as
-    /// [`FlatForest::predict_proba_batch`] (leaving `out` untouched).
-    // lint: hot-path
-    pub fn predict_proba_batch_into(
-        &self,
-        matrix: &[f64],
-        num_features: usize,
-        out: &mut Vec<f64>,
-    ) -> Result<(), MlError> {
-        let samples = self.validate_matrix(matrix, num_features)?;
-        out.clear();
-        out.resize(samples, 0.0);
-        seizure_parallel::par_fill_slice(out, |i| {
-            self.predict_proba(&matrix[i * num_features..(i + 1) * num_features])
-        });
-        Ok(())
-    }
-
-    /// Majority-vote predictions for every row of a flat row-major matrix,
-    /// parallel over samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MlError::DimensionMismatch`] under the same conditions as
-    /// [`FlatForest::predict_proba_batch`].
     pub fn predict_batch(&self, matrix: &[f64], num_features: usize) -> Result<Vec<bool>, MlError> {
         let mut out = Vec::new();
         self.predict_batch_into(matrix, num_features, &mut out)?;
@@ -223,7 +179,7 @@ impl FlatForest {
     /// # Errors
     ///
     /// Returns [`MlError::DimensionMismatch`] under the same conditions as
-    /// [`FlatForest::predict_proba_batch`] (leaving `out` untouched).
+    /// [`FlatForest::predict_batch`] (leaving `out` untouched).
     // lint: hot-path
     pub fn predict_batch_into(
         &self,
@@ -270,12 +226,9 @@ mod tests {
     #[test]
     fn batch_predictions_match_per_sample_paths() {
         let (matrix, flat) = fitted(3);
-        let probas = flat.predict_proba_batch(&matrix, 3).unwrap();
         let classes = flat.predict_batch(&matrix, 3).unwrap();
-        assert_eq!(probas.len(), 80);
         assert_eq!(classes.len(), 80);
-        for ((row, p), c) in matrix.chunks_exact(3).zip(&probas).zip(&classes) {
-            assert_eq!(flat.predict_proba(row).to_bits(), p.to_bits());
+        for (row, c) in matrix.chunks_exact(3).zip(&classes) {
             assert_eq!(flat.predict(row), *c);
         }
     }
@@ -284,18 +237,14 @@ mod tests {
     fn into_variants_reuse_buffers_across_batches() {
         let (matrix, flat) = fitted(5);
         let samples = matrix.len() / 3;
-        let mut probas = Vec::new();
         let mut classes = Vec::new();
-        // Shrinking and growing batches through the same buffers.
+        // Shrinking and growing batches through the same buffer.
         for take in [samples, 3, samples / 2] {
             let slice = &matrix[..take * 3];
-            flat.predict_proba_batch_into(slice, 3, &mut probas)
-                .unwrap();
             flat.predict_batch_into(slice, 3, &mut classes).unwrap();
-            assert_eq!(probas, flat.predict_proba_batch(slice, 3).unwrap());
             assert_eq!(classes, flat.predict_batch(slice, 3).unwrap());
         }
-        // Errors leave the buffers untouched.
+        // Errors leave the buffer untouched.
         let before = classes.clone();
         assert!(flat
             .predict_batch_into(&[1.0, 2.0], 2, &mut classes)
@@ -307,11 +256,10 @@ mod tests {
     fn batch_rejects_bad_matrices() {
         let (_, flat) = fitted(4);
         // Wrong feature count.
-        assert!(flat.predict_proba_batch(&[1.0, 2.0], 2).is_err());
+        assert!(flat.predict_batch(&[1.0, 2.0], 2).is_err());
         // Right feature count, misaligned buffer.
-        assert!(flat.predict_proba_batch(&[1.0, 2.0, 3.0, 4.0], 3).is_err());
         assert!(flat.predict_batch(&[1.0, 2.0, 3.0, 4.0], 3).is_err());
         // Empty batch is fine.
-        assert_eq!(flat.predict_proba_batch(&[], 3).unwrap().len(), 0);
+        assert_eq!(flat.predict_batch(&[], 3).unwrap().len(), 0);
     }
 }

@@ -127,8 +127,8 @@ proptest! {
             forest.predict_batch(&held, 3).unwrap(),
             reference.predict_batch(&held, 3).unwrap()
         );
-        let probas: Vec<u64> = forest.predict_proba_batch(&held, 3).unwrap().iter().map(|p| p.to_bits()).collect();
-        let ref_probas: Vec<u64> = reference.predict_proba_batch(&held, 3).unwrap().iter().map(|p| p.to_bits()).collect();
+        let probas: Vec<u64> = held.chunks_exact(3).map(|row| forest.predict_proba(row).to_bits()).collect();
+        let ref_probas: Vec<u64> = held.chunks_exact(3).map(|row| reference.predict_proba(row).to_bits()).collect();
         prop_assert_eq!(probas, ref_probas);
     }
 

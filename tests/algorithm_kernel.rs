@@ -8,14 +8,16 @@
 //! `to_bits()`, on random matrices with and without NaN-laced rows, for
 //! subsampling steps 1–5 and every window length from 1 to rows − 1, and for
 //! steps past the window and the record up to `usize::MAX`. The
-//! optimized scorer splits the candidates across workers, so the oracle is
-//! checked on matrices long enough to split and on candidate counts on both
-//! sides of the serial cutoff.
+//! optimized scorer walks the candidates on the calling thread in groups
+//! that share a subtraction chain, so the oracle is also checked on
+//! candidate counts that fill a group partly, exactly or with a remainder.
 //!
 //! The oracle cases stop at 300 rows, so the labeling-scale distances are
 //! also pinned: the length and FNV-1a hash of the distance bits and the
 //! detected row, on the paper features of a 45-minute cohort record per
-//! patient at the self-learning loop's geometry.
+//! patient at the self-learning loop's geometry. Those features stream
+//! through the batch engine one block of rows per worker, so the pins also
+//! hold the paper rows to their bits at any thread count.
 
 use proptest::prelude::*;
 use selflearn_seizure::core::algorithm::{posteriori_detect, DetectorConfig};
@@ -167,8 +169,7 @@ proptest! {
 #[test]
 fn hoisted_grid_sums_match_at_labeling_scale() {
     // A paper-like shape: ten features and a 74-row seizure window, plus
-    // the extreme window lengths. Up to 299 candidates: one contiguous
-    // block per worker on any host with two or more threads.
+    // the extreme window lengths: up to 299 candidates.
     let matrix = random_matrix(7, 300, 10, 0);
     assert_bit_identical(&matrix, &[1, 2, 37, 74, 299], "seed 7, clean");
     let laced = random_matrix(8, 300, 10, 13);
@@ -177,8 +178,8 @@ fn hoisted_grid_sums_match_at_labeling_scale() {
 
 #[test]
 fn candidate_counts_around_the_serial_cutoff_match() {
-    // Fewer than 16 candidates (8 per worker) are scored on the calling
-    // thread; 16 and more may split.
+    // Candidate counts from one to a few dozen: chain groups of the default
+    // step filled partly, exactly and with a remainder.
     for candidates in [1usize, 2, 7, 8, 15, 16, 17, 31, 33] {
         for w in [1usize, 9, 74] {
             let matrix = random_matrix(candidates as u64, w + candidates, 4, 5);
@@ -193,7 +194,7 @@ fn steps_past_the_window_and_the_record_match() {
     // subtraction chain, so a group holds up to `step` candidates. Window
     // lengths around the step put zero, one or two grid rows in a window;
     // candidate counts around it fill a group partly, exactly or with a
-    // remainder, and 16 or more may be cut between workers.
+    // remainder.
     for step in [6usize, 7, 16, 64] {
         for w in [1, step - 1, step, step + 1] {
             for candidates in [step - 1, step, step + 1, 2 * step + 3, 40] {

@@ -13,19 +13,25 @@
 //! finiteness asked of skewness and kurtosis on degenerate windows. The
 //! paper engine's rows stay within 1e-9 of `PaperFeatureSet::extract_window`
 //! on clean records.
+//!
+//! Which geometries stream at all is one rule,
+//! `SlidingWindowConfig::check_streamable`: every engine constructor, the
+//! detector's streaming front end and every batch entry point return its
+//! verdict, checked here over a table of accepted and refused geometries.
 
 use proptest::prelude::*;
 use selflearn_seizure::core::realtime::{QualityVerdict, RealTimeDetector, RealTimeDetectorConfig};
 use selflearn_seizure::core::workspace::FeatureWorkspace;
-use selflearn_seizure::core::SeizureLabel;
+use selflearn_seizure::core::{CoreError, SeizureLabel};
 use selflearn_seizure::data::cohort::Cohort;
 use selflearn_seizure::data::sampler::SampleConfig;
 use selflearn_seizure::data::synth::{degrade_signal, HostileScenario};
 use selflearn_seizure::features::extractor::{
     FeatureExtractor, PaperFeatureSet, RichFeatureSet, SlidingWindowConfig,
 };
+use selflearn_seizure::features::quality::{QualityExtractor, QualityGrader};
 use selflearn_seizure::features::streaming::{StreamingPaperExtractor, StreamingRichExtractor};
-use selflearn_seizure::features::FeatureMatrix;
+use selflearn_seizure::features::{FeatureError, FeatureMatrix};
 
 /// Relative tolerance against the two-pass reference (merged vs two-pass
 /// moments, re-associated sums); observed slack is ~1e-12, the bound leaves
@@ -393,4 +399,115 @@ fn sample_at_a_time_push_matches_batch_detect() {
     }
     // The sweep reaches the gate's `Reject` path, not only clean windows.
     assert!(rejected > 0);
+}
+
+/// A batch entry point applied to a matrix.
+type BatchCall<'a> = &'a dyn Fn(&mut FeatureMatrix) -> Result<(), FeatureError>;
+
+/// One rule decides which geometries stream: for each geometry, the three
+/// hop engines' constructors, the detector's streaming front end and the
+/// paper, rich and quality batch entry points return exactly
+/// `SlidingWindowConfig::check_streamable`'s verdict, and a refused batch
+/// call leaves its matrix as it was.
+#[test]
+fn every_entry_point_streams_exactly_the_geometries_the_rule_admits() {
+    // (fs, window s, overlap, streamable)
+    let table = [
+        (256.0, 4.0, 0.75, true),
+        (250.0, 4.0, 0.75, true),
+        (64.0, 2.0, 0.5, true),
+        // A 410-sample step does not tile the 1024-sample window.
+        (256.0, 4.0, 0.6, false),
+        // No overlap: one hop per window.
+        (256.0, 4.0, 0.0, false),
+        // 4-sample hops of a 16-sample window.
+        (16.0, 1.0, 0.75, false),
+        // A 10-sample window of 5-sample hops.
+        (10.0, 1.0, 0.5, false),
+        // 4e15-sample windows.
+        (1e15, 4.0, 0.75, false),
+    ];
+    // A forest to stream with: rows of any geometry train it.
+    let labels: Vec<bool> = (0..20).map(|i| i % 2 == 0).collect();
+    let rows: Vec<f64> = labels
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &l)| (0..54).map(move |c| f64::from(u8::from(l)) + 0.01 * (i + c) as f64))
+        .collect();
+    let filled = {
+        let (a, b) = (synth_channel(12 * 256, 1), synth_channel(12 * 256, 2));
+        let config = SlidingWindowConfig::paper_default(256.0).unwrap();
+        PaperFeatureSet::new(256.0)
+            .unwrap()
+            .extract_batch(&a, &b, &config)
+            .unwrap()
+    };
+    for (fs, window_secs, overlap, streamable) in table {
+        let context = format!("{fs} Hz, {window_secs} s, {overlap} overlap");
+        let config = SlidingWindowConfig::new(fs, window_secs, overlap).unwrap();
+        let rule = config.check_streamable();
+        assert_eq!(rule.is_ok(), streamable, "{context}: {rule:?}");
+        let verdict = rule.err();
+        assert!(
+            verdict
+                .as_ref()
+                .is_none_or(|e| matches!(e, FeatureError::InvalidConfig { name: "config", .. })),
+            "{context}: {verdict:?}"
+        );
+        assert_eq!(
+            StreamingRichExtractor::new(&config).err(),
+            verdict,
+            "rich engine, {context}"
+        );
+        assert_eq!(
+            StreamingPaperExtractor::new(&config).err(),
+            verdict,
+            "paper engine, {context}"
+        );
+        let quality = QualityExtractor::new(fs).unwrap();
+        assert_eq!(
+            QualityGrader::new(&quality, &config).err(),
+            verdict,
+            "quality grader, {context}"
+        );
+        let mut detector = RealTimeDetector::new(RealTimeDetectorConfig {
+            window_secs,
+            overlap,
+            ..RealTimeDetectorConfig::default()
+        });
+        detector.train(&rows, 54, &labels).unwrap();
+        assert_eq!(
+            detector.streaming(fs).err(),
+            verdict.clone().map(CoreError::Feature),
+            "detector front end, {context}"
+        );
+
+        // A record of a few windows; none fits at 1e15 Hz, where the rule
+        // must speak before the record check.
+        let n = (config.window_samples() + 3 * config.step_samples()).min(1 << 16);
+        let (a, b) = (synth_channel(n, 3), synth_channel(n, 4));
+        let paper = PaperFeatureSet::new(fs).unwrap();
+        let rich = RichFeatureSet::new(fs).unwrap();
+        let batches: [(&str, BatchCall); 4] = [
+            ("paper batch", &|m| {
+                paper.extract_batch_into(&a, &b, &config, m)
+            }),
+            ("rich batch", &|m| {
+                rich.extract_batch_into(&a, &b, &config, m)
+            }),
+            ("rich selection", &|m| {
+                rich.extract_windows_into(&a, &b, &config, &[0], m)
+            }),
+            ("quality batch", &|m| {
+                quality.extract_batch_into(&a, &b, &config, m)
+            }),
+        ];
+        for (entry, batch) in batches {
+            let mut matrix = filled.clone();
+            assert_eq!(batch(&mut matrix).err(), verdict, "{entry}, {context}");
+            if !streamable {
+                assert_eq!(matrix, filled, "{entry}, {context}: the refusal wrote");
+            }
+        }
+    }
 }
