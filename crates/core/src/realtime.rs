@@ -953,7 +953,8 @@ pub struct StreamingDetection {
 /// Schmitt-trigger hysteresis as the batch gate), forest classification of
 /// the raw feature row and alarm gating. After the warm-up allocations in
 /// [`RealTimeDetector::streaming`], pushing samples performs no heap
-/// allocation (`tests/zero_alloc.rs` counts them).
+/// allocation (`tests/zero_alloc.rs` counts them), and
+/// [`StreamingDetector::heap_bytes`] reports every byte the front end holds.
 #[derive(Debug)]
 pub struct StreamingDetector<'a> {
     detector: &'a RealTimeDetector,
@@ -985,15 +986,17 @@ impl StreamingDetector<'_> {
         self.window_index
     }
 
-    /// Bytes of state carried across hops: the extractor's ring buffers and
-    /// carried operator state, the quality grader's rings of hop summaries
-    /// and steps, and the hop staging buffers. The edge memory model prices
-    /// all but the staging as
-    /// `seizure_edge::memory::MemoryModel::streaming_state_bytes`.
-    pub fn state_bytes(&self) -> usize {
-        self.extractor.state_bytes()
-            + self.grader.state_bytes()
-            + (self.hop_a.len() + self.hop_b.len()) * 8
+    /// Heap bytes the front end holds, the capacity of every buffer it owns:
+    /// the extractor's ([`StreamingRichExtractor::heap_bytes`]), the grader's
+    /// ([`QualityGrader::heap_bytes`]), the hop staging of both channels and
+    /// the feature row. At the paper geometry (256 Hz, 4 s, 75 % overlap)
+    /// that is 113 912 B; pass it to
+    /// `seizure_edge::memory::MemoryModel::budget_with_streaming`.
+    pub fn heap_bytes(&self) -> usize {
+        self.extractor.heap_bytes()
+            + self.grader.heap_bytes()
+            + size_of::<f64>()
+                * (self.hop_a.capacity() + self.hop_b.capacity() + self.row.capacity())
     }
 
     /// Forgets all carried signal state (keeping the borrowed model) so the
@@ -1124,7 +1127,8 @@ pub(crate) fn spread_classes(indices: &[usize], labels: &[bool]) -> Vec<usize> {
 /// Deterministic Theil–Sen line fit `y ≈ slope · x + intercept`: median of
 /// all pairwise slopes, then median of the per-point intercepts under that
 /// slope. Robust up to ~29 % outliers — enough to fit a record's amplitude
-/// envelope through its seizure windows.
+/// envelope through its seizure windows. The abscissae must increase
+/// strictly, as window indices do (`median_slope`'s contract).
 fn theil_sen(points: &[(f64, f64)]) -> (f64, f64) {
     debug_assert!(points.len() >= 2);
     // Two buffers of `32n + 64` keys take a record of up to about 8 000
@@ -1135,10 +1139,11 @@ fn theil_sen(points: &[(f64, f64)]) -> (f64, f64) {
     (slope, intercept)
 }
 
-/// The lower median, under `f64::total_cmp`, of the pairwise slopes
-/// `(yj − yi) / (xj − xi)` over `i < j` with `xj ≠ xi`: the slope a full
-/// sort would put at rank `(m − 1) / 2`, found without storing the
-/// `n(n − 1)/2` slopes (3.6 M, 29 MB, per channel on a 45-min record).
+/// The lower median, under `f64::total_cmp`, of the `m = n(n − 1)/2`
+/// pairwise slopes `(yj − yi) / (xj − xi)` over `i < j`: the slope a full
+/// sort would put at rank `(m − 1) / 2`, found without storing the slopes
+/// (3.6 M, 29 MB, per channel on a 45-min record). The abscissae must
+/// increase strictly (checked in debug builds), so every pair has a slope.
 /// Extra memory is two buffers of `cap` keys (`cap` even, at least 2).
 ///
 /// Slopes are compared by the integer keys `total_cmp` orders by, so the
@@ -1154,8 +1159,12 @@ fn theil_sen(points: &[(f64, f64)]) -> (f64, f64) {
 /// target is the answer, so heavy ties and constant series terminate.
 fn median_slope(points: &[(f64, f64)], cap: usize) -> Option<f64> {
     debug_assert!(cap >= 2 && cap.is_multiple_of(2));
+    debug_assert!(
+        points.windows(2).all(|pair| pair[0].0 < pair[1].0),
+        "abscissae must increase strictly"
+    );
     let n = points.len();
-    let slopes = distinct_abscissa_pairs(points);
+    let slopes = n * n.saturating_sub(1) / 2;
     let target = slopes.checked_sub(1)? / 2;
 
     // A fixed-seed sample of pairs, uniform over `i < j` (SplitMix64): a
@@ -1172,7 +1181,7 @@ fn median_slope(points: &[(f64, f64)], cap: usize) -> Option<f64> {
     for _ in 0..cap {
         let (a, b) = (draw(), draw());
         let ((xi, yi), (xj, yj)) = (points[a.min(b)], points[a.max(b)]);
-        if a != b && xj != xi {
+        if a != b {
             sample.push(slope_key((yj - yi) / (xj - xi)));
         }
     }
@@ -1228,27 +1237,6 @@ fn median_slope(points: &[(f64, f64)], cap: usize) -> Option<f64> {
     }
 }
 
-/// The number of pairs `i < j` with `xj != xi`, in O(n log n): all
-/// `n(n − 1)/2` pairs minus those with equal abscissae. Sorted under
-/// `total_cmp`, the abscissae that `==` calls equal sit in one run (−0
-/// next to +0), and a NaN equals nothing, not even its neighbour, so the
-/// runs under `==` hold exactly the skipped pairs.
-fn distinct_abscissa_pairs(points: &[(f64, f64)]) -> usize {
-    let mut xs: Vec<f64> = points.iter().map(|p| p.0).collect();
-    xs.sort_unstable_by(f64::total_cmp);
-    let mut equal = 0;
-    let mut run = 1;
-    for pair in xs.windows(2) {
-        if pair[1] == pair[0] {
-            equal += run;
-            run += 1;
-        } else {
-            run = 1;
-        }
-    }
-    xs.len() * xs.len().saturating_sub(1) / 2 - equal
-}
-
 /// One pass over the pairwise slopes: how many lie under `lo` and in
 /// `lo..=hi`, and whether `kept` holds all of the latter. `kept` takes
 /// every `stride`-th slope of the bracket; the stride starts at 1 and
@@ -1264,9 +1252,6 @@ fn slope_pass(
     let (mut under, mut within, mut stride) = (0, 0, 1usize);
     for (i, &(xi, yi)) in points.iter().enumerate() {
         for &(xj, yj) in &points[i + 1..] {
-            if xj == xi {
-                continue;
-            }
             let key = slope_key((yj - yi) / (xj - xi));
             if key < lo {
                 under += 1;
@@ -1427,9 +1412,7 @@ mod tests {
         let mut slopes = Vec::with_capacity(points.len() * (points.len() - 1) / 2);
         for (i, &(xi, yi)) in points.iter().enumerate() {
             for &(xj, yj) in &points[i + 1..] {
-                if xj != xi {
-                    slopes.push((yj - yi) / (xj - xi));
-                }
+                slopes.push((yj - yi) / (xj - xi));
             }
         }
         let slope = median_in_place(&mut slopes).unwrap_or(0.0);
@@ -1449,7 +1432,8 @@ mod tests {
         };
         let lengths = (2..=40).chain([63, 64, 65, 127, 250, 511, 777, 1000, 1800]);
         for n in lengths {
-            let kinds: [(&str, Vec<(f64, f64)>); 8] = [
+            // Window indices as abscissae, as the AGC fits them.
+            let kinds: [(&str, Vec<(f64, f64)>); 5] = [
                 ("noise", (0..n).map(|i| (i as f64, noise())).collect()),
                 (
                     "trend",
@@ -1457,60 +1441,26 @@ mod tests {
                         .map(|i| (i as f64, 0.01 * i as f64 - 2.0 + 0.1 * noise()))
                         .collect(),
                 ),
-                // Few levels and repeated abscissae: many equal slopes and
-                // skipped pairs.
+                // Few levels: many equal slopes.
                 (
                     "quantized",
                     (0..n)
-                        .map(|i| ((i / 3) as f64, (noise() * 4.0).round() / 4.0))
+                        .map(|i| (i as f64, (noise() * 4.0).round() / 4.0))
                         .collect(),
                 ),
                 ("constant", (0..n).map(|i| (i as f64, 1.5)).collect()),
-                ("one abscissa", (0..n).map(|_| (2.0, noise())).collect()),
-                // Both zeros are one abscissa to `!=`, and every NaN is
-                // distinct from everything, itself included.
-                (
-                    "signed zeros and NaN abscissae",
-                    (0..n)
-                        .map(|i| {
-                            let x = match i % 6 {
-                                0 => 0.0,
-                                1 => -0.0,
-                                2 => f64::NAN,
-                                3 => -f64::NAN,
-                                _ => (i % 4) as f64,
-                            };
-                            (x, noise())
-                        })
-                        .collect(),
-                ),
-                (
-                    "repeated abscissae, unsorted",
-                    (0..n).map(|i| (((i * 7) % 5) as f64, noise())).collect(),
-                ),
                 (
                     "nan-laced",
                     (0..n)
                         .map(|i| match i % 11 {
                             3 => (i as f64, f64::NAN),
                             7 => (i as f64, -f64::NAN),
-                            9 if i % 2 == 0 => (f64::NAN, noise()),
                             _ => (i as f64, noise()),
                         })
                         .collect(),
                 ),
             ];
             for (kind, points) in kinds {
-                let brute_force: usize = points
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(xi, _))| points[i + 1..].iter().filter(|p| p.0 != xi).count())
-                    .sum();
-                assert_eq!(
-                    distinct_abscissa_pairs(&points),
-                    brute_force,
-                    "{kind}, n {n}: pairs with distinct abscissae"
-                );
                 let got = theil_sen(&points);
                 let want = stored_slopes_theil_sen(&points);
                 assert_eq!(
@@ -2019,7 +1969,7 @@ mod tests {
         let mut streaming = detector.streaming(fs).unwrap();
         assert_eq!(streaming.window_samples(), 256);
         assert_eq!(streaming.step_samples(), 64);
-        assert!(streaming.state_bytes() > 0);
+        assert!(streaming.heap_bytes() > 0);
         let mut alarms = Vec::new();
         let mut verdicts = Vec::new();
         for (&a, &b) in record

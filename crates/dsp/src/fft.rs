@@ -510,6 +510,22 @@ impl RealFftPlan {
         }
     }
 
+    /// Heap bytes of the plan's tables: the packed path's bit-reversal,
+    /// stage-twiddle and untangling tables, or the fallback's roots.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match &self.kind {
+            RealPlanKind::Packed {
+                rev,
+                twiddles,
+                untangle,
+            } => {
+                size_of::<u32>() * rev.capacity()
+                    + size_of::<Complex>() * (twiddles.capacity() + untangle.capacity())
+            }
+            RealPlanKind::Fallback(plan) => size_of::<Complex>() * plan.roots.capacity(),
+        }
+    }
+
     /// Computes `|X[k]|²` for `k = 0..=n/2` of both real signals, lane 0
     /// into `out[0]` and lane 1 into `out[1]`, without allocating. Each
     /// lane's bins equal the one-channel transform's bit for bit.

@@ -223,6 +223,13 @@ impl PsdPlan {
         self.fft.scratch_len()
     }
 
+    /// Heap bytes the plan holds: the packed real FFT's bit-reversal,
+    /// stage-twiddle and untangling tables, or the direct-DFT fallback's
+    /// roots of unity.
+    pub fn heap_bytes(&self) -> usize {
+        self.fft.heap_bytes()
+    }
+
     /// Frequency spacing between consecutive bins for a signal sampled at
     /// `fs` Hz.
     pub fn resolution(&self, fs: f64) -> f64 {

@@ -498,13 +498,19 @@ impl StreamingWavelet {
         self.min_detail_level
     }
 
-    /// Number of `f64` coefficient slots carried across windows (approximation
-    /// plus maintained detail bands) — the retained state the edge memory
-    /// model prices per channel.
-    pub fn state_len(&self) -> usize {
-        let approx: usize = self.approx.iter().map(Vec::len).sum();
-        let detail: usize = self.detail.iter().map(Vec::len).sum();
-        approx + detail
+    /// Heap bytes the operator holds: the per-level reuse plan, the
+    /// per-level band vectors and their coefficients (every approximation
+    /// band, and the detail bands from `min_detail_level` up).
+    pub fn heap_bytes(&self) -> usize {
+        let coefficients: usize = self
+            .approx
+            .iter()
+            .chain(&self.detail)
+            .map(Vec::capacity)
+            .sum();
+        size_of::<LevelReuse>() * self.reuse.capacity()
+            + size_of::<Vec<f64>>() * (self.approx.capacity() + self.detail.capacity())
+            + size_of::<f64>() * coefficients
     }
 
     /// Forgets all carried coefficients so the next [`update`] treats its
@@ -898,14 +904,16 @@ mod tests {
         assert_eq!(sweep(&mut streaming, &record, 0, "min detail 3"), 5);
         assert!(streaming.detail(1).is_none());
         assert!(streaming.detail(2).is_none());
-        // Skipped fine bands shrink the carried state accordingly.
+        // Skipped fine bands shrink the held heap accordingly.
         let full = StreamingWavelet::new(1024, 256, 5, 1).unwrap();
-        assert_eq!(full.state_len() - streaming.state_len(), 512 + 256);
-        // Odd bands halve rounding up: 1000 → 500, 250, 125, 63, 32.
+        assert_eq!(full.heap_bytes() - streaming.heap_bytes(), (512 + 256) * 8);
+        // Odd bands halve rounding up: 1000 → 500, 250, 125, 63, 32. Each
+        // level also holds its reuse entry and two band vectors.
         let odd = StreamingWavelet::new(1000, 250, 5, 3).unwrap();
+        let per_level = size_of::<LevelReuse>() + 2 * size_of::<Vec<f64>>();
         assert_eq!(
-            odd.state_len(),
-            (500 + 250 + 125 + 63 + 32) + (125 + 63 + 32)
+            odd.heap_bytes(),
+            5 * per_level + 8 * ((500 + 250 + 125 + 63 + 32) + (125 + 63 + 32))
         );
     }
 

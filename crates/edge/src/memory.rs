@@ -52,40 +52,6 @@ pub const GATE_STATE_BYTES: usize = 1 + 3 * 8;
 /// `tests/edge_platform.rs` pins it to the real layout.
 const QUALITY_FEATURES: usize = 15;
 
-/// `f64` slots one hop summary of the streaming extractor carries (the raw
-/// moment accumulator, the two second-order difference accumulators,
-/// partial waveform folds and the eight boundary samples). Mirrors
-/// `seizure-features`' `streaming::HOP_SUMMARY_F64_SLOTS`; pinned by
-/// `tests/edge_platform.rs`.
-const HOP_SUMMARY_F64: usize = 24;
-
-/// `u32` slots per hop summary (zero-crossing count plus the order-3 and
-/// order-5 ordinal pattern tables). Mirrors
-/// `streaming::HOP_SUMMARY_U32_SLOTS`; pinned by `tests/edge_platform.rs`.
-const HOP_SUMMARY_U32: usize = 1 + 6 + 120;
-
-/// `f64` slots one hop summary of the quality grader carries per channel
-/// (finite extrema, first and last samples, mean, central M2, energy, step
-/// sum and maximum, and a complex Goertzel partial on each of 16 lanes).
-/// Mirrors `seizure-features`' `quality::QUALITY_HOP_F64_SLOTS`; pinned by
-/// `tests/edge_platform.rs`.
-const QUALITY_HOP_F64: usize = 9 + 2 * 16;
-
-/// `u32` slots per quality hop summary (non-finite count, sample counts at
-/// both extrema, flat-run prefix, suffix and longest run). Mirrors
-/// `quality::QUALITY_HOP_U32_SLOTS`; pinned by `tests/edge_platform.rs`.
-const QUALITY_HOP_U32: usize = 6;
-
-/// The rich feature set decomposes with db4 to at most this many levels.
-const STREAM_WAVELET_MAX_LEVELS: usize = 5;
-
-/// db4 filter length, for the `wmaxlev` clamp.
-const STREAM_WAVELET_FILTER_LEN: usize = 8;
-
-/// Coarsest detail level the rich set reads Shannon entropies from; the
-/// streaming wavelet only maintains detail buffers from here up.
-const STREAM_MIN_DETAIL_LEVEL: usize = 3;
-
 impl MemoryModel {
     /// Creates a memory model for the given platform.
     pub fn new(spec: PlatformSpec) -> Self {
@@ -307,84 +273,16 @@ impl MemoryModel {
         Ok(budget)
     }
 
-    /// Bytes of state the streaming detector carries across hops for this
-    /// platform's channel count: the streaming feature extractor's
-    /// (`seizure-features`' `StreamingRichExtractor`) plus the quality
-    /// grader's ([`MemoryModel::quality_grader_bytes`]). Per channel, the
-    /// extractor holds the linearized window ring buffer, `window / step`
-    /// hop summaries (`HOP_SUMMARY_F64` `f64` + `HOP_SUMMARY_U32` `u32`
-    /// slots each) and the carried db4 coefficients (approximations on
-    /// every level, details from level `STREAM_MIN_DETAIL_LEVEL` up, each
-    /// band half the one above rounded up). The
-    /// formula mirrors the two engines' own `state_bytes()` byte for byte
-    /// (`tests/edge_platform.rs` pins them against each other); transient
-    /// FFT scratch (the two-lane periodogram buffer and both channels'
-    /// power rows) and selection scratch is excluded on both sides. Returns
-    /// 0 for geometries the streaming engines reject (window not a multiple
-    /// of the step).
-    pub fn streaming_state_bytes(&self, window_samples: usize, step_samples: usize) -> usize {
-        if step_samples == 0 || !window_samples.is_multiple_of(step_samples) {
-            return 0;
-        }
-        let k = window_samples / step_samples;
-        // db4 `wmaxlev`, clamped to the rich set's decomposition depth.
-        let max_level = if window_samples < STREAM_WAVELET_FILTER_LEN {
-            0
-        } else {
-            let ratio = window_samples as f64 / (STREAM_WAVELET_FILTER_LEN as f64 - 1.0);
-            ratio.log2().floor().max(0.0) as usize
-        };
-        let levels = STREAM_WAVELET_MAX_LEVELS.min(max_level).max(1);
-        let min_detail = STREAM_MIN_DETAIL_LEVEL.min(levels);
-        // Bands halve rounding up, as the engine's (and `wavedec`'s) do.
-        let (mut band, mut wavelet_slots) = (window_samples, 0usize);
-        for level in 1..=levels {
-            band = band.div_ceil(2);
-            wavelet_slots += band;
-            if level >= min_detail {
-                wavelet_slots += band;
-            }
-        }
-        let f64_slots = window_samples + k * HOP_SUMMARY_F64 + wavelet_slots;
-        let u32_slots = k * HOP_SUMMARY_U32;
-        self.spec.num_channels * (f64_slots * std::mem::size_of::<f64>() + u32_slots * 4)
-            + self.quality_grader_bytes(window_samples, step_samples)
-    }
-
-    /// Bytes of state the streaming quality grader (`seizure-features`'
-    /// `QualityGrader`) carries across hops for this platform's channel
-    /// count: per channel, `window / step` hop summaries (`QUALITY_HOP_F64`
-    /// `f64` + `QUALITY_HOP_U32` `u32` slots each) and each hop's
-    /// `step − 1` internal steps, which the window's median step selects
-    /// over. The grader's transient selection buffer (`window − 1` `f64`,
-    /// shared by the channels) is excluded. Mirrors the grader's own
-    /// `state_bytes()` byte for byte; returns 0 when the step does not
-    /// divide the window.
-    pub fn quality_grader_bytes(&self, window_samples: usize, step_samples: usize) -> usize {
-        if step_samples == 0 || !window_samples.is_multiple_of(step_samples) {
-            return 0;
-        }
-        let k = window_samples / step_samples;
-        let summary_bytes = QUALITY_HOP_F64 * std::mem::size_of::<f64>() + QUALITY_HOP_U32 * 4;
-        let step_bytes = (step_samples - 1) * std::mem::size_of::<f64>();
-        self.spec.num_channels * k * (summary_bytes + step_bytes)
-    }
-
     /// [`MemoryModel::budget_with_quality_gate`] for a detector running the
     /// sample-at-a-time streaming front end: the RAM side additionally holds
-    /// [`MemoryModel::streaming_state_bytes`] of carried extraction and
-    /// grading state plus one hop of staging samples per channel. On the
-    /// paper platform (STM32L151, 48 KB RAM) the full-precision 4 s / 75 %
-    /// state at 256 Hz is about 60 KB: about 41 KB for the feature
-    /// extractor and about 19 KB for the quality grader's rings. The
-    /// extractor's part fits the RAM on its own; with the grader priced,
-    /// `fits_ram` is `false` even without the hour-long quality ribbon, so a
-    /// deployment would down-convert the carried state to `f32`. The price
-    /// is a floor: the detector's streaming front end holds 113 912 heap
-    /// bytes at that geometry (measured by the allocator in
-    /// `tests/zero_alloc.rs`), because the periodogram plan and its
-    /// buffers, the wavelet scratch and the grader's selection buffer are
-    /// left out.
+    /// the `front_end_bytes` that front end keeps on the heap. Pass the
+    /// measured number, `seizure-core`'s `StreamingDetector::heap_bytes()`:
+    /// each engine sums the buffers it allocates, and the sum equals the
+    /// allocator's count (`tests/zero_alloc.rs`), so this crate never
+    /// re-derives their layouts. At the paper geometry (256 Hz, 4 s windows,
+    /// 75 % overlap) the front end holds 113 912 B, 2.3× the STM32L151's
+    /// 48 KB RAM, so `fits_ram` is `false` even without the hour-long
+    /// quality ribbon.
     ///
     /// # Errors
     ///
@@ -394,12 +292,10 @@ impl MemoryModel {
         &self,
         buffer_secs: f64,
         snapshot_bytes: usize,
-        window_samples: usize,
-        step_samples: usize,
+        front_end_bytes: usize,
     ) -> Result<MemoryBudget, EdgeError> {
         let mut budget = self.budget_with_quality_gate(buffer_secs, snapshot_bytes)?;
-        let staging = self.spec.num_channels * step_samples * std::mem::size_of::<f64>();
-        budget.working_bytes += self.streaming_state_bytes(window_samples, step_samples) + staging;
+        budget.working_bytes += front_end_bytes;
         budget.fits_ram = budget.working_bytes <= self.spec.ram_bytes;
         Ok(budget)
     }
@@ -596,53 +492,21 @@ mod tests {
     }
 
     #[test]
-    fn streaming_state_closed_form_prices_the_paper_geometry() {
-        let model = model();
-        // 1024-sample window, 256-sample hop, 5 db4 levels: per channel the
-        // window ring (1024 f64), four hop summaries, the carried approx
-        // bands 512+256+128+64+32 and detail bands 128+64+32.
-        let wavelet_slots = (512 + 256 + 128 + 64 + 32) + (128 + 64 + 32);
-        let per_channel =
-            (1024 + 4 * HOP_SUMMARY_F64 + wavelet_slots) * 8 + 4 * HOP_SUMMARY_U32 * 4;
-        // The grader: four quality hop summaries and 4 × 255 internal steps.
-        let grader_per_channel = 4 * (QUALITY_HOP_F64 * 8 + QUALITY_HOP_U32 * 4) + 4 * 255 * 8;
-        assert_eq!(
-            model.quality_grader_bytes(1024, 256),
-            2 * grader_per_channel
-        );
-        assert_eq!(
-            model.streaming_state_bytes(1024, 256),
-            2 * per_channel + 2 * grader_per_channel
-        );
-        // Unstreamable geometries price to zero.
-        for step in [0, 300] {
-            assert_eq!(model.streaming_state_bytes(1024, step), 0);
-            assert_eq!(model.quality_grader_bytes(1024, step), 0);
-        }
-    }
-
-    #[test]
     fn streaming_budget_extends_ram_and_documents_the_full_hour_boundary() {
         let model = model();
+        // What the streaming front end holds at the paper geometry.
+        let front_end = 113_912;
         let gated = model.budget_with_quality_gate(1200.0, 64 * 1024).unwrap();
         let streaming = model
-            .budget_with_streaming(1200.0, 64 * 1024, 1024, 256)
+            .budget_with_streaming(1200.0, 64 * 1024, front_end)
             .unwrap();
         assert_eq!(streaming.history_bytes, gated.history_bytes);
-        assert_eq!(
-            streaming.working_bytes,
-            gated.working_bytes + model.streaming_state_bytes(1024, 256) + 2 * 256 * 8
-        );
-        // The extractor's carried state alone fits the 48 KB RAM…
-        let grader = model.quality_grader_bytes(1024, 256);
-        assert!(model.streaming_state_bytes(1024, 256) - grader <= 48 * 1024);
-        // …but with the quality grader's rings priced next to it, the
-        // full-precision f64 state does not, with or without the hour-long
-        // quality ribbon: a real deployment stores the carried state as f32.
-        assert!(model.streaming_state_bytes(1024, 256) > 48 * 1024);
+        assert_eq!(streaming.working_bytes, gated.working_bytes + front_end);
+        // The front end does not fit the 48 KB RAM, with or without the
+        // hour-long quality ribbon.
         assert!(!streaming.fits_ram, "{} bytes", streaming.working_bytes);
-        let hour = model.budget_with_streaming(3600.0, 0, 1024, 256).unwrap();
+        let hour = model.budget_with_streaming(3600.0, 0, front_end).unwrap();
         assert!(!hour.fits_ram, "{} bytes", hour.working_bytes);
-        assert!(model.budget_with_streaming(0.0, 1, 1024, 256).is_err());
+        assert!(model.budget_with_streaming(0.0, 1, front_end).is_err());
     }
 }

@@ -151,20 +151,6 @@ const DRIFT_BINS: usize = 3;
 const GOERTZEL_LANES: usize = 16;
 const _: () = assert!(3 * MAINS_FAMILY.len() + DRIFT_BINS <= GOERTZEL_LANES);
 
-/// `f64` slots one hop summary carries per channel: the finite extrema, the
-/// first and last raw samples, the mean, central M2 and energy, the step sum
-/// and maximum, and one complex Goertzel partial per lane. Priced by
-/// `edge::memory::MemoryModel::quality_grader_bytes`.
-const QUALITY_HOP_F64_SLOTS: usize = 9 + 2 * GOERTZEL_LANES;
-
-/// `u32` slots one hop summary carries per channel: the non-finite count,
-/// the sample counts at both extrema and the flat-run prefix, suffix and
-/// longest run.
-const QUALITY_HOP_U32_SLOTS: usize = 6;
-
-/// Bytes of one hop summary.
-const HOP_SUMMARY_BYTES: usize = QUALITY_HOP_F64_SLOTS * 8 + QUALITY_HOP_U32_SLOTS * 4;
-
 /// A non-finite sample grades as zero in every arithmetic indicator.
 fn sanitize(v: f64) -> f64 {
     if v.is_finite() {
@@ -337,8 +323,6 @@ struct HopSummary {
     flat_suffix: u32,
     flat_longest: u32,
 }
-
-const _: () = assert!(std::mem::size_of::<HopSummary>() == HOP_SUMMARY_BYTES);
 
 impl HopSummary {
     const EMPTY: Self = Self {
@@ -623,7 +607,8 @@ fn merge_channel(
 /// The streaming detector feeds it one hop at a time through
 /// [`QualityGrader::push_hop`]; [`QualityExtractor::extract_batch_into`]
 /// drives one per worker, so both produce the same rows bit for bit. All
-/// buffers are sized at construction: pushing hops allocates nothing.
+/// buffers are sized at construction, so pushing hops allocates nothing and
+/// [`QualityGrader::heap_bytes`] is the grader's whole heap.
 ///
 /// # Example
 ///
@@ -662,7 +647,7 @@ pub struct QualityGrader {
     /// Hops pushed since construction or [`QualityGrader::reset`].
     hops_seen: usize,
     /// The window's steps, permuted in place by the median selection
-    /// (transient, not carried state).
+    /// (rewritten every window).
     select: Vec<u64>,
 }
 
@@ -712,18 +697,23 @@ impl QualityGrader {
         self.plan.fs == extractor.fs && self.plan.window == window && self.plan.hop == hop
     }
 
-    /// Bytes of state carried across hops, both channels: the ring of hop
-    /// summaries (41 `f64` and 6 `u32` slots each) and the ring of internal
-    /// steps. The transient selection buffer of `window − 1` samples is
-    /// excluded, as the streaming extractor excludes its FFT scratch. The
-    /// edge memory model (`edge::memory::MemoryModel::quality_grader_bytes`)
-    /// mirrors this number byte for byte.
+    /// Heap bytes the grader holds, the capacity of every buffer it owns: per
+    /// channel the ring of `window / hop` hop summaries and the ring of
+    /// their internal steps, the selection buffer of `window − 1` steps, and
+    /// the plan's per-hop Goertzel rotations. At the paper geometry (256 Hz,
+    /// 4 s, 75 % overlap) that is 28 344 B.
     #[must_use]
-    pub fn state_bytes(&self) -> usize {
-        self.channels
+    pub fn heap_bytes(&self) -> usize {
+        let rings: usize = self
+            .channels
             .iter()
-            .map(|c| c.ring.len() * HOP_SUMMARY_BYTES + c.steps.len() * 8)
-            .sum()
+            .map(|c| {
+                size_of::<HopSummary>() * c.ring.capacity() + size_of::<u64>() * c.steps.capacity()
+            })
+            .sum();
+        rings
+            + size_of::<u64>() * self.select.capacity()
+            + size_of::<f64>() * (self.plan.rot_re.capacity() + self.plan.rot_im.capacity())
     }
 
     /// Forgets the carried hops so the next hop starts a new record.
@@ -1273,13 +1263,19 @@ mod tests {
     }
 
     #[test]
-    fn grader_prices_its_rings_and_rejects_untiled_geometries() {
+    fn grader_counts_its_heap_and_rejects_untiled_geometries() {
         let q = QualityExtractor::new(256.0).unwrap();
         let config = SlidingWindowConfig::paper_default(256.0).unwrap();
         let grader = QualityGrader::new(&q, &config).unwrap();
-        // Four hop summaries and 4 × 255 internal steps per channel.
-        let per_channel = 4 * (QUALITY_HOP_F64_SLOTS * 8 + QUALITY_HOP_U32_SLOTS * 4) + 4 * 255 * 8;
-        assert_eq!(grader.state_bytes(), 2 * per_channel);
+        // Per channel four 352-byte hop summaries (41 f64 and 6 u32) and
+        // 4 × 255 internal steps; one 1023-step selection buffer; four hops
+        // of rotations on 16 complex lanes.
+        assert_eq!(size_of::<HopSummary>(), 352);
+        let per_channel = 4 * 352 + 4 * 255 * 8;
+        assert_eq!(
+            grader.heap_bytes(),
+            2 * per_channel + 1023 * 8 + 4 * 16 * 16
+        );
         let uneven = SlidingWindowConfig::new(256.0, 4.0, 0.6).unwrap();
         assert!(QualityGrader::new(&q, &uneven).is_err());
         let mut grader = grader;

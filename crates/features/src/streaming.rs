@@ -235,6 +235,14 @@ impl PairSpectrum {
         })
     }
 
+    /// Heap bytes held: the plan's tables, the lane buffer and both power
+    /// rows.
+    fn heap_bytes(&self) -> usize {
+        self.psd.heap_bytes()
+            + size_of::<ComplexPair>() * self.lanes.capacity()
+            + size_of::<f64>() * self.power.iter().map(Vec::capacity).sum::<usize>()
+    }
+
     /// Band powers of both channels' windows (F7T3 first), from one
     /// two-lane periodogram and one interleaved band fold.
     // lint: hot-path
@@ -249,14 +257,6 @@ impl PairSpectrum {
         )?)
     }
 }
-
-/// Number of `f64` fields one hop summary carries (priced by
-/// `edge::memory::streaming_state_bytes`).
-pub const HOP_SUMMARY_F64_SLOTS: usize = 24;
-
-/// Number of `u32` fields one hop summary carries (the zero-crossing count
-/// plus the order-3 and order-5 ordinal pattern tables).
-pub const HOP_SUMMARY_U32_SLOTS: usize = 1 + 6 + 120;
 
 /// Everything one hop contributes to the windows that cover it.
 #[derive(Debug, Clone)]
@@ -386,7 +386,9 @@ struct ChannelStream {
 ///
 /// [`StreamingRichExtractor::push_hop`] drives it in real time; the rich
 /// set's batch entry points drive the same extractor over a record (see the
-/// module docs), so a streamed row and a batch row are the same bits.
+/// module docs), so a streamed row and a batch row are the same bits. All
+/// buffers are sized at construction, so [`StreamingRichExtractor::heap_bytes`]
+/// is the extractor's whole heap.
 ///
 /// # Example
 ///
@@ -425,7 +427,7 @@ pub struct StreamingRichExtractor {
     /// Hops per window.
     k: usize,
     /// Two-lane full-window periodogram with its lane buffer and power
-    /// rows (transient scratch, not carried state).
+    /// rows, rewritten every window.
     spectrum: PairSpectrum,
     channels: [ChannelStream; 2],
     /// Hops ingested since construction or [`StreamingRichExtractor::reset`].
@@ -501,18 +503,22 @@ impl StreamingRichExtractor {
         &self.channels[channel].window_buf
     }
 
-    /// Bytes of state carried across hops, counted semantically (`f64`
-    /// slots × 8 plus `u32` slots × 4, both channels): the linearized window
-    /// ring buffers, the hop-summary rings and the carried wavelet
-    /// coefficients. Transient FFT scratch (the two-lane buffer and both
-    /// power rows) is excluded — it exists in the batch path too. The edge
-    /// memory model (`edge::memory::streaming_state_bytes`) mirrors this
-    /// number byte for byte.
-    pub fn state_bytes(&self) -> usize {
-        let per_channel_f64 =
-            self.window + self.k * HOP_SUMMARY_F64_SLOTS + self.channels[0].wavelet.state_len();
-        let per_channel_u32 = self.k * HOP_SUMMARY_U32_SLOTS;
-        2 * (per_channel_f64 * 8 + per_channel_u32 * 4)
+    /// Heap bytes the extractor holds, the capacity of every buffer it owns:
+    /// the two-lane periodogram's plan tables, lane buffer and power rows, and
+    /// per channel the window ring, the ring of `window / hop` hop summaries
+    /// and the wavelet carry ([`StreamingWavelet::heap_bytes`]). At the
+    /// paper geometry (256 Hz, 4 s, 75 % overlap) that is 81 040 B.
+    pub fn heap_bytes(&self) -> usize {
+        let channels: usize = self
+            .channels
+            .iter()
+            .map(|chan| {
+                size_of::<f64>() * chan.window_buf.capacity()
+                    + size_of::<HopSummary>() * chan.ring.capacity()
+                    + chan.wavelet.heap_bytes()
+            })
+            .sum();
+        self.spectrum.heap_bytes() + channels
     }
 
     /// Forgets all carried state so the next hop starts a new record.
@@ -1088,14 +1094,18 @@ mod tests {
     }
 
     #[test]
-    fn state_bytes_matches_semantic_count() {
+    fn heap_bytes_count_every_buffer() {
         let config = SlidingWindowConfig::paper_default(256.0).unwrap();
         let streaming = StreamingRichExtractor::new(&config).unwrap();
-        // window ring 1024 f64 + 4 hop summaries + carried wavelet coeffs,
-        // per channel; wavelet: approx 512+256+128+64+32, details 128+64+32.
-        let wavelet_slots = (512 + 256 + 128 + 64 + 32) + (128 + 64 + 32);
-        let per_channel =
-            (1024 + 4 * HOP_SUMMARY_F64_SLOTS + wavelet_slots) * 8 + 4 * HOP_SUMMARY_U32_SLOTS * 4;
-        assert_eq!(streaming.state_bytes(), 2 * per_channel);
+        // The periodogram: plan tables (512 u32 and 511 + 257 complex),
+        // 512 two-lane values and two 513-bin power rows.
+        assert_eq!(streaming.spectrum.heap_bytes(), 14_336 + 16_384 + 8_208);
+        // Per channel: a 1024-sample window, four 704-byte hop summaries
+        // (24 f64, 127 u32 and padding) and the five-level wavelet carry.
+        assert_eq!(size_of::<HopSummary>(), 704);
+        let wavelet = streaming.channels[0].wavelet.heap_bytes();
+        assert_eq!(wavelet, 10_048);
+        let per_channel = 8_192 + 4 * 704 + wavelet;
+        assert_eq!(streaming.heap_bytes(), 38_928 + 2 * per_channel);
     }
 }

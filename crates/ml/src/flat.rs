@@ -3,10 +3,10 @@
 //! [`FlatForest`] holds every tree of the ensemble in struct-of-arrays node
 //! storage — split feature, threshold, child indices and leaf probability
 //! each in one contiguous `Vec`, trees in DFS preorder — and predicts
-//! batches over a single flat row-major feature matrix, parallel across
-//! samples. The training engine grows its trees straight into this layout
-//! ([`crate::incremental::IncrementalTrainer::retrain`] returns one), so a
-//! prediction never chases a boxed node pointer.
+//! batches over a single flat row-major feature matrix, one row after
+//! another on the calling thread. The training engine grows its trees
+//! straight into this layout ([`crate::incremental::IncrementalTrainer::retrain`]
+//! returns one), so a prediction never chases a boxed node pointer.
 //!
 //! A tree's probability is its leaf's positive fraction, reached by `<=`
 //! comparisons from the root; the ensemble probability sums the trees in
@@ -138,7 +138,7 @@ impl FlatForest {
             .count()
     }
 
-    fn validate_matrix(&self, matrix: &[f64], num_features: usize) -> Result<usize, MlError> {
+    fn validate_matrix(&self, matrix: &[f64], num_features: usize) -> Result<(), MlError> {
         if num_features != self.num_features {
             return Err(MlError::DimensionMismatch {
                 detail: format!(
@@ -155,12 +155,12 @@ impl FlatForest {
                 ),
             });
         }
-        Ok(matrix.len() / num_features)
+        Ok(())
     }
 
     /// Majority-vote predictions for every row of a flat row-major matrix
-    /// (`num_samples * num_features` values), parallel over samples. Each
-    /// prediction equals [`FlatForest::predict`] on its row.
+    /// (`num_samples * num_features` values), in row order on the calling
+    /// thread. Each prediction equals [`FlatForest::predict`] on its row.
     ///
     /// # Errors
     ///
@@ -174,7 +174,7 @@ impl FlatForest {
 
     /// Allocation-free twin of [`FlatForest::predict_batch`]: clears `out`
     /// and refills it in place (votes are compared against the majority
-    /// threshold directly in the parallel fill, no staging buffer).
+    /// threshold row by row, no staging buffer).
     ///
     /// # Errors
     ///
@@ -187,12 +187,10 @@ impl FlatForest {
         num_features: usize,
         out: &mut Vec<bool>,
     ) -> Result<(), MlError> {
-        let samples = self.validate_matrix(matrix, num_features)?;
+        self.validate_matrix(matrix, num_features)?;
+        let rows = matrix.chunks_exact(num_features);
         out.clear();
-        out.resize(samples, false);
-        seizure_parallel::par_fill_slice(out, |i| {
-            2 * self.votes(&matrix[i * num_features..(i + 1) * num_features]) >= self.roots.len()
-        });
+        out.extend(rows.map(|row| self.predict(row)));
         Ok(())
     }
 }

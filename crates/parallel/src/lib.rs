@@ -1,14 +1,16 @@
 //! # seizure-parallel
 //!
-//! Dependency-free data parallelism for the batch inference engine.
+//! Dependency-free data parallelism for the record-level feature engines
+//! and forest fitting.
 //!
 //! The build environment has no crates.io access, so instead of `rayon` the
 //! batch paths fan out over [`std::thread::scope`]: a flat row-major output
 //! buffer is split into contiguous row blocks, one per worker, and each
 //! worker processes its block with a private scratch workspace. This is
-//! exactly the shape the feature extractor and the flat forest need — disjoint
-//! output rows, shared read-only input — so a full work-stealing pool would
-//! buy nothing on these regular workloads.
+//! exactly the shape the feature extractors need — disjoint output rows,
+//! shared read-only input — so a full work-stealing pool would buy nothing
+//! on these regular workloads. [`par_map_init`] fans the trainer's trees out
+//! the same way. Batch prediction runs on the calling thread.
 //!
 //! The worker count is the machine's available parallelism unless the
 //! `SEIZURE_NUM_THREADS` environment variable pins it. The variable is read
@@ -158,37 +160,6 @@ where
     Ok(out)
 }
 
-/// Fills a slice of any `Send` element type by evaluating `f` on every index
-/// in parallel, e.g. per-sample class probabilities (`f64`) or class labels
-/// (`bool`).
-///
-/// The slice is split into contiguous blocks, one per scoped worker thread;
-/// small slices run on the calling thread.
-pub fn par_fill_slice<T, F>(out: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let n = out.len();
-    let workers = num_threads().min(n / MIN_ROWS_PER_WORKER).max(1);
-    let fill_block = |start: usize, block: &mut [T]| {
-        for (offset, slot) in block.iter_mut().enumerate() {
-            *slot = f(start + offset);
-        }
-    };
-    if workers <= 1 {
-        fill_block(0, out);
-        return;
-    }
-    let per_block = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (block_idx, block) in out.chunks_mut(per_block).enumerate() {
-            let fill_block = &fill_block;
-            scope.spawn(move || fill_block(block_idx * per_block, block));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,31 +241,6 @@ mod tests {
         );
         // First error in index order wins regardless of worker count.
         assert_eq!(err.unwrap_err(), 10);
-    }
-
-    #[test]
-    fn par_fill_slice_fills_non_f64_outputs() {
-        let mut flags = vec![false; 777];
-        par_fill_slice(&mut flags, |i| i % 3 == 0);
-        for (i, v) in flags.iter().enumerate() {
-            assert_eq!(*v, i % 3 == 0);
-        }
-        // Small slices run serially and empty slices are a no-op.
-        let mut small = vec![0usize; 3];
-        par_fill_slice(&mut small, |i| i + 1);
-        assert_eq!(small, vec![1, 2, 3]);
-        let mut empty: Vec<bool> = Vec::new();
-        par_fill_slice(&mut empty, |_| true);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn par_fill_slice_matches_serial_map() {
-        let mut out = vec![0.0; 513];
-        par_fill_slice(&mut out, |i| (i * i) as f64);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, (i * i) as f64);
-        }
     }
 
     #[test]

@@ -52,8 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fs = probe.signal().sampling_frequency();
     let mut streaming = detector.streaming(fs)?;
     println!(
-        "streaming state: {} bytes carried across {}-sample hops ({}-sample windows)",
-        streaming.state_bytes(),
+        "streaming front end: {} heap bytes held for {}-sample hops ({}-sample windows)",
+        streaming.heap_bytes(),
         streaming.step_samples(),
         streaming.window_samples(),
     );

@@ -20,12 +20,13 @@
 //! the set's column names must allocate no name. Batch `detect_into` is
 //! left out: it fills a feature matrix per record, builds one quality
 //! grader and one streaming extractor per worker, and on a calibrated gate
-//! its slow gain correction's Theil–Sen fit takes a sorted copy of the
-//! abscissae, two bounded slope-key buffers and the per-window intercepts on
-//! each call.
+//! its slow gain correction's Theil–Sen fit takes two bounded slope-key
+//! buffers and the per-window intercepts on each call.
 //!
-//! The same allocator also tracks each thread's live heap bytes, so one
-//! test pins what the streaming front end holds at the paper geometry.
+//! The same allocator also tracks each thread's live heap bytes. One test
+//! pins what the streaming front end holds at the paper geometry, and
+//! another checks that each engine's `heap_bytes()` is exactly what its
+//! constructor left allocated, at five geometries.
 
 use selflearn_seizure::core::labeler::LabelerConfig;
 use selflearn_seizure::core::pipeline::{LabelSource, SelfLearningPipeline};
@@ -152,17 +153,41 @@ fn the_counter_sees_this_threads_allocations() {
     assert_eq!(live_bytes(), live);
 }
 
+/// A gated detector with a small forest on separable rows, for windows of
+/// `window_secs` at `overlap`. The streaming front end borrows the forest,
+/// so its size does not enter the front end's heap.
+fn small_detector(window_secs: f64, overlap: f64) -> RealTimeDetector {
+    let width = 54;
+    let labels: Vec<bool> = (0..40).map(|i| i % 2 == 0).collect();
+    let rows: Vec<f64> = labels
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &seizure)| {
+            (0..width).map(move |c| f64::from(u8::from(seizure)) + 0.01 * (i * width + c) as f64)
+        })
+        .collect();
+    let mut detector = RealTimeDetector::new(RealTimeDetectorConfig {
+        window_secs,
+        overlap,
+        forest: RandomForestConfig {
+            n_trees: 4,
+            max_depth: 4,
+            ..RandomForestConfig::default()
+        },
+        ..RealTimeDetectorConfig::default()
+    });
+    detector.train(&rows, width, &labels).unwrap();
+    assert!(detector.config().quality_gate);
+    detector
+}
+
 /// Pins, to the byte, the heap the streaming front end holds at the paper
 /// geometry (256 Hz, 4 s windows, 75 % overlap): the detector's
 /// `streaming(256.0)` and the three hop engines it and the batch paths
 /// build. Streaming a record must leave the front end's heap where
-/// construction left it.
-///
-/// Each priced `state_bytes()` stays below its heap, because the carried
-/// state is not all the engines allocate. Unpriced today: the two-lane
-/// periodogram plan with its lane buffer and power rows, the wavelet
-/// scratch, and the grader's selection buffer (plus, for the detector, its
-/// feature row). The paper engine has no price at all.
+/// construction left it. The rich engine, the grader and the front end
+/// report exactly what they hold (`heap_bytes()`); the paper engine has no
+/// report, because nothing but this pin reads it.
 #[test]
 fn streaming_front_end_heap_bytes_are_pinned() {
     let fs = 256.0;
@@ -176,34 +201,14 @@ fn streaming_front_end_heap_bytes_are_pinned() {
         [81_040, 28_344, 65_872],
         "rich, quality, paper"
     );
-    assert!(signed(rich.state_bytes()) < rich_bytes);
-    assert!(signed(grader.state_bytes()) < grader_bytes);
+    assert_eq!(signed(rich.heap_bytes()), rich_bytes);
+    assert_eq!(signed(grader.heap_bytes()), grader_bytes);
     drop((rich, grader, paper));
 
-    // A small forest on separable rows; its size does not enter the front
-    // end, which borrows it.
-    let width = 54;
-    let labels: Vec<bool> = (0..40).map(|i| i % 2 == 0).collect();
-    let rows: Vec<f64> = labels
-        .iter()
-        .enumerate()
-        .flat_map(|(i, &seizure)| {
-            (0..width).map(move |c| f64::from(u8::from(seizure)) + 0.01 * (i * width + c) as f64)
-        })
-        .collect();
-    let mut detector = RealTimeDetector::new(RealTimeDetectorConfig {
-        forest: RandomForestConfig {
-            n_trees: 4,
-            max_depth: 4,
-            ..RandomForestConfig::default()
-        },
-        ..RealTimeDetectorConfig::default()
-    });
-    detector.train(&rows, width, &labels).unwrap();
-    assert!(detector.config().quality_gate);
+    let detector = small_detector(4.0, 0.75);
     let (mut front, front_bytes) = held(|| detector.streaming(fs).unwrap());
     assert_eq!(front_bytes, 113_912);
-    assert!(signed(front.state_bytes()) < front_bytes);
+    assert_eq!(signed(front.heap_bytes()), front_bytes);
 
     let cohort = Cohort::chb_mit_like(37);
     let sample = SampleConfig::new(60.0, 90.0, fs).unwrap();
@@ -216,6 +221,41 @@ fn streaming_front_end_heap_bytes_are_pinned() {
     }
     assert_eq!(live_bytes(), before, "streaming a record changed the heap");
     assert_eq!(windows, config.num_windows(signal.len()));
+}
+
+/// Each streaming engine's `heap_bytes()` is exactly what its constructor
+/// left allocated: the rich extractor, the quality grader and the detector's
+/// front end, at the paper geometry, at 2 s windows with 75 % and 50 %
+/// overlap, at 64 Hz, and at 250 Hz, whose 1000-sample window runs the
+/// direct-DFT plan and odd wavelet bands.
+#[test]
+fn heap_bytes_are_what_the_allocator_counts() {
+    for (fs, window_secs, overlap) in [
+        (256.0, 4.0, 0.75),
+        (256.0, 2.0, 0.75),
+        (256.0, 2.0, 0.5),
+        (64.0, 4.0, 0.75),
+        (250.0, 4.0, 0.75),
+    ] {
+        let context = format!("{fs} Hz, {window_secs} s windows, {overlap} overlap");
+        let config = SlidingWindowConfig::new(fs, window_secs, overlap).unwrap();
+        let (rich, rich_bytes) = held(|| StreamingRichExtractor::new(&config).unwrap());
+        assert_eq!(signed(rich.heap_bytes()), rich_bytes, "rich, {context}");
+        let quality = QualityExtractor::new(fs).unwrap();
+        let (grader, grader_bytes) = held(|| QualityGrader::new(&quality, &config).unwrap());
+        assert_eq!(
+            signed(grader.heap_bytes()),
+            grader_bytes,
+            "quality, {context}"
+        );
+        let detector = small_detector(window_secs, overlap);
+        let (front, front_bytes) = held(|| detector.streaming(fs).unwrap());
+        assert_eq!(
+            signed(front.heap_bytes()),
+            front_bytes,
+            "front end, {context}"
+        );
+    }
 }
 
 #[test]
